@@ -102,9 +102,10 @@ race:
 	$(GO) test -race ./...
 
 # The sharded replay engine must produce byte-identical results at any
-# parallelism; run its invariance test single- and multi-threaded.
+# parallelism, and the bytes it has always produced; run its invariance
+# and golden-digest tests single- and multi-threaded.
 determinism:
-	$(GO) test -race -run TestReplayDeterminism -cpu 1,4 ./internal/replay
+	$(GO) test -run 'TestReplayDeterminism|TestReplayGolden' -race -cpu 1,4 ./internal/replay
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot
@@ -126,8 +127,8 @@ cover:
 			{ echo "$$pkg coverage below $$floor%"; exit 1; }; \
 	done
 
-# Steady-state per-request allocations on the stream path must stay at or
-# below one object; TestStreamSteadyStateAllocs measures the marginal
+# Steady-state per-request allocations on the replay hot path must stay at
+# or below one object; TestStreamSteadyStateAllocs measures the marginal
 # malloc slope between two stream lengths. The test carries a !race build
 # tag (race instrumentation allocates per tracked access), so it runs
 # here rather than inside the race target.

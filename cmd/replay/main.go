@@ -5,49 +5,43 @@
 // Usage:
 //
 //	replay [-files N] [-sample N] [-seed S] [-shards N] [-chunk N]
-//	       [-tasks PATH] [-trace FILE] [-stream] [-faults SPEC] [-naive]
-//	       [-cache-policy NAME] [-pool-bytes N]
+//	       [-tasks PATH] [-trace FILE] [-faults SPEC] [-naive]
+//	       [-cache-policy NAME] [-pool-bytes N] [-gen-workers N]
 //	       [-metrics FORMAT] [-pprof ADDR]
-//	replay -trace FILE.bin -window OFF,LIM -shard-out FILE [spec flags]
 //
-// The second form is the distributed worker mode: it replays only the
-// record window [OFF, OFF+LIM) of a bin trace and writes a partial-result
-// file for a coordinator (cmd/odrcoord) to merge; faults replay naively
-// in this mode.
+// The week is consumed in one bounded-memory pass: requests flow past
+// once to discover the populations and draw the Unicom sample, and the
+// sample replays through the sharded engine — the full request log is
+// never resident. -shards and -chunk (the engine's batch size; the
+// effective value appears as the odr_replay_stream_chunk gauge in the
+// -metrics dump) are pure performance knobs: results are byte-identical
+// for any value. When the week is generated rather than read from a file,
+// -gen-workers pins the parallel generation worker count (0 =
+// GOMAXPROCS); the workload is byte-identical for any value.
+//
+// With -trace it replays a recorded workload trace instead of generating
+// one; the format (csv, jsonl, or the seekable bin format) is
+// auto-detected from the file's magic bytes, falling back to the
+// extension.
 //
 // With -cache-policy the ODR replay's cloud pool evolves under the named
 // eviction policy (lru, lfu, band, prewarm) instead of the default static
 // warm set; -pool-bytes overrides the pool capacity so the policy comes
-// under pressure. Results stay byte-identical for any -shards/-chunk
-// value under every policy, and the pool's end-of-run state appears as
-// odr_pool_* metrics in the -metrics dump.
+// under pressure. The pool's end-of-run state appears as odr_pool_*
+// metrics in the -metrics dump.
 // With -faults the ODR replay runs under the deterministic
 // fault-injection layer (see internal/faults): SPEC is either a preset
 // intensity ("0.25") or per-class rates
 // ("transient=0.1,stagnation=0.05,churn=0.1,degraded=0.2,giveup=1h").
 // Faulted replays are failure-aware by default — retries with RNG-drawn
-// backoff, per-operation timeouts, circuit-breaking into the decide path
-// — and stay byte-identical for any -shards/-chunk value. -naive turns
-// the resilience policy off so injected faults fail tasks outright (the
-// EXP-F baseline).
-//
-// With -trace it replays a recorded workload trace instead of generating
-// one; the format (csv, jsonl, or the seekable bin format) is
-// auto-detected from the file's magic bytes, falling back to the
-// extension. With -stream the trace is consumed through the
-// bounded-memory streaming pipeline: requests flow past once to discover
-// the populations and draw the Unicom sample, and the replay itself runs
-// through the streaming engine — the full request log is never resident.
-// Results are byte-identical to the slice path for the same seed. -chunk
-// sets the streaming engine's batch size (a pure performance knob; the
-// effective value appears as the odr_replay_stream_chunk gauge in the
-// -metrics dump). When the week is generated rather than read from a
-// file, -gen-workers pins the parallel generation worker count (0 =
-// GOMAXPROCS); the workload is byte-identical for any value.
+// backoff, per-operation timeouts, circuit-breaking into the decide path.
+// -naive turns the resilience policy off so injected faults fail tasks
+// outright (the EXP-F baseline).
 //
 // With -tasks it also dumps the week simulation's task records as JSON
-// Lines (the pre-downloading + fetching traces of §3); the week simulator
-// needs the materialized trace, so -tasks is incompatible with -stream.
+// Lines (the pre-downloading + fetching traces of §3). The week simulator
+// needs random access to the request log, so this is the one mode that
+// materializes it.
 //
 // With -metrics prom|json the ODR replay runs instrumented and the merged
 // metrics snapshot (decision counts, fetch histograms, backend outcomes)
@@ -57,7 +51,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -66,8 +59,6 @@ import (
 	"time"
 
 	"odr/internal/cloud"
-	"odr/internal/distrib"
-	"odr/internal/obs"
 	"odr/internal/replay"
 	"odr/internal/scenario"
 	"odr/internal/sim"
@@ -83,93 +74,19 @@ func main() {
 	shards := flag.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
 	tasks := flag.String("tasks", "", "also dump week task records as JSONL to this path")
 	tracePath := flag.String("trace", "", "replay a recorded workload trace (csv/jsonl/bin, auto-detected) instead of generating one")
-	stream := flag.Bool("stream", false, "force the bounded-memory streaming pipeline")
-	chunk := flag.Int("chunk", 0, "streaming engine batch size in requests (0 = default; results are identical for any value)")
+	chunk := flag.Int("chunk", 0, "engine batch size in requests (0 = default; results are identical for any value)")
 	naive := flag.Bool("naive", false, "with -faults, disable the failure-aware routing policy (faults fail tasks outright)")
-	window := flag.String("window", "",
-		"distributed worker mode: replay only records OFF,LIM of the -trace bin file (requires -shard-out)")
-	shardOut := flag.String("shard-out", "",
-		"distributed worker mode: write the window's partial-result file here")
 	common := scenario.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 
-	if *window != "" || *shardOut != "" {
-		if err := runWindowWorker(*window, *shardOut, *tracePath, *seed, *shards, *chunk, common); err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath, *stream,
-		*naive, common); err != nil {
+	if err := run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath, *naive, common); err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
 	}
 }
 
-// runWindowWorker is the distributed worker mode: replay one window of a
-// bin trace under the shared flag surface and write the partial-result
-// file a coordinator merges (see internal/distrib and cmd/odrcoord).
-// Heartbeats print as throttled "hb N" lines for a supervising parent.
-// Faults, when configured, always replay naively here — the resilience
-// layer's per-user circuit state cannot be reproduced window by window.
-func runWindowWorker(windowSpec, outPath, tracePath string, seed uint64,
-	shards, chunk int, common *scenario.Common) error {
-	if err := common.Validate(); err != nil {
-		return err
-	}
-	if windowSpec == "" || outPath == "" || tracePath == "" {
-		return fmt.Errorf("worker mode needs -trace, -window OFF,LIM, and -shard-out")
-	}
-	var off, lim int64
-	if _, err := fmt.Sscanf(windowSpec, "%d,%d", &off, &lim); err != nil {
-		return fmt.Errorf("bad -window %q (want OFF,LIM): %v", windowSpec, err)
-	}
-	req := distrib.WorkerRequest{
-		TracePath: tracePath,
-		Window:    distrib.Window{Offset: off, Limit: lim},
-		Spec: distrib.WorkerSpec{
-			Seed:        seed,
-			Shards:      shards,
-			Chunk:       chunk,
-			CachePolicy: common.CachePolicy,
-			PoolBytes:   common.PoolBytes,
-			Faults:      common.Faults,
-			Metrics:     common.Metrics != "",
-		},
-		PartialPath: outPath,
-	}
-	var last time.Time
-	beat := func(n int64) {
-		if now := time.Now(); now.Sub(last) >= 200*time.Millisecond {
-			last = now
-			fmt.Printf("hb %d\n", n)
-		}
-	}
-	if err := distrib.RunWorker(context.Background(), req, beat); err != nil {
-		return err
-	}
-	fmt.Printf("worker done: window [%d, %d) -> %s\n", off, off+lim, outPath)
-	return nil
-}
-
-// odrOptions compiles the command's flags into replay options through the
-// scenario layer, so the replay command, odrserver, and the experiments
-// share one faults/policy/resilience wiring.
-func odrOptions(seed uint64, shards, chunk int, naive bool,
-	common *scenario.Common, reg *obs.Registry) (replay.Options, error) {
-	spec := scenario.Spec{Seed: seed, Shards: shards, Chunk: chunk, Naive: naive}
-	common.ApplyTo(&spec)
-	opts, err := spec.ReplayOptions()
-	if err != nil {
-		return replay.Options{}, err
-	}
-	opts.Metrics = reg
-	return opts, nil
-}
-
 func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePath string,
-	stream bool, naive bool, common *scenario.Common) error {
+	naive bool, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
@@ -177,32 +94,56 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 	if common.Pprof != "" {
 		go scenario.ServePprof(common.Pprof, log.Printf)
 	}
-	if stream {
-		if tasksPath != "" {
-			return fmt.Errorf("-tasks needs the materialized week trace; drop -stream")
-		}
-		if err := runStream(files, sampleN, seed, shards, chunk, tracePath, naive,
-			reg, common); err != nil {
+
+	// One pass over the week: the census (trace files) or the generator
+	// (synthetic weeks) supplies the populations, the Unicom pool is drawn
+	// as requests flow past, and only -tasks retains the requests.
+	tr := &workload.Trace{Span: 7 * 24 * time.Hour}
+	var src workload.RequestSource
+	var census *workload.Census
+	if tracePath == "" {
+		st, err := workload.GenerateStream(workload.DefaultConfig(files, seed), workload.DefaultStreamChunk)
+		if err != nil {
 			return err
 		}
-		return scenario.DumpRegistry(os.Stderr, reg, common.Metrics)
+		tr.Files, tr.Users, tr.Span = st.Files, st.Users, st.Span
+		src = st.RequestsWorkers(common.GenWorkers)
+	} else {
+		f, _, closer, err := trace.OpenWorkloadFile(tracePath)
+		if err != nil {
+			return err
+		}
+		defer closer.Close()
+		census = workload.NewCensus()
+		src = census.Wrap(f)
 	}
-	tr, err := loadOrGenerate(files, seed, tracePath, common.GenWorkers)
+	pass := &passSource{src: src, keep: tasksPath != ""}
+	sample, err := workload.UnicomSampleSource(pass, sampleN, seed)
 	if err != nil {
 		return err
 	}
-	sample := workload.UnicomSample(tr, sampleN, seed)
+	if census != nil {
+		tr.Files, tr.Users = census.Files(), census.Users()
+	}
+	tr.Requests = pass.kept
 	aps := smartap.Benchmarked()
 
 	fmt.Printf("synthetic week: %d files, %d users, %d requests; replay sample: %d\n\n",
-		len(tr.Files), len(tr.Users), len(tr.Requests), len(sample))
+		len(tr.Files), len(tr.Users), pass.n, len(sample))
 
-	bench := replay.RunAPBenchmark(sample, aps, seed)
-	baseline := replay.CloudOnlyBaseline(sample, tr.Files, seed)
-	odrOpts, err := odrOptions(seed, shards, 0, naive, common, reg)
+	spec := scenario.Spec{Seed: seed, Shards: shards, Chunk: chunk, Naive: naive}
+	common.ApplyTo(&spec)
+	odrOpts, err := spec.ReplayOptions()
 	if err != nil {
 		return err
 	}
+	odrOpts.Metrics = reg
+	bench, err := replay.RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed,
+		shards, odrOpts.Stream)
+	if err != nil {
+		return err
+	}
+	baseline := replay.CloudOnlyBaseline(sample, tr.Files, seed)
 	odr := replay.RunODR(sample, tr.Files, aps, odrOpts)
 	summarize(bench, baseline, odr)
 	summarizeFaults(odrOpts)
@@ -230,67 +171,6 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 	return nil
 }
 
-// runStream is the bounded-memory path: one streaming pass discovers the
-// populations and draws the §5.1 sample, then the sample replays through
-// the streaming engine. Only the populations, the Unicom pool, and the
-// task records are ever resident.
-func runStream(files, sampleN int, seed uint64, shards, chunk int, tracePath string,
-	naive bool, reg *obs.Registry, common *scenario.Common) error {
-	tune := replay.StreamTuning{Chunk: chunk, GenWorkers: common.GenWorkers}
-	var (
-		sample  []workload.Request
-		filePop []*workload.FileMeta
-		userPop []*workload.User
-		total   int
-		err     error
-	)
-	if tracePath == "" {
-		st, gerr := workload.GenerateStream(workload.DefaultConfig(files, seed), workload.DefaultStreamChunk)
-		if gerr != nil {
-			return gerr
-		}
-		filePop, userPop, total = st.Files, st.Users, st.TotalRequests()
-		sample, err = workload.UnicomSampleSource(st.RequestsWorkers(common.GenWorkers), sampleN, seed)
-		if err != nil {
-			return err
-		}
-	} else {
-		src, _, closer, oerr := trace.OpenWorkloadFile(tracePath)
-		if oerr != nil {
-			return oerr
-		}
-		defer closer.Close()
-		census := workload.NewCensus()
-		counted := &countingSource{src: census.Wrap(src)}
-		sample, err = workload.UnicomSampleSource(counted, sampleN, seed)
-		if err != nil {
-			return err
-		}
-		filePop, userPop, total = census.Files(), census.Users(), counted.n
-	}
-	aps := smartap.Benchmarked()
-
-	fmt.Printf("streamed week: %d files, %d users, %d requests; replay sample: %d\n\n",
-		len(filePop), len(userPop), total, len(sample))
-
-	bench, err := replay.RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed, shards, tune)
-	if err != nil {
-		return err
-	}
-	baseline := replay.CloudOnlyBaseline(sample, filePop, seed)
-	odrOpts, err := odrOptions(seed, shards, chunk, naive, common, reg)
-	if err != nil {
-		return err
-	}
-	odr, err := replay.RunODRStream(workload.NewSliceSource(sample), filePop, aps, odrOpts)
-	if err != nil {
-		return err
-	}
-	summarize(bench, baseline, odr)
-	summarizeFaults(odrOpts)
-	return nil
-}
-
 // summarizeFaults appends the fault/resilience configuration to the
 // summary when faults are in play, so a saved summary is
 // self-describing.
@@ -305,21 +185,27 @@ func summarizeFaults(opts replay.Options) {
 	fmt.Printf("\nfaults injected:    %s; routing %s\n", opts.Faults, mode)
 }
 
-// countingSource counts the requests that flow through it.
-type countingSource struct {
-	src workload.RequestSource
-	n   int
+// passSource counts the requests that flow through it and, when keep is
+// set, retains them for the week simulator.
+type passSource struct {
+	src  workload.RequestSource
+	keep bool
+	n    int
+	kept []workload.Request
 }
 
-func (s *countingSource) Next() (int, workload.Request, bool) {
+func (s *passSource) Next() (int, workload.Request, bool) {
 	i, req, ok := s.src.Next()
 	if ok {
 		s.n++
+		if s.keep {
+			s.kept = append(s.kept, req)
+		}
 	}
 	return i, req, ok
 }
 
-func (s *countingSource) Err() error { return s.src.Err() }
+func (s *passSource) Err() error { return s.src.Err() }
 
 // summarize prints the comparative §5/§6.2 summary.
 func summarize(bench *replay.APBench, baseline, odr *replay.ODRResult) {
@@ -355,49 +241,4 @@ func summarize(bench *replay.APBench, baseline, odr *replay.ODRResult) {
 		bench.B4ExposedRatio()*100, odr.B4ExposedRatio()*100)
 	fmt.Printf("fetch speed median: cloud %.0f KBps  ODR %.0f KBps  (paper: 287 -> 368)\n",
 		baseline.FetchSpeeds().Median()/1024, odr.FetchSpeeds().Median()/1024)
-}
-
-// loadOrGenerate reads a recorded workload trace (any format,
-// auto-detected) when a path is given, or synthesizes one.
-func loadOrGenerate(files int, seed uint64, tracePath string, genWorkers int) (*workload.Trace, error) {
-	if tracePath == "" {
-		st, err := workload.GenerateStream(workload.DefaultConfig(files, seed), workload.DefaultStreamChunk)
-		if err != nil {
-			return nil, err
-		}
-		reqs, err := workload.Collect(st.RequestsWorkers(genWorkers))
-		if err != nil {
-			return nil, err
-		}
-		return &workload.Trace{
-			Files:    st.Files,
-			Users:    st.Users,
-			Requests: reqs,
-			Span:     st.Span,
-		}, nil
-	}
-	src, _, closer, err := trace.OpenWorkloadFile(tracePath)
-	if err != nil {
-		return nil, err
-	}
-	defer closer.Close()
-	reqs, err := workload.Collect(src)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild the file/user populations from the deduplicated requests.
-	seenF := map[*workload.FileMeta]bool{}
-	seenU := map[*workload.User]bool{}
-	tr := &workload.Trace{Requests: reqs, Span: 7 * 24 * time.Hour}
-	for _, r := range reqs {
-		if !seenF[r.File] {
-			seenF[r.File] = true
-			tr.Files = append(tr.Files, r.File)
-		}
-		if !seenU[r.User] {
-			seenU[r.User] = true
-			tr.Users = append(tr.Users, r.User)
-		}
-	}
-	return tr, nil
 }

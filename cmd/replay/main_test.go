@@ -1,0 +1,108 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"odr/internal/replay"
+	"odr/internal/scenario"
+)
+
+// runCLI runs the command body with stdout and stderr captured to files.
+func runCLI(t *testing.T, shards, chunk int, tasksPath string, common *scenario.Common) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	capture := func(name string, std **os.File) func() string {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := *std
+		*std = f
+		return func() string {
+			*std = saved
+			f.Close()
+			data, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(data)
+		}
+	}
+	out := capture("stdout", &os.Stdout)
+	errOut := capture("stderr", &os.Stderr)
+	err := run(1500, 150, 9, shards, chunk, tasksPath, "", false, common)
+	stdout, stderr = out(), errOut()
+	if err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr)
+	}
+	return stdout, stderr
+}
+
+// TestChunkFlagReachesEngine pins the -chunk wiring end to end: the
+// engine publishes its effective batch size as a gauge, so the -metrics
+// dump must echo the flag, and the summary must not depend on it.
+func TestChunkFlagReachesEngine(t *testing.T) {
+	var snap struct {
+		Gauges map[string]int64 `json:"gauges"`
+	}
+	ref, dump := runCLI(t, 1, 0, "", &scenario.Common{Metrics: "json"})
+	if err := json.Unmarshal([]byte(dump), &snap); err != nil {
+		t.Fatalf("metrics dump is not JSON: %v\n%s", err, dump)
+	}
+	if got := snap.Gauges[replay.MetricStreamChunk]; got != replay.DefaultStreamChunk {
+		t.Fatalf("-chunk 0: chunk gauge = %d, want the default %d", got, replay.DefaultStreamChunk)
+	}
+
+	got, dump := runCLI(t, 3, 7, "", &scenario.Common{Metrics: "json"})
+	if err := json.Unmarshal([]byte(dump), &snap); err != nil {
+		t.Fatalf("metrics dump is not JSON: %v\n%s", err, dump)
+	}
+	if v := snap.Gauges[replay.MetricStreamChunk]; v != 7 {
+		t.Fatalf("-chunk 7 never reached the engine: chunk gauge = %d", v)
+	}
+	dropEngine := func(s string) string {
+		var keep []string
+		for _, line := range strings.Split(s, "\n") {
+			if !strings.HasPrefix(line, "engine:") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if dropEngine(got) != dropEngine(ref) {
+		t.Fatalf("summary changed with -shards 3 -chunk 7:\n--- shards=1 chunk=0\n%s\n--- shards=3 chunk=7\n%s", ref, got)
+	}
+}
+
+// TestTasksDumpSharesTheOnePass: -tasks is the only mode that keeps the
+// request log, and it rides the same pass that draws the sample — the
+// summary is unchanged and the week's task records land in the file.
+func TestTasksDumpSharesTheOnePass(t *testing.T) {
+	ref, _ := runCLI(t, 2, 0, "", &scenario.Common{})
+	path := filepath.Join(t.TempDir(), "tasks.jsonl")
+	got, _ := runCLI(t, 2, 0, path, &scenario.Common{})
+	if !strings.HasPrefix(got, ref) {
+		t.Fatalf("-tasks changed the replay summary:\n--- without\n%s\n--- with\n%s", ref, got)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := strings.Count(string(data), "\n")
+	if records == 0 {
+		t.Fatal("-tasks wrote no task records")
+	}
+	var files, users, requests, sample int
+	if _, err := fmt.Sscanf(ref, "synthetic week: %d files, %d users, %d requests; replay sample: %d",
+		&files, &users, &requests, &sample); err != nil {
+		t.Fatalf("summary header unparseable: %v\n%s", err, ref)
+	}
+	if records != requests {
+		t.Fatalf("-tasks wrote %d records for a %d-request week", records, requests)
+	}
+}

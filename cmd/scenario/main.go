@@ -7,7 +7,7 @@
 // Usage:
 //
 //	scenario [-files N] [-sample N] [-seed S] [-days N] [-shards N]
-//	         [-stream] [-chunk N] [-naive] [-window HOURS]
+//	         [-chunk N] [-naive] [-window HOURS]
 //	         [-profile NAME] [-profiles A,B] [-fault-grid "0;0.25"]
 //	         [-policies lru,band] [-parallel N] [-pool-divisor N]
 //	         [-timeline-dir DIR] [-spec FILE]
@@ -52,8 +52,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	days := flag.Int("days", 7, "trace horizon in days")
 	shards := flag.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
-	stream := flag.Bool("stream", false, "replay through the bounded-memory streaming engine")
-	chunk := flag.Int("chunk", 0, "streaming engine batch size in requests (0 = default)")
+	chunk := flag.Int("chunk", 0, "engine batch size in requests (0 = default; results are identical for any value)")
 	naive := flag.Bool("naive", false, "disable failure-aware routing (faults fail tasks outright)")
 	window := flag.Float64("window", 6, "timeline window in hours (0 = no timelines)")
 	profile := flag.String("profile", "", "base workload profile: baseline, flash-crowd, holiday, regional-outage")
@@ -75,7 +74,6 @@ func main() {
 			Sample:      *sampleN,
 			Seed:        *seed,
 			Shards:      *shards,
-			Stream:      *stream,
 			Chunk:       *chunk,
 			Naive:       *naive,
 			PoolDivisor: *poolDivisor,

@@ -34,16 +34,16 @@ var WarmProbs = [3]float64{0.70, 0.97, 0.998}
 // outcome is a memoized pure function of (seed, file) drawn from a
 // file-keyed RNG substream — never from a shared sequential stream.
 // Whether a request sees the file cached therefore depends only on the
-// warm set, that per-file outcome, and the index order recorded by Prime,
-// not on which goroutine got there first.
+// warm set, that per-file outcome, and the index order recorded by
+// ObserveAt, not on which goroutine got there first.
 //
 // Naming a cache policy (cloud.Config.CachePolicy) switches the backend
 // to dynamic mode: the pool evolves under the policy — lookups refresh
 // placement, successful pre-downloads admit files, capacity pressure
 // evicts. The pool then mutates only in ObserveAt, which the replay
-// engines call in strictly ascending index order before the matching
-// request is dispatched (Prime for slices, the reader goroutine for
-// streams). Each request's cached-or-not verdict is latched in a bitset
+// engine's reader goroutine calls in strictly ascending index order before
+// the matching request is dispatched. Each request's cached-or-not verdict
+// is latched in a bitset
 // at observation time, so the parallel dispatch phase only reads verdict
 // bits — worker scheduling still cannot influence what any request sees.
 type Cloud struct {
@@ -167,28 +167,24 @@ func (c *Cloud) PolicyLabel() string {
 	return c.pool.Policy()
 }
 
-// Prime records each sampled file's earliest request index and resolves
-// the pre-download outcome of every non-warm sampled file up front, so
-// the parallel replay phase only reads. Calling Prime again extends the
-// index map without disturbing already-recorded entries.
+// Prime observes a whole in-memory sample up front (ObserveAt over each
+// request in order), for callers that probe the cloud outside the replay
+// engine. Calling Prime again extends the index map without disturbing
+// already-recorded entries.
 func (c *Cloud) Prime(sample []workload.Request) {
 	for i := range sample {
 		c.ObserveAt(i, sample[i].File, sample[i].Time)
 	}
 }
 
-// Observe is ObserveAt without a trace time (adequate in static mode,
-// where observation order alone decides visibility).
-func (c *Cloud) Observe(i int, f *workload.FileMeta) { c.ObserveAt(i, f, 0) }
-
-// ObserveAt is the streaming form of Prime: it records one request as it
-// flows past, without the caller ever holding the full sample. Requests
-// must be observed in ascending index order before any request with a
-// larger index is dispatched; the streaming replay engine's reader
-// goroutine does exactly that. Because the per-file outcome is a memoized
-// pure function of (seed, file) and firstIdx keeps only the smallest index
-// per file, observing a stream leaves the cloud in the identical state a
-// full Prime over the same requests would.
+// ObserveAt records one request as it flows past: the file's earliest
+// request index, and the pre-download outcome of a non-warm file, so the
+// parallel replay phase only reads. Requests must be observed in ascending
+// index order before any request with a larger index is dispatched; the
+// replay engine's reader goroutine does exactly that. Because the per-file
+// outcome is a memoized pure function of (seed, file) and firstIdx keeps
+// only the smallest index per file, how far observation has run ahead of
+// dispatch is unobservable.
 //
 // In dynamic mode this is the single point where the pool evolves: the
 // trace clock ticks (driving prefetch policies), the request's lookup
@@ -228,19 +224,6 @@ func (c *Cloud) observeDynamicLocked(i int, f *workload.FileMeta, when time.Dura
 	}
 	if c.outcomeLocked(f).OK {
 		c.pool.AddMeta(f)
-	}
-}
-
-// PrimeSource primes from a request stream, draining it. Most callers
-// should instead interleave Observe with dispatch (one pass); this helper
-// serves re-streamable sources such as the generator's.
-func (c *Cloud) PrimeSource(src workload.RequestSource) error {
-	for {
-		i, req, ok := src.Next()
-		if !ok {
-			return src.Err()
-		}
-		c.ObserveAt(i, req.File, req.Time)
 	}
 }
 

@@ -299,12 +299,12 @@ func TestLEDBATSmoothing(t *testing.T) {
 	}
 }
 
-// The streaming pipeline must reproduce the slice pipeline exactly — the
-// diffs are zero, not merely within tolerance.
+// The streaming input path must reproduce the materialized one exactly —
+// the diffs are zero, not merely within tolerance.
 func TestStreamEquivalenceExact(t *testing.T) {
 	r := lab.StreamEquivalence()
 	if d := r.Metrics["max_abs_diff"]; d != 0 {
-		t.Errorf("streaming pipeline diverged from the slice path: max |diff| = %g\n%s", d, r)
+		t.Errorf("streaming input path diverged from the materialized one: max |diff| = %g\n%s", d, r)
 	}
 	if r.Metrics["tasks_diff"] != 0 {
 		t.Errorf("task counts differ:\n%s", r)

@@ -11,8 +11,9 @@ import (
 // pipeline end to end: the week is regenerated chunk by chunk with
 // GenerateStream, the §5.1 sample is drawn from the request stream with
 // UnicomSampleSource, and the replay runs through RunODRStream. Nothing
-// here touches the Lab's materialized trace, so agreement with ODR() is a
-// genuine two-implementation cross-check, memoized like the other
+// here touches the Lab's materialized trace, so agreement with ODR()
+// cross-checks the two input paths (streamed vs materialized generation
+// and sampling) into the one replay engine, memoized like the other
 // artifacts.
 func (l *Lab) StreamODR() *replay.ODRResult {
 	l.mu.Lock()
@@ -38,10 +39,10 @@ func (l *Lab) StreamODR() *replay.ODRResult {
 }
 
 // StreamEquivalence regenerates the §6.2 headline numbers through the
-// streaming pipeline and diffs them against the slice pipeline. Every
-// diff metric must be exactly zero: the streaming generator, sampler and
-// replay engine are specified to be byte-identical to their slice
-// counterparts, not merely statistically close.
+// streaming input path and diffs them against the materialized one. Every
+// diff metric must be exactly zero: the streaming generator and sampler
+// are specified to be byte-identical to their slice counterparts, not
+// merely statistically close.
 func (l *Lab) StreamEquivalence() *Report {
 	r := newReport("S1", "Streaming pipeline: bounded-memory replay vs the slice path")
 	slice := l.ODR()

@@ -4,8 +4,8 @@
 // (progress freezes past the client's patience), AP churn (backends gone
 // for whole windows, as the Smartrouter peer-CDN measurements observed),
 // and degraded-bandwidth episodes — without giving up the replay
-// engine's core guarantee: byte-identical results for any shard count,
-// chunk size, or pooling setting.
+// engine's core guarantee: byte-identical results for any shard count or
+// chunk size.
 //
 // Determinism comes from two disciplines. Per-operation faults
 // (transient, stagnation) are drawn from the request's own RNG substream

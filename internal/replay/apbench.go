@@ -36,17 +36,11 @@ type APBench struct {
 	Engine EngineStats
 }
 
-// RunAPBenchmark replays the sample across the given APs (round-robin, as
-// in §5.1) with each request throttled to its user's recorded access
-// bandwidth and the environment's ADSL ceiling.
+// RunAPBenchmark is RunAPBenchmarkStream over an in-memory sample, sharded
+// at GOMAXPROCS.
 func RunAPBenchmark(sample []workload.Request, aps []*smartap.AP, seed uint64) *APBench {
-	if len(aps) == 0 {
-		panic("replay: RunAPBenchmark needs at least one AP")
-	}
-	be := backend.NewSmartAP()
-	b := &APBench{}
-	b.Tasks, b.Engine = runSharded(sample, aps, seed, 0, nil, apTask(be))
-	return b
+	return overSlice(RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed,
+		0, StreamTuning{}))
 }
 
 // apTask builds the §5 benchmark's task callback: one pre-download on the
@@ -72,13 +66,14 @@ func apTask(be *backend.SmartAP) func(int, workload.Request, *backend.Request, *
 	}
 }
 
-// RunAPBenchmarkStream replays a request stream across the APs without
-// holding the sample; output is byte-identical to RunAPBenchmark over the
-// collected slice for the same seed and shard count, for any tuning.
+// RunAPBenchmarkStream replays a request stream across the given APs
+// (round-robin, as in §5.1) with each request throttled to its user's
+// recorded access bandwidth and the environment's ADSL ceiling, without
+// holding the requests.
 func RunAPBenchmarkStream(src workload.RequestSource, aps []*smartap.AP,
 	seed uint64, shards int, tune StreamTuning) (*APBench, error) {
 	if len(aps) == 0 {
-		panic("replay: RunAPBenchmarkStream needs at least one AP")
+		panic("replay: AP benchmark needs at least one AP")
 	}
 	be := backend.NewSmartAP()
 	b := &APBench{}

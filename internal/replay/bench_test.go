@@ -43,8 +43,8 @@ func benchFixture(b *testing.B) ([]workload.Request, []*workload.FileMeta) {
 	return benchSample, benchTrace.Files
 }
 
-// BenchmarkStreamReplay measures the streaming request path's allocation
-// behavior: requests flow from the trace's request log through the reader
+// BenchmarkStreamReplay measures the engine's allocation behavior over a
+// long stream: requests flow from the trace's request log through the reader
 // into per-shard channels, with per-worker scratch RNGs and request
 // structs. The acceptance bar is that per-request allocations are bounded
 // by chunk size, not stream length — allocs/op for the 200k-request
@@ -53,9 +53,9 @@ func benchFixture(b *testing.B) ([]workload.Request, []*workload.FileMeta) {
 // so the fixed setup cost (warm pool, file metadata) cancels out of the
 // comparison. Peak transient request memory is the engine's in-flight
 // window — shards × streamBatchDepth × chunk cells circulating between
-// the work queues and free lists — reported as the inflight-reqs metric;
-// a slice replay instead keeps all requests resident (the stream-len
-// metric).
+// the work queues and free lists — reported as the inflight-reqs metric,
+// next to the stream-len metric a materialized request log would keep
+// resident.
 // The metrics=on sub-runs quantify the observability overhead: the
 // acceptance bar is ≤5% requests/sec delta against metrics=off, with
 // allocs/op unchanged on the nil path.
@@ -136,8 +136,8 @@ func BenchmarkReplayTimeline(b *testing.B) {
 }
 
 // BenchmarkReplayParallel sweeps the engine's shard count over the
-// 50k-request trace. The acceptance bar is >2× requests/sec at 4 shards
-// versus 1.
+// 50k-request sample through the slice entry (RunODR). The acceptance bar
+// is >2× requests/sec at 4 shards versus 1.
 func BenchmarkReplayParallel(b *testing.B) {
 	sample, files := benchFixture(b)
 	aps := smartap.Benchmarked()

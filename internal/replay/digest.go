@@ -60,7 +60,7 @@ func (r *ODRResult) Ledgers() []LedgerCounts {
 // runs compare byte-for-byte. It is the determinism oracle the test
 // suite, the paper-scale experiment, and the distributed coordinator
 // share: equal digests mean the replays are identical in every observable
-// outcome, whatever path produced them (slice vs stream vs trace file,
+// outcome, whatever input produced them (slice vs generator vs trace file,
 // any shard or generation worker count, one process or many).
 func DigestOf(tasks []ODRTask, ledgers []LedgerCounts, tot ShardTotals) string {
 	var b strings.Builder

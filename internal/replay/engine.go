@@ -12,23 +12,23 @@ import (
 	"odr/internal/workload"
 )
 
-// The sharded replay engine partitions a request sample by user across N
+// The sharded replay engine partitions a request stream by user across N
 // shards and replays each shard on its own goroutine. Its output is
 // byte-identical for every shard count and GOMAXPROCS because no request
 // outcome depends on execution order:
 //
 //   - each request draws from its own RNG substream keyed by the
-//     request's GLOBAL sample index (root.Split64(i)), never from a
-//     shared sequential stream;
+//     request's GLOBAL index (root.Split64(i)), never from a shared
+//     sequential stream;
 //   - backend state is immutable after construction or memoized as a
 //     pure function of (seed, file), with cross-request cache visibility
-//     gated by sample index (see backend.Cloud.Prime), so "who ran
-//     first" is unobservable;
-//   - every shard writes tasks at disjoint global indices (directly into
-//     one pre-allocated slice on the slice path, via per-shard index/task
-//     buffers scattered by global index on the stream path), counts into
-//     its own ShardTotals, and backend ledgers use atomic integers — all
-//     merges are associative integer sums taken in shard order.
+//     gated by request index (see backend.Cloud.ObserveAt, which the
+//     reader calls in index order before dispatch), so "who ran first"
+//     is unobservable;
+//   - every shard appends tasks to its own index/task buffers, scattered
+//     to disjoint global indices after the last worker exits, counts
+//     into its own ShardTotals, and backend ledgers use atomic integers —
+//     all merges are associative integer sums taken in shard order.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
 // afterwards, sequentially over the merged task slice in index order.
@@ -62,10 +62,9 @@ func (s EngineStats) Totals() ShardTotals {
 	return t
 }
 
-// StreamTuning tunes the stream transport's batching and pooling. The
-// zero value selects defaults. Tuning is strictly a performance knob:
-// replay output is byte-identical for every chunk size and with pooling
-// on or off (pinned by TestReplayDeterminism).
+// StreamTuning tunes the engine's batch transport. The zero value selects
+// defaults. Tuning is strictly a performance knob: replay output is
+// byte-identical for every chunk size (pinned by TestReplayDeterminism).
 type StreamTuning struct {
 	// Chunk is how many requests the reader packs into one batch before
 	// handing it to a shard worker. Larger chunks amortize channel
@@ -73,23 +72,9 @@ type StreamTuning struct {
 	// first task completes and a larger in-flight window. Non-positive
 	// selects DefaultStreamChunk.
 	Chunk int
-	// DisablePooling turns off batch recycling: every batch is freshly
-	// allocated and released batches are left to the garbage collector.
-	// It exists so tests (and suspicious operators) can pin that pooling
-	// is behavior-neutral; production runs should leave it off.
-	DisablePooling bool
-	// GenWorkers is how many pipelined workers regenerate request chunks
-	// ahead of the reader when the stream is produced by the workload
-	// generator (StreamTrace.RequestsWorkers). Non-positive selects
-	// GOMAXPROCS; 1 forces the sequential source. The engine itself never
-	// reads it — generation happens in the source, before requests reach
-	// the transport — but it rides on StreamTuning so every command and
-	// scenario spec tunes generation and transport in one place. Worker
-	// count never changes replay results.
-	GenWorkers int
 }
 
-// DefaultStreamChunk is the stream transport's default batch size.
+// DefaultStreamChunk is the transport's default batch size.
 const DefaultStreamChunk = 512
 
 // streamBatchDepth is how many batches circulate per shard: the free
@@ -172,21 +157,6 @@ func (eo *engineObs[T]) finish(regs []*obs.Registry, stats EngineStats) {
 	eo.dst.Counter("odr_replay_failures_total").Add(uint64(t.Failures))
 }
 
-// normalizeShards resolves a shard-count option: non-positive means "use
-// the machine", and a sample never needs more shards than requests.
-func normalizeShards(shards, sampleLen int) int {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > sampleLen {
-		shards = sampleLen
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
-}
-
 // userShard places a user on a shard. Fibonacci hashing decorrelates the
 // shard from the round-robin structure of user IDs and AP assignment.
 func userShard(u *workload.User, shards int) int {
@@ -222,10 +192,16 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 	}
 }
 
-// runShardedStream is runSharded over a RequestSource: a single reader
-// goroutine (the caller) pulls requests in global-index order, invokes the
-// observe hook (cloud priming) on each, and packs them into fixed-size
-// batches fanned out to per-shard work channels keyed by user partition.
+// runShardedStream replays src through fn across user-partitioned shards:
+// a single reader goroutine (the caller) pulls requests in global-index
+// order, invokes the observe hook (cloud priming) on each, and packs them
+// into fixed-size batches fanned out to per-shard work channels keyed by
+// user partition. fn receives the request's local index, the raw workload
+// request, the backend-layer request (environment-bound, with its own RNG
+// substream), and the task slot to fill in place; it returns whether the
+// task succeeded. The request object and its RNG are pooled per shard —
+// fn must not retain them past the call. aps may be empty for AP-less
+// replays (the request's AP is then nil).
 //
 // base offsets every request's GLOBAL index: the source yields local
 // indices 0..n-1 (every RequestSource re-bases at 0), and the engine
@@ -241,17 +217,14 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 // between each shard's work queue and a free list (streamBatchDepth per
 // shard), so the transport reuses the same few arrays for the whole
 // stream; workers reuse one backend.Request and one scratch RNG each —
-// reseeded per request from the same index-keyed substream the slice path
-// draws — and append results to per-shard index/task buffers pre-sized
-// from the source's Sizer hint when it offers one. The buffers are
-// scattered into the final task slice by global index after the last
-// worker exits, so the output is byte-identical to runSharded over the
-// collected slice for any shard count, chunk size, pooling mode, and
-// GOMAXPROCS.
+// reseeded per request to the index-keyed substream — and append results
+// to per-shard index/task buffers pre-sized from the source's Sizer hint
+// when it offers one. The buffers are scattered into the final task slice
+// by global index after the last worker exits, so the output is
+// byte-identical for any shard count, chunk size, and GOMAXPROCS.
 //
-// Unlike the slice path, the stream length is unknown up front, so the
-// shard count is not capped by it; pass the same explicit positive count
-// to both paths when comparing digests of tiny samples.
+// Non-positive shards selects GOMAXPROCS; a source that knows its length
+// never gets more shards than it has requests.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	seed uint64, base, shards int, tune StreamTuning, eo *engineObs[T],
 	observe func(i int, wreq workload.Request),
@@ -259,6 +232,13 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 ) ([]T, EngineStats, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
+	}
+	hint := 0
+	if sz, ok := src.(workload.Sizer); ok {
+		hint = sz.TotalRequests()
+	}
+	if hint > 0 && shards > hint {
+		shards = hint
 	}
 	chunk := tune.chunkOf()
 	root := dist.NewRNG(seed).Split("replay-engine")
@@ -279,10 +259,6 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	// length. Fibonacci hashing spreads users near-uniformly, so a shard's
 	// share is about hint/shards; the extra quarter plus one chunk absorbs
 	// partition imbalance without a mid-run regrowth.
-	hint := 0
-	if sz, ok := src.(workload.Sizer); ok {
-		hint = sz.TotalRequests()
-	}
 	per := 0
 	if hint > 0 {
 		per = hint/shards + hint/(4*shards) + chunk
@@ -297,14 +273,12 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		outIdx[s] = make([]int32, 0, per)
 		outTasks[s] = make([]T, 0, per)
 		work[s] = make(chan []streamCell, streamBatchDepth)
-		if !tune.DisablePooling {
-			// Stock the free list with the shard's full batch budget; the
-			// worker's release below can then never block, and the reader's
-			// receive here is the transport's only backpressure point.
-			free[s] = make(chan []streamCell, streamBatchDepth)
-			for j := 0; j < streamBatchDepth; j++ {
-				free[s] <- make([]streamCell, 0, chunk)
-			}
+		// Stock the free list with the shard's full batch budget; the
+		// worker's release below can then never block, and the reader's
+		// receive here is the transport's only backpressure point.
+		free[s] = make(chan []streamCell, streamBatchDepth)
+		for j := 0; j < streamBatchDepth; j++ {
+			free[s] <- make([]streamCell, 0, chunk)
 		}
 	}
 
@@ -344,9 +318,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 						batch[k] = streamCell{i: poisonIndex}
 					}
 				}
-				if free[s] != nil {
-					free[s] <- batch[:0]
-				}
+				free[s] <- batch[:0]
 			}
 			outIdx[s], outWide[s], outTasks[s] = idx, wide, tasks
 		}(s)
@@ -389,11 +361,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		n++
 		s := userShard(wreq.User, shards)
 		if cur[s] == nil {
-			if free[s] != nil {
-				cur[s] = <-free[s]
-			} else {
-				cur[s] = make([]streamCell, 0, chunk)
-			}
+			cur[s] = <-free[s]
 		}
 		cur[s] = append(cur[s], streamCell{i: i, wreq: wreq})
 		if len(cur[s]) == chunk {
@@ -428,50 +396,3 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 // maxInt32 bounds the compact per-shard index representation; a stream
 // longer than 2^31 requests spills into the wide index buffer.
 const maxInt32 = int(^uint32(0) >> 1)
-
-// runSharded replays sample through fn across user-partitioned shards.
-// fn receives the request's global index, the raw workload request, the
-// backend-layer request (environment-bound, with its own RNG substream),
-// and the task slot to fill in place; it returns whether the task
-// succeeded. The request object and its RNG are pooled per shard — fn
-// must not retain them past the call. aps may be empty for AP-less
-// replays (the request's AP is then nil).
-func runSharded[T any](sample []workload.Request, aps []*smartap.AP,
-	seed uint64, shards int, eo *engineObs[T],
-	fn func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
-) ([]T, EngineStats) {
-	shards = normalizeShards(shards, len(sample))
-	root := dist.NewRNG(seed).Split("replay-engine")
-	tasks := make([]T, len(sample))
-	stats := EngineStats{Shards: shards, PerShard: make([]ShardTotals, shards)}
-	regs := eo.shardRegistries(shards)
-
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			totals := &stats.PerShard[s]
-			record := eo.recorder(regs, s)
-			req := &backend.Request{}
-			rng := dist.NewRNG(0)
-			for i := range sample {
-				if userShard(sample[i].User, shards) != s {
-					continue
-				}
-				bindRequest(req, rng, root, i, sample[i], aps)
-				ok := fn(i, sample[i], req, &tasks[i])
-				totals.Tasks++
-				if !ok {
-					totals.Failures++
-				}
-				if record != nil {
-					record(&tasks[i], ok)
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	eo.finish(regs, stats)
-	return tasks, stats
-}

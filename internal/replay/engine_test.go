@@ -36,10 +36,23 @@ func apDigest(r *APBench) string {
 	return b.String()
 }
 
+// outcomeSnapshot snapshots a run's registry minus the two transport
+// gauges: the in-flight peak depends on goroutine scheduling and the chunk
+// gauge echoes a tuning knob, so neither is a replay outcome and both are
+// exempt from the determinism contract (DESIGN.md, "Observability").
+// Every registry comparison goes through here.
+func outcomeSnapshot(reg *obs.Registry) *obs.Snapshot {
+	snap := reg.Snapshot()
+	delete(snap.Gauges, MetricInflightPeak)
+	delete(snap.Gauges, MetricStreamChunk)
+	return snap
+}
+
 // TestReplayDeterminism is the engine's core guarantee: byte-identical
 // replay metrics for every shard count, at any GOMAXPROCS (run it with
 // -cpu 1,2,8 — the single-shard reference is scheduling-free, so equality
-// at each GOMAXPROCS proves invariance across all of them).
+// at each GOMAXPROCS proves invariance across all of them). What that
+// reference itself must produce is pinned by TestReplayGolden.
 func TestReplayDeterminism(t *testing.T) {
 	f := setup(t)
 	ref := RunODR(f.sample, f.trace.Files, f.aps, Options{Seed: 14, Shards: 1})
@@ -55,60 +68,37 @@ func TestReplayDeterminism(t *testing.T) {
 		}
 	}
 
-	// Slice-vs-stream equivalence: replaying the sample through a
-	// RequestSource — reader goroutine, per-shard channels, per-worker
-	// scratch RNGs, streaming cloud priming — must reproduce the slice
-	// path byte-for-byte at every shard count.
-	for _, shards := range []int{1, 4, 8} {
-		got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
-			f.aps, Options{Seed: 14, Shards: shards})
-		if err != nil {
-			t.Fatalf("stream shards=%d: %v", shards, err)
-		}
-		if d := digest(got); d != want {
-			t.Fatalf("stream shards=%d: streamed replay diverged from the slice path\nfirst differing line:\n%s",
-				shards, firstDiff(want, d))
-		}
-	}
+	// The AP benchmark shards at GOMAXPROCS from its slice entry; every
+	// explicit shard count must reproduce it.
 	apWant := apDigest(RunAPBenchmark(f.sample, f.aps, 14))
 	for _, shards := range []int{1, 4, 8} {
 		got, err := RunAPBenchmarkStream(workload.NewSliceSource(f.sample), f.aps, 14,
 			shards, StreamTuning{})
 		if err != nil {
-			t.Fatalf("AP stream shards=%d: %v", shards, err)
+			t.Fatalf("AP shards=%d: %v", shards, err)
 		}
 		if d := apDigest(got); d != apWant {
-			t.Fatalf("AP stream shards=%d: diverged from the slice path\nfirst differing line:\n%s",
+			t.Fatalf("AP shards=%d: diverged from the GOMAXPROCS run\nfirst differing line:\n%s",
 				shards, firstDiff(apWant, d))
 		}
 	}
 
-	// Transport tuning must be invisible in the output: any chunk size,
-	// with pooling on or off, reproduces the reference byte-for-byte.
-	for _, tune := range []StreamTuning{
-		{Chunk: 1},
-		{Chunk: 7},
-		{Chunk: 4096},
-		{DisablePooling: true},
-		{Chunk: 3, DisablePooling: true},
-	} {
-		got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
-			f.aps, Options{Seed: 14, Shards: 4, Stream: tune})
-		if err != nil {
-			t.Fatalf("tune %+v: %v", tune, err)
-		}
+	// Transport tuning must be invisible in the output: any chunk size
+	// reproduces the reference byte-for-byte.
+	for _, chunk := range []int{1, 3, 7, 4096} {
+		got := RunODR(f.sample, f.trace.Files, f.aps,
+			Options{Seed: 14, Shards: 4, Stream: StreamTuning{Chunk: chunk}})
 		if d := digest(got); d != want {
-			t.Fatalf("tune %+v: tuned stream diverged from the slice path\nfirst differing line:\n%s",
-				tune, firstDiff(want, d))
+			t.Fatalf("chunk=%d: tuned replay diverged from the reference\nfirst differing line:\n%s",
+				chunk, firstDiff(want, d))
 		}
 	}
 
 	// Metrics must be pure observation. Instrumented replays produce
 	// byte-identical digests (metrics on/off), and the merged per-shard
-	// registries are identical for every shard count and for the stream
-	// path — minus the in-flight peak gauge, which is scheduling-
-	// dependent by nature and exempted from the contract (it lives in
-	// the destination registry, never in a shard's).
+	// registries are identical for every shard count — minus the two
+	// transport gauges, which live in the destination registry, never in
+	// a shard's (see outcomeSnapshot).
 	refReg := obs.NewRegistry()
 	instr := RunODR(f.sample, f.trace.Files, f.aps,
 		Options{Seed: 14, Shards: 1, Metrics: refReg})
@@ -116,7 +106,7 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatalf("metrics=on shards=1: instrumentation changed the replay\nfirst differing line:\n%s",
 			firstDiff(want, d))
 	}
-	wantSnap := refReg.Snapshot()
+	wantSnap := outcomeSnapshot(refReg)
 	if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
 		t.Fatal("instrumented replay recorded no metrics")
 	}
@@ -131,50 +121,26 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("metrics=on shards=%d: instrumentation changed the replay\nfirst differing line:\n%s",
 				shards, firstDiff(want, d))
 		}
-		if snap := reg.Snapshot(); !reflect.DeepEqual(snap, wantSnap) {
-			t.Fatalf("metrics shards=%d: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
-				shards, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
+		gauges := reg.Snapshot().Gauges
+		if _, ok := gauges[MetricInflightPeak]; !ok {
+			t.Fatalf("shards=%d: in-flight peak gauge never recorded", shards)
 		}
-	}
-	for _, shards := range []int{1, 4, 8} {
-		reg := obs.NewRegistry()
-		got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
-			f.aps, Options{Seed: 14, Shards: shards, Metrics: reg})
-		if err != nil {
-			t.Fatalf("metrics stream shards=%d: %v", shards, err)
-		}
-		if d := digest(got); d != want {
-			t.Fatalf("metrics stream shards=%d: instrumentation changed the replay\nfirst differing line:\n%s",
-				shards, firstDiff(want, d))
-		}
-		snap := reg.Snapshot()
-		if _, ok := snap.Gauges[MetricInflightPeak]; !ok {
-			t.Fatalf("stream shards=%d: in-flight peak gauge never recorded", shards)
-		}
-		if v, ok := snap.Gauges[MetricStreamChunk]; !ok || v != DefaultStreamChunk {
-			t.Fatalf("stream shards=%d: chunk gauge = %d (recorded %v), want %d",
+		if v, ok := gauges[MetricStreamChunk]; !ok || v != DefaultStreamChunk {
+			t.Fatalf("shards=%d: chunk gauge = %d (recorded %v), want %d",
 				shards, v, ok, DefaultStreamChunk)
 		}
-		// Both gauges describe the transport, not the replay, and are
-		// exempt from the shard-merge determinism contract.
-		delete(snap.Gauges, MetricInflightPeak)
-		delete(snap.Gauges, MetricStreamChunk)
-		if !reflect.DeepEqual(snap, wantSnap) {
-			t.Fatalf("metrics stream shards=%d: registry differs from the slice path\nfirst differing line:\n%s",
+		if snap := outcomeSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
+			t.Fatalf("metrics shards=%d: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
 				shards, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
 		}
 	}
 
 	// Policy axis: under every cache policy — with the pool squeezed so
 	// eviction actually runs — the replay must stay byte-identical across
-	// shard counts, slice vs stream, and transport tuning. The pool
-	// evolves only in the sequential observation pass and each request's
-	// verdict is latched there, so worker scheduling cannot leak in.
-	var popBytes int64
-	for _, file := range f.trace.Files {
-		popBytes += file.Size
-	}
-	pressure := popBytes / 12
+	// shard counts and transport tuning. The pool evolves only in the
+	// sequential observation pass and each request's verdict is latched
+	// there, so worker scheduling cannot leak in.
+	pressure := fixturePopBytes(f) / 12
 	for _, policy := range cloud.PolicyNames() {
 		base := Options{Seed: 14, Shards: 1, CachePolicy: policy, PoolBytes: pressure}
 		pRef := RunODR(f.sample, f.trace.Files, f.aps, base)
@@ -190,27 +156,11 @@ func TestReplayDeterminism(t *testing.T) {
 					policy, shards, firstDiff(pWant, d))
 			}
 		}
-		for _, shards := range []int{1, 4} {
-			opts := base
-			opts.Shards = shards
-			got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files, f.aps, opts)
-			if err != nil {
-				t.Fatalf("policy=%s stream shards=%d: %v", policy, shards, err)
-			}
-			if d := digest(got); d != pWant {
-				t.Fatalf("policy=%s stream shards=%d: diverged from the slice path\nfirst differing line:\n%s",
-					policy, shards, firstDiff(pWant, d))
-			}
-		}
 		tuned := base
 		tuned.Shards = 4
-		tuned.Stream = StreamTuning{Chunk: 3, DisablePooling: true}
-		got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files, f.aps, tuned)
-		if err != nil {
-			t.Fatalf("policy=%s tuned stream: %v", policy, err)
-		}
-		if d := digest(got); d != pWant {
-			t.Fatalf("policy=%s tuned stream: diverged from the slice path\nfirst differing line:\n%s",
+		tuned.Stream = StreamTuning{Chunk: 3}
+		if d := digest(RunODR(f.sample, f.trace.Files, f.aps, tuned)); d != pWant {
+			t.Fatalf("policy=%s chunk=3: diverged from the single-shard reference\nfirst differing line:\n%s",
 				policy, firstDiff(pWant, d))
 		}
 
@@ -231,14 +181,13 @@ func TestReplayDeterminism(t *testing.T) {
 
 	// Pool metrics obey the shard-merge contract: the post-run snapshot
 	// is a pure function of the request sequence, so the merged registry
-	// (pool series included) is identical for every shard count and for
-	// the stream path.
+	// (pool series included) is identical for every shard count.
 	polRef := obs.NewRegistry()
 	polOpts := Options{Seed: 14, Shards: 1, CachePolicy: "band", PoolBytes: pressure, Metrics: polRef}
 	if d := digest(RunODR(f.sample, f.trace.Files, f.aps, polOpts)); d == want {
 		t.Fatal("pressured band replay unexpectedly matches the static reference")
 	}
-	polSnap := polRef.Snapshot()
+	polSnap := outcomeSnapshot(polRef)
 	if _, ok := polSnap.Counters[obs.Label(MetricPoolHits, "policy", "band")]; !ok {
 		t.Fatalf("missing %s in instrumented policy snapshot", MetricPoolHits)
 	}
@@ -251,31 +200,14 @@ func TestReplayDeterminism(t *testing.T) {
 		opts.Shards = shards
 		opts.Metrics = reg
 		RunODR(f.sample, f.trace.Files, f.aps, opts)
-		if snap := reg.Snapshot(); !reflect.DeepEqual(snap, polSnap) {
+		if snap := outcomeSnapshot(reg); !reflect.DeepEqual(snap, polSnap) {
 			t.Fatalf("policy metrics shards=%d: merged registry differs\nfirst differing line:\n%s",
 				shards, firstDiff(snapJSON(t, polSnap), snapJSON(t, snap)))
 		}
 	}
-	{
-		reg := obs.NewRegistry()
-		opts := polOpts
-		opts.Shards = 4
-		opts.Metrics = reg
-		if _, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files, f.aps, opts); err != nil {
-			t.Fatalf("policy metrics stream: %v", err)
-		}
-		snap := reg.Snapshot()
-		delete(snap.Gauges, MetricInflightPeak)
-		delete(snap.Gauges, MetricStreamChunk)
-		if !reflect.DeepEqual(snap, polSnap) {
-			t.Fatalf("policy metrics stream: registry differs from the slice path\nfirst differing line:\n%s",
-				firstDiff(snapJSON(t, polSnap), snapJSON(t, snap)))
-		}
-	}
 
 	// Generation-worker axis: the parallel pipelined generator
-	// (StreamTuning.GenWorkers → StreamTrace.RequestsWorkers) must be
-	// invisible — a replay fed by N-worker generation reproduces the
+	// (StreamTrace.RequestsWorkers) must be invisible — a replay fed by N-worker generation reproduces the
 	// sequential-generation reference byte-for-byte at every shard count.
 	st, err := workload.GenerateStream(workload.DefaultConfig(400, 515151), 256)
 	if err != nil {
@@ -289,7 +221,7 @@ func TestReplayDeterminism(t *testing.T) {
 	for _, workers := range []int{2, 4, 0} {
 		for _, shards := range []int{1, 4} {
 			got, err := RunODRStream(st.RequestsWorkers(workers), st.Files, f.aps,
-				Options{Seed: 14, Shards: shards, Stream: StreamTuning{GenWorkers: workers}})
+				Options{Seed: 14, Shards: shards})
 			if err != nil {
 				t.Fatalf("gen workers=%d shards=%d: %v", workers, shards, err)
 			}
@@ -536,7 +468,8 @@ func TestEngineRequestStreams(t *testing.T) {
 		draws  [4]float64
 	}
 	got := make([]*reqSnap, n)
-	runSharded(sample, f.aps, seed, 4, nil,
+	_, _, err := runShardedStream(workload.NewSliceSource(sample), f.aps, seed, 0, 4,
+		StreamTuning{Chunk: 3}, nil, nil,
 		func(i int, _ workload.Request, req *backend.Request, _ *struct{}) bool {
 			s := &reqSnap{index: req.Index, user: req.User, file: req.File,
 				ap: req.AP == f.aps[i%len(f.aps)], envCap: req.EnvCap}
@@ -546,6 +479,9 @@ func TestEngineRequestStreams(t *testing.T) {
 			got[i] = s
 			return true
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	root := dist.NewRNG(seed).Split("replay-engine")
 	for i := 0; i < n; i++ {
 		req := got[i]

@@ -8,15 +8,14 @@ import (
 	"odr/internal/backend"
 	"odr/internal/faults"
 	"odr/internal/obs"
-	"odr/internal/workload"
 )
 
 // TestReplayDeterminismFaults extends the engine's core guarantee to the
 // fault-injection and resilience layers: with faults injected and the
 // failure-aware policy active (retries, RNG-drawn backoff, per-user
-// circuit breakers feeding the decide path), the replay digest stays
-// byte-identical for every shard count, the stream transport at any
-// chunk size, and pooling on or off. The name keeps the
+// circuit breakers feeding the decide path), the replay digest and the
+// merged metrics registry stay byte-identical for every shard count and
+// chunk size. The name keeps the
 // TestReplayDeterminism prefix so `make determinism` runs it.
 func TestReplayDeterminismFaults(t *testing.T) {
 	f := setup(t)
@@ -30,7 +29,7 @@ func TestReplayDeterminismFaults(t *testing.T) {
 	refReg := obs.NewRegistry()
 	ref := RunODR(f.sample, f.trace.Files, f.aps, opts(1, StreamTuning{}, refReg))
 	want := digest(ref)
-	wantSnap := refReg.Snapshot()
+	wantSnap := outcomeSnapshot(refReg)
 
 	// Faults must actually bite for the test to mean anything: injected
 	// faults recorded, some fault-class failures, some retries.
@@ -54,52 +53,26 @@ func TestReplayDeterminismFaults(t *testing.T) {
 		t.Fatal("failure-aware routing never rerouted a task at intensity 0.4")
 	}
 
-	// Slice path: every shard count reproduces the reference digest and
-	// the reference metrics registry exactly.
-	for _, shards := range []int{4, 8} {
-		reg := obs.NewRegistry()
-		got := RunODR(f.sample, f.trace.Files, f.aps, opts(shards, StreamTuning{}, reg))
-		if d := digest(got); d != want {
-			t.Fatalf("faults shards=%d: replay diverged from the single-shard reference\nfirst differing line:\n%s",
-				shards, firstDiff(want, d))
-		}
-		if snap := reg.Snapshot(); !reflect.DeepEqual(snap, wantSnap) {
-			t.Fatalf("faults shards=%d: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
-				shards, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
-		}
-	}
-
-	// Stream path: shard counts × transport tunings, all byte-identical.
+	// Shard counts × transport tunings: all reproduce the reference digest
+	// and the reference metrics registry exactly.
 	for _, tc := range []struct {
 		shards int
 		tune   StreamTuning
 	}{
-		{1, StreamTuning{}},
 		{4, StreamTuning{}},
 		{8, StreamTuning{}},
 		{4, StreamTuning{Chunk: 1}},
 		{4, StreamTuning{Chunk: 7}},
-		{4, StreamTuning{DisablePooling: true}},
-		{8, StreamTuning{Chunk: 3, DisablePooling: true}},
+		{8, StreamTuning{Chunk: 3}},
 	} {
 		reg := obs.NewRegistry()
-		got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
-			f.aps, opts(tc.shards, tc.tune, reg))
-		if err != nil {
-			t.Fatalf("faults stream shards=%d tune=%+v: %v", tc.shards, tc.tune, err)
-		}
+		got := RunODR(f.sample, f.trace.Files, f.aps, opts(tc.shards, tc.tune, reg))
 		if d := digest(got); d != want {
-			t.Fatalf("faults stream shards=%d tune=%+v: diverged from the slice reference\nfirst differing line:\n%s",
+			t.Fatalf("faults shards=%d tune=%+v: replay diverged from the single-shard reference\nfirst differing line:\n%s",
 				tc.shards, tc.tune, firstDiff(want, d))
 		}
-		snap := reg.Snapshot()
-		// The transport gauges are scheduling/tuning descriptors, exempt
-		// from the determinism contract (same exemption as the fault-free
-		// test).
-		delete(snap.Gauges, MetricInflightPeak)
-		delete(snap.Gauges, MetricStreamChunk)
-		if !reflect.DeepEqual(snap, wantSnap) {
-			t.Fatalf("faults stream shards=%d tune=%+v: registry differs from the slice path\nfirst differing line:\n%s",
+		if snap := outcomeSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
+			t.Fatalf("faults shards=%d tune=%+v: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
 				tc.shards, tc.tune, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
 		}
 	}

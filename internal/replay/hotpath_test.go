@@ -18,12 +18,11 @@ import (
 // code path that wrongly holds onto a cell across release dereferences
 // nil or replays a nonsense index instead of silently reading stale data.
 // Two replays run interleaved on separate goroutines to stress reuse
-// under contention; both must still reproduce their slice-path reference
-// byte-for-byte. A tiny chunk maximizes recycle churn.
+// under contention; both must still reproduce their unpoisoned
+// single-shard reference byte-for-byte. A tiny chunk maximizes recycle
+// churn.
 func TestStreamPoolHygiene(t *testing.T) {
 	f := setup(t)
-	poisonReleasedBatches = true
-	defer func() { poisonReleasedBatches = false }()
 
 	type run struct {
 		seed uint64
@@ -38,8 +37,10 @@ func TestStreamPoolHygiene(t *testing.T) {
 	}
 	for _, r := range runs {
 		r.want = digest(RunODR(f.sample, f.trace.Files, f.aps,
-			Options{Seed: r.seed, Shards: 4}))
+			Options{Seed: r.seed, Shards: 1}))
 	}
+	poisonReleasedBatches = true
+	defer func() { poisonReleasedBatches = false }()
 	var wg sync.WaitGroup
 	for _, r := range runs {
 		wg.Add(1)
@@ -61,7 +62,7 @@ func TestStreamPoolHygiene(t *testing.T) {
 			t.Fatalf("seed=%d: %v", r.seed, r.err)
 		}
 		if r.got != r.want {
-			t.Errorf("seed=%d: poisoned pooled replay diverged from slice path\nfirst differing line:\n%s",
+			t.Errorf("seed=%d: poisoned pooled replay diverged from the unpoisoned reference\nfirst differing line:\n%s",
 				r.seed, firstDiff(r.want, r.got))
 		}
 	}
@@ -207,9 +208,9 @@ func (s *sizerSpy) TotalRequests() int                  { s.calls++; return s.sz
 
 // TestTraceFedRunsPresize closes the Sizer loop for trace files: a bin
 // trace opened from a seekable reader advertises its record count from
-// the trailer, and the streaming engine consults that hint, so replays
-// fed straight from a trace file pre-size their shard buffers exactly
-// like slice-fed ones.
+// the trailer, and the engine consults that hint, so replays fed straight
+// from a trace file pre-size their shard buffers exactly like slice-fed
+// ones.
 func TestTraceFedRunsPresize(t *testing.T) {
 	f := setup(t)
 	msSample := append([]workload.Request(nil), f.sample...)
@@ -241,7 +242,7 @@ func TestTraceFedRunsPresize(t *testing.T) {
 	}
 	want := digest(RunODR(msSample, f.trace.Files, f.aps, Options{Seed: 14, Shards: 4}))
 	if d := digest(got); d != want {
-		t.Fatalf("trace-fed pre-sized replay diverged from the slice reference\nfirst differing line:\n%s",
+		t.Fatalf("trace-fed pre-sized replay diverged from the in-memory reference\nfirst differing line:\n%s",
 			firstDiff(want, d))
 	}
 }

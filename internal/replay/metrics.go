@@ -32,10 +32,10 @@ const (
 	// totals, added once per run.
 	MetricReplayTasks    = "odr_replay_tasks_total"
 	MetricReplayFailures = "odr_replay_failures_total"
-	// MetricInflightPeak is the stream reader's channel-depth high-water
+	// MetricInflightPeak is the engine reader's channel-depth high-water
 	// mark — scheduling-dependent, recorded outside the shard registries.
 	MetricInflightPeak = "odr_replay_inflight_peak"
-	// MetricStreamChunk is the stream transport's effective batch size — a
+	// MetricStreamChunk is the engine transport's effective batch size — a
 	// transport knob, not a replay outcome, so like the in-flight peak it
 	// is recorded outside the shard registries and exempt from the
 	// shard-merge determinism contract.
@@ -44,7 +44,7 @@ const (
 	// for resident state, counters (labeled by placement policy) for the
 	// lookup/eviction/prefetch tallies. The pool evolves only in the
 	// sequential observation pass, so every value is a pure function of
-	// the request sequence — identical for any shard count or transport
+	// the request sequence — identical for any shard count or chunk size
 	// and covered by the shard-merge determinism contract.
 	MetricPoolUsedBytes     = "odr_pool_used_bytes"
 	MetricPoolFiles         = "odr_pool_files"

@@ -141,8 +141,8 @@ type Options struct {
 	// (cloud.PolicyNames). Empty replays against the default static warm
 	// pool; naming a policy (including "lru") switches the cloud backend to
 	// dynamic mode, where the pool evolves request by request under the
-	// policy. Results stay byte-identical across shard counts, transports,
-	// and tuning for every policy.
+	// policy. Results stay byte-identical across shard counts and tuning
+	// for every policy.
 	CachePolicy string
 	// PoolBytes overrides the cloud pool capacity in bytes (<= 0 keeps the
 	// CloudScale-derived default). The policy tournament uses it to put the
@@ -164,8 +164,7 @@ type Options struct {
 	// deterministic fault-injection layer: per-operation faults are drawn
 	// from each request's RNG substream and episode windows are derived
 	// from Seed, so faulted replays remain byte-identical for any shard
-	// count, chunk size, or pooling setting (TestReplayDeterminismFaults
-	// pins this).
+	// count or chunk size (TestReplayDeterminismFaults pins this).
 	Faults *faults.Spec
 	// Resilience, when non-nil, makes the replay failure-aware: every
 	// backend gains bounded retry with RNG-drawn backoff jitter, a
@@ -175,9 +174,8 @@ type Options struct {
 	// task. Nil replays naively: injected faults fail tasks outright.
 	// Zero fields take RetryPolicy defaults.
 	Resilience *backend.RetryPolicy
-	// Stream tunes the streaming transport (RunODRStream only): batch
-	// size and pooling. The zero value selects defaults, and tuning never
-	// changes replay results.
+	// Stream tunes the engine's batch transport. The zero value selects
+	// defaults, and tuning never changes replay results.
 	Stream StreamTuning
 	// Metrics, when non-nil, receives the replay's observability: decision
 	// counts per backend and reason, fetch latency/byte histograms,
@@ -189,8 +187,7 @@ type Options struct {
 	// Timeline, when non-nil, builds a windowed observability timeline
 	// over the merged task records (ODRResult.Timeline). Building it
 	// never changes replay results, and the windows are byte-identical
-	// for every shard count, transport, chunk size, and pooling setting
-	// (see Timeline).
+	// for every shard count and chunk size (see Timeline).
 	Timeline *TimelineConfig
 }
 
@@ -204,15 +201,6 @@ func (o Options) cloudConfig() cloud.Config {
 		cfg.PoolCapacity = o.PoolBytes
 	}
 	return cfg
-}
-
-// newBackends builds the replay's backend fleet and primes the cloud's
-// index-gated cache visibility over the sample.
-func newBackends(sample []workload.Request, files []*workload.FileMeta,
-	opts Options) *backend.Set {
-	set := backend.NewSet(files, opts.cloudConfig(), opts.Seed)
-	set.Cloud.Prime(sample)
-	return set
 }
 
 // newFleet builds the route view the replay executes against, layering
@@ -232,46 +220,32 @@ func newFleet(set *backend.Set, opts Options) (fleet *backend.Fleet, finish func
 	return fleet, finish
 }
 
-// RunODR replays the sample through the ODR decision procedure. Each
-// request's user owns the AP it was assigned in the §5.1 environment
-// (round-robin over aps).
-func RunODR(sample []workload.Request, files []*workload.FileMeta,
-	aps []*smartap.AP, opts Options) *ODRResult {
-	if len(aps) == 0 {
-		panic("replay: RunODR needs at least one AP")
-	}
-	if opts.CloudScale <= 0 {
-		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
-	}
-	set := newBackends(sample, files, opts)
-	set.Instrument(opts.Metrics)
-	fleet, finish := newFleet(set, opts)
-	db := core.NewStaticDB(files)
-
-	res := &ODRResult{Backends: set}
-	res.Tasks, res.Engine = runSharded(sample, aps, opts.Seed, opts.Shards,
-		newODRObs(opts.Metrics),
-		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			odrTask(task, wreq, req, db, fleet, opts)
-			return task.Success
-		})
-	finish()
-	recordPoolMetrics(opts.Metrics, set.Cloud)
-	if opts.Timeline != nil {
-		res.Timeline = BuildTimeline(res.Tasks, *opts.Timeline)
+// overSlice unwraps a stream entry point's result for the slice-taking
+// adapters. A SliceSource yields its indices in order and cannot fail, so
+// an error here is an engine bug, not an input condition.
+func overSlice[R any](res R, err error) R {
+	if err != nil {
+		panic("replay: slice source failed: " + err.Error())
 	}
 	return res
 }
 
+// RunODR is RunODRStream over an in-memory sample.
+func RunODR(sample []workload.Request, files []*workload.FileMeta,
+	aps []*smartap.AP, opts Options) *ODRResult {
+	return overSlice(RunODRStream(workload.NewSliceSource(sample), files, aps, opts))
+}
+
 // RunODRStream replays a request stream through the ODR decision
-// procedure without ever holding the request slice: the engine's reader
-// primes the cloud request by request (backend.Cloud.Observe) as it fans
-// out to the shards. Because observation happens in global-index order
-// before each request is dispatched, every Probe sees exactly the cache
-// visibility a full up-front Prime would have produced, and the result is
-// byte-identical to RunODR over the collected slice for the same options.
-// Only the task records — an order of magnitude smaller than requests
-// with their backing populations — are materialized.
+// procedure without ever holding the request slice. Each request's user
+// owns the AP it was assigned in the §5.1 environment (round-robin over
+// aps). The engine's reader primes the cloud request by request
+// (backend.Cloud.ObserveAt) as it fans out to the shards: observation
+// happens in global-index order before each request is dispatched, so
+// every Probe sees exactly the cache visibility its position in the
+// stream entitles it to. Only the task records — an order of magnitude
+// smaller than requests with their backing populations — are
+// materialized.
 func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 	aps []*smartap.AP, opts Options) (*ODRResult, error) {
 	return runODRWindowed(nil, src, 0, files, aps, opts)
@@ -315,7 +289,7 @@ func RunODRWindow(prefix, window workload.RequestSource, base int,
 func runODRWindowed(prefix, window workload.RequestSource, base int,
 	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*ODRResult, error) {
 	if len(aps) == 0 {
-		panic("replay: RunODRStream needs at least one AP")
+		panic("replay: ODR replay needs at least one AP")
 	}
 	if opts.CloudScale <= 0 {
 		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
@@ -668,6 +642,38 @@ func (r *ODRResult) FetchSpeeds() *stats.Sample {
 	return r.summarize().speeds
 }
 
+// runBaseline replays the sample through a fixed-route baseline. Every
+// baseline first gets the file into the cloud — a probe, then a cloud
+// pre-download on a miss, failing the task when that fails — and then
+// hands the task to deliver for its own last leg. The run counts as
+// succeeded in the engine totals once the cloud holds the file, whatever
+// deliver reports on the task.
+func runBaseline(sample []workload.Request, files []*workload.FileMeta,
+	aps []*smartap.AP, seed uint64,
+	deliver func(task *ODRTask, set *backend.Set, req *backend.Request)) *ODRResult {
+	opts := Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles}
+	set := backend.NewSet(files, opts.cloudConfig(), seed)
+	res := &ODRResult{Backends: set}
+	var err error
+	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
+		seed, 0, 0, StreamTuning{}, nil,
+		func(i int, wreq workload.Request) { set.Cloud.ObserveAt(i, wreq.File, wreq.Time) },
+		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
+			*task = ODRTask{Request: wreq}
+			if !set.Cloud.Probe(req) {
+				pre := set.Cloud.PreDownload(req)
+				task.PreDelay = pre.Delay
+				if !pre.OK {
+					task.Cause = pre.Cause
+					return false
+				}
+			}
+			deliver(task, set, req)
+			return true
+		})
+	return overSlice(res, err)
+}
+
 // HybridBaseline replays the sample through the commercial hybrid
 // approach the paper contrasts ODR with in §7 (HiWiFi/MiWiFi/Newifi's
 // cloud integration): every file always travels the longest data flow —
@@ -680,52 +686,24 @@ func HybridBaseline(sample []workload.Request, files []*workload.FileMeta,
 	if len(aps) == 0 {
 		panic("replay: HybridBaseline needs at least one AP")
 	}
-	set := newBackends(sample, files,
-		Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles})
-	res := &ODRResult{Backends: set}
-	res.Tasks, res.Engine = runSharded(sample, aps, seed, 0, nil,
-		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			*task = ODRTask{Request: wreq}
-			if !set.Cloud.Probe(req) {
-				pre := set.Cloud.PreDownload(req)
-				task.PreDelay = pre.Delay
-				if !pre.OK {
-					task.Cause = pre.Cause
-					return false
-				}
-			}
+	return runBaseline(sample, files, aps, seed,
+		func(task *ODRTask, set *backend.Set, req *backend.Request) {
 			// The AP then pulls from the cloud, always.
 			waited := task.PreDelay
 			cloudThenAP(task, set.CloudThenAP, req)
 			task.PreDelay += waited
-			return true
 		})
-	return res
 }
 
 // CloudOnlyBaseline replays the sample forcing every task through the
 // cloud (the pure cloud-based approach), returning the byte ledger and the
 // impeded ratio for Figure 16's baseline bars.
 func CloudOnlyBaseline(sample []workload.Request, files []*workload.FileMeta, seed uint64) *ODRResult {
-	set := newBackends(sample, files,
-		Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles})
-	res := &ODRResult{Backends: set}
-	res.Tasks, res.Engine = runSharded(sample, nil, seed, 0, nil,
-		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			*task = ODRTask{Request: wreq}
-			if !set.Cloud.Probe(req) {
-				pre := set.Cloud.PreDownload(req)
-				task.PreDelay = pre.Delay
-				if !pre.OK {
-					task.Cause = pre.Cause
-					return false
-				}
-			}
+	return runBaseline(sample, files, nil, seed,
+		func(task *ODRTask, set *backend.Set, req *backend.Request) {
 			f := set.Cloud.Fetch(req)
 			task.Success = true
 			task.PerceivedRate = f.Rate
 			task.CloudBytes = float64(f.CloudBytes)
-			return true
 		})
-	return res
 }

@@ -58,9 +58,8 @@ func (c TimelineConfig) numWindows() int {
 // re-told as a story over time.
 //
 // Determinism: the task slice a timeline is built from is scatter-written
-// by global request index and byte-identical across shard counts, slice
-// vs stream transport, chunk sizes, and pooling (the standing digest
-// invariant). BuildTimeline is a sequential pure function of that slice —
+// by global request index and byte-identical across shard counts and
+// chunk sizes (the standing digest invariant). BuildTimeline is a sequential pure function of that slice —
 // the same "latch dynamic state in one deterministic pass" argument as
 // the cloud pool's sequential observation pass, applied after the
 // engine's merge barrier — so window snapshots inherit byte-identity

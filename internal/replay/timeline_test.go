@@ -27,8 +27,8 @@ func timelineCSV(t *testing.T, tl *Timeline) string {
 // TestReplayDeterminismTimeline extends the determinism contract to the
 // windowed timeline: with faults injected, failure-aware routing on, and
 // the pool under policy pressure, the per-window snapshots and the CSV
-// serialization stay byte-identical across shard counts, slice vs
-// stream transport, and chunk/pooling tuning. Per-shard partial
+// serialization stay byte-identical across shard counts and chunk
+// tuning. Per-shard partial
 // timelines — built from each shard's task subset — merge back into the
 // full timeline exactly. The name keeps the TestReplayDeterminism
 // prefix so `make determinism` runs it.
@@ -99,27 +99,17 @@ func TestReplayDeterminismTimeline(t *testing.T) {
 		}
 	}
 
-	// Slice path across shard counts.
-	for _, shards := range []int{4, 8} {
-		check("slice shards=4/8", RunODR(f.sample, f.trace.Files, f.aps, opts(shards, StreamTuning{})))
-	}
-	// Stream path across shard counts and transport tunings.
+	// Shard counts and transport tunings.
 	for _, tc := range []struct {
 		label  string
 		shards int
 		tune   StreamTuning
 	}{
-		{"stream shards=1", 1, StreamTuning{}},
-		{"stream shards=4", 4, StreamTuning{}},
-		{"stream shards=8", 8, StreamTuning{}},
-		{"stream chunk=3 nopool", 4, StreamTuning{Chunk: 3, DisablePooling: true}},
+		{"shards=4", 4, StreamTuning{}},
+		{"shards=8", 8, StreamTuning{}},
+		{"shards=4 chunk=3", 4, StreamTuning{Chunk: 3}},
 	} {
-		got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
-			f.aps, opts(tc.shards, tc.tune))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		check(tc.label, got)
+		check(tc.label, RunODR(f.sample, f.trace.Files, f.aps, opts(tc.shards, tc.tune)))
 	}
 
 	// Partial timelines: partition the reference tasks the way the engine
@@ -169,8 +159,7 @@ func TestReplayDeterminismTimeline(t *testing.T) {
 // historical 7-day wall: a 30-day flash-crowd trace (requests landing
 // well beyond week one), a fault schedule spanning the full horizon, a
 // pressured eviction policy, and a day-wide timeline all stay
-// byte-identical across shard counts, slice vs stream, and chunk
-// tuning. The name keeps the TestReplayDeterminism prefix so
+// byte-identical across shard counts and chunk tuning. The name keeps the TestReplayDeterminism prefix so
 // `make determinism` runs it.
 func TestReplayDeterminismLongHorizon(t *testing.T) {
 	const days = 30
@@ -229,32 +218,22 @@ func TestReplayDeterminismLongHorizon(t *testing.T) {
 		t.Fatal("no timeline window past day 7 saw a task")
 	}
 
-	for _, shards := range []int{4, 8} {
-		got := RunODR(sample, tr.Files, aps, opts(shards, StreamTuning{}))
-		if d := digest(got); d != want {
-			t.Fatalf("long-horizon shards=%d: diverged from the single-shard reference\nfirst differing line:\n%s",
-				shards, firstDiff(want, d))
-		}
-		if !reflect.DeepEqual(got.Timeline.Snapshots(), wantSnaps) {
-			t.Fatalf("long-horizon shards=%d: timeline diverged", shards)
-		}
-	}
 	for _, tc := range []struct {
 		label  string
 		shards int
 		tune   StreamTuning
 	}{
-		{"stream shards=4", 4, StreamTuning{}},
-		{"stream chunk=7", 8, StreamTuning{Chunk: 7}},
-		{"stream chunk=3 nopool", 4, StreamTuning{Chunk: 3, DisablePooling: true}},
+		{"shards=4", 4, StreamTuning{}},
+		{"shards=8 chunk=7", 8, StreamTuning{Chunk: 7}},
+		{"shards=4 chunk=3", 4, StreamTuning{Chunk: 3}},
 	} {
-		got, err := RunODRStream(workload.NewSliceSource(sample), tr.Files, aps, opts(tc.shards, tc.tune))
-		if err != nil {
-			t.Fatalf("long-horizon %s: %v", tc.label, err)
-		}
+		got := RunODR(sample, tr.Files, aps, opts(tc.shards, tc.tune))
 		if d := digest(got); d != want {
-			t.Fatalf("long-horizon %s: diverged from the slice path\nfirst differing line:\n%s",
+			t.Fatalf("long-horizon %s: diverged from the single-shard reference\nfirst differing line:\n%s",
 				tc.label, firstDiff(want, d))
+		}
+		if !reflect.DeepEqual(got.Timeline.Snapshots(), wantSnaps) {
+			t.Fatalf("long-horizon %s: timeline diverged", tc.label)
 		}
 		if csv := timelineCSV(t, got.Timeline); csv != wantCSV {
 			t.Fatalf("long-horizon %s: timeline CSV diverged\nfirst differing line:\n%s",

@@ -89,18 +89,9 @@ func runCell(spec Spec, e *env) (*Result, error) {
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
 
-	var odr *replay.ODRResult
-	if spec.Stream {
-		odr, err = replay.RunODRStream(workload.NewSliceSource(e.sample), e.files, e.aps, opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		odr = replay.RunODR(e.sample, e.files, e.aps, opts)
-	}
 	return &Result{
 		Spec:      spec,
-		ODR:       odr,
+		ODR:       replay.RunODR(e.sample, e.files, e.aps, opts),
 		Registry:  reg,
 		Files:     len(e.files),
 		Users:     e.users,

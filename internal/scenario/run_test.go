@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"odr/internal/obs"
 	"odr/internal/replay"
 )
 
@@ -23,9 +24,21 @@ func smallSpec() Spec {
 	}
 }
 
-// sameRun compares two results through their registries and timelines —
-// the registry holds every counter and histogram the run produced, so
-// DeepEqual over snapshots is as strong as a digest.
+// outcomeSnapshot snapshots a run's registry minus the two transport
+// gauges (scheduling-dependent in-flight peak, chunk-size echo), which
+// are exempt from the determinism contract — see DESIGN.md,
+// "Observability". Every registry comparison in this package goes through
+// here.
+func outcomeSnapshot(reg *obs.Registry) *obs.Snapshot {
+	snap := reg.Snapshot()
+	delete(snap.Gauges, replay.MetricInflightPeak)
+	delete(snap.Gauges, replay.MetricStreamChunk)
+	return snap
+}
+
+// sameRun compares two results through their task records, timelines,
+// and registries — the registry holds every counter and histogram the run
+// produced, so DeepEqual over snapshots is as strong as a digest.
 func sameRun(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.ODR.Tasks) != len(b.ODR.Tasks) {
@@ -36,6 +49,9 @@ func sameRun(t *testing.T, label string, a, b *Result) {
 	}
 	if !reflect.DeepEqual(a.Timeline().Snapshots(), b.Timeline().Snapshots()) {
 		t.Fatalf("%s: timelines diverged", label)
+	}
+	if !reflect.DeepEqual(outcomeSnapshot(a.Registry), outcomeSnapshot(b.Registry)) {
+		t.Fatalf("%s: registries diverged", label)
 	}
 }
 
@@ -78,44 +94,23 @@ func TestRunExecutesSpec(t *testing.T) {
 		t.Fatalf("timeline buckets %d tasks, want 150", total)
 	}
 
-	// Same spec, same numbers — and shard count is not part of the
-	// scenario's identity.
+	// Same spec, same numbers — and neither shard count nor chunk size is
+	// part of the scenario's identity.
 	again, err := Run(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRun(t, "repeat", res, again)
-	resharded := smallSpec()
-	resharded.Shards = 8
-	res8, err := Run(resharded)
+	retuned := smallSpec()
+	retuned.Shards = 8
+	retuned.Chunk = 7
+	res8, err := Run(retuned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRun(t, "shards=8", res, res8)
-}
-
-func TestRunStreamMatchesSlice(t *testing.T) {
-	slice, err := Run(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := smallSpec()
-	streamed.Stream = true
-	streamed.Chunk = 7
-	stream, err := Run(streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRun(t, "stream", slice, stream)
-
-	// Registries match too, minus the transport-shape gauges the stream
-	// path alone records (exempt from the determinism contract).
-	want := slice.Registry.Snapshot()
-	got := stream.Registry.Snapshot()
-	delete(got.Gauges, replay.MetricInflightPeak)
-	delete(got.Gauges, replay.MetricStreamChunk)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("stream registry diverged from the slice path")
+	sameRun(t, "shards=8 chunk=7", res, res8)
+	if got := res8.Registry.Snapshot().Gauges[replay.MetricStreamChunk]; got != 7 {
+		t.Fatalf("Spec.Chunk did not reach the engine: chunk gauge = %d, want 7", got)
 	}
 }
 

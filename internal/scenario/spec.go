@@ -40,9 +40,7 @@ type Spec struct {
 	// Shards is the engine shard count (0 = GOMAXPROCS; results are
 	// identical for any value).
 	Shards int `json:"shards,omitempty"`
-	// Stream replays through the bounded-memory streaming engine.
-	Stream bool `json:"stream,omitempty"`
-	// Chunk tunes the streaming transport's batch size (0 = default).
+	// Chunk tunes the engine transport's batch size (0 = default).
 	Chunk int `json:"chunk,omitempty"`
 	// GenWorkers pins the parallel trace-generation worker count
 	// (0 = GOMAXPROCS, 1 = sequential; output is byte-identical for any
@@ -203,7 +201,7 @@ func (s Spec) ReplayOptions() (replay.Options, error) {
 		Shards:      s.Shards,
 		CachePolicy: s.CachePolicy,
 		PoolBytes:   s.PoolBytes,
-		Stream:      replay.StreamTuning{Chunk: s.Chunk, GenWorkers: s.GenWorkers},
+		Stream:      replay.StreamTuning{Chunk: s.Chunk},
 		Timeline:    s.TimelineConfig(),
 	}
 	fs, err := s.FaultSpec()

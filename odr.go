@@ -203,33 +203,34 @@ type (
 	// ReplayOptions tunes an ODR replay (including ablations and the
 	// engine shard count).
 	ReplayOptions = replay.Options
-	// StreamTuning tunes the streaming engine's batch transport (chunk
-	// size, pooling). Tuning never changes replay results.
+	// StreamTuning tunes the replay engine's batch transport (chunk
+	// size). Tuning never changes replay results.
 	StreamTuning = replay.StreamTuning
 )
 
-// RunAPBenchmark replays a sample across APs per §5.1.
+// RunAPBenchmark replays an in-memory sample across APs per §5.1.
 func RunAPBenchmark(sample []Request, aps []*AP, seed uint64) *APBench {
 	return replay.RunAPBenchmark(sample, aps, seed)
 }
 
-// RunODR replays a sample through the ODR decision procedure per §6.2.
+// RunODR replays an in-memory sample through the ODR decision procedure
+// per §6.2.
 func RunODR(sample []Request, files []*FileMeta, aps []*AP, opts ReplayOptions) *ODRResult {
 	return replay.RunODR(sample, files, aps, opts)
 }
 
-// RunAPBenchmarkStream is RunAPBenchmark over a request stream,
-// byte-identical to the slice path for the same seed, shard count, and
-// any transport tuning.
+// RunAPBenchmarkStream replays a request stream across APs per §5.1
+// without holding it; results are identical for any shard count and
+// transport tuning.
 func RunAPBenchmarkStream(src RequestSource, aps []*AP, seed uint64, shards int,
 	tune StreamTuning) (*APBench, error) {
 	return replay.RunAPBenchmarkStream(src, aps, seed, shards, tune)
 }
 
-// RunODRStream is RunODR over a request stream: one reader goroutine
-// feeds per-shard bounded channels, so memory is bounded by the engine's
-// in-flight window rather than the stream length. Results are
-// byte-identical to RunODR for the same seed.
+// RunODRStream replays a request stream through the ODR decision
+// procedure per §6.2: one reader goroutine feeds per-shard bounded
+// channels, so memory is bounded by the engine's in-flight window rather
+// than the stream length.
 func RunODRStream(src RequestSource, files []*FileMeta, aps []*AP, opts ReplayOptions) (*ODRResult, error) {
 	return replay.RunODRStream(src, files, aps, opts)
 }

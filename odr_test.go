@@ -75,7 +75,7 @@ func TestFacadeStreaming(t *testing.T) {
 	if len(res.Tasks) != len(ref.Tasks) ||
 		res.CloudBytes() != ref.CloudBytes() ||
 		res.ImpededRatio() != ref.ImpededRatio() {
-		t.Fatal("streamed ODR replay diverged from the slice path")
+		t.Fatal("stream-sampled ODR replay diverged from the slice-sampled one")
 	}
 
 	bench, err := RunAPBenchmarkStream(NewSliceSource(sample), aps, 1, 0, StreamTuning{})
@@ -83,7 +83,7 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bench.FailureRatio() != RunAPBenchmark(want, aps, 1).FailureRatio() {
-		t.Fatal("streamed AP benchmark diverged from the slice path")
+		t.Fatal("stream-sampled AP benchmark diverged from the slice-sampled one")
 	}
 
 	back, err := CollectRequests(st.Requests())
