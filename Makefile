@@ -19,23 +19,32 @@ check: fmt vet build race determinism cover allocgate
 ci: check bench-compare matrix-smoke ingest-smoke fuzz-smoke paperscale-smoke \
 	distributed-smoke
 
-# fuzz-smoke runs each trace-decoder fuzzer briefly from its committed
-# seed corpus: long enough to shake out decode panics on mutated traces,
-# short enough for CI. The full corpora stay in testdata/fuzz, so every
-# past counterexample replays on plain `go test` as well.
+# fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
+# (committed corpora in testdata/fuzz, so every past counterexample
+# replays on plain `go test` as well), the ODRP partial decoder, and the
+# lazily seeded RNG source against math/rand. Long enough to shake out
+# decode panics and stream divergence, short enough for CI.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCSVDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZ_TIME) ./internal/dist
 
 # paperscale-smoke runs EXP-W at ~200k tasks: parallel generation must
 # hash byte-identical to sequential, the bin trace file must hash back
 # to the generated digest, and the three replay input paths must agree.
 # The experiment prints "EXPW verdict: PASS" only when every check holds.
+# The report is captured and re-printed rather than piped through
+# `tee /dev/stderr`, which reopens stderr with O_TRUNC and so cuts off a
+# log file the caller redirected it to.
 paperscale-smoke:
-	$(GO) run ./cmd/experiments -exp expw -files 27500 -sample 1000 \
-		| tee /dev/stderr | grep -q '^EXPW verdict: PASS$$'
+	@out="$$($(GO) run ./cmd/experiments -exp expw -files 27500 -sample 1000)"; rc="$$?"; \
+	printf '%s\n' "$$out"; \
+	[ "$$rc" -eq 0 ] || { echo "paperscale-smoke: experiments exited $$rc"; exit 1; }; \
+	printf '%s\n' "$$out" | grep -q '^EXPW verdict: PASS$$' || \
+		{ echo "paperscale-smoke: no PASS verdict"; exit 1; }
 
 # paperscale is the full calibrated week — 563,517 files, 4,084,417
 # tasks — through the same pipeline. Takes minutes; not part of ci.

@@ -41,7 +41,8 @@
 // With -tasks it also dumps the week simulation's task records as JSON
 // Lines (the pre-downloading + fetching traces of §3). The week simulator
 // needs random access to the request log, so this is the one mode that
-// materializes it.
+// materializes it; combined with -trace it needs a bin trace, the one
+// format that records every user's access bandwidth.
 //
 // With -metrics prom|json the ODR replay runs instrumented and the merged
 // metrics snapshot (decision counts, fetch histograms, backend outcomes)
@@ -109,11 +110,18 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 		tr.Files, tr.Users, tr.Span = st.Files, st.Users, st.Span
 		src = st.RequestsWorkers(common.GenWorkers)
 	} else {
-		f, _, closer, err := trace.OpenWorkloadFile(tracePath)
+		f, format, closer, err := trace.OpenWorkloadFile(tracePath)
 		if err != nil {
 			return err
 		}
 		defer closer.Close()
+		// csv and jsonl keep only what the paper's logs had: AccessBW is
+		// zero for users who never reported it, and the week simulator
+		// cannot schedule a fetch at zero bandwidth.
+		if tasksPath != "" && format != "bin" {
+			return fmt.Errorf("-tasks simulates the whole week and needs every user's access bandwidth, "+
+				"which a %s trace does not carry: write the trace with `wgen -format bin` and replay that", format)
+		}
 		census = workload.NewCensus()
 		src = census.Wrap(f)
 	}

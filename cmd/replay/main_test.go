@@ -10,10 +10,25 @@ import (
 
 	"odr/internal/replay"
 	"odr/internal/scenario"
+	"odr/internal/trace"
+	"odr/internal/workload"
 )
 
-// runCLI runs the command body with stdout and stderr captured to files.
+// runCLI runs the command body over a generated week and fails the test
+// if it returns an error.
 func runCLI(t *testing.T, shards, chunk int, tasksPath string, common *scenario.Common) (stdout, stderr string) {
+	t.Helper()
+	stdout, stderr, err := runCLITrace(t, shards, chunk, tasksPath, "", common)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr)
+	}
+	return stdout, stderr
+}
+
+// runCLITrace runs the command body with stdout and stderr captured to
+// files; an empty tracePath generates the week.
+func runCLITrace(t *testing.T, shards, chunk int, tasksPath, tracePath string,
+	common *scenario.Common) (stdout, stderr string, err error) {
 	t.Helper()
 	dir := t.TempDir()
 	capture := func(name string, std **os.File) func() string {
@@ -35,12 +50,8 @@ func runCLI(t *testing.T, shards, chunk int, tasksPath string, common *scenario.
 	}
 	out := capture("stdout", &os.Stdout)
 	errOut := capture("stderr", &os.Stderr)
-	err := run(1500, 150, 9, shards, chunk, tasksPath, "", false, common)
-	stdout, stderr = out(), errOut()
-	if err != nil {
-		t.Fatalf("run: %v\nstderr:\n%s", err, stderr)
-	}
-	return stdout, stderr
+	err = run(1500, 150, 9, shards, chunk, tasksPath, tracePath, false, common)
+	return out(), errOut(), err
 }
 
 // TestChunkFlagReachesEngine pins the -chunk wiring end to end: the
@@ -104,5 +115,58 @@ func TestTasksDumpSharesTheOnePass(t *testing.T) {
 	}
 	if records != requests {
 		t.Fatalf("-tasks wrote %d records for a %d-request week", records, requests)
+	}
+}
+
+// TestTasksDumpNeedsALosslessTrace: csv and jsonl traces zero AccessBW for
+// users who never reported it, which used to panic the week simulator
+// ("sim: schedule … before now"). The command now refuses up front and
+// points at the bin format — but says nothing of the sort when the trace
+// already is bin, which simply works.
+func TestTasksDumpNeedsALosslessTrace(t *testing.T) {
+	st, err := workload.GenerateStream(workload.DefaultConfig(300, 9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Collect(st.Requests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(format string) string {
+		path := filepath.Join(dir, "week."+format)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := trace.WriteWorkloadStream(f, format, workload.NewSliceSource(reqs)); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	tasks := filepath.Join(dir, "tasks.jsonl")
+	for _, format := range []string{"csv", "jsonl"} {
+		path := write(format)
+		_, _, err := runCLITrace(t, 2, 0, tasks, path, &scenario.Common{})
+		if err == nil {
+			t.Fatalf("-trace week.%s -tasks ran; want a refusal", format)
+		}
+		for _, want := range []string{format + " trace", "-format bin"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s refusal %q does not mention %q", format, err, want)
+			}
+		}
+		// Without -tasks the same trace replays fine.
+		if _, _, err := runCLITrace(t, 2, 0, "", path, &scenario.Common{}); err != nil {
+			t.Fatalf("-trace week.%s without -tasks: %v", format, err)
+		}
+	}
+	stdout, _, err := runCLITrace(t, 2, 0, tasks, write("bin"), &scenario.Common{})
+	if err != nil {
+		t.Fatalf("-trace week.bin -tasks: %v", err)
+	}
+	if !strings.Contains(stdout, "task records to "+tasks) {
+		t.Fatalf("bin trace wrote no task records:\n%s", stdout)
 	}
 }

@@ -26,7 +26,9 @@ type RNG struct {
 
 // NewRNG returns a new deterministic generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(int64(mix(seed)))), seed: seed}
+	src := &lfSource{}
+	src.Seed(int64(mix(seed)))
+	return &RNG{r: rand.New(src), seed: seed}
 }
 
 // Seed returns the seed this generator was constructed with.
@@ -56,9 +58,10 @@ func (g *RNG) Split64(n uint64) *RNG {
 }
 
 // Reseed reinitializes g in place so it produces exactly the stream
-// NewRNG(seed) would, without allocating. It exists for streaming hot
-// loops that derive one substream per item and cannot afford three heap
-// allocations each: keep one scratch RNG per worker and Reseed it.
+// NewRNG(seed) would, without allocating and in constant time (the
+// source seeds lazily; see lfSource). It exists for streaming hot loops
+// that derive one substream per item and draw only a few values from
+// each: keep one scratch RNG per worker and Reseed it.
 func (g *RNG) Reseed(seed uint64) {
 	g.seed = seed
 	g.r.Seed(int64(mix(seed)))

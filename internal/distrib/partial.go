@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -240,31 +241,44 @@ func ReadPartial(path string) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
+	p, err := decodePartial(raw)
+	if err != nil {
+		return nil, fmt.Errorf("distrib: %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// decodePartial parses the bytes of a partial-result file. Every length
+// and index the bytes carry is checked against what is actually there
+// before anything is sized from it (FuzzDecodePartial).
+func decodePartial(raw []byte) (*Partial, error) {
 	if len(raw) < 8+4+4 {
-		return nil, fmt.Errorf("distrib: %s: partial file is %d bytes, too short", path, len(raw))
+		return nil, fmt.Errorf("partial file is %d bytes, too short", len(raw))
 	}
 	if string(raw[:4]) != partialMagic {
-		return nil, fmt.Errorf("distrib: %s: bad partial magic %q", path, raw[:4])
+		return nil, fmt.Errorf("bad partial magic %q", raw[:4])
 	}
 	if v := binary.LittleEndian.Uint16(raw[4:6]); v != partialVersion {
-		return nil, fmt.Errorf("distrib: %s: unsupported partial version %d (want %d)", path, v, partialVersion)
+		return nil, fmt.Errorf("unsupported partial version %d (want %d)", v, partialVersion)
 	}
 	body, tail := raw[8:len(raw)-4], raw[len(raw)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("distrib: %s: partial checksum mismatch (corrupt or truncated)", path)
+		return nil, errors.New("partial checksum mismatch (corrupt or truncated)")
 	}
-	hdrLen := int(binary.LittleEndian.Uint32(body[:4]))
-	if hdrLen < 0 || 4+hdrLen > len(body) {
-		return nil, fmt.Errorf("distrib: %s: partial header length %d overruns file", path, hdrLen)
+	hdrLen := int64(binary.LittleEndian.Uint32(body[:4]))
+	if 4+hdrLen > int64(len(body)) {
+		return nil, fmt.Errorf("partial header length %d overruns file", hdrLen)
 	}
 	var hdr partialHeader
 	if err := json.Unmarshal(body[4:4+hdrLen], &hdr); err != nil {
-		return nil, fmt.Errorf("distrib: %s: partial header: %w", path, err)
+		return nil, fmt.Errorf("partial header: %w", err)
 	}
+	// Compare in units of records: tasks*taskRecordLen can wrap int64 and
+	// land on the byte count, and the slice below is sized from tasks.
 	recs := body[4+hdrLen:]
-	if int64(len(recs)) != hdr.Tasks*taskRecordLen {
-		return nil, fmt.Errorf("distrib: %s: %d record bytes, want %d for %d tasks",
-			path, len(recs), hdr.Tasks*taskRecordLen, hdr.Tasks)
+	if len(recs)%taskRecordLen != 0 || hdr.Tasks != int64(len(recs)/taskRecordLen) {
+		return nil, fmt.Errorf("%d record bytes, want %d bytes each for %d tasks",
+			len(recs), taskRecordLen, hdr.Tasks)
 	}
 
 	type fileKey struct {
@@ -278,7 +292,7 @@ func ReadPartial(path string) (*Partial, error) {
 		reason := int(binary.LittleEndian.Uint16(rec[2:4]))
 		cause := int(binary.LittleEndian.Uint16(rec[4:6]))
 		if reason >= len(hdr.Reasons) || cause >= len(hdr.Causes) {
-			return nil, fmt.Errorf("distrib: %s: task %d string index out of table", path, i)
+			return nil, fmt.Errorf("task %d string index out of table", i)
 		}
 		key := fileKey{
 			size:   int64(binary.LittleEndian.Uint64(rec[40:48])),

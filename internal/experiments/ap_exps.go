@@ -106,8 +106,13 @@ func (l *Lab) APFailures() *Report {
 	r.metric("cause_bad_server", causes["bad-server"], 0.10)
 	r.metric("cause_client_bug", causes["client-bug"], 0.04)
 	r.addf("failures by cause:")
-	for cause, share := range causes {
-		r.addf("  %-12s %5.1f%%", cause, share*100)
+	names := make([]string, 0, len(causes))
+	for cause := range causes {
+		names = append(names, cause)
+	}
+	sort.Strings(names) // map order would differ between two runs of one binary
+	for _, cause := range names {
+		r.addf("  %-12s %5.1f%%", cause, causes[cause]*100)
 	}
 	return r
 }

@@ -135,6 +135,21 @@ func TestAPFailuresMatchPaper(t *testing.T) {
 	}
 }
 
+// TestAPFailuresRenderIsStable: the cause table once ranged over a map, so
+// two renders of one binary differed. A shared Lab memoizes the bench, so
+// both calls see the same data and only the row order could differ.
+func TestAPFailuresRenderIsStable(t *testing.T) {
+	want := lab.APFailures().String()
+	if n := strings.Count(want, "%\n"); n < 2 {
+		t.Fatalf("cause table has %d rows; the order check needs at least two:\n%s", n, want)
+	}
+	for i := 0; i < 20; i++ {
+		if got := lab.APFailures().String(); got != want {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+}
+
 func TestTable2MatchesPaper(t *testing.T) {
 	r := lab.DeviceFilesystem()
 	for _, key := range []string{

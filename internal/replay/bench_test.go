@@ -136,8 +136,16 @@ func BenchmarkReplayTimeline(b *testing.B) {
 }
 
 // BenchmarkReplayParallel sweeps the engine's shard count over the
-// 50k-request sample through the slice entry (RunODR). The acceptance bar
-// is >2× requests/sec at 4 shards versus 1.
+// 50k-request sample through the slice entry (RunODR). Shards no longer
+// buy much here, and that is expected: with O(1) substream seeding a
+// request costs a shard worker well under a microsecond, about what the
+// single reader goroutine spends pulling, observing and dispatching it,
+// so one shard plus the reader already fills two cores (≈1.2× at 4
+// shards on 2 vCPUs; the benchmark ledger's replay.shard_scaling ≈ 1).
+// The former ">2× at 4 shards" bar was measuring math/rand's reseed,
+// which parallelised perfectly. What this benchmark holds now is
+// allocs/op and B/op: one result slice (≈14 MB for 50k tasks) plus a
+// few transport batches per shard, whatever the shard count.
 func BenchmarkReplayParallel(b *testing.B) {
 	sample, files := benchFixture(b)
 	aps := smartap.Benchmarked()

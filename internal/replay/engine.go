@@ -25,8 +25,9 @@ import (
 //     gated by request index (see backend.Cloud.ObserveAt, which the
 //     reader calls in index order before dispatch), so "who ran first"
 //     is unobservable;
-//   - every shard appends tasks to its own index/task buffers, scattered
-//     to disjoint global indices after the last worker exits, counts
+//   - every shard writes each task to the slot of its own global index
+//     (in place when the source announces its length, otherwise via
+//     per-shard buffers scattered after the last worker exits), counts
 //     into its own ShardTotals, and backend ledgers use atomic integers —
 //     all merges are associative integer sums taken in shard order.
 //
@@ -217,11 +218,16 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 // between each shard's work queue and a free list (streamBatchDepth per
 // shard), so the transport reuses the same few arrays for the whole
 // stream; workers reuse one backend.Request and one scratch RNG each —
-// reseeded per request to the index-keyed substream — and append results
-// to per-shard index/task buffers pre-sized from the source's Sizer hint
-// when it offers one. The buffers are scattered into the final task slice
-// by global index after the last worker exits, so the output is
-// byte-identical for any shard count, chunk size, and GOMAXPROCS.
+// reseeded per request to the index-keyed substream. When the source is a
+// workload.Sizer the result slice is allocated once at the announced
+// length and each worker fills tasks[i] in place: shards own disjoint
+// index sets, so no two goroutines touch one slot. A sized source that
+// yields more than it announced fails the run; one that yields fewer
+// returns what it yielded. Only a source of unknown length (a
+// non-seekable trace stream) pays for per-shard index/task buffers grown
+// by append and scattered into the final slice after the last worker
+// exits. Either way the output is byte-identical for any shard count,
+// chunk size, and GOMAXPROCS.
 //
 // Non-positive shards selects GOMAXPROCS; a source that knows its length
 // never gets more shards than it has requests.
@@ -237,7 +243,11 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	if sz, ok := src.(workload.Sizer); ok {
 		hint = sz.TotalRequests()
 	}
-	if hint > 0 && shards > hint {
+	// sized: the result slice is allocated at the announced length and
+	// workers write tasks in place. Otherwise each shard appends to its own
+	// buffers, scattered into place after the last worker exits.
+	sized := hint > 0
+	if sized && shards > hint {
 		shards = hint
 	}
 	chunk := tune.chunkOf()
@@ -255,13 +265,9 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		eo.dst.Gauge(MetricStreamChunk).Set(int64(chunk))
 	}
 
-	// Pre-size each shard's output buffers when the source knows its
-	// length. Fibonacci hashing spreads users near-uniformly, so a shard's
-	// share is about hint/shards; the extra quarter plus one chunk absorbs
-	// partition imbalance without a mid-run regrowth.
-	per := 0
-	if hint > 0 {
-		per = hint/shards + hint/(4*shards) + chunk
+	var tasks []T
+	if sized {
+		tasks = make([]T, hint)
 	}
 	outIdx := make([][]int32, shards)
 	outWide := make([][]int, shards) // used instead of outIdx past 2^31 requests
@@ -270,8 +276,6 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	work := make([]chan []streamCell, shards)
 	free := make([]chan []streamCell, shards)
 	for s := 0; s < shards; s++ {
-		outIdx[s] = make([]int32, 0, per)
-		outTasks[s] = make([]T, 0, per)
 		work[s] = make(chan []streamCell, streamBatchDepth)
 		// Stock the free list with the shard's full batch budget; the
 		// worker's release below can then never block, and the reader's
@@ -291,20 +295,27 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 			record := eo.recorder(regs, s)
 			req := &backend.Request{}
 			rng := dist.NewRNG(0)
-			idx, wide, tasks := outIdx[s], outWide[s], outTasks[s]
+			var idx []int32
+			var wide []int
+			var buf []T
 			for batch := range work[s] {
 				for k := range batch {
 					c := &batch[k]
 					bindRequest(req, rng, root, base+c.i, c.wreq, aps)
-					var zero T
-					tasks = append(tasks, zero)
-					t := &tasks[len(tasks)-1]
-					ok := fn(c.i, c.wreq, req, t)
-					if c.i <= maxInt32 {
-						idx = append(idx, int32(c.i))
+					var t *T
+					if sized {
+						t = &tasks[c.i]
 					} else {
-						wide = append(wide, c.i)
+						var zero T
+						buf = append(buf, zero)
+						t = &buf[len(buf)-1]
+						if c.i <= maxInt32 {
+							idx = append(idx, int32(c.i))
+						} else {
+							wide = append(wide, c.i)
+						}
 					}
+					ok := fn(c.i, c.wreq, req, t)
 					totals.Tasks++
 					if !ok {
 						totals.Failures++
@@ -320,7 +331,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 				}
 				free[s] <- batch[:0]
 			}
-			outIdx[s], outWide[s], outTasks[s] = idx, wide, tasks
+			outIdx[s], outWide[s], outTasks[s] = idx, wide, buf
 		}(s)
 	}
 
@@ -355,6 +366,9 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		if i != n {
 			return fail(fmt.Errorf("replay: source yielded index %d, want %d", i, n))
 		}
+		if sized && n == hint {
+			return fail(fmt.Errorf("replay: source announced %d requests (workload.Sizer) but yielded at least %d", hint, n+1))
+		}
 		if observe != nil {
 			observe(i, wreq)
 		}
@@ -377,10 +391,13 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		return nil, stats, err
 	}
 
+	if sized {
+		return tasks[:n], stats, nil
+	}
 	// Scatter each shard's results to their global positions. Shards own
 	// disjoint index sets, so every slot is written exactly once and the
 	// result is independent of shard iteration order.
-	tasks := make([]T, n)
+	tasks = make([]T, n)
 	for s := range outTasks {
 		narrow, ts := outIdx[s], outTasks[s]
 		for j := range narrow {

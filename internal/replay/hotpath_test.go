@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,8 +168,8 @@ func TestODRResultSummaryMatchesScan(t *testing.T) {
 }
 
 // TestStreamSizerPresizing sanity-checks the Sizer plumbing end to end: a
-// sized source replays identically to an unsized wrapper of the same
-// stream (pre-sizing is purely an optimization).
+// sized source (tasks written in place) replays identically to an unsized
+// wrapper of the same stream (per-shard buffers, scattered afterwards).
 func TestStreamSizerPresizing(t *testing.T) {
 	f := setup(t)
 	sized, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
@@ -194,6 +195,54 @@ type hideSizer struct {
 
 func (s *hideSizer) Next() (int, workload.Request, bool) { return s.src.Next() }
 func (s *hideSizer) Err() error                          { return s.src.Err() }
+
+// announce wraps a source with a Sizer that reports n, true or not.
+type announce struct {
+	hideSizer
+	n int
+}
+
+func (s *announce) TotalRequests() int { return s.n }
+
+// TestSizerAnnouncementIsBinding: the engine allocates the result from
+// TotalRequests and writes tasks in place, so the count is a contract.
+// Yielding past it fails the run with both numbers in the error; yielding
+// short of it returns exactly the tasks yielded, identical to an honest
+// run over the same prefix.
+func TestSizerAnnouncementIsBinding(t *testing.T) {
+	f := setup(t)
+	opts := Options{Seed: 14, Shards: 4, Stream: StreamTuning{Chunk: 16}}
+	run := func(reqs []workload.Request, announced int) (*ODRResult, error) {
+		src := &announce{hideSizer{workload.NewSliceSource(reqs)}, announced}
+		return RunODRStream(src, f.trace.Files, f.aps, opts)
+	}
+
+	_, err := run(f.sample[:300], 200)
+	if err == nil {
+		t.Fatal("a source that yielded 300 requests after announcing 200 replayed without error")
+	}
+	for _, want := range []string{"announced 200", "201"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+
+	short, err := run(f.sample[:300], 450)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(short.Tasks) != 300 {
+		t.Fatalf("announced 450, yielded 300: got %d tasks", len(short.Tasks))
+	}
+	honest, err := run(f.sample[:300], 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest(short) != digest(honest) {
+		t.Fatalf("over-announced run diverged from the honest one\nfirst differing line:\n%s",
+			firstDiff(digest(honest), digest(short)))
+	}
+}
 
 // sizerSpy delegates to a sized source and counts Sizer consultations.
 type sizerSpy struct {

@@ -25,12 +25,14 @@ type RequestSource interface {
 
 // Sizer is an optional RequestSource extension for sources that know
 // their total request count up front (an in-memory slice, the streaming
-// generator's permutation index). Consumers use the count purely as a
-// pre-sizing hint — the replay engine pre-sizes its per-shard result
-// buffers from TotalRequests()/shards — so a source that cannot know its
-// length (a trace file being read) simply does not implement Sizer and
-// consumers fall back to amortized growth. Implementations must return
-// the exact number of requests Next will yield.
+// generator's permutation index, a bin trace's trailer). The count is a
+// contract, not a hint: the replay engine allocates its result slice at
+// TotalRequests() and has shard workers write each task in place, so a
+// source that yields more requests than it announced fails the replay
+// (one that yields fewer just gets a shorter result). A source that
+// cannot know its length (a non-seekable trace stream) simply does not
+// implement Sizer, and the engine falls back to per-shard buffers grown
+// by append. A non-positive count reads as "unknown".
 type Sizer interface {
 	TotalRequests() int
 }
