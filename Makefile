@@ -1,14 +1,14 @@
 GO ?= go
 
 .PHONY: check ci build test vet fmt race determinism bench cover allocgate \
-	bench-save bench-compare matrix-smoke ingest-smoke \
-	bench-odrweb-save bench-odrweb-compare fuzz-smoke \
-	paperscale-smoke paperscale distributed-smoke
+	bench-save bench-compare matrix-smoke ingest-smoke fuzz-smoke \
+	paperscale-smoke paperscale distributed-smoke reach benchmark
 
-# check is the CI gate: static checks, a full build, the race-enabled
-# test suite, the engine determinism test at several GOMAXPROCS, the
-# coverage floors, and the hot-path allocation gate.
-check: fmt vet build race determinism cover allocgate
+# check is the CI gate: static checks, a full build, the package reach
+# check, the race-enabled test suite, the engine determinism test at
+# several GOMAXPROCS, the coverage floors, and the hot-path allocation
+# gate.
+check: fmt vet build reach race determinism cover allocgate
 
 # ci is what .github/workflows/ci.yml runs: the full gate plus the
 # benchmark diffs against the tracked baselines, a tiny scenario-matrix
@@ -21,8 +21,9 @@ ci: check bench-compare matrix-smoke ingest-smoke fuzz-smoke paperscale-smoke \
 
 # fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
 # (committed corpora in testdata/fuzz, so every past counterexample
-# replays on plain `go test` as well), the ODRP partial decoder, and the
-# lazily seeded RNG source against math/rand. Long enough to shake out
+# replays on plain `go test` as well), the ODRP partial decoder, the
+# checkpoint manifest loader, the live server's two decide endpoints, and
+# the lazily seeded RNG source against math/rand. Long enough to shake out
 # decode panics and stream divergence, short enough for CI.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
@@ -30,6 +31,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZ_TIME) ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzDecideBodies -fuzztime $(FUZZ_TIME) ./internal/odrweb
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZ_TIME) ./internal/dist
 
 # paperscale-smoke runs EXP-W at ~200k tasks: parallel generation must
@@ -54,12 +57,15 @@ paperscale:
 # distributed-smoke proves the multi-process replay coordinator end to
 # end at ~200k tasks: generate a bin trace, run a 3-worker coordinated
 # replay that crashes one worker mid-window and halts after two
-# checkpointed windows (exit code 3), then rerun the same command to
-# resume from the manifest with -verify — the merged digest must be
-# byte-identical to a single-process replay of the same trace, crash and
-# all. Set DISTRIB_SMOKE_DIR to keep the trace, checkpoint, and logs (CI
-# points it at a workspace path and uploads them as artifacts on
-# failure); by default everything lands in a mktemp dir removed on exit.
+# checkpointed windows (exit code 3), tear one of the checkpointed
+# partials in half as a crash mid-write would, then rerun the same
+# command to resume from the manifest with -verify — the torn partial
+# must be detected and its window recomputed, and the merged digest must
+# be byte-identical to a single-process replay of the same trace, crash,
+# torn write and all. Set DISTRIB_SMOKE_DIR to keep the trace,
+# checkpoint, and logs (CI points it at a workspace path and uploads
+# them as artifacts on failure); by default everything lands in a mktemp
+# dir removed on exit.
 distributed-smoke:
 	@dir="$(DISTRIB_SMOKE_DIR)"; \
 	if [ -z "$$dir" ]; then \
@@ -72,12 +78,18 @@ distributed-smoke:
 		-workers 3 -crash-window 1 -halt-after 2 >"$$dir/run1.log" 2>&1; \
 	rc="$$?"; cat "$$dir/run1.log"; \
 	[ "$$rc" -eq 3 ] || { echo "distributed-smoke: first run exited $$rc, want 3 (halted)"; exit 1; }; \
+	torn="$$(ls "$$dir"/ckpt/*.odrp | head -n 1)"; \
+	[ -n "$$torn" ] || { echo "distributed-smoke: halted run left no partial to tear"; exit 1; }; \
+	size="$$(wc -c <"$$torn")"; \
+	head -c "$$((size / 2))" "$$torn" >"$$torn.half" && mv "$$torn.half" "$$torn" || exit 1; \
 	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt" \
 		-workers 3 -verify >"$$dir/run2.log" 2>&1; \
 	rc="$$?"; cat "$$dir/run2.log"; \
 	[ "$$rc" -eq 0 ] || { echo "distributed-smoke: resume run exited $$rc"; exit 1; }; \
 	grep -q 'resumed:' "$$dir/run2.log" || \
 		{ echo "distributed-smoke: resume never picked up the checkpoint"; exit 1; }; \
+	grep -q 'checkpointed partial invalid .* recomputing' "$$dir/run2.log" || \
+		{ echo "distributed-smoke: resume trusted the torn partial $$torn"; exit 1; }; \
 	grep -q '^DISTRIB verdict: PASS' "$$dir/run2.log" || \
 		{ echo "distributed-smoke: merged digest did not verify"; exit 1; }
 
@@ -109,6 +121,41 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every internal package must be imported — transitively, test files
+# aside — by something that runs: a command, the repo benchmark, an
+# example, or the root facade. The exceptions are listed here with the
+# reason each is kept; an unlisted unreached package fails the check, and
+# so does a listed one that gained a caller or went away, so the list can
+# only shrink.
+# floor-tested library, no caller: the smart-AP job daemon and its TCP protocol (TestFigure1EndToEnd drives it)
+REACH_ALLOW += internal/apctl
+# floor-tested library, no caller: the HTTP/LEDBAT fetcher only apctl drives
+REACH_ALLOW += internal/fetch
+# floor-tested library, no caller: the packet-level simulator no experiment imports
+REACH_ALLOW += internal/netsim
+# test support: the backend conformance suite, imported by _test files only
+REACH_ALLOW += internal/backend/backendtest
+reach:
+	@mod="$$($(GO) list -m)" || exit 1; \
+	all="$$($(GO) list ./internal/...)" || exit 1; \
+	reached="$$($(GO) list -deps . ./cmd/... ./bench ./examples/...)" || exit 1; \
+	fail=0; \
+	for pkg in $$all; do \
+		short="$${pkg#$$mod/}"; \
+		case " $(REACH_ALLOW) " in *" $$short "*) listed=1 ;; *) listed=0 ;; esac; \
+		if printf '%s\n' "$$reached" | grep -qxF "$$pkg"; then \
+			[ "$$listed" -eq 0 ] || { echo "reach: $$short is on REACH_ALLOW but is reached now; take it off the list"; fail=1; }; \
+		else \
+			[ "$$listed" -eq 1 ] || { echo "reach: $$short is imported by no command, benchmark, example or the facade"; fail=1; }; \
+		fi; \
+	done; \
+	for short in $(REACH_ALLOW); do \
+		printf '%s\n' "$$all" | grep -qxF "$$mod/$$short" || \
+			{ echo "reach: $$short is on REACH_ALLOW but is not a package"; fail=1; }; \
+	done; \
+	[ "$$fail" -eq 0 ] && echo "reach: every internal package is reached or listed ($(words $(REACH_ALLOW)) listed)"; \
+	exit "$$fail"
 
 # The sharded replay engine must produce byte-identical results at any
 # parallelism, and the bytes it has always produced; run its invariance
@@ -170,10 +217,8 @@ bench:
 BENCH_BASELINE := BENCH_replay.json
 bench-save:
 	$(MAKE) bench | $(GO) run ./cmd/benchjson -save $(BENCH_BASELINE)
-	$(MAKE) bench-odrweb-save
 bench-compare:
 	$(MAKE) bench | $(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE)
-	$(MAKE) bench-odrweb-compare
 
 # with-odrserver: build the server-path binaries into a scratch dir, boot
 # odrserver on a kernel-chosen port (-addr-file publishes it), run $(1)
@@ -183,7 +228,7 @@ define with-odrserver
 	@tmp="$$(mktemp -d)" || exit 1; \
 	pid=""; \
 	trap 'kill "$$pid" 2>/dev/null; wait "$$pid" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp" ./cmd/odrserver ./cmd/odrload ./cmd/benchjson || exit 1; \
+	$(GO) build -o "$$tmp" ./cmd/odrserver ./cmd/odrload || exit 1; \
 	"$$tmp/odrserver" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -files 2000 \
 		-ingest-queue 1024 -shutdown-timeout 5s 2>"$$tmp/server.log" & pid="$$!"; \
 	i=0; while [ ! -s "$$tmp/addr" ] && [ "$$i" -lt 100 ]; do i=$$((i+1)); sleep 0.1; done; \
@@ -200,21 +245,8 @@ ingest-smoke:
 	$(call with-odrserver,"$$tmp/odrload" -addr "$$addr" -files 500 \
 		-requests 2000 -concurrency 4 -batch 64 -mode batch -smoke)
 
-# The odrweb throughput baseline: odrload drives single and batch decide
-# modes against a live server three times, and benchjson aggregates the
-# runs (via its -file flag) into/against BENCH_odrweb.json. Like the
-# replay baseline, throughput deltas are informational — only allocs/op
-# metrics are gated, and odrload reports none — so the compare gate
-# catches a missing or unparseable baseline, not machine noise.
-BENCH_ODRWEB := BENCH_odrweb.json
-define odrweb-bench-runs
-	for n in 1 2 3; do \
-		"$$tmp/odrload" -addr "$$addr" -files 2000 -requests 6000 \
-			-concurrency 8 -batch 256 -mode both || exit 1; \
-	done >"$$tmp/bench.out"; \
-	"$$tmp/benchjson" -file "$$tmp/bench.out" $(1)
-endef
-bench-odrweb-save:
-	$(call with-odrserver,$(call odrweb-bench-runs,-save $(BENCH_ODRWEB)))
-bench-odrweb-compare:
-	$(call with-odrserver,$(call odrweb-bench-runs,-compare $(BENCH_ODRWEB)))
+# benchmark runs the repo benchmark (BENCHMARK.json): all five workloads
+# at the pinned seed, digests checked against bench/pinned.json. One
+# workload at a time is `bash bench/run.sh --workload NAME --seed 7`.
+benchmark:
+	bash bench/run.sh --seed 7

@@ -16,11 +16,6 @@
 //
 //	go test -bench ... -benchmem -count 5 ./... | benchjson -save BENCH_replay.json
 //	go test -bench ... -benchmem -count 5 ./... | benchjson -compare BENCH_replay.json
-//	benchjson -file odrload.out -compare BENCH_odrweb.json
-//
-// With -file the benchmark lines are read from the named file instead of
-// stdin — for producers like cmd/odrload that write their results to a
-// file rather than a pipe.
 //
 // Save mode aggregates every benchmark line on stdin and writes the JSON
 // baseline. Compare mode parses a fresh run from stdin, prints a delta
@@ -71,7 +66,6 @@ type Baseline struct {
 func main() {
 	save := flag.String("save", "", "write the parsed baseline to this JSON file")
 	compare := flag.String("compare", "", "diff stdin against this JSON baseline")
-	file := flag.String("file", "", "read benchmark lines from this file instead of stdin")
 	tol := flag.Float64("tol", 10, "allocs/op regression tolerance in percent for -compare")
 	flag.Parse()
 	if (*save == "") == (*compare == "") {
@@ -79,17 +73,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	in := os.Stdin
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		in = f
-	}
-	bench, err := parse(bufio.NewScanner(in))
+	bench, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)

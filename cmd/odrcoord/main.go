@@ -10,7 +10,7 @@
 //	odrcoord -trace FILE -checkpoint DIR [-workers N] [-windows N]
 //	         [-seed S] [-shards N] [-chunk N] [-faults SPEC]
 //	         [-cache-policy NAME] [-pool-bytes N] [-metrics FORMAT]
-//	         [-spec FILE] [-window-hours H] [-verify] [-inprocess]
+//	         [-pprof ADDR] [-spec FILE] [-window-hours H] [-verify] [-inprocess]
 //	         [-heartbeat DUR] [-max-attempts N]
 //	         [-halt-after N] [-crash-window N]
 //
@@ -20,7 +20,9 @@
 // a different trace (by content hash) or replay configuration is refused
 // with the mismatching field named. -verify additionally replays the
 // whole trace single-process and compares the digests, printing the
-// "DISTRIB verdict: PASS|FAIL" line CI greps.
+// "DISTRIB verdict: PASS|FAIL" line CI greps. With -pprof a
+// net/http/pprof server runs in the coordinator process for the lifetime
+// of the run (it covers the workers too under -inprocess).
 //
 // -spec FILE loads a scenario file (internal/scenario JSON) and maps its
 // distributed subset — seed, shards, chunk, cache policy, pool bytes,
@@ -47,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"os/exec"
 	"strconv"
@@ -159,6 +162,9 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	heartbeat time.Duration, attempts, haltAfter, crashWin int, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
+	}
+	if common.Pprof != "" {
+		go scenario.ServePprof(common.Pprof, log.Printf)
 	}
 	spec := workerSpec(seed, shards, chunk, common, common.Metrics != "")
 	var timeline *replay.TimelineConfig

@@ -75,6 +75,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
 	common := scenario.RegisterCommon(flag.CommandLine)
+	common.RegisterIngest(flag.CommandLine)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "odrserver ", log.LstdFlags)

@@ -69,20 +69,29 @@ import (
 )
 
 func main() {
-	files := flag.Int("files", 20000, "unique files in the synthetic week")
-	sampleN := flag.Int("sample", 1000, "replay sample size")
-	seed := flag.Uint64("seed", 1, "random seed")
-	shards := flag.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
-	tasks := flag.String("tasks", "", "also dump week task records as JSONL to this path")
-	tracePath := flag.String("trace", "", "replay a recorded workload trace (csv/jsonl/bin, auto-detected) instead of generating one")
-	chunk := flag.Int("chunk", 0, "engine batch size in requests (0 = default; results are identical for any value)")
-	naive := flag.Bool("naive", false, "with -faults, disable the failure-aware routing policy (faults fail tasks outright)")
-	common := scenario.RegisterCommon(flag.CommandLine)
+	body := command(flag.CommandLine)
 	flag.Parse()
-
-	if err := run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath, *naive, common); err != nil {
+	if err := body(); err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
+	}
+}
+
+// command registers replay's flags on fs and returns the command body,
+// to be called once fs has parsed the arguments.
+func command(fs *flag.FlagSet) func() error {
+	files := fs.Int("files", 20000, "unique files in the synthetic week")
+	sampleN := fs.Int("sample", 1000, "replay sample size")
+	seed := fs.Uint64("seed", 1, "random seed")
+	shards := fs.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
+	tasks := fs.String("tasks", "", "also dump week task records as JSONL to this path")
+	tracePath := fs.String("trace", "", "replay a recorded workload trace (csv/jsonl/bin, auto-detected) instead of generating one")
+	chunk := fs.Int("chunk", 0, "engine batch size in requests (0 = default; results are identical for any value)")
+	naive := fs.Bool("naive", false, "with -faults, disable the failure-aware routing policy (faults fail tasks outright)")
+	common := scenario.RegisterCommon(fs)
+	common.RegisterGen(fs)
+	return func() error {
+		return run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath, *naive, common)
 	}
 }
 

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,5 +170,34 @@ func TestTasksDumpNeedsALosslessTrace(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "task records to "+tasks) {
 		t.Fatalf("bin trace wrote no task records:\n%s", stdout)
+	}
+}
+
+// TestFlagSurface: a flag the command accepts must reach code. The
+// ingest block configures the live server's batched decide pipeline,
+// which replay never starts, so spelling one of those flags here is a
+// usage error rather than a silently ignored setting.
+func TestFlagSurface(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-gen-workers", "2", "-faults", "0.25", "-pprof", ":0"}, ""},
+		{[]string{"-ingest-workers", "1"}, "-ingest-workers"},
+		{[]string{"-ingest-queue", "64"}, "-ingest-queue"},
+		{[]string{"-ingest-batch", "8"}, "-ingest-batch"},
+		{[]string{"-admit-rate", "50"}, "-admit-rate"},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		command(fs)
+		err := fs.Parse(c.args)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%v: %v", c.args, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), "not defined: "+c.wantErr)):
+			t.Errorf("%v: Parse() = %v, want a usage error naming %s", c.args, err, c.wantErr)
+		}
 	}
 }

@@ -64,6 +64,7 @@ func main() {
 	timelineDir := flag.String("timeline-dir", "", "write each cell's timeline as CSV and JSONL into this directory")
 	specPath := flag.String("spec", "", "load the matrix from this JSON file instead of flags")
 	common := scenario.RegisterCommon(flag.CommandLine)
+	common.RegisterGen(flag.CommandLine)
 	flag.Parse()
 
 	m := scenario.Matrix{

@@ -95,3 +95,56 @@ func (f *Fleet) Health(r core.Route, req *Request) Health {
 	}
 	return Healthy
 }
+
+// Degrade routes a fresh decision around unhealthy backends before any
+// attempt is made; it is the one health policy the offline replay and
+// the live decide service share. An Unavailable backend (offline window,
+// open circuit) is always routed around — attempting it is guaranteed
+// failure — while an Impaired one (degraded-bandwidth episode) is
+// abandoned only for a fully healthy stable fallback: trading a
+// slow-but-certain completion for a user-device gamble would lose tasks,
+// not save them. Each hop re-runs the Figure 15 logic with the ruled-out
+// backend removed (core.Fallback) and stamps the degradation reason onto
+// the decision. look reports a route's backend health (nil = always
+// healthy); it must not draw from a request's RNG, so consulting it
+// keeps replays byte-identical.
+//
+// Degrade returns the final decision with the input it was derived from,
+// the chosen backend's health, and the reason of each hop taken in order
+// (reasons[:hops]) — by value in a fixed array, so a caller that counts
+// hops per reason allocates nothing.
+func Degrade(look func(core.Route) Health, in core.Input, dec core.Decision) (
+	core.Decision, core.Input, Health, [core.NumRoutes]string, int) {
+	var reasons [core.NumRoutes]string
+	if look == nil {
+		return dec, in, Healthy, reasons, 0
+	}
+	hops := 0
+	h := look(dec.Route)
+	for hops < core.NumRoutes && h != Healthy {
+		fb, fin, ok := core.Fallback(in, dec)
+		if !ok {
+			break
+		}
+		if h == Impaired {
+			if !stableRoute(fb.Route) || look(fb.Route) != Healthy {
+				break
+			}
+			fb.Reason = core.ReasonDegraded
+		} else {
+			fb.Reason = core.ReasonCircuitOpen
+		}
+		reasons[hops] = fb.Reason
+		hops++
+		dec, in = fb, fin
+		h = look(dec.Route)
+	}
+	return dec, in, h, reasons, hops
+}
+
+// stableRoute reports whether a route's fetch path has no model failure
+// mode (the cloud's HTTP paths and the AP LAN): the routes worth
+// switching to when the preferred backend is merely degraded.
+func stableRoute(r core.Route) bool {
+	return r == core.RouteCloud || r == core.RouteCloudThenAP
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,6 +163,23 @@ func TestManifestValidate(t *testing.T) {
 		{"done without partial", func(m *Manifest) { m.Windows[3].State = StateDone }, "windows[3].partial"},
 		{"negative attempts", func(m *Manifest) { m.Windows[1].Attempts = -1 }, "windows[1].attempts"},
 		{"short tiling", func(m *Manifest) { m.Windows = m.Windows[:3] }, "end at record"},
+		{"limit past the trace", func(m *Manifest) { m.Windows[3].Limit++ }, "windows[3].limit"},
+		{"limits that wrap int64 back onto the trace", func(m *Manifest) {
+			m.Windows = []ManifestWindow{
+				{Offset: 0, Limit: math.MaxInt64, State: StatePending},
+				{Offset: math.MaxInt64, Limit: math.MaxInt64, State: StatePending},
+				{Offset: -2, Limit: 102, State: StatePending},
+			}
+		}, "windows[0].limit"},
+		{"partial outside the checkpoint dir", func(m *Manifest) {
+			m.Windows[1].State, m.Windows[1].Partial = StateDone, "../window-00001.odrp"
+		}, "windows[1].partial"},
+		{"absolute partial", func(m *Manifest) {
+			m.Windows[1].State, m.Windows[1].Partial = StateDone, "/etc/passwd"
+		}, "windows[1].partial"},
+		{"partial naming the parent dir", func(m *Manifest) {
+			m.Windows[1].State, m.Windows[1].Partial = StateDone, ".."
+		}, "windows[1].partial"},
 	}
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("fresh manifest invalid: %v", err)
@@ -656,5 +674,36 @@ func TestWindowString(t *testing.T) {
 	w := Window{Offset: 10, Limit: 5}
 	if w.String() != "[10, 15)" || w.End() != 15 {
 		t.Fatalf("Window formatting broke: %s end %d", w, w.End())
+	}
+}
+
+// TestMeteredSourceForwardsLength: a window worker meters a bin window,
+// whose length the trailer fixes; the meter must keep announcing it
+// (workload.Sizer), or the engine takes the window for a stream of
+// unknown length and materialises it before replaying. A source with no
+// length to forward reads as unknown.
+func TestMeteredSourceForwardsLength(t *testing.T) {
+	tracePath := writeTrace(t, 40, 8)
+	records, err := trace.BinRecords(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := Window{Offset: records / 3, Limit: records / 2}
+	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, win.Offset, win.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	m := &meter{ctx: context.Background()}
+	sz, ok := m.wrap(src).(workload.Sizer)
+	if !ok {
+		t.Fatal("metered source is not a workload.Sizer")
+	}
+	if got := int64(sz.TotalRequests()); got != win.Limit {
+		t.Fatalf("metered window announces %d requests, want the window's %d", got, win.Limit)
+	}
+	unsized := m.wrap(workload.NewCensus().Wrap(src)) // the census wrapper has no length
+	if got := unsized.(workload.Sizer).TotalRequests(); got != 0 {
+		t.Fatalf("metered source over an unsized one announces %d, want 0 (unknown)", got)
 	}
 }

@@ -101,6 +101,12 @@ func (m *Manifest) Validate() error {
 		if w.Limit <= 0 {
 			return fmt.Errorf("manifest: windows[%d].limit: got %d, want > 0", i, w.Limit)
 		}
+		// Bound before adding: offset+limit on attacker-sized values
+		// wraps int64 and can tile its way back to Records.
+		if w.Limit > m.Records-w.Offset {
+			return fmt.Errorf("manifest: windows[%d].limit: got %d, want <= %d (window must end inside the trace's %d records)",
+				i, w.Limit, m.Records-w.Offset, m.Records)
+		}
 		switch w.State {
 		case StatePending, StateDone:
 		default:
@@ -109,6 +115,11 @@ func (m *Manifest) Validate() error {
 		}
 		if w.State == StateDone && w.Partial == "" {
 			return fmt.Errorf("manifest: windows[%d].partial: empty for a done window", i)
+		}
+		// The name is joined onto the checkpoint directory; anything but a
+		// bare file name would read outside it.
+		if p := w.Partial; p != "" && (p != filepath.Base(p) || p == "." || p == "..") {
+			return fmt.Errorf("manifest: windows[%d].partial: got %q, want a bare file name", i, w.Partial)
 		}
 		if w.Attempts < 0 {
 			return fmt.Errorf("manifest: windows[%d].attempts: got %d, want >= 0", i, w.Attempts)

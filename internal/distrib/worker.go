@@ -103,6 +103,16 @@ func (s *meteredSource) Err() error {
 	return s.src.Err()
 }
 
+// TotalRequests implements workload.Sizer by forwarding the wrapped
+// source's count (0, "unknown", when it has none), so a metered bin
+// window keeps the engine's in-place result path.
+func (s *meteredSource) TotalRequests() int {
+	if sz, ok := s.src.(workload.Sizer); ok {
+		return sz.TotalRequests()
+	}
+	return 0
+}
+
 // RunWorker replays one window of a bin trace and writes the partial
 // result to req.PartialPath. It makes three passes over the file:
 //

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"odr/internal/workload"
 )
 
 // One shared lab for the whole test binary — the experiments memoize the
@@ -336,5 +338,26 @@ func TestKSShapeMatch(t *testing.T) {
 	f8 := lab.CloudSpeeds()
 	if ks := f8.Metrics["fetch_ks_to_paper_anchor"]; ks <= 0 || ks > 0.25 {
 		t.Errorf("fetch-speed KS to paper anchor = %.3f, want < 0.25", ks)
+	}
+}
+
+// EXP-W's generator leg replays the week through msTruncSource; the
+// wrapper must keep announcing the stream's length (workload.Sizer), or
+// the engine materialises all 4.1M requests before replaying them.
+func TestMsTruncSourceForwardsLength(t *testing.T) {
+	st, err := workload.GenerateStream(workload.DefaultConfig(300, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src workload.RequestSource = &msTruncSource{src: st.RequestsWorkers(2)}
+	sz, ok := src.(workload.Sizer)
+	if !ok {
+		t.Fatal("msTruncSource is not a workload.Sizer")
+	}
+	if got, want := sz.TotalRequests(), st.TotalRequests(); got != want {
+		t.Fatalf("msTruncSource announces %d requests over a %d-request generator stream", got, want)
+	}
+	if _, err := workload.Collect(src); err != nil { // drain: the parallel generator owns goroutines
+		t.Fatal(err)
 	}
 }

@@ -33,6 +33,15 @@ func (s *msTruncSource) Next() (int, workload.Request, bool) {
 
 func (s *msTruncSource) Err() error { return s.src.Err() }
 
+// TotalRequests implements workload.Sizer by forwarding the wrapped
+// source's count (0, "unknown", when it has none).
+func (s *msTruncSource) TotalRequests() int {
+	if sz, ok := s.src.(workload.Sizer); ok {
+		return sz.TotalRequests()
+	}
+	return 0
+}
+
 // PaperScale is EXP-W: the paper-scale fast-path proof. At the lab's
 // scale (run it with -files 563517 for the calibrated week: 4,084,417
 // tasks over 783,944 users and 563,517 files) it

@@ -19,7 +19,7 @@ import (
 )
 
 // newBatchServer stands up a test server with the ingest pipeline mounted.
-func newBatchServer(t *testing.T, cfg ingest.Config) (*Server, *httptest.Server, *Client) {
+func newBatchServer(t testing.TB, cfg ingest.Config) (*Server, *httptest.Server, *Client) {
 	t.Helper()
 	files := testFiles()
 	advisor := &core.Advisor{

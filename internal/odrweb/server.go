@@ -351,7 +351,10 @@ func (s *Server) decideResolved(in core.Input, rf resolvedFile, look HealthFunc)
 		s.met.resolvedBytes.Observe(uint64(rf.file.Size))
 	}
 	dec := core.Decide(in)
-	dec, health, rerouted := s.degrade(look, in, dec)
+	dec, in, health, reasons, hops := backend.Degrade(look, in, dec)
+	for _, reason := range reasons[:hops] {
+		s.met.reroute(reason)
+	}
 	s.met.decision(dec)
 	return DecideResponse{
 		Route:     dec.Route.String(),
@@ -362,53 +365,8 @@ func (s *Server) decideResolved(in core.Input, rf resolvedFile, look HealthFunc)
 		Band:      in.Band.String(),
 		Cached:    in.Cached,
 		Health:    health.String(),
-		Rerouted:  rerouted,
+		Rerouted:  hops > 0,
 	}
-}
-
-// degrade applies a health lookup to a fresh decision, mirroring the
-// replay engine's policy: an unavailable backend always falls back to
-// the next-best route (reason circuit_open); a merely degraded one hops
-// only to a stable, fully healthy route (reason degraded), because
-// switching away from a working backend must never lose a completion.
-// It returns the final decision, the chosen backend's health, and
-// whether any hop happened. look is nil when no health hook is
-// installed; the batch path passes a per-batch memoized lookup.
-func (s *Server) degrade(look HealthFunc, in core.Input, dec core.Decision) (core.Decision, backend.Health, bool) {
-	if look == nil {
-		return dec, backend.Healthy, false
-	}
-	rerouted := false
-	h := look(dec.Route)
-	for hops := 0; hops < core.NumRoutes; hops++ {
-		if h == backend.Healthy {
-			break
-		}
-		fb, fin, ok := core.Fallback(in, dec)
-		if !ok {
-			break
-		}
-		if h == backend.Impaired {
-			if !stableRoute(fb.Route) || look(fb.Route) != backend.Healthy {
-				break
-			}
-			fb.Reason = core.ReasonDegraded
-		} else {
-			fb.Reason = core.ReasonCircuitOpen
-		}
-		s.met.reroute(fb.Reason)
-		rerouted = true
-		dec, in = fb, fin
-		h = look(dec.Route)
-	}
-	return dec, h, rerouted
-}
-
-// stableRoute mirrors the replay engine's notion of a route worth
-// switching to when the preferred backend is merely degraded: the
-// cloud-backed paths, whose fetch legs have no failure mode of their own.
-func stableRoute(r core.Route) bool {
-	return r == core.RouteCloud || r == core.RouteCloudThenAP
 }
 
 // buildInput validates and converts auxiliary info into a decision input

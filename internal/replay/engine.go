@@ -25,11 +25,10 @@ import (
 //     gated by request index (see backend.Cloud.ObserveAt, which the
 //     reader calls in index order before dispatch), so "who ran first"
 //     is unobservable;
-//   - every shard writes each task to the slot of its own global index
-//     (in place when the source announces its length, otherwise via
-//     per-shard buffers scattered after the last worker exits), counts
-//     into its own ShardTotals, and backend ledgers use atomic integers —
-//     all merges are associative integer sums taken in shard order.
+//   - every shard writes each task in place to the slot of its own
+//     global index, counts into its own ShardTotals, and backend ledgers
+//     use atomic integers — all merges are associative integer sums
+//     taken in shard order.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
 // afterwards, sequentially over the merged task slice in index order.
@@ -218,19 +217,19 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 // between each shard's work queue and a free list (streamBatchDepth per
 // shard), so the transport reuses the same few arrays for the whole
 // stream; workers reuse one backend.Request and one scratch RNG each —
-// reseeded per request to the index-keyed substream. When the source is a
-// workload.Sizer the result slice is allocated once at the announced
-// length and each worker fills tasks[i] in place: shards own disjoint
-// index sets, so no two goroutines touch one slot. A sized source that
-// yields more than it announced fails the run; one that yields fewer
-// returns what it yielded. Only a source of unknown length (a
-// non-seekable trace stream) pays for per-shard index/task buffers grown
-// by append and scattered into the final slice after the last worker
-// exits. Either way the output is byte-identical for any shard count,
-// chunk size, and GOMAXPROCS.
+// reseeded per request to the index-keyed substream. The result slice is
+// allocated once at the source's announced length (workload.Sizer) and
+// each worker fills tasks[i] in place: shards own disjoint index sets, so
+// no two goroutines touch one slot. A sized source that yields more than
+// it announced fails the run; one that yields fewer returns what it
+// yielded. A source of unknown length (a non-seekable trace stream) is
+// first drained into a request slice (workload.Collect, which holds it
+// to the same index and error contract) and replayed from there. The
+// output is byte-identical for any shard count, chunk size, and
+// GOMAXPROCS.
 //
-// Non-positive shards selects GOMAXPROCS; a source that knows its length
-// never gets more shards than it has requests.
+// Non-positive shards selects GOMAXPROCS; a run never gets more shards
+// than it has requests.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	seed uint64, base, shards int, tune StreamTuning, eo *engineObs[T],
 	observe func(i int, wreq workload.Request),
@@ -243,11 +242,14 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	if sz, ok := src.(workload.Sizer); ok {
 		hint = sz.TotalRequests()
 	}
-	// sized: the result slice is allocated at the announced length and
-	// workers write tasks in place. Otherwise each shard appends to its own
-	// buffers, scattered into place after the last worker exits.
-	sized := hint > 0
-	if sized && shards > hint {
+	if hint <= 0 {
+		reqs, err := workload.Collect(src)
+		if err != nil {
+			return nil, EngineStats{}, err
+		}
+		src, hint = workload.NewSliceSource(reqs), len(reqs)
+	}
+	if hint > 0 && shards > hint {
 		shards = hint
 	}
 	chunk := tune.chunkOf()
@@ -265,13 +267,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		eo.dst.Gauge(MetricStreamChunk).Set(int64(chunk))
 	}
 
-	var tasks []T
-	if sized {
-		tasks = make([]T, hint)
-	}
-	outIdx := make([][]int32, shards)
-	outWide := make([][]int, shards) // used instead of outIdx past 2^31 requests
-	outTasks := make([][]T, shards)
+	tasks := make([]T, hint)
 
 	work := make([]chan []streamCell, shards)
 	free := make([]chan []streamCell, shards)
@@ -295,26 +291,11 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 			record := eo.recorder(regs, s)
 			req := &backend.Request{}
 			rng := dist.NewRNG(0)
-			var idx []int32
-			var wide []int
-			var buf []T
 			for batch := range work[s] {
 				for k := range batch {
 					c := &batch[k]
 					bindRequest(req, rng, root, base+c.i, c.wreq, aps)
-					var t *T
-					if sized {
-						t = &tasks[c.i]
-					} else {
-						var zero T
-						buf = append(buf, zero)
-						t = &buf[len(buf)-1]
-						if c.i <= maxInt32 {
-							idx = append(idx, int32(c.i))
-						} else {
-							wide = append(wide, c.i)
-						}
-					}
+					t := &tasks[c.i]
 					ok := fn(c.i, c.wreq, req, t)
 					totals.Tasks++
 					if !ok {
@@ -331,7 +312,6 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 				}
 				free[s] <- batch[:0]
 			}
-			outIdx[s], outWide[s], outTasks[s] = idx, wide, buf
 		}(s)
 	}
 
@@ -366,7 +346,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		if i != n {
 			return fail(fmt.Errorf("replay: source yielded index %d, want %d", i, n))
 		}
-		if sized && n == hint {
+		if n == hint {
 			return fail(fmt.Errorf("replay: source announced %d requests (workload.Sizer) but yielded at least %d", hint, n+1))
 		}
 		if observe != nil {
@@ -390,26 +370,5 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	if err := src.Err(); err != nil {
 		return nil, stats, err
 	}
-
-	if sized {
-		return tasks[:n], stats, nil
-	}
-	// Scatter each shard's results to their global positions. Shards own
-	// disjoint index sets, so every slot is written exactly once and the
-	// result is independent of shard iteration order.
-	tasks = make([]T, n)
-	for s := range outTasks {
-		narrow, ts := outIdx[s], outTasks[s]
-		for j := range narrow {
-			tasks[narrow[j]] = ts[j]
-		}
-		for j, gi := range outWide[s] {
-			tasks[gi] = ts[len(narrow)+j]
-		}
-	}
-	return tasks, stats, nil
+	return tasks[:n], stats, nil
 }
-
-// maxInt32 bounds the compact per-shard index representation; a stream
-// longer than 2^31 requests spills into the wide index buffer.
-const maxInt32 = int(^uint32(0) >> 1)

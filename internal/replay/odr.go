@@ -237,15 +237,16 @@ func RunODR(sample []workload.Request, files []*workload.FileMeta,
 }
 
 // RunODRStream replays a request stream through the ODR decision
-// procedure without ever holding the request slice. Each request's user
-// owns the AP it was assigned in the §5.1 environment (round-robin over
-// aps). The engine's reader primes the cloud request by request
-// (backend.Cloud.ObserveAt) as it fans out to the shards: observation
-// happens in global-index order before each request is dispatched, so
-// every Probe sees exactly the cache visibility its position in the
-// stream entitles it to. Only the task records — an order of magnitude
-// smaller than requests with their backing populations — are
-// materialized.
+// procedure. Each request's user owns the AP it was assigned in the §5.1
+// environment (round-robin over aps). The engine's reader primes the
+// cloud request by request (backend.Cloud.ObserveAt) as it fans out to
+// the shards: observation happens in global-index order before each
+// request is dispatched, so every Probe sees exactly the cache visibility
+// its position in the stream entitles it to. A source that announces its
+// length (workload.Sizer) is never resident as a request slice, but the
+// result is one ODRTask per request and each task embeds its Request, so
+// the result grows with the stream whatever the in-flight window is; a
+// source of unknown length is additionally materialised once up front.
 func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 	aps []*smartap.AP, opts Options) (*ODRResult, error) {
 	return runODRWindowed(nil, src, 0, files, aps, opts)
@@ -362,71 +363,35 @@ func odrTask(task *ODRTask, wreq workload.Request, req *backend.Request,
 	}
 	applyAblations(&in, opts)
 	dec := core.Decide(in)
-	aware := opts.Resilience != nil
-	if aware {
-		dec, in = degrade(fleet, req, in, dec)
+	// look is the fleet's health view of this request, nil for a naive
+	// replay. backend.Degrade and execRoute only call it, so the closure
+	// stays on the stack: the hot path allocates nothing for it.
+	var look func(core.Route) backend.Health
+	if opts.Resilience != nil {
+		look = func(r core.Route) backend.Health { return fleet.Health(r, req) }
+		dec, in, _, _, _ = backend.Degrade(look, in, dec)
 	}
 	*task = ODRTask{Request: wreq, Decision: dec}
-	execRoute(task, fleet, req, in, aware)
+	execRoute(task, fleet, req, in, look)
 
-	if aware && !task.Success && backend.IsFaultCause(task.Cause) {
+	if look != nil && !task.Success && backend.IsFaultCause(task.Cause) {
 		if fb, fin, ok := core.Fallback(in, dec); ok {
 			fb.Reason = core.ReasonRetryExhausted
-			fb, fin = degrade(fleet, req, fin, fb)
+			fb, fin, _, _, _ = backend.Degrade(look, fin, fb)
 			waited := task.PreDelay
 			*task = ODRTask{Request: wreq, Decision: fb}
-			execRoute(task, fleet, req, fin, aware)
+			execRoute(task, fleet, req, fin, look)
 			task.PreDelay += waited
 		}
 	}
 }
 
-// degrade routes around unhealthy backends before any attempt is made.
-// An Unavailable backend (offline window, open circuit) is always routed
-// around — attempting it is guaranteed failure — while an Impaired one
-// (degraded-bandwidth episode) is abandoned only for a fully healthy
-// stable fallback: trading a slow-but-certain completion for a
-// user-device gamble would lose tasks, not save them. Each hop re-runs
-// the Figure 15 logic with the ruled-out backend removed (core.Fallback)
-// and stamps the degradation reason onto the decision. Health checks
-// never draw from the request's RNG, so consulting them keeps replays
-// byte-identical.
-func degrade(fleet *backend.Fleet, req *backend.Request,
-	in core.Input, dec core.Decision) (core.Decision, core.Input) {
-	for hops := 0; hops < core.NumRoutes; hops++ {
-		h := fleet.Health(dec.Route, req)
-		if h == backend.Healthy {
-			break
-		}
-		fb, fin, ok := core.Fallback(in, dec)
-		if !ok {
-			break
-		}
-		if h == backend.Impaired {
-			if !stableRoute(fb.Route) || fleet.Health(fb.Route, req) != backend.Healthy {
-				break
-			}
-			fb.Reason = core.ReasonDegraded
-		} else {
-			fb.Reason = core.ReasonCircuitOpen
-		}
-		dec, in = fb, fin
-	}
-	return dec, in
-}
-
-// stableRoute reports whether a route's fetch path has no model failure
-// mode (the cloud's HTTP paths and the AP LAN): the routes worth
-// switching to when the preferred backend is merely degraded.
-func stableRoute(r core.Route) bool {
-	return r == core.RouteCloud || r == core.RouteCloudThenAP
-}
-
 // execRoute executes task's decision against the fleet. in must be the
 // input the decision was derived from (the cloud-pre-download arm
-// re-decides with Cached set).
+// re-decides with Cached set, and routes around unhealthy backends
+// again when look, the request's health view, is non-nil).
 func execRoute(task *ODRTask, fleet *backend.Fleet, req *backend.Request,
-	in core.Input, aware bool) {
+	in core.Input, look func(core.Route) backend.Health) {
 	switch task.Decision.Route {
 	case core.RouteUserDevice:
 		f := fleet.For(core.RouteUserDevice).Fetch(req)
@@ -480,12 +445,10 @@ func execRoute(task *ODRTask, fleet *backend.Fleet, req *backend.Request,
 		// recursion terminates after one step.
 		in.Cached = true
 		dec2 := core.Decide(in)
-		if aware {
-			dec2, in = degrade(fleet, req, in, dec2)
-		}
+		dec2, in, _, _, _ = backend.Degrade(look, in, dec2)
 		waited := task.PreDelay
 		*task = ODRTask{Request: task.Request, Decision: dec2}
-		execRoute(task, fleet, req, in, aware)
+		execRoute(task, fleet, req, in, look)
 		task.PreDelay += waited
 	}
 }

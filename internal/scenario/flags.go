@@ -14,28 +14,30 @@ import (
 )
 
 // Common is the flag surface the replay-family commands share: fault
-// injection, cache policy, pool capacity, metrics dump, and pprof.
-// RegisterCommon wires it onto a FlagSet once; each command keeps only
-// its command-specific flags.
+// injection, cache policy, pool capacity, metrics dump, and pprof
+// (RegisterCommon), plus two blocks a command registers only when it
+// consumes them — trace generation (RegisterGen) and the ingest pipeline
+// (RegisterIngest) — so a flag a command accepts always reaches code.
 type Common struct {
 	Faults      string
 	CachePolicy string
 	PoolBytes   int64
 	Metrics     string
 	Pprof       string
-	GenWorkers  int
 
-	// Ingest knobs (the batched decide pipeline; zero = package default).
-	// Only the serving commands consume these, but they live in the shared
-	// block so every command spells them the same way.
+	// GenWorkers is the RegisterGen block.
+	GenWorkers int
+
+	// Ingest knobs, the RegisterIngest block (the batched decide
+	// pipeline; zero = package default).
 	IngestWorkers int
 	IngestQueue   int
 	IngestBatch   int
 	AdmitRate     float64
 }
 
-// RegisterCommon registers the shared flags on fs and returns the
-// destination struct (valid after fs.Parse).
+// RegisterCommon registers the flags every replay-family command takes
+// on fs and returns the destination struct (valid after fs.Parse).
 func RegisterCommon(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.Faults, "faults", "",
@@ -48,8 +50,18 @@ func RegisterCommon(fs *flag.FlagSet) *Common {
 		"dump the final metrics snapshot: prom or json")
 	fs.StringVar(&c.Pprof, "pprof", "",
 		"also serve net/http/pprof on this address")
+	return c
+}
+
+// RegisterGen adds -gen-workers, for commands that generate a trace.
+func (c *Common) RegisterGen(fs *flag.FlagSet) {
 	fs.IntVar(&c.GenWorkers, "gen-workers", 0,
 		"parallel trace-generation workers (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
+}
+
+// RegisterIngest adds the ingest-pipeline flags, for commands that serve
+// the batched decide path.
+func (c *Common) RegisterIngest(fs *flag.FlagSet) {
 	fs.IntVar(&c.IngestWorkers, "ingest-workers", 0,
 		"batch-decide worker goroutines (0 = GOMAXPROCS)")
 	fs.IntVar(&c.IngestQueue, "ingest-queue", 0,
@@ -58,7 +70,6 @@ func RegisterCommon(fs *flag.FlagSet) *Common {
 		"max items a worker drains per processing batch (0 = default)")
 	fs.Float64Var(&c.AdmitRate, "admit-rate", 0,
 		"per-user admission budget in requests/second (0 = unlimited)")
-	return c
 }
 
 // Validate rejects malformed shared flags up front, before any workload

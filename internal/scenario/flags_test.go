@@ -12,6 +12,8 @@ import (
 func TestRegisterCommonParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := RegisterCommon(fs)
+	c.RegisterGen(fs)
+	c.RegisterIngest(fs)
 	err := fs.Parse([]string{
 		"-faults", "0.25", "-cache-policy", "band",
 		"-pool-bytes", "1024", "-metrics", "json", "-pprof", ":0",
@@ -29,6 +31,8 @@ func TestRegisterCommonParse(t *testing.T) {
 	// Defaults are all off.
 	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
 	c2 := RegisterCommon(fs2)
+	c2.RegisterGen(fs2)
+	c2.RegisterIngest(fs2)
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}

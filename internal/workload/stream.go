@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"odr/internal/dist"
 )
 
@@ -31,8 +33,10 @@ type RequestSource interface {
 // source that yields more requests than it announced fails the replay
 // (one that yields fewer just gets a shorter result). A source that
 // cannot know its length (a non-seekable trace stream) simply does not
-// implement Sizer, and the engine falls back to per-shard buffers grown
-// by append. A non-positive count reads as "unknown".
+// implement Sizer, and the engine drains it into a slice before
+// replaying. A wrapper that passes requests through one for one forwards
+// its inner source's count, or 0 when the inner source is not a Sizer:
+// a non-positive count reads as "unknown".
 type Sizer interface {
 	TotalRequests() int
 }
@@ -69,13 +73,18 @@ func (s *SliceSource) Err() error { return nil }
 // Collect drains a source into a slice — the bridge back from the
 // streaming world for callers that genuinely need random access. It is
 // the one operation whose memory grows with trace length; prefer keeping
-// the source if you only scan once.
+// the source if you only scan once. A source that breaks the index
+// contract (indices count up from 0) is rejected rather than silently
+// re-indexed.
 func Collect(src RequestSource) ([]Request, error) {
 	var out []Request
 	for {
-		_, req, ok := src.Next()
+		i, req, ok := src.Next()
 		if !ok {
 			break
+		}
+		if i != len(out) {
+			return nil, fmt.Errorf("workload: source yielded index %d, want %d", i, len(out))
 		}
 		out = append(out, req)
 	}

@@ -229,8 +229,10 @@ func RunAPBenchmarkStream(src RequestSource, aps []*AP, seed uint64, shards int,
 
 // RunODRStream replays a request stream through the ODR decision
 // procedure per §6.2: one reader goroutine feeds per-shard bounded
-// channels, so memory is bounded by the engine's in-flight window rather
-// than the stream length.
+// channels, so a source that knows its length (the generator, a
+// seekable bin trace) is never resident as a slice. The result still
+// grows with the stream: one task per request, each embedding its
+// request.
 func RunODRStream(src RequestSource, files []*FileMeta, aps []*AP, opts ReplayOptions) (*ODRResult, error) {
 	return replay.RunODRStream(src, files, aps, opts)
 }
