@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check ci build test vet fmt race determinism bench cover allocgate \
-	bench-save bench-compare matrix-smoke ingest-smoke fuzz-smoke \
+	bench-save bench-compare matrix-smoke fuzz-smoke \
 	paperscale-smoke paperscale distributed-smoke reach benchmark
 
 # check is the CI gate: static checks, a full build, the package reach
@@ -12,11 +12,12 @@ check: fmt vet build reach race determinism cover allocgate
 
 # ci is what .github/workflows/ci.yml runs: the full gate plus the
 # benchmark diffs against the tracked baselines, a tiny scenario-matrix
-# smoke, the live-server ingest smoke, short fuzz runs over the trace
-# decoders, the paper-scale pipeline smoke, and the multi-process
-# coordinator smoke. The workflow fans these out as parallel jobs; this
-# aggregate target is the one-command local equivalent.
-ci: check bench-compare matrix-smoke ingest-smoke fuzz-smoke paperscale-smoke \
+# smoke, short fuzz runs over the trace decoders, the paper-scale
+# pipeline smoke, and the multi-process coordinator smoke. The live
+# server's ingest path is proven by cmd/odrserver's own test, inside the
+# gate. The workflow fans these out as parallel jobs; this aggregate
+# target is the one-command local equivalent.
+ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 	distributed-smoke
 
 # fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
@@ -225,31 +226,6 @@ bench-save:
 	$(MAKE) bench | $(GO) run ./cmd/benchjson -save $(BENCH_BASELINE)
 bench-compare:
 	$(MAKE) bench | $(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE)
-
-# with-odrserver: build the server-path binaries into a scratch dir, boot
-# odrserver on a kernel-chosen port (-addr-file publishes it), run $(1)
-# with $$tmp and $$addr in scope, and always tear the server down. The
-# server gets SIGTERM, so its graceful drain path runs on every use.
-define with-odrserver
-	@tmp="$$(mktemp -d)" || exit 1; \
-	pid=""; \
-	trap 'kill "$$pid" 2>/dev/null; wait "$$pid" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp" ./cmd/odrserver ./cmd/odrload || exit 1; \
-	"$$tmp/odrserver" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -files 2000 \
-		-ingest-queue 1024 -shutdown-timeout 5s 2>"$$tmp/server.log" & pid="$$!"; \
-	i=0; while [ ! -s "$$tmp/addr" ] && [ "$$i" -lt 100 ]; do i=$$((i+1)); sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "odrserver did not come up:"; cat "$$tmp/server.log"; exit 1; }; \
-	addr="$$(cat "$$tmp/addr")"; \
-	$(1)
-endef
-
-# ingest-smoke proves the batched ingest path end to end against a live
-# server: a short odrload burst through /api/v1/decide/batch, then -smoke
-# scrapes /metrics, lints the exposition, and fails unless
-# odr_ingest_admitted_total counted the traffic.
-ingest-smoke:
-	$(call with-odrserver,"$$tmp/odrload" -addr "$$addr" -files 500 \
-		-requests 2000 -concurrency 4 -batch 64 -mode batch -smoke)
 
 # benchmark runs the repo benchmark (BENCHMARK.json): all five workloads
 # at the pinned seed, digests checked against bench/pinned.json. One

@@ -8,9 +8,9 @@
 // Usage:
 //
 //	odrcoord -trace FILE -checkpoint DIR [-workers N] [-windows N]
-//	         [-seed S] [-shards N] [-chunk N] [-faults SPEC]
+//	         [-seed S] [-shards N] [-faults SPEC]
 //	         [-cache-policy NAME] [-pool-bytes N] [-metrics FORMAT]
-//	         [-pprof ADDR] [-spec FILE] [-window-hours H] [-verify] [-inprocess]
+//	         [-pprof ADDR] [-spec FILE] [-window-hours H] [-verify]
 //	         [-heartbeat DUR] [-max-attempts N]
 //	         [-halt-after N] [-crash-window N]
 //
@@ -22,37 +22,41 @@
 // whole trace single-process and compares the digests, printing the
 // "DISTRIB verdict: PASS|FAIL" line CI greps. With -pprof a
 // net/http/pprof server runs in the coordinator process for the lifetime
-// of the run (it covers the workers too under -inprocess).
+// of the run.
 //
 // -spec FILE loads a scenario file (internal/scenario JSON) and maps its
-// distributed subset — seed, shards, chunk, cache policy, pool bytes,
-// faults, workers — onto the coordinator; the scenario must be naive
-// (faults without the failure-aware layer), because per-user circuit
-// state cannot be reproduced window by window.
+// distributed subset — seed, shards, cache policy, pool bytes, faults,
+// workers — onto the coordinator. The fault schedule spans the
+// scenario's horizon, exactly as `scenario -spec` replays it. The
+// scenario must be naive (faults without the failure-aware layer),
+// because per-user circuit state cannot be reproduced window by window.
 //
 // Exit codes: 0 success, 1 failure or FAIL verdict, 3 halted after a
 // checkpoint (-halt-after).
 //
 // Worker mode (normally only invoked by the coordinator itself):
 //
-//	odrcoord -worker -trace FILE -window OFF,LIM -out FILE [spec flags]
+//	odrcoord -worker < request.json
 //
-// replays records [OFF, OFF+LIM) and writes the partial-result file,
-// emitting "hb N" heartbeat lines on stdout for the supervisor.
+// reads one distrib.WorkerRequest as JSON on stdin (unknown fields and
+// trailing data are errors), replays its window, writes the
+// partial-result file, and emits "hb N" heartbeat lines and a final
+// "done OFF,LIM" line on stdout for the supervisor.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
-	"strconv"
 	"time"
 
 	"odr/internal/distrib"
@@ -61,46 +65,11 @@ import (
 )
 
 func main() {
-	var (
-		worker     = flag.Bool("worker", false, "run as a window worker (internal; spawned by the coordinator)")
-		tracePath  = flag.String("trace", "", "bin trace file to replay")
-		checkpoint = flag.String("checkpoint", "", "checkpoint directory (manifest + partial results)")
-		workers    = flag.Int("workers", 0, "concurrent worker processes (0 = 1, or the -spec file's workers)")
-		windows    = flag.Int("windows", 0, "window count (0 = 2 per worker)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		shards     = flag.Int("shards", 0, "per-worker engine shards (0 = GOMAXPROCS; results are identical for any value)")
-		chunk      = flag.Int("chunk", 0, "streaming batch size (0 = default; results are identical for any value)")
-		specFile   = flag.String("spec", "", "load the distributed subset of a scenario file (JSON)")
-		windowHrs  = flag.Float64("window-hours", 0, "build a windowed observability timeline with this window width")
-		verify     = flag.Bool("verify", false, "also replay single-process and compare digests (prints the DISTRIB verdict)")
-		inprocess  = flag.Bool("inprocess", false, "run workers as goroutines instead of subprocesses")
-		heartbeat  = flag.Duration("heartbeat", distrib.DefaultHeartbeatTimeout, "kill a worker whose heartbeats stop for this long")
-		attempts   = flag.Int("max-attempts", distrib.DefaultMaxAttempts, "worker attempts per window before the run fails")
-		haltAfter  = flag.Int("halt-after", 0, "stop with exit code 3 after N windows complete this run (kill-mid-run test hook)")
-		crashWin   = flag.Int("crash-window", 0, "force window N (1-based) to crash mid-replay on its first attempt (test hook)")
-
-		// Worker-mode flags.
-		windowSpec = flag.String("window", "", "worker: replay records OFF,LIM of the trace")
-		outPath    = flag.String("out", "", "worker: partial-result output file")
-		crashAfter = flag.Int64("crash-after", 0, "worker: fail after processing N records (test hook)")
-		wmetrics   = flag.Bool("worker-metrics", false, "worker: record metrics and ship the snapshot in the partial")
-	)
-	common := scenario.RegisterCommon(flag.CommandLine)
+	body := command(flag.CommandLine)
 	flag.Parse()
-
-	if *worker {
-		if err := runWorker(*tracePath, *windowSpec, *outPath, *seed, *shards, *chunk,
-			*crashAfter, *wmetrics, common); err != nil {
-			fmt.Fprintln(os.Stderr, "odrcoord worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	err := runCoordinator(*tracePath, *checkpoint, *workers, *windows, *seed, *shards, *chunk,
-		*specFile, *windowHrs, *verify, *inprocess, *heartbeat, *attempts, *haltAfter, *crashWin, common)
+	err := body()
 	switch {
 	case errors.Is(err, distrib.ErrHalted):
-		fmt.Printf("halted: checkpoint saved in %s; rerun the same command to resume\n", *checkpoint)
 		os.Exit(3)
 	case err != nil:
 		fmt.Fprintln(os.Stderr, "odrcoord:", err)
@@ -108,22 +77,45 @@ func main() {
 	}
 }
 
-// workerSpec assembles the WorkerSpec shared by both modes from the
-// command line, or from a scenario file when one is named.
-func workerSpec(seed uint64, shards, chunk int, common *scenario.Common, metrics bool) distrib.WorkerSpec {
-	return distrib.WorkerSpec{
-		Seed:        seed,
-		Shards:      shards,
-		Chunk:       chunk,
-		CachePolicy: common.CachePolicy,
-		PoolBytes:   common.PoolBytes,
-		Faults:      common.Faults,
-		Metrics:     metrics,
+// command registers odrcoord's flags on fs and returns the command body,
+// to be called once fs has parsed the arguments.
+func command(fs *flag.FlagSet) func() error {
+	var (
+		worker     = fs.Bool("worker", false, "run as a window worker reading its request as JSON on stdin (internal; spawned by the coordinator)")
+		tracePath  = fs.String("trace", "", "bin trace file to replay")
+		checkpoint = fs.String("checkpoint", "", "checkpoint directory (manifest + partial results)")
+		workers    = fs.Int("workers", 0, "concurrent worker processes (0 = 1, or the -spec file's workers)")
+		windows    = fs.Int("windows", 0, "window count (0 = 2 per worker)")
+		seed       = fs.Uint64("seed", 1, "random seed")
+		shards     = fs.Int("shards", 0, "per-worker engine shards (0 = GOMAXPROCS; results are identical for any value)")
+		specFile   = fs.String("spec", "", "load the distributed subset of a scenario file (JSON)")
+		windowHrs  = fs.Float64("window-hours", 0, "build a windowed observability timeline with this window width")
+		verify     = fs.Bool("verify", false, "also replay single-process and compare digests (prints the DISTRIB verdict)")
+		heartbeat  = fs.Duration("heartbeat", distrib.DefaultHeartbeatTimeout, "kill a worker whose heartbeats stop for this long")
+		attempts   = fs.Int("max-attempts", distrib.DefaultMaxAttempts, "worker attempts per window before the run fails")
+		haltAfter  = fs.Int("halt-after", 0, "stop with exit code 3 after N windows complete this run (kill-mid-run test hook)")
+		crashWin   = fs.Int("crash-window", 0, "force window N (1-based) to crash mid-replay on its first attempt (test hook)")
+	)
+	common := scenario.RegisterCommon(fs)
+	return func() error {
+		if *worker {
+			if fs.NFlag() != 1 {
+				return errors.New("worker: -worker reads its whole request on stdin and takes no other flags")
+			}
+			if err := runWorker(context.Background(), os.Stdin, os.Stdout); err != nil {
+				return fmt.Errorf("worker: %w", err)
+			}
+			return nil
+		}
+		return runCoordinator(*tracePath, *checkpoint, *workers, *windows, *seed, *shards,
+			*specFile, *windowHrs, *verify, *heartbeat, *attempts, *haltAfter, *crashWin, common)
 	}
 }
 
 // loadSpecFile maps a scenario file's distributed subset onto a worker
-// spec, worker count, and timeline config.
+// spec, worker count, and timeline config. The fault string is compiled
+// through scenario.Spec.FaultSpec, so its episode schedule spans the
+// scenario's horizon, as it does under `scenario -spec`.
 func loadSpecFile(path string) (distrib.WorkerSpec, int, *replay.TimelineConfig, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -146,27 +138,38 @@ func loadSpecFile(path string) (distrib.WorkerSpec, int, *replay.TimelineConfig,
 			"spec %s: pool_divisor is population-relative; distributed runs need an explicit pool_bytes", path)
 	}
 	s = s.Normalized()
+	fs, err := s.FaultSpec()
+	if err != nil {
+		return distrib.WorkerSpec{}, 0, nil, err
+	}
 	ws := distrib.WorkerSpec{
 		Seed:        s.Seed,
 		Shards:      s.Shards,
-		Chunk:       s.Chunk,
 		CachePolicy: s.CachePolicy,
 		PoolBytes:   s.PoolBytes,
-		Faults:      s.Faults,
+	}
+	if fs.Enabled() {
+		ws.Faults = fs.String()
 	}
 	return ws, s.Workers, s.TimelineConfig(), nil
 }
 
-func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uint64,
-	shards, chunk int, specFile string, windowHrs float64, verify, inprocess bool,
-	heartbeat time.Duration, attempts, haltAfter, crashWin int, common *scenario.Common) error {
+func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uint64, shards int,
+	specFile string, windowHrs float64, verify bool, heartbeat time.Duration,
+	attempts, haltAfter, crashWin int, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
 	if common.Pprof != "" {
 		go scenario.ServePprof(common.Pprof, log.Printf)
 	}
-	spec := workerSpec(seed, shards, chunk, common, common.Metrics != "")
+	spec := distrib.WorkerSpec{
+		Seed:        seed,
+		Shards:      shards,
+		CachePolicy: common.CachePolicy,
+		PoolBytes:   common.PoolBytes,
+		Faults:      common.Faults,
+	}
 	var timeline *replay.TimelineConfig
 	if windowHrs > 0 {
 		timeline = &replay.TimelineConfig{Window: time.Duration(windowHrs * float64(time.Hour))}
@@ -176,7 +179,6 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		if err != nil {
 			return err
 		}
-		ws.Metrics = common.Metrics != ""
 		spec = ws
 		if workers == 0 {
 			workers = specWorkers
@@ -185,13 +187,10 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 			timeline = tl
 		}
 	}
-	var runner distrib.Runner
-	if !inprocess {
-		bin, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		runner = execRunner{bin: bin}
+	spec.Metrics = common.Metrics != ""
+	bin, err := os.Executable()
+	if err != nil {
+		return err
 	}
 	co, err := distrib.New(distrib.Config{
 		TracePath:        tracePath,
@@ -199,7 +198,7 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		Windows:          windows,
 		CheckpointDir:    checkpoint,
 		Spec:             spec,
-		Runner:           runner,
+		Runner:           execRunner{bin: bin},
 		HeartbeatTimeout: heartbeat,
 		MaxAttempts:      attempts,
 		Timeline:         timeline,
@@ -214,6 +213,9 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	}
 	start := time.Now()
 	merged, err := co.Run(context.Background())
+	if errors.Is(err, distrib.ErrHalted) {
+		fmt.Printf("halted: checkpoint saved in %s; rerun the same command to resume\n", checkpoint)
+	}
 	if err != nil {
 		return err
 	}
@@ -259,28 +261,32 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	return nil
 }
 
-// runWorker is -worker mode: replay one window, write the partial, and
-// emit throttled "hb N" heartbeat lines on stdout for the supervisor.
-func runWorker(tracePath, windowSpec, outPath string, seed uint64, shards, chunk int,
-	crashAfter int64, metrics bool, common *scenario.Common) error {
-	if err := common.Validate(); err != nil {
+// decodeRequest reads the one WorkerRequest a worker runs. Decoding is
+// strict — an unknown field or anything after the object is an error — so
+// a coordinator and a worker built from different sources fail loudly
+// instead of replaying under a spec neither asked for.
+func decodeRequest(r io.Reader) (distrib.WorkerRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req distrib.WorkerRequest
+	if err := dec.Decode(&req); err != nil {
+		return distrib.WorkerRequest{}, fmt.Errorf("request on stdin: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return distrib.WorkerRequest{}, errors.New("request on stdin: trailing data after the JSON object")
+	}
+	return req, nil
+}
+
+// runWorker is -worker mode: decode the request from in, replay its
+// window, write the partial, and emit throttled "hb N" heartbeat lines
+// and a final "done OFF,LIM" line on stdout for the supervisor.
+func runWorker(ctx context.Context, in io.Reader, stdout io.Writer) error {
+	req, err := decodeRequest(in)
+	if err != nil {
 		return err
 	}
-	if tracePath == "" || windowSpec == "" || outPath == "" {
-		return errors.New("worker mode needs -trace, -window OFF,LIM, and -out")
-	}
-	var off, lim int64
-	if _, err := fmt.Sscanf(windowSpec, "%d,%d", &off, &lim); err != nil {
-		return fmt.Errorf("bad -window %q (want OFF,LIM): %v", windowSpec, err)
-	}
-	req := distrib.WorkerRequest{
-		TracePath:   tracePath,
-		Window:      distrib.Window{Offset: off, Limit: lim},
-		Spec:        workerSpec(seed, shards, chunk, common, metrics),
-		PartialPath: outPath,
-		CrashAfter:  crashAfter,
-	}
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 	var last time.Time
 	beat := func(n int64) {
@@ -290,47 +296,38 @@ func runWorker(tracePath, windowSpec, outPath string, seed uint64, shards, chunk
 			out.Flush()
 		}
 	}
-	if err := distrib.RunWorker(context.Background(), req, beat); err != nil {
+	if err := distrib.RunWorker(ctx, req, beat); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "done %d,%d\n", off, lim)
+	fmt.Fprintf(out, "done %d,%d\n", req.Window.Offset, req.Window.Limit)
 	return nil
 }
 
 // execRunner runs each window as a subprocess of this same binary in
-// -worker mode, forwarding its "hb N" stdout lines as heartbeats. A
-// canceled context kills the process.
+// -worker mode, handing it the request as JSON on stdin and forwarding
+// its "hb N" stdout lines as heartbeats. A canceled context kills the
+// process.
 type execRunner struct {
 	bin string
 }
 
-func (r execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat func(records int64)) error {
-	args := []string{
-		"-worker",
-		"-trace", req.TracePath,
-		"-window", fmt.Sprintf("%d,%d", req.Window.Offset, req.Window.Limit),
-		"-out", req.PartialPath,
-		"-seed", strconv.FormatUint(req.Spec.Seed, 10),
-		"-shards", strconv.Itoa(req.Spec.Shards),
-		"-chunk", strconv.Itoa(req.Spec.Chunk),
+// command builds the worker process for one request.
+func (r execRunner) command(ctx context.Context, req distrib.WorkerRequest) (*exec.Cmd, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
 	}
-	if req.Spec.CachePolicy != "" {
-		args = append(args, "-cache-policy", req.Spec.CachePolicy)
-	}
-	if req.Spec.PoolBytes != 0 {
-		args = append(args, "-pool-bytes", strconv.FormatInt(req.Spec.PoolBytes, 10))
-	}
-	if req.Spec.Faults != "" {
-		args = append(args, "-faults", req.Spec.Faults)
-	}
-	if req.Spec.Metrics {
-		args = append(args, "-worker-metrics")
-	}
-	if req.CrashAfter > 0 {
-		args = append(args, "-crash-after", strconv.FormatInt(req.CrashAfter, 10))
-	}
-	cmd := exec.CommandContext(ctx, r.bin, args...)
+	cmd := exec.CommandContext(ctx, r.bin, "-worker")
+	cmd.Stdin = bytes.NewReader(body)
 	cmd.Stderr = os.Stderr
+	return cmd, nil
+}
+
+func (r execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat func(records int64)) error {
+	cmd, err := r.command(ctx, req)
+	if err != nil {
+		return err
+	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return err

@@ -4,20 +4,17 @@
 //
 // Usage:
 //
-//	replay [-files N] [-sample N] [-seed S] [-shards N] [-chunk N]
+//	replay [-files N] [-sample N] [-seed S] [-shards N]
 //	       [-tasks PATH] [-trace FILE] [-faults SPEC] [-naive]
-//	       [-cache-policy NAME] [-pool-bytes N] [-gen-workers N]
+//	       [-cache-policy NAME] [-pool-bytes N]
 //	       [-metrics FORMAT] [-pprof ADDR]
 //
 // The week is consumed in one bounded-memory pass: requests flow past
 // once to discover the populations and draw the Unicom sample, and the
 // sample replays through the sharded engine — the full request log is
-// never resident. -shards and -chunk (the engine's batch size; the
-// effective value appears as the odr_replay_stream_chunk gauge in the
-// -metrics dump) are pure performance knobs: results are byte-identical
-// for any value. When the week is generated rather than read from a file,
-// -gen-workers pins the parallel generation worker count (0 =
-// GOMAXPROCS); the workload is byte-identical for any value.
+// never resident. -shards is a pure performance knob: results are
+// byte-identical for any value. A generated week is generated on
+// GOMAXPROCS workers, byte-identical to sequential generation.
 //
 // With -trace it replays a recorded workload trace instead of generating
 // one; the format (csv, jsonl, or the seekable bin format) is
@@ -42,7 +39,9 @@
 // Lines (the pre-downloading + fetching traces of §3). The week simulator
 // needs random access to the request log, so this is the one mode that
 // materializes it; combined with -trace it needs a bin trace, the one
-// format that records every user's access bandwidth.
+// format that records every user's access bandwidth. The simulated cloud
+// is sized from the week's file population, so with -trace the dump does
+// not depend on -files.
 //
 // With -metrics prom|json the ODR replay runs instrumented and the merged
 // metrics snapshot (decision counts, fetch histograms, backend outcomes)
@@ -86,16 +85,14 @@ func command(fs *flag.FlagSet) func() error {
 	shards := fs.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
 	tasks := fs.String("tasks", "", "also dump week task records as JSONL to this path")
 	tracePath := fs.String("trace", "", "replay a recorded workload trace (csv/jsonl/bin, auto-detected) instead of generating one")
-	chunk := fs.Int("chunk", 0, "engine batch size in requests (0 = default; results are identical for any value)")
 	naive := fs.Bool("naive", false, "with -faults, disable the failure-aware routing policy (faults fail tasks outright)")
 	common := scenario.RegisterCommon(fs)
-	common.RegisterGen(fs)
 	return func() error {
-		return run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath, *naive, common)
+		return run(*files, *sampleN, *seed, *shards, *tasks, *tracePath, *naive, common)
 	}
 }
 
-func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePath string,
+func run(files, sampleN int, seed uint64, shards int, tasksPath, tracePath string,
 	naive bool, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
@@ -117,7 +114,7 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 			return err
 		}
 		tr.Files, tr.Users, tr.Span = st.Files, st.Users, st.Span
-		src = st.RequestsWorkers(common.GenWorkers)
+		src = st.RequestsWorkers(0)
 	} else {
 		f, format, closer, err := trace.OpenWorkloadFile(tracePath)
 		if err != nil {
@@ -148,15 +145,14 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 	fmt.Printf("synthetic week: %d files, %d users, %d requests; replay sample: %d\n\n",
 		len(tr.Files), len(tr.Users), pass.n, len(sample))
 
-	spec := scenario.Spec{Seed: seed, Shards: shards, Chunk: chunk, Naive: naive}
+	spec := scenario.Spec{Seed: seed, Shards: shards, Naive: naive}
 	common.ApplyTo(&spec)
 	odrOpts, err := spec.ReplayOptions()
 	if err != nil {
 		return err
 	}
 	odrOpts.Metrics = reg
-	bench, err := replay.RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed,
-		shards, odrOpts.Stream)
+	bench, err := replay.RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed, shards)
 	if err != nil {
 		return err
 	}
@@ -173,7 +169,7 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 	}
 	// Run the full week and dump its task records.
 	eng := sim.New()
-	c := cloud.New(cloud.DefaultConfig(float64(files)/cloud.FullScaleFiles, seed), eng)
+	c := cloud.New(cloud.DefaultConfig(float64(len(tr.Files))/cloud.FullScaleFiles, seed), eng)
 	c.Prewarm(tr.Files)
 	c.RunTrace(tr)
 	f, err := os.Create(tasksPath)

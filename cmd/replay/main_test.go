@@ -1,37 +1,30 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
-	"odr/internal/replay"
-	"odr/internal/scenario"
 	"odr/internal/trace"
 	"odr/internal/workload"
 )
 
-// runCLI runs the command body over a generated week and fails the test
-// if it returns an error.
-func runCLI(t *testing.T, shards, chunk int, tasksPath string, common *scenario.Common) (stdout, stderr string) {
+// runArgs parses args the way main does — a small generated week unless
+// args override it — and runs the command body with stdout and stderr
+// captured to files.
+func runArgs(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
-	stdout, stderr, err := runCLITrace(t, shards, chunk, tasksPath, "", common)
-	if err != nil {
-		t.Fatalf("run: %v\nstderr:\n%s", err, stderr)
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	body := command(fs)
+	if err := fs.Parse(append([]string{"-files", "1500", "-sample", "150", "-seed", "9"}, args...)); err != nil {
+		t.Fatal(err)
 	}
-	return stdout, stderr
-}
-
-// runCLITrace runs the command body with stdout and stderr captured to
-// files; an empty tracePath generates the week.
-func runCLITrace(t *testing.T, shards, chunk int, tasksPath, tracePath string,
-	common *scenario.Common) (stdout, stderr string, err error) {
-	t.Helper()
 	dir := t.TempDir()
 	capture := func(name string, std **os.File) func() string {
 		f, err := os.Create(filepath.Join(dir, name))
@@ -52,55 +45,46 @@ func runCLITrace(t *testing.T, shards, chunk int, tasksPath, tracePath string,
 	}
 	out := capture("stdout", &os.Stdout)
 	errOut := capture("stderr", &os.Stderr)
-	err = run(1500, 150, 9, shards, chunk, tasksPath, tracePath, false, common)
+	err = body()
 	return out(), errOut(), err
 }
 
-// TestChunkFlagReachesEngine pins the -chunk wiring end to end: the
-// engine publishes its effective batch size as a gauge, so the -metrics
-// dump must echo the flag, and the summary must not depend on it.
-func TestChunkFlagReachesEngine(t *testing.T) {
-	var snap struct {
-		Gauges map[string]int64 `json:"gauges"`
+// mustRun is runArgs for runs that must succeed.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	stdout, stderr, err := runArgs(t, args...)
+	if err != nil {
+		t.Fatalf("%v: %v\nstderr:\n%s", args, err, stderr)
 	}
-	ref, dump := runCLI(t, 1, 0, "", &scenario.Common{Metrics: "json"})
-	if err := json.Unmarshal([]byte(dump), &snap); err != nil {
-		t.Fatalf("metrics dump is not JSON: %v\n%s", err, dump)
-	}
-	if got := snap.Gauges[replay.MetricStreamChunk]; got != replay.DefaultStreamChunk {
-		t.Fatalf("-chunk 0: chunk gauge = %d, want the default %d", got, replay.DefaultStreamChunk)
-	}
+	return stdout
+}
 
-	got, dump := runCLI(t, 3, 7, "", &scenario.Common{Metrics: "json"})
-	if err := json.Unmarshal([]byte(dump), &snap); err != nil {
-		t.Fatalf("metrics dump is not JSON: %v\n%s", err, dump)
-	}
-	if v := snap.Gauges[replay.MetricStreamChunk]; v != 7 {
-		t.Fatalf("-chunk 7 never reached the engine: chunk gauge = %d", v)
-	}
-	dropEngine := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "engine:") {
-				keep = append(keep, line)
-			}
+// dropEngine removes the summary's engine line, the one line that names
+// the shard count.
+func dropEngine(s string) string {
+	var keep []string
+	for _, line := range strings.Split(s, "\n") {
+		if !strings.HasPrefix(line, "engine:") {
+			keep = append(keep, line)
 		}
-		return strings.Join(keep, "\n")
 	}
-	if dropEngine(got) != dropEngine(ref) {
-		t.Fatalf("summary changed with -shards 3 -chunk 7:\n--- shards=1 chunk=0\n%s\n--- shards=3 chunk=7\n%s", ref, got)
-	}
+	return strings.Join(keep, "\n")
 }
 
 // TestTasksDumpSharesTheOnePass: -tasks is the only mode that keeps the
 // request log, and it rides the same pass that draws the sample — the
-// summary is unchanged and the week's task records land in the file.
+// summary is unchanged and the week's task records land in the file. The
+// summary does not depend on -shards either.
 func TestTasksDumpSharesTheOnePass(t *testing.T) {
-	ref, _ := runCLI(t, 2, 0, "", &scenario.Common{})
+	ref := mustRun(t, "-shards", "1")
 	path := filepath.Join(t.TempDir(), "tasks.jsonl")
-	got, _ := runCLI(t, 2, 0, path, &scenario.Common{})
-	if !strings.HasPrefix(got, ref) {
-		t.Fatalf("-tasks changed the replay summary:\n--- without\n%s\n--- with\n%s", ref, got)
+	for _, args := range [][]string{
+		{"-shards", "3"},
+		{"-shards", "2", "-tasks", path},
+	} {
+		if got := mustRun(t, args...); !strings.HasPrefix(dropEngine(got), dropEngine(ref)) {
+			t.Fatalf("%v changed the replay summary:\n--- -shards 1\n%s\n--- %v\n%s", args, ref, args, got)
+		}
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -120,37 +104,36 @@ func TestTasksDumpSharesTheOnePass(t *testing.T) {
 	}
 }
 
+// writeTrace writes the seed-9 week over files files in format to dir.
+func writeTrace(t *testing.T, dir string, files int, format string) string {
+	t.Helper()
+	st, err := workload.GenerateStream(workload.DefaultConfig(files, 9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "week."+format)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.WriteWorkloadStream(f, format, st.Requests()); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestTasksDumpNeedsALosslessTrace: csv and jsonl traces zero AccessBW for
 // users who never reported it, which used to panic the week simulator
 // ("sim: schedule … before now"). The command now refuses up front and
 // points at the bin format — but says nothing of the sort when the trace
 // already is bin, which simply works.
 func TestTasksDumpNeedsALosslessTrace(t *testing.T) {
-	st, err := workload.GenerateStream(workload.DefaultConfig(300, 9), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := workload.Collect(st.Requests())
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	write := func(format string) string {
-		path := filepath.Join(dir, "week."+format)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := trace.WriteWorkloadStream(f, format, workload.NewSliceSource(reqs)); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 	tasks := filepath.Join(dir, "tasks.jsonl")
 	for _, format := range []string{"csv", "jsonl"} {
-		path := write(format)
-		_, _, err := runCLITrace(t, 2, 0, tasks, path, &scenario.Common{})
+		path := writeTrace(t, dir, 300, format)
+		_, _, err := runArgs(t, "-shards", "2", "-tasks", tasks, "-trace", path)
 		if err == nil {
 			t.Fatalf("-trace week.%s -tasks ran; want a refusal", format)
 		}
@@ -160,44 +143,57 @@ func TestTasksDumpNeedsALosslessTrace(t *testing.T) {
 			}
 		}
 		// Without -tasks the same trace replays fine.
-		if _, _, err := runCLITrace(t, 2, 0, "", path, &scenario.Common{}); err != nil {
-			t.Fatalf("-trace week.%s without -tasks: %v", format, err)
-		}
+		mustRun(t, "-shards", "2", "-trace", path)
 	}
-	stdout, _, err := runCLITrace(t, 2, 0, tasks, write("bin"), &scenario.Common{})
-	if err != nil {
-		t.Fatalf("-trace week.bin -tasks: %v", err)
-	}
+	stdout := mustRun(t, "-shards", "2", "-tasks", tasks, "-trace", writeTrace(t, dir, 300, "bin"))
 	if !strings.Contains(stdout, "task records to "+tasks) {
 		t.Fatalf("bin trace wrote no task records:\n%s", stdout)
 	}
 }
 
-// TestFlagSurface: a flag the command accepts must reach code. The
-// ingest block configures the live server's batched decide pipeline,
-// which replay never starts, so spelling one of those flags here is a
-// usage error rather than a silently ignored setting.
-func TestFlagSurface(t *testing.T) {
-	cases := []struct {
-		args    []string
-		wantErr string
-	}{
-		{[]string{"-gen-workers", "2", "-faults", "0.25", "-pprof", ":0"}, ""},
-		{[]string{"-ingest-workers", "1"}, "-ingest-workers"},
-		{[]string{"-ingest-queue", "64"}, "-ingest-queue"},
-		{[]string{"-ingest-batch", "8"}, "-ingest-batch"},
-		{[]string{"-admit-rate", "50"}, "-admit-rate"},
+// TestTraceTasksDumpIgnoresFiles: with -trace the population comes from
+// the trace's census, so the week simulator's cloud must be sized from it
+// too. -files describes the week the command would generate, not the one
+// it read, and must not change the dump.
+func TestTraceTasksDumpIgnoresFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTrace(t, dir, 300, "bin")
+	dump := func(files string) []byte {
+		out := filepath.Join(dir, "tasks-"+files+".jsonl")
+		mustRun(t, "-trace", path, "-tasks", out, "-files", files)
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	for _, c := range cases {
+	if small, large := dump("300"), dump("20000"); !bytes.Equal(small, large) {
+		t.Fatalf("-trace -tasks dump depends on -files: %d bytes at -files 300, %d at -files 20000",
+			len(small), len(large))
+	}
+}
+
+// TestFlagSurface pins the command's flags: every accepted flag reaches
+// code. The engine batch size and the generation worker count never
+// changed a result and are constants now; the ingest block configures the
+// live server's batched decide pipeline, which replay never starts.
+// Spelling any of those is a usage error, not a silently ignored setting.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	command(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"cache-policy", "faults", "files", "metrics", "naive", "pool-bytes",
+		"pprof", "sample", "seed", "shards", "tasks", "trace"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags = %v, want %v", got, want)
+	}
+	for _, name := range []string{"chunk", "gen-workers", "ingest-workers", "ingest-queue", "ingest-batch", "admit-rate"} {
 		fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		command(fs)
-		err := fs.Parse(c.args)
-		switch {
-		case c.wantErr == "" && err != nil:
-			t.Errorf("%v: %v", c.args, err)
-		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), "not defined: "+c.wantErr)):
-			t.Errorf("%v: Parse() = %v, want a usage error naming %s", c.args, err, c.wantErr)
+		if err := fs.Parse([]string{"-" + name, "1"}); err == nil || !strings.Contains(err.Error(), "not defined: -"+name) {
+			t.Errorf("-%s: Parse() = %v, want a usage error naming it", name, err)
 		}
 	}
 }

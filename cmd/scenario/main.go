@@ -7,14 +7,15 @@
 // Usage:
 //
 //	scenario [-files N] [-sample N] [-seed S] [-days N] [-shards N]
-//	         [-chunk N] [-naive] [-window HOURS]
+//	         [-naive] [-window HOURS]
 //	         [-profile NAME] [-profiles A,B] [-fault-grid "0;0.25"]
-//	         [-policies lru,band] [-parallel N] [-pool-divisor N]
+//	         [-policies lru,band] [-pool-divisor N]
 //	         [-timeline-dir DIR] [-spec FILE]
 //	         [-faults SPEC] [-cache-policy NAME] [-pool-bytes N]
 //	         [-metrics FORMAT] [-pprof ADDR]
 //
 // Without grid flags it runs a single cell built from the base flags.
+// Cells run one after another; each shards its replay across cores.
 // -profiles and -policies take comma- or semicolon-separated lists;
 // -fault-grid splits on semicolons only, because fault specs themselves
 // contain commas ("transient=0.1,churn=0.05;0.25" is two specs). Axes
@@ -29,8 +30,8 @@
 //
 // -spec FILE loads a complete matrix as JSON ({"base": {...},
 // "profiles": [...], ...}; see internal/scenario.Matrix) and ignores the
-// scenario-shaping flags; -parallel, -timeline-dir, -metrics, and -pprof
-// still apply.
+// scenario-shaping flags; -timeline-dir, -metrics, and -pprof still
+// apply.
 package main
 
 import (
@@ -47,54 +48,55 @@ import (
 )
 
 func main() {
-	files := flag.Int("files", 20000, "unique files in the synthetic trace")
-	sampleN := flag.Int("sample", 1000, "replay sample size")
-	seed := flag.Uint64("seed", 1, "random seed")
-	days := flag.Int("days", 7, "trace horizon in days")
-	shards := flag.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
-	chunk := flag.Int("chunk", 0, "engine batch size in requests (0 = default; results are identical for any value)")
-	naive := flag.Bool("naive", false, "disable failure-aware routing (faults fail tasks outright)")
-	window := flag.Float64("window", 6, "timeline window in hours (0 = no timelines)")
-	profile := flag.String("profile", "", "base workload profile: baseline, flash-crowd, holiday, regional-outage")
-	profiles := flag.String("profiles", "", "profile axis (comma/semicolon-separated; empty = base profile)")
-	faultGrid := flag.String("fault-grid", "", "fault-spec axis (semicolon-separated; empty = base -faults)")
-	policies := flag.String("policies", "", "cache-policy axis (comma/semicolon-separated; empty = base -cache-policy)")
-	parallel := flag.Int("parallel", 1, "cells run concurrently (each cell already shards across cores)")
-	poolDivisor := flag.Int64("pool-divisor", 0, "squeeze the cloud pool to population-bytes/N (0 = off; excludes -pool-bytes)")
-	timelineDir := flag.String("timeline-dir", "", "write each cell's timeline as CSV and JSONL into this directory")
-	specPath := flag.String("spec", "", "load the matrix from this JSON file instead of flags")
-	common := scenario.RegisterCommon(flag.CommandLine)
-	common.RegisterGen(flag.CommandLine)
+	body := command(flag.CommandLine)
 	flag.Parse()
-
-	m := scenario.Matrix{
-		Base: scenario.Spec{
-			Profile:     *profile,
-			Days:        *days,
-			Files:       *files,
-			Sample:      *sampleN,
-			Seed:        *seed,
-			Shards:      *shards,
-			Chunk:       *chunk,
-			Naive:       *naive,
-			PoolDivisor: *poolDivisor,
-			WindowHours: *window,
-		},
-		Profiles:      splitAxis(*profiles, true),
-		FaultSpecs:    splitAxis(*faultGrid, false),
-		CachePolicies: splitAxis(*policies, true),
-		Parallel:      *parallel,
-	}
-	common.ApplyTo(&m.Base)
-
-	if err := run(m, *specPath, *parallel, *timelineDir, common); err != nil {
+	if err := body(); err != nil {
 		fmt.Fprintln(os.Stderr, "scenario:", err)
 		os.Exit(1)
 	}
 }
 
-func run(m scenario.Matrix, specPath string, parallel int, timelineDir string,
-	common *scenario.Common) error {
+// command registers scenario's flags on fs and returns the command body,
+// to be called once fs has parsed the arguments.
+func command(fs *flag.FlagSet) func() error {
+	files := fs.Int("files", 20000, "unique files in the synthetic trace")
+	sampleN := fs.Int("sample", 1000, "replay sample size")
+	seed := fs.Uint64("seed", 1, "random seed")
+	days := fs.Int("days", 7, "trace horizon in days")
+	shards := fs.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
+	naive := fs.Bool("naive", false, "disable failure-aware routing (faults fail tasks outright)")
+	window := fs.Float64("window", 6, "timeline window in hours (0 = no timelines)")
+	profile := fs.String("profile", "", "base workload profile: baseline, flash-crowd, holiday, regional-outage")
+	profiles := fs.String("profiles", "", "profile axis (comma/semicolon-separated; empty = base profile)")
+	faultGrid := fs.String("fault-grid", "", "fault-spec axis (semicolon-separated; empty = base -faults)")
+	policies := fs.String("policies", "", "cache-policy axis (comma/semicolon-separated; empty = base -cache-policy)")
+	poolDivisor := fs.Int64("pool-divisor", 0, "squeeze the cloud pool to population-bytes/N (0 = off; excludes -pool-bytes)")
+	timelineDir := fs.String("timeline-dir", "", "write each cell's timeline as CSV and JSONL into this directory")
+	specPath := fs.String("spec", "", "load the matrix from this JSON file instead of flags")
+	common := scenario.RegisterCommon(fs)
+	return func() error {
+		m := scenario.Matrix{
+			Base: scenario.Spec{
+				Profile:     *profile,
+				Days:        *days,
+				Files:       *files,
+				Sample:      *sampleN,
+				Seed:        *seed,
+				Shards:      *shards,
+				Naive:       *naive,
+				PoolDivisor: *poolDivisor,
+				WindowHours: *window,
+			},
+			Profiles:      splitAxis(*profiles, true),
+			FaultSpecs:    splitAxis(*faultGrid, false),
+			CachePolicies: splitAxis(*policies, true),
+		}
+		common.ApplyTo(&m.Base)
+		return run(m, *specPath, *timelineDir, common)
+	}
+}
+
+func run(m scenario.Matrix, specPath, timelineDir string, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
@@ -103,7 +105,6 @@ func run(m scenario.Matrix, specPath string, parallel int, timelineDir string,
 		if err != nil {
 			return err
 		}
-		loaded.Parallel = parallel
 		m = loaded
 	}
 	if common.Pprof != "" {

@@ -5,13 +5,13 @@
 // Usage:
 //
 //	wgen [-files N] [-seed S] [-format csv|jsonl|bin] [-out PATH]
-//	     [-unicom N] [-chunk N] [-gen-workers N]
+//	     [-unicom N]
 //
-// The trace streams from the generator to the writer in chunks of -chunk
-// requests, so memory stays bounded by the chunk size (plus the resident
-// file/user populations) no matter how large -files is. Generation runs
-// on -gen-workers goroutines ahead of the writer; the emitted trace is
-// byte-identical for every worker count.
+// The trace streams from the generator to the writer in chunks of
+// workload.DefaultStreamChunk requests, so memory stays bounded by the
+// chunk size (plus the resident file/user populations) no matter how
+// large -files is. Generation runs on GOMAXPROCS goroutines ahead of the
+// writer; the emitted trace is byte-identical to sequential generation.
 //
 // The bin format is the paper-scale one: fixed-stride little-endian
 // records in CRC-framed chunks with a record-count trailer, decodable
@@ -32,31 +32,31 @@ import (
 )
 
 func main() {
-	files := flag.Int("files", 20000, "unique files in the trace (paper: 563517)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	format := flag.String("format", "csv", "output format: csv, jsonl, or bin")
-	out := flag.String("out", "-", "output path (- for stdout)")
-	unicom := flag.Int("unicom", 0, "emit only an N-request Unicom replay sample")
-	chunk := flag.Int("chunk", workload.DefaultStreamChunk, "streaming chunk size in requests")
-	genWorkers := flag.Int("gen-workers", 0,
-		"parallel generation workers (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
+	body := command(flag.CommandLine)
 	flag.Parse()
-
-	if err := run(*files, *seed, *format, *out, *unicom, *chunk, *genWorkers); err != nil {
+	if err := body(); err != nil {
 		fmt.Fprintln(os.Stderr, "wgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(files int, seed uint64, format, out string, unicom, chunk, genWorkers int) error {
-	if genWorkers < 0 {
-		return fmt.Errorf("negative -gen-workers %d", genWorkers)
-	}
-	st, err := workload.GenerateStream(workload.DefaultConfig(files, seed), chunk)
+// command registers wgen's flags on fs and returns the command body, to
+// be called once fs has parsed the arguments.
+func command(fs *flag.FlagSet) func() error {
+	files := fs.Int("files", 20000, "unique files in the trace (paper: 563517)")
+	seed := fs.Uint64("seed", 1, "random seed")
+	format := fs.String("format", "csv", "output format: csv, jsonl, or bin")
+	out := fs.String("out", "-", "output path (- for stdout)")
+	unicom := fs.Int("unicom", 0, "emit only an N-request Unicom replay sample")
+	return func() error { return run(*files, *seed, *format, *out, *unicom) }
+}
+
+func run(files int, seed uint64, format, out string, unicom int) error {
+	st, err := workload.GenerateStream(workload.DefaultConfig(files, seed), workload.DefaultStreamChunk)
 	if err != nil {
 		return err
 	}
-	src := st.RequestsWorkers(genWorkers)
+	src := st.RequestsWorkers(0)
 	if unicom > 0 {
 		sample, err := workload.UnicomSampleSource(src, unicom, seed)
 		if err != nil {

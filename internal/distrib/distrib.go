@@ -91,7 +91,7 @@ func PlanWindows(total int64, n int) []Window {
 
 // WorkerSpec is the replay configuration every worker (and the
 // single-process verification replay) runs under. It is the distributed
-// subset of a scenario spec: seed, engine tuning, cache policy, pool
+// subset of a scenario spec: seed, shard count, cache policy, pool
 // capacity, and naive fault injection. There is deliberately no
 // resilience knob — see the package comment. The JSON form doubles as
 // the canonical fingerprint pinned into checkpoints and partials, so a
@@ -102,9 +102,6 @@ type WorkerSpec struct {
 	// Shards is the per-worker engine shard count (0 = GOMAXPROCS;
 	// results are identical for any value).
 	Shards int `json:"shards,omitempty"`
-	// Chunk tunes the streaming transport batch size (0 = default;
-	// results are identical for any value).
-	Chunk int `json:"chunk,omitempty"`
 	// CachePolicy runs the cloud pool under the named eviction policy
 	// (cloud.PolicyNames); empty keeps the static warm set. Dynamic
 	// policies work distributed: each worker replays its window's prefix
@@ -126,9 +123,6 @@ type WorkerSpec struct {
 func (s WorkerSpec) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("distrib: negative shards %d", s.Shards)
-	}
-	if s.Chunk < 0 {
-		return fmt.Errorf("distrib: negative chunk %d", s.Chunk)
 	}
 	if s.PoolBytes < 0 {
 		return fmt.Errorf("distrib: negative pool bytes %d", s.PoolBytes)
@@ -165,7 +159,6 @@ func (s WorkerSpec) ReplayOptions(reg *obs.Registry) (replay.Options, error) {
 		Shards:      s.Shards,
 		CachePolicy: s.CachePolicy,
 		PoolBytes:   s.PoolBytes,
-		Stream:      replay.StreamTuning{Chunk: s.Chunk},
 		Metrics:     reg,
 	}
 	fs, err := faults.ParseSpec(s.Faults)

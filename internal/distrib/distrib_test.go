@@ -108,9 +108,8 @@ func TestWorkerSpecValidate(t *testing.T) {
 		want string // error substring; empty = valid
 	}{
 		{name: "zero", spec: WorkerSpec{}},
-		{name: "full", spec: WorkerSpec{Seed: 7, Shards: 4, Chunk: 256, CachePolicy: "band", PoolBytes: 1 << 30, Faults: "0.3", Metrics: true}},
+		{name: "full", spec: WorkerSpec{Seed: 7, Shards: 4, CachePolicy: "band", PoolBytes: 1 << 30, Faults: "0.3", Metrics: true}},
 		{name: "negative shards", spec: WorkerSpec{Shards: -1}, want: "negative shards"},
-		{name: "negative chunk", spec: WorkerSpec{Chunk: -1}, want: "negative chunk"},
 		{name: "negative pool", spec: WorkerSpec{PoolBytes: -1}, want: "negative pool"},
 		{name: "unknown policy", spec: WorkerSpec{CachePolicy: "clock"}, want: "unknown cache policy"},
 		{name: "bad faults", spec: WorkerSpec{Faults: "definitely-not-a-spec"}, want: "faults"},
@@ -325,7 +324,7 @@ func TestDistributedDigestMatchesSingleProcess(t *testing.T) {
 		{"static", WorkerSpec{Seed: 42}},
 		{"dynamic band policy", WorkerSpec{Seed: 42, CachePolicy: "band", PoolBytes: 64 << 20}},
 		{"naive faults", WorkerSpec{Seed: 42, Faults: "0.3"}},
-		{"metrics on", WorkerSpec{Seed: 42, Metrics: true, Shards: 2, Chunk: 64}},
+		{"metrics on", WorkerSpec{Seed: 42, Metrics: true, Shards: 2}},
 	}
 	tracePath := writeTrace(t, 90, 42)
 	for _, c := range specs {

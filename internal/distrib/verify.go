@@ -1,13 +1,10 @@
 package distrib
 
 import (
-	"fmt"
-
 	"odr/internal/obs"
 	"odr/internal/replay"
 	"odr/internal/smartap"
 	"odr/internal/trace"
-	"odr/internal/workload"
 )
 
 // SingleProcess replays the whole trace in this process through exactly
@@ -16,24 +13,9 @@ import (
 // the reference the coordinator's merged digest must match byte for byte
 // (odrcoord -verify and EXP-D both rest on it).
 func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineConfig) (*replay.ODRResult, error) {
-	// Census pass: the same first-appearance population order every
-	// worker derives, so the backend fleet's sequential warm-pool draws
-	// match.
-	census := workload.NewCensus()
-	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
+	files, err := census(tracePath, nil)
 	if err != nil {
 		return nil, err
-	}
-	counted := census.Wrap(src)
-	for {
-		if _, _, ok := counted.Next(); !ok {
-			break
-		}
-	}
-	cerr := counted.Err()
-	closer.Close()
-	if cerr != nil {
-		return nil, fmt.Errorf("distrib: census pass: %w", cerr)
 	}
 
 	var reg *obs.Registry
@@ -50,5 +32,5 @@ func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineC
 		return nil, err
 	}
 	defer fcloser.Close()
-	return replay.RunODRStream(full, census.Files(), smartap.Benchmarked(), opts)
+	return replay.RunODRStream(full, files, smartap.Benchmarked(), opts)
 }

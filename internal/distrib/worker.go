@@ -113,6 +113,32 @@ func (s *meteredSource) TotalRequests() int {
 	return 0
 }
 
+// census runs the full census pass over a bin trace and returns its
+// first-appearance file population: the order every worker and the
+// single-process reference hand to the backend fleet, so its sequential
+// warm-pool draws match. m, when non-nil, meters the pass's records.
+func census(tracePath string, m *meter) ([]*workload.FileMeta, error) {
+	c := workload.NewCensus()
+	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
+	if err != nil {
+		return nil, err
+	}
+	defer closer.Close()
+	counted := c.Wrap(src)
+	if m != nil {
+		counted = m.wrap(counted)
+	}
+	for {
+		if _, _, ok := counted.Next(); !ok {
+			break
+		}
+	}
+	if err := counted.Err(); err != nil {
+		return nil, fmt.Errorf("distrib: census pass: %w", err)
+	}
+	return c.Files(), nil
+}
+
 // RunWorker replays one window of a bin trace and writes the partial
 // result to req.PartialPath. It makes three passes over the file:
 //
@@ -151,21 +177,9 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 	start := time.Now()
 
 	// Pass 1: full census. Only the populations survive this pass.
-	census := workload.NewCensus()
-	src, closer, err := trace.OpenWorkloadBinWindow(req.TracePath, 0, -1)
+	files, err := census(req.TracePath, m)
 	if err != nil {
 		return err
-	}
-	counted := m.wrap(census.Wrap(src))
-	for {
-		if _, _, ok := counted.Next(); !ok {
-			break
-		}
-	}
-	cerr := counted.Err()
-	closer.Close()
-	if cerr != nil {
-		return fmt.Errorf("distrib: census pass: %w", cerr)
 	}
 
 	// Passes 2+3: observation prefix, then the window replay.
@@ -193,7 +207,7 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		return err
 	}
 	res, err := replay.RunODRWindow(prefix, m.wrap(wsrc), int(win.Offset),
-		census.Files(), smartap.Benchmarked(), opts)
+		files, smartap.Benchmarked(), opts)
 	if err != nil {
 		return err
 	}

@@ -114,12 +114,11 @@ func Preset(intensity float64) Spec {
 	}
 }
 
-// String renders the spec in ParseSpec's syntax.
+// String renders the spec in ParseSpec's syntax: ParseSpec(s.String())
+// is s up to defaults. GiveUp and Span appear only when they differ from
+// DefaultGiveUp and DefaultSpan; a spec with nothing to say is "off".
 func (s Spec) String() string {
-	if !s.Enabled() {
-		return "off"
-	}
-	parts := make([]string, 0, 4)
+	parts := make([]string, 0, 6)
 	add := func(k string, v float64) {
 		if v > 0 {
 			parts = append(parts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
@@ -129,6 +128,16 @@ func (s Spec) String() string {
 	add("stagnation", s.Stagnation)
 	add("churn", s.Churn)
 	add("degraded", s.Degraded)
+	d := s.withDefaults()
+	if d.GiveUp != DefaultGiveUp {
+		parts = append(parts, "giveup="+d.GiveUp.String())
+	}
+	if d.Span != DefaultSpan {
+		parts = append(parts, "span="+d.Span.String())
+	}
+	if len(parts) == 0 {
+		return "off"
+	}
 	return strings.Join(parts, ",")
 }
 

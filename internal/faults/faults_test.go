@@ -65,17 +65,37 @@ func TestPresetClampsIntensity(t *testing.T) {
 	}
 }
 
+// TestSpecStringRoundTrips: String renders ParseSpec syntax, so parsing
+// it back yields the spec again, up to defaults — the shape fields
+// included. Default shapes stay unspoken, which keeps every rendering of a
+// week-long spec what it always was.
 func TestSpecStringRoundTrips(t *testing.T) {
-	if got := (Spec{}).String(); got != "off" {
-		t.Errorf("zero spec String() = %q, want \"off\"", got)
-	}
-	spec := Spec{Transient: 0.1, Churn: 0.25}
-	back, err := ParseSpec(spec.String())
-	if err != nil {
-		t.Fatalf("ParseSpec(%q): %v", spec.String(), err)
-	}
-	if back != spec {
-		t.Errorf("round trip %q -> %+v, want %+v", spec.String(), back, spec)
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{}, "off"},
+		{Spec{GiveUp: DefaultGiveUp, Span: DefaultSpan}, "off"},
+		{Spec{Transient: 0.1, Churn: 0.25}, "transient=0.1,churn=0.25"},
+		{Preset(0.25), "transient=0.0625,stagnation=0.0375,churn=0.05,degraded=0.0625"},
+		{Spec{Churn: 0.3, Span: DefaultSpan}, "churn=0.3"},
+		{Spec{Stagnation: 0.2, GiveUp: 30 * time.Minute}, "stagnation=0.2,giveup=30m0s"},
+		{Spec{Degraded: 1, Span: 30 * 24 * time.Hour}, "degraded=1,span=720h0m0s"},
+		{Spec{Transient: 0.5, GiveUp: 90 * time.Second, Span: 48 * time.Hour},
+			"transient=0.5,giveup=1m30s,span=48h0m0s"},
+		{Spec{Span: 48 * time.Hour}, "span=48h0m0s"},
+	} {
+		text := tc.spec.String()
+		if text != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", tc.spec, text, tc.want)
+		}
+		back, err := ParseSpec(text)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", text, err)
+		}
+		if back.withDefaults() != tc.spec.withDefaults() {
+			t.Errorf("round trip %q -> %#v, want %#v", text, back, tc.spec)
+		}
 	}
 }
 

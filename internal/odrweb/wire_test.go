@@ -108,9 +108,9 @@ func fallbacks(s *Server, path string) uint64 {
 }
 
 // TestWireFastPathBoundary pins both sides of the scanner's boundary. Every
-// body the repo's own clients send — odrweb.Client (and so cmd/odrload)
-// and the json.Marshal bodies bench/ posts — takes the fast path, so the
-// gain cannot silently vanish behind the fallback; every non-canonical
+// body the repo's own clients send — odrweb.Client (and so cmd/odrserver's
+// test) and the json.Marshal bodies bench/ posts — takes the fast path, so
+// the gain cannot silently vanish behind the fallback; every non-canonical
 // body falls back; every body, on either side, answers as the oracle does.
 func TestWireFastPathBoundary(t *testing.T) {
 	t.Run("clients take the fast path", func(t *testing.T) {
@@ -140,7 +140,7 @@ func TestWireFastPathBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		noAP := &AuxInfo{ISP: "mobile", AccessBW: 1 << 20} // cmd/odrload's odd users
+		noAP := &AuxInfo{ISP: "mobile", AccessBW: 1 << 20} // bench/'s odd users
 		withAP := &AuxInfo{ISP: "telecom", AccessBW: 312345.678, HasAP: true,
 			APStorage: "sata-hdd", APFS: "ext4", APCPUGHz: 1.2} // its even users
 		for _, aux := range []*AuxInfo{goodAux(), noAP, withAP, nil} { // nil: the cookie
@@ -154,7 +154,7 @@ func TestWireFastPathBoundary(t *testing.T) {
 			{Link: "http://nowhere/x"},
 		}
 		for _, req := range []*BatchRequest{
-			{Aux: withAP, Items: items},        // cmd/odrload -mode batch: one call-level aux
+			{Aux: withAP, Items: items},        // one call-level aux
 			{Items: items[1:2]},                // per-item aux only
 			{Aux: goodAux(), Items: items[:1]}, // README's curl shape
 		} {

@@ -39,8 +39,7 @@ type APBench struct {
 // RunAPBenchmark is RunAPBenchmarkStream over an in-memory sample, sharded
 // at GOMAXPROCS.
 func RunAPBenchmark(sample []workload.Request, aps []*smartap.AP, seed uint64) *APBench {
-	return overSlice(RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed,
-		0, StreamTuning{}))
+	return overSlice(RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed, 0))
 }
 
 // apTask builds the §5 benchmark's task callback: one pre-download on the
@@ -71,14 +70,14 @@ func apTask(be *backend.SmartAP) func(int, workload.Request, *backend.Request, *
 // recorded access bandwidth and the environment's ADSL ceiling, without
 // holding the requests.
 func RunAPBenchmarkStream(src workload.RequestSource, aps []*smartap.AP,
-	seed uint64, shards int, tune StreamTuning) (*APBench, error) {
+	seed uint64, shards int) (*APBench, error) {
 	if len(aps) == 0 {
 		panic("replay: AP benchmark needs at least one AP")
 	}
 	be := backend.NewSmartAP()
 	b := &APBench{}
 	var err error
-	b.Tasks, b.Engine, err = runShardedStream(src, aps, seed, 0, shards, tune,
+	b.Tasks, b.Engine, err = runShardedStream(src, aps, seed, 0, shards, 0,
 		nil, nil, apTask(be))
 	if err != nil {
 		return nil, err

@@ -89,7 +89,7 @@ func BenchmarkStreamReplay(b *testing.B) {
 					}
 				}
 				shards := 4
-				b.ReportMetric(float64(shards*streamBatchDepth*DefaultStreamChunk), "inflight-reqs")
+				b.ReportMetric(float64(shards*streamBatchDepth*streamChunk), "inflight-reqs")
 				b.ReportMetric(float64(n), "stream-len")
 				b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "requests/sec")
 			})

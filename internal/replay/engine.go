@@ -62,20 +62,13 @@ func (s EngineStats) Totals() ShardTotals {
 	return t
 }
 
-// StreamTuning tunes the engine's batch transport. The zero value selects
-// defaults. Tuning is strictly a performance knob: replay output is
-// byte-identical for every chunk size (pinned by TestReplayDeterminism).
-type StreamTuning struct {
-	// Chunk is how many requests the reader packs into one batch before
-	// handing it to a shard worker. Larger chunks amortize channel
-	// operations over more requests at the cost of latency before the
-	// first task completes and a larger in-flight window. Non-positive
-	// selects DefaultStreamChunk.
-	Chunk int
-}
-
-// DefaultStreamChunk is the transport's default batch size.
-const DefaultStreamChunk = 512
+// streamChunk is how many requests the reader packs into one batch before
+// handing it to a shard worker. Larger chunks amortize channel operations
+// over more requests at the cost of latency before the first task
+// completes and a larger in-flight window. Replay output is byte-identical
+// for every chunk size; the in-package tests replay at small chunks
+// through Options.chunk to prove it (TestReplayDeterminism).
+const streamChunk = 512
 
 // streamBatchDepth is how many batches circulate per shard: the free
 // list starts with this many, so at any moment a shard has at most
@@ -84,14 +77,6 @@ const DefaultStreamChunk = 512
 // reader can run ahead, keeping reader-side memory constant in stream
 // length.
 const streamBatchDepth = 8
-
-// chunkOf resolves the effective batch size.
-func (t StreamTuning) chunkOf() int {
-	if t.Chunk > 0 {
-		return t.Chunk
-	}
-	return DefaultStreamChunk
-}
 
 // poisonReleasedBatches, when set (tests only), makes workers overwrite
 // every cell of a batch with an obviously-wrong value before releasing it
@@ -229,9 +214,10 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 // GOMAXPROCS.
 //
 // Non-positive shards selects GOMAXPROCS; a run never gets more shards
-// than it has requests.
+// than it has requests. Non-positive chunk selects streamChunk; only
+// tests pass anything else.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
-	seed uint64, base, shards int, tune StreamTuning, eo *engineObs[T],
+	seed uint64, base, shards, chunk int, eo *engineObs[T],
 	observe func(i int, wreq workload.Request),
 	fn func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
 ) ([]T, EngineStats, error) {
@@ -252,19 +238,19 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	if hint > 0 && shards > hint {
 		shards = hint
 	}
-	chunk := tune.chunkOf()
+	if chunk <= 0 {
+		chunk = streamChunk
+	}
 	root := dist.NewRNG(seed).Split("replay-engine")
 	stats := EngineStats{Shards: shards, PerShard: make([]ShardTotals, shards)}
 	regs := eo.shardRegistries(shards)
-	// The in-flight high-water mark depends on goroutine scheduling, and
-	// the effective chunk is a transport knob, not a replay outcome; both
-	// are recorded straight into the destination registry and excluded
-	// from the shard-merge determinism contract (a nil eo yields nil
-	// gauges).
+	// The in-flight high-water mark depends on goroutine scheduling, not
+	// on the replay; it is recorded straight into the destination registry
+	// and excluded from the shard-merge determinism contract (a nil eo
+	// yields a nil gauge).
 	var inflight *obs.Gauge
 	if eo != nil {
 		inflight = eo.dst.Gauge(MetricInflightPeak)
-		eo.dst.Gauge(MetricStreamChunk).Set(int64(chunk))
 	}
 
 	tasks := make([]T, hint)

@@ -36,15 +36,13 @@ func apDigest(r *APBench) string {
 	return b.String()
 }
 
-// outcomeSnapshot snapshots a run's registry minus the two transport
-// gauges: the in-flight peak depends on goroutine scheduling and the chunk
-// gauge echoes a tuning knob, so neither is a replay outcome and both are
-// exempt from the determinism contract (DESIGN.md, "Observability").
-// Every registry comparison goes through here.
+// outcomeSnapshot snapshots a run's registry minus the in-flight peak
+// gauge: it depends on goroutine scheduling, so it is not a replay outcome
+// and is exempt from the determinism contract (DESIGN.md,
+// "Observability"). Every registry comparison goes through here.
 func outcomeSnapshot(reg *obs.Registry) *obs.Snapshot {
 	snap := reg.Snapshot()
 	delete(snap.Gauges, MetricInflightPeak)
-	delete(snap.Gauges, MetricStreamChunk)
 	return snap
 }
 
@@ -72,8 +70,7 @@ func TestReplayDeterminism(t *testing.T) {
 	// explicit shard count must reproduce it.
 	apWant := apDigest(RunAPBenchmark(f.sample, f.aps, 14))
 	for _, shards := range []int{1, 4, 8} {
-		got, err := RunAPBenchmarkStream(workload.NewSliceSource(f.sample), f.aps, 14,
-			shards, StreamTuning{})
+		got, err := RunAPBenchmarkStream(workload.NewSliceSource(f.sample), f.aps, 14, shards)
 		if err != nil {
 			t.Fatalf("AP shards=%d: %v", shards, err)
 		}
@@ -83,11 +80,11 @@ func TestReplayDeterminism(t *testing.T) {
 		}
 	}
 
-	// Transport tuning must be invisible in the output: any chunk size
-	// reproduces the reference byte-for-byte.
+	// The transport's batch size must be invisible in the output: any
+	// chunk reproduces the reference byte-for-byte.
 	for _, chunk := range []int{1, 3, 7, 4096} {
 		got := RunODR(f.sample, f.trace.Files, f.aps,
-			Options{Seed: 14, Shards: 4, Stream: StreamTuning{Chunk: chunk}})
+			Options{Seed: 14, Shards: 4, chunk: chunk})
 		if d := digest(got); d != want {
 			t.Fatalf("chunk=%d: tuned replay diverged from the reference\nfirst differing line:\n%s",
 				chunk, firstDiff(want, d))
@@ -96,9 +93,9 @@ func TestReplayDeterminism(t *testing.T) {
 
 	// Metrics must be pure observation. Instrumented replays produce
 	// byte-identical digests (metrics on/off), and the merged per-shard
-	// registries are identical for every shard count — minus the two
-	// transport gauges, which live in the destination registry, never in
-	// a shard's (see outcomeSnapshot).
+	// registries are identical for every shard count — minus the
+	// in-flight peak gauge, which lives in the destination registry, never
+	// in a shard's (see outcomeSnapshot).
 	refReg := obs.NewRegistry()
 	instr := RunODR(f.sample, f.trace.Files, f.aps,
 		Options{Seed: 14, Shards: 1, Metrics: refReg})
@@ -124,10 +121,6 @@ func TestReplayDeterminism(t *testing.T) {
 		gauges := reg.Snapshot().Gauges
 		if _, ok := gauges[MetricInflightPeak]; !ok {
 			t.Fatalf("shards=%d: in-flight peak gauge never recorded", shards)
-		}
-		if v, ok := gauges[MetricStreamChunk]; !ok || v != DefaultStreamChunk {
-			t.Fatalf("shards=%d: chunk gauge = %d (recorded %v), want %d",
-				shards, v, ok, DefaultStreamChunk)
 		}
 		if snap := outcomeSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
 			t.Fatalf("metrics shards=%d: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
@@ -158,7 +151,7 @@ func TestReplayDeterminism(t *testing.T) {
 		}
 		tuned := base
 		tuned.Shards = 4
-		tuned.Stream = StreamTuning{Chunk: 3}
+		tuned.chunk = 3
 		if d := digest(RunODR(f.sample, f.trace.Files, f.aps, tuned)); d != pWant {
 			t.Fatalf("policy=%s chunk=3: diverged from the single-shard reference\nfirst differing line:\n%s",
 				policy, firstDiff(pWant, d))
@@ -408,7 +401,7 @@ func TestStreamErrorPropagation(t *testing.T) {
 		t.Fatal("failed stream replay returned a result")
 	}
 	apRes, err := RunAPBenchmarkStream(&faultySource{reqs: f.sample, n: 100, err: wantErr},
-		f.aps, 14, 4, StreamTuning{})
+		f.aps, 14, 4)
 	if err == nil || !strings.Contains(err.Error(), wantErr.Error()) {
 		t.Fatalf("RunAPBenchmarkStream error = %v, want %v", err, wantErr)
 	}
@@ -468,8 +461,8 @@ func TestEngineRequestStreams(t *testing.T) {
 		draws  [4]float64
 	}
 	got := make([]*reqSnap, n)
-	_, _, err := runShardedStream(workload.NewSliceSource(sample), f.aps, seed, 0, 4,
-		StreamTuning{Chunk: 3}, nil, nil,
+	_, _, err := runShardedStream(workload.NewSliceSource(sample), f.aps, seed, 0, 4, 3,
+		nil, nil,
 		func(i int, _ workload.Request, req *backend.Request, _ *struct{}) bool {
 			s := &reqSnap{index: req.Index, user: req.User, file: req.File,
 				ap: req.AP == f.aps[i%len(f.aps)], envCap: req.EnvCap}

@@ -21,13 +21,13 @@ func TestReplayDeterminismFaults(t *testing.T) {
 	f := setup(t)
 	spec := faults.Preset(0.4)
 	pol := backend.RetryPolicy{}
-	opts := func(shards int, tune StreamTuning, reg *obs.Registry) Options {
-		return Options{Seed: 14, Shards: shards, Stream: tune, Metrics: reg,
+	opts := func(shards, chunk int, reg *obs.Registry) Options {
+		return Options{Seed: 14, Shards: shards, chunk: chunk, Metrics: reg,
 			Faults: &spec, Resilience: &pol}
 	}
 
 	refReg := obs.NewRegistry()
-	ref := RunODR(f.sample, f.trace.Files, f.aps, opts(1, StreamTuning{}, refReg))
+	ref := RunODR(f.sample, f.trace.Files, f.aps, opts(1, 0, refReg))
 	want := digest(ref)
 	wantSnap := outcomeSnapshot(refReg)
 
@@ -53,27 +53,24 @@ func TestReplayDeterminismFaults(t *testing.T) {
 		t.Fatal("failure-aware routing never rerouted a task at intensity 0.4")
 	}
 
-	// Shard counts × transport tunings: all reproduce the reference digest
-	// and the reference metrics registry exactly.
-	for _, tc := range []struct {
-		shards int
-		tune   StreamTuning
-	}{
-		{4, StreamTuning{}},
-		{8, StreamTuning{}},
-		{4, StreamTuning{Chunk: 1}},
-		{4, StreamTuning{Chunk: 7}},
-		{8, StreamTuning{Chunk: 3}},
+	// Shard counts × batch sizes: all reproduce the reference digest and
+	// the reference metrics registry exactly.
+	for _, tc := range []struct{ shards, chunk int }{
+		{4, 0},
+		{8, 0},
+		{4, 1},
+		{4, 7},
+		{8, 3},
 	} {
 		reg := obs.NewRegistry()
-		got := RunODR(f.sample, f.trace.Files, f.aps, opts(tc.shards, tc.tune, reg))
+		got := RunODR(f.sample, f.trace.Files, f.aps, opts(tc.shards, tc.chunk, reg))
 		if d := digest(got); d != want {
-			t.Fatalf("faults shards=%d tune=%+v: replay diverged from the single-shard reference\nfirst differing line:\n%s",
-				tc.shards, tc.tune, firstDiff(want, d))
+			t.Fatalf("faults shards=%d chunk=%d: replay diverged from the single-shard reference\nfirst differing line:\n%s",
+				tc.shards, tc.chunk, firstDiff(want, d))
 		}
 		if snap := outcomeSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
-			t.Fatalf("faults shards=%d tune=%+v: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
-				tc.shards, tc.tune, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
+			t.Fatalf("faults shards=%d chunk=%d: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
+				tc.shards, tc.chunk, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
 		}
 	}
 

@@ -26,15 +26,15 @@ func TestStreamPoolHygiene(t *testing.T) {
 	f := setup(t)
 
 	type run struct {
-		seed uint64
-		tune StreamTuning
-		want string
-		got  string
-		err  error
+		seed  uint64
+		chunk int
+		want  string
+		got   string
+		err   error
 	}
 	runs := []*run{
-		{seed: 14, tune: StreamTuning{Chunk: 2}},
-		{seed: 77, tune: StreamTuning{Chunk: 5}},
+		{seed: 14, chunk: 2},
+		{seed: 77, chunk: 5},
 	}
 	for _, r := range runs {
 		r.want = digest(RunODR(f.sample, f.trace.Files, f.aps,
@@ -49,7 +49,7 @@ func TestStreamPoolHygiene(t *testing.T) {
 			defer wg.Done()
 			res, err := RunODRStream(workload.NewSliceSource(f.sample),
 				f.trace.Files, f.aps,
-				Options{Seed: r.seed, Shards: 4, Stream: r.tune})
+				Options{Seed: r.seed, Shards: 4, chunk: r.chunk})
 			if err != nil {
 				r.err = err
 				return
@@ -211,7 +211,7 @@ func (s *announce) TotalRequests() int { return s.n }
 // run over the same prefix.
 func TestSizerAnnouncementIsBinding(t *testing.T) {
 	f := setup(t)
-	opts := Options{Seed: 14, Shards: 4, Stream: StreamTuning{Chunk: 16}}
+	opts := Options{Seed: 14, Shards: 4, chunk: 16}
 	run := func(reqs []workload.Request, announced int) (*ODRResult, error) {
 		src := &announce{hideSizer{workload.NewSliceSource(reqs)}, announced}
 		return RunODRStream(src, f.trace.Files, f.aps, opts)

@@ -35,11 +35,6 @@ const (
 	// MetricInflightPeak is the engine reader's channel-depth high-water
 	// mark — scheduling-dependent, recorded outside the shard registries.
 	MetricInflightPeak = "odr_replay_inflight_peak"
-	// MetricStreamChunk is the engine transport's effective batch size — a
-	// transport knob, not a replay outcome, so like the in-flight peak it
-	// is recorded outside the shard registries and exempt from the
-	// shard-merge determinism contract.
-	MetricStreamChunk = "odr_replay_stream_chunk"
 	// Pool metrics snapshot the cloud storage pool after the run: gauges
 	// for resident state, counters (labeled by placement policy) for the
 	// lookup/eviction/prefetch tallies. The pool evolves only in the

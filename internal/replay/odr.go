@@ -141,8 +141,8 @@ type Options struct {
 	// (cloud.PolicyNames). Empty replays against the default static warm
 	// pool; naming a policy (including "lru") switches the cloud backend to
 	// dynamic mode, where the pool evolves request by request under the
-	// policy. Results stay byte-identical across shard counts and tuning
-	// for every policy.
+	// policy. Results stay byte-identical across shard counts for every
+	// policy.
 	CachePolicy string
 	// PoolBytes overrides the cloud pool capacity in bytes (<= 0 keeps the
 	// CloudScale-derived default). The policy tournament uses it to put the
@@ -164,7 +164,7 @@ type Options struct {
 	// deterministic fault-injection layer: per-operation faults are drawn
 	// from each request's RNG substream and episode windows are derived
 	// from Seed, so faulted replays remain byte-identical for any shard
-	// count or chunk size (TestReplayDeterminismFaults pins this).
+	// count (TestReplayDeterminismFaults pins this).
 	Faults *faults.Spec
 	// Resilience, when non-nil, makes the replay failure-aware: every
 	// backend gains bounded retry with RNG-drawn backoff jitter, a
@@ -174,9 +174,6 @@ type Options struct {
 	// task. Nil replays naively: injected faults fail tasks outright.
 	// Zero fields take RetryPolicy defaults.
 	Resilience *backend.RetryPolicy
-	// Stream tunes the engine's batch transport. The zero value selects
-	// defaults, and tuning never changes replay results.
-	Stream StreamTuning
 	// Metrics, when non-nil, receives the replay's observability: decision
 	// counts per backend and reason, fetch latency/byte histograms,
 	// stagnation counters, backend probe/pre-download/fetch outcomes, and
@@ -187,8 +184,13 @@ type Options struct {
 	// Timeline, when non-nil, builds a windowed observability timeline
 	// over the merged task records (ODRResult.Timeline). Building it
 	// never changes replay results, and the windows are byte-identical
-	// for every shard count and chunk size (see Timeline).
+	// for every shard count (see Timeline).
 	Timeline *TimelineConfig
+
+	// chunk overrides the engine's batch size (0 = streamChunk). It is a
+	// test seam, like poisonReleasedBatches: the determinism tests replay
+	// at small chunks to prove the transport never changes a result.
+	chunk int
 }
 
 // cloudConfig derives the replay's cloud configuration from the options:
@@ -324,7 +326,7 @@ func runODRWindowed(prefix, window workload.RequestSource, base int,
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(window, aps, opts.Seed, base, opts.Shards,
-		opts.Stream, newODRObs(opts.Metrics),
+		opts.chunk, newODRObs(opts.Metrics),
 		func(i int, wreq workload.Request) { set.Cloud.ObserveAt(base+i, wreq.File, wreq.Time) },
 		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 			odrTask(task, wreq, req, db, fleet, opts)
@@ -619,7 +621,7 @@ func runBaseline(sample []workload.Request, files []*workload.FileMeta,
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
-		seed, 0, 0, StreamTuning{}, nil,
+		seed, 0, 0, 0, nil,
 		func(i int, wreq workload.Request) { set.Cloud.ObserveAt(i, wreq.File, wreq.Time) },
 		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 			*task = ODRTask{Request: wreq}

@@ -42,13 +42,13 @@ func TestReplayDeterminismTimeline(t *testing.T) {
 	}
 	pressure := popBytes / 12
 	cfg := TimelineConfig{Window: 6 * time.Hour}
-	opts := func(shards int, tune StreamTuning) Options {
-		return Options{Seed: 14, Shards: shards, Stream: tune,
+	opts := func(shards, chunk int) Options {
+		return Options{Seed: 14, Shards: shards, chunk: chunk,
 			CachePolicy: "band", PoolBytes: pressure,
 			Faults: &spec, Resilience: &pol, Timeline: &cfg}
 	}
 
-	ref := RunODR(f.sample, f.trace.Files, f.aps, opts(1, StreamTuning{}))
+	ref := RunODR(f.sample, f.trace.Files, f.aps, opts(1, 0))
 	if ref.Timeline == nil {
 		t.Fatal("timeline requested but not built")
 	}
@@ -99,17 +99,16 @@ func TestReplayDeterminismTimeline(t *testing.T) {
 		}
 	}
 
-	// Shard counts and transport tunings.
+	// Shard counts and batch sizes.
 	for _, tc := range []struct {
-		label  string
-		shards int
-		tune   StreamTuning
+		label         string
+		shards, chunk int
 	}{
-		{"shards=4", 4, StreamTuning{}},
-		{"shards=8", 8, StreamTuning{}},
-		{"shards=4 chunk=3", 4, StreamTuning{Chunk: 3}},
+		{"shards=4", 4, 0},
+		{"shards=8", 8, 0},
+		{"shards=4 chunk=3", 4, 3},
 	} {
-		check(tc.label, RunODR(f.sample, f.trace.Files, f.aps, opts(tc.shards, tc.tune)))
+		check(tc.label, RunODR(f.sample, f.trace.Files, f.aps, opts(tc.shards, tc.chunk)))
 	}
 
 	// Partial timelines: partition the reference tasks the way the engine
@@ -159,7 +158,7 @@ func TestReplayDeterminismTimeline(t *testing.T) {
 // historical 7-day wall: a 30-day flash-crowd trace (requests landing
 // well beyond week one), a fault schedule spanning the full horizon, a
 // pressured eviction policy, and a day-wide timeline all stay
-// byte-identical across shard counts and chunk tuning. The name keeps the TestReplayDeterminism prefix so
+// byte-identical across shard counts and batch sizes. The name keeps the TestReplayDeterminism prefix so
 // `make determinism` runs it.
 func TestReplayDeterminismLongHorizon(t *testing.T) {
 	const days = 30
@@ -194,13 +193,13 @@ func TestReplayDeterminismLongHorizon(t *testing.T) {
 		popBytes += file.Size
 	}
 	tcfg := TimelineConfig{Window: 24 * time.Hour, Span: days * 24 * time.Hour}
-	opts := func(shards int, tune StreamTuning) Options {
-		return Options{Seed: 14, Shards: shards, Stream: tune,
+	opts := func(shards, chunk int) Options {
+		return Options{Seed: 14, Shards: shards, chunk: chunk,
 			CachePolicy: "band", PoolBytes: popBytes / 12,
 			Faults: &spec, Resilience: &pol, Timeline: &tcfg}
 	}
 
-	ref := RunODR(sample, tr.Files, aps, opts(1, StreamTuning{}))
+	ref := RunODR(sample, tr.Files, aps, opts(1, 0))
 	want := digest(ref)
 	wantSnaps := ref.Timeline.Snapshots()
 	wantCSV := timelineCSV(t, ref.Timeline)
@@ -219,15 +218,14 @@ func TestReplayDeterminismLongHorizon(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		label  string
-		shards int
-		tune   StreamTuning
+		label         string
+		shards, chunk int
 	}{
-		{"shards=4", 4, StreamTuning{}},
-		{"shards=8 chunk=7", 8, StreamTuning{Chunk: 7}},
-		{"shards=4 chunk=3", 4, StreamTuning{Chunk: 3}},
+		{"shards=4", 4, 0},
+		{"shards=8 chunk=7", 8, 7},
+		{"shards=4 chunk=3", 4, 3},
 	} {
-		got := RunODR(sample, tr.Files, aps, opts(tc.shards, tc.tune))
+		got := RunODR(sample, tr.Files, aps, opts(tc.shards, tc.chunk))
 		if d := digest(got); d != want {
 			t.Fatalf("long-horizon %s: diverged from the single-shard reference\nfirst differing line:\n%s",
 				tc.label, firstDiff(want, d))

@@ -15,18 +15,15 @@ import (
 
 // Common is the flag surface the replay-family commands share: fault
 // injection, cache policy, pool capacity, metrics dump, and pprof
-// (RegisterCommon), plus two blocks a command registers only when it
-// consumes them — trace generation (RegisterGen) and the ingest pipeline
-// (RegisterIngest) — so a flag a command accepts always reaches code.
+// (RegisterCommon), plus the ingest pipeline block (RegisterIngest),
+// which only the command that serves the batched decide path registers —
+// so a flag a command accepts always reaches code.
 type Common struct {
 	Faults      string
 	CachePolicy string
 	PoolBytes   int64
 	Metrics     string
 	Pprof       string
-
-	// GenWorkers is the RegisterGen block.
-	GenWorkers int
 
 	// Ingest knobs, the RegisterIngest block (the batched decide
 	// pipeline; zero = package default).
@@ -51,12 +48,6 @@ func RegisterCommon(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.Pprof, "pprof", "",
 		"also serve net/http/pprof on this address")
 	return c
-}
-
-// RegisterGen adds -gen-workers, for commands that generate a trace.
-func (c *Common) RegisterGen(fs *flag.FlagSet) {
-	fs.IntVar(&c.GenWorkers, "gen-workers", 0,
-		"parallel trace-generation workers (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
 }
 
 // RegisterIngest adds the ingest-pipeline flags, for commands that serve
@@ -101,9 +92,6 @@ func (c *Common) Validate() error {
 	if c.AdmitRate < 0 {
 		return fmt.Errorf("negative -admit-rate %g", c.AdmitRate)
 	}
-	if c.GenWorkers < 0 {
-		return fmt.Errorf("negative -gen-workers %d", c.GenWorkers)
-	}
 	return nil
 }
 
@@ -132,7 +120,6 @@ func (c *Common) ApplyTo(spec *Spec) {
 	spec.Faults = c.Faults
 	spec.CachePolicy = c.CachePolicy
 	spec.PoolBytes = c.PoolBytes
-	spec.GenWorkers = c.GenWorkers
 }
 
 // DumpSnapshot writes a snapshot in the chosen format ("" writes

@@ -12,26 +12,24 @@ import (
 func TestRegisterCommonParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := RegisterCommon(fs)
-	c.RegisterGen(fs)
 	c.RegisterIngest(fs)
 	err := fs.Parse([]string{
 		"-faults", "0.25", "-cache-policy", "band",
 		"-pool-bytes", "1024", "-metrics", "json", "-pprof", ":0",
-		"-gen-workers", "2", "-ingest-workers", "4", "-ingest-queue", "128",
+		"-ingest-workers", "4", "-ingest-queue", "128",
 		"-ingest-batch", "32", "-admit-rate", "50",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Common{Faults: "0.25", CachePolicy: "band", PoolBytes: 1024, Metrics: "json", Pprof: ":0",
-		GenWorkers: 2, IngestWorkers: 4, IngestQueue: 128, IngestBatch: 32, AdmitRate: 50}
+		IngestWorkers: 4, IngestQueue: 128, IngestBatch: 32, AdmitRate: 50}
 	if *c != want {
 		t.Fatalf("parsed %+v, want %+v", *c, want)
 	}
 	// Defaults are all off.
 	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
 	c2 := RegisterCommon(fs2)
-	c2.RegisterGen(fs2)
 	c2.RegisterIngest(fs2)
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
@@ -57,7 +55,6 @@ func TestCommonValidate(t *testing.T) {
 		{"negative queue", Common{IngestQueue: -2}, "ingest-queue"},
 		{"negative batch", Common{IngestBatch: -3}, "ingest-batch"},
 		{"negative admit", Common{AdmitRate: -0.5}, "admit-rate"},
-		{"negative gen workers", Common{GenWorkers: -1}, "gen-workers"},
 	}
 	for _, tc := range cases {
 		err := tc.c.Validate()
@@ -88,11 +85,10 @@ func TestCommonRegistryAndApplyTo(t *testing.T) {
 	if reg := (&Common{Metrics: "json"}).Registry(); reg == nil {
 		t.Fatal("metrics on should create a registry")
 	}
-	c := Common{Faults: "0.25", CachePolicy: "band", PoolBytes: 42, GenWorkers: 2}
+	c := Common{Faults: "0.25", CachePolicy: "band", PoolBytes: 42}
 	spec := Spec{Name: "keep", Shards: 3}
 	c.ApplyTo(&spec)
-	if spec.Faults != "0.25" || spec.CachePolicy != "band" || spec.PoolBytes != 42 ||
-		spec.GenWorkers != 2 {
+	if spec.Faults != "0.25" || spec.CachePolicy != "band" || spec.PoolBytes != 42 {
 		t.Fatalf("ApplyTo missed shared fields: %+v", spec)
 	}
 	if spec.Name != "keep" || spec.Shards != 3 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"odr/internal/obs"
 )
@@ -18,11 +17,6 @@ type Matrix struct {
 	Profiles      []string `json:"profiles,omitempty"`
 	FaultSpecs    []string `json:"fault_specs,omitempty"`
 	CachePolicies []string `json:"cache_policies,omitempty"`
-	// Parallel caps how many cells run concurrently (0/1 = sequential).
-	// Each cell already shards across cores, so raising this trades
-	// per-cell latency for grid throughput; results are identical either
-	// way.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // axisOr returns the axis values, or the base value as a 1-element axis.
@@ -70,11 +64,10 @@ type MatrixResult struct {
 	Merged *obs.Registry
 }
 
-// RunMatrix expands and executes the grid. Workload generation is shared:
-// cells with the same profile/scale/horizon coordinates replay the same
-// generated trace, built once. With Parallel > 1 cells run concurrently;
-// cell results and the merged registry are identical for any setting
-// (the merge is commutative and each cell's registry is private).
+// RunMatrix expands and executes the grid, one cell after another (each
+// cell already shards its replay across cores). Workload generation is
+// shared: cells with the same profile/scale/horizon coordinates replay
+// the same generated trace, built once.
 func RunMatrix(m Matrix) (*MatrixResult, error) {
 	cells, err := m.Cells()
 	if err != nil {
@@ -95,34 +88,13 @@ func RunMatrix(m Matrix) (*MatrixResult, error) {
 	}
 
 	results := make([]*Result, len(cells))
-	errs := make([]error, len(cells))
-	workers := m.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, c := range cells {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, c Spec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = runCell(c, envs[c.envKey()])
-		}(i, c)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cell %s: %w", cells[i].Label(), err)
-		}
-	}
-
 	merged := obs.NewRegistry()
-	for _, r := range results {
+	for i, c := range cells {
+		r, err := runCell(c, envs[c.envKey()])
+		if err != nil {
+			return nil, fmt.Errorf("cell %s: %w", c.Label(), err)
+		}
+		results[i] = r
 		merged.Merge(r.Registry)
 	}
 	return &MatrixResult{Cells: results, Merged: merged}, nil

@@ -51,11 +51,8 @@ func (s Spec) envKey() envKey {
 }
 
 // buildEnv generates the spec's workload through the bounded-memory
-// streaming generator (byte-identical to the materialized path) and
-// draws the §5.1 Unicom sample. Generation runs on the spec's worker
-// count; envs shared across matrix cells may have been generated at a
-// different cell's count, which is safe because every count produces
-// the same bytes.
+// streaming generator (byte-identical to the materialized path, on
+// GOMAXPROCS generation workers) and draws the §5.1 Unicom sample.
 func buildEnv(spec Spec) (*env, error) {
 	cfg, err := spec.WorkloadConfig()
 	if err != nil {
@@ -65,7 +62,7 @@ func buildEnv(spec Spec) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	sample, err := workload.UnicomSampleSource(st.RequestsWorkers(spec.GenWorkers), spec.Sample, spec.Seed)
+	sample, err := workload.UnicomSampleSource(st.RequestsWorkers(0), spec.Sample, spec.Seed)
 	if err != nil {
 		return nil, err
 	}

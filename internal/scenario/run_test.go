@@ -24,15 +24,13 @@ func smallSpec() Spec {
 	}
 }
 
-// outcomeSnapshot snapshots a run's registry minus the two transport
-// gauges (scheduling-dependent in-flight peak, chunk-size echo), which
-// are exempt from the determinism contract — see DESIGN.md,
-// "Observability". Every registry comparison in this package goes through
-// here.
+// outcomeSnapshot snapshots a run's registry minus the
+// scheduling-dependent in-flight peak gauge, which is exempt from the
+// determinism contract — see DESIGN.md, "Observability". Every registry
+// comparison in this package goes through here.
 func outcomeSnapshot(reg *obs.Registry) *obs.Snapshot {
 	snap := reg.Snapshot()
 	delete(snap.Gauges, replay.MetricInflightPeak)
-	delete(snap.Gauges, replay.MetricStreamChunk)
 	return snap
 }
 
@@ -94,8 +92,8 @@ func TestRunExecutesSpec(t *testing.T) {
 		t.Fatalf("timeline buckets %d tasks, want 150", total)
 	}
 
-	// Same spec, same numbers — and neither shard count nor chunk size is
-	// part of the scenario's identity.
+	// Same spec, same numbers — and the shard count is not part of the
+	// scenario's identity.
 	again, err := Run(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -103,15 +101,11 @@ func TestRunExecutesSpec(t *testing.T) {
 	sameRun(t, "repeat", res, again)
 	retuned := smallSpec()
 	retuned.Shards = 8
-	retuned.Chunk = 7
 	res8, err := Run(retuned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRun(t, "shards=8 chunk=7", res, res8)
-	if got := res8.Registry.Snapshot().Gauges[replay.MetricStreamChunk]; got != 7 {
-		t.Fatalf("Spec.Chunk did not reach the engine: chunk gauge = %d, want 7", got)
-	}
+	sameRun(t, "shards=8", res, res8)
 }
 
 func TestRunRejectsBadSpec(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package scenario is the declarative layer over the replay stack: one
 // Spec names a workload profile, scale, horizon, fault schedule,
 // resilience mode, cache policy, pool pressure, timeline window, and
-// engine tuning, and compiles them onto the existing knobs
+// engine shard count, and compiles them onto the existing knobs
 // (workload.Config, replay.Options). Commands, experiments, and the
 // matrix runner all derive their wiring from the same Spec, so a
 // scenario means the same numbers wherever it runs.
@@ -40,12 +40,6 @@ type Spec struct {
 	// Shards is the engine shard count (0 = GOMAXPROCS; results are
 	// identical for any value).
 	Shards int `json:"shards,omitempty"`
-	// Chunk tunes the engine transport's batch size (0 = default).
-	Chunk int `json:"chunk,omitempty"`
-	// GenWorkers pins the parallel trace-generation worker count
-	// (0 = GOMAXPROCS, 1 = sequential; output is byte-identical for any
-	// value).
-	GenWorkers int `json:"gen_workers,omitempty"`
 	// Faults is an internal/faults spec string: an intensity ("0.25") or
 	// per-class rates ("transient=0.1,churn=0.05"). Empty injects
 	// nothing. A non-empty spec — even "0" — also arms the
@@ -201,7 +195,6 @@ func (s Spec) ReplayOptions() (replay.Options, error) {
 		Shards:      s.Shards,
 		CachePolicy: s.CachePolicy,
 		PoolBytes:   s.PoolBytes,
-		Stream:      replay.StreamTuning{Chunk: s.Chunk},
 		Timeline:    s.TimelineConfig(),
 	}
 	fs, err := s.FaultSpec()

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"odr/internal/replay"
 	"odr/internal/workload"
 )
 
@@ -174,13 +173,13 @@ func TestSpecReplayOptions(t *testing.T) {
 	}
 
 	// Engine knobs pass through verbatim.
-	s := Spec{Seed: 9, Shards: 4, Chunk: 3, CachePolicy: "lru", PoolBytes: 123}
+	s := Spec{Seed: 9, Shards: 4, CachePolicy: "lru", PoolBytes: 123}
 	opts, err := s.ReplayOptions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.Seed != 9 || opts.Shards != 4 || opts.CachePolicy != "lru" ||
-		opts.PoolBytes != 123 || opts.Stream != (replay.StreamTuning{Chunk: 3}) {
+		opts.PoolBytes != 123 {
 		t.Fatalf("knobs not carried: %+v", opts)
 	}
 	if _, err := (Spec{CachePolicy: "mru"}).ReplayOptions(); err == nil {
@@ -219,7 +218,7 @@ func TestSpecLabel(t *testing.T) {
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := Spec{Name: "x", Profile: "holiday", Days: 14, Files: 5000, Sample: 300,
-		Seed: 4, Shards: 2, Chunk: 7, GenWorkers: 3, Faults: "0.1",
+		Seed: 4, Shards: 2, Faults: "0.1",
 		Naive: true, CachePolicy: "lfu", PoolDivisor: 8, WindowHours: 12, Workers: 3}
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -241,13 +240,14 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if string(data) != "{}" {
 		t.Fatalf("zero spec marshals to %s", data)
 	}
-	// Decoding is non-strict: spec files written when there was a "stream"
-	// switch still load, the key ignored.
+	// Decoding is non-strict: spec files written when there were
+	// "stream", "chunk" and "gen_workers" keys still load, the keys
+	// ignored.
 	var old Spec
-	if err := json.Unmarshal([]byte(`{"stream": true, "chunk": 7}`), &old); err != nil {
-		t.Fatalf("spec file with the retired stream key no longer loads: %v", err)
+	if err := json.Unmarshal([]byte(`{"stream": true, "chunk": 7, "gen_workers": 2, "seed": 3}`), &old); err != nil {
+		t.Fatalf("spec file with retired keys no longer loads: %v", err)
 	}
-	if old != (Spec{Chunk: 7}) {
-		t.Fatalf("retired stream key decoded to %+v", old)
+	if old != (Spec{Seed: 3}) {
+		t.Fatalf("retired keys decoded to %+v", old)
 	}
 }

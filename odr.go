@@ -203,9 +203,6 @@ type (
 	// ReplayOptions tunes an ODR replay (including ablations and the
 	// engine shard count).
 	ReplayOptions = replay.Options
-	// StreamTuning tunes the replay engine's batch transport (chunk
-	// size). Tuning never changes replay results.
-	StreamTuning = replay.StreamTuning
 )
 
 // RunAPBenchmark replays an in-memory sample across APs per §5.1.
@@ -220,11 +217,9 @@ func RunODR(sample []Request, files []*FileMeta, aps []*AP, opts ReplayOptions) 
 }
 
 // RunAPBenchmarkStream replays a request stream across APs per §5.1
-// without holding it; results are identical for any shard count and
-// transport tuning.
-func RunAPBenchmarkStream(src RequestSource, aps []*AP, seed uint64, shards int,
-	tune StreamTuning) (*APBench, error) {
-	return replay.RunAPBenchmarkStream(src, aps, seed, shards, tune)
+// without holding it; results are identical for any shard count.
+func RunAPBenchmarkStream(src RequestSource, aps []*AP, seed uint64, shards int) (*APBench, error) {
+	return replay.RunAPBenchmarkStream(src, aps, seed, shards)
 }
 
 // RunODRStream replays a request stream through the ODR decision

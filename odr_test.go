@@ -78,7 +78,7 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatal("stream-sampled ODR replay diverged from the slice-sampled one")
 	}
 
-	bench, err := RunAPBenchmarkStream(NewSliceSource(sample), aps, 1, 0, StreamTuning{})
+	bench, err := RunAPBenchmarkStream(NewSliceSource(sample), aps, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
