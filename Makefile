@@ -165,7 +165,7 @@ reach:
 # parallelism, and the bytes it has always produced; run its invariance
 # and golden-digest tests single- and multi-threaded.
 determinism:
-	$(GO) test -run 'TestReplayDeterminism|TestReplayGolden' -race -cpu 1,4 ./internal/replay
+	$(GO) test -run 'TestReplayDeterminism|TestReplayGolden|TestReplayPopulationEdges' -race -cpu 1,4 ./internal/replay
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot

@@ -50,6 +50,11 @@ type Request struct {
 	// is a pure function of (seed, When) — deterministic for any shard
 	// count or execution order.
 	When time.Duration
+	// FileOrd and UserOrd are the file's and the user's ordinals in the
+	// cloud's Population, which the replay engine's reader resolves once
+	// per record. Zero means unresolved: the backends then resolve by ID
+	// through a locked step that answers exactly the same.
+	FileOrd, UserOrd Ordinal
 }
 
 // Reset clears the request for reuse. The replay engine pools one Request
@@ -190,6 +195,17 @@ func NewSet(files []*workload.FileMeta, cfg CloudConfig, seed uint64) *Set {
 		CloudThenAP: NewCloudThenAP(c),
 	}
 }
+
+// Population returns the fleet's file and user numbering: the cloud's,
+// seeded from the files the set was built over.
+func (s *Set) Population() *Population { return s.Cloud.pop }
+
+// Reserve sizes every per-replay table for a replay of n records — the
+// cloud's per-file slots and verdict bitset, and the per-user tables of
+// resilience wrappers built afterwards — so none grows while workers read
+// it. A replay that resolves ordinals calls it after NewSet and before
+// wrapping the fleet; callers without ordinals need not.
+func (s *Set) Reserve(n int) { s.Cloud.reserve(n) }
 
 // Resolve maps a decision's route to the backend that executes it.
 // RouteCloudPreDownload resolves to the cloud: the cloud is the machine

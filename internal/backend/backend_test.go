@@ -194,3 +194,127 @@ func TestCloudStagnationTimeoutFromConfig(t *testing.T) {
 		t.Skip("no cloud pre-download failures in fixture; widen the sample")
 	}
 }
+
+// newDynamicSet is newSet with the cloud in dynamic mode: the band policy
+// on a pool squeezed to a twelfth of the population's bytes.
+func newDynamicSet(prime []workload.Request, files []*workload.FileMeta) *backend.Set {
+	var pop int64
+	for _, f := range files {
+		pop += f.Size
+	}
+	cfg := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
+	cfg.CachePolicy = "band"
+	cfg.PoolCapacity = pop / 12
+	set := backend.NewSet(files, cfg, fixtureSeed)
+	set.Cloud.Prime(prime)
+	return set
+}
+
+// TestCloudDynamicConformance runs the conformance suite — its concurrent
+// arm included — against the policy-driven cloud, with requests that
+// carry no ordinals: every probe and pre-download goes through the locked
+// resolve-by-ID step, which must be race-free under -race. Only the first
+// half of the sample is primed, so the concurrent arm also builds the
+// slots of files it meets first.
+func TestCloudDynamicConformance(t *testing.T) {
+	sample, files, aps := fixture(t)
+	backendtest.Run(t, len(sample), func() backendtest.Instance {
+		return backendtest.Instance{
+			Backend: newDynamicSet(sample[:len(sample)/2], files).Cloud,
+			Request: requests(sample, aps),
+		}
+	})
+}
+
+// TestResilientConformance runs the conformance suite against the cloud
+// route of a resilience-wrapped fleet. Requests carry no ordinals, so the
+// wrapper resolves each user by ID through the fleet's shared Population,
+// growing its breaker table as users arrive, while the cloud resolves
+// files through the same one (half of them unprimed, as above).
+func TestResilientConformance(t *testing.T) {
+	sample, files, aps := fixture(t)
+	backendtest.Run(t, len(sample), func() backendtest.Instance {
+		fleet, _ := backend.WrapResilient(backend.NewFleet(newSet(sample[:len(sample)/2], files)),
+			backend.RetryPolicy{}, nil)
+		return backendtest.Instance{
+			Backend: fleet.For(core.RouteCloud),
+			Request: requests(sample, aps),
+		}
+	})
+}
+
+// TestPrimeIdempotent pins Prime's contract: priming a sample twice
+// answers Probe and PreDownload exactly as priming it once, in static and
+// dynamic mode.
+func TestPrimeIdempotent(t *testing.T) {
+	sample, files, aps := fixture(t)
+	for _, mode := range []struct {
+		name string
+		set  func() *backend.Set
+	}{
+		{"static", func() *backend.Set { return newSet(sample, files) }},
+		{"dynamic", func() *backend.Set { return newDynamicSet(sample, files) }},
+	} {
+		once, twice := mode.set().Cloud, mode.set().Cloud
+		twice.Prime(sample)
+		reqs := requests(sample, aps)
+		hits := 0
+		for i := range sample {
+			a, b := once.Probe(reqs(i)), twice.Probe(reqs(i))
+			if a != b {
+				t.Fatalf("%s: request %d: probe %v after one Prime, %v after two", mode.name, i, a, b)
+			}
+			if a {
+				hits++
+			}
+			if a, b := once.PreDownload(reqs(i)), twice.PreDownload(reqs(i)); a != b {
+				t.Fatalf("%s: request %d: pre-download %+v after one Prime, %+v after two", mode.name, i, a, b)
+			}
+		}
+		if hits == 0 || hits == len(sample) {
+			t.Fatalf("%s: %d of %d probes hit; the fixture no longer separates cached from uncached", mode.name, hits, len(sample))
+		}
+	}
+}
+
+// TestCloudOrdinalsMatchByID proves the two ways into the cloud agree:
+// observing through Population ordinals (the replay engine's reader) and
+// probing with ordinals set answers exactly what Prime and ordinal-less
+// requests answer, in static and dynamic mode.
+func TestCloudOrdinalsMatchByID(t *testing.T) {
+	sample, files, aps := fixture(t)
+	for _, mode := range []struct {
+		name string
+		set  func() *backend.Set
+	}{
+		{"static", func() *backend.Set { return newSet(sample, files) }},
+		{"dynamic", func() *backend.Set { return newDynamicSet(sample, files) }},
+	} {
+		byID := mode.set().Cloud
+		// The same construction, observed through ordinals instead of Prime.
+		cfg := byID.Config()
+		ords := backend.NewSet(files, cfg, fixtureSeed)
+		ords.Reserve(len(sample))
+		pop := ords.Population()
+		fileOrd := make([]backend.Ordinal, len(sample))
+		userOrd := make([]backend.Ordinal, len(sample))
+		for i, r := range sample {
+			fileOrd[i], userOrd[i] = pop.Resolve(r)
+			ords.Cloud.ObserveOrdinal(i, fileOrd[i], r.File, r.Time)
+		}
+		reqs := requests(sample, aps)
+		for i := range sample {
+			req := reqs(i)
+			req.FileOrd, req.UserOrd = fileOrd[i], userOrd[i]
+			if a, b := byID.Probe(reqs(i)), ords.Cloud.Probe(req); a != b {
+				t.Fatalf("%s: request %d: probe %v by ID, %v by ordinal", mode.name, i, a, b)
+			}
+			if a, b := byID.PreDownload(reqs(i)), ords.Cloud.PreDownload(req); a != b {
+				t.Fatalf("%s: request %d: pre-download %+v by ID, %+v by ordinal", mode.name, i, a, b)
+			}
+			if pop.Band(fileOrd[i]) != sample[i].File.Band() {
+				t.Fatalf("%s: request %d: population band %v, file band %v", mode.name, i, pop.Band(fileOrd[i]), sample[i].File.Band())
+			}
+		}
+	}
+}

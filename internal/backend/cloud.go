@@ -3,6 +3,7 @@ package backend
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"odr/internal/cloud"
@@ -29,42 +30,52 @@ var WarmProbs = [3]float64{0.70, 0.97, 0.998}
 // not stress cloud admission, so upload-pool bookkeeping reduces to byte
 // accounting in the Ledger.
 //
-// Concurrency and determinism: in the default static mode the warm pool
-// is immutable after construction, and each cache miss's pre-download
-// outcome is a memoized pure function of (seed, file) drawn from a
-// file-keyed RNG substream — never from a shared sequential stream.
-// Whether a request sees the file cached therefore depends only on the
-// warm set, that per-file outcome, and the index order recorded by
-// ObserveAt, not on which goroutine got there first.
+// Determinism: in the default static mode the warm pool is immutable
+// after construction, and each file's pre-download outcome is a pure
+// function of (seed, file) drawn from a file-keyed RNG substream — never
+// from a shared sequential stream. Whether a request sees the file cached
+// therefore depends only on the warm set, that per-file outcome, and the
+// index order recorded by ObserveAt, not on which goroutine got there
+// first.
 //
 // Naming a cache policy (cloud.Config.CachePolicy) switches the backend
 // to dynamic mode: the pool evolves under the policy — lookups refresh
 // placement, successful pre-downloads admit files, capacity pressure
-// evicts. The pool then mutates only in ObserveAt, which the replay
-// engine's reader goroutine calls in strictly ascending index order before
-// the matching request is dispatched. Each request's cached-or-not verdict
-// is latched in a bitset
-// at observation time, so the parallel dispatch phase only reads verdict
-// bits — worker scheduling still cannot influence what any request sees.
+// evicts. The pool then mutates only in the observation pass, and each
+// request's cached-or-not verdict is latched in a bitset at observation
+// time, so the parallel dispatch phase only reads verdict bits — worker
+// scheduling still cannot influence what any request sees.
+//
+// Concurrency: per-file state lives in a slot per file ordinal (see
+// Population), per-request verdicts in a bitset sized for the replay
+// (Set.Reserve). One goroutine — the replay engine's reader — writes
+// both, in ObserveOrdinal: a file's slot (warm bit, pre-download outcome,
+// first request index) once, at the file's first observation, and request
+// i's verdict bit while observing i. It does so before the channel send
+// that dispatches the record, and that send is the publication point:
+// every slot and bit a worker reads for a record was written while
+// observing that record or an earlier one, and is never written again, so
+// Probe and PreDownload on a request carrying ordinals take no lock.
+// Callers that fill a Request without ordinals go through one
+// resolve-by-ID step under mu, which also builds a missing slot; mu
+// guards nothing an engine worker touches.
 type Cloud struct {
 	cfg  cloud.Config
 	fm   cloud.FetchModel
 	src  *sources.Mix
 	pool *cloud.StoragePool
 	root *dist.RNG
+	pop  *Population
 
-	mu sync.Mutex
-	// outcomes memoizes the single pre-download attempt per file.
-	outcomes map[workload.FileID]PreResult
-	// firstIdx records each sampled file's earliest request index; a
-	// request sees a pre-downloaded (not warm) file as cached only when a
-	// strictly earlier request could have triggered the pre-download.
-	// Static mode only.
-	firstIdx map[workload.FileID]int
+	// mu serialises ordinal-less callers: ObserveAt, Probe and PreDownload
+	// on requests without ordinals, and the pool reads of Contains and
+	// PoolStats.
+	mu    sync.Mutex
+	slots table[fileSlot]
 	// dyn holds the policy-driven pool state; nil in static mode.
 	dyn *dynCache
-	// preLabel and preRNG are scratch state for outcomeLocked's per-file
-	// substream derivation, guarded by mu like the maps above.
+	// preLabel and preRNG are scratch state for attempt's per-file
+	// substream derivation, owned by whichever goroutine writes slots.
 	preLabel []byte
 	preRNG   *dist.RNG
 
@@ -72,33 +83,67 @@ type Cloud struct {
 	met    backendMetrics
 }
 
+// fileSlot is one file's cloud state for the replay. made and the fields
+// it covers are written once, when the slot is built; seen and first once,
+// at the file's first observation (the same moment, on the engine path).
+type fileSlot struct {
+	// out is the file's single pre-download attempt.
+	out PreResult
+	// first is the file's earliest observed request index; a request sees
+	// a pre-downloaded (not warm) file as cached only when a strictly
+	// earlier request could have triggered the pre-download. Static mode.
+	first int
+	made  bool
+	seen  bool
+	// warm reports the file in the warm pool. Static mode.
+	warm bool
+}
+
 // dynCache is the dynamic-mode observation state: how far the sequential
 // observation pass has advanced and the per-request cache verdicts it
 // latched along the way.
 type dynCache struct {
 	// verdicts is a bitset over request indices: bit i set means request i
-	// found its file cached at observation time.
-	verdicts []uint64
+	// found its file cached at observation time. Only the observing
+	// goroutine sets bits; words are atomic because a worker reads request
+	// j's bit while the observer sets a later bit in the same word.
+	verdicts []atomic.Uint64
 	// next is the lowest request index not yet observed.
 	next int
 }
 
-func (d *dynCache) set(i int) {
-	w := i >> 6
-	for len(d.verdicts) <= w {
-		d.verdicts = append(d.verdicts, 0)
+// reserve sizes the bitset for indices [0, n), at least doubling it when
+// it grows. Like table.reserve, it must not run while a worker reads
+// verdicts.
+func (d *dynCache) reserve(n int) {
+	words := (n + 63) >> 6
+	if words <= len(d.verdicts) {
+		return
 	}
-	d.verdicts[w] |= 1 << (uint(i) & 63)
+	words = max(words, 2*len(d.verdicts))
+	v := make([]atomic.Uint64, words)
+	for w := range d.verdicts {
+		v[w].Store(d.verdicts[w].Load())
+	}
+	d.verdicts = v
+}
+
+// set latches request i's hit. Single writer, so load-then-store cannot
+// lose a bit.
+func (d *dynCache) set(i int) {
+	w := &d.verdicts[i>>6]
+	w.Store(w.Load() | 1<<(uint(i)&63))
 }
 
 func (d *dynCache) get(i int) bool {
 	w := i >> 6
-	return w < len(d.verdicts) && d.verdicts[w]&(1<<(uint(i)&63)) != 0
+	return w < len(d.verdicts) && d.verdicts[w].Load()&(1<<(uint(i)&63)) != 0
 }
 
-// NewCloud builds a warmed cloud backend over the file population. It
-// panics when cfg names an unknown cache policy (construction-time
-// programming error, same contract as cloud.New).
+// NewCloud builds a warmed cloud backend over the file population, which
+// also seeds its Population. It panics when cfg names an unknown cache
+// policy (construction-time programming error, same contract as
+// cloud.New).
 func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud {
 	pol, err := cloud.NewPolicy(cfg.CachePolicy)
 	if err != nil {
@@ -109,14 +154,13 @@ func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud 
 	}
 	g := dist.NewRNG(seed).Split("mini-cloud")
 	c := &Cloud{
-		cfg:      cfg,
-		fm:       cloud.NewFetchModel(cfg),
-		src:      sources.NewMix(),
-		pool:     cloud.NewStoragePoolPolicy(cfg.PoolCapacity, len(files), pol),
-		root:     g,
-		outcomes: make(map[workload.FileID]PreResult),
-		firstIdx: make(map[workload.FileID]int),
-		preRNG:   dist.NewRNG(0),
+		cfg:    cfg,
+		fm:     cloud.NewFetchModel(cfg),
+		src:    sources.NewMix(),
+		pool:   cloud.NewStoragePoolPolicy(cfg.PoolCapacity, len(files), pol),
+		root:   g,
+		pop:    NewPopulation(files),
+		preRNG: dist.NewRNG(0),
 	}
 	if cfg.CachePolicy != "" {
 		c.dyn = &dynCache{}
@@ -128,6 +172,15 @@ func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud 
 		}
 	}
 	return c
+}
+
+// reserve sizes the per-file slots and the verdict bitset for a replay of
+// n records, before any worker starts.
+func (c *Cloud) reserve(n int) {
+	c.slots.reserve(c.pop.reserve(n))
+	if c.dyn != nil {
+		c.dyn.reserve(n)
+	}
 }
 
 // Name implements Backend.
@@ -169,20 +222,29 @@ func (c *Cloud) PolicyLabel() string {
 
 // Prime observes a whole in-memory sample up front (ObserveAt over each
 // request in order), for callers that probe the cloud outside the replay
-// engine. Calling Prime again extends the index map without disturbing
-// already-recorded entries.
+// engine. Calling Prime again changes nothing: every file already has its
+// first index, and dynamic mode skips indices it has observed.
 func (c *Cloud) Prime(sample []workload.Request) {
 	for i := range sample {
 		c.ObserveAt(i, sample[i].File, sample[i].Time)
 	}
 }
 
-// ObserveAt records one request as it flows past: the file's earliest
-// request index, and the pre-download outcome of a non-warm file, so the
-// parallel replay phase only reads. Requests must be observed in ascending
-// index order before any request with a larger index is dispatched; the
-// replay engine's reader goroutine does exactly that. Because the per-file
-// outcome is a memoized pure function of (seed, file) and firstIdx keeps
+// ObserveAt is ObserveOrdinal for callers without ordinals: it resolves
+// the file by ID, under the backend lock.
+func (c *Cloud) ObserveAt(i int, f *workload.FileMeta, when time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.observe(i, c.slotByIDLocked(f), f, when)
+}
+
+// ObserveOrdinal records request i for file f (ordinal o, from this
+// cloud's Population) as it flows past: on the file's first observation
+// it builds the file's slot — warm bit, pre-download outcome, earliest
+// request index — so the parallel replay phase only reads. Requests must
+// be observed in ascending index order, each before it is dispatched, by
+// one goroutine; the replay engine's reader does exactly that. Because the
+// per-file outcome is a pure function of (seed, file) and the slot keeps
 // only the smallest index per file, how far observation has run ahead of
 // dispatch is unobservable.
 //
@@ -191,25 +253,28 @@ func (c *Cloud) Prime(sample []workload.Request) {
 // refreshes or misses, and a successful pre-download outcome admits the
 // file for later requests. The request's own verdict is latched before
 // any admission, so a request never sees a file its own miss fetched.
-func (c *Cloud) ObserveAt(i int, f *workload.FileMeta, when time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Cloud) ObserveOrdinal(i int, o Ordinal, f *workload.FileMeta, when time.Duration) {
+	s := c.slots.at(o.idx())
+	if !s.made {
+		c.build(s, f)
+	}
+	c.observe(i, s, f, when)
+}
+
+func (c *Cloud) observe(i int, s *fileSlot, f *workload.FileMeta, when time.Duration) {
 	if c.dyn != nil {
-		c.observeDynamicLocked(i, f, when)
+		c.observeDynamic(i, s, f, when)
 		return
 	}
-	if _, ok := c.firstIdx[f.ID]; !ok {
-		c.firstIdx[f.ID] = i
-	}
-	if !c.pool.Contains(f.ID) {
-		c.outcomeLocked(f)
+	if !s.seen {
+		s.seen, s.first = true, i
 	}
 }
 
-// observeDynamicLocked advances the policy-driven pool by one request.
+// observeDynamic advances the policy-driven pool by one request.
 // Re-observing an already-observed index (a second Prime pass) is a
 // no-op; skipping ahead is an engine-sequencing bug and panics.
-func (c *Cloud) observeDynamicLocked(i int, f *workload.FileMeta, when time.Duration) {
+func (c *Cloud) observeDynamic(i int, s *fileSlot, f *workload.FileMeta, when time.Duration) {
 	if i < c.dyn.next {
 		return
 	}
@@ -217,14 +282,36 @@ func (c *Cloud) observeDynamicLocked(i int, f *workload.FileMeta, when time.Dura
 		panic("backend: out-of-order observation in dynamic cache mode")
 	}
 	c.dyn.next = i + 1
+	c.dyn.reserve(i + 1)
 	c.pool.Tick(when)
 	if c.pool.Lookup(f.ID) {
 		c.dyn.set(i)
 		return
 	}
-	if c.outcomeLocked(f).OK {
+	if s.out.OK {
 		c.pool.AddMeta(f)
 	}
+}
+
+// slotByIDLocked is the resolve-by-ID step: f's slot, built if missing.
+// The caller holds c.mu.
+func (c *Cloud) slotByIDLocked(f *workload.FileMeta) *fileSlot {
+	o := c.pop.fileByID(f)
+	c.slots.reserve(int(o))
+	s := c.slots.at(o.idx())
+	if !s.made {
+		c.build(s, f)
+	}
+	return s
+}
+
+// build fills a new slot: the warm bit (static mode; the warm pool is
+// immutable there) and the file's pre-download outcome, warm or not, so
+// no later read of the slot needs to write it.
+func (c *Cloud) build(s *fileSlot, f *workload.FileMeta) {
+	s.warm = c.dyn == nil && c.pool.Contains(f.ID)
+	s.out = c.attempt(f)
+	s.made = true
 }
 
 // Probe implements Backend: the file is available to this request when it
@@ -237,34 +324,41 @@ func (c *Cloud) Probe(req *Request) bool {
 }
 
 func (c *Cloud) probe(req *Request) bool {
-	if c.dyn != nil {
+	if req.FileOrd == 0 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
+		if c.dyn != nil {
+			return c.dyn.get(req.Index)
+		}
+		return c.slotByIDLocked(req.File).hit(req.Index)
+	}
+	if c.dyn != nil {
 		return c.dyn.get(req.Index)
 	}
-	if c.pool.Contains(req.File.ID) {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	first, ok := c.firstIdx[req.File.ID]
-	if !ok || first >= req.Index {
-		return false
-	}
-	return c.outcomeLocked(req.File).OK
+	return c.slots.at(req.FileOrd.idx()).hit(req.Index)
+}
+
+// hit is the static-mode verdict for request i.
+func (s *fileSlot) hit(i int) bool {
+	return s.warm || (s.seen && s.first < i && s.out.OK)
 }
 
 // PreDownload implements Backend: the cloud pre-downloads the file from
-// its original source through a pre-downloader VM. The outcome is
-// memoized per file — concurrent requests for one file deduplicate onto a
-// single attempt, exactly as the production cloud's in-flight
-// deduplication does. A failed attempt runs for the configured stagnation
-// timeout before the cloud declares failure.
+// its original source through a pre-downloader VM. The outcome is one per
+// file — concurrent requests for one file deduplicate onto a single
+// attempt, exactly as the production cloud's in-flight deduplication
+// does. A failed attempt runs for the configured stagnation timeout
+// before the cloud declares failure.
 func (c *Cloud) PreDownload(req *Request) PreResult {
 	c.ledger.preDownloads.Add(1)
-	c.mu.Lock()
-	out := c.outcomeLocked(req.File)
-	c.mu.Unlock()
+	var out PreResult
+	if req.FileOrd == 0 {
+		c.mu.Lock()
+		out = c.slotByIDLocked(req.File).out
+		c.mu.Unlock()
+	} else {
+		out = c.slots.at(req.FileOrd.idx()).out
+	}
 	if !out.OK {
 		c.ledger.failures.Add(1)
 	}
@@ -272,30 +366,23 @@ func (c *Cloud) PreDownload(req *Request) PreResult {
 	return out
 }
 
-// outcomeLocked resolves (and memoizes) the file's single pre-download
-// attempt. The caller holds c.mu.
-func (c *Cloud) outcomeLocked(f *workload.FileMeta) PreResult {
-	if out, ok := c.outcomes[f.ID]; ok {
-		return out
-	}
+// attempt runs the file's single pre-download attempt from its own RNG
+// substream.
+func (c *Cloud) attempt(f *workload.FileMeta) PreResult {
 	c.preLabel = append(c.preLabel[:0], "pre:"...)
 	c.preLabel = f.ID.AppendHex(c.preLabel)
 	c.root.SplitBytesInto(c.preRNG, c.preLabel)
 	att := c.src.Attempt(c.preRNG, f)
-	var out PreResult
 	if !att.OK {
-		out = PreResult{Delay: c.cfg.StagnationTimeout, Cause: att.Cause.String()}
-	} else {
-		rate := math.Min(att.Rate, cloud.PreDownloaderBW)
-		out = PreResult{
-			OK:      true,
-			Rate:    rate,
-			Delay:   time.Duration(float64(f.Size) / rate * float64(time.Second)),
-			Traffic: float64(f.Size) * att.OverheadRatio,
-		}
+		return PreResult{Delay: c.cfg.StagnationTimeout, Cause: att.Cause.String()}
 	}
-	c.outcomes[f.ID] = out
-	return out
+	rate := math.Min(att.Rate, cloud.PreDownloaderBW)
+	return PreResult{
+		OK:      true,
+		Rate:    rate,
+		Delay:   time.Duration(float64(f.Size) / rate * float64(time.Second)),
+		Traffic: float64(f.Size) * att.OverheadRatio,
+	}
 }
 
 // Fetch implements Backend: one user fetch from the cloud, charging the

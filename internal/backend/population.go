@@ -1,0 +1,178 @@
+package backend
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"odr/internal/workload"
+)
+
+// Ordinal is a file's or a user's dense index in a replay's Population,
+// stored plus one so that a Request's zero value reads as "unresolved".
+type Ordinal int32
+
+// idx is the zero-based table index.
+func (o Ordinal) idx() int32 { return int32(o) - 1 }
+
+// Population numbers one replay's files and users densely, so per-file and
+// per-user state lives in tables indexed by ordinal rather than in maps
+// keyed by the 16-byte FileID or the raw user ID. Files are seeded from
+// the population the backends were built over, in order; files and users
+// seen later are appended in first-seen order.
+//
+// Concurrency: Resolve is the replay engine's reader's, which calls it
+// once per record before dispatching the record — it alone writes the
+// maps then, and the dispatch send publishes the ordinals it hands out.
+// Callers that fill a Request without ordinals (tests, bench probes)
+// resolve through fileByID/userByID instead, which serialise on mu. The
+// two modes do not mix on one population.
+type Population struct {
+	mu    sync.Mutex
+	files map[workload.FileID]Ordinal
+	users map[int]Ordinal
+	// bands is each seeded file's popularity band, by index. A file
+	// appended later is unknown to the replay's popularity database, which
+	// reports unknown files as unpopular (core.StaticDB).
+	bands []workload.PopularityBand
+	// userCap is how many user ordinals the per-user tables were sized for
+	// (Reserve); wrappers built afterwards size their tables from it.
+	userCap int
+}
+
+// NewPopulation seeds a population from files, in order. A duplicated ID
+// keeps its first ordinal and its last band, as core.NewStaticDB does.
+func NewPopulation(files []*workload.FileMeta) *Population {
+	p := &Population{
+		files: make(map[workload.FileID]Ordinal, len(files)),
+		users: make(map[int]Ordinal),
+		bands: make([]workload.PopularityBand, 0, len(files)),
+	}
+	for _, f := range files {
+		o, ok := p.files[f.ID]
+		if !ok {
+			o = Ordinal(len(p.bands) + 1)
+			p.files[f.ID] = o
+			p.bands = append(p.bands, 0)
+		}
+		p.bands[o.idx()] = f.Band()
+	}
+	return p
+}
+
+// Resolve returns the request's file and user ordinals, appending either
+// if it is new. Reader only: see the type's concurrency note.
+func (p *Population) Resolve(r workload.Request) (file, user Ordinal) {
+	return p.File(r.File), p.user(r.User)
+}
+
+// File is Resolve for a file alone, for an observation pass that
+// dispatches nothing and so needs no user ordinals. Reader only.
+func (p *Population) File(f *workload.FileMeta) Ordinal {
+	o, ok := p.files[f.ID]
+	if !ok {
+		o = Ordinal(len(p.files) + 1)
+		p.files[f.ID] = o
+	}
+	return o
+}
+
+func (p *Population) user(u *workload.User) Ordinal {
+	o, ok := p.users[u.ID]
+	if !ok {
+		o = Ordinal(len(p.users) + 1)
+		p.users[u.ID] = o
+	}
+	return o
+}
+
+// fileByID and userByID are Resolve's halves for ordinal-less callers.
+func (p *Population) fileByID(f *workload.FileMeta) Ordinal {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.File(f)
+}
+
+func (p *Population) userByID(u *workload.User) Ordinal {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.user(u)
+}
+
+// reserve records that the replay about to run has n records, returning
+// how many file ordinals those records can reach: every ordinal handed
+// out so far plus one new file per record.
+func (p *Population) reserve(n int) (files int) {
+	p.userCap = len(p.users) + n
+	return len(p.files) + n
+}
+
+// numUsers is how many user ordinals have been handed out.
+func (p *Population) numUsers() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.users)
+}
+
+// Band returns the file's popularity band as the replay's popularity
+// database knows it: the seeded file's band, unpopular for a file
+// appended after seeding.
+func (p *Population) Band(o Ordinal) workload.PopularityBand {
+	if i := o.idx(); i < int32(len(p.bands)) {
+		return p.bands[i]
+	}
+	return workload.BandUnpopular
+}
+
+// pageShift sizes the pages of a per-ordinal table: 1024 slots.
+const pageShift = 10
+
+const pageLen = 1 << pageShift
+
+// table is per-ordinal state in fixed-size pages behind a directory sized
+// up front (reserve). A slot never moves once its page exists, so one
+// goroutine can hand out slot pointers while another adds pages, and
+// memory grows with the ordinals touched, not with the reservation. A page
+// is allocated on first touch by whichever goroutine gets there first (a
+// compare-and-swap on its directory entry); the directory itself must not
+// grow while another goroutine reads it.
+type table[T any] struct {
+	dir []atomic.Pointer[[pageLen]T]
+}
+
+// reserve sizes the directory for n slots. It must not run concurrently
+// with at: call it before the table is shared, or with every caller
+// serialised.
+func (t *table[T]) reserve(n int) {
+	pages := (n + pageLen - 1) >> pageShift
+	if pages <= len(t.dir) {
+		return
+	}
+	dir := make([]atomic.Pointer[[pageLen]T], pages)
+	for k := range t.dir {
+		dir[k].Store(t.dir[k].Load())
+	}
+	t.dir = dir
+}
+
+// at returns slot i, allocating its page on first touch.
+func (t *table[T]) at(i int32) *T {
+	e := &t.dir[i>>pageShift]
+	pg := e.Load()
+	if pg == nil {
+		pg = new([pageLen]T)
+		if !e.CompareAndSwap(nil, pg) {
+			pg = e.Load()
+		}
+	}
+	return &pg[i&(pageLen-1)]
+}
+
+// peek returns slot i, or nil when its page was never touched.
+func (t *table[T]) peek(i int) *T {
+	if k := i >> pageShift; k < len(t.dir) {
+		if pg := t.dir[k].Load(); pg != nil {
+			return &pg[i&(pageLen-1)]
+		}
+	}
+	return nil
+}

@@ -98,10 +98,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// breaker is one user's circuit state on one backend. A user's requests
-// execute in ascending trace-time order on exactly one shard (the engine
-// partitions by user), so the state sequence below is deterministic for
-// any shard count even though the map holding it is shared.
+// breaker is one user's circuit state on one backend.
 type breaker struct {
 	consec    int
 	openUntil time.Duration
@@ -113,12 +110,24 @@ type breaker struct {
 // request's RNG substream and all waiting is virtual (accumulated into
 // the result's Delay), so wrapped replays stay byte-identical across
 // shard counts.
+//
+// Concurrency: breakers hold one slot per user ordinal (see Population).
+// The replay engine partitions requests by user, so a user's requests run
+// in ascending index order on exactly one shard worker, and that worker is
+// the only goroutine that reads or writes the user's slot — no lock, and
+// the same state sequence for any shard count. The slot's page exists
+// before the first request for the user executes: the reader resolved the
+// ordinal before the dispatch send, and the table's directory was sized
+// for the replay up front (Set.Reserve, then WrapResilient). A request
+// without ordinals resolves its user by ID and touches its slot under mu;
+// mu guards nothing an engine worker touches.
 type Resilient struct {
 	inner Backend
 	pol   RetryPolicy
+	pop   *Population
 
 	mu       sync.Mutex
-	breakers map[int]*breaker
+	breakers table[breaker]
 	// maxWhen tracks the latest trace time any operation saw (an atomic
 	// max, hence order-independent); FinishMetrics uses it as "end of
 	// replay" when counting still-open breakers.
@@ -129,13 +138,17 @@ type Resilient struct {
 	state   *obs.Gauge
 }
 
-// NewResilient wraps inner with pol (zero fields take defaults).
+// NewResilient wraps inner with pol (zero fields take defaults). Its users
+// are numbered by a population of its own; WrapResilient shares the
+// fleet's instead.
 func NewResilient(inner Backend, pol RetryPolicy) *Resilient {
-	return &Resilient{
-		inner:    inner,
-		pol:      pol.withDefaults(),
-		breakers: make(map[int]*breaker),
-	}
+	return newResilient(inner, pol, NewPopulation(nil))
+}
+
+func newResilient(inner Backend, pol RetryPolicy, pop *Population) *Resilient {
+	r := &Resilient{inner: inner, pol: pol.withDefaults(), pop: pop}
+	r.breakers.reserve(pop.userCap)
+	return r
 }
 
 // Instrument resolves the wrapper's metric handles (nil reg disables).
@@ -156,8 +169,8 @@ func (r *Resilient) FinishMetrics() {
 	end := time.Duration(r.maxWhen.Load())
 	r.mu.Lock()
 	open := 0
-	for _, b := range r.breakers {
-		if b.openUntil > end {
+	for i, n := 0, r.pop.numUsers(); i < n; i++ {
+		if b := r.breakers.peek(i); b != nil && b.openUntil > end {
 			open++
 		}
 	}
@@ -248,10 +261,12 @@ func (r *Resilient) backoff(req *Request, attempt int) time.Duration {
 // circuitOpen reports whether the requesting user's circuit on this
 // backend is open at the request's trace time.
 func (r *Resilient) circuitOpen(req *Request) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := r.breakers[req.User.ID]
-	return b != nil && b.openUntil > req.When
+	b, locked := r.breaker(req)
+	open := b.openUntil > req.When
+	if locked {
+		r.mu.Unlock()
+	}
+	return open
 }
 
 // observe feeds an operation's final outcome into the user's breaker.
@@ -265,25 +280,40 @@ func (r *Resilient) observe(req *Request, ok bool, cause string) {
 			break
 		}
 	}
-	if ok || IsFaultCause(cause) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		b := r.breakers[req.User.ID]
-		if b == nil {
-			b = &breaker{}
-			r.breakers[req.User.ID] = b
-		}
-		if ok {
-			b.consec = 0
-			return
-		}
-		b.consec++
-		if b.consec >= r.pol.BreakerThreshold {
-			b.consec = 0
-			b.openUntil = req.When + r.pol.BreakerCooldown
-			r.opens.Inc()
-		}
+	if !ok && !IsFaultCause(cause) {
+		return
 	}
+	b, locked := r.breaker(req)
+	if locked {
+		defer r.mu.Unlock()
+	}
+	if ok {
+		// Skip the no-op store: neighbouring slots belong to other shards'
+		// users, and a write would bounce their cache line.
+		if b.consec != 0 {
+			b.consec = 0
+		}
+		return
+	}
+	b.consec++
+	if b.consec >= r.pol.BreakerThreshold {
+		b.consec = 0
+		b.openUntil = req.When + r.pol.BreakerCooldown
+		r.opens.Inc()
+	}
+}
+
+// breaker returns the requesting user's slot. A request with ordinals
+// reads the table directly; one without resolves its user by ID and
+// returns with r.mu held (locked), for the caller to release.
+func (r *Resilient) breaker(req *Request) (b *breaker, locked bool) {
+	if req.UserOrd != 0 {
+		return r.breakers.at(req.UserOrd.idx()), false
+	}
+	r.mu.Lock()
+	o := r.pop.userByID(req.User)
+	r.breakers.reserve(int(o))
+	return r.breakers.at(o.idx()), true
 }
 
 var (
@@ -294,11 +324,13 @@ var (
 // WrapResilient layers the retry/breaker policy over every backend in
 // the fleet and instruments the wrappers against reg (nil disables
 // metrics). The returned finish func publishes the end-of-run circuit
-// gauges; call it after the replay joins.
+// gauges; call it after the replay joins. The wrappers number users with
+// the fleet set's Population and size their breaker tables from its
+// reservation, so a replay that resolves ordinals calls Set.Reserve first.
 func WrapResilient(f *Fleet, pol RetryPolicy, reg *obs.Registry) (*Fleet, func()) {
 	var wrappers []*Resilient
 	nf := f.Wrap(func(b Backend) Backend {
-		w := NewResilient(b, pol)
+		w := newResilient(b, pol, f.Set().Population())
 		w.Instrument(reg)
 		wrappers = append(wrappers, w)
 		return w

@@ -194,11 +194,13 @@ func (l *Lab) PaperScale() *Report {
 	fileCloser.Close()
 	replayRate := float64(seqN) / replaySecs
 	allocsPerReq := float64(after.Mallocs-before.Mallocs) / float64(seqN)
-	r.addf("replay (trace file, 4 shards): %d tasks in %.1fs — %.0f req/s, %.1f allocs/request, %.2f GB heap",
-		len(fileRes.Tasks), replaySecs, replayRate, allocsPerReq, float64(after.HeapAlloc)/gb)
+	gcPauseMs := float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6
+	r.addf("replay (trace file, 4 shards): %d tasks in %.1fs — %.0f req/s, %.1f allocs/request, %.2f GB heap, %.1f ms GC pause",
+		len(fileRes.Tasks), replaySecs, replayRate, allocsPerReq, float64(after.HeapAlloc)/gb, gcPauseMs)
 	r.metric("replay_reqs_per_s", replayRate, -1)
 	r.metric("allocs_per_request", allocsPerReq, -1)
 	r.metric("heap_gb", float64(after.HeapAlloc)/gb, -1)
+	r.metric("gc_pause_ms", gcPauseMs, -1)
 
 	fileDigest := fileRes.Digest()
 	genRes, err := replay.RunODRStream(

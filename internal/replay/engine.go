@@ -20,15 +20,27 @@ import (
 //   - each request draws from its own RNG substream keyed by the
 //     request's GLOBAL index (root.Split64(i)), never from a shared
 //     sequential stream;
-//   - backend state is immutable after construction or memoized as a
-//     pure function of (seed, file), with cross-request cache visibility
-//     gated by request index (see backend.Cloud.ObserveAt, which the
-//     reader calls in index order before dispatch), so "who ran first"
-//     is unobservable;
+//   - backend state is immutable after construction or a pure function
+//     of (seed, file), with cross-request cache visibility gated by
+//     request index, so "who ran first" is unobservable;
 //   - every shard writes each task in place to the slot of its own
 //     global index, counts into its own ShardTotals, and backend ledgers
 //     use atomic integers — all merges are associative integer sums
 //     taken in shard order.
+//
+// Who writes what, and when. The reader goroutine alone runs the observe
+// hook, in index order, once per record: for an ODR replay that resolves
+// the record's file and user ordinals (backend.Population.Resolve) and
+// observes the record on the cloud (backend.Cloud.ObserveOrdinal), which
+// on a file's first observation writes the file's slot — warm bit,
+// pre-download outcome, first index — and in dynamic mode sets the
+// record's verdict bit. The reader then packs the record and its ordinals
+// into a batch; the batch's channel send to the shard is the publication
+// point, so every slot a worker reads was written before the worker
+// received the record that names it, and no slot is written again.
+// Workers write only their own tasks, their own ShardTotals, atomic
+// ledgers and metrics, and — under resilience — the breaker slots of the
+// users their shard owns. No worker takes a backend lock.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
 // afterwards, sequentially over the merged task slice in index order.
@@ -149,37 +161,57 @@ func userShard(u *workload.User, shards int) int {
 	return int((h >> 32) % uint64(shards))
 }
 
-// streamCell carries one request from the reader to a shard worker. The
-// reader fills cells before the batch's channel send and the owning
-// worker reads them before releasing the batch — every access is ordered
-// by the channel operations.
+// streamCell carries one request and its ordinals from the reader to a
+// shard worker. The reader fills cells before the batch's channel send and
+// the owning worker reads them before releasing the batch — every access
+// is ordered by the channel operations.
 type streamCell struct {
-	i    int
-	wreq workload.Request
+	i          int
+	wreq       workload.Request
+	file, user backend.Ordinal
 }
 
-// bindRequest points the reused backend request at one replay request,
-// reseeding the worker's scratch RNG to the exact substream
-// root.Split64(i) would return. Reset-then-fill keeps the pooled object's
-// contract obvious: nothing from the previous request survives.
+// bindRequest points the reused backend request at one replay request at
+// global index i, reseeding the worker's scratch RNG to the exact
+// substream root.Split64(i) would return. Reset-then-fill keeps the pooled
+// object's contract obvious: nothing from the previous request survives.
 func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
-	i int, wreq workload.Request, aps []*smartap.AP) {
+	i int, c *streamCell, aps []*smartap.AP) {
 	req.Reset()
 	root.Split64Into(rng, uint64(i))
 	req.Index = i
-	req.User = wreq.User
-	req.File = wreq.File
+	req.User = c.wreq.User
+	req.File = c.wreq.File
+	req.FileOrd = c.file
+	req.UserOrd = c.user
 	req.RNG = rng
 	req.EnvCap = EnvCap
-	req.When = wreq.Time
+	req.When = c.wreq.Time
 	if len(aps) > 0 {
 		req.AP = aps[i%len(aps)]
 	}
 }
 
+// sized returns src with its length: a workload.Sizer's announced count,
+// or, for a source of unknown length, the count of the request slice it
+// is first drained into (workload.Collect).
+func sized(src workload.RequestSource) (workload.RequestSource, int, error) {
+	if sz, ok := src.(workload.Sizer); ok {
+		if n := sz.TotalRequests(); n > 0 {
+			return src, n, nil
+		}
+	}
+	reqs, err := workload.Collect(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	return workload.NewSliceSource(reqs), len(reqs), nil
+}
+
 // runShardedStream replays src through fn across user-partitioned shards:
 // a single reader goroutine (the caller) pulls requests in global-index
-// order, invokes the observe hook (cloud priming) on each, and packs them
+// order, invokes the observe hook (ordinal resolution and cloud
+// observation) on each, and packs them with the ordinals it returned
 // into fixed-size batches fanned out to per-shard work channels keyed by
 // user partition. fn receives the request's local index, the raw workload
 // request, the backend-layer request (environment-bound, with its own RNG
@@ -218,22 +250,15 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 // tests pass anything else.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	seed uint64, base, shards, chunk int, eo *engineObs[T],
-	observe func(i int, wreq workload.Request),
+	observe func(i int, wreq workload.Request) (file, user backend.Ordinal),
 	fn func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
 ) ([]T, EngineStats, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	hint := 0
-	if sz, ok := src.(workload.Sizer); ok {
-		hint = sz.TotalRequests()
-	}
-	if hint <= 0 {
-		reqs, err := workload.Collect(src)
-		if err != nil {
-			return nil, EngineStats{}, err
-		}
-		src, hint = workload.NewSliceSource(reqs), len(reqs)
+	src, hint, err := sized(src)
+	if err != nil {
+		return nil, EngineStats{}, err
 	}
 	if hint > 0 && shards > hint {
 		shards = hint
@@ -280,7 +305,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 			for batch := range work[s] {
 				for k := range batch {
 					c := &batch[k]
-					bindRequest(req, rng, root, base+c.i, c.wreq, aps)
+					bindRequest(req, rng, root, base+c.i, c, aps)
 					t := &tasks[c.i]
 					ok := fn(c.i, c.wreq, req, t)
 					totals.Tasks++
@@ -335,15 +360,16 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		if n == hint {
 			return fail(fmt.Errorf("replay: source announced %d requests (workload.Sizer) but yielded at least %d", hint, n+1))
 		}
+		c := streamCell{i: i, wreq: wreq}
 		if observe != nil {
-			observe(i, wreq)
+			c.file, c.user = observe(i, wreq)
 		}
 		n++
 		s := userShard(wreq.User, shards)
 		if cur[s] == nil {
 			cur[s] = <-free[s]
 		}
-		cur[s] = append(cur[s], streamCell{i: i, wreq: wreq})
+		cur[s] = append(cur[s], c)
 		if len(cur[s]) == chunk {
 			flush(s)
 		}

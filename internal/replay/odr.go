@@ -297,10 +297,15 @@ func runODRWindowed(prefix, window workload.RequestSource, base int,
 	if opts.CloudScale <= 0 {
 		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
 	}
+	window, records, err := sized(window)
+	if err != nil {
+		return nil, err
+	}
 	set := backend.NewSet(files, opts.cloudConfig(), opts.Seed)
+	set.Reserve(base + records)
 	set.Instrument(opts.Metrics)
 	fleet, finish := newFleet(set, opts)
-	db := core.NewStaticDB(files)
+	pop := set.Population()
 
 	if prefix != nil {
 		n := 0
@@ -312,7 +317,9 @@ func runODRWindowed(prefix, window workload.RequestSource, base int,
 			if i != n {
 				return nil, fmt.Errorf("replay: observation prefix yielded index %d, want %d", i, n)
 			}
-			set.Cloud.ObserveAt(i, wreq.File, wreq.Time)
+			if n < base { // tables are sized for base+records; an overrun fails below
+				set.Cloud.ObserveOrdinal(i, pop.File(wreq.File), wreq.File, wreq.Time)
+			}
 			n++
 		}
 		if err := prefix.Err(); err != nil {
@@ -324,12 +331,10 @@ func runODRWindowed(prefix, window workload.RequestSource, base int,
 	}
 
 	res := &ODRResult{Backends: set}
-	var err error
 	res.Tasks, res.Engine, err = runShardedStream(window, aps, opts.Seed, base, opts.Shards,
-		opts.chunk, newODRObs(opts.Metrics),
-		func(i int, wreq workload.Request) { set.Cloud.ObserveAt(base+i, wreq.File, wreq.Time) },
+		opts.chunk, newODRObs(opts.Metrics), observer(set, base),
 		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			odrTask(task, wreq, req, db, fleet, opts)
+			odrTask(task, wreq, req, pop, fleet, opts)
 			return task.Success
 		})
 	if err != nil {
@@ -343,6 +348,17 @@ func runODRWindowed(prefix, window workload.RequestSource, base int,
 	return res, nil
 }
 
+// observer is the engine's observe hook over set: resolve the record's
+// ordinals, then observe it on the cloud at its global index.
+func observer(set *backend.Set, base int) func(int, workload.Request) (backend.Ordinal, backend.Ordinal) {
+	pop := set.Population()
+	return func(i int, wreq workload.Request) (backend.Ordinal, backend.Ordinal) {
+		file, user := pop.Resolve(wreq)
+		set.Cloud.ObserveOrdinal(base+i, file, wreq.File, wreq.Time)
+		return file, user
+	}
+}
+
 // odrTask routes one request per Figure 15 and executes it on the backend
 // the decision resolves to, filling task in place (the engine hands it a
 // pooled slot in the shard's output buffer). With resilience enabled the
@@ -350,12 +366,12 @@ func runODRWindowed(prefix, window workload.RequestSource, base int,
 // before any attempt, and a task that still fails on a fault gets one
 // re-execution on the fallback backend (reason retry_exhausted).
 func odrTask(task *ODRTask, wreq workload.Request, req *backend.Request,
-	db core.StaticDB, fleet *backend.Fleet, opts Options) {
+	pop *backend.Population, fleet *backend.Fleet, opts Options) {
 	user, file := req.User, req.File
 
 	in := core.Input{
 		Protocol:  file.Protocol,
-		Band:      db.Band(file.ID),
+		Band:      pop.Band(req.FileOrd),
 		Cached:    fleet.For(core.RouteCloud).Probe(req),
 		ISP:       user.ISP,
 		AccessBW:  user.AccessBW,
@@ -618,11 +634,11 @@ func runBaseline(sample []workload.Request, files []*workload.FileMeta,
 	deliver func(task *ODRTask, set *backend.Set, req *backend.Request)) *ODRResult {
 	opts := Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles}
 	set := backend.NewSet(files, opts.cloudConfig(), seed)
+	set.Reserve(len(sample))
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
-		seed, 0, 0, 0, nil,
-		func(i int, wreq workload.Request) { set.Cloud.ObserveAt(i, wreq.File, wreq.Time) },
+		seed, 0, 0, 0, nil, observer(set, 0),
 		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 			*task = ODRTask{Request: wreq}
 			if !set.Cloud.Probe(req) {
