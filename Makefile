@@ -22,8 +22,8 @@ ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 
 # fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
 # (committed corpora in testdata/fuzz, so every past counterexample
-# replays on plain `go test` as well), the ODRP partial decoder, the
-# checkpoint manifest loader, the live server's two decide endpoints, the
+# replays on plain `go test` as well), the ODRP partial decoder, the ODRS
+# state-file decoder, the checkpoint manifest loader, the live server's two decide endpoints, the
 # serve path's wire codec against encoding/json (decoder and encoder), and
 # the lazily seeded RNG source against math/rand. Long enough to shake out
 # decode panics and stream divergence, short enough for CI.
@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime $(FUZZ_TIME) ./internal/distrib
 	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZ_TIME) ./internal/distrib
 	$(GO) test -run '^$$' -fuzz FuzzDecideBodies -fuzztime $(FUZZ_TIME) ./internal/odrweb
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZ_TIME) ./internal/odrweb
@@ -60,16 +61,20 @@ paperscale:
 
 # distributed-smoke proves the multi-process replay coordinator end to
 # end at ~200k tasks: generate a bin trace, run a 3-worker coordinated
-# replay that crashes one worker mid-window and halts after two
+# replay under the prewarm policy on a pool small enough to evict (so a
+# dynamic pool, ghost ring and all, crosses a process boundary in every
+# state file) that crashes one worker mid-window and halts after two
 # checkpointed windows (exit code 3), tear one of the checkpointed
-# partials in half as a crash mid-write would, then rerun the same
-# command to resume from the manifest with -verify — the torn partial
-# must be detected and its window recomputed, and the merged digest must
-# be byte-identical to a single-process replay of the same trace, crash,
-# torn write and all. Set DISTRIB_SMOKE_DIR to keep the trace,
+# partials and one of the window state files in half as a crash mid-write
+# would, then rerun the same command to resume from the manifest with
+# -verify — the torn partial must be detected and its window recomputed,
+# the state files recomputed rather than trusted, and the merged digest
+# must be byte-identical to a single-process replay of the same trace,
+# crash, torn writes and all. Set DISTRIB_SMOKE_DIR to keep the trace,
 # checkpoint, and logs (CI points it at a workspace path and uploads
 # them as artifacts on failure); by default everything lands in a mktemp
 # dir removed on exit.
+DISTRIB_SMOKE_POOL := -cache-policy prewarm -pool-bytes 500000000000
 distributed-smoke:
 	@dir="$(DISTRIB_SMOKE_DIR)"; \
 	if [ -z "$$dir" ]; then \
@@ -78,15 +83,17 @@ distributed-smoke:
 	mkdir -p "$$dir"; \
 	$(GO) build -o "$$dir" ./cmd/odrcoord ./cmd/wgen || exit 1; \
 	"$$dir/wgen" -files 27500 -seed 7 -format bin -out "$$dir/trace.bin" || exit 1; \
-	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt" \
+	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt" $(DISTRIB_SMOKE_POOL) \
 		-workers 3 -crash-window 1 -halt-after 2 >"$$dir/run1.log" 2>&1; \
 	rc="$$?"; cat "$$dir/run1.log"; \
 	[ "$$rc" -eq 3 ] || { echo "distributed-smoke: first run exited $$rc, want 3 (halted)"; exit 1; }; \
-	torn="$$(ls "$$dir"/ckpt/*.odrp | head -n 1)"; \
-	[ -n "$$torn" ] || { echo "distributed-smoke: halted run left no partial to tear"; exit 1; }; \
-	size="$$(wc -c <"$$torn")"; \
-	head -c "$$((size / 2))" "$$torn" >"$$torn.half" && mv "$$torn.half" "$$torn" || exit 1; \
-	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt" \
+	for pattern in '*.odrp' 'state-*.odrs'; do \
+		torn="$$(ls "$$dir"/ckpt/$$pattern | head -n 1)"; \
+		[ -n "$$torn" ] || { echo "distributed-smoke: halted run left no $$pattern file to tear"; exit 1; }; \
+		size="$$(wc -c <"$$torn")"; \
+		head -c "$$((size / 2))" "$$torn" >"$$torn.half" && mv "$$torn.half" "$$torn" || exit 1; \
+	done; \
+	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt" $(DISTRIB_SMOKE_POOL) \
 		-workers 3 -verify >"$$dir/run2.log" 2>&1; \
 	rc="$$?"; cat "$$dir/run2.log"; \
 	[ "$$rc" -eq 0 ] || { echo "distributed-smoke: resume run exited $$rc"; exit 1; }; \

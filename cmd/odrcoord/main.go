@@ -28,8 +28,9 @@
 // distributed subset — seed, shards, cache policy, pool bytes, faults,
 // workers — onto the coordinator. The fault schedule spans the
 // scenario's horizon, exactly as `scenario -spec` replays it. The
-// scenario must be naive (faults without the failure-aware layer),
-// because per-user circuit state cannot be reproduced window by window.
+// scenario must be naive (faults without the failure-aware layer):
+// per-user circuit state follows executed outcomes, not observations, so
+// no window's start state can carry it.
 //
 // Exit codes: 0 success, 1 failure or FAIL verdict, 3 halted after a
 // checkpoint (-halt-after).
@@ -131,7 +132,8 @@ func loadSpecFile(path string) (distrib.WorkerSpec, int, *replay.TimelineConfig,
 	if s.Faults != "" && !s.Naive {
 		return distrib.WorkerSpec{}, 0, nil, fmt.Errorf(
 			"spec %s: distributed replay cannot run the failure-aware resilience layer "+
-				"(per-user circuit state spans windows); set \"naive\": true or run single-process", path)
+				"(its per-user circuit state follows executed outcomes, not observations, so no window start state carries it); "+
+				"set \"naive\": true or run single-process", path)
 	}
 	if s.PoolDivisor > 0 {
 		return distrib.WorkerSpec{}, 0, nil, fmt.Errorf(

@@ -100,6 +100,9 @@ func TestWorkerProtocol(t *testing.T) {
 		Spec: distrib.WorkerSpec{Seed: 9, Shards: 2, CachePolicy: "band", PoolBytes: 1 << 30,
 			Faults: "transient=0.1,span=720h0m0s", Metrics: true},
 		PartialPath: filepath.Join(t.TempDir(), "w.odrp"),
+		TraceSHA256: strings.Repeat("ab", 32),
+		CensusPath:  filepath.Join(t.TempDir(), "census.odrs"),
+		StatePath:   filepath.Join(t.TempDir(), "state-00001.odrs"),
 		CrashAfter:  12345,
 	}
 	cmd, err := execRunner{bin: "odrcoord"}.command(context.Background(), req)

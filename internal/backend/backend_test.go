@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -273,6 +274,103 @@ func TestPrimeIdempotent(t *testing.T) {
 		}
 		if hits == 0 || hits == len(sample) {
 			t.Fatalf("%s: %d of %d probes hit; the fixture no longer separates cached from uncached", mode.name, hits, len(sample))
+		}
+	}
+}
+
+// TestCloudStateRestoreMatchesUninterrupted: a cloud that restores
+// another's observation state at a cut and observes the rest answers every
+// request after the cut — probe verdict and pre-download outcome — exactly
+// as the uninterrupted cloud does, and ends with the same pool, in static
+// mode and under every cache policy (pool squeezed to a twelfth of the
+// population, so the state carries evictions).
+func TestCloudStateRestoreMatchesUninterrupted(t *testing.T) {
+	sample, files, aps := fixture(t)
+	static := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
+	modes := map[string]cloud.Config{"static": static}
+	for _, policy := range cloud.PolicyNames() {
+		cfg := newDynamicSet(nil, files).Cloud.Config()
+		cfg.CachePolicy = policy
+		modes[policy] = cfg
+	}
+	rng := dist.NewRNG(fixtureSeed).Split("cuts")
+	for name, cfg := range modes {
+		// observe builds a cloud for the sample, restores state at base when
+		// given one, and observes sample[base:end] through ordinals.
+		observe := func(state []byte, base, end int) (*backend.Cloud, []backend.Ordinal) {
+			set := backend.NewSet(files, cfg, fixtureSeed)
+			set.Reserve(len(sample))
+			if state != nil {
+				if err := set.Cloud.RestoreState(state, base); err != nil {
+					t.Fatalf("%s: restore at %d: %v", name, base, err)
+				}
+			}
+			ords := make([]backend.Ordinal, len(sample))
+			for i := base; i < end; i++ {
+				ords[i], _ = set.Population().Resolve(sample[i])
+				set.Cloud.ObserveOrdinal(i, ords[i], sample[i].File, sample[i].Time)
+			}
+			return set.Cloud, ords
+		}
+		whole, ords := observe(nil, 0, len(sample))
+		for _, cut := range []int{0, 1, rng.Intn(len(sample)), len(sample)} {
+			head, _ := observe(nil, 0, cut)
+			state, err := head.AppendState(nil)
+			if err != nil {
+				t.Fatalf("%s: state at %d: %v", name, cut, err)
+			}
+			tail, _ := observe(state, cut, len(sample))
+			reqs := requests(sample, aps)
+			for i := cut; i < len(sample); i++ {
+				req := reqs(i)
+				req.FileOrd = ords[i]
+				if a, b := whole.Probe(req), tail.Probe(req); a != b {
+					t.Fatalf("%s cut %d: request %d: probe %v uninterrupted, %v restored", name, cut, i, a, b)
+				}
+				if a, b := whole.PreDownload(req), tail.PreDownload(req); a != b {
+					t.Fatalf("%s cut %d: request %d: pre-download %+v uninterrupted, %+v restored", name, cut, i, a, b)
+				}
+			}
+			if a, b := whole.PoolStats(), tail.PoolStats(); a != b {
+				t.Fatalf("%s cut %d: pool %+v uninterrupted, %+v restored", name, cut, a, b)
+			}
+			for _, f := range files {
+				if whole.Contains(f.ID) != tail.Contains(f.ID) {
+					t.Fatalf("%s cut %d: pools disagree on %v", name, cut, f.ID)
+				}
+			}
+		}
+	}
+}
+
+// TestCloudStateRejectsMismatch: a state restores only into a cloud of its
+// own mode, at its own base.
+func TestCloudStateRejectsMismatch(t *testing.T) {
+	sample, files, _ := fixture(t)
+	staticState, err := newSet(sample, files).Cloud.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamicState, err := newDynamicSet(sample, files).Cloud.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		into  *backend.Cloud
+		state []byte
+		base  int
+		want  string
+	}{
+		{"static into dynamic", newDynamicSet(nil, files).Cloud, staticState, len(sample), "does not fit"},
+		{"dynamic into static", newSet(nil, files).Cloud, dynamicState, len(sample), "does not fit"},
+		{"dynamic at another base", newDynamicSet(nil, files).Cloud, dynamicState, len(sample) - 1, "want"},
+		{"static before its last request", newSet(nil, files).Cloud, staticState, 1, "past the base"},
+		{"empty", newSet(nil, files).Cloud, nil, 0, "empty"},
+		{"truncated", newSet(nil, files).Cloud, staticState[:len(staticState)-1], len(sample), "truncated"},
+	} {
+		if err := tc.into.RestoreState(tc.state, tc.base); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RestoreState = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

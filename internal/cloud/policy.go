@@ -34,6 +34,16 @@ type EvictionPolicy interface {
 	// victim returns the entry to evict next, or noEntry when the pool is
 	// empty. The pool removes it; victim must not mutate state.
 	victim() int32
+	// appendState appends the policy's own state — list heads and
+	// scalars; per-entry links live in the pool's entry table — and
+	// restoreState reads it back (StoragePool.AppendState, RestoreState).
+	appendState(dst []byte) []byte
+	restoreState(r *stateReader)
+	// entryLists returns every list the policy threads entries through, and
+	// listFor the one resident entry e belongs on by its fields (nil when
+	// they name none): what RestoreState checks a decoded table against.
+	entryLists() []*entryList
+	listFor(e int32) *entryList
 }
 
 // prefetcher is implemented by policies that proactively admit files on

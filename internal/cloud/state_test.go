@@ -1,0 +1,148 @@
+package cloud
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"odr/internal/workload"
+)
+
+// stateUniverse is how many distinct files the state tests draw from:
+// few enough that lookups hit and re-adds resize.
+const stateUniverse = 61
+
+func newPolicyPool(t testing.TB, name string, capacity int64) *StoragePool {
+	t.Helper()
+	pol, err := NewPolicy(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewStoragePoolPolicy(capacity, 0, pol)
+}
+
+// stateOp applies one encoded operation — a lookup, a banded add, or a
+// clock tick to now — and returns its answer. A file keeps one band, as
+// under AddMeta: the band policy keeps a resident entry on its band's list
+// and does not move it when a re-add names another band.
+func stateOp(p *StoragePool, op uint32, now time.Duration) bool {
+	id := workload.FileIDFromIndex(uint64(op % stateUniverse))
+	switch (op >> 8) % 4 {
+	case 0:
+		return p.Lookup(id)
+	case 1, 2:
+		return p.AddBanded(id, int64((op>>12)%10)*45+10, workload.PopularityBand(op%stateUniverse%3))
+	default:
+		p.Tick(now)
+		return false
+	}
+}
+
+// TestPoolStateRestoreMatchesUninterrupted: for every policy, a pool
+// restored from another's state at a random cut behaves like the pool it
+// was cut from for every operation after the cut — the same answers, the
+// same Stats, the same membership over the ID space, and the same victims
+// in the same order when both are drained. The clock advances by whole
+// hours, so prewarm's trough passes fire on both sides of the cut.
+func TestPoolStateRestoreMatchesUninterrupted(t *testing.T) {
+	const capacity = 1000
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			f := func(ops []uint32, cut uint16) bool {
+				times := make([]time.Duration, len(ops))
+				var now time.Duration
+				for i, op := range ops {
+					now += time.Duration(op>>20%5) * time.Hour
+					times[i] = now
+				}
+				k := int(cut) % (len(ops) + 1)
+				a := newPolicyPool(t, name, capacity)
+				for i := 0; i < k; i++ {
+					stateOp(a, ops[i], times[i])
+				}
+				b := newPolicyPool(t, name, capacity)
+				if err := b.RestoreState(a.AppendState(nil)); err != nil {
+					t.Errorf("restoring a pool's own state: %v", err)
+					return false
+				}
+				for i := k; i < len(ops); i++ {
+					if stateOp(a, ops[i], times[i]) != stateOp(b, ops[i], times[i]) {
+						return false
+					}
+				}
+				if a.Stats() != b.Stats() {
+					return false
+				}
+				for i := uint64(0); i < stateUniverse; i++ {
+					id := workload.FileIDFromIndex(i)
+					if a.Contains(id) != b.Contains(id) {
+						return false
+					}
+				}
+				for {
+					va, vb := a.policy.victim(), b.policy.victim()
+					if va == noEntry || vb == noEntry {
+						return va == vb
+					}
+					if a.entries[va].id != b.entries[vb].id {
+						return false
+					}
+					a.evictOne()
+					b.evictOne()
+				}
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPoolStateRejectsCorruption: a state restores only into a pool of
+// its own policy and capacity, no strict prefix of a state restores, and
+// no single-bit flip makes RestoreState panic — it errors, or it yields a
+// pool whose own state is the flipped bytes.
+func TestPoolStateRejectsCorruption(t *testing.T) {
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			p := newPolicyPool(t, name, 1000)
+			for i := 0; i < 300; i++ {
+				stateOp(p, uint32(i*2654435761), time.Duration(i)*time.Hour)
+			}
+			if p.Stats().Evictions == 0 {
+				t.Fatal("the operation mix never evicts; the state has no free slots to check")
+			}
+			state := p.AppendState(nil)
+
+			other := "lru"
+			if name == other {
+				other = "band"
+			}
+			if err := newPolicyPool(t, other, 1000).RestoreState(state); err == nil || !strings.Contains(err.Error(), "policy") {
+				t.Fatalf("restore into a %s pool = %v, want a policy error", other, err)
+			}
+			if err := newPolicyPool(t, name, 999).RestoreState(state); err == nil || !strings.Contains(err.Error(), "capacity") {
+				t.Fatalf("restore into a smaller pool = %v, want a capacity error", err)
+			}
+			for cut := 0; cut < len(state); cut++ {
+				if err := newPolicyPool(t, name, 1000).RestoreState(state[:cut]); err == nil {
+					t.Fatalf("state truncated to %d of %d bytes restored", cut, len(state))
+				}
+			}
+			flipped := make([]byte, len(state))
+			for bit := 0; bit < 8*len(state); bit++ {
+				copy(flipped, state)
+				flipped[bit/8] ^= 1 << (bit % 8)
+				q := newPolicyPool(t, name, 1000)
+				if q.RestoreState(flipped) != nil {
+					continue
+				}
+				if !bytes.Equal(q.AppendState(nil), flipped) {
+					t.Fatalf("bit %d: accepted state does not read back as itself", bit)
+				}
+			}
+		})
+	}
+}

@@ -134,13 +134,17 @@ func New(cfg Config) (*Coordinator, error) {
 	return &Coordinator{cfg: cfg}, nil
 }
 
-// runState is the mutable state the window workers share.
+// runState is the state the window workers share: the run's trace
+// identity, and under mu the manifest and the run's outcome.
 type runState struct {
+	path    string // manifest path
+	sha     string // the trace's SHA-256
+	records int64  // the trace's record count
+
 	mu        sync.Mutex
 	manifest  *Manifest
-	path      string // manifest path
-	completed int    // windows completed this run
-	err       error  // first hard failure
+	completed int   // windows completed this run
+	err       error // first hard failure
 	halted    bool
 }
 
@@ -162,7 +166,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if err := os.MkdirAll(c.cfg.CheckpointDir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName)}
+	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), sha: sha, records: records}
 	st.manifest, err = c.openManifest(st.path, records, sha)
 	if err != nil {
 		return nil, err
@@ -182,7 +186,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 		}
 	}
 	if len(pending) > 0 {
-		if err := c.runPending(ctx, st, records, pending); err != nil {
+		if err := c.runPending(ctx, st, pending); err != nil {
 			return nil, err
 		}
 	}
@@ -226,11 +230,19 @@ func (c *Coordinator) openManifest(path string, records int64, sha string) (*Man
 	return m, nil
 }
 
-// runPending fans the pending window indices over the worker pool.
-func (c *Coordinator) runPending(ctx context.Context, st *runState, records int64, pending []int) error {
+// runPending fans the pending window indices over the worker pool. The
+// state pass feeds the queue, so a window dispatches as soon as its state
+// file is durable and the pass runs while the first wave replays.
+func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []int) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	queue := make(chan int)
+	bases := make([]int, len(pending))
+	for k, idx := range pending {
+		bases[k] = int(st.manifest.Windows[idx].Offset)
+	}
+	// Room for every pending window: the state pass never waits on a
+	// worker.
+	queue := make(chan int, len(pending))
 	workers := c.cfg.Workers
 	if workers > len(pending) {
 		workers = len(pending)
@@ -244,7 +256,7 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, records int6
 				if runCtx.Err() != nil {
 					continue // drain; the run is over
 				}
-				err := c.runWindow(runCtx, st, records, idx)
+				err := c.runWindow(runCtx, st, idx)
 				st.mu.Lock()
 				switch {
 				case err == nil:
@@ -270,8 +282,13 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, records int6
 			}
 		}()
 	}
-	for _, idx := range pending {
-		queue <- idx
+	if err := c.feedStates(runCtx, st, pending, bases, queue); err != nil && runCtx.Err() == nil {
+		st.mu.Lock()
+		if st.err == nil {
+			st.err = err
+		}
+		st.mu.Unlock()
+		cancel()
 	}
 	close(queue)
 	wg.Wait()
@@ -290,9 +307,45 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, records int6
 	return nil
 }
 
+// feedStates is the coordinator's state pass: the census, written once
+// per run, then one observation pass over the trace that writes each
+// pending window's state file at its base and queues the window once the
+// file is durable. Nothing an earlier run wrote is read back: a resume
+// recomputes every file it hands out.
+func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending, bases []int, queue chan<- int) error {
+	start := time.Now()
+	fp := c.cfg.Spec.Fingerprint()
+	m := &meter{ctx: ctx}
+	files, err := census(c.cfg.TracePath, m)
+	if err != nil {
+		return err
+	}
+	hdr := stateHeader{Kind: kindCensus, TraceSHA256: st.sha, Spec: fp, Base: st.records}
+	if err := writeState(filepath.Join(c.cfg.CheckpointDir, censusName), hdr, encodeCensus(files)); err != nil {
+		return err
+	}
+	k := 0
+	err = statePass(c.cfg.TracePath, files, c.cfg.Spec, bases, m, func(base int, state []byte) error {
+		idx := pending[k]
+		k++
+		hdr := stateHeader{Kind: kindState, TraceSHA256: st.sha, Spec: fp, Base: int64(base)}
+		if err := writeState(filepath.Join(c.cfg.CheckpointDir, stateName(idx)), hdr, state); err != nil {
+			return err
+		}
+		queue <- idx
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	c.cfg.Log("state pass: census of %d files and %d window state(s) in %.3fs",
+		len(files), len(pending), time.Since(start).Seconds())
+	return nil
+}
+
 // runWindow supervises one window through bounded restarts, marking it
 // done in the manifest on success. The caller persists the manifest.
-func (c *Coordinator) runWindow(ctx context.Context, st *runState, records int64, idx int) error {
+func (c *Coordinator) runWindow(ctx context.Context, st *runState, idx int) error {
 	st.mu.Lock()
 	win := st.manifest.Windows[idx].Window()
 	st.mu.Unlock()
@@ -312,11 +365,14 @@ func (c *Coordinator) runWindow(ctx context.Context, st *runState, records int64
 			Window:      win,
 			Spec:        c.cfg.Spec,
 			PartialPath: path,
+			TraceSHA256: st.sha,
+			CensusPath:  filepath.Join(c.cfg.CheckpointDir, censusName),
+			StatePath:   filepath.Join(c.cfg.CheckpointDir, stateName(idx)),
 		}
 		if attempt == 1 && c.cfg.CrashWindow == idx+1 {
-			// Crash mid-replay: past the census (records) and the prefix
-			// (win.Offset), half way through the window itself.
-			req.CrashAfter = records + win.Offset + win.Limit/2 + 1
+			// Crash half way through the window: the worker reads no
+			// record before it.
+			req.CrashAfter = win.Limit/2 + 1
 			c.cfg.Log("window %d: injecting crash after %d records (test hook)", idx, req.CrashAfter)
 		}
 		start := time.Now()

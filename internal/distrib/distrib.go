@@ -16,22 +16,33 @@
 //     (replay.RunODRWindow);
 //   - the cloud's cache visibility (static first-seen gates or a dynamic
 //     policy's evolving pool) depends only on the sequence of records
-//     before the current one, so a worker reconstructs it by streaming
-//     its window's prefix through the observation pass alone — decode
-//     plus pool bookkeeping, no task execution — before replaying;
+//     before the current one, so the coordinator computes it once: one
+//     sequential observation pass — decode plus pool bookkeeping, no task
+//     execution — writes the cloud's observation state at every pending
+//     window's base to a state file, and each worker restores its
+//     window's state instead of re-reading the trace before it
+//     (replay.ObserveStates);
 //   - the warm-pool draws in backend construction depend on the file
-//     population slice, so every worker runs the same full census pass
-//     over the whole trace and hands the identical first-appearance
-//     population to its backends;
+//     population slice, so the coordinator takes one census of the whole
+//     trace and ships its first-appearance population in a census file
+//     that every worker hands, unchanged, to its backends;
 //   - ledgers and engine totals are associative integer sums, and task
 //     records live at disjoint global indices, so per-window results
 //     concatenate and add into exactly the single-process values.
 //
+// A worker therefore reads only its own window of the trace. The
+// coordinator dispatches a window as soon as its state file is durable, so
+// the pass overlaps the first wave of workers; a resume recomputes the
+// census and every state it hands out instead of trusting files an
+// earlier run left behind.
+//
 // The one cross-request state this cannot reproduce is the resilience
-// layer's per-user circuit breaker, which accumulates strikes over the
-// whole trace: WorkerSpec therefore has no resilience knob and faults
-// replay naively (each fault drawn from the request's own substream,
-// which is window-safe). Run failure-aware replays single-process.
+// layer's per-user circuit breaker: its strikes and cooldowns follow
+// executed outcomes — which earlier requests failed, and when — not
+// observations, so no observation pass produces them. WorkerSpec
+// therefore has no resilience knob and faults replay naively (each fault
+// drawn from the request's own substream, which is window-safe). Run
+// failure-aware replays single-process.
 package distrib
 
 import (
@@ -104,8 +115,8 @@ type WorkerSpec struct {
 	Shards int `json:"shards,omitempty"`
 	// CachePolicy runs the cloud pool under the named eviction policy
 	// (cloud.PolicyNames); empty keeps the static warm set. Dynamic
-	// policies work distributed: each worker replays its window's prefix
-	// through the sequential observation pass first.
+	// policies work distributed: each worker restores the pool the
+	// coordinator's observation pass reached at its window base.
 	CachePolicy string `json:"cache_policy,omitempty"`
 	// PoolBytes overrides the cloud pool capacity in bytes (0 = scale
 	// default).
@@ -148,8 +159,8 @@ func (s WorkerSpec) Fingerprint() string {
 
 // ReplayOptions compiles the spec into replay options. The fault spec
 // installs without a resilience policy — the naive arm — because the
-// failure-aware layer's circuit state cannot be reproduced window by
-// window (replay.RunODRWindow rejects it outright).
+// failure-aware layer's circuit state follows executed outcomes, which no
+// observation state carries (replay.RunODRWindow rejects it outright).
 func (s WorkerSpec) ReplayOptions(reg *obs.Registry) (replay.Options, error) {
 	if err := s.Validate(); err != nil {
 		return replay.Options{}, err

@@ -12,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/cloud"
+	"odr/internal/obs"
+	"odr/internal/replay"
 	"odr/internal/trace"
 	"odr/internal/workload"
 )
@@ -313,18 +316,26 @@ func TestMergePartialsEmpty(t *testing.T) {
 }
 
 // TestDistributedDigestMatchesSingleProcess is the heart of the package:
-// for static and dynamic cache policies, with and without naive faults,
-// the coordinator's merged digest must be byte-identical to a
-// single-process full-stream replay.
+// for the static pool and every cache policy, with and without naive
+// faults, the coordinator's merged digest must be byte-identical to a
+// single-process full-stream replay. The policies run under a pool small
+// enough to evict, over a week that crosses prewarm's 04:00 trough, so
+// every window starts from a pool its predecessors' evictions and
+// prefetches shaped.
 func TestDistributedDigestMatchesSingleProcess(t *testing.T) {
 	specs := []struct {
 		name string
 		spec WorkerSpec
 	}{
 		{"static", WorkerSpec{Seed: 42}},
-		{"dynamic band policy", WorkerSpec{Seed: 42, CachePolicy: "band", PoolBytes: 64 << 20}},
 		{"naive faults", WorkerSpec{Seed: 42, Faults: "0.3"}},
 		{"metrics on", WorkerSpec{Seed: 42, Metrics: true, Shards: 2}},
+	}
+	for _, policy := range cloud.PolicyNames() {
+		specs = append(specs, struct {
+			name string
+			spec WorkerSpec
+		}{"dynamic " + policy + " policy", WorkerSpec{Seed: 42, CachePolicy: policy, PoolBytes: 64 << 20, Metrics: true}})
 	}
 	tracePath := writeTrace(t, 90, 42)
 	for _, c := range specs {
@@ -359,6 +370,15 @@ func TestDistributedDigestMatchesSingleProcess(t *testing.T) {
 			}
 			if fr := merged.FailureRatio(); fr < 0 || fr > 1 {
 				t.Fatalf("merged failure ratio %v out of range", fr)
+			}
+			if p := c.spec.CachePolicy; p != "" {
+				counters := merged.Metrics.Snapshot().Counters
+				if counters[obs.Label(replay.MetricPoolEvictions, "policy", p)] == 0 {
+					t.Fatalf("%s pool never evicted; the test no longer exercises eviction state", p)
+				}
+				if p == "prewarm" && counters[obs.Label(replay.MetricPoolPrefetches, "policy", p)] == 0 {
+					t.Fatal("prewarm never prefetched; the trace no longer crosses its trough")
+				}
 			}
 		})
 	}
@@ -470,12 +490,22 @@ func TestHaltResume(t *testing.T) {
 	}
 
 	// Sabotage one completed partial: resume must detect it and recompute.
-	for _, w := range m.Windows {
-		if w.State == StateDone {
+	// Tear a pending window's state file too: resume must write it afresh,
+	// not hand the torn one to a worker.
+	tornPartial, tornState := false, false
+	for i, w := range m.Windows {
+		switch {
+		case w.State == StateDone && !tornPartial:
+			tornPartial = true
 			if err := os.Truncate(filepath.Join(dir, w.Partial), 16); err != nil {
 				t.Fatal(err)
 			}
-			break
+		case w.State != StateDone && !tornState:
+			tornState = true
+			// The halt may have stopped the pass before this file.
+			if err := os.Truncate(filepath.Join(dir, stateName(i)), 16); err != nil && !errors.Is(err, os.ErrNotExist) {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -631,7 +661,7 @@ func TestRunWorkerErrors(t *testing.T) {
 	}
 
 	crash := base
-	crash.CrashAfter = records / 2 // dies during the census pass
+	crash.CrashAfter = records / 2 // dies half way through the window
 	if err := RunWorker(context.Background(), crash, nil); !errors.Is(err, ErrCrashRequested) {
 		t.Fatalf("RunWorker(crash hook) = %v, want ErrCrashRequested", err)
 	}
@@ -651,6 +681,81 @@ func TestRunWorkerErrors(t *testing.T) {
 	}
 	if beats == 0 {
 		t.Fatal("worker never heartbeat")
+	}
+}
+
+// TestWorkerStateFiles: a worker started from state files replays its
+// window exactly as one that derives its start in memory, and a state file
+// for another trace, spec, base or kind is refused, naming the field.
+func TestWorkerStateFiles(t *testing.T) {
+	tracePath := writeTrace(t, 40, 8)
+	records, err := trace.BinRecords(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha, err := trace.SHA256File(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := WorkerSpec{Seed: 8, CachePolicy: "prewarm", PoolBytes: 64 << 20}
+	win := Window{Offset: records / 2, Limit: records - records/2}
+	dir := t.TempDir()
+	files, err := census(tracePath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := WorkerRequest{
+		TracePath:   tracePath,
+		Window:      win,
+		Spec:        spec,
+		PartialPath: filepath.Join(dir, "files.odrp"),
+		TraceSHA256: sha,
+		CensusPath:  filepath.Join(dir, censusName),
+		StatePath:   filepath.Join(dir, stateName(1)),
+	}
+	fp := spec.Fingerprint()
+	if err := writeState(req.CensusPath, stateHeader{Kind: kindCensus, TraceSHA256: sha, Spec: fp, Base: records},
+		encodeCensus(files)); err != nil {
+		t.Fatal(err)
+	}
+	if err := statePass(tracePath, files, spec, []int{int(win.Offset)}, &meter{ctx: context.Background()},
+		func(base int, state []byte) error {
+			return writeState(req.StatePath, stateHeader{Kind: kindState, TraceSHA256: sha, Spec: fp, Base: int64(base)}, state)
+		}); err != nil {
+		t.Fatal(err)
+	}
+	derived := WorkerRequest{TracePath: tracePath, Window: win, Spec: spec, PartialPath: filepath.Join(dir, "derived.odrp")}
+	digests := map[string]string{}
+	for _, r := range []WorkerRequest{req, derived} {
+		if err := RunWorker(context.Background(), r, nil); err != nil {
+			t.Fatal(err)
+		}
+		p, err := ReadPartial(r.PartialPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[r.PartialPath] = (&Merged{Tasks: p.Tasks, Ledgers: p.Ledgers}).Digest()
+	}
+	if digests[req.PartialPath] != digests[derived.PartialPath] {
+		t.Fatal("a worker started from state files replayed differently from one deriving its start")
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(*WorkerRequest)
+		want   string
+	}{
+		{"another trace", func(r *WorkerRequest) { r.TraceSHA256 = strings.Repeat("0", 64) }, "state trace_sha256"},
+		{"another spec", func(r *WorkerRequest) { r.Spec.Seed = 9 }, "state spec"},
+		{"another base", func(r *WorkerRequest) { r.Window = Window{Offset: win.Offset - 1, Limit: win.Limit + 1} }, "state base"},
+		{"the census as a state", func(r *WorkerRequest) { r.StatePath = r.CensusPath }, "state kind"},
+		{"a state without a census", func(r *WorkerRequest) { r.CensusPath = "" }, "or none"},
+	} {
+		bad := req
+		tc.mutate(&bad)
+		if err := RunWorker(context.Background(), bad, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunWorker = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,0 +1,68 @@
+package distrib
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"odr/internal/obs"
+	"odr/internal/replay"
+)
+
+// TestDistributedGolden pins a coordinated run's output across commits:
+// the sha256 of the merged digest and of the merged metrics exposition
+// (minus the scheduling-dependent in-flight gauge) for the two dynamic
+// policies whose state is the largest — band and prewarm, under a pool
+// small enough to evict and naive faults at 0.3. The merged pool counters
+// are sums of every window's end-of-window counters, so they pin the
+// observation state each window starts from, not only the tasks.
+func TestDistributedGolden(t *testing.T) {
+	tracePath := writeTrace(t, 90, 42)
+	for _, tc := range []struct {
+		policy             string
+		digest, exposition string
+	}{
+		{"band",
+			"17fd41fa549939f29860f4116b37278ccdadbd9a469ba318dca3a0bbc8794da1",
+			"4062e27fceea0b49aa89bc5e130766f73efeee24ee4a54453418ff99d9dd7360"},
+		{"prewarm",
+			"05e58a894bbef298e99647a7ae33a23059ecc027ffb7ba45e27228f6c1f391ba",
+			"1b9062e4c9f138d23cf4a0d52dd2bd4fa67663c27691a4016674ec235148937e"},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			spec := WorkerSpec{Seed: 42, Shards: 1, CachePolicy: tc.policy, PoolBytes: 64 << 20,
+				Faults: "0.3", Metrics: true}
+			co, err := New(Config{
+				TracePath:     tracePath,
+				Workers:       3,
+				Windows:       5,
+				CheckpointDir: t.TempDir(),
+				Spec:          spec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged, err := co.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := merged.Metrics.Snapshot()
+			delete(snap.Gauges, replay.MetricInflightPeak)
+			var prom bytes.Buffer
+			if err := obs.WritePrometheus(&prom, snap); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct{ what, text, want string }{
+				{"merged digest", merged.Digest(), tc.digest},
+				{"merged metrics", prom.String(), tc.exposition},
+			} {
+				sum := sha256.Sum256([]byte(c.text))
+				if got := hex.EncodeToString(sum[:]); got != c.want {
+					t.Errorf("%s: %s sha256 = %s, want %s", tc.policy, c.what, got, c.want)
+				}
+			}
+		})
+	}
+}

@@ -42,8 +42,9 @@ type Partial struct {
 	// the decision's display-only Source/Addresses do not survive the
 	// round trip (none of them is an observable replay outcome).
 	Tasks []replay.ODRTask
-	// Seconds is the worker's wall time for the whole window (census,
-	// prefix observation, and replay) — the throughput-scaling input.
+	// Seconds is the worker's wall time for the whole window (loading its
+	// census and start state, and the replay) — the throughput-scaling
+	// input.
 	Seconds float64
 }
 
@@ -93,17 +94,24 @@ func intern(table *[]string, idx map[string]int, s string) (int, error) {
 	return i, nil
 }
 
-// WritePartial writes p to path atomically: a temp file in the same
-// directory, synced, then renamed over path. A crashed worker therefore
-// never leaves a half-written partial under the final name.
+// WritePartial writes p to path atomically (writeAtomic). A crashed worker
+// therefore never leaves a half-written partial under the final name.
 func WritePartial(path string, p *Partial) error {
+	return writeAtomic(path, func(w io.Writer) error { return encodePartial(w, p) })
+}
+
+// writeAtomic writes path through write atomically and durably: a temp
+// file in the same directory, synced, renamed over path, and the directory
+// synced. A crash at any point leaves the old file or the new one, never a
+// torn one.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := encodePartial(tmp, p); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -26,25 +26,34 @@ type WorkerRequest struct {
 	// PartialPath is where the worker writes its partial-result file
 	// (atomically: temp file, then rename).
 	PartialPath string `json:"partial_path"`
+	// TraceSHA256, CensusPath and StatePath hand the worker its start:
+	// the census population and the cloud's observation state at
+	// Window.Offset, in the state files the coordinator's pass wrote, each
+	// pinned to this trace hash, spec and base (a file that does not match
+	// is refused, naming the field). Set all three or none; with none the
+	// worker derives the same start itself, through the same passes.
+	TraceSHA256 string `json:"trace_sha256,omitempty"`
+	CensusPath  string `json:"census_path,omitempty"`
+	StatePath   string `json:"state_path,omitempty"`
 	// CrashAfter, when positive, makes the worker fail with
-	// ErrCrashRequested after processing that many records across its
-	// passes — the test hook behind the forced worker-kill smoke. The
-	// coordinator sets it only on a window's first attempt.
+	// ErrCrashRequested after replaying that many records of its window —
+	// the test hook behind the forced worker-kill smoke. The coordinator
+	// sets it only on a window's first attempt.
 	CrashAfter int64 `json:"crash_after,omitempty"`
 }
 
 // ErrCrashRequested is the injected failure behind WorkerRequest.CrashAfter.
 var ErrCrashRequested = errors.New("distrib: worker crash requested (test hook)")
 
-// progressEvery is how many records a worker processes between heartbeat
-// and cancellation checks. Small enough that heartbeats flow every few
-// milliseconds even during the census pass, large enough to stay off the
-// decode hot path.
+// progressEvery is how many records a pass reads between heartbeat and
+// cancellation checks. Small enough that heartbeats flow every few
+// milliseconds, large enough to stay off the decode hot path.
 const progressEvery = 1024
 
-// meter wraps the worker's sources with one shared record counter:
-// heartbeats, cooperative cancellation, and the crash hook all key off
-// total records processed across the census, prefix, and window passes.
+// meter wraps the sources a worker's passes read with one shared record
+// counter: heartbeats, cooperative cancellation, and the crash hook all
+// key off records read. The worker arms the crash hook only once its
+// start state is in hand, so CrashAfter counts window records alone.
 type meter struct {
 	ctx        context.Context
 	beat       func(records int64)
@@ -140,20 +149,17 @@ func census(tracePath string, m *meter) ([]*workload.FileMeta, error) {
 }
 
 // RunWorker replays one window of a bin trace and writes the partial
-// result to req.PartialPath. It makes three passes over the file:
+// result to req.PartialPath. It starts from the census population — so
+// the backend fleet's sequential warm-pool draws match every other
+// worker's and a single-process replay's — and the cloud's observation
+// state at the window base: read from the state files the request names,
+// or, when it names none, derived in memory by the census and observation
+// passes the coordinator runs (statePass). It then replays only the
+// window, with every index-keyed input offset by the window base
+// (replay.RunODRWindow).
 //
-//  1. a full census pass over every record, so the worker's file and
-//     user populations — and therefore the backend fleet's sequential
-//     warm-pool draws — are identical to every other worker's and to a
-//     single-process replay's;
-//  2. the observation prefix [0, Offset), streamed through the cloud's
-//     sequential observation pass to reconstruct cache visibility
-//     (inside replay.RunODRWindow);
-//  3. the window itself, replayed with every index-keyed input offset by
-//     the window base.
-//
-// beat, when non-nil, receives the total records processed so far about
-// every progressEvery records — the coordinator's heartbeat signal.
+// beat, when non-nil, receives the total records read so far about every
+// progressEvery records — the coordinator's heartbeat signal.
 // Cancelling ctx stops the worker between records.
 func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64)) error {
 	if err := req.Spec.Validate(); err != nil {
@@ -173,24 +179,19 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m := &meter{ctx: ctx, beat: beat, crashAfter: req.CrashAfter}
+	// A run can read fewer than progressEvery records, so the meter
+	// might never check.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	m := &meter{ctx: ctx, beat: beat}
 	start := time.Now()
-
-	// Pass 1: full census. Only the populations survive this pass.
-	files, err := census(req.TracePath, m)
+	files, state, err := windowStart(req, records, m)
 	if err != nil {
 		return err
 	}
-
-	// Passes 2+3: observation prefix, then the window replay.
-	var prefix workload.RequestSource
-	if win.Offset > 0 {
-		psrc, pcloser, err := trace.OpenWorkloadBinWindow(req.TracePath, 0, win.Offset)
-		if err != nil {
-			return err
-		}
-		defer pcloser.Close()
-		prefix = m.wrap(psrc)
+	if req.CrashAfter > 0 {
+		m.crashAfter = m.processed + req.CrashAfter
 	}
 	wsrc, wcloser, err := trace.OpenWorkloadBinWindow(req.TracePath, win.Offset, win.Limit)
 	if err != nil {
@@ -206,7 +207,7 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 	if err != nil {
 		return err
 	}
-	res, err := replay.RunODRWindow(prefix, m.wrap(wsrc), int(win.Offset),
+	res, err := replay.RunODRWindow(state, m.wrap(wsrc), int(win.Offset),
 		files, smartap.Benchmarked(), opts)
 	if err != nil {
 		return err
@@ -227,4 +228,38 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		p.Metrics = reg.Snapshot()
 	}
 	return WritePartial(req.PartialPath, p)
+}
+
+// windowStart returns the census population and the cloud's observation
+// state at req's window base: from the request's state files when it
+// names them, derived through census and statePass, metered by m, when
+// it names none.
+func windowStart(req WorkerRequest, records int64, m *meter) ([]*workload.FileMeta, []byte, error) {
+	if req.TraceSHA256 == "" && req.CensusPath == "" && req.StatePath == "" {
+		files, err := census(req.TracePath, m)
+		if err != nil {
+			return nil, nil, err
+		}
+		var state []byte
+		err = statePass(req.TracePath, files, req.Spec, []int{int(req.Window.Offset)}, m,
+			func(_ int, s []byte) error { state = s; return nil })
+		return files, state, err
+	}
+	if req.TraceSHA256 == "" || req.CensusPath == "" || req.StatePath == "" {
+		return nil, nil, errors.New("distrib: a worker request names all of trace_sha256, census_path and state_path, or none")
+	}
+	fp := req.Spec.Fingerprint()
+	raw, err := readState(req.CensusPath, stateHeader{Kind: kindCensus, TraceSHA256: req.TraceSHA256, Spec: fp, Base: records})
+	if err != nil {
+		return nil, nil, err
+	}
+	files, err := decodeCensus(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("distrib: %s: %w", req.CensusPath, err)
+	}
+	state, err := readState(req.StatePath, stateHeader{Kind: kindState, TraceSHA256: req.TraceSHA256, Spec: fp, Base: req.Window.Offset})
+	if err != nil {
+		return nil, nil, err
+	}
+	return files, state, nil
 }

@@ -152,9 +152,10 @@ func (l *Lab) DistributedReplay() *Report {
 	}
 	r.metric("digest_match", boolMetric(match), -1)
 
-	// Per-worker throughput scaling: each window's worker replays its
-	// records after a census + prefix pass, so per-window rates are over
-	// window records only while the scaling figure compares whole runs.
+	// Per-worker throughput scaling: each window's worker loads the census
+	// and its start state from the coordinator's state pass and replays
+	// only its own records, so per-window rates are over window records
+	// while the scaling figure compares whole runs, state pass included.
 	r.addf("%-8s %14s %10s %12s", "window", "records", "seconds", "tasks/s")
 	var busy float64
 	for i, w := range merged.Windows {

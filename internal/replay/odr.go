@@ -254,81 +254,115 @@ func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 	return runODRWindowed(nil, src, 0, files, aps, opts)
 }
 
+// ObserveStates streams src — a trace's records from index 0, in order —
+// through the cloud's sequential observation pass alone (ObserveOrdinal:
+// no RNG draws, no ledger writes, no task execution) and hands emit the
+// cloud's observation state (backend.Cloud.AppendState) at each of bases,
+// in order: the state a whole-trace replay's cloud holds on reaching that
+// record. bases must ascend; the pass reads no record past the last one.
+// Each state fits a RunODRWindow over the same files and options.
+func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts Options,
+	bases []int, emit func(base int, state []byte) error) error {
+	if len(bases) == 0 {
+		return nil
+	}
+	for k, b := range bases {
+		if b < 0 || (k > 0 && b < bases[k-1]) {
+			return fmt.Errorf("replay: observation bases %v must be non-negative and ascending", bases)
+		}
+	}
+	set := newSet(files, opts, bases[len(bases)-1])
+	pop := set.Population()
+	n := 0
+	for _, base := range bases {
+		for ; n < base; n++ {
+			i, wreq, ok := src.Next()
+			if !ok {
+				if err := src.Err(); err != nil {
+					return fmt.Errorf("replay: observation pass: %w", err)
+				}
+				return fmt.Errorf("replay: observation pass ended after %d records, before the base %d", n, base)
+			}
+			if i != n {
+				return fmt.Errorf("replay: observation pass yielded index %d, want %d", i, n)
+			}
+			set.Cloud.ObserveOrdinal(i, pop.File(wreq.File), wreq.File, wreq.Time)
+		}
+		state, err := set.Cloud.AppendState(nil)
+		if err != nil {
+			return err
+		}
+		if err := emit(base, state); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunODRWindow replays one contiguous record window of a larger trace:
 // window yields the records at global indices [base, base+n) (re-based at
-// 0, as every RequestSource is) and prefix yields the records at [0, base)
-// — the same trace's head, in order. The prefix is drained first through
-// the cloud's sequential observation pass only (ObserveAt; no RNG draws,
-// no ledger writes, no task execution), which reconstructs exactly the
-// cache-visibility state — static first-seen gates or a dynamic policy's
-// evolved pool — that a full single-process replay has when it reaches
-// record base. The window then replays with every index-keyed input (RNG
-// substream, AP assignment, visibility gate) offset by base, so its task
-// records and ledger deltas are byte-identical to the corresponding span
-// of the full replay. internal/distrib stacks these windows back into a
+// 0, as every RequestSource is), and state is the cloud's observation
+// state at base — what ObserveStates emitted for base over the same trace,
+// files and options. Restoring it gives the window's cloud exactly the
+// cache visibility — static first-seen gates or a dynamic policy's evolved
+// pool — that a whole-trace replay's has on reaching record base. The
+// window then replays with every index-keyed input (RNG substream, AP
+// assignment, visibility gate) offset by base, so its task records and
+// ledger deltas are byte-identical to the corresponding span of the
+// whole-trace replay. internal/distrib stacks these windows back into a
 // whole-trace digest.
 //
-// Options.Resilience must be nil: its per-user circuit breaker accumulates
-// strikes across the whole trace, and a window cannot reproduce the
-// breaker state its prefix's failures would have built without replaying
-// them. Faults replay naively (each fault drawn from the request's own
+// Options.Resilience must be nil: the per-user circuit breaker's strikes
+// and cooldowns follow executed outcomes — which earlier requests failed,
+// and when — not observations, so no observation state carries them.
+// Faults replay naively (each fault drawn from the request's own
 // substream), which is window-safe.
-func RunODRWindow(prefix, window workload.RequestSource, base int,
+func RunODRWindow(state []byte, window workload.RequestSource, base int,
 	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*ODRResult, error) {
 	if opts.Resilience != nil {
-		return nil, fmt.Errorf("replay: windowed replay cannot reproduce the resilience layer's per-user circuit state across window boundaries; replay faults naively (Resilience nil) or run single-process")
+		return nil, fmt.Errorf("replay: windowed replay cannot run the resilience layer: its per-user breaker state depends on executed outcomes, not observations, so no observation state restores it; replay faults naively (Resilience nil) or run single-process")
 	}
 	if base < 0 {
 		return nil, fmt.Errorf("replay: negative window base %d", base)
 	}
-	if (base > 0) != (prefix != nil) {
-		return nil, fmt.Errorf("replay: window base %d needs an observation prefix of exactly that many records (got prefix: %v)", base, prefix != nil)
+	if state == nil {
+		return nil, fmt.Errorf("replay: the window at base %d needs the cloud's observation state there (ObserveStates)", base)
 	}
-	return runODRWindowed(prefix, window, base, files, aps, opts)
+	return runODRWindowed(state, window, base, files, aps, opts)
 }
 
-// runODRWindowed is the shared body of RunODRStream (no prefix, base 0)
+// newSet builds the replay's backend set over files, sized for n records
+// (Set.Reserve). A zero CloudScale scales the cloud to the file
+// population.
+func newSet(files []*workload.FileMeta, opts Options, n int) *backend.Set {
+	if opts.CloudScale <= 0 {
+		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
+	}
+	set := backend.NewSet(files, opts.cloudConfig(), opts.Seed)
+	set.Reserve(n)
+	return set
+}
+
+// runODRWindowed is the shared body of RunODRStream (no state, base 0)
 // and RunODRWindow.
-func runODRWindowed(prefix, window workload.RequestSource, base int,
+func runODRWindowed(state []byte, window workload.RequestSource, base int,
 	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*ODRResult, error) {
 	if len(aps) == 0 {
 		panic("replay: ODR replay needs at least one AP")
-	}
-	if opts.CloudScale <= 0 {
-		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
 	}
 	window, records, err := sized(window)
 	if err != nil {
 		return nil, err
 	}
-	set := backend.NewSet(files, opts.cloudConfig(), opts.Seed)
-	set.Reserve(base + records)
+	set := newSet(files, opts, base+records)
+	if state != nil {
+		if err := set.Cloud.RestoreState(state, base); err != nil {
+			return nil, fmt.Errorf("replay: restoring the observation state at record %d: %w", base, err)
+		}
+	}
 	set.Instrument(opts.Metrics)
 	fleet, finish := newFleet(set, opts)
 	pop := set.Population()
-
-	if prefix != nil {
-		n := 0
-		for {
-			i, wreq, ok := prefix.Next()
-			if !ok {
-				break
-			}
-			if i != n {
-				return nil, fmt.Errorf("replay: observation prefix yielded index %d, want %d", i, n)
-			}
-			if n < base { // tables are sized for base+records; an overrun fails below
-				set.Cloud.ObserveOrdinal(i, pop.File(wreq.File), wreq.File, wreq.Time)
-			}
-			n++
-		}
-		if err := prefix.Err(); err != nil {
-			return nil, fmt.Errorf("replay: observation prefix: %w", err)
-		}
-		if n != base {
-			return nil, fmt.Errorf("replay: observation prefix yielded %d records, want %d (the window base)", n, base)
-		}
-	}
 
 	res := &ODRResult{Backends: set}
 	res.Tasks, res.Engine, err = runShardedStream(window, aps, opts.Seed, base, opts.Shards,
@@ -632,9 +666,7 @@ func (r *ODRResult) FetchSpeeds() *stats.Sample {
 func runBaseline(sample []workload.Request, files []*workload.FileMeta,
 	aps []*smartap.AP, seed uint64,
 	deliver func(task *ODRTask, set *backend.Set, req *backend.Request)) *ODRResult {
-	opts := Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles}
-	set := backend.NewSet(files, opts.cloudConfig(), seed)
-	set.Reserve(len(sample))
+	set := newSet(files, Options{Seed: seed}, len(sample))
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
