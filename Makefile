@@ -23,7 +23,8 @@ ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 # fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
 # (committed corpora in testdata/fuzz, so every past counterexample
 # replays on plain `go test` as well), the ODRP partial decoder, the ODRS
-# state-file decoder, the checkpoint manifest loader, the live server's two decide endpoints, the
+# state-file decoder, the cloud's observation-state restore (static and
+# band), the checkpoint manifest loader, the live server's two decide endpoints, the
 # serve path's wire codec against encoding/json (decoder and encoder), and
 # the lazily seeded RNG source against math/rand. Long enough to shake out
 # decode panics and stream divergence, short enough for CI.
@@ -34,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) ./internal/distrib
 	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime $(FUZZ_TIME) ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime $(FUZZ_TIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZ_TIME) ./internal/distrib
 	$(GO) test -run '^$$' -fuzz FuzzDecideBodies -fuzztime $(FUZZ_TIME) ./internal/odrweb
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZ_TIME) ./internal/odrweb
@@ -70,7 +72,9 @@ paperscale:
 # -verify — the torn partial must be detected and its window recomputed,
 # the state files recomputed rather than trusted, and the merged digest
 # must be byte-identical to a single-process replay of the same trace,
-# crash, torn writes and all. Set DISTRIB_SMOKE_DIR to keep the trace,
+# crash, torn writes and all. A last, uninterrupted 2-worker run on the
+# same trace with no policy moves static state (the seen-file bitmap)
+# between processes and must verify too. Set DISTRIB_SMOKE_DIR to keep the trace,
 # checkpoint, and logs (CI points it at a workspace path and uploads
 # them as artifacts on failure); by default everything lands in a mktemp
 # dir removed on exit.
@@ -102,7 +106,13 @@ distributed-smoke:
 	grep -q 'checkpointed partial invalid .* recomputing' "$$dir/run2.log" || \
 		{ echo "distributed-smoke: resume trusted the torn partial $$torn"; exit 1; }; \
 	grep -q '^DISTRIB verdict: PASS' "$$dir/run2.log" || \
-		{ echo "distributed-smoke: merged digest did not verify"; exit 1; }
+		{ echo "distributed-smoke: merged digest did not verify"; exit 1; }; \
+	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt-static" \
+		-workers 2 -verify >"$$dir/run3.log" 2>&1; \
+	rc="$$?"; cat "$$dir/run3.log"; \
+	[ "$$rc" -eq 0 ] || { echo "distributed-smoke: static run exited $$rc"; exit 1; }; \
+	grep -q '^DISTRIB verdict: PASS' "$$dir/run3.log" || \
+		{ echo "distributed-smoke: static merged digest did not verify"; exit 1; }
 
 # matrix-smoke drives the declarative path end to end from one command: a
 # 2×2 {profile × fault intensity} grid over a small 10-day trace, with a

@@ -206,10 +206,9 @@ func buildServer(files int, seed uint64, cachePolicy string, poolBytes int64,
 	}
 	pool := cloud.NewStoragePoolPolicy(capacity, len(tr.Files), pol)
 	warm := dist.NewRNG(seed).Split("server-warm")
-	warmProbs := [3]float64{0.70, 0.97, 0.998}
 	cached := 0
 	for _, f := range tr.Files {
-		if warm.Bool(warmProbs[f.Band()]) {
+		if warm.Bool(backend.WarmProbs[f.Band()]) {
 			pool.AddMeta(f)
 			cached++
 		}

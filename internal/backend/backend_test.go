@@ -278,6 +278,56 @@ func TestPrimeIdempotent(t *testing.T) {
 	}
 }
 
+// TestStaticProbeFirstIndexOracle pins static mode's cache rule against
+// an oracle written out here: request i finds its file cached when the
+// file is in the warm pool, or when a strictly earlier request named the
+// file and the file's single pre-download succeeded. Each trial draws a
+// sample with repeats from the fixture, primes it up to a random cut, then
+// primes it whole; an index not yet observed answers false.
+func TestStaticProbeFirstIndexOracle(t *testing.T) {
+	pool, files, aps := fixture(t)
+	rng := dist.NewRNG(fixtureSeed).Split("oracle")
+	// outcomes is a separate cloud, so the oracle's pre-downloads never
+	// touch the cloud under test.
+	outcomes := newSet(nil, files).Cloud
+	fetched, missed := 0, 0 // hits only a pre-download explains; misses
+	for trial := 0; trial < 20; trial++ {
+		sample := make([]workload.Request, 1+rng.Intn(2*len(pool)))
+		for i := range sample {
+			sample[i] = pool[rng.Intn(len(pool)/4)]
+		}
+		reqs := requests(sample, aps)
+		first := map[workload.FileID]int{}
+		want := make([]bool, len(sample))
+		for i, r := range sample {
+			f, seen := first[r.File.ID]
+			if !seen {
+				first[r.File.ID] = i
+			}
+			warm := outcomes.Contains(r.File.ID)
+			want[i] = warm || (seen && f < i && outcomes.PreDownload(reqs(i)).OK)
+			if want[i] && !warm {
+				fetched++
+			} else if !want[i] {
+				missed++
+			}
+		}
+		c := newSet(nil, files).Cloud
+		cut := rng.Intn(len(sample) + 1)
+		for _, primed := range []int{cut, len(sample)} {
+			c.Prime(sample[:primed])
+			for i := range sample {
+				if got := c.Probe(reqs(i)); got != (i < primed && want[i]) {
+					t.Fatalf("trial %d, primed %d of %d: request %d probes %v, oracle %v", trial, primed, len(sample), i, got, want[i])
+				}
+			}
+		}
+	}
+	if fetched == 0 || missed == 0 {
+		t.Fatalf("%d pre-download hits and %d misses; the samples no longer exercise the rule", fetched, missed)
+	}
+}
+
 // TestCloudStateRestoreMatchesUninterrupted: a cloud that restores
 // another's observation state at a cut and observes the rest answers every
 // request after the cut — probe verdict and pre-download outcome — exactly
@@ -365,7 +415,7 @@ func TestCloudStateRejectsMismatch(t *testing.T) {
 		{"static into dynamic", newDynamicSet(nil, files).Cloud, staticState, len(sample), "does not fit"},
 		{"dynamic into static", newSet(nil, files).Cloud, dynamicState, len(sample), "does not fit"},
 		{"dynamic at another base", newDynamicSet(nil, files).Cloud, dynamicState, len(sample) - 1, "want"},
-		{"static before its last request", newSet(nil, files).Cloud, staticState, 1, "past the base"},
+		{"static before its last request", newSet(nil, files).Cloud, staticState, 1, "want"},
 		{"empty", newSet(nil, files).Cloud, nil, 0, "empty"},
 		{"truncated", newSet(nil, files).Cloud, staticState[:len(staticState)-1], len(sample), "truncated"},
 	} {

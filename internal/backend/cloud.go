@@ -30,35 +30,28 @@ var WarmProbs = [3]float64{0.70, 0.97, 0.998}
 // not stress cloud admission, so upload-pool bookkeeping reduces to byte
 // accounting in the Ledger.
 //
-// Determinism: in the default static mode the warm pool is immutable
-// after construction, and each file's pre-download outcome is a pure
-// function of (seed, file) drawn from a file-keyed RNG substream — never
-// from a shared sequential stream. Whether a request sees the file cached
-// therefore depends only on the warm set, that per-file outcome, and the
-// index order recorded by ObserveAt, not on which goroutine got there
-// first.
+// Each request's cached-or-not verdict is decided once, when the
+// sequential observation pass (ObserveOrdinal) reaches the request, and
+// latched in a bitset; Probe only reads that bit. In the default static
+// mode the warm pool is immutable after construction and a request finds
+// its file cached when it is warm or an earlier request named it and the
+// file's single pre-download — a pure function of (seed, file), drawn
+// from a file-keyed RNG substream — succeeded. Naming a cache policy
+// (cloud.Config.CachePolicy) switches the backend to dynamic mode: the
+// pool evolves under the policy — lookups refresh placement, successful
+// pre-downloads admit files, capacity pressure evicts — and the verdict
+// is the pool's lookup. Either way the answer depends only on the index
+// order of observation, never on which goroutine got there first.
 //
-// Naming a cache policy (cloud.Config.CachePolicy) switches the backend
-// to dynamic mode: the pool evolves under the policy — lookups refresh
-// placement, successful pre-downloads admit files, capacity pressure
-// evicts. The pool then mutates only in the observation pass, and each
-// request's cached-or-not verdict is latched in a bitset at observation
-// time, so the parallel dispatch phase only reads verdict bits — worker
-// scheduling still cannot influence what any request sees.
-//
-// Concurrency: per-file state lives in a slot per file ordinal (see
-// Population), per-request verdicts in a bitset sized for the replay
-// (Set.Reserve). One goroutine — the replay engine's reader — writes
-// both, in ObserveOrdinal: a file's slot (warm bit, pre-download outcome,
-// first request index) once, at the file's first observation, and request
-// i's verdict bit while observing i. It does so before the channel send
-// that dispatches the record, and that send is the publication point:
-// every slot and bit a worker reads for a record was written while
-// observing that record or an earlier one, and is never written again, so
-// Probe and PreDownload on a request carrying ordinals take no lock.
-// Callers that fill a Request without ordinals go through one
-// resolve-by-ID step under mu, which also builds a missing slot; mu
-// guards nothing an engine worker touches.
+// Concurrency: one goroutine — the replay engine's reader — observes, in
+// index order, each record before the channel send that dispatches it;
+// that send is the publication point. A worker reads its own request's
+// verdict bit, plus the file slot's pre-download outcome when it
+// pre-downloads, and neither is written again, so Probe and PreDownload
+// on a request carrying ordinals take no lock. Callers that fill a
+// Request without ordinals resolve the file by ID under mu (ObserveAt,
+// Prime, PreDownload), which also builds a missing slot; mu guards
+// nothing an engine worker touches.
 type Cloud struct {
 	cfg  cloud.Config
 	fm   cloud.FetchModel
@@ -67,13 +60,15 @@ type Cloud struct {
 	root *dist.RNG
 	pop  *Population
 
-	// mu serialises ordinal-less callers: ObserveAt, Probe and PreDownload
-	// on requests without ordinals, and the pool reads of Contains and
+	// mu serialises ordinal-less callers: ObserveAt and PreDownload on
+	// requests without ordinals, and the pool reads of Contains and
 	// PoolStats.
 	mu    sync.Mutex
 	slots table[fileSlot]
-	// dyn holds the policy-driven pool state; nil in static mode.
-	dyn *dynCache
+	// dynamic reports a policy-driven pool (dynamic mode).
+	dynamic bool
+	// observed is the observation pass's progress and latched verdicts.
+	observed verdicts
 	// preLabel and preRNG are scratch state for attempt's per-file
 	// substream derivation, owned by whichever goroutine writes slots.
 	preLabel []byte
@@ -84,30 +79,27 @@ type Cloud struct {
 }
 
 // fileSlot is one file's cloud state for the replay. made and the fields
-// it covers are written once, when the slot is built; seen and first once,
-// at the file's first observation (the same moment, on the engine path).
+// it covers are written once, when the slot is built; seen at the file's
+// first observation.
 type fileSlot struct {
 	// out is the file's single pre-download attempt.
-	out PreResult
-	// first is the file's earliest observed request index; a request sees
-	// a pre-downloaded (not warm) file as cached only when a strictly
-	// earlier request could have triggered the pre-download. Static mode.
-	first int
-	made  bool
-	seen  bool
+	out  PreResult
+	made bool
+	// seen reports an observed request for the file. Static mode.
+	seen bool
 	// warm reports the file in the warm pool. Static mode.
 	warm bool
 }
 
-// dynCache is the dynamic-mode observation state: how far the sequential
-// observation pass has advanced and the per-request cache verdicts it
-// latched along the way.
-type dynCache struct {
-	// verdicts is a bitset over request indices: bit i set means request i
+// verdicts is the observation state every mode shares: how far the
+// sequential observation pass has advanced and the per-request cache
+// verdicts it latched along the way.
+type verdicts struct {
+	// bits is a bitset over request indices: bit i set means request i
 	// found its file cached at observation time. Only the observing
 	// goroutine sets bits; words are atomic because a worker reads request
 	// j's bit while the observer sets a later bit in the same word.
-	verdicts []atomic.Uint64
+	bits []atomic.Uint64
 	// next is the lowest request index not yet observed.
 	next int
 }
@@ -115,29 +107,29 @@ type dynCache struct {
 // reserve sizes the bitset for indices [0, n), at least doubling it when
 // it grows. Like table.reserve, it must not run while a worker reads
 // verdicts.
-func (d *dynCache) reserve(n int) {
+func (v *verdicts) reserve(n int) {
 	words := (n + 63) >> 6
-	if words <= len(d.verdicts) {
+	if words <= len(v.bits) {
 		return
 	}
-	words = max(words, 2*len(d.verdicts))
-	v := make([]atomic.Uint64, words)
-	for w := range d.verdicts {
-		v[w].Store(d.verdicts[w].Load())
+	words = max(words, 2*len(v.bits))
+	b := make([]atomic.Uint64, words)
+	for w := range v.bits {
+		b[w].Store(v.bits[w].Load())
 	}
-	d.verdicts = v
+	v.bits = b
 }
 
 // set latches request i's hit. Single writer, so load-then-store cannot
 // lose a bit.
-func (d *dynCache) set(i int) {
-	w := &d.verdicts[i>>6]
+func (v *verdicts) set(i int) {
+	w := &v.bits[i>>6]
 	w.Store(w.Load() | 1<<(uint(i)&63))
 }
 
-func (d *dynCache) get(i int) bool {
+func (v *verdicts) get(i int) bool {
 	w := i >> 6
-	return w < len(d.verdicts) && d.verdicts[w].Load()&(1<<(uint(i)&63)) != 0
+	return w < len(v.bits) && v.bits[w].Load()&(1<<(uint(i)&63)) != 0
 }
 
 // NewCloud builds a warmed cloud backend over the file population, which
@@ -161,9 +153,8 @@ func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud 
 		root:   g,
 		pop:    NewPopulation(files),
 		preRNG: dist.NewRNG(0),
-	}
-	if cfg.CachePolicy != "" {
-		c.dyn = &dynCache{}
+
+		dynamic: cfg.CachePolicy != "",
 	}
 	warm := g.Split("warm")
 	for _, f := range files {
@@ -178,9 +169,7 @@ func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud 
 // n records, before any worker starts.
 func (c *Cloud) reserve(n int) {
 	c.slots.reserve(c.pop.reserve(n))
-	if c.dyn != nil {
-		c.dyn.reserve(n)
-	}
+	c.observed.reserve(n)
 }
 
 // Name implements Backend.
@@ -196,7 +185,7 @@ func (c *Cloud) Config() cloud.Config { return c.cfg }
 // advisor would see). In dynamic mode the pool evolves, so the read takes
 // the backend lock.
 func (c *Cloud) Contains(id workload.FileID) bool {
-	if c.dyn == nil {
+	if !c.dynamic {
 		return c.pool.Contains(id)
 	}
 	c.mu.Lock()
@@ -214,7 +203,7 @@ func (c *Cloud) PoolStats() cloud.PoolStats {
 // PolicyLabel names the pool's placement regime for metrics: "static" for
 // the default immutable warm pool, the policy name in dynamic mode.
 func (c *Cloud) PolicyLabel() string {
-	if c.dyn == nil {
+	if !c.dynamic {
 		return "static"
 	}
 	return c.pool.Policy()
@@ -222,8 +211,8 @@ func (c *Cloud) PolicyLabel() string {
 
 // Prime observes a whole in-memory sample up front (ObserveAt over each
 // request in order), for callers that probe the cloud outside the replay
-// engine. Calling Prime again changes nothing: every file already has its
-// first index, and dynamic mode skips indices it has observed.
+// engine. Calling Prime again changes nothing: the cloud skips indices it
+// has observed.
 func (c *Cloud) Prime(sample []workload.Request) {
 	for i := range sample {
 		c.ObserveAt(i, sample[i].File, sample[i].Time)
@@ -239,20 +228,22 @@ func (c *Cloud) ObserveAt(i int, f *workload.FileMeta, when time.Duration) {
 }
 
 // ObserveOrdinal records request i for file f (ordinal o, from this
-// cloud's Population) as it flows past: on the file's first observation
-// it builds the file's slot — warm bit, pre-download outcome, earliest
-// request index — so the parallel replay phase only reads. Requests must
-// be observed in ascending index order, each before it is dispatched, by
-// one goroutine; the replay engine's reader does exactly that. Because the
-// per-file outcome is a pure function of (seed, file) and the slot keeps
-// only the smallest index per file, how far observation has run ahead of
-// dispatch is unobservable.
+// cloud's Population) as it flows past and latches the request's verdict:
+// on the file's first observation it builds the file's slot — warm bit,
+// pre-download outcome — so the parallel replay phase only reads.
+// Requests must be observed in ascending index order, each before it is
+// dispatched, by one goroutine; the replay engine's reader does exactly
+// that. Re-observing an already-observed index (a second Prime pass) is a
+// no-op; skipping ahead is a sequencing bug and panics.
 //
-// In dynamic mode this is the single point where the pool evolves: the
-// trace clock ticks (driving prefetch policies), the request's lookup
-// refreshes or misses, and a successful pre-download outcome admits the
-// file for later requests. The request's own verdict is latched before
-// any admission, so a request never sees a file its own miss fetched.
+// In static mode the request finds the file cached when it is warm or an
+// earlier request named it and its pre-download succeeded. In dynamic
+// mode this is the single point where the pool evolves: the trace clock
+// ticks (driving prefetch policies), the request's lookup refreshes or
+// misses, and a successful pre-download outcome admits the file for later
+// requests. In both modes the verdict is taken before the request's own
+// pre-download counts, so a request never sees a file its own miss
+// fetched.
 func (c *Cloud) ObserveOrdinal(i int, o Ordinal, f *workload.FileMeta, when time.Duration) {
 	s := c.slots.at(o.idx())
 	if !s.made {
@@ -262,30 +253,26 @@ func (c *Cloud) ObserveOrdinal(i int, o Ordinal, f *workload.FileMeta, when time
 }
 
 func (c *Cloud) observe(i int, s *fileSlot, f *workload.FileMeta, when time.Duration) {
-	if c.dyn != nil {
-		c.observeDynamic(i, s, f, when)
+	if i < c.observed.next {
 		return
 	}
-	if !s.seen {
-		s.seen, s.first = true, i
+	if i != c.observed.next {
+		panic("backend: out-of-order cloud observation")
 	}
-}
-
-// observeDynamic advances the policy-driven pool by one request.
-// Re-observing an already-observed index (a second Prime pass) is a
-// no-op; skipping ahead is an engine-sequencing bug and panics.
-func (c *Cloud) observeDynamic(i int, s *fileSlot, f *workload.FileMeta, when time.Duration) {
-	if i < c.dyn.next {
+	c.observed.next = i + 1
+	c.observed.reserve(i + 1)
+	if !c.dynamic {
+		if s.warm || (s.seen && s.out.OK) {
+			c.observed.set(i)
+		}
+		if !s.seen {
+			s.seen = true // once: workers read this slot's outcome
+		}
 		return
 	}
-	if i != c.dyn.next {
-		panic("backend: out-of-order observation in dynamic cache mode")
-	}
-	c.dyn.next = i + 1
-	c.dyn.reserve(i + 1)
 	c.pool.Tick(when)
 	if c.pool.Lookup(f.ID) {
-		c.dyn.set(i)
+		c.observed.set(i)
 		return
 	}
 	if s.out.OK {
@@ -309,38 +296,17 @@ func (c *Cloud) slotByIDLocked(f *workload.FileMeta) *fileSlot {
 // immutable there) and the file's pre-download outcome, warm or not, so
 // no later read of the slot needs to write it.
 func (c *Cloud) build(s *fileSlot, f *workload.FileMeta) {
-	s.warm = c.dyn == nil && c.pool.Contains(f.ID)
+	s.warm = !c.dynamic && c.pool.Contains(f.ID)
 	s.out = c.attempt(f)
 	s.made = true
 }
 
-// Probe implements Backend: the file is available to this request when it
-// is warm, or when a strictly earlier request's cloud pre-download
-// succeeded. In dynamic mode the answer was latched at observation time.
+// Probe implements Backend: the verdict latched when request req.Index
+// was observed. An index never observed answers false.
 func (c *Cloud) Probe(req *Request) bool {
-	hit := c.probe(req)
+	hit := c.observed.get(req.Index)
 	c.met.probe(hit)
 	return hit
-}
-
-func (c *Cloud) probe(req *Request) bool {
-	if req.FileOrd == 0 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.dyn != nil {
-			return c.dyn.get(req.Index)
-		}
-		return c.slotByIDLocked(req.File).hit(req.Index)
-	}
-	if c.dyn != nil {
-		return c.dyn.get(req.Index)
-	}
-	return c.slots.at(req.FileOrd.idx()).hit(req.Index)
-}
-
-// hit is the static-mode verdict for request i.
-func (s *fileSlot) hit(i int) bool {
-	return s.warm || (s.seen && s.first < i && s.out.OK)
 }
 
 // PreDownload implements Backend: the cloud pre-downloads the file from

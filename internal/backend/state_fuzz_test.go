@@ -1,0 +1,69 @@
+package backend_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"odr/internal/backend"
+	"odr/internal/cloud"
+	"odr/internal/workload"
+)
+
+// FuzzRestoreState: RestoreState on a static cloud and on a band cloud
+// must return an error or restore without a panic, and a state it accepts
+// must AppendState back to the same bytes. Each input restores at the
+// request index its own header names, so the fuzzer reaches the payload
+// checks rather than stopping at the base check (which
+// TestCloudStateRejectsMismatch covers). The corpus is seeded with real
+// states of both modes at several cut points.
+func FuzzRestoreState(f *testing.F) {
+	tr, err := workload.Generate(workload.DefaultConfig(300, fixtureSeed))
+	if err != nil {
+		f.Fatal(err)
+	}
+	files, sample := tr.Files, tr.Requests[:min(400, len(tr.Requests))]
+	var pop int64
+	for _, file := range files {
+		pop += file.Size
+	}
+	static := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
+	band := static
+	band.CachePolicy = "band"
+	band.PoolCapacity = pop / 12
+	clouds := []func() *backend.Cloud{
+		func() *backend.Cloud { return backend.NewCloud(files, static, fixtureSeed) },
+		func() *backend.Cloud { return backend.NewCloud(files, band, fixtureSeed) },
+	}
+	for _, mk := range clouds {
+		for _, cut := range []int{0, 1, len(sample) / 2, len(sample)} {
+			c := mk()
+			c.Prime(sample[:cut])
+			state, err := c.AppendState(nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(state)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, state []byte) {
+		base := 0
+		if len(state) >= 9 {
+			base = int(binary.LittleEndian.Uint64(state[1:9]))
+		}
+		for _, mk := range clouds {
+			c := mk()
+			if c.RestoreState(state, base) != nil {
+				continue
+			}
+			got, err := c.AppendState(nil)
+			if err != nil {
+				t.Fatalf("%s: AppendState after a restore: %v", c.PolicyLabel(), err)
+			}
+			if !bytes.Equal(got, state) {
+				t.Fatalf("%s: restored state appends back as\n%x\nwant\n%x", c.PolicyLabel(), got, state)
+			}
+		}
+	})
+}

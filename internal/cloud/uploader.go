@@ -139,9 +139,6 @@ type Grant struct {
 // Rate returns the deliverable rate in bytes/second.
 func (g *Grant) Rate() float64 { return g.rate }
 
-// Reserved returns the capacity held by this grant in bytes/second.
-func (g *Grant) Reserved() float64 { return g.reserved }
-
 // Release returns the reservation to its pool. Releasing twice panics: a
 // double release corrupts admission accounting.
 func (g *Grant) Release() {

@@ -14,7 +14,7 @@
 //     and is assigned its AP by global index, so a worker that knows its
 //     window's base offset reproduces both exactly
 //     (replay.RunODRWindow);
-//   - the cloud's cache visibility (static first-seen gates or a dynamic
+//   - the cloud's cache state (the static files already seen or a dynamic
 //     policy's evolving pool) depends only on the sequence of records
 //     before the current one, so the coordinator computes it once: one
 //     sequential observation pass — decode plus pool bookkeeping, no task
@@ -39,10 +39,11 @@
 // The one cross-request state this cannot reproduce is the resilience
 // layer's per-user circuit breaker: its strikes and cooldowns follow
 // executed outcomes — which earlier requests failed, and when — not
-// observations, so no observation pass produces them. WorkerSpec
-// therefore has no resilience knob and faults replay naively (each fault
-// drawn from the request's own substream, which is window-safe). Run
-// failure-aware replays single-process.
+// observations, so no observation pass produces them, and chaining them
+// from one window's execution into the next would serialise the windows.
+// WorkerSpec therefore has no resilience knob and faults replay naively
+// (each fault drawn from the request's own substream, which is
+// window-safe). Failure-aware replays are single-process, by design.
 package distrib
 
 import (

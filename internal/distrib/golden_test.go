@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -14,10 +15,11 @@ import (
 // TestDistributedGolden pins a coordinated run's output across commits:
 // the sha256 of the merged digest and of the merged metrics exposition
 // (minus the scheduling-dependent in-flight gauge) for the two dynamic
-// policies whose state is the largest — band and prewarm, under a pool
-// small enough to evict and naive faults at 0.3. The merged pool counters
-// are sums of every window's end-of-window counters, so they pin the
-// observation state each window starts from, not only the tasks.
+// policies whose state is the largest — band and prewarm — and for static
+// mode (no policy, "" in the table), all under a pool small enough to
+// evict and naive faults at 0.3. The merged pool counters are sums of
+// every window's end-of-window counters, so they pin the observation
+// state each window starts from, not only the tasks.
 func TestDistributedGolden(t *testing.T) {
 	tracePath := writeTrace(t, 90, 42)
 	for _, tc := range []struct {
@@ -30,8 +32,12 @@ func TestDistributedGolden(t *testing.T) {
 		{"prewarm",
 			"05e58a894bbef298e99647a7ae33a23059ecc027ffb7ba45e27228f6c1f391ba",
 			"1b9062e4c9f138d23cf4a0d52dd2bd4fa67663c27691a4016674ec235148937e"},
+		{"",
+			"e5aea567e8577ab672960fd3a344fb99ee4bddebf3933518d86caae120b5b663",
+			"fc1044fa9ac731091421f8d2155bd20cc831b5ccc44a82f5963d60a426857284"},
 	} {
-		t.Run(tc.policy, func(t *testing.T) {
+		name := cmp.Or(tc.policy, "static")
+		t.Run(name, func(t *testing.T) {
 			spec := WorkerSpec{Seed: 42, Shards: 1, CachePolicy: tc.policy, PoolBytes: 64 << 20,
 				Faults: "0.3", Metrics: true}
 			co, err := New(Config{
@@ -60,7 +66,7 @@ func TestDistributedGolden(t *testing.T) {
 			} {
 				sum := sha256.Sum256([]byte(c.text))
 				if got := hex.EncodeToString(sum[:]); got != c.want {
-					t.Errorf("%s: %s sha256 = %s, want %s", tc.policy, c.what, got, c.want)
+					t.Errorf("%s: %s sha256 = %s, want %s", name, c.what, got, c.want)
 				}
 			}
 		})

@@ -23,7 +23,7 @@ import (
 // bytes, and a CRC32-IEEE over the bytes.
 const (
 	stateMagic   = "ODRS"
-	stateVersion = 1
+	stateVersion = 2
 	// censusRecordLen is one census record: ID, size, weekly requests,
 	// class, protocol.
 	censusRecordLen = 16 + 8 + 4 + 1 + 1

@@ -194,19 +194,3 @@ func (b *APBench) StorageBoundRatio() float64 {
 	}
 	return float64(bound) / float64(ok)
 }
-
-// MeanIOWait returns the average iowait ratio over successful tasks.
-func (b *APBench) MeanIOWait() float64 {
-	var sum float64
-	var n int
-	for _, t := range b.Tasks {
-		if t.Result.Success {
-			sum += t.Result.IOWait
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

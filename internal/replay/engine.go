@@ -21,8 +21,9 @@ import (
 //     request's GLOBAL index (root.Split64(i)), never from a shared
 //     sequential stream;
 //   - backend state is immutable after construction or a pure function
-//     of (seed, file), with cross-request cache visibility gated by
-//     request index, so "who ran first" is unobservable;
+//     of (seed, file), and each request's cache verdict is latched by
+//     the sequential observation pass in index order, so "who ran first"
+//     is unobservable;
 //   - every shard writes each task in place to the slot of its own
 //     global index, counts into its own ShardTotals, and backend ledgers
 //     use atomic integers — all merges are associative integer sums
@@ -32,15 +33,15 @@ import (
 // hook, in index order, once per record: for an ODR replay that resolves
 // the record's file and user ordinals (backend.Population.Resolve) and
 // observes the record on the cloud (backend.Cloud.ObserveOrdinal), which
-// on a file's first observation writes the file's slot — warm bit,
-// pre-download outcome, first index — and in dynamic mode sets the
-// record's verdict bit. The reader then packs the record and its ordinals
-// into a batch; the batch's channel send to the shard is the publication
-// point, so every slot a worker reads was written before the worker
-// received the record that names it, and no slot is written again.
-// Workers write only their own tasks, their own ShardTotals, atomic
-// ledgers and metrics, and — under resilience — the breaker slots of the
-// users their shard owns. No worker takes a backend lock.
+// builds the file's slot on its first observation and latches the
+// record's cache verdict bit. The reader then packs the record and its
+// ordinals into a batch; the batch's channel send to the shard is the
+// publication point. A worker reads its own record's verdict bit, plus
+// the file slot's pre-download outcome when it pre-downloads; both were
+// written before the send and are never written again. Workers write only
+// their own tasks, their own ShardTotals, atomic ledgers and metrics, and
+// — under resilience — the breaker slots of the users their shard owns.
+// No worker takes a backend lock.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
 // afterwards, sequentially over the merged task slice in index order.
@@ -223,7 +224,7 @@ func sized(src workload.RequestSource) (workload.RequestSource, int, error) {
 // base offsets every request's GLOBAL index: the source yields local
 // indices 0..n-1 (every RequestSource re-bases at 0), and the engine
 // binds request k to global index base+k — its RNG substream, AP
-// assignment, and cloud-visibility gate are exactly those the same record
+// assignment, and cloud cache verdict are exactly those the same record
 // would get in a full-stream replay where it sits at position base+k.
 // This is what lets a window of a larger trace replay in isolation and
 // still merge digest-identically (see internal/distrib). observe and fn

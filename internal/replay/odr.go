@@ -134,9 +134,6 @@ func (r *ODRResult) summarize() *resultSummary {
 type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
-	// CloudScale sizes the cloud backend (pool capacity, warm
-	// probabilities use cloud defaults at this scale).
-	CloudScale float64
 	// CachePolicy selects the cloud pool's eviction policy by name
 	// (cloud.PolicyNames). Empty replays against the default static warm
 	// pool; naming a policy (including "lru") switches the cloud backend to
@@ -145,7 +142,7 @@ type Options struct {
 	// policy.
 	CachePolicy string
 	// PoolBytes overrides the cloud pool capacity in bytes (<= 0 keeps the
-	// CloudScale-derived default). The policy tournament uses it to put the
+	// default, scaled to the file population). The policy tournament uses it to put the
 	// pool under capacity pressure.
 	PoolBytes int64
 	// Shards is the engine's shard count; non-positive selects
@@ -191,18 +188,6 @@ type Options struct {
 	// test seam, like poisonReleasedBatches: the determinism tests replay
 	// at small chunks to prove the transport never changes a result.
 	chunk int
-}
-
-// cloudConfig derives the replay's cloud configuration from the options:
-// the paper calibration at CloudScale, with the cache policy and any pool
-// capacity override applied.
-func (o Options) cloudConfig() cloud.Config {
-	cfg := cloud.DefaultConfig(o.CloudScale, o.Seed)
-	cfg.CachePolicy = o.CachePolicy
-	if o.PoolBytes > 0 {
-		cfg.PoolCapacity = o.PoolBytes
-	}
-	return cfg
 }
 
 // newFleet builds the route view the replay executes against, layering
@@ -304,10 +289,10 @@ func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts 
 // 0, as every RequestSource is), and state is the cloud's observation
 // state at base — what ObserveStates emitted for base over the same trace,
 // files and options. Restoring it gives the window's cloud exactly the
-// cache visibility — static first-seen gates or a dynamic policy's evolved
-// pool — that a whole-trace replay's has on reaching record base. The
-// window then replays with every index-keyed input (RNG substream, AP
-// assignment, visibility gate) offset by base, so its task records and
+// cache state — the static files already seen or a dynamic policy's
+// evolved pool — that a whole-trace replay's has on reaching record base.
+// The window then replays with every index-keyed input (RNG substream, AP
+// assignment, cache verdict) offset by base, so its task records and
 // ledger deltas are byte-identical to the corresponding span of the
 // whole-trace replay. internal/distrib stacks these windows back into a
 // whole-trace digest.
@@ -332,13 +317,15 @@ func RunODRWindow(state []byte, window workload.RequestSource, base int,
 }
 
 // newSet builds the replay's backend set over files, sized for n records
-// (Set.Reserve). A zero CloudScale scales the cloud to the file
-// population.
+// (Set.Reserve): the paper calibration scaled to the file population,
+// with the options' cache policy and any pool capacity override applied.
 func newSet(files []*workload.FileMeta, opts Options, n int) *backend.Set {
-	if opts.CloudScale <= 0 {
-		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
+	cfg := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, opts.Seed)
+	cfg.CachePolicy = opts.CachePolicy
+	if opts.PoolBytes > 0 {
+		cfg.PoolCapacity = opts.PoolBytes
 	}
-	set := backend.NewSet(files, opts.cloudConfig(), opts.Seed)
+	set := backend.NewSet(files, cfg, opts.Seed)
 	set.Reserve(n)
 	return set
 }

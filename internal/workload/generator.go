@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"cmp"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -210,8 +212,7 @@ type StreamTrace struct {
 	// Span is the duration the trace covers.
 	Span time.Duration
 
-	cfg   Config // normalized: Span and NumUsers resolved
-	chunk int
+	cfg Config // normalized: Span and NumUsers resolved
 	// cumReqs[i] is the total weekly requests of Files[0..i]; it maps a
 	// generation index to its file by binary search.
 	cumReqs []uint32
@@ -225,9 +226,6 @@ type StreamTrace struct {
 
 // TotalRequests returns the number of requests the stream yields.
 func (t *StreamTrace) TotalRequests() int { return len(t.perm) }
-
-// ChunkSize returns the target chunk size the stream was built with.
-func (t *StreamTrace) ChunkSize() int { return t.chunk }
 
 // GenerateStream synthesizes the trace's resident metadata and prepares a
 // bounded-memory request stream. chunkSize is the target number of
@@ -263,7 +261,6 @@ func GenerateStream(cfg Config, chunkSize int) (*StreamTrace, error) {
 		Users: generateUsers(cfg, root.Split("users")),
 		Span:  cfg.Span,
 		cfg:   cfg,
-		chunk: chunkSize,
 	}
 
 	st.cumReqs = make([]uint32, len(st.Files))
@@ -401,27 +398,30 @@ func (s *genSource) TotalRequests() int { return len(s.t.perm) }
 
 // loadBucket regenerates and time-sorts the next bucket's requests.
 func (s *genSource) loadBucket() {
-	t := s.t
-	b := s.bucket
-	s.bucket++
 	s.base += len(s.buf)
-	lo, hi := t.offsets[b], t.offsets[b+1]
-	s.buf = s.buf[:0]
+	s.buf = s.t.buildBucket(s.buf, s.bucket, s.reqRoot, s.scratch)
 	s.pos = 0
-	for _, j := range t.perm[lo:hi] {
-		s.reqRoot.Split64Into(s.scratch, uint64(j))
-		userIdx, at := drawRequest(t.cfg, s.scratch, len(t.Users))
-		s.buf = append(s.buf, genItem{
+	s.bucket++
+}
+
+// buildBucket regenerates bucket b's requests into buf, reusing its
+// storage: each request from its own substream (reqRoot.Split64 keyed by
+// generation index, derived into scratch), then sorted by (Time,
+// generation index). Both request sources build every bucket here.
+func (t *StreamTrace) buildBucket(buf []genItem, b int, reqRoot, scratch *dist.RNG) []genItem {
+	buf = buf[:0]
+	for _, j := range t.perm[t.offsets[b]:t.offsets[b+1]] {
+		reqRoot.Split64Into(scratch, uint64(j))
+		userIdx, at := drawRequest(t.cfg, scratch, len(t.Users))
+		buf = append(buf, genItem{
 			req: Request{User: t.Users[userIdx], File: t.fileOfIndex(j), Time: at},
 			j:   j,
 		})
 	}
-	sort.Slice(s.buf, func(a, b int) bool {
-		if s.buf[a].req.Time != s.buf[b].req.Time {
-			return s.buf[a].req.Time < s.buf[b].req.Time
-		}
-		return s.buf[a].j < s.buf[b].j
+	slices.SortFunc(buf, func(a, b genItem) int {
+		return cmp.Or(cmp.Compare(a.req.Time, b.req.Time), cmp.Compare(a.j, b.j))
 	})
+	return buf
 }
 
 // maxWeeklyCount bounds the most popular file's count; it grows gently
