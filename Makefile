@@ -22,7 +22,8 @@ ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 
 # fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
 # (committed corpora in testdata/fuzz, so every past counterexample
-# replays on plain `go test` as well), the ODRP partial decoder, the ODRS
+# replays on plain `go test` as well), the CSV codec against the
+# encoding/csv reference (reader and writer), the ODRP partial decoder, the ODRS
 # state-file decoder, the cloud's observation-state restore (static and
 # band), the checkpoint manifest loader, the live server's two decide endpoints, the
 # serve path's wire codec against encoding/json (decoder and encoder), and
@@ -30,7 +31,9 @@ ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 # decode panics and stream divergence, short enough for CI.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzCSVDecode -fuzztime $(FUZZ_TIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime $(FUZZ_TIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzCSVDecodeMatchesReference -fuzztime $(FUZZ_TIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzCSVEncodeMatchesReference -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) ./internal/distrib
@@ -208,12 +211,15 @@ cover:
 # or below one object; TestStreamSteadyStateAllocs measures the marginal
 # malloc slope between two stream lengths. A 256-item decide batch through
 # the server must cost at most three objects per item
-# (TestBatchHandlerAllocs). Both tests carry a !race build tag (race
-# instrumentation allocates per tracked access), so they run here rather
-# than inside the race target.
+# (TestBatchHandlerAllocs). The CSV trace codec allocates nothing per
+# encoded record and, decoding, only on a record's first sighting of its
+# user or file (TestCSVSteadyStateAllocs). All three tests carry a !race
+# build tag (race instrumentation allocates per tracked access), so they
+# run here rather than inside the race target.
 allocgate:
 	$(GO) test -run TestStreamSteadyStateAllocs -count 1 ./internal/replay
 	$(GO) test -run TestBatchHandlerAllocs -count 1 ./internal/odrweb
+	$(GO) test -run TestCSVSteadyStateAllocs -count 1 ./internal/trace
 
 # Replay benchmarks: the shard-count throughput sweep plus the streaming
 # pipeline's allocation profile, the metrics hot path, the windowed

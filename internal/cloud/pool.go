@@ -248,10 +248,19 @@ func (p *StoragePool) AddBanded(id workload.FileID, size int64, band workload.Po
 }
 
 // refresh re-touches a resident entry, applying a size correction when
-// the caller's size disagrees with the cached one.
+// the caller's size disagrees with the cached one. A new band moves the
+// entry off the list its old band named before the touch, so the touch
+// places it on the new band's list as a hit would.
 func (p *StoragePool) refresh(e int32, id workload.FileID, size int64, band workload.PopularityBand) bool {
 	ent := &p.entries[e]
-	ent.band = band
+	if ent.band != band {
+		old := p.policy.listFor(e)
+		ent.band = band
+		if now := p.policy.listFor(e); now != old {
+			p.listUnlink(old, e)
+			p.listPushFront(now, e)
+		}
+	}
 	if ent.size != size {
 		p.used += size - ent.size
 		ent.size = size

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,16 +25,15 @@ func newPolicyPool(t testing.TB, name string, capacity int64) *StoragePool {
 }
 
 // stateOp applies one encoded operation — a lookup, a banded add, or a
-// clock tick to now — and returns its answer. A file keeps one band, as
-// under AddMeta: the band policy keeps a resident entry on its band's list
-// and does not move it when a re-add names another band.
+// clock tick to now — and returns its answer. A re-add may name another
+// band than the file was cached under, which AddMeta never does.
 func stateOp(p *StoragePool, op uint32, now time.Duration) bool {
 	id := workload.FileIDFromIndex(uint64(op % stateUniverse))
 	switch (op >> 8) % 4 {
 	case 0:
 		return p.Lookup(id)
 	case 1, 2:
-		return p.AddBanded(id, int64((op>>12)%10)*45+10, workload.PopularityBand(op%stateUniverse%3))
+		return p.AddBanded(id, int64((op>>12)%10)*45+10, workload.PopularityBand((op>>16)%3))
 	default:
 		p.Tick(now)
 		return false
@@ -97,6 +97,61 @@ func TestPoolStateRestoreMatchesUninterrupted(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestPoolRebandKeepsListsWhole: re-adding a resident file under another
+// band leaves it on exactly one list, placed as a hit would place it —
+// for the band policy, the front of its new band's list — so the pool's
+// state still round-trips and the band policy evicts by the new band.
+func TestPoolRebandKeepsListsWhole(t *testing.T) {
+	a, b, c := id(1), id(2), id(3)
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			p := newPolicyPool(t, name, 100)
+			p.AddBanded(a, 30, workload.BandUnpopular)
+			p.AddBanded(b, 30, workload.BandUnpopular)
+			p.AddBanded(a, 30, workload.BandHighlyPopular)
+			p.AddBanded(c, 60, workload.BandUnpopular)
+			// Every policy evicts b for c: a was touched after b (lru,
+			// prewarm), twice (lfu), or moved to the protected band (band).
+			if p.Contains(b) || !p.Contains(a) || !p.Contains(c) {
+				t.Fatalf("resident a=%v b=%v c=%v, want a and c", p.Contains(a), p.Contains(b), p.Contains(c))
+			}
+			q := newPolicyPool(t, name, 100)
+			if err := q.RestoreState(p.AppendState(nil)); err != nil {
+				t.Fatalf("restoring the pool's own state: %v", err)
+			}
+			if got, want := drainResident(t, q), drainResident(t, p); !slices.Equal(got, want) {
+				t.Fatalf("restored pool evicts %v, original %v", got, want)
+			}
+		})
+	}
+	p := newPolicyPool(t, "band", 100)
+	p.AddBanded(a, 30, workload.BandHighlyPopular)
+	p.AddBanded(b, 30, workload.BandUnpopular)
+	p.AddBanded(a, 30, workload.BandUnpopular)
+	if got, want := drainResident(t, p), ids(2, 1); !slices.Equal(got, want) {
+		t.Fatalf("band pool evicts %v after a moves down to b's band, want %v", got, want)
+	}
+}
+
+// drainResident is drainEvictions for a pool whose lists may be corrupt:
+// it fails the test rather than loop once it has evicted more files than
+// the pool held.
+func drainResident(t *testing.T, p *StoragePool) []workload.FileID {
+	t.Helper()
+	var order []workload.FileID
+	for n := p.Len(); ; {
+		e := p.policy.victim()
+		if e == noEntry {
+			return order
+		}
+		if len(order) == n {
+			t.Fatalf("pool of %d files still names a victim after evicting %v", n, order)
+		}
+		order = append(order, p.entries[e].id)
+		p.evictOne()
 	}
 }
 
