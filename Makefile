@@ -23,12 +23,14 @@ ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 # fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
 # (committed corpora in testdata/fuzz, so every past counterexample
 # replays on plain `go test` as well), the CSV codec against the
-# encoding/csv reference (reader and writer), the ODRP partial decoder, the ODRS
-# state-file decoder, the cloud's observation-state restore (static and
-# band), the checkpoint manifest loader, the live server's two decide endpoints, the
-# serve path's wire codec against encoding/json (decoder and encoder), and
-# the lazily seeded RNG source against math/rand. Long enough to shake out
-# decode panics and stream divergence, short enough for CI.
+# encoding/csv reference (reader and writer), the two decoders of the
+# shared checkpoint frame — ODRP partials and ODRS state files, each
+# seeded with the other kind's file — the cloud's observation-state
+# restore (static and band), the checkpoint manifest loader, the live
+# server's two decide endpoints, the serve path's wire codec against
+# encoding/json (decoder and encoder), and the lazily seeded RNG source
+# against math/rand. Long enough to shake out decode panics and stream
+# divergence, short enough for CI.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime $(FUZZ_TIME) ./internal/trace
@@ -75,9 +77,15 @@ paperscale:
 # -verify — the torn partial must be detected and its window recomputed,
 # the state files recomputed rather than trusted, and the merged digest
 # must be byte-identical to a single-process replay of the same trace,
-# crash, torn writes and all. A last, uninterrupted 2-worker run on the
+# crash, torn writes and all. An uninterrupted 2-worker run on the
 # same trace with no policy moves static state (the seen-file bitmap)
-# between processes and must verify too. Set DISTRIB_SMOKE_DIR to keep the trace,
+# between processes and must verify too. Last, a coordinator crash: a
+# 2-worker run over 200 windows (so the run outlasts its first window by
+# seconds) starts in its own session, and once the manifest shows a done
+# window the whole process group — coordinator and workers — is killed
+# with SIGKILL, as a host crash would; the coordinator must still have
+# been running, and a rerun with -verify must resume and verify. Set
+# DISTRIB_SMOKE_DIR to keep the trace,
 # checkpoint, and logs (CI points it at a workspace path and uploads
 # them as artifacts on failure); by default everything lands in a mktemp
 # dir removed on exit.
@@ -115,7 +123,28 @@ distributed-smoke:
 	rc="$$?"; cat "$$dir/run3.log"; \
 	[ "$$rc" -eq 0 ] || { echo "distributed-smoke: static run exited $$rc"; exit 1; }; \
 	grep -q '^DISTRIB verdict: PASS' "$$dir/run3.log" || \
-		{ echo "distributed-smoke: static merged digest did not verify"; exit 1; }
+		{ echo "distributed-smoke: static merged digest did not verify"; exit 1; }; \
+	setsid "$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt-kill" \
+		-workers 2 -windows 200 >"$$dir/run4.log" 2>&1 & pid="$$!"; \
+	for i in $$(seq 3000); do \
+		grep -q '"state": "done"' "$$dir/ckpt-kill/manifest.json" 2>/dev/null && break; \
+		kill -0 "$$pid" 2>/dev/null || break; \
+		sleep 0.01; \
+	done; \
+	kill -KILL "-$$pid"; killed="$$?"; \
+	wait "$$pid"; rc="$$?"; cat "$$dir/run4.log"; \
+	[ "$$killed" -eq 0 ] && [ "$$rc" -eq 137 ] || \
+		{ echo "distributed-smoke: coordinator exited $$rc before the kill, want 137 (killed mid-run)"; exit 1; }; \
+	grep -q '"state": "done"' "$$dir/ckpt-kill/manifest.json" || \
+		{ echo "distributed-smoke: coordinator killed before any window was done"; exit 1; }; \
+	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt-kill" \
+		-workers 2 -windows 200 -verify >"$$dir/run5.log" 2>&1; \
+	rc="$$?"; grep 'resumed:' "$$dir/run5.log"; tail -n 5 "$$dir/run5.log"; \
+	[ "$$rc" -eq 0 ] || { echo "distributed-smoke: run after the coordinator kill exited $$rc"; exit 1; }; \
+	grep -q 'resumed:' "$$dir/run5.log" || \
+		{ echo "distributed-smoke: run after the coordinator kill did not resume"; exit 1; }; \
+	grep -q '^DISTRIB verdict: PASS' "$$dir/run5.log" || \
+		{ echo "distributed-smoke: merged digest after the coordinator kill did not verify"; exit 1; }
 
 # matrix-smoke drives the declarative path end to end from one command: a
 # 2×2 {profile × fault intensity} grid over a small 10-day trace, with a

@@ -10,7 +10,7 @@
 //	odrcoord -trace FILE -checkpoint DIR [-workers N] [-windows N]
 //	         [-seed S] [-shards N] [-faults SPEC]
 //	         [-cache-policy NAME] [-pool-bytes N] [-metrics FORMAT]
-//	         [-pprof ADDR] [-spec FILE] [-window-hours H] [-verify]
+//	         [-pprof ADDR] [-spec FILE] [-verify]
 //	         [-heartbeat DUR] [-max-attempts N]
 //	         [-halt-after N] [-crash-window N]
 //
@@ -30,7 +30,9 @@
 // scenario's horizon, exactly as `scenario -spec` replays it. The
 // scenario must be naive (faults without the failure-aware layer):
 // per-user circuit state follows executed outcomes, not observations, so
-// no window's start state can carry it.
+// no window's start state can carry it. Its files, sample and
+// window_hours are ignored: odrcoord replays the trace it is given and
+// builds no timeline.
 //
 // Exit codes: 0 success, 1 failure or FAIL verdict, 3 halted after a
 // checkpoint (-halt-after).
@@ -61,7 +63,6 @@ import (
 	"time"
 
 	"odr/internal/distrib"
-	"odr/internal/replay"
 	"odr/internal/scenario"
 )
 
@@ -90,7 +91,6 @@ func command(fs *flag.FlagSet) func() error {
 		seed       = fs.Uint64("seed", 1, "random seed")
 		shards     = fs.Int("shards", 0, "per-worker engine shards (0 = GOMAXPROCS; results are identical for any value)")
 		specFile   = fs.String("spec", "", "load the distributed subset of a scenario file (JSON)")
-		windowHrs  = fs.Float64("window-hours", 0, "build a windowed observability timeline with this window width")
 		verify     = fs.Bool("verify", false, "also replay single-process and compare digests (prints the DISTRIB verdict)")
 		heartbeat  = fs.Duration("heartbeat", distrib.DefaultHeartbeatTimeout, "kill a worker whose heartbeats stop for this long")
 		attempts   = fs.Int("max-attempts", distrib.DefaultMaxAttempts, "worker attempts per window before the run fails")
@@ -109,40 +109,40 @@ func command(fs *flag.FlagSet) func() error {
 			return nil
 		}
 		return runCoordinator(*tracePath, *checkpoint, *workers, *windows, *seed, *shards,
-			*specFile, *windowHrs, *verify, *heartbeat, *attempts, *haltAfter, *crashWin, common)
+			*specFile, *verify, *heartbeat, *attempts, *haltAfter, *crashWin, common)
 	}
 }
 
 // loadSpecFile maps a scenario file's distributed subset onto a worker
-// spec, worker count, and timeline config. The fault string is compiled
-// through scenario.Spec.FaultSpec, so its episode schedule spans the
-// scenario's horizon, as it does under `scenario -spec`.
-func loadSpecFile(path string) (distrib.WorkerSpec, int, *replay.TimelineConfig, error) {
+// spec and worker count. The fault string is compiled through
+// scenario.Spec.FaultSpec, so its episode schedule spans the scenario's
+// horizon, as it does under `scenario -spec`.
+func loadSpecFile(path string) (distrib.WorkerSpec, int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return distrib.WorkerSpec{}, 0, nil, err
+		return distrib.WorkerSpec{}, 0, err
 	}
 	var s scenario.Spec
 	if err := json.Unmarshal(raw, &s); err != nil {
-		return distrib.WorkerSpec{}, 0, nil, fmt.Errorf("spec %s: %w", path, err)
+		return distrib.WorkerSpec{}, 0, fmt.Errorf("spec %s: %w", path, err)
 	}
 	if err := s.Validate(); err != nil {
-		return distrib.WorkerSpec{}, 0, nil, err
+		return distrib.WorkerSpec{}, 0, err
 	}
 	if s.Faults != "" && !s.Naive {
-		return distrib.WorkerSpec{}, 0, nil, fmt.Errorf(
+		return distrib.WorkerSpec{}, 0, fmt.Errorf(
 			"spec %s: distributed replay cannot run the failure-aware resilience layer "+
 				"(its per-user circuit state follows executed outcomes, not observations, so no window start state carries it); "+
 				"set \"naive\": true or run single-process", path)
 	}
 	if s.PoolDivisor > 0 {
-		return distrib.WorkerSpec{}, 0, nil, fmt.Errorf(
+		return distrib.WorkerSpec{}, 0, fmt.Errorf(
 			"spec %s: pool_divisor is population-relative; distributed runs need an explicit pool_bytes", path)
 	}
 	s = s.Normalized()
 	fs, err := s.FaultSpec()
 	if err != nil {
-		return distrib.WorkerSpec{}, 0, nil, err
+		return distrib.WorkerSpec{}, 0, err
 	}
 	ws := distrib.WorkerSpec{
 		Seed:        s.Seed,
@@ -153,11 +153,11 @@ func loadSpecFile(path string) (distrib.WorkerSpec, int, *replay.TimelineConfig,
 	if fs.Enabled() {
 		ws.Faults = fs.String()
 	}
-	return ws, s.Workers, s.TimelineConfig(), nil
+	return ws, s.Workers, nil
 }
 
 func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uint64, shards int,
-	specFile string, windowHrs float64, verify bool, heartbeat time.Duration,
+	specFile string, verify bool, heartbeat time.Duration,
 	attempts, haltAfter, crashWin int, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
@@ -172,21 +172,14 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		PoolBytes:   common.PoolBytes,
 		Faults:      common.Faults,
 	}
-	var timeline *replay.TimelineConfig
-	if windowHrs > 0 {
-		timeline = &replay.TimelineConfig{Window: time.Duration(windowHrs * float64(time.Hour))}
-	}
 	if specFile != "" {
-		ws, specWorkers, tl, err := loadSpecFile(specFile)
+		ws, specWorkers, err := loadSpecFile(specFile)
 		if err != nil {
 			return err
 		}
 		spec = ws
 		if workers == 0 {
 			workers = specWorkers
-		}
-		if timeline == nil {
-			timeline = tl
 		}
 	}
 	spec.Metrics = common.Metrics != ""
@@ -203,7 +196,6 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		Runner:           execRunner{bin: bin},
 		HeartbeatTimeout: heartbeat,
 		MaxAttempts:      attempts,
-		Timeline:         timeline,
 		HaltAfter:        haltAfter,
 		CrashWindow:      crashWin,
 		Log: func(format string, args ...any) {
@@ -239,9 +231,6 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 			busy, elapsed, busy/elapsed)
 	}
 	fmt.Printf("merged digest:      sha256:%x\n", sha256.Sum256([]byte(merged.Digest())))
-	if merged.Timeline != nil {
-		fmt.Printf("timeline:           %v windows over %v\n", merged.Timeline.Window, merged.Timeline.Span)
-	}
 	if err := scenario.DumpRegistry(os.Stderr, merged.Metrics, common.Metrics); err != nil {
 		return err
 	}

@@ -57,8 +57,9 @@ func writeTrace(t *testing.T) (string, int64) {
 
 // TestFlagSurface pins the command's flags. The engine batch size never
 // changed a result, the goroutine runner is for tests and the library,
-// and the worker takes its whole request on stdin, so -chunk, -inprocess
-// and the old worker-only flags are usage errors.
+// the worker takes its whole request on stdin, and the coordinator
+// reports no timeline, so -chunk, -inprocess, the old worker-only flags
+// and -window-hours are usage errors.
 func TestFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("odrcoord", flag.ContinueOnError)
 	command(fs)
@@ -66,11 +67,11 @@ func TestFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{"cache-policy", "checkpoint", "crash-window", "faults", "halt-after",
 		"heartbeat", "max-attempts", "metrics", "pool-bytes", "pprof", "seed", "shards",
-		"spec", "trace", "verify", "window-hours", "windows", "worker", "workers"}
+		"spec", "trace", "verify", "windows", "worker", "workers"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("flags = %v, want %v", got, want)
 	}
-	for _, name := range []string{"chunk", "inprocess", "window", "out", "crash-after", "worker-metrics", "ingest-workers"} {
+	for _, name := range []string{"chunk", "inprocess", "window", "out", "crash-after", "worker-metrics", "ingest-workers", "window-hours"} {
 		fs := flag.NewFlagSet("odrcoord", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		command(fs)
@@ -184,7 +185,7 @@ func TestSpecFileKeepsHorizon(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ws, _, _, err := loadSpecFile(path)
+	ws, _, err := loadSpecFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,10 @@ func main() {
 	}
 	sample := odr.UnicomSample(tr, *sampleN, *seed)
 	aps := odr.BenchmarkedAPs()
-	bench := odr.RunAPBenchmark(sample, aps, *seed)
+	bench, err := odr.RunAPBenchmarkStream(odr.NewSliceSource(sample), aps, *seed, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("replayed %d Unicom requests across %d APs\n\n", len(sample), len(aps))
 	fmt.Printf("%-14s %8s %10s %12s %12s\n", "AP", "tasks", "failure%", "med KBps", "mean iowait")

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"odr/internal/replay"
 	"odr/internal/trace"
 )
 
@@ -75,9 +74,6 @@ type Config struct {
 	// MaxAttempts bounds worker restarts per window
 	// (0 = DefaultMaxAttempts); the run fails when a window exhausts it.
 	MaxAttempts int
-	// Timeline, when non-nil, builds the windowed observability timeline
-	// over the merged task records.
-	Timeline *replay.TimelineConfig
 	// Log receives progress lines (nil = silent).
 	Log func(format string, args ...any)
 
@@ -135,7 +131,8 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // runState is the state the window workers share: the run's trace
-// identity, and under mu the manifest and the run's outcome.
+// identity, and under mu the manifest, the done windows' partials, and
+// the run's outcome.
 type runState struct {
 	path    string // manifest path
 	sha     string // the trace's SHA-256
@@ -143,8 +140,9 @@ type runState struct {
 
 	mu        sync.Mutex
 	manifest  *Manifest
-	completed int   // windows completed this run
-	err       error // first hard failure
+	parts     []*Partial // per window, once read back valid
+	completed int        // windows completed this run
+	err       error      // first hard failure
 	halted    bool
 }
 
@@ -167,7 +165,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 		return nil, err
 	}
 	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), sha: sha, records: records}
-	st.manifest, err = c.openManifest(st.path, records, sha)
+	st.manifest, st.parts, err = c.openManifest(st.path, records, sha)
 	if err != nil {
 		return nil, err
 	}
@@ -190,44 +188,71 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 			return nil, err
 		}
 	}
-	return c.merge(st.manifest)
+	for i, p := range st.parts {
+		if p == nil {
+			return nil, fmt.Errorf("distrib: window %d never completed", i)
+		}
+	}
+	return MergePartials(st.parts)
 }
 
 // openManifest loads-and-validates an existing checkpoint or plans a
-// fresh one. A checkpoint for a different trace or spec is rejected
+// fresh one, and returns it with the partials of its done windows (nil
+// for the rest). A checkpoint for a different trace or spec is rejected
 // naming the mismatching field; done windows whose partials no longer
-// read back clean are demoted to pending.
-func (c *Coordinator) openManifest(path string, records int64, sha string) (*Manifest, error) {
+// read back as this run's (readPartial) are demoted to pending.
+func (c *Coordinator) openManifest(path string, records int64, sha string) (*Manifest, []*Partial, error) {
 	m, err := LoadManifest(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return NewManifest(c.cfg.TracePath, sha, records, c.cfg.Spec, c.cfg.Windows), nil
+		m = NewManifest(c.cfg.TracePath, sha, records, c.cfg.Spec, c.cfg.Windows)
+		return m, make([]*Partial, len(m.Windows)), nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if m.TraceSHA256 != sha {
-		return nil, fmt.Errorf("manifest: trace_sha256: checkpoint is for trace %s…, %s is %s… (delete %s to start over)",
+		return nil, nil, fmt.Errorf("manifest: trace_sha256: checkpoint is for trace %s…, %s is %s… (delete %s to start over)",
 			m.TraceSHA256[:12], c.cfg.TracePath, sha[:12], c.cfg.CheckpointDir)
 	}
 	if m.Records != records {
-		return nil, fmt.Errorf("manifest: records: checkpoint has %d, trace has %d", m.Records, records)
+		return nil, nil, fmt.Errorf("manifest: records: checkpoint has %d, trace has %d", m.Records, records)
 	}
 	if got, want := m.Spec.Fingerprint(), c.cfg.Spec.Fingerprint(); got != want {
-		return nil, fmt.Errorf("manifest: spec: checkpoint ran under %s, this run wants %s", got, want)
+		return nil, nil, fmt.Errorf("manifest: spec: checkpoint ran under %s, this run wants %s", got, want)
 	}
+	parts := make([]*Partial, len(m.Windows))
 	for i := range m.Windows {
 		w := &m.Windows[i]
 		if w.State != StateDone {
 			continue
 		}
-		p, rerr := ReadPartial(filepath.Join(c.cfg.CheckpointDir, w.Partial))
-		if rerr != nil || p.Window != w.Window() {
-			c.cfg.Log("window %d: checkpointed partial invalid (%v), recomputing", i, rerr)
+		p, err := c.readPartial(w.Partial, w.Window())
+		if err != nil {
+			c.cfg.Log("window %d: checkpointed partial invalid (%v), recomputing", i, err)
 			w.State = StatePending
 			w.Partial = ""
+			continue
 		}
+		parts[i] = p
 	}
-	return m, nil
+	return m, parts, nil
+}
+
+// readPartial reads the partial named name in the checkpoint directory
+// and refuses one this run did not ask for: another window's, or one
+// replayed under another spec.
+func (c *Coordinator) readPartial(name string, win Window) (*Partial, error) {
+	p, err := ReadPartial(filepath.Join(c.cfg.CheckpointDir, name))
+	if err != nil {
+		return nil, err
+	}
+	if p.Window != win {
+		return nil, fmt.Errorf("distrib: %s covers %v, want %v", name, p.Window, win)
+	}
+	if fp := c.cfg.Spec.Fingerprint(); p.Spec != fp {
+		return nil, fmt.Errorf("distrib: %s replayed under spec %s, this run's is %s", name, p.Spec, fp)
+	}
+	return p, nil
 }
 
 // runPending fans the pending window indices over the worker pool. The
@@ -378,21 +403,19 @@ func (c *Coordinator) runWindow(ctx context.Context, st *runState, idx int) erro
 		start := time.Now()
 		err := c.attempt(ctx, req)
 		if err == nil {
-			p, rerr := ReadPartial(path)
-			if rerr != nil {
-				err = fmt.Errorf("distrib: window %d wrote an unreadable partial: %w", idx, rerr)
-			} else if p.Window != win {
-				err = fmt.Errorf("distrib: window %d partial covers %v, want %v", idx, p.Window, win)
-			} else {
+			var p *Partial
+			if p, err = c.readPartial(name, win); err == nil {
 				st.mu.Lock()
 				w := &st.manifest.Windows[idx]
 				w.State = StateDone
 				w.Partial = name
 				w.Seconds = p.Seconds
+				st.parts[idx] = p
 				st.mu.Unlock()
 				c.cfg.Log("window %d %v done in %.1fs (attempt %d)", idx, win, p.Seconds, attempt)
 				return nil
 			}
+			err = fmt.Errorf("distrib: window %d: %w", idx, err)
 		}
 		lastErr = err
 		if ctx.Err() != nil {
@@ -440,28 +463,4 @@ func (c *Coordinator) attempt(ctx context.Context, req WorkerRequest) error {
 		return fmt.Errorf("%w (no beat for %v; last error: %v)", errStalled, c.cfg.HeartbeatTimeout, err)
 	}
 	return err
-}
-
-// merge reads every window's partial and reassembles the whole-trace
-// result.
-func (c *Coordinator) merge(m *Manifest) (*Merged, error) {
-	parts := make([]*Partial, len(m.Windows))
-	for i, w := range m.Windows {
-		if w.State != StateDone {
-			return nil, fmt.Errorf("distrib: window %d never completed", i)
-		}
-		p, err := ReadPartial(filepath.Join(c.cfg.CheckpointDir, w.Partial))
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = p
-	}
-	merged, err := MergePartials(parts)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.Timeline != nil {
-		merged.Timeline = replay.BuildTimeline(merged.Tasks, *c.cfg.Timeline)
-	}
-	return merged, nil
 }

@@ -305,7 +305,7 @@ func TestPartialRoundTrip(t *testing.T) {
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "magic")
 	corrupt("bad version", func(b []byte) []byte { b[4] = 99; return b }, "version")
 	corrupt("flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }, "checksum")
-	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-9] }, "checksum")
+	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-9] }, "overruns")
 	corrupt("too short", func(b []byte) []byte { return b[:10] }, "too short")
 }
 
@@ -520,6 +520,70 @@ func TestHaltResume(t *testing.T) {
 	}
 	if co2.Resumed < 1 {
 		t.Fatalf("resume recomputed everything (Resumed = %d)", co2.Resumed)
+	}
+	if got, want := merged.Digest(), singleDigest(t, tracePath, spec); got != want {
+		t.Fatalf("resumed merged digest differs from single-process digest:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestResumeRecomputesForeignSpecPartial: a checkpointed partial that
+// another spec replayed is not this run's, however intact it reads. Resume
+// must demote its window and recompute it, as it does a torn one, rather
+// than count it done and fail in the merge.
+func TestResumeRecomputesForeignSpecPartial(t *testing.T) {
+	tracePath := writeTrace(t, 90, 17)
+	spec := WorkerSpec{Seed: 17, CachePolicy: "band"}
+	dir := t.TempDir()
+	cfg := Config{
+		TracePath:     tracePath,
+		Workers:       2,
+		Windows:       4,
+		CheckpointDir: dir,
+		Spec:          spec,
+		HaltAfter:     2,
+		Log:           t.Logf,
+	}
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Run(context.Background()); !errors.Is(err, ErrHalted) {
+		t.Fatalf("halted run returned %v, want ErrHalted", err)
+	}
+	m, err := LoadManifest(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := m.Done()
+	if done < 2 || done == len(m.Windows) {
+		t.Fatalf("after halt %d/%d windows done, want a genuine partial checkpoint", done, len(m.Windows))
+	}
+	// Overwrite one done window's partial with the same window replayed
+	// under the next seed: a whole, valid partial of another run.
+	for _, w := range m.Windows {
+		if w.State != StateDone {
+			continue
+		}
+		other := spec
+		other.Seed++
+		req := WorkerRequest{TracePath: tracePath, Window: w.Window(), Spec: other, PartialPath: filepath.Join(dir, w.Partial)}
+		if err := RunWorker(context.Background(), req, nil); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+
+	cfg.HaltAfter = 0
+	co2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := co2.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if co2.Resumed != done-1 {
+		t.Fatalf("resume kept %d of %d done windows, want all but the foreign one", co2.Resumed, done)
 	}
 	if got, want := merged.Digest(), singleDigest(t, tracePath, spec); got != want {
 		t.Fatalf("resumed merged digest differs from single-process digest:\n got %s\nwant %s", got, want)

@@ -3,7 +3,6 @@ package distrib
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -173,8 +172,5 @@ func SaveManifest(path string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(append(raw, '\n'))
-		return err
-	})
+	return writeAtomic(path, append(raw, '\n'))
 }

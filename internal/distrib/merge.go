@@ -15,7 +15,8 @@ import (
 // invariant extends across process boundaries.
 type Merged struct {
 	// Tasks is every window's task records concatenated in trace order:
-	// Tasks[i] is the replay of global record i.
+	// Tasks[i] is the replay of global record i, with the fields a
+	// partial carries (Partial.Tasks).
 	Tasks []replay.ODRTask
 	// Ledgers is the per-backend counts summed across windows, in
 	// backend.Set.All() order.
@@ -30,9 +31,6 @@ type Merged struct {
 	// additive across windows and were never under the determinism
 	// contract.
 	Metrics *obs.Registry
-	// Timeline is the windowed observability timeline over the merged
-	// tasks, when the coordinator was configured to build one.
-	Timeline *replay.Timeline
 	// Windows records the merge's window map.
 	Windows []Window
 	// Seconds is each window's worker wall time, for throughput-scaling

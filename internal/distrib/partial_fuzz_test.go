@@ -3,7 +3,6 @@ package distrib
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -66,59 +65,78 @@ func samplePartial() *Partial {
 	return p
 }
 
-// reseal rewrites raw's trailing CRC to match its body, so a mutated file
-// gets past the checksum and exercises the parser behind it.
+// reseal rewrites each section's CRC in a checkpoint file (either kind)
+// to match its bytes, as far as the section lengths fit, so a mutated
+// file gets past the checksums and exercises the parser behind them.
 func reseal(raw []byte) []byte {
-	if len(raw) < 8+4+4 {
-		return raw
-	}
 	out := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[8:len(out)-4]))
+	at := uint64(8)
+	for sec := 0; sec < 2 && at+4 <= uint64(len(out)); sec++ {
+		n := uint64(binary.LittleEndian.Uint32(out[at:]))
+		if at+8+n > uint64(len(out)) {
+			break
+		}
+		binary.LittleEndian.PutUint32(out[at+4+n:], crc32.ChecksumIEEE(out[at+4:at+4+n]))
+		at += 8 + n
+	}
 	return out
 }
 
 // withHeader rebuilds valid with its JSON header edited by edit, keeping
-// the records and resealing.
+// the records.
 func withHeader(t testing.TB, valid []byte, edit func(h map[string]any)) []byte {
 	t.Helper()
-	hdrLen := int(binary.LittleEndian.Uint32(valid[8:12]))
 	var h map[string]any
-	if err := json.Unmarshal(valid[12:12+hdrLen], &h); err != nil {
-		t.Fatal(err)
-	}
-	edit(h)
-	hdr, err := json.Marshal(h)
+	recs, err := partialFrame.decode(valid, &h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := append([]byte(nil), valid[:8]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(hdr)))
-	out = append(out, hdr...)
-	out = append(out, valid[12+hdrLen:]...)
-	return reseal(out)
+	edit(h)
+	out, err := partialFrame.encode(h, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestDecodePartialRejectsBadTaskCounts: the header's task count sizes
 // the task slice, so a count the record bytes do not back — negative, or
-// so large that count×56 wraps int64 onto the real byte count — must be
+// so large that count×28 wraps int64 onto the real byte count — must be
 // an error before anything is allocated.
 func TestDecodePartialRejectsBadTaskCounts(t *testing.T) {
-	var buf bytes.Buffer
 	empty := samplePartial()
 	empty.Tasks = nil
-	if err := encodePartial(&buf, empty); err != nil {
+	raw, err := encodePartial(empty)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodePartial(buf.Bytes()); err != nil {
+	if _, err := decodePartial(raw); err != nil {
 		t.Fatalf("empty partial: %v", err)
 	}
-	// 2^61 × 56 ≡ 0 (mod 2^64): matches the empty record section if the
+	// 2^62 × 28 ≡ 0 (mod 2^64): matches the empty record section if the
 	// check multiplies.
-	for _, n := range []int64{-1, math.MinInt64, 1, 1 << 61, math.MaxInt64} {
-		bad := withHeader(t, buf.Bytes(), func(h map[string]any) { h["tasks"] = n })
+	for _, n := range []int64{-1, math.MinInt64, 1, 1 << 61, 1 << 62, math.MaxInt64} {
+		bad := withHeader(t, raw, func(h map[string]any) { h["tasks"] = n })
 		if _, err := decodePartial(bad); err == nil || !strings.Contains(err.Error(), "tasks") {
 			t.Errorf("tasks=%d: decodePartial = %v, want a task-count error", n, err)
 		}
+	}
+}
+
+// TestFileKindsDoNotSwap: partials and state files share a frame, so
+// only the magic tells them apart; each decoder must refuse the other
+// kind's file by it.
+func TestFileKindsDoNotSwap(t *testing.T) {
+	partial, err := encodePartial(samplePartial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := encodeState(stateHeader{Kind: kindCensus}, encodeCensus(sampleCensus()))
+	if _, err := decodePartial(state); err == nil || !strings.Contains(err.Error(), `bad partial magic "ODRS"`) {
+		t.Errorf("decodePartial(state file) = %v, want a refusal naming its magic", err)
+	}
+	if _, _, err := decodeState(partial); err == nil || !strings.Contains(err.Error(), `bad state magic "ODRP"`) {
+		t.Errorf("decodeState(partial) = %v, want a refusal naming its magic", err)
 	}
 }
 
@@ -127,11 +145,10 @@ func TestDecodePartialRejectsBadTaskCounts(t *testing.T) {
 // accepts must be a fixed point of encode∘decode whose digest is the
 // fmt-defined one.
 func FuzzDecodePartial(f *testing.F) {
-	var buf bytes.Buffer
-	if err := encodePartial(&buf, samplePartial()); err != nil {
+	valid, err := encodePartial(samplePartial())
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	hdrLen := int(binary.LittleEndian.Uint32(valid[8:12]))
 	flip := func(at int) []byte {
 		b := append([]byte(nil), valid...)
@@ -143,11 +160,14 @@ func FuzzDecodePartial(f *testing.F) {
 	f.Add(valid[:12+hdrLen/2])       // truncated mid-header
 	f.Add(flip(9))                   // header length
 	f.Add(flip(12 + hdrLen/2))       // header JSON
-	f.Add(flip(12 + hdrLen + 2))     // first record's reason index
+	f.Add(flip(16 + hdrLen + 1))     // payload length
+	f.Add(flip(20 + hdrLen + 2))     // first record's cause index
 	f.Add(flip(len(valid) - 4 - 20)) // last record
 	f.Add(withHeader(f, valid, func(h map[string]any) { h["tasks"] = -1 }))
 	f.Add(withHeader(f, valid, func(h map[string]any) { h["tasks"] = int64(1) << 61 }))
+	f.Add(withHeader(f, valid, func(h map[string]any) { h["tasks"] = int64(1) << 62 }))
 	f.Add(withHeader(f, valid, func(h map[string]any) { h["causes"] = []string{} }))
+	f.Add(encodeState(stateHeader{Kind: kindCensus}, encodeCensus(sampleCensus()))) // the other kind
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, in := range [][]byte{raw, reseal(raw)} {
@@ -155,18 +175,19 @@ func FuzzDecodePartial(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			var enc1, enc2 bytes.Buffer
-			if err := encodePartial(&enc1, p1); err != nil {
+			enc1, err := encodePartial(p1)
+			if err != nil {
 				t.Fatalf("re-encode of an accepted partial: %v", err)
 			}
-			p2, err := decodePartial(enc1.Bytes())
+			p2, err := decodePartial(enc1)
 			if err != nil {
 				t.Fatalf("decode of our own encoding: %v", err)
 			}
-			if err := encodePartial(&enc2, p2); err != nil {
+			enc2, err := encodePartial(p2)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
+			if !bytes.Equal(enc1, enc2) {
 				t.Fatal("encode→decode→encode is not a fixed point")
 			}
 			got := replay.DigestOf(p1.Tasks, p1.Ledgers, p1.Totals)

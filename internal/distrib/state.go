@@ -2,10 +2,7 @@ package distrib
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 
 	"odr/internal/replay"
@@ -13,17 +10,13 @@ import (
 	"odr/internal/workload"
 )
 
-// State files ("ODRS") carry what a window worker starts from instead of
-// re-reading the trace before its window: the census population (one
-// file per run) and the cloud's observation state at each pending
-// window's base (one file per window). Like ODRP partials they open with
-// an 8-byte magic/version block; two CRC-framed sections follow — a JSON
-// header pinning the file to one trace (by SHA-256), one spec fingerprint
-// and one record boundary, then the payload — each a u32 length, the
-// bytes, and a CRC32-IEEE over the bytes.
+// State files ("ODRS", in the checkpoint frame of frame.go) carry what a
+// window worker starts from instead of re-reading the trace before its
+// window: the census population (one file per run) and the cloud's
+// observation state at each pending window's base (one file per window).
+// The JSON header pins the file to one trace (by SHA-256), one spec
+// fingerprint and one record boundary.
 const (
-	stateMagic   = "ODRS"
-	stateVersion = 2
 	// censusRecordLen is one census record: ID, size, weekly requests,
 	// class, protocol.
 	censusRecordLen = 16 + 8 + 4 + 1 + 1
@@ -52,68 +45,24 @@ type stateHeader struct {
 
 // encodeState renders a state file.
 func encodeState(hdr stateHeader, payload []byte) []byte {
-	hdrJSON, err := json.Marshal(hdr)
+	raw, err := stateFrame.encode(hdr, payload)
 	if err != nil {
 		panic(err) // a struct of strings and an integer cannot fail to encode
 	}
-	out := make([]byte, 8, 8+8+len(hdrJSON)+8+len(payload))
-	copy(out, stateMagic)
-	binary.LittleEndian.PutUint16(out[4:6], stateVersion)
-	for _, sec := range [][]byte{hdrJSON, payload} {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(sec)))
-		out = append(out, sec...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(sec))
-	}
-	return out
+	return raw
 }
 
 // decodeState parses a state file's bytes into its header and payload.
-// Every length is checked against what is there before anything is
-// sliced by it (FuzzDecodeState).
 func decodeState(raw []byte) (stateHeader, []byte, error) {
 	var hdr stateHeader
-	if len(raw) < 8 {
-		return hdr, nil, fmt.Errorf("state file is %d bytes, too short", len(raw))
-	}
-	if string(raw[:4]) != stateMagic {
-		return hdr, nil, fmt.Errorf("bad state magic %q", raw[:4])
-	}
-	if v := binary.LittleEndian.Uint16(raw[4:6]); v != stateVersion {
-		return hdr, nil, fmt.Errorf("unsupported state version %d (want %d)", v, stateVersion)
-	}
-	rest := raw[8:]
-	var secs [2][]byte
-	for i, name := range []string{"header", "payload"} {
-		if len(rest) < 4 {
-			return hdr, nil, fmt.Errorf("state %s section truncated", name)
-		}
-		n := uint64(binary.LittleEndian.Uint32(rest))
-		if uint64(len(rest)) < 8+n {
-			return hdr, nil, fmt.Errorf("state %s length %d overruns the file", name, n)
-		}
-		sec := rest[4 : 4+n]
-		if crc32.ChecksumIEEE(sec) != binary.LittleEndian.Uint32(rest[4+n:]) {
-			return hdr, nil, fmt.Errorf("state %s checksum mismatch (corrupt or truncated)", name)
-		}
-		secs[i], rest = sec, rest[8+n:]
-	}
-	if len(rest) != 0 {
-		return hdr, nil, fmt.Errorf("%d bytes after the state payload", len(rest))
-	}
-	if err := json.Unmarshal(secs[0], &hdr); err != nil {
-		return hdr, nil, fmt.Errorf("state header: %w", err)
-	}
-	return hdr, secs[1], nil
+	payload, err := stateFrame.decode(raw, &hdr)
+	return hdr, payload, err
 }
 
 // writeState writes a state file atomically and durably, so a worker
 // handed its path reads the whole file or none.
 func writeState(path string, hdr stateHeader, payload []byte) error {
-	raw := encodeState(hdr, payload)
-	return writeAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(raw)
-		return err
-	})
+	return writeAtomic(path, encodeState(hdr, payload))
 }
 
 // readState reads a state file and returns its payload once its header

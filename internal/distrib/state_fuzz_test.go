@@ -3,7 +3,6 @@ package distrib
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -16,23 +15,6 @@ func sampleCensus() []*workload.FileMeta {
 		{ID: workload.FileIDFromIndex(1), Size: 700 << 20, WeeklyRequests: 3, Class: 1, Protocol: 2},
 		{ID: workload.FileIDFromIndex(2), Size: 0, WeeklyRequests: 90210, Class: 3},
 	}
-}
-
-// resealState rewrites each section's CRC to match its bytes, as far as
-// the section lengths fit, so a mutated file gets past the checksums and
-// exercises the parser behind them.
-func resealState(raw []byte) []byte {
-	out := append([]byte(nil), raw...)
-	at := uint64(8)
-	for sec := 0; sec < 2 && at+4 <= uint64(len(out)); sec++ {
-		n := uint64(binary.LittleEndian.Uint32(out[at:]))
-		if at+8+n > uint64(len(out)) {
-			break
-		}
-		binary.LittleEndian.PutUint32(out[at+4+n:], crc32.ChecksumIEEE(out[at+4:at+4+n]))
-		at += 8 + n
-	}
-	return out
 }
 
 // TestStateFileRoundTrip: a census survives the state file byte for byte,
@@ -103,9 +85,14 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(flip(12 + hdrLen + 8))     // payload length
 	f.Add(flip(len(valid) - 4 - 20)) // payload
 	f.Add(encodeState(stateHeader{Kind: kindState, Base: 7}, []byte("d\x07")))
+	partial, err := encodePartial(samplePartial())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(partial) // the other kind
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, in := range [][]byte{raw, resealState(raw)} {
+		for _, in := range [][]byte{raw, reseal(raw)} {
 			hdr, payload, err := decodeState(in)
 			if err != nil {
 				continue

@@ -205,17 +205,6 @@ type (
 	ReplayOptions = replay.Options
 )
 
-// RunAPBenchmark replays an in-memory sample across APs per §5.1.
-func RunAPBenchmark(sample []Request, aps []*AP, seed uint64) *APBench {
-	return replay.RunAPBenchmark(sample, aps, seed)
-}
-
-// RunODR replays an in-memory sample through the ODR decision procedure
-// per §6.2.
-func RunODR(sample []Request, files []*FileMeta, aps []*AP, opts ReplayOptions) *ODRResult {
-	return replay.RunODR(sample, files, aps, opts)
-}
-
 // RunAPBenchmarkStream replays a request stream across APs per §5.1
 // without holding it; results are identical for any shard count.
 func RunAPBenchmarkStream(src RequestSource, aps []*AP, seed uint64, shards int) (*APBench, error) {

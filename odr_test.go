@@ -23,11 +23,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	sample := UnicomSample(tr, 200, 1)
 	aps := BenchmarkedAPs()
-	bench := RunAPBenchmark(sample, aps, 1)
+	bench, err := RunAPBenchmarkStream(NewSliceSource(sample), aps, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bench.FailureRatio() <= 0 {
 		t.Fatal("AP benchmark produced no failures at all — implausible")
 	}
-	res := RunODR(sample, tr.Files, aps, ReplayOptions{Seed: 1})
+	res, err := RunODRStream(NewSliceSource(sample), tr.Files, aps, ReplayOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.UnpopularFailureRatio() >= bench.UnpopularFailureRatio() {
 		t.Fatal("ODR did not improve on the AP baseline")
 	}
@@ -71,7 +77,10 @@ func TestFacadeStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := RunODR(want, tr.Files, aps, ReplayOptions{Seed: 1})
+	ref, err := RunODRStream(NewSliceSource(want), tr.Files, aps, ReplayOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Tasks) != len(ref.Tasks) ||
 		res.CloudBytes() != ref.CloudBytes() ||
 		res.ImpededRatio() != ref.ImpededRatio() {
@@ -82,7 +91,11 @@ func TestFacadeStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bench.FailureRatio() != RunAPBenchmark(want, aps, 1).FailureRatio() {
+	refBench, err := RunAPBenchmarkStream(NewSliceSource(want), aps, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bench.FailureRatio() != refBench.FailureRatio() {
 		t.Fatal("stream-sampled AP benchmark diverged from the slice-sampled one")
 	}
 
