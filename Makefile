@@ -242,11 +242,13 @@ cover:
 # the server must cost at most three objects per item
 # (TestBatchHandlerAllocs). The CSV trace codec allocates nothing per
 # encoded record and, decoding, only on a record's first sighting of its
-# user or file (TestCSVSteadyStateAllocs). All three tests carry a !race
-# build tag (race instrumentation allocates per tracked access), so they
-# run here rather than inside the race target.
+# user or file (TestCSVSteadyStateAllocs). The streamed digest allocates
+# per goroutine, never per task: 20k and 200k records cost the same
+# (TestDigestAllocs). All four tests carry a !race build tag (race
+# instrumentation allocates per tracked access), so they run here rather
+# than inside the race target.
 allocgate:
-	$(GO) test -run TestStreamSteadyStateAllocs -count 1 ./internal/replay
+	$(GO) test -run 'TestStreamSteadyStateAllocs|TestDigestAllocs' -count 1 ./internal/replay
 	$(GO) test -run TestBatchHandlerAllocs -count 1 ./internal/odrweb
 	$(GO) test -run TestCSVSteadyStateAllocs -count 1 ./internal/trace
 

@@ -20,7 +20,10 @@
 // a different trace (by content hash) or replay configuration is refused
 // with the mismatching field named. -verify additionally replays the
 // whole trace single-process and compares the digests, printing the
-// "DISTRIB verdict: PASS|FAIL" line CI greps. With -pprof a
+// "DISTRIB verdict: PASS|FAIL" line CI greps. The run summary gives each
+// window's worker time and the coordinator's own stages — trace hash,
+// census, state pass, merge plus digest — in ms; the merged digest is
+// hashed as it streams and never built as one string. With -pprof a
 // net/http/pprof server runs in the coordinator process for the lifetime
 // of the run.
 //
@@ -216,7 +219,7 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	elapsed := time.Since(start).Seconds()
 
 	tot := merged.Engine.Totals()
-	fmt.Printf("\ndistributed replay: %d tasks over %d window(s), %d worker(s), %.1fs wall\n",
+	fmt.Printf("\ndistributed replay: %d tasks over %d window(s), %d worker(s), %.3fs wall\n",
 		tot.Tasks, len(merged.Windows), workers, elapsed)
 	fmt.Printf("failure ratio:      %5.1f%%\n", merged.FailureRatio()*100)
 	fmt.Printf("cloud bytes:        %.3g\n", merged.CloudBytes())
@@ -224,13 +227,21 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	for i, w := range merged.Windows {
 		rate := float64(w.Limit) / merged.Seconds[i]
 		busy += merged.Seconds[i]
-		fmt.Printf("  window %2d %-22s %8.1fs  %9.0f tasks/s\n", i, w, merged.Seconds[i], rate)
+		fmt.Printf("  window %2d %-22s %9.1fms  %9.0f tasks/s\n", i, w, merged.Seconds[i]*1000, rate)
 	}
 	if elapsed > 0 {
-		fmt.Printf("worker-seconds:     %.1fs over %.1fs wall (%.2fx parallelism)\n",
+		fmt.Printf("worker-seconds:     %.3fs over %.3fs wall (%.2fx parallelism)\n",
 			busy, elapsed, busy/elapsed)
 	}
-	fmt.Printf("merged digest:      sha256:%x\n", sha256.Sum256([]byte(merged.Digest())))
+	digestStart := time.Now()
+	sum, err := digestSum(merged.WriteDigest)
+	if err != nil {
+		return err
+	}
+	st := co.Stages
+	fmt.Printf("coordinator:        trace hash %.1fms, census %.1fms (alongside the hash), state pass %.1fms, merge+digest %.1fms\n",
+		millis(st.Hash), millis(st.Census), millis(st.StatePass), millis(st.Merge+time.Since(digestStart)))
+	fmt.Printf("merged digest:      sha256:%x\n", sum)
 	if err := scenario.DumpRegistry(os.Stderr, merged.Metrics, common.Metrics); err != nil {
 		return err
 	}
@@ -241,16 +252,34 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		if err != nil {
 			return err
 		}
-		if ref.Digest() == merged.Digest() {
+		refSum, err := digestSum(ref.WriteDigest)
+		if err != nil {
+			return err
+		}
+		if refSum == sum {
 			fmt.Println("DISTRIB verdict: PASS (merged digest byte-identical to single-process)")
 		} else {
 			fmt.Println("DISTRIB verdict: FAIL (merged digest differs from single-process)")
-			return fmt.Errorf("digest mismatch: merged sha256:%x, single-process sha256:%x",
-				sha256.Sum256([]byte(merged.Digest())), sha256.Sum256([]byte(ref.Digest())))
+			return fmt.Errorf("digest mismatch: merged sha256:%x, single-process sha256:%x", sum, refSum)
 		}
 	}
 	return nil
 }
+
+// digestSum returns the SHA-256 of the digest write streams, without the
+// digest ever existing as one string.
+func digestSum(write func(io.Writer) error) ([sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
+	h := sha256.New()
+	if err := write(h); err != nil {
+		return sum, err
+	}
+	h.Sum(sum[:0])
+	return sum, nil
+}
+
+// millis renders a duration in milliseconds.
+func millis(d time.Duration) float64 { return d.Seconds() * 1000 }
 
 // decodeRequest reads the one WorkerRequest a worker runs. Decoding is
 // strict — an unknown field or anything after the object is an error — so

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"odr/internal/trace"
+	"odr/internal/workload"
 )
 
 // Runner executes one worker assignment. The coordinator is agnostic to
@@ -93,6 +94,24 @@ type Coordinator struct {
 	// Resumed is how many windows an existing checkpoint already covered
 	// when Run started (valid after Run returns).
 	Resumed int
+	// Stages is where the coordinator's own time went (valid after Run
+	// returns).
+	Stages Stages
+}
+
+// Stages times the coordinator's serial steps: what a run spends before
+// its first window can start and after its last one is done.
+type Stages struct {
+	// Hash is the trace's SHA-256. The census runs alongside it.
+	Hash time.Duration
+	// Census is the census pass, timed from its start at the top of Run
+	// (zero when no window was pending).
+	Census time.Duration
+	// StatePass is the observation pass that follows the census: every
+	// pending window's state file written and the window queued.
+	StatePass time.Duration
+	// Merge is MergePartials.
+	Merge time.Duration
 }
 
 // New validates the configuration.
@@ -157,7 +176,13 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The census needs nothing the hash or the manifest decides, so it
+	// runs alongside them; every return stops it.
+	cen := startCensus(ctx, c.cfg.TracePath)
+	defer cen.stop()
+	start := time.Now()
 	sha, err := trace.SHA256File(c.cfg.TracePath)
+	c.Stages.Hash = time.Since(start)
 	if err != nil {
 		return nil, err
 	}
@@ -183,17 +208,60 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 			pending = append(pending, i)
 		}
 	}
-	if len(pending) > 0 {
-		if err := c.runPending(ctx, st, pending); err != nil {
-			return nil, err
-		}
+	if len(pending) == 0 {
+		cen.stop() // every window is done: the census has no taker
+	} else if err := c.runPending(ctx, st, cen, pending); err != nil {
+		return nil, err
 	}
 	for i, p := range st.parts {
 		if p == nil {
 			return nil, fmt.Errorf("distrib: window %d never completed", i)
 		}
 	}
-	return MergePartials(st.parts)
+	start = time.Now()
+	merged, err := MergePartials(st.parts)
+	c.Stages.Merge = time.Since(start)
+	return merged, err
+}
+
+// censusRun is a census pass on its own goroutine.
+type censusRun struct {
+	cancel context.CancelFunc
+	done   chan struct{} // closed once files, err and took are set
+	files  []*workload.FileMeta
+	err    error
+	took   time.Duration
+}
+
+// startCensus starts the census pass of tracePath; ctx cancels it.
+func startCensus(ctx context.Context, tracePath string) *censusRun {
+	ctx, cancel := context.WithCancel(ctx)
+	r := &censusRun{cancel: cancel, done: make(chan struct{})}
+	start := time.Now()
+	go func() {
+		defer close(r.done)
+		r.files, r.err = census(tracePath, &meter{ctx: ctx})
+		r.took = time.Since(start)
+	}()
+	return r
+}
+
+// wait returns the census once the pass ends, or ctx's error if ctx ends
+// first.
+func (r *censusRun) wait(ctx context.Context) ([]*workload.FileMeta, error) {
+	select {
+	case <-r.done:
+		return r.files, r.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// stop cancels the pass if it still runs and waits for its goroutine to
+// exit. It may be called more than once.
+func (r *censusRun) stop() {
+	r.cancel()
+	<-r.done
 }
 
 // openManifest loads-and-validates an existing checkpoint or plans a
@@ -258,7 +326,7 @@ func (c *Coordinator) readPartial(name string, win Window) (*Partial, error) {
 // runPending fans the pending window indices over the worker pool. The
 // state pass feeds the queue, so a window dispatches as soon as its state
 // file is durable and the pass runs while the first wave replays.
-func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []int) error {
+func (c *Coordinator) runPending(ctx context.Context, st *runState, cen *censusRun, pending []int) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	bases := make([]int, len(pending))
@@ -307,7 +375,7 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []in
 			}
 		}()
 	}
-	if err := c.feedStates(runCtx, st, pending, bases, queue); err != nil && runCtx.Err() == nil {
+	if err := c.feedStates(runCtx, st, cen, pending, bases, queue); err != nil && runCtx.Err() == nil {
 		st.mu.Lock()
 		if st.err == nil {
 			st.err = err
@@ -332,19 +400,20 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []in
 	return nil
 }
 
-// feedStates is the coordinator's state pass: the census, written once
-// per run, then one observation pass over the trace that writes each
-// pending window's state file at its base and queues the window once the
-// file is durable. Nothing an earlier run wrote is read back: a resume
-// recomputes every file it hands out.
-func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending, bases []int, queue chan<- int) error {
-	start := time.Now()
-	fp := c.cfg.Spec.Fingerprint()
-	m := &meter{ctx: ctx}
-	files, err := census(c.cfg.TracePath, m)
+// feedStates is the coordinator's state pass: the census cen takes,
+// written once per run, then one observation pass over the trace that
+// writes each pending window's state file at its base and queues the
+// window once the file is durable. Nothing an earlier run wrote is read
+// back: a resume recomputes every file it hands out.
+func (c *Coordinator) feedStates(ctx context.Context, st *runState, cen *censusRun, pending, bases []int, queue chan<- int) error {
+	files, err := cen.wait(ctx)
 	if err != nil {
 		return err
 	}
+	c.Stages.Census = cen.took
+	start := time.Now()
+	fp := c.cfg.Spec.Fingerprint()
+	m := &meter{ctx: ctx}
 	hdr := stateHeader{Kind: kindCensus, TraceSHA256: st.sha, Spec: fp, Base: st.records}
 	if err := writeState(filepath.Join(c.cfg.CheckpointDir, censusName), hdr, encodeCensus(files)); err != nil {
 		return err
@@ -363,8 +432,9 @@ func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending, bas
 	if err != nil {
 		return err
 	}
-	c.cfg.Log("state pass: census of %d files and %d window state(s) in %.3fs",
-		len(files), len(pending), time.Since(start).Seconds())
+	c.Stages.StatePass = time.Since(start)
+	c.cfg.Log("state pass: census of %d files in %.1fms, %d window state(s) in %.1fms",
+		len(files), c.Stages.Census.Seconds()*1000, len(pending), c.Stages.StatePass.Seconds()*1000)
 	return nil
 }
 
@@ -412,7 +482,7 @@ func (c *Coordinator) runWindow(ctx context.Context, st *runState, idx int) erro
 				w.Seconds = p.Seconds
 				st.parts[idx] = p
 				st.mu.Unlock()
-				c.cfg.Log("window %d %v done in %.1fs (attempt %d)", idx, win, p.Seconds, attempt)
+				c.cfg.Log("window %d %v done in %.1fms (attempt %d)", idx, win, p.Seconds*1000, attempt)
 				return nil
 			}
 			err = fmt.Errorf("distrib: window %d: %w", idx, err)

@@ -25,16 +25,26 @@
 //   - the warm-pool draws in backend construction depend on the file
 //     population slice, so the coordinator takes one census of the whole
 //     trace and ships its first-appearance population in a census file
-//     that every worker hands, unchanged, to its backends;
+//     that every worker hands, unchanged, to its backends; the census is
+//     the order the bin decoder interns files in (trace.BinFiles), which
+//     is first appearance by construction;
 //   - ledgers and engine totals are associative integer sums, and task
 //     records live at disjoint global indices, so per-window results
 //     concatenate and add into exactly the single-process values.
 //
 // A worker therefore reads only its own window of the trace. The
-// coordinator dispatches a window as soon as its state file is durable, so
+// coordinator starts the census on its own goroutine alongside the trace
+// hash, and dispatches a window as soon as its state file is durable, so
 // the pass overlaps the first wave of workers; a resume recomputes the
 // census and every state it hands out instead of trusting files an
 // earlier run left behind.
+//
+// Partials and the merge hold each task as a replay.DigestRecord — the
+// eight fields the digest reads, 48 B against an ODRTask's 128 B — and
+// Merged.WriteDigest streams the digest (replay.WriteDigest) so a caller
+// can hash it without building it: at its peak the coordinator holds
+// ≈ 96 B per task, where whole tasks and a built digest string took
+// ≈ 400.
 //
 // The one cross-request state this cannot reproduce is the resilience
 // layer's per-user circuit breaker: its strikes and cooldowns follow

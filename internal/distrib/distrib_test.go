@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -873,5 +874,116 @@ func TestMeteredSourceForwardsLength(t *testing.T) {
 	unsized := m.wrap(workload.NewCensus().Wrap(src)) // the census wrapper has no length
 	if got := unsized.(workload.Sizer).TotalRequests(); got != 0 {
 		t.Fatalf("metered source over an unsized one announces %d, want 0 (unknown)", got)
+	}
+}
+
+// TestCensusMatchesWorkloadCensus pins the census order: the population
+// the bin decoder interns is workload.Census's first-appearance order over
+// the same records, on a trace of several chunks whose files recur across
+// chunk boundaries.
+func TestCensusMatchesWorkloadCensus(t *testing.T) {
+	tracePath := writeTrace(t, 2000, 5)
+	got, err := census(tracePath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	c := workload.NewCensus()
+	first := map[*workload.FileMeta]int{}
+	span := 0 // the longest distance between a file's first and last record
+	for {
+		i, req, ok := src.Next()
+		if !ok {
+			break
+		}
+		c.Observe(req)
+		if f, seen := first[req.File]; seen {
+			span = max(span, i-f)
+		} else {
+			first[req.File] = i
+		}
+	}
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// A chunk closes once its payload reaches 256 KiB, and a record is at
+	// least 60 bytes, so records this far apart sit in different chunks.
+	if minApart := (256<<10 + 4096) / 60; span <= minApart {
+		t.Fatalf("no file recurs more than %d records after its first sighting; the trace does not cross chunks", span)
+	}
+	want := c.Files()
+	if len(got) != len(want) {
+		t.Fatalf("census has %d files, workload.Census %d", len(got), len(want))
+	}
+	for i := range want {
+		if *got[i] != *want[i] {
+			t.Fatalf("census file %d is %+v, workload.Census has %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCoordinatorCensusLifetime: the census runs on its own goroutine
+// from the top of Run. Stopping it cancels the pass and waits for the
+// goroutine; a census error fails the run as the census pass's; and a run
+// that returns before the census is used leaves no goroutine behind.
+func TestCoordinatorCensusLifetime(t *testing.T) {
+	tracePath := writeTrace(t, 400, 13)
+
+	cen := startCensus(context.Background(), tracePath)
+	cen.stop()
+	select {
+	case <-cen.done:
+	default:
+		t.Fatal("stop returned before the census goroutine finished")
+	}
+	if !errors.Is(cen.err, context.Canceled) {
+		t.Fatalf("stopped census = %v, want it canceled", cen.err)
+	}
+
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff // inside a chunk payload: its checksum fails
+	corrupt := filepath.Join(t.TempDir(), "corrupt.bin")
+	if err := os.WriteFile(corrupt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	co, err := New(Config{TracePath: corrupt, Workers: 2, CheckpointDir: t.TempDir(), Spec: WorkerSpec{Seed: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Run(context.Background()); err == nil ||
+		!strings.Contains(err.Error(), "distrib: census pass: trace:") || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("run over a corrupt chunk = %v, want the census pass's checksum error", err)
+	}
+
+	// A checkpoint of another trace is refused right after the hash.
+	dir := t.TempDir()
+	other := writeTrace(t, 60, 14)
+	co, err = New(Config{TracePath: other, Workers: 1, CheckpointDir: dir, Spec: WorkerSpec{Seed: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	co, err = New(Config{TracePath: tracePath, Workers: 1, CheckpointDir: dir, Spec: WorkerSpec{Seed: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "trace_sha256") {
+		t.Fatalf("run against another trace's checkpoint = %v, want a trace_sha256 refusal", err)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the refused run, %d after", before, after)
 	}
 }

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"fmt"
+	"io"
 
 	"odr/internal/obs"
 	"odr/internal/replay"
@@ -14,10 +15,11 @@ import (
 // single-process ODRResult produces, which is how the determinism
 // invariant extends across process boundaries.
 type Merged struct {
-	// Tasks is every window's task records concatenated in trace order:
-	// Tasks[i] is the replay of global record i, with the fields a
-	// partial carries (Partial.Tasks).
-	Tasks []replay.ODRTask
+	// Tasks is every window's digest records concatenated in trace order:
+	// Tasks[i] is the replay of global record i, reduced to the fields the
+	// digest reads (Partial.Tasks). The merge holds 48 B per task here, not
+	// a whole replay.ODRTask.
+	Tasks []replay.DigestRecord
 	// Ledgers is the per-backend counts summed across windows, in
 	// backend.Set.All() order.
 	Ledgers []replay.LedgerCounts
@@ -57,7 +59,7 @@ func MergePartials(parts []*Partial) (*Merged, error) {
 	for _, p := range parts {
 		total += p.Window.Limit
 	}
-	m.Tasks = make([]replay.ODRTask, 0, total)
+	m.Tasks = make([]replay.DigestRecord, 0, total)
 	var next int64
 	spec := parts[0].Spec
 	for i, p := range parts {
@@ -110,6 +112,13 @@ func MergePartials(parts []*Partial) (*Merged, error) {
 // the same trace under the same spec.
 func (m *Merged) Digest() string {
 	return replay.DigestOf(m.Tasks, m.Ledgers, m.Engine.Totals())
+}
+
+// WriteDigest writes Digest's bytes to w (replay.WriteDigest) without
+// building the string: hashing the merged result through it costs
+// buffers bounded by GOMAXPROCS, not a second copy of every task.
+func (m *Merged) WriteDigest(w io.Writer) error {
+	return replay.WriteDigest(w, m.Tasks, m.Ledgers, m.Engine.Totals())
 }
 
 // CloudBytes returns total bytes the cloud uploaded, from the merged

@@ -28,12 +28,10 @@ type Partial struct {
 	Totals replay.ShardTotals
 	// Metrics is the worker's registry snapshot (nil when unobserved).
 	Metrics *obs.Snapshot
-	// Tasks are the window's task records, in window order. The
-	// serialized form keeps exactly what replay.DigestOf reads — route,
-	// success, cause, perceived rate, pre-delay, cloud bytes, and the
-	// storage-bound and B4-exposed flags — so after a round trip the
-	// request and the rest of the decision are zero.
-	Tasks []replay.ODRTask
+	// Tasks are the window's task records, in window order: of each task
+	// exactly what replay.DigestOf reads (replay.DigestRecord), which is
+	// also exactly what the file carries.
+	Tasks []replay.DigestRecord
 	// Seconds is the worker's wall time for the whole window (loading its
 	// census and start state, and the replay) — the throughput-scaling
 	// input.
@@ -112,7 +110,7 @@ func encodePartial(p *Partial) ([]byte, error) {
 			flags |= taskFlagB4Exposed
 		}
 		rec := recs[i*taskRecordLen:]
-		rec[0] = byte(t.Decision.Route)
+		rec[0] = byte(t.Route)
 		rec[1] = flags
 		binary.LittleEndian.PutUint16(rec[2:4], uint16(cause))
 		binary.LittleEndian.PutUint64(rec[4:12], math.Float64bits(t.PerceivedRate))
@@ -123,7 +121,7 @@ func encodePartial(p *Partial) ([]byte, error) {
 }
 
 // ReadPartial reads and validates a partial-result file, reconstructing
-// the task records' digest fields.
+// its digest records.
 func ReadPartial(path string) (*Partial, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -151,7 +149,7 @@ func decodePartial(raw []byte) (*Partial, error) {
 		return nil, fmt.Errorf("%d record bytes, want %d bytes each for %d tasks",
 			len(recs), taskRecordLen, hdr.Tasks)
 	}
-	tasks := make([]replay.ODRTask, hdr.Tasks)
+	tasks := make([]replay.DigestRecord, hdr.Tasks)
 	for i := range tasks {
 		rec := recs[i*taskRecordLen:]
 		cause := int(binary.LittleEndian.Uint16(rec[2:4]))
@@ -159,13 +157,13 @@ func decodePartial(raw []byte) (*Partial, error) {
 			return nil, fmt.Errorf("task %d cause index %d out of table", i, cause)
 		}
 		flags := rec[1]
-		tasks[i] = replay.ODRTask{
-			Decision:      core.Decision{Route: core.Route(rec[0])},
-			Success:       flags&taskFlagSuccess != 0,
+		tasks[i] = replay.DigestRecord{
 			Cause:         hdr.Causes[cause],
 			PerceivedRate: math.Float64frombits(binary.LittleEndian.Uint64(rec[4:12])),
 			PreDelay:      time.Duration(binary.LittleEndian.Uint64(rec[12:20])),
 			CloudBytes:    math.Float64frombits(binary.LittleEndian.Uint64(rec[20:28])),
+			Route:         core.Route(rec[0]),
+			Success:       flags&taskFlagSuccess != 0,
 			StorageBound:  flags&taskFlagStorageBound != 0,
 			B4Exposed:     flags&taskFlagB4Exposed != 0,
 		}

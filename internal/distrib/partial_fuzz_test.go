@@ -12,19 +12,18 @@ import (
 
 	"odr/internal/core"
 	"odr/internal/replay"
-	"odr/internal/workload"
 )
 
 // fmtDigest is the digest's defining form — the fmt verbs replay.DigestOf
 // printed with before it moved to strconv appends (the same oracle as
 // internal/replay's TestDigestMatchesFmtReference, repeated here because a
 // test file cannot be imported).
-func fmtDigest(tasks []replay.ODRTask, ledgers []replay.LedgerCounts, tot replay.ShardTotals) string {
+func fmtDigest(tasks []replay.DigestRecord, ledgers []replay.LedgerCounts, tot replay.ShardTotals) string {
 	var b strings.Builder
 	for i := range tasks {
 		t := &tasks[i]
 		fmt.Fprintf(&b, "%d|%v|%v|%q|%x|%d|%x|%v|%v\n",
-			i, t.Decision.Route, t.Success, t.Cause,
+			i, t.Route, t.Success, t.Cause,
 			math.Float64bits(t.PerceivedRate), t.PreDelay,
 			math.Float64bits(t.CloudBytes), t.StorageBound, t.B4Exposed)
 	}
@@ -39,7 +38,6 @@ func fmtDigest(tasks []replay.ODRTask, ledgers []replay.LedgerCounts, tot replay
 // samplePartial is a small partial with every record field populated and
 // awkward strings in both interned tables.
 func samplePartial() *Partial {
-	file := &workload.FileMeta{Size: 700 << 20, WeeklyRequests: 3}
 	p := &Partial{
 		Window: Window{Offset: 40, Limit: 3},
 		Spec:   "seed=9",
@@ -50,9 +48,8 @@ func samplePartial() *Partial {
 		Seconds: 0.25,
 	}
 	for i, cause := range []string{"", "no-seeds", "odd \"cause\"\n\\"} {
-		p.Tasks = append(p.Tasks, replay.ODRTask{
-			Request:       workload.Request{File: file, Time: time.Duration(i) * time.Hour},
-			Decision:      core.Decision{Route: core.Route(i * 2), Reason: "reason-" + cause},
+		p.Tasks = append(p.Tasks, replay.DigestRecord{
+			Route:         core.Route(i * 2),
 			Success:       cause == "",
 			Cause:         cause,
 			PerceivedRate: 1.5e6 / float64(i+1),

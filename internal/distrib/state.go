@@ -108,7 +108,9 @@ func encodeCensus(files []*workload.FileMeta) []byte {
 	return out
 }
 
-// decodeCensus unpacks encodeCensus's records.
+// decodeCensus unpacks encodeCensus's records, refusing any field the
+// bin trace decoder would refuse: a negative size, an unknown file class
+// or an unknown protocol.
 func decodeCensus(b []byte) ([]*workload.FileMeta, error) {
 	if len(b)%censusRecordLen != 0 {
 		return nil, fmt.Errorf("census payload is %d bytes, not whole %d-byte records", len(b), censusRecordLen)
@@ -121,8 +123,13 @@ func decodeCensus(b []byte) ([]*workload.FileMeta, error) {
 		f.Size = int64(binary.LittleEndian.Uint64(rec[16:]))
 		f.WeeklyRequests = int(binary.LittleEndian.Uint32(rec[24:]))
 		f.Class, f.Protocol = workload.FileClass(rec[28]), workload.Protocol(rec[29])
-		if f.Size < 0 {
+		switch {
+		case f.Size < 0:
 			return nil, fmt.Errorf("census file %d has negative size %d", i, f.Size)
+		case int(f.Class) >= workload.NumFileClasses:
+			return nil, fmt.Errorf("census file %d has unknown file class %d", i, f.Class)
+		case int(f.Protocol) >= workload.NumProtocols:
+			return nil, fmt.Errorf("census file %d has unknown protocol %d", i, f.Protocol)
 		}
 		files[i] = f
 	}

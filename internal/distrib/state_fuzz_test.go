@@ -58,9 +58,19 @@ func TestStateFileRoundTrip(t *testing.T) {
 			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
-	negative := encodeCensus([]*workload.FileMeta{{Size: -1}})
-	if _, err := decodeCensus(negative); err == nil || !strings.Contains(err.Error(), "negative size") {
-		t.Errorf("negative size: %v, want a refusal", err)
+	for _, tc := range []struct {
+		name string
+		file workload.FileMeta
+		want string
+	}{
+		{"negative size", workload.FileMeta{Size: -1}, "census file 1 has negative size"},
+		{"unknown class", workload.FileMeta{Class: workload.FileClass(workload.NumFileClasses)}, "census file 1 has unknown file class"},
+		{"unknown protocol", workload.FileMeta{Protocol: workload.Protocol(workload.NumProtocols)}, "census file 1 has unknown protocol"},
+	} {
+		bad := encodeCensus([]*workload.FileMeta{sampleCensus()[0], &tc.file})
+		if _, err := decodeCensus(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

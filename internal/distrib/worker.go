@@ -125,17 +125,18 @@ func (s *meteredSource) TotalRequests() int {
 // census runs the full census pass over a bin trace and returns its
 // first-appearance file population: the order every worker and the
 // single-process reference hand to the backend fleet, so its sequential
-// warm-pool draws match. m, when non-nil, meters the pass's records.
+// warm-pool draws match. The bin decoder interns every file by ID in that
+// order anyway (trace.BinFiles), so the pass keeps no population of its
+// own. m, when non-nil, meters the pass's records.
 func census(tracePath string, m *meter) ([]*workload.FileMeta, error) {
-	c := workload.NewCensus()
 	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
 	if err != nil {
 		return nil, err
 	}
 	defer closer.Close()
-	counted := c.Wrap(src)
+	counted := src
 	if m != nil {
-		counted = m.wrap(counted)
+		counted = m.wrap(src)
 	}
 	for {
 		if _, _, ok := counted.Next(); !ok {
@@ -145,7 +146,8 @@ func census(tracePath string, m *meter) ([]*workload.FileMeta, error) {
 	if err := counted.Err(); err != nil {
 		return nil, fmt.Errorf("distrib: census pass: %w", err)
 	}
-	return c.Files(), nil
+	files, _ := trace.BinFiles(src) // a bin source by construction
+	return files, nil
 }
 
 // RunWorker replays one window of a bin trace and writes the partial
@@ -221,7 +223,7 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		Spec:    req.Spec.Fingerprint(),
 		Ledgers: res.Ledgers(),
 		Totals:  res.Engine.Totals(),
-		Tasks:   res.Tasks,
+		Tasks:   replay.DigestRecords(res.Tasks),
 		Seconds: time.Since(start).Seconds(),
 	}
 	if reg != nil {

@@ -3,9 +3,13 @@
 package replay
 
 import (
+	"io"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"odr/internal/core"
 	"odr/internal/workload"
 )
 
@@ -64,5 +68,48 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	if bestSlope > budget {
 		t.Fatalf("stream hot path allocates %.2f objects per request, budget is %.1f — "+
 			"something on the per-request path started allocating", bestSlope, budget)
+	}
+}
+
+// TestDigestAllocs is the streamed digest's allocation gate (wired into
+// `make allocgate`): WriteDigest allocates its goroutines, channels and
+// chunk buffers, all bounded by GOMAXPROCS, and nothing per task — so
+// 20k and 200k records to io.Discard make the same number of
+// allocations. GOMAXPROCS is pinned so both lengths run the parallel
+// path with every lane busy. A blocked channel operation takes its wait
+// record from a per-P cache that a collection empties, so the gate runs
+// with the collector off, after a warm-up, and takes the fewest
+// allocations over a few repeats, as TestStreamSteadyStateAllocs does.
+func TestDigestAllocs(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	recs := DigestRecords(digestTasks(200_000))
+	for i := range recs {
+		recs[i].Route %= core.Route(core.NumRoutes) // an out-of-range route's name is formatted afresh
+	}
+	ledgers := []LedgerCounts{{Name: "cloud", Fetches: 3}}
+	measure := func(n int) uint64 {
+		best := uint64(math.MaxUint64)
+		for rep := 0; rep < 20; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := WriteDigest(io.Discard, recs[:n], ledgers, ShardTotals{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	measure(200_000) // warm the goroutine and wait-record caches before judging
+	small, large := measure(20_000), measure(200_000)
+	t.Logf("WriteDigest allocations: %d at 20k records, %d at 200k (GOMAXPROCS %d)", small, large, procs)
+	if small != large {
+		t.Fatalf("WriteDigest made %d allocations for 20k records and %d for 200k: something allocates per task or per chunk",
+			small, large)
+	}
+	if bound := uint64(16 * procs); large > bound {
+		t.Fatalf("WriteDigest made %d allocations at GOMAXPROCS %d, bound %d", large, procs, bound)
 	}
 }

@@ -2,8 +2,15 @@ package replay
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"strconv"
+	"strings"
+	"sync"
+	"time"
+
+	"odr/internal/core"
 )
 
 // LedgerCounts freezes one backend ledger as plain integers. It is the
@@ -55,44 +62,74 @@ func (r *ODRResult) Ledgers() []LedgerCounts {
 	return out
 }
 
-// DigestOf serializes every value-bearing field of a replay's tasks and
-// ledgers into one string, floats rendered as exact bit patterns, so two
-// runs compare byte-for-byte. It is the determinism oracle the test
-// suite, the paper-scale experiment, and the distributed coordinator
-// share: equal digests mean the replays are identical in every observable
-// outcome, whatever input produced them (slice vs generator vs trace file,
-// any shard or generation worker count, one process or many).
-//
-// The bytes are a contract (goldens and the coordinator's merged sha256
-// hash them): exactly what fmt's "%d|%v|%v|%q|%x|%d|%x|%v|%v\n" prints per
-// task, then "%s|%d|%d|%d|%d|%d\n" per ledger and "totals|%d|%d\n". They
-// are appended with strconv because the digest runs sequentially after
-// the parallel replay, where fmt's reflection was 40% of a lean run;
-// TestDigestMatchesFmtReference keeps the fmt form as the oracle.
-func DigestOf(tasks []ODRTask, ledgers []LedgerCounts, tot ShardTotals) string {
-	// A task line is ~80 bytes with a six-digit index and an empty cause.
-	b := make([]byte, 0, len(tasks)*96+len(ledgers)*64+32)
-	for i := range tasks {
-		t := &tasks[i]
-		b = strconv.AppendInt(b, int64(i), 10)
-		b = append(b, '|')
-		b = append(b, t.Decision.Route.String()...)
-		b = append(b, '|')
-		b = strconv.AppendBool(b, t.Success)
-		b = append(b, '|')
-		b = strconv.AppendQuote(b, t.Cause)
-		b = append(b, '|')
-		b = strconv.AppendUint(b, math.Float64bits(t.PerceivedRate), 16)
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(t.PreDelay), 10)
-		b = append(b, '|')
-		b = strconv.AppendUint(b, math.Float64bits(t.CloudBytes), 16)
-		b = append(b, '|')
-		b = strconv.AppendBool(b, t.StorageBound)
-		b = append(b, '|')
-		b = strconv.AppendBool(b, t.B4Exposed)
-		b = append(b, '\n')
+// DigestRecord is the part of a task the digest reads: route, success,
+// cause, perceived rate, pre-delay, cloud bytes, and the storage-bound
+// and B4-exposed flags. It takes 48 B where an ODRTask takes 128 B, so a
+// holder of many tasks that only reports their digest — the distributed
+// coordinator's partials and merge — keeps these instead.
+type DigestRecord struct {
+	Cause         string
+	PerceivedRate float64
+	PreDelay      time.Duration
+	CloudBytes    float64
+	Route         core.Route
+	Success       bool
+	StorageBound  bool
+	B4Exposed     bool
+}
+
+// digestRecord projects t onto the fields the digest reads.
+func (t *ODRTask) digestRecord() DigestRecord {
+	return DigestRecord{
+		Cause:         t.Cause,
+		PerceivedRate: t.PerceivedRate,
+		PreDelay:      t.PreDelay,
+		CloudBytes:    t.CloudBytes,
+		Route:         t.Decision.Route,
+		Success:       t.Success,
+		StorageBound:  t.StorageBound,
+		B4Exposed:     t.B4Exposed,
 	}
+}
+
+// DigestRecords projects tasks onto their digest records, in order.
+func DigestRecords(tasks []ODRTask) []DigestRecord {
+	out := make([]DigestRecord, len(tasks))
+	for i := range tasks {
+		out[i] = tasks[i].digestRecord()
+	}
+	return out
+}
+
+// DigestInput is what a digest serializes per task: the whole task or its
+// digest record. Both print the same line.
+type DigestInput interface{ ODRTask | DigestRecord }
+
+// appendLine appends the digest line of task index i.
+func (r DigestRecord) appendLine(b []byte, i int) []byte {
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, '|')
+	b = append(b, r.Route.String()...)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, r.Success)
+	b = append(b, '|')
+	b = strconv.AppendQuote(b, r.Cause)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, math.Float64bits(r.PerceivedRate), 16)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(r.PreDelay), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, math.Float64bits(r.CloudBytes), 16)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, r.StorageBound)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, r.B4Exposed)
+	return append(b, '\n')
+}
+
+// appendDigestTail appends the ledger lines and the totals line that
+// close a digest.
+func appendDigestTail(b []byte, ledgers []LedgerCounts, tot ShardTotals) []byte {
 	for _, l := range ledgers {
 		b = append(b, l.Name...)
 		for _, v := range [...]int64{l.PreDownloads, l.Fetches, l.Failures, l.BytesOut, l.BytesOutHP} {
@@ -105,12 +142,134 @@ func DigestOf(tasks []ODRTask, ledgers []LedgerCounts, tot ShardTotals) string {
 	b = strconv.AppendInt(b, tot.Tasks, 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, tot.Failures, 10)
-	b = append(b, '\n')
-	return string(b)
+	return append(b, '\n')
+}
+
+const (
+	// digestChunk is how many task lines one buffer holds: ~200 KB, large
+	// enough that a hand-off and a Write per chunk cost nothing next to
+	// the formatting, small enough that the buffers in flight stay small.
+	digestChunk = 2048
+	// digestLineBytes sizes buffers: a task line is ~80 bytes with a
+	// six-digit index and an empty cause.
+	digestLineBytes = 96
+)
+
+// DigestOf serializes every value-bearing field of a replay's tasks and
+// ledgers into one string, floats rendered as exact bit patterns, so two
+// runs compare byte-for-byte. It is the determinism oracle the test
+// suite, the paper-scale experiment, and the distributed coordinator
+// share: equal digests mean the replays are identical in every observable
+// outcome, whatever input produced them (slice vs generator vs trace file,
+// any shard or generation worker count, one process or many). Tasks may
+// be whole tasks or their digest records; the bytes are the same.
+//
+// The bytes are a contract (goldens and the coordinator's merged sha256
+// hash them): exactly what fmt's "%d|%v|%v|%q|%x|%d|%x|%v|%v\n" prints per
+// task, then "%s|%d|%d|%d|%d|%d\n" per ledger and "totals|%d|%d\n". They
+// are appended with strconv because the digest runs after the parallel
+// replay, where fmt's reflection was 40% of a lean run;
+// TestDigestMatchesFmtReference keeps the fmt form as the oracle. DigestOf
+// writes them through WriteDigest into a builder grown to fit.
+func DigestOf[T DigestInput](tasks []T, ledgers []LedgerCounts, tot ShardTotals) string {
+	var b strings.Builder
+	b.Grow(len(tasks)*digestLineBytes + len(ledgers)*64 + 32)
+	_ = WriteDigest(&b, tasks, ledgers, tot) // a strings.Builder never fails a write
+	return b.String()
+}
+
+// WriteDigest writes DigestOf's bytes to w without building them as one
+// string: task lines are formatted in chunks of digestChunk records on up
+// to GOMAXPROCS goroutines and written to w in task order, with at most
+// two chunk buffers per goroutine in flight, so its memory is bounded by
+// GOMAXPROCS and not by the task count. The first write error stops the
+// formatting; WriteDigest returns it once every goroutine it started has
+// exited.
+func WriteDigest[T DigestInput](w io.Writer, tasks []T, ledgers []LedgerCounts, tot ShardTotals) error {
+	var format func(b []byte, lo, hi int) []byte
+	switch ts := any(tasks).(type) {
+	case []ODRTask:
+		format = func(b []byte, lo, hi int) []byte {
+			for i := lo; i < hi; i++ {
+				b = ts[i].digestRecord().appendLine(b, i)
+			}
+			return b
+		}
+	case []DigestRecord:
+		format = func(b []byte, lo, hi int) []byte {
+			for i := lo; i < hi; i++ {
+				b = ts[i].appendLine(b, i)
+			}
+			return b
+		}
+	}
+	if err := writeDigestLines(w, len(tasks), format); err != nil {
+		return err
+	}
+	_, err := w.Write(appendDigestTail(make([]byte, 0, len(ledgers)*64+32), ledgers, tot))
+	return err
+}
+
+// writeDigestLines writes the n task lines format renders, a chunk at a
+// time and in order.
+func writeDigestLines(w io.Writer, n int, format func(b []byte, lo, hi int) []byte) error {
+	chunks := (n + digestChunk - 1) / digestChunk
+	lanes := min(runtime.GOMAXPROCS(0), chunks)
+	size := min(n, digestChunk) * digestLineBytes
+	// Lane j formats chunks j, j+lanes, j+2·lanes, … into its own buffers
+	// and hands each over on full[j]; this goroutine writes chunk k from
+	// lane k%lanes, so lines reach w in order, and returns the buffer on
+	// free[j]. A lane owns two buffers (one when it has a single chunk):
+	// it formats the next chunk while its last one is written.
+	full := make([]chan []byte, lanes)
+	free := make([]chan []byte, lanes)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for j := range full {
+		full[j] = make(chan []byte, 1)
+		free[j] = make(chan []byte, 2) // the lane's buffers
+		free[j] <- make([]byte, 0, size)
+		if j+lanes < chunks {
+			free[j] <- make([]byte, 0, size)
+		}
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			for lo := j * digestChunk; lo < n; lo += lanes * digestChunk {
+				var buf []byte
+				select {
+				case buf = <-free[j]:
+				case <-stop:
+					return
+				}
+				buf = format(buf[:0], lo, min(lo+digestChunk, n))
+				select {
+				case full[j] <- buf:
+				case <-stop:
+					return
+				}
+			}
+		}(j)
+	}
+	var err error
+	for k := 0; k < chunks && err == nil; k++ {
+		buf := <-full[k%lanes]
+		_, err = w.Write(buf)
+		free[k%lanes] <- buf
+	}
+	close(stop)
+	wg.Wait()
+	return err
 }
 
 // Digest is DigestOf over this result's own tasks, ledgers, and engine
 // totals.
 func (r *ODRResult) Digest() string {
 	return DigestOf(r.Tasks, r.Ledgers(), r.Engine.Totals())
+}
+
+// WriteDigest writes Digest's bytes to w through WriteDigest, without
+// building the string.
+func (r *ODRResult) WriteDigest(w io.Writer) error {
+	return WriteDigest(w, r.Tasks, r.Ledgers(), r.Engine.Totals())
 }

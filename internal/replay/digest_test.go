@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -90,5 +92,110 @@ func TestDigestMatchesFmtReference(t *testing.T) {
 	check("adversarial", adversarial, ledgers, ShardTotals{Tasks: -3, Failures: math.MinInt64})
 	if !strings.Contains(DigestOf(adversarial, nil, ShardTotals{}), "|route(200)|") {
 		t.Error("an out-of-range route no longer prints as route(N)")
+	}
+}
+
+// digestTasks returns n tasks cycling through every route, both
+// outcomes, and causes that need quoting.
+func digestTasks(n int) []ODRTask {
+	causes := []string{"", "no-seeds", `say "hi"`, "line\nbreak", "snow☃man"}
+	tasks := make([]ODRTask, n)
+	for i := range tasks {
+		tasks[i] = ODRTask{
+			Decision:      core.Decision{Route: core.Route(i % (core.NumRoutes + 1))},
+			Success:       i%2 == 0,
+			Cause:         causes[i%len(causes)],
+			PerceivedRate: float64(i) * 1.5,
+			PreDelay:      time.Duration(i) * time.Millisecond,
+			CloudBytes:    float64(i % 7),
+			StorageBound:  i%3 == 0,
+			B4Exposed:     i%5 == 0,
+		}
+	}
+	return tasks
+}
+
+// TestWriteDigestChunkBoundaries: the streamed digest is the fmt-defined
+// one at every chunk boundary, for both task shapes, whether it formats
+// on one goroutine or several.
+func TestWriteDigestChunkBoundaries(t *testing.T) {
+	ledgers := []LedgerCounts{{Name: "cloud", PreDownloads: 1, Fetches: 2, Failures: 3, BytesOut: 4, BytesOutHP: 5}}
+	tot := ShardTotals{Tasks: 9, Failures: 2}
+	all := digestTasks(3*digestChunk + 7)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, digestChunk - 1, digestChunk, digestChunk + 1, 3*digestChunk + 7} {
+			tasks := all[:n]
+			want := fmtDigest(tasks, ledgers, tot)
+			var viaTasks, viaRecords strings.Builder
+			if err := WriteDigest(&viaTasks, tasks, ledgers, tot); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteDigest(&viaRecords, DigestRecords(tasks), ledgers, tot); err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]string{
+				"WriteDigest(tasks)":   viaTasks.String(),
+				"WriteDigest(records)": viaRecords.String(),
+				"DigestOf(records)":    DigestOf(DigestRecords(tasks), ledgers, tot),
+			} {
+				if got != want {
+					t.Errorf("GOMAXPROCS %d, %d tasks: %s diverged from the fmt reference\nfirst differing line:\n%s",
+						procs, n, name, firstDiff(want, got))
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// failAfter accepts k bytes, then fails every write.
+type failAfter struct {
+	left       int
+	err        error
+	lateWrites int // writes after the first failure
+	failed     bool
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.lateWrites++
+		return 0, w.err
+	}
+	if len(p) > w.left {
+		w.failed = true
+		return w.left, w.err
+	}
+	w.left -= len(p)
+	return len(p), nil
+}
+
+// TestWriteDigestStopsOnWriteError: a failing writer stops the digest —
+// WriteDigest returns the writer's error, writes nothing more, and leaves
+// no formatting goroutine behind.
+func TestWriteDigestStopsOnWriteError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tasks := digestTasks(20 * digestChunk)
+	ledgers := []LedgerCounts{{Name: "cloud"}}
+	full := len(DigestOf(tasks, ledgers, ShardTotals{}))
+	lines := len(DigestOf(tasks, nil, ShardTotals{})) - len("totals|0|0\n")
+	errDisk := errors.New("disk full")
+	for _, k := range []int{0, 100, full / 2, lines + 1, full - 1} {
+		before := runtime.NumGoroutine()
+		w := &failAfter{left: k, err: errDisk}
+		if err := WriteDigest(w, tasks, ledgers, ShardTotals{}); !errors.Is(err, errDisk) {
+			t.Fatalf("fail after %d of %d bytes: WriteDigest = %v, want the writer's error", k, full, err)
+		}
+		if w.lateWrites != 0 {
+			t.Errorf("fail after %d bytes: %d writes after the failure", k, w.lateWrites)
+		}
+		// The goroutines are done once WriteDigest returns; give the
+		// scheduler a moment to retire them.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("fail after %d bytes: %d goroutines before, %d after", k, before, after)
+		}
 	}
 }

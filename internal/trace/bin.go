@@ -450,12 +450,29 @@ func (s *binSource) decodeRecord() (workload.Request, error) {
 			SourceURL:      string(p[binRecordFixed : binRecordFixed+int(urlLen)]),
 			WeeklyRequests: int(weekly),
 		}
-		s.pool.files[id] = file
+		s.pool.addFile(file)
 	}
 	return workload.Request{
 		User: user, File: file,
 		Time: time.Duration(timeMS) * time.Millisecond,
 	}, nil
+}
+
+// BinFiles returns the distinct files a bin source has decoded so far, in
+// first-appearance order; ok is false when src is not a bin source. Once
+// a source opened at offset 0 is drained, that is the trace's file
+// population in workload.Census's order, at no cost beyond the decode:
+// the decoder interns every file by ID either way. A window at a later
+// offset decodes the records it skips inside its first chunk, so its
+// list can start before the window does.
+func BinFiles(src workload.RequestSource) (files []*workload.FileMeta, ok bool) {
+	switch s := src.(type) {
+	case *binSource:
+		return s.pool.order, true
+	case *sizedBinSource:
+		return s.pool.order, true
+	}
+	return nil, false
 }
 
 func (s *binSource) fail(err error) {

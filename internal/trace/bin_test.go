@@ -164,6 +164,23 @@ func TestBinSizer(t *testing.T) {
 	if got := len(drainChecked(t, src)); got != len(reqs) {
 		t.Fatalf("drained %d records, want %d", got, len(reqs))
 	}
+	census := workload.NewCensus()
+	for _, r := range reqs {
+		census.Observe(r)
+	}
+	checkBinFiles := func(name string, src workload.RequestSource) {
+		t.Helper()
+		files, ok := BinFiles(src)
+		if !ok || len(files) != len(census.Files()) {
+			t.Fatalf("%s: BinFiles = %d files (ok %v), want the census's %d", name, len(files), ok, len(census.Files()))
+		}
+		for i, f := range census.Files() {
+			if *files[i] != *f {
+				t.Fatalf("%s: BinFiles[%d] = %+v, want %+v (first-appearance order)", name, i, files[i], f)
+			}
+		}
+	}
+	checkBinFiles("seekable", src)
 
 	src, err = StreamWorkloadBin(unseekable{bytes.NewReader(data)})
 	if err != nil {
@@ -174,6 +191,10 @@ func TestBinSizer(t *testing.T) {
 	}
 	if got := len(drainChecked(t, src)); got != len(reqs) {
 		t.Fatalf("unseekable drain: %d records, want %d", got, len(reqs))
+	}
+	checkBinFiles("unseekable", src)
+	if _, ok := BinFiles(workload.NewSliceSource(reqs)); ok {
+		t.Fatal("BinFiles claims a slice source")
 	}
 }
 

@@ -242,7 +242,7 @@ func (s *csvSource) decodeFields(f *[10][]byte) (workload.Request, bool) {
 			Class: workload.FileClass(class), Protocol: workload.Protocol(proto),
 			SourceURL: string(f[8]), WeeklyRequests: int(weekly),
 		}
-		s.pool.files[id] = file
+		s.pool.addFile(file)
 	}
 	return workload.Request{
 		User: user, File: file,

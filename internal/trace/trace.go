@@ -165,10 +165,12 @@ func rowToRecord(row []string) (WorkloadRecord, error) {
 	return rec, nil
 }
 
-// identityPool deduplicates users and files by ID when parsing.
+// identityPool deduplicates users and files by ID when parsing, and keeps
+// the files in the order they first appeared.
 type identityPool struct {
 	users map[int]*workload.User
 	files map[workload.FileID]*workload.FileMeta
+	order []*workload.FileMeta
 }
 
 func newIdentityPool() *identityPool {
@@ -187,9 +189,15 @@ func (p *identityPool) intern(r workload.Request) workload.Request {
 	if f, ok := p.files[r.File.ID]; ok {
 		r.File = f
 	} else {
-		p.files[r.File.ID] = r.File
+		p.addFile(r.File)
 	}
 	return r
+}
+
+// addFile interns a file seen for the first time.
+func (p *identityPool) addFile(f *workload.FileMeta) {
+	p.files[f.ID] = f
+	p.order = append(p.order, f)
 }
 
 // WriteWorkloadJSONL writes requests as JSON Lines. It is a thin wrapper
