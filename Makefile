@@ -212,9 +212,13 @@ reach:
 
 # The sharded replay engine must produce byte-identical results at any
 # parallelism, and the bytes it has always produced; run its invariance
-# and golden-digest tests single- and multi-threaded.
+# and golden-digest tests single- and multi-threaded. So must the trace
+# writers and the workload hash, which format on GOMAXPROCS lanes, and
+# the generator, whose plan counts on GOMAXPROCS goroutines.
 determinism:
 	$(GO) test -run 'TestReplayDeterminism|TestReplayGolden|TestReplayPopulationEdges' -race -cpu 1,4 ./internal/replay
+	$(GO) test -run 'TestWriteRecordsBatchBoundaries|TestWriteRecordsErrors' -race -cpu 1,4 ./internal/trace
+	$(GO) test -run 'TestGenerateStreamMatchesGenerate|TestRequestsWorkersMatchesSequential' -race -cpu 1,4 ./internal/workload
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot
@@ -244,13 +248,14 @@ cover:
 # encoded record and, decoding, only on a record's first sighting of its
 # user or file (TestCSVSteadyStateAllocs). The streamed digest allocates
 # per goroutine, never per task: 20k and 200k records cost the same
-# (TestDigestAllocs). All four tests carry a !race build tag (race
-# instrumentation allocates per tracked access), so they run here rather
-# than inside the race target.
+# (TestDigestAllocs), and so does the workload hash: 100 and 2,800
+# records cost the same (TestHashAllocs). All five tests carry a !race
+# build tag (race instrumentation allocates per tracked access), so they
+# run here rather than inside the race target.
 allocgate:
 	$(GO) test -run 'TestStreamSteadyStateAllocs|TestDigestAllocs' -count 1 ./internal/replay
 	$(GO) test -run TestBatchHandlerAllocs -count 1 ./internal/odrweb
-	$(GO) test -run TestCSVSteadyStateAllocs -count 1 ./internal/trace
+	$(GO) test -run 'TestCSVSteadyStateAllocs|TestHashAllocs' -count 1 ./internal/trace
 
 # Replay benchmarks: the shard-count throughput sweep plus the streaming
 # pipeline's allocation profile, the metrics hot path, the windowed

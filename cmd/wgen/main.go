@@ -11,7 +11,9 @@
 // workload.DefaultStreamChunk requests, so memory stays bounded by the
 // chunk size (plus the resident file/user populations) no matter how
 // large -files is. Generation runs on GOMAXPROCS goroutines ahead of the
-// writer; the emitted trace is byte-identical to sequential generation.
+// writer, and so does the plan's counting pass; with -format csv the rows
+// are formatted on GOMAXPROCS goroutines too and written in order. The
+// emitted trace is byte-identical to sequential generation.
 //
 // The bin format is the paper-scale one: fixed-stride little-endian
 // records in CRC-framed chunks with a record-count trailer, decodable

@@ -7,10 +7,10 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"odr/internal/core"
+	"odr/internal/lanes"
 )
 
 // LedgerCounts freezes one backend ledger as plain integers. It is the
@@ -180,11 +180,11 @@ func DigestOf[T DigestInput](tasks []T, ledgers []LedgerCounts, tot ShardTotals)
 
 // WriteDigest writes DigestOf's bytes to w without building them as one
 // string: task lines are formatted in chunks of digestChunk records on up
-// to GOMAXPROCS goroutines and written to w in task order, with at most
-// two chunk buffers per goroutine in flight, so its memory is bounded by
-// GOMAXPROCS and not by the task count. The first write error stops the
-// formatting; WriteDigest returns it once every goroutine it started has
-// exited.
+// to GOMAXPROCS goroutines and written to w in task order through
+// lanes.Write, with at most two chunk buffers per goroutine in flight, so
+// its memory is bounded by GOMAXPROCS and not by the task count. The
+// first write error stops the formatting; WriteDigest returns it once
+// every goroutine it started has exited.
 func WriteDigest[T DigestInput](w io.Writer, tasks []T, ledgers []LedgerCounts, tot ShardTotals) error {
 	var format func(b []byte, lo, hi int) []byte
 	switch ts := any(tasks).(type) {
@@ -203,62 +203,24 @@ func WriteDigest[T DigestInput](w io.Writer, tasks []T, ledgers []LedgerCounts, 
 			return b
 		}
 	}
-	if err := writeDigestLines(w, len(tasks), format); err != nil {
+	// A batch is the index range of one chunk of task lines.
+	type span struct{ lo, hi int }
+	n := len(tasks)
+	next := 0
+	err := lanes.Write(w, lanes.Spec[span]{
+		Lanes:    min(runtime.GOMAXPROCS(0), (n+digestChunk-1)/digestChunk),
+		BufBytes: min(n, digestChunk) * digestLineBytes,
+		Fill: func(b *span) (bool, error) {
+			*b = span{next, min(next+digestChunk, n)}
+			next = b.hi
+			return b.lo < b.hi, nil
+		},
+		Format: func(dst []byte, b *span) []byte { return format(dst, b.lo, b.hi) },
+	})
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(appendDigestTail(make([]byte, 0, len(ledgers)*64+32), ledgers, tot))
-	return err
-}
-
-// writeDigestLines writes the n task lines format renders, a chunk at a
-// time and in order.
-func writeDigestLines(w io.Writer, n int, format func(b []byte, lo, hi int) []byte) error {
-	chunks := (n + digestChunk - 1) / digestChunk
-	lanes := min(runtime.GOMAXPROCS(0), chunks)
-	size := min(n, digestChunk) * digestLineBytes
-	// Lane j formats chunks j, j+lanes, j+2·lanes, … into its own buffers
-	// and hands each over on full[j]; this goroutine writes chunk k from
-	// lane k%lanes, so lines reach w in order, and returns the buffer on
-	// free[j]. A lane owns two buffers (one when it has a single chunk):
-	// it formats the next chunk while its last one is written.
-	full := make([]chan []byte, lanes)
-	free := make([]chan []byte, lanes)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for j := range full {
-		full[j] = make(chan []byte, 1)
-		free[j] = make(chan []byte, 2) // the lane's buffers
-		free[j] <- make([]byte, 0, size)
-		if j+lanes < chunks {
-			free[j] <- make([]byte, 0, size)
-		}
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			for lo := j * digestChunk; lo < n; lo += lanes * digestChunk {
-				var buf []byte
-				select {
-				case buf = <-free[j]:
-				case <-stop:
-					return
-				}
-				buf = format(buf[:0], lo, min(lo+digestChunk, n))
-				select {
-				case full[j] <- buf:
-				case <-stop:
-					return
-				}
-			}
-		}(j)
-	}
-	var err error
-	for k := 0; k < chunks && err == nil; k++ {
-		buf := <-full[k%lanes]
-		_, err = w.Write(buf)
-		free[k%lanes] <- buf
-	}
-	close(stop)
-	wg.Wait()
+	_, err = w.Write(appendDigestTail(make([]byte, 0, len(ledgers)*64+32), ledgers, tot))
 	return err
 }
 

@@ -130,13 +130,19 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 		return nil
 	}
 	for {
-		_, r, ok := src.Next()
+		i, r, ok := src.Next()
 		if !ok {
 			break
 		}
-		// Close the open chunk early if this record would push it past the
-		// reader's payload cap (only possible with a pathological URL).
-		if next := len(payload) + binRecordFixed + len(r.File.SourceURL); len(payload) > 0 && next > binMaxChunk {
+		// A record longer than the reader's payload cap cannot be read
+		// back in any chunk (only possible with a pathological URL): refuse
+		// it. One that fits alone but not beside the open chunk's records
+		// closes that chunk early.
+		size := binRecordFixed + len(r.File.SourceURL)
+		if size > binMaxChunk {
+			return fmt.Errorf("trace: bin record %d is %d bytes, beyond the %d-byte chunk payload a reader accepts", i, size, binMaxChunk)
+		}
+		if len(payload) > 0 && len(payload)+size > binMaxChunk {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -507,21 +513,13 @@ func ReadWorkloadBin(r io.Reader) ([]workload.Request, error) {
 // the encoding normalizes exactly what the trace formats preserve, equal
 // digests mean the streams are equivalent regardless of which format (or
 // generator) produced them — the primitive behind the paper-scale
-// experiment's cross-path identity checks.
+// experiment's cross-path identity checks. The caller's goroutine pulls
+// the records; they are encoded on GOMAXPROCS goroutines and hashed, in
+// order, on one more (see writeRecords).
 func HashWorkload(src workload.RequestSource) (string, int, error) {
 	h := sha256.New()
-	buf := make([]byte, 0, 512)
-	n := 0
-	for {
-		_, r, ok := src.Next()
-		if !ok {
-			break
-		}
-		buf = appendBinRecord(buf[:0], r)
-		h.Write(buf)
-		n++
-	}
-	if err := src.Err(); err != nil {
+	n, err := writeRecords(h, src, binRecordBytes, appendBinRecord)
+	if err != nil {
 		return "", n, err
 	}
 	return hex.EncodeToString(h.Sum(nil)), n, nil

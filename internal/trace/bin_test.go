@@ -530,3 +530,54 @@ func BenchmarkTraceCodec(b *testing.B) {
 func reportRecRate(b *testing.B, recs int) {
 	b.ReportMetric(float64(recs)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
 }
+
+// BenchmarkTraceBuildStages times the three steps of a trace build that
+// run on GOMAXPROCS goroutines, over a generated week of ~36k records:
+// the generator's plan (GenerateStream), HashWorkload over a bin trace as
+// it is decoded, and the rewrite of that trace as CSV. Run it at -cpu 1 to
+// see what the lanes cost on one core.
+func BenchmarkTraceBuildStages(b *testing.B) {
+	cfg := workload.DefaultConfig(5000, 7)
+	st, err := workload.GenerateStream(cfg, workload.DefaultStreamChunk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := WriteWorkloadBinStream(&bin, st.Requests()); err != nil {
+		b.Fatal(err)
+	}
+	binSrc := func(b *testing.B) workload.RequestSource {
+		src, err := StreamWorkloadBin(bytes.NewReader(bin.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return src
+	}
+	b.Run("plan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := workload.GenerateStream(cfg, workload.DefaultStreamChunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportRecRate(b, st.TotalRequests())
+	})
+	b.Run("hash", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := HashWorkload(binSrc(b)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportRecRate(b, st.TotalRequests())
+	})
+	b.Run("csv", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := WriteWorkloadCSVStream(io.Discard, binSrc(b)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportRecRate(b, st.TotalRequests())
+	})
+}

@@ -2,12 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -272,4 +276,166 @@ func FuzzCSVEncodeMatchesReference(f *testing.F) {
 			t.Fatalf("CSV writer differs from the reference:\n got %q\nwant %q", got.Bytes(), want.Bytes())
 		}
 	})
+}
+
+// serialHash is HashWorkload's reference: SHA-256 over appendBinRecord of
+// every record, on the calling goroutine.
+func serialHash(reqs []workload.Request) string {
+	h := sha256.New()
+	for _, r := range reqs {
+		h.Write(appendBinRecord(nil, r))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWriteRecordsBatchBoundaries: the CSV writer writes the reference
+// writer's bytes and HashWorkload hashes to the serial reference at every
+// batch boundary, whether the batches are formatted on one goroutine or
+// several.
+func TestWriteRecordsBatchBoundaries(t *testing.T) {
+	const b = recordBatch
+	all := append(edgeRequests(), sampleRequests(t, 3*b+7)...)[:3*b+7]
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, b - 1, b, b + 1, 3*b + 7} {
+			reqs := all[:n]
+			var got, want bytes.Buffer
+			if err := WriteWorkloadCSVStream(&got, workload.NewSliceSource(reqs)); err != nil {
+				t.Fatal(err)
+			}
+			if err := referenceWriteWorkloadCSV(&want, workload.NewSliceSource(reqs)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("GOMAXPROCS %d, %d records: CSV writer differs from the reference", procs, n)
+			}
+			hash, hn, err := HashWorkload(workload.NewSliceSource(reqs))
+			if err != nil || hn != n || hash != serialHash(reqs) {
+				t.Errorf("GOMAXPROCS %d, %d records: HashWorkload = %s, %d, %v; want %s, %d",
+					procs, n, hash, hn, err, serialHash(reqs), n)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// failAfter accepts k bytes, then fails every write.
+type failAfter struct {
+	left   int
+	err    error
+	writes int // writes after the first failure
+	failed bool
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.writes++
+		return 0, w.err
+	}
+	if len(p) > w.left {
+		w.failed = true
+		return w.left, w.err
+	}
+	w.left -= len(p)
+	return len(p), nil
+}
+
+// pulls counts the records taken from a slice and fails the stream with
+// err at record failAt (never when failAt is negative).
+type pulls struct {
+	reqs   []workload.Request
+	failAt int
+	err    error
+	n      int
+}
+
+func (s *pulls) Next() (int, workload.Request, bool) {
+	if s.n == len(s.reqs) || s.n == s.failAt {
+		return 0, workload.Request{}, false
+	}
+	s.n++
+	return s.n - 1, s.reqs[s.n-1], true
+}
+
+func (s *pulls) Err() error {
+	if s.n == s.failAt {
+		return s.err
+	}
+	return nil
+}
+
+// TestWriteRecordsErrors: a writer failing after k bytes — not at all,
+// mid-batch, at the last byte — ends the CSV write with its error, nothing
+// more is written, at most two batches per lane are pulled past the
+// failing one, and no goroutine stays behind. A source failing at record
+// k ends the CSV write and the hash with its error, and what reached the
+// writer is a prefix of the whole output.
+func TestWriteRecordsErrors(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	sample := sampleRequests(t, 2000)
+	reqs := make([]workload.Request, 0, 20*recordBatch)
+	for len(reqs) < cap(reqs) {
+		reqs = append(reqs, sample[:min(len(sample), cap(reqs)-len(reqs))]...)
+	}
+	var whole bytes.Buffer
+	if err := referenceWriteWorkloadCSV(&whole, workload.NewSliceSource(reqs)); err != nil {
+		t.Fatal(err)
+	}
+	full := whole.Len()
+	// batchEnd[m] is the byte offset where batch m's rows end.
+	batchEnd := []int{len(csvHeaderLine)}
+	for m := 0; m < len(reqs)/recordBatch; m++ {
+		end := batchEnd[len(batchEnd)-1]
+		for _, r := range reqs[m*recordBatch : (m+1)*recordBatch] {
+			end += len(appendCSVRow(nil, r))
+		}
+		batchEnd = append(batchEnd, end)
+	}
+	errDisk := errors.New("disk full")
+	for _, k := range []int{full, (batchEnd[3] + batchEnd[4]) / 2, full - 1} {
+		before := runtime.NumGoroutine()
+		src := &pulls{reqs: reqs, failAt: -1}
+		w := &failAfter{left: k, err: errDisk}
+		err := WriteWorkloadCSVStream(w, src)
+		if k == full {
+			if err != nil || w.failed {
+				t.Fatalf("a writer taking all %d bytes: %v", full, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errDisk) {
+			t.Fatalf("fail after %d of %d bytes: error %v, want the writer's", k, full, err)
+		}
+		if w.writes != 0 {
+			t.Errorf("fail after %d bytes: %d writes after the failure", k, w.writes)
+		}
+		failed := 0 // the batch whose write failed
+		for batchEnd[failed+1] <= k {
+			failed++
+		}
+		if bound := (failed + 2*procs) * recordBatch; src.n > bound {
+			t.Errorf("fail after %d bytes, in batch %d: %d records pulled, want at most %d", k, failed, src.n, bound)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("fail after %d bytes: %d goroutines before, %d after", k, before, after)
+		}
+	}
+
+	errSource := errors.New("bad record")
+	for _, k := range []int{0, 1, recordBatch, 5*recordBatch + 3} {
+		var got bytes.Buffer
+		if err := WriteWorkloadCSVStream(&got, &pulls{reqs: reqs, failAt: k, err: errSource}); !errors.Is(err, errSource) {
+			t.Fatalf("source failing at record %d: CSV error %v, want the source's", k, err)
+		}
+		if !bytes.HasPrefix(whole.Bytes(), got.Bytes()) {
+			t.Errorf("source failing at record %d: the %d CSV bytes written are not a prefix of the whole output", k, got.Len())
+		}
+		if _, n, err := HashWorkload(&pulls{reqs: reqs, failAt: k, err: errSource}); !errors.Is(err, errSource) || n != k {
+			t.Errorf("source failing at record %d: HashWorkload = %d records, %v; want %d and the source's error", k, n, err, k)
+		}
+	}
 }

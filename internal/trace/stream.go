@@ -8,12 +8,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 	"unicode"
 	"unicode/utf8"
 
+	"odr/internal/lanes"
 	"odr/internal/workload"
 )
 
@@ -371,30 +373,65 @@ func (s *jsonlSource) fail(err error) {
 
 func (s *jsonlSource) Err() error { return s.err }
 
-// WriteWorkloadCSVStream writes a request stream as CSV with a header row,
-// one record at a time; memory stays constant in stream length. Each row
-// is appended into one reused buffer, quoted exactly where encoding/csv
-// would quote it, so the bytes are encoding/csv's.
+// WriteWorkloadCSVStream writes a request stream as CSV with a header row;
+// memory stays constant in stream length. Rows are formatted in batches on
+// GOMAXPROCS goroutines and written in order (see writeRecords), each
+// quoted exactly where encoding/csv would quote it, so the bytes are
+// encoding/csv's.
 func WriteWorkloadCSVStream(w io.Writer, src workload.RequestSource) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(csvHeaderLine); err != nil {
+	if _, err := io.WriteString(w, csvHeaderLine); err != nil {
 		return err
 	}
-	row := make([]byte, 0, 512)
-	for {
-		_, r, ok := src.Next()
-		if !ok {
-			break
-		}
-		row = appendCSVRow(row[:0], r)
-		if _, err := bw.Write(row); err != nil {
-			return err
-		}
-	}
-	if err := src.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := writeRecords(w, src, csvRowBytes, appendCSVRow)
+	return err
+}
+
+const (
+	// recordBatch is how many records writeRecords formats as one batch:
+	// enough that a hand-off costs nothing next to the formatting, few
+	// enough that the batches in flight stay small.
+	recordBatch = 512
+	// csvRowBytes and binRecordBytes size the batch buffers: a generated
+	// record's CSV row is ~160 bytes and its bin record ~120.
+	csvRowBytes    = 192
+	binRecordBytes = 128
+)
+
+// writeRecords writes appendRecord's bytes for every record of src to w,
+// in order, and returns the number of records it pulled. The calling
+// goroutine pulls records into batches of recordBatch; the batches are
+// formatted on GOMAXPROCS goroutines and written by one more (lanes.Write),
+// so the pull — usually a decode — overlaps the formatting and the write.
+// recBytes sizes the buffers. A source error is returned after the batches
+// before the failing one are written.
+func writeRecords(w io.Writer, src workload.RequestSource, recBytes int,
+	appendRecord func([]byte, workload.Request) []byte) (int, error) {
+	n := 0
+	err := lanes.Write(w, lanes.Spec[[]workload.Request]{
+		Lanes:    runtime.GOMAXPROCS(0),
+		BufBytes: recordBatch * recBytes,
+		NewBatch: func() []workload.Request { return make([]workload.Request, 0, recordBatch) },
+		Fill: func(b *[]workload.Request) (bool, error) {
+			batch := (*b)[:0]
+			for len(batch) < recordBatch {
+				_, r, ok := src.Next()
+				if !ok {
+					break
+				}
+				batch = append(batch, r)
+			}
+			*b = batch
+			n += len(batch)
+			return len(batch) > 0, src.Err()
+		},
+		Format: func(dst []byte, b *[]workload.Request) []byte {
+			for _, r := range *b {
+				dst = appendRecord(dst, r)
+			}
+			return dst
+		},
+	})
+	return n, err
 }
 
 // appendCSVRow appends one request's CSV row, newline included, with the
@@ -445,16 +482,25 @@ func appendCSVField(dst []byte, f string) []byte {
 }
 
 // WriteWorkloadJSONLStream writes a request stream as JSON Lines, one
-// record at a time.
+// record at a time. A record whose line, newline included, is longer than
+// the jsonlMaxLine a reader takes is refused before it is written.
 func WriteWorkloadJSONLStream(w io.Writer, src workload.RequestSource) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line bytes.Buffer
+	enc := json.NewEncoder(&line)
 	for {
-		_, r, ok := src.Next()
+		i, r, ok := src.Next()
 		if !ok {
 			break
 		}
+		line.Reset()
 		if err := enc.Encode(FromRequest(r)); err != nil {
+			return err
+		}
+		if line.Len() > jsonlMaxLine {
+			return fmt.Errorf("trace: jsonl record %d is a %d-byte line, beyond the %d bytes a reader accepts", i, line.Len(), jsonlMaxLine)
+		}
+		if _, err := bw.Write(line.Bytes()); err != nil {
 			return err
 		}
 	}

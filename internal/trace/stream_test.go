@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -232,5 +233,68 @@ func TestStreamWorkloadUnknownFormat(t *testing.T) {
 	}
 	if err := WriteWorkloadStream(&bytes.Buffer{}, "xml", workload.NewSliceSource(nil)); err == nil {
 		t.Fatal("unknown write format accepted")
+	}
+}
+
+// TestWritersRefuseUnreadableRecords: a writer refuses, naming the record
+// and the limit, any record its own reader would refuse — a bin record
+// longer than a chunk payload may be, a JSONL line longer than the
+// scanner takes — and writes one exactly at the limit, which reads back.
+// CSV has no such limit: its reader falls back to encoding/csv for long
+// lines.
+func TestWritersRefuseUnreadableRecords(t *testing.T) {
+	// jsonlBase is the length of record 1's JSONL line with an empty URL:
+	// each URL byte below adds one.
+	jsonlBase := func() int {
+		var buf bytes.Buffer
+		r := edgeRequests()[1]
+		r.File.SourceURL = ""
+		if err := WriteWorkloadJSONL(&buf, []workload.Request{r}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	cases := []struct {
+		format  string
+		limit   int
+		url     int // URL bytes that make the record exactly limit bytes
+		overBy  int
+		wantErr string
+	}{
+		{"bin", binMaxChunk, binMaxChunk - binRecordFixed, 0, ""},
+		{"bin", binMaxChunk, binMaxChunk - binRecordFixed, 1, fmt.Sprintf("bin record 1 is %d bytes, beyond the %d-byte", binMaxChunk+1, binMaxChunk)},
+		{"jsonl", jsonlMaxLine, jsonlMaxLine - jsonlBase(), 0, ""},
+		{"jsonl", jsonlMaxLine, jsonlMaxLine - jsonlBase(), 1, fmt.Sprintf("jsonl record 1 is a %d-byte line, beyond the %d bytes", jsonlMaxLine+1, jsonlMaxLine)},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/limit%+d", tc.format, tc.overBy), func(t *testing.T) {
+			reqs := edgeRequests()[:2]
+			reqs[1].File.SourceURL = strings.Repeat("x", tc.url+tc.overBy)
+			var buf bytes.Buffer
+			err := WriteWorkloadStream(&buf, tc.format, workload.NewSliceSource(reqs))
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("writing a record %d bytes past the limit: error %v, want one containing %q", tc.overBy, err, tc.wantErr)
+				}
+				if buf.Len() >= tc.limit {
+					t.Fatalf("the refused record was written: %d bytes out", buf.Len())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("writing a record exactly at the limit: %v", err)
+			}
+			src, err := StreamWorkload(&buf, tc.format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := workload.Collect(src)
+			if err != nil {
+				t.Fatalf("reading back a record exactly at the limit: %v", err)
+			}
+			if len(back) != len(reqs) || back[1].File.SourceURL != reqs[1].File.SourceURL {
+				t.Fatalf("read back %d records, want %d with the long URL intact", len(back), len(reqs))
+			}
+		})
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"odr/internal/dist"
@@ -238,8 +240,9 @@ func (t *StreamTrace) TotalRequests() int { return len(t.perm) }
 // The generator draws each request's content from its own RNG substream
 // keyed by generation index (root("requests").Split64(j)), so a request
 // can be regenerated in any pass without replaying a shared sequential
-// stream. Construction makes one counting pass over those substreams to
-// bucket requests by time; emission makes one more to fill each bucket.
+// stream. Construction makes one counting pass over those substreams, on
+// GOMAXPROCS goroutines, to bucket requests by time; emission makes one
+// more to fill each bucket.
 func GenerateStream(cfg Config, chunkSize int) (*StreamTrace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -287,20 +290,7 @@ func GenerateStream(cfg Config, chunkSize int) (*StreamTrace, error) {
 	// Counting pass: assign every request to its time bucket. The bucket
 	// bytes are transient; only the permutation index survives.
 	buckets := make([]uint16, total)
-	counts := make([]uint32, numBuckets)
-	reqRoot := root.Split("requests")
-	scratch := dist.NewRNG(0)
-	j := uint32(0)
-	for _, f := range st.Files {
-		for k := 0; k < f.WeeklyRequests; k++ {
-			reqRoot.Split64Into(scratch, uint64(j))
-			_, at := drawRequest(cfg, scratch, len(st.Users))
-			b := bucketOf(at, cfg.Span, numBuckets)
-			buckets[j] = uint16(b)
-			counts[b]++
-			j++
-		}
-	}
+	counts := countBuckets(cfg, len(st.Users), root.Split("requests"), buckets, numBuckets)
 
 	// Counting sort (stable): perm groups generation indices by bucket,
 	// ascending within each bucket.
@@ -317,6 +307,42 @@ func GenerateStream(cfg Config, chunkSize int) (*StreamTrace, error) {
 		next[b]++
 	}
 	return st, nil
+}
+
+// countBuckets fills buckets[j] with the time bucket of request j's
+// arrival and returns how many requests fall in each bucket. Request j's
+// arrival comes from its own substream (reqRoot.Split64 keyed by j), so
+// the pass runs in any order: [0, len(buckets)) is split into GOMAXPROCS
+// contiguous ranges, each counted on its own goroutine with its own
+// scratch RNG and counts, and the counts are summed once all are done.
+func countBuckets(cfg Config, numUsers int, reqRoot *dist.RNG, buckets []uint16, numBuckets int) []uint32 {
+	workers := runtime.GOMAXPROCS(0)
+	part := make([][]uint32, workers)
+	var wg sync.WaitGroup
+	for w := range part {
+		part[w] = make([]uint32, numBuckets)
+		lo, hi := len(buckets)*w/workers, len(buckets)*(w+1)/workers
+		wg.Add(1)
+		go func(counts []uint32) {
+			defer wg.Done()
+			scratch := dist.NewRNG(0)
+			for j := lo; j < hi; j++ {
+				reqRoot.Split64Into(scratch, uint64(j))
+				_, at := drawRequest(cfg, scratch, numUsers)
+				b := bucketOf(at, cfg.Span, numBuckets)
+				buckets[j] = uint16(b)
+				counts[b]++
+			}
+		}(part[w])
+	}
+	wg.Wait()
+	counts := part[0]
+	for _, p := range part[1:] {
+		for b, c := range p {
+			counts[b] += c
+		}
+	}
+	return counts
 }
 
 // drawRequest draws request j's content from its dedicated substream. The
