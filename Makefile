@@ -77,9 +77,10 @@ paperscale:
 # -verify — the torn partial must be detected and its window recomputed,
 # the state files recomputed rather than trusted, and the merged digest
 # must be byte-identical to a single-process replay of the same trace,
-# crash, torn writes and all. An uninterrupted 2-worker run on the
-# same trace with no policy moves static state (the seen-file bitmap)
-# between processes and must verify too. Last, a coordinator crash: a
+# crash, torn writes and all. A 2-worker run on the same trace with no
+# policy moves static state (the census prefix's count) between
+# processes: it halts after two windows, and a -verify rerun must resume
+# and verify too. Last, a coordinator crash: a
 # 2-worker run over 200 windows (so the run outlasts its first window by
 # seconds) starts in its own session, and once the manifest shows a done
 # window the whole process group — coordinator and workers — is killed
@@ -119,10 +120,16 @@ distributed-smoke:
 	grep -q '^DISTRIB verdict: PASS' "$$dir/run2.log" || \
 		{ echo "distributed-smoke: merged digest did not verify"; exit 1; }; \
 	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt-static" \
-		-workers 2 -verify >"$$dir/run3.log" 2>&1; \
+		-workers 2 -halt-after 2 >"$$dir/run3.log" 2>&1; \
 	rc="$$?"; cat "$$dir/run3.log"; \
-	[ "$$rc" -eq 0 ] || { echo "distributed-smoke: static run exited $$rc"; exit 1; }; \
-	grep -q '^DISTRIB verdict: PASS' "$$dir/run3.log" || \
+	[ "$$rc" -eq 3 ] || { echo "distributed-smoke: static run exited $$rc, want 3 (halted)"; exit 1; }; \
+	"$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt-static" \
+		-workers 2 -verify >"$$dir/run3b.log" 2>&1; \
+	rc="$$?"; cat "$$dir/run3b.log"; \
+	[ "$$rc" -eq 0 ] || { echo "distributed-smoke: static resume run exited $$rc"; exit 1; }; \
+	grep -q 'resumed:' "$$dir/run3b.log" || \
+		{ echo "distributed-smoke: static resume never picked up the checkpoint"; exit 1; }; \
+	grep -q '^DISTRIB verdict: PASS' "$$dir/run3b.log" || \
 		{ echo "distributed-smoke: static merged digest did not verify"; exit 1; }; \
 	setsid "$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt-kill" \
 		-workers 2 -windows 200 >"$$dir/run4.log" 2>&1 & pid="$$!"; \

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,17 @@ func requests(sample []workload.Request, aps []*smartap.AP) func(i int) *backend
 			EnvCap: envCap,
 		}
 	}
+}
+
+// censusFiles is the sample's files in first-appearance order
+// (workload.Census): the order a static cloud whose observation state is
+// saved must be seeded in.
+func censusFiles(sample []workload.Request) []*workload.FileMeta {
+	c := workload.NewCensus()
+	for _, r := range sample {
+		c.Observe(r)
+	}
+	return c.Files()
 }
 
 func newSet(sample []workload.Request, files []*workload.FileMeta) *backend.Set {
@@ -333,18 +345,24 @@ func TestStaticProbeFirstIndexOracle(t *testing.T) {
 // request after the cut — probe verdict and pre-download outcome — exactly
 // as the uninterrupted cloud does, and ends with the same pool, in static
 // mode and under every cache policy (pool squeezed to a twelfth of the
-// population, so the state carries evictions).
+// population, so the state carries evictions). The static cloud is seeded
+// with the sample's files in first-appearance order, as a census seeds it.
 func TestCloudStateRestoreMatchesUninterrupted(t *testing.T) {
-	sample, files, aps := fixture(t)
-	static := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
-	modes := map[string]cloud.Config{"static": static}
+	sample, allFiles, aps := fixture(t)
+	type mode struct {
+		cfg   cloud.Config
+		files []*workload.FileMeta
+	}
+	census := censusFiles(sample)
+	modes := map[string]mode{"static": {newSet(nil, census).Cloud.Config(), census}}
 	for _, policy := range cloud.PolicyNames() {
-		cfg := newDynamicSet(nil, files).Cloud.Config()
+		cfg := newDynamicSet(nil, allFiles).Cloud.Config()
 		cfg.CachePolicy = policy
-		modes[policy] = cfg
+		modes[policy] = mode{cfg, allFiles}
 	}
 	rng := dist.NewRNG(fixtureSeed).Split("cuts")
-	for name, cfg := range modes {
+	for name, mode := range modes {
+		cfg, files := mode.cfg, mode.files
 		// observe builds a cloud for the sample, restores state at base when
 		// given one, and observes sample[base:end] through ordinals.
 		observe := func(state []byte, base, end int) (*backend.Cloud, []backend.Ordinal) {
@@ -394,10 +412,13 @@ func TestCloudStateRestoreMatchesUninterrupted(t *testing.T) {
 }
 
 // TestCloudStateRejectsMismatch: a state restores only into a cloud of its
-// own mode, at its own base.
+// own mode, at its own base, and only in the layout AppendState writes; a
+// static cloud whose observed files are not a prefix of its seed has no
+// state to write.
 func TestCloudStateRejectsMismatch(t *testing.T) {
 	sample, files, _ := fixture(t)
-	staticState, err := newSet(sample, files).Cloud.AppendState(nil)
+	census := censusFiles(sample)
+	staticState, err := newSet(sample, census).Cloud.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,6 +426,18 @@ func TestCloudStateRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The static layout is the mode byte, the next request, then the count
+	// of observed files.
+	withCount := func(k uint64) []byte {
+		return binary.LittleEndian.AppendUint64(append([]byte(nil), staticState[:9]...), k)
+	}
+	// The earlier static layout: mode 's', the next request, then a bitmap
+	// over the seeded files with every observed file's bit set.
+	bitmap := append([]byte{'s'}, staticState[1:9]...)
+	for range (len(census) + 7) / 8 {
+		bitmap = append(bitmap, 0xff)
+	}
+	bitmap[len(bitmap)-1] >>= (8 - len(census)%8) % 8
 	for _, tc := range []struct {
 		name  string
 		into  *backend.Cloud
@@ -413,15 +446,22 @@ func TestCloudStateRejectsMismatch(t *testing.T) {
 		want  string
 	}{
 		{"static into dynamic", newDynamicSet(nil, files).Cloud, staticState, len(sample), "does not fit"},
-		{"dynamic into static", newSet(nil, files).Cloud, dynamicState, len(sample), "does not fit"},
+		{"dynamic into static", newSet(nil, census).Cloud, dynamicState, len(sample), "does not fit"},
 		{"dynamic at another base", newDynamicSet(nil, files).Cloud, dynamicState, len(sample) - 1, "want"},
-		{"static before its last request", newSet(nil, files).Cloud, staticState, 1, "want"},
-		{"empty", newSet(nil, files).Cloud, nil, 0, "empty"},
-		{"truncated", newSet(nil, files).Cloud, staticState[:len(staticState)-1], len(sample), "truncated"},
+		{"static before its last request", newSet(nil, census).Cloud, staticState, 1, "want"},
+		{"empty", newSet(nil, census).Cloud, nil, 0, "empty"},
+		{"truncated", newSet(nil, census).Cloud, staticState[:len(staticState)-1], len(sample), "truncated"},
+		{"count past the seeded files", newSet(nil, census).Cloud, withCount(uint64(len(census) + 1)), len(sample), "past the"},
+		{"a byte after the count", newSet(nil, census).Cloud, append(withCount(uint64(len(census))), 0), len(sample), "1 bytes after"},
+		{"the retired bitmap layout", newSet(nil, census).Cloud, bitmap, len(sample), "bitmap layout"},
 	} {
 		if err := tc.into.RestoreState(tc.state, tc.base); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: RestoreState = %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+	// Seeded with every file, the sample's files leave gaps.
+	if _, err := newSet(sample, files).Cloud.AppendState(nil); err == nil || !strings.Contains(err.Error(), "not a prefix") {
+		t.Errorf("AppendState on a cloud seeded out of first-appearance order = %v, want an error naming the gap", err)
 	}
 }
 

@@ -8,15 +8,31 @@ import (
 
 // A cloud's observation state as AppendState writes it:
 //
-//	mode     u8: 's' static, 'd' dynamic
+//	mode     u8: 'p' static, 'd' dynamic
 //	next     u64 little-endian: the lowest request index not yet observed
-//	payload  static: a bitmap over the seeded file ordinals, bit o%8 of
-//	         byte o/8 set when file o has been observed, padding bits zero;
+//	payload  static: k, u64 little-endian — the files observed are exactly
+//	         the seeded ordinals [0, k);
 //	         dynamic: the pool (cloud.StoragePool.AppendState)
+//
+// A static cloud seeded with a trace's files in first-appearance order (a
+// census) has always observed such a prefix, so its state is one count.
+// Mode 's' was an earlier static layout, a bitmap over the seeded files;
+// RestoreState refuses it by name rather than read its bytes as a count.
 const (
-	stateStatic  = 's'
+	statePrefix  = 'p'
 	stateDynamic = 'd'
+	stateBitmap  = 's'
 )
+
+// AppendStaticState appends the observation state of a static cloud at
+// request next that has observed exactly its first k seeded files. It is
+// what AppendState writes for such a cloud, for a caller that knows k
+// without observing: a census that records where each file first appears.
+func AppendStaticState(dst []byte, next, k int) []byte {
+	dst = append(dst, statePrefix)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(next))
+	return binary.LittleEndian.AppendUint64(dst, uint64(k))
+}
 
 // AppendState appends the cloud's observation state to dst: everything
 // ObserveOrdinal has built that a later request's verdict reads. Per-file
@@ -25,36 +41,31 @@ const (
 // neither are the verdicts already latched, which only their own requests
 // read. Call it from the observing goroutine, between observations.
 //
-// Static state names files by ordinal, so it fits only a cloud seeded with
-// the same files in the same order, and only while every observed file was
-// in that seed: an appended ordinal follows the order files first appear,
-// which a restored cloud cannot know.
+// Static state is a count of seeded files, so it fits only a cloud seeded
+// with the same files in the same order, and only while the files observed
+// are a prefix of that order: a static cloud whose observed files leave a
+// gap, or reach past its seed, is refused, naming the gap.
 func (c *Cloud) AppendState(dst []byte) ([]byte, error) {
-	seeded := len(c.pop.bands)
-	if grown := len(c.pop.files) - seeded; grown > 0 && !c.dynamic {
-		return nil, fmt.Errorf("backend: %d observed files are outside the %d the cloud was seeded with; static state cannot name them",
-			grown, seeded)
-	}
-	dst = append(dst, c.stateMode())
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.observed.next))
 	if c.dynamic {
+		dst = append(dst, stateDynamic)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(c.observed.next))
 		return c.pool.AppendState(dst), nil
 	}
-	bitmap := make([]byte, (seeded+7)/8)
-	for o := range seeded {
-		if s := c.slots.peek(o); s != nil && s.seen {
-			bitmap[o/8] |= 1 << (o % 8)
+	seen := func(o int) bool { s := c.slots.peek(o); return s != nil && s.seen }
+	k, files := 0, len(c.pop.files)
+	for k < files && seen(k) {
+		k++
+	}
+	for o := k + 1; o < files; o++ {
+		if seen(o) {
+			return nil, fmt.Errorf("backend: static state is not a prefix of the seeded files: file %d was observed but file %d was not (seed the cloud in first-appearance order)", o, k)
 		}
 	}
-	return append(dst, bitmap...), nil
-}
-
-// stateMode is the mode byte of the cloud's observation state.
-func (c *Cloud) stateMode() byte {
-	if c.dynamic {
-		return stateDynamic
+	if seeded := len(c.pop.bands); k > seeded {
+		return nil, fmt.Errorf("backend: %d observed files are outside the %d the cloud was seeded with; static state cannot name them",
+			k-seeded, seeded)
 	}
-	return stateStatic
+	return AppendStaticState(dst, c.observed.next, k), nil
 }
 
 // RestoreState loads an observation state AppendState wrote into a cloud
@@ -72,31 +83,35 @@ func (c *Cloud) RestoreState(b []byte, base int) error {
 		return errors.New("backend: observation state truncated")
 	}
 	mode, next, b := b[0], binary.LittleEndian.Uint64(b[1:9]), b[9:]
-	if mode != c.stateMode() {
-		return fmt.Errorf("backend: observation state of mode %q does not fit a %s cloud", mode, c.PolicyLabel())
+	want := byte(statePrefix)
+	if c.dynamic {
+		want = stateDynamic
 	}
-	if base < 0 || next != uint64(base) {
+	switch {
+	case mode == stateBitmap:
+		return errors.New("backend: observation state is in the retired static bitmap layout (mode 's'); rerun the pass that wrote it")
+	case mode != want:
+		return fmt.Errorf("backend: observation state of mode %q does not fit a %s cloud", mode, c.PolicyLabel())
+	case base < 0 || next != uint64(base):
 		return fmt.Errorf("backend: observation state is at request %d, want %d", next, base)
 	}
 	c.observed.next = base
 	if c.dynamic {
 		return c.pool.RestoreState(b)
 	}
-	seeded := len(c.pop.bands)
-	switch n := (seeded + 7) / 8; {
-	case len(b) < n:
+	switch {
+	case len(b) < 8:
 		return errors.New("backend: observation state truncated")
-	case len(b) > n:
-		return fmt.Errorf("backend: %d bytes after the observation state", len(b)-n)
+	case len(b) > 8:
+		return fmt.Errorf("backend: %d bytes after the observation state", len(b)-8)
 	}
-	if seeded%8 != 0 && b[len(b)-1]>>(seeded%8) != 0 {
-		return fmt.Errorf("backend: static observation state marks files past the %d the cloud was seeded with", seeded)
+	k, seeded := binary.LittleEndian.Uint64(b), len(c.pop.bands)
+	if k > uint64(seeded) {
+		return fmt.Errorf("backend: static observation state counts %d observed files, past the %d the cloud was seeded with", k, seeded)
 	}
-	c.slots.reserve(seeded)
-	for o := range seeded {
-		if b[o/8]&(1<<(o%8)) != 0 {
-			c.slots.at(int32(o)).seen = true
-		}
+	c.slots.reserve(int(k))
+	for o := range int32(k) {
+		c.slots.at(o).seen = true
 	}
 	return nil
 }

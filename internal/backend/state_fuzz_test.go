@@ -16,23 +16,25 @@ import (
 // request index its own header names, so the fuzzer reaches the payload
 // checks rather than stopping at the base check (which
 // TestCloudStateRejectsMismatch covers). The corpus is seeded with real
-// states of both modes at several cut points.
+// states of both modes at several cut points; the static cloud is seeded
+// with the sample's files in first-appearance order, as a census seeds it.
 func FuzzRestoreState(f *testing.F) {
 	tr, err := workload.Generate(workload.DefaultConfig(300, fixtureSeed))
 	if err != nil {
 		f.Fatal(err)
 	}
 	files, sample := tr.Files, tr.Requests[:min(400, len(tr.Requests))]
+	census := censusFiles(sample)
 	var pop int64
 	for _, file := range files {
 		pop += file.Size
 	}
-	static := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
-	band := static
+	static := cloud.DefaultConfig(float64(len(census))/cloud.FullScaleFiles, fixtureSeed)
+	band := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
 	band.CachePolicy = "band"
 	band.PoolCapacity = pop / 12
 	clouds := []func() *backend.Cloud{
-		func() *backend.Cloud { return backend.NewCloud(files, static, fixtureSeed) },
+		func() *backend.Cloud { return backend.NewCloud(census, static, fixtureSeed) },
 		func() *backend.Cloud { return backend.NewCloud(files, band, fixtureSeed) },
 	}
 	for _, mk := range clouds {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"odr/internal/trace"
-	"odr/internal/workload"
 )
 
 // Runner executes one worker assignment. The coordinator is agnostic to
@@ -107,8 +106,10 @@ type Stages struct {
 	// Census is the census pass, timed from its start at the top of Run
 	// (zero when no window was pending).
 	Census time.Duration
-	// StatePass is the observation pass that follows the census: every
-	// pending window's state file written and the window queued.
+	// StatePass is the state pass that follows the census: every pending
+	// window's state file written and the window queued. In static mode
+	// that is the writes alone; under a cache policy it includes the
+	// observation pass (statePass).
 	StatePass time.Duration
 	// Merge is MergePartials.
 	Merge time.Duration
@@ -227,8 +228,8 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 // censusRun is a census pass on its own goroutine.
 type censusRun struct {
 	cancel context.CancelFunc
-	done   chan struct{} // closed once files, err and took are set
-	files  []*workload.FileMeta
+	done   chan struct{} // closed once cen, err and took are set
+	cen    census
 	err    error
 	took   time.Duration
 }
@@ -240,7 +241,7 @@ func startCensus(ctx context.Context, tracePath string) *censusRun {
 	start := time.Now()
 	go func() {
 		defer close(r.done)
-		r.files, r.err = census(tracePath, &meter{ctx: ctx})
+		r.cen, r.err = takeCensus(tracePath, &meter{ctx: ctx})
 		r.took = time.Since(start)
 	}()
 	return r
@@ -248,12 +249,12 @@ func startCensus(ctx context.Context, tracePath string) *censusRun {
 
 // wait returns the census once the pass ends, or ctx's error if ctx ends
 // first.
-func (r *censusRun) wait(ctx context.Context) ([]*workload.FileMeta, error) {
+func (r *censusRun) wait(ctx context.Context) (census, error) {
 	select {
 	case <-r.done:
-		return r.files, r.err
+		return r.cen, r.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return census{}, ctx.Err()
 	}
 }
 
@@ -401,12 +402,12 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, cen *censusR
 }
 
 // feedStates is the coordinator's state pass: the census cen takes,
-// written once per run, then one observation pass over the trace that
-// writes each pending window's state file at its base and queues the
-// window once the file is durable. Nothing an earlier run wrote is read
+// written once per run, then statePass, which yields each pending window's
+// state at its base; the window's state file is written and the window
+// queued once the file is durable. Nothing an earlier run wrote is read
 // back: a resume recomputes every file it hands out.
 func (c *Coordinator) feedStates(ctx context.Context, st *runState, cen *censusRun, pending, bases []int, queue chan<- int) error {
-	files, err := cen.wait(ctx)
+	pop, err := cen.wait(ctx)
 	if err != nil {
 		return err
 	}
@@ -415,11 +416,11 @@ func (c *Coordinator) feedStates(ctx context.Context, st *runState, cen *censusR
 	fp := c.cfg.Spec.Fingerprint()
 	m := &meter{ctx: ctx}
 	hdr := stateHeader{Kind: kindCensus, TraceSHA256: st.sha, Spec: fp, Base: st.records}
-	if err := writeState(filepath.Join(c.cfg.CheckpointDir, censusName), hdr, encodeCensus(files)); err != nil {
+	if err := writeState(filepath.Join(c.cfg.CheckpointDir, censusName), hdr, encodeCensus(pop.files)); err != nil {
 		return err
 	}
 	k := 0
-	err = statePass(c.cfg.TracePath, files, c.cfg.Spec, bases, m, func(base int, state []byte) error {
+	err = statePass(c.cfg.TracePath, pop, c.cfg.Spec, bases, m, func(base int, state []byte) error {
 		idx := pending[k]
 		k++
 		hdr := stateHeader{Kind: kindState, TraceSHA256: st.sha, Spec: fp, Base: int64(base)}
@@ -434,7 +435,7 @@ func (c *Coordinator) feedStates(ctx context.Context, st *runState, cen *censusR
 	}
 	c.Stages.StatePass = time.Since(start)
 	c.cfg.Log("state pass: census of %d files in %.1fms, %d window state(s) in %.1fms",
-		len(files), c.Stages.Census.Seconds()*1000, len(pending), c.Stages.StatePass.Seconds()*1000)
+		len(pop.files), c.Stages.Census.Seconds()*1000, len(pending), c.Stages.StatePass.Seconds()*1000)
 	return nil
 }
 

@@ -16,12 +16,15 @@
 //     (replay.RunODRWindow);
 //   - the cloud's cache state (the static files already seen or a dynamic
 //     policy's evolving pool) depends only on the sequence of records
-//     before the current one, so the coordinator computes it once: one
+//     before the current one, so the coordinator computes it once and
+//     writes the cloud's observation state at every pending window's base
+//     to a state file, and each worker restores its window's state instead
+//     of re-reading the trace before it. In static mode the state is one
+//     count: the census is in first-appearance order, so the files seen
+//     before a base are the census prefix of files first seen there, read
+//     off the census with no further pass. Under a cache policy one
 //     sequential observation pass — decode plus pool bookkeeping, no task
-//     execution — writes the cloud's observation state at every pending
-//     window's base to a state file, and each worker restores its
-//     window's state instead of re-reading the trace before it
-//     (replay.ObserveStates);
+//     execution — builds each state (replay.ObserveStates);
 //   - the warm-pool draws in backend construction depend on the file
 //     population slice, so the coordinator takes one census of the whole
 //     trace and ships its first-appearance population in a census file

@@ -2,12 +2,15 @@ package distrib
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -450,10 +453,16 @@ func TestMergeOrderInsensitive(t *testing.T) {
 
 // TestHaltResume is the kill-mid-run pin: a run that crashes a worker,
 // checkpoints two windows, and halts must resume from the manifest and
-// still match the single-process digest byte for byte.
+// still match the single-process digest byte for byte, under a dynamic
+// policy and in static mode.
 func TestHaltResume(t *testing.T) {
 	tracePath := writeTrace(t, 90, 17)
-	spec := WorkerSpec{Seed: 17, CachePolicy: "band"}
+	for _, spec := range []WorkerSpec{{Seed: 17, CachePolicy: "band"}, {Seed: 17}} {
+		t.Run(cmp.Or(spec.CachePolicy, "static"), func(t *testing.T) { haltResume(t, tracePath, spec) })
+	}
+}
+
+func haltResume(t *testing.T, tracePath string, spec WorkerSpec) {
 	dir := t.TempDir()
 	cfg := Config{
 		TracePath:     tracePath,
@@ -751,7 +760,9 @@ func TestRunWorkerErrors(t *testing.T) {
 
 // TestWorkerStateFiles: a worker started from state files replays its
 // window exactly as one that derives its start in memory, and a state file
-// for another trace, spec, base or kind is refused, naming the field.
+// for another trace, spec, base or kind is refused, naming the field. It
+// runs under a dynamic policy, whose state an observation pass builds, and
+// in static mode, whose state is the census prefix.
 func TestWorkerStateFiles(t *testing.T) {
 	tracePath := writeTrace(t, 40, 8)
 	records, err := trace.BinRecords(tracePath)
@@ -762,64 +773,154 @@ func TestWorkerStateFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := WorkerSpec{Seed: 8, CachePolicy: "prewarm", PoolBytes: 64 << 20}
-	win := Window{Offset: records / 2, Limit: records - records/2}
-	dir := t.TempDir()
-	files, err := census(tracePath, nil)
+	cen, err := takeCensus(tracePath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := WorkerRequest{
-		TracePath:   tracePath,
-		Window:      win,
-		Spec:        spec,
-		PartialPath: filepath.Join(dir, "files.odrp"),
-		TraceSHA256: sha,
-		CensusPath:  filepath.Join(dir, censusName),
-		StatePath:   filepath.Join(dir, stateName(1)),
-	}
-	fp := spec.Fingerprint()
-	if err := writeState(req.CensusPath, stateHeader{Kind: kindCensus, TraceSHA256: sha, Spec: fp, Base: records},
-		encodeCensus(files)); err != nil {
-		t.Fatal(err)
-	}
-	if err := statePass(tracePath, files, spec, []int{int(win.Offset)}, &meter{ctx: context.Background()},
-		func(base int, state []byte) error {
-			return writeState(req.StatePath, stateHeader{Kind: kindState, TraceSHA256: sha, Spec: fp, Base: int64(base)}, state)
-		}); err != nil {
-		t.Fatal(err)
-	}
-	derived := WorkerRequest{TracePath: tracePath, Window: win, Spec: spec, PartialPath: filepath.Join(dir, "derived.odrp")}
-	digests := map[string]string{}
-	for _, r := range []WorkerRequest{req, derived} {
-		if err := RunWorker(context.Background(), r, nil); err != nil {
-			t.Fatal(err)
-		}
-		p, err := ReadPartial(r.PartialPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		digests[r.PartialPath] = (&Merged{Tasks: p.Tasks, Ledgers: p.Ledgers}).Digest()
-	}
-	if digests[req.PartialPath] != digests[derived.PartialPath] {
-		t.Fatal("a worker started from state files replayed differently from one deriving its start")
-	}
-
-	for _, tc := range []struct {
-		name   string
-		mutate func(*WorkerRequest)
-		want   string
-	}{
-		{"another trace", func(r *WorkerRequest) { r.TraceSHA256 = strings.Repeat("0", 64) }, "state trace_sha256"},
-		{"another spec", func(r *WorkerRequest) { r.Spec.Seed = 9 }, "state spec"},
-		{"another base", func(r *WorkerRequest) { r.Window = Window{Offset: win.Offset - 1, Limit: win.Limit + 1} }, "state base"},
-		{"the census as a state", func(r *WorkerRequest) { r.StatePath = r.CensusPath }, "state kind"},
-		{"a state without a census", func(r *WorkerRequest) { r.CensusPath = "" }, "or none"},
+	win := Window{Offset: records / 2, Limit: records - records/2}
+	for _, spec := range []WorkerSpec{
+		{Seed: 8, CachePolicy: "prewarm", PoolBytes: 64 << 20},
+		{Seed: 8},
 	} {
-		bad := req
-		tc.mutate(&bad)
-		if err := RunWorker(context.Background(), bad, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: RunWorker = %v, want an error naming %q", tc.name, err, tc.want)
+		dir := t.TempDir()
+		req := WorkerRequest{
+			TracePath:   tracePath,
+			Window:      win,
+			Spec:        spec,
+			PartialPath: filepath.Join(dir, "files.odrp"),
+			TraceSHA256: sha,
+			CensusPath:  filepath.Join(dir, censusName),
+			StatePath:   filepath.Join(dir, stateName(1)),
+		}
+		fp := spec.Fingerprint()
+		if err := writeState(req.CensusPath, stateHeader{Kind: kindCensus, TraceSHA256: sha, Spec: fp, Base: records},
+			encodeCensus(cen.files)); err != nil {
+			t.Fatal(err)
+		}
+		if err := statePass(tracePath, cen, spec, []int{int(win.Offset)}, &meter{ctx: context.Background()},
+			func(base int, state []byte) error {
+				return writeState(req.StatePath, stateHeader{Kind: kindState, TraceSHA256: sha, Spec: fp, Base: int64(base)}, state)
+			}); err != nil {
+			t.Fatal(err)
+		}
+		derived := WorkerRequest{TracePath: tracePath, Window: win, Spec: spec, PartialPath: filepath.Join(dir, "derived.odrp")}
+		digests := map[string]string{}
+		for _, r := range []WorkerRequest{req, derived} {
+			if err := RunWorker(context.Background(), r, nil); err != nil {
+				t.Fatal(err)
+			}
+			p, err := ReadPartial(r.PartialPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[r.PartialPath] = (&Merged{Tasks: p.Tasks, Ledgers: p.Ledgers}).Digest()
+		}
+		if digests[req.PartialPath] != digests[derived.PartialPath] {
+			t.Fatalf("%s: a worker started from state files replayed differently from one deriving its start", fp)
+		}
+
+		for _, tc := range []struct {
+			name   string
+			mutate func(*WorkerRequest)
+			want   string
+		}{
+			{"another trace", func(r *WorkerRequest) { r.TraceSHA256 = strings.Repeat("0", 64) }, "state trace_sha256"},
+			{"another spec", func(r *WorkerRequest) { r.Spec.Seed = 9 }, "state spec"},
+			{"another base", func(r *WorkerRequest) { r.Window = Window{Offset: win.Offset - 1, Limit: win.Limit + 1} }, "state base"},
+			{"the census as a state", func(r *WorkerRequest) { r.StatePath = r.CensusPath }, "state kind"},
+			{"a state without a census", func(r *WorkerRequest) { r.CensusPath = "" }, "or none"},
+		} {
+			bad := req
+			tc.mutate(&bad)
+			if err := RunWorker(context.Background(), bad, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s: RunWorker = %v, want an error naming %q", fp, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestStaticWorkerReadsTheTraceOnce: a static worker that derives its own
+// start reads the trace once for the census and then its window, and
+// nothing before the window a second time: its heartbeats never count
+// past records + window limit.
+func TestStaticWorkerReadsTheTraceOnce(t *testing.T) {
+	tracePath := writeTrace(t, 2000, 13)
+	records, err := trace.BinRecords(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := Window{Offset: records / 2, Limit: records / 4}
+	if win.Offset < 2*progressEvery {
+		t.Fatalf("a trace of %d records is too short to tell a second read of [0, %d) from heartbeat rounding", records, win.Offset)
+	}
+	var read int64
+	req := WorkerRequest{TracePath: tracePath, Window: win, Spec: WorkerSpec{Seed: 13},
+		PartialPath: filepath.Join(t.TempDir(), "w.odrp")}
+	if err := RunWorker(context.Background(), req, func(n int64) { read = max(read, n) }); err != nil {
+		t.Fatal(err)
+	}
+	if read > records+win.Limit {
+		t.Fatalf("static worker read %d records, want at most %d: the census (%d) and its window (%d)",
+			read, records+win.Limit, records, win.Limit)
+	}
+	if read < records {
+		t.Fatalf("static worker's heartbeats reached %d records; the census alone reads %d", read, records)
+	}
+}
+
+// TestStaticStateMatchesObservation: the static state the census emits —
+// the prefix of files first seen before a base — is byte for byte the
+// state an observation pass over the same census builds, at the trace's
+// ends and at every window base of two plans, on a trace whose files recur
+// across chunks. The census path reads no record.
+func TestStaticStateMatchesObservation(t *testing.T) {
+	tracePath := writeTrace(t, 2000, 5)
+	cen, err := takeCensus(tracePath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := trace.BinRecords(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := []int{0, 1, int(records) - 1, int(records)}
+	for _, n := range []int{3, 8} {
+		for _, w := range PlanWindows(records, n) {
+			bases = append(bases, int(w.Offset))
+		}
+	}
+	slices.Sort(bases)
+	bases = slices.Compact(bases)
+	spec := WorkerSpec{Seed: 5}
+	collect := func(into *[][]byte) func(int, []byte) error {
+		return func(_ int, state []byte) error { *into = append(*into, state); return nil }
+	}
+	var fromCensus, observed [][]byte
+	m := &meter{ctx: context.Background()}
+	if err := statePass(tracePath, cen, spec, bases, m, collect(&fromCensus)); err != nil {
+		t.Fatal(err)
+	}
+	if m.processed != 0 {
+		t.Fatalf("the static state pass read %d records, want none", m.processed)
+	}
+	opts, err := spec.ReplayOptions(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if err := replay.ObserveStates(src, cen.files, opts, bases, collect(&observed)); err != nil {
+		t.Fatal(err)
+	}
+	if len(fromCensus) != len(bases) || len(observed) != len(bases) {
+		t.Fatalf("%d bases, %d census states, %d observed states", len(bases), len(fromCensus), len(observed))
+	}
+	for k, base := range bases {
+		if !bytes.Equal(fromCensus[k], observed[k]) {
+			t.Errorf("base %d: census state %x, observed %x", base, fromCensus[k], observed[k])
 		}
 	}
 }
@@ -883,10 +984,11 @@ func TestMeteredSourceForwardsLength(t *testing.T) {
 // chunk boundaries.
 func TestCensusMatchesWorkloadCensus(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 5)
-	got, err := census(tracePath, nil)
+	cen, err := takeCensus(tracePath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := cen.files
 	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -923,6 +1025,12 @@ func TestCensusMatchesWorkloadCensus(t *testing.T) {
 		if *got[i] != *want[i] {
 			t.Fatalf("census file %d is %+v, workload.Census has %+v", i, got[i], want[i])
 		}
+		if cen.first[i] != first[want[i]] {
+			t.Fatalf("census file %d first appears at record %d, the census says %d", i, first[want[i]], cen.first[i])
+		}
+	}
+	if len(cen.first) != len(got) {
+		t.Fatalf("census has %d files and %d first indices", len(got), len(cen.first))
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"sort"
 
+	"odr/internal/backend"
 	"odr/internal/replay"
 	"odr/internal/trace"
 	"odr/internal/workload"
@@ -136,14 +138,27 @@ func decodeCensus(b []byte) ([]*workload.FileMeta, error) {
 	return files, nil
 }
 
-// statePass is the one producer of window start states: it streams the
-// trace's records [0, last base) through replay.ObserveStates over the
-// census population and hands emit the cloud's observation state at each
-// of bases (ascending, at least one). The coordinator runs it once over
-// every pending window's base; a worker handed no state files runs it for
-// its own. m meters the records it reads.
-func statePass(tracePath string, files []*workload.FileMeta, spec WorkerSpec, bases []int,
+// statePass is the one producer of window start states: it hands emit
+// the cloud's observation state at each of bases (ascending, at least
+// one), as the census population's cloud holds it on reaching that record.
+// A static cloud's state is the census prefix seen before the base, so in
+// static mode the pass emits it from cen without opening the trace. Under
+// a cache policy it streams the trace's records [0, last base) through
+// replay.ObserveStates. The coordinator runs it once over every pending
+// window's base; a worker handed no state files runs it for its own. m
+// meters the records it reads.
+func statePass(tracePath string, cen census, spec WorkerSpec, bases []int,
 	m *meter, emit func(base int, state []byte) error) error {
+	if spec.CachePolicy == "" {
+		for _, base := range bases {
+			// The census files first seen before base.
+			seen := sort.SearchInts(cen.first, base)
+			if err := emit(base, backend.AppendStaticState(nil, base, seen)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	opts, err := spec.ReplayOptions(nil)
 	if err != nil {
 		return err
@@ -153,5 +168,5 @@ func statePass(tracePath string, files []*workload.FileMeta, spec WorkerSpec, ba
 		return err
 	}
 	defer closer.Close()
-	return replay.ObserveStates(m.wrap(src), files, opts, bases, emit)
+	return replay.ObserveStates(m.wrap(src), cen.files, opts, bases, emit)
 }

@@ -13,7 +13,7 @@ import (
 // the reference the coordinator's merged digest must match byte for byte
 // (odrcoord -verify and EXP-D both rest on it).
 func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineConfig) (*replay.ODRResult, error) {
-	files, err := census(tracePath, nil)
+	cen, err := takeCensus(tracePath, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -32,5 +32,5 @@ func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineC
 		return nil, err
 	}
 	defer fcloser.Close()
-	return replay.RunODRStream(full, files, smartap.Benchmarked(), opts)
+	return replay.RunODRStream(full, cen.files, smartap.Benchmarked(), opts)
 }

@@ -31,7 +31,8 @@ type WorkerRequest struct {
 	// Window.Offset, in the state files the coordinator's pass wrote, each
 	// pinned to this trace hash, spec and base (a file that does not match
 	// is refused, naming the field). Set all three or none; with none the
-	// worker derives the same start itself, through the same passes.
+	// worker derives the same start itself, through the same census and
+	// state pass.
 	TraceSHA256 string `json:"trace_sha256,omitempty"`
 	CensusPath  string `json:"census_path,omitempty"`
 	StatePath   string `json:"state_path,omitempty"`
@@ -122,32 +123,48 @@ func (s *meteredSource) TotalRequests() int {
 	return 0
 }
 
-// census runs the full census pass over a bin trace and returns its
-// first-appearance file population: the order every worker and the
-// single-process reference hand to the backend fleet, so its sequential
-// warm-pool draws match. The bin decoder interns every file by ID in that
-// order anyway (trace.BinFiles), so the pass keeps no population of its
-// own. m, when non-nil, meters the pass's records.
-func census(tracePath string, m *meter) ([]*workload.FileMeta, error) {
+// census is a bin trace's file population in first-appearance order —
+// the order every worker and the single-process reference hand to the
+// backend fleet, so its sequential warm-pool draws match — and the record
+// index at which each file first appears.
+type census struct {
+	files []*workload.FileMeta
+	// first[o] is the index of the first record naming files[o]. It
+	// ascends, so the files named before any record are a prefix of files.
+	first []int
+}
+
+// takeCensus runs the full census pass over a bin trace. The bin decoder
+// interns every file by ID in first-appearance order anyway
+// (trace.BinFiles), so the pass keeps no population of its own: it notes
+// the record at which the decoder's population grows. m, when non-nil,
+// meters the pass's records.
+func takeCensus(tracePath string, m *meter) (census, error) {
 	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
 	if err != nil {
-		return nil, err
+		return census{}, err
 	}
 	defer closer.Close()
 	counted := src
 	if m != nil {
 		counted = m.wrap(src)
 	}
+	var first []int
 	for {
-		if _, _, ok := counted.Next(); !ok {
+		i, _, ok := counted.Next()
+		if !ok {
 			break
+		}
+		// A record names one file, so the population grows by at most one.
+		if files, _ := trace.BinFiles(src); len(files) > len(first) {
+			first = append(first, i)
 		}
 	}
 	if err := counted.Err(); err != nil {
-		return nil, fmt.Errorf("distrib: census pass: %w", err)
+		return census{}, fmt.Errorf("distrib: census pass: %w", err)
 	}
 	files, _ := trace.BinFiles(src) // a bin source by construction
-	return files, nil
+	return census{files: files, first: first}, nil
 }
 
 // RunWorker replays one window of a bin trace and writes the partial
@@ -155,8 +172,8 @@ func census(tracePath string, m *meter) ([]*workload.FileMeta, error) {
 // the backend fleet's sequential warm-pool draws match every other
 // worker's and a single-process replay's — and the cloud's observation
 // state at the window base: read from the state files the request names,
-// or, when it names none, derived in memory by the census and observation
-// passes the coordinator runs (statePass). It then replays only the
+// or, when it names none, derived in memory by the census and the state
+// pass the coordinator runs (statePass). It then replays only the
 // window, with every index-keyed input offset by the window base
 // (replay.RunODRWindow).
 //
@@ -234,18 +251,18 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 
 // windowStart returns the census population and the cloud's observation
 // state at req's window base: from the request's state files when it
-// names them, derived through census and statePass, metered by m, when
+// names them, derived through takeCensus and statePass, metered by m, when
 // it names none.
 func windowStart(req WorkerRequest, records int64, m *meter) ([]*workload.FileMeta, []byte, error) {
 	if req.TraceSHA256 == "" && req.CensusPath == "" && req.StatePath == "" {
-		files, err := census(req.TracePath, m)
+		cen, err := takeCensus(req.TracePath, m)
 		if err != nil {
 			return nil, nil, err
 		}
 		var state []byte
-		err = statePass(req.TracePath, files, req.Spec, []int{int(req.Window.Offset)}, m,
+		err = statePass(req.TracePath, cen, req.Spec, []int{int(req.Window.Offset)}, m,
 			func(_ int, s []byte) error { state = s; return nil })
-		return files, state, err
+		return cen.files, state, err
 	}
 	if req.TraceSHA256 == "" || req.CensusPath == "" || req.StatePath == "" {
 		return nil, nil, errors.New("distrib: a worker request names all of trace_sha256, census_path and state_path, or none")

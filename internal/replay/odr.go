@@ -245,7 +245,10 @@ func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 // cloud's observation state (backend.Cloud.AppendState) at each of bases,
 // in order: the state a whole-trace replay's cloud holds on reaching that
 // record. bases must ascend; the pass reads no record past the last one.
-// Each state fits a RunODRWindow over the same files and options.
+// Each state fits a RunODRWindow over the same files and options. A static
+// state (no cache policy) is a count of the files seen, so in static mode
+// files must be the trace's census — its files in first-appearance order —
+// or AppendState refuses the state.
 func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts Options,
 	bases []int, emit func(base int, state []byte) error) error {
 	if len(bases) == 0 {
@@ -288,7 +291,9 @@ func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts 
 // window yields the records at global indices [base, base+n) (re-based at
 // 0, as every RequestSource is), and state is the cloud's observation
 // state at base — what ObserveStates emitted for base over the same trace,
-// files and options. Restoring it gives the window's cloud exactly the
+// files and options (in static mode, files in census order, so the state
+// is the census prefix seen before base). Restoring it gives the window's
+// cloud exactly the
 // cache state — the static files already seen or a dynamic policy's
 // evolved pool — that a whole-trace replay's has on reaching record base.
 // The window then replays with every index-keyed input (RNG substream, AP
