@@ -85,8 +85,11 @@ paperscale:
 # seconds) starts in its own session, and once the manifest shows a done
 # window the whole process group — coordinator and workers — is killed
 # with SIGKILL, as a host crash would; the coordinator must still have
-# been running, and a rerun with -verify must resume and verify. Set
-# DISTRIB_SMOKE_DIR to keep the trace,
+# been running, and a rerun with -verify must resume and verify. Then a
+# corrupt census: one byte flipped inside the file table of a copy of the
+# trace (the table ends where the 20-byte trailer begins) must fail the
+# coordinator with exit code 1 and an error naming the table, before any
+# worker writes a partial. Set DISTRIB_SMOKE_DIR to keep the trace,
 # checkpoint, and logs (CI points it at a workspace path and uploads
 # them as artifacts on failure); by default everything lands in a mktemp
 # dir removed on exit.
@@ -151,7 +154,21 @@ distributed-smoke:
 	grep -q 'resumed:' "$$dir/run5.log" || \
 		{ echo "distributed-smoke: run after the coordinator kill did not resume"; exit 1; }; \
 	grep -q '^DISTRIB verdict: PASS' "$$dir/run5.log" || \
-		{ echo "distributed-smoke: merged digest after the coordinator kill did not verify"; exit 1; }
+		{ echo "distributed-smoke: merged digest after the coordinator kill did not verify"; exit 1; }; \
+	cp "$$dir/trace.bin" "$$dir/bad-table.bin" || exit 1; \
+	off="$$(( $$(wc -c <"$$dir/bad-table.bin") - 21 ))"; \
+	byte="$$(od -An -tu1 -j "$$off" -N1 "$$dir/bad-table.bin" | tr -d ' ')"; \
+	printf "$$(printf '\\%03o' "$$((byte ^ 255))")" | \
+		dd of="$$dir/bad-table.bin" bs=1 seek="$$off" conv=notrunc 2>/dev/null || exit 1; \
+	"$$dir/odrcoord" -trace "$$dir/bad-table.bin" -checkpoint "$$dir/ckpt-table" \
+		-workers 2 >"$$dir/run6.log" 2>&1; \
+	rc="$$?"; cat "$$dir/run6.log"; \
+	[ "$$rc" -eq 1 ] || { echo "distributed-smoke: run over a corrupt file table exited $$rc, want 1"; exit 1; }; \
+	grep -q 'file table' "$$dir/run6.log" || \
+		{ echo "distributed-smoke: the corrupt file table's error does not name the table"; exit 1; }; \
+	if ls "$$dir"/ckpt-table/*.odrp >/dev/null 2>&1; then \
+		echo "distributed-smoke: a run over a corrupt file table wrote a partial"; exit 1; \
+	fi
 
 # matrix-smoke drives the declarative path end to end from one command: a
 # 2×2 {profile × fault intensity} grid over a small 10-day trace, with a

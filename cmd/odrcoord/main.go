@@ -20,12 +20,14 @@
 // a different trace (by content hash) or replay configuration is refused
 // with the mismatching field named. -verify additionally replays the
 // whole trace single-process and compares the digests, printing the
-// "DISTRIB verdict: PASS|FAIL" line CI greps. The run summary gives each
-// window's worker time and the coordinator's own stages — trace hash,
-// census, state pass, merge plus digest — in ms; the merged digest is
-// hashed as it streams and never built as one string. With -pprof a
-// net/http/pprof server runs in the coordinator process for the lifetime
-// of the run.
+// "DISTRIB verdict: PASS|FAIL" line CI greps. Every window starts from
+// the census the trace's own file table declares; a trace whose table is
+// damaged fails the run, naming the table, before any worker starts. The
+// run summary gives each window's worker time and the coordinator's own
+// stages — trace hash, state pass, merge plus digest — in ms; the merged
+// digest is hashed as it streams and never built as one string. With
+// -pprof a net/http/pprof server runs in the coordinator process for the
+// lifetime of the run.
 //
 // -spec FILE loads a scenario file (internal/scenario JSON) and maps its
 // distributed subset — seed, shards, cache policy, pool bytes, faults,
@@ -239,8 +241,8 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		return err
 	}
 	st := co.Stages
-	fmt.Printf("coordinator:        trace hash %.1fms, census %.1fms (alongside the hash), state pass %.1fms, merge+digest %.1fms\n",
-		millis(st.Hash), millis(st.Census), millis(st.StatePass), millis(st.Merge+time.Since(digestStart)))
+	fmt.Printf("coordinator:        trace hash %.1fms, state pass %.1fms, merge+digest %.1fms\n",
+		millis(st.Hash), millis(st.StatePass), millis(st.Merge+time.Since(digestStart)))
 	fmt.Printf("merged digest:      sha256:%x\n", sum)
 	if err := scenario.DumpRegistry(os.Stderr, merged.Metrics, common.Metrics); err != nil {
 		return err

@@ -48,11 +48,11 @@ func writeTrace(t *testing.T) (string, int64) {
 	if err := trace.WriteWorkloadStream(f, "bin", st.Requests()); err != nil {
 		t.Fatal(err)
 	}
-	records, err := trace.BinRecords(path)
+	cen, err := trace.ReadBinCensus(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path, records
+	return path, cen.Records
 }
 
 // TestFlagSurface pins the command's flags. The engine batch size never
@@ -102,7 +102,6 @@ func TestWorkerProtocol(t *testing.T) {
 			Faults: "transient=0.1,span=720h0m0s", Metrics: true},
 		PartialPath: filepath.Join(t.TempDir(), "w.odrp"),
 		TraceSHA256: strings.Repeat("ab", 32),
-		CensusPath:  filepath.Join(t.TempDir(), "census.odrs"),
 		StatePath:   filepath.Join(t.TempDir(), "state-00001.odrs"),
 		CrashAfter:  12345,
 	}

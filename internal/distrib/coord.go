@@ -101,15 +101,11 @@ type Coordinator struct {
 // Stages times the coordinator's serial steps: what a run spends before
 // its first window can start and after its last one is done.
 type Stages struct {
-	// Hash is the trace's SHA-256. The census runs alongside it.
+	// Hash is the trace's SHA-256.
 	Hash time.Duration
-	// Census is the census pass, timed from its start at the top of Run
-	// (zero when no window was pending).
-	Census time.Duration
-	// StatePass is the state pass that follows the census: every pending
-	// window's state file written and the window queued. In static mode
-	// that is the writes alone; under a cache policy it includes the
-	// observation pass (statePass).
+	// StatePass is every pending window's state file written and the
+	// window queued. In static mode that is the writes alone; under a
+	// cache policy it includes the observation pass (statePass).
 	StatePass time.Duration
 	// Merge is MergePartials.
 	Merge time.Duration
@@ -151,12 +147,12 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // runState is the state the window workers share: the run's trace
-// identity, and under mu the manifest, the done windows' partials, and
-// the run's outcome.
+// identity and census, and under mu the manifest, the done windows'
+// partials, and the run's outcome.
 type runState struct {
-	path    string // manifest path
-	sha     string // the trace's SHA-256
-	records int64  // the trace's record count
+	path string // manifest path
+	sha  string // the trace's SHA-256
+	cen  trace.BinCensus
 
 	mu        sync.Mutex
 	manifest  *Manifest
@@ -173,14 +169,12 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	records, err := trace.BinRecords(c.cfg.TracePath)
+	// The trace's census comes from its file table: a trace whose table
+	// is damaged fails here, before any worker starts.
+	cen, err := trace.ReadBinCensus(c.cfg.TracePath)
 	if err != nil {
 		return nil, err
 	}
-	// The census needs nothing the hash or the manifest decides, so it
-	// runs alongside them; every return stops it.
-	cen := startCensus(ctx, c.cfg.TracePath)
-	defer cen.stop()
 	start := time.Now()
 	sha, err := trace.SHA256File(c.cfg.TracePath)
 	c.Stages.Hash = time.Since(start)
@@ -190,8 +184,8 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if err := os.MkdirAll(c.cfg.CheckpointDir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), sha: sha, records: records}
-	st.manifest, st.parts, err = c.openManifest(st.path, records, sha)
+	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), sha: sha, cen: cen}
+	st.manifest, st.parts, err = c.openManifest(st.path, cen.Records, sha)
 	if err != nil {
 		return nil, err
 	}
@@ -209,10 +203,10 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 			pending = append(pending, i)
 		}
 	}
-	if len(pending) == 0 {
-		cen.stop() // every window is done: the census has no taker
-	} else if err := c.runPending(ctx, st, cen, pending); err != nil {
-		return nil, err
+	if len(pending) > 0 {
+		if err := c.runPending(ctx, st, pending); err != nil {
+			return nil, err
+		}
 	}
 	for i, p := range st.parts {
 		if p == nil {
@@ -223,46 +217,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	merged, err := MergePartials(st.parts)
 	c.Stages.Merge = time.Since(start)
 	return merged, err
-}
-
-// censusRun is a census pass on its own goroutine.
-type censusRun struct {
-	cancel context.CancelFunc
-	done   chan struct{} // closed once cen, err and took are set
-	cen    census
-	err    error
-	took   time.Duration
-}
-
-// startCensus starts the census pass of tracePath; ctx cancels it.
-func startCensus(ctx context.Context, tracePath string) *censusRun {
-	ctx, cancel := context.WithCancel(ctx)
-	r := &censusRun{cancel: cancel, done: make(chan struct{})}
-	start := time.Now()
-	go func() {
-		defer close(r.done)
-		r.cen, r.err = takeCensus(tracePath, &meter{ctx: ctx})
-		r.took = time.Since(start)
-	}()
-	return r
-}
-
-// wait returns the census once the pass ends, or ctx's error if ctx ends
-// first.
-func (r *censusRun) wait(ctx context.Context) (census, error) {
-	select {
-	case <-r.done:
-		return r.cen, r.err
-	case <-ctx.Done():
-		return census{}, ctx.Err()
-	}
-}
-
-// stop cancels the pass if it still runs and waits for its goroutine to
-// exit. It may be called more than once.
-func (r *censusRun) stop() {
-	r.cancel()
-	<-r.done
 }
 
 // openManifest loads-and-validates an existing checkpoint or plans a
@@ -327,7 +281,7 @@ func (c *Coordinator) readPartial(name string, win Window) (*Partial, error) {
 // runPending fans the pending window indices over the worker pool. The
 // state pass feeds the queue, so a window dispatches as soon as its state
 // file is durable and the pass runs while the first wave replays.
-func (c *Coordinator) runPending(ctx context.Context, st *runState, cen *censusRun, pending []int) error {
+func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []int) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	bases := make([]int, len(pending))
@@ -376,7 +330,7 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, cen *censusR
 			}
 		}()
 	}
-	if err := c.feedStates(runCtx, st, cen, pending, bases, queue); err != nil && runCtx.Err() == nil {
+	if err := c.feedStates(runCtx, st, pending, bases, queue); err != nil && runCtx.Err() == nil {
 		st.mu.Lock()
 		if st.err == nil {
 			st.err = err
@@ -401,29 +355,18 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, cen *censusR
 	return nil
 }
 
-// feedStates is the coordinator's state pass: the census cen takes,
-// written once per run, then statePass, which yields each pending window's
-// state at its base; the window's state file is written and the window
-// queued once the file is durable. Nothing an earlier run wrote is read
-// back: a resume recomputes every file it hands out.
-func (c *Coordinator) feedStates(ctx context.Context, st *runState, cen *censusRun, pending, bases []int, queue chan<- int) error {
-	pop, err := cen.wait(ctx)
-	if err != nil {
-		return err
-	}
-	c.Stages.Census = cen.took
+// feedStates is the coordinator's state pass: statePass yields each
+// pending window's state at its base; the window's state file is written
+// and the window queued once the file is durable. Nothing an earlier run
+// wrote is read back: a resume recomputes every file it hands out.
+func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending, bases []int, queue chan<- int) error {
 	start := time.Now()
 	fp := c.cfg.Spec.Fingerprint()
-	m := &meter{ctx: ctx}
-	hdr := stateHeader{Kind: kindCensus, TraceSHA256: st.sha, Spec: fp, Base: st.records}
-	if err := writeState(filepath.Join(c.cfg.CheckpointDir, censusName), hdr, encodeCensus(pop.files)); err != nil {
-		return err
-	}
 	k := 0
-	err = statePass(c.cfg.TracePath, pop, c.cfg.Spec, bases, m, func(base int, state []byte) error {
+	err := statePass(c.cfg.TracePath, st.cen, c.cfg.Spec, bases, &meter{ctx: ctx}, func(base int, state []byte) error {
 		idx := pending[k]
 		k++
-		hdr := stateHeader{Kind: kindState, TraceSHA256: st.sha, Spec: fp, Base: int64(base)}
+		hdr := stateHeader{TraceSHA256: st.sha, Spec: fp, Base: int64(base)}
 		if err := writeState(filepath.Join(c.cfg.CheckpointDir, stateName(idx)), hdr, state); err != nil {
 			return err
 		}
@@ -434,8 +377,8 @@ func (c *Coordinator) feedStates(ctx context.Context, st *runState, cen *censusR
 		return err
 	}
 	c.Stages.StatePass = time.Since(start)
-	c.cfg.Log("state pass: census of %d files in %.1fms, %d window state(s) in %.1fms",
-		len(pop.files), c.Stages.Census.Seconds()*1000, len(pending), c.Stages.StatePass.Seconds()*1000)
+	c.cfg.Log("state pass: %d window state(s) from a census of %d files in %.1fms",
+		len(pending), len(st.cen.Files), c.Stages.StatePass.Seconds()*1000)
 	return nil
 }
 
@@ -462,7 +405,6 @@ func (c *Coordinator) runWindow(ctx context.Context, st *runState, idx int) erro
 			Spec:        c.cfg.Spec,
 			PartialPath: path,
 			TraceSHA256: st.sha,
-			CensusPath:  filepath.Join(c.cfg.CheckpointDir, censusName),
 			StatePath:   filepath.Join(c.cfg.CheckpointDir, stateName(idx)),
 		}
 		if attempt == 1 && c.cfg.CrashWindow == idx+1 {

@@ -26,21 +26,21 @@
 //     sequential observation pass — decode plus pool bookkeeping, no task
 //     execution — builds each state (replay.ObserveStates);
 //   - the warm-pool draws in backend construction depend on the file
-//     population slice, so the coordinator takes one census of the whole
-//     trace and ships its first-appearance population in a census file
-//     that every worker hands, unchanged, to its backends; the census is
-//     the order the bin decoder interns files in (trace.BinFiles), which
-//     is first appearance by construction;
+//     population slice, so every worker and the single-process reference
+//     hand their backends the same one: the census the bin trace's own
+//     file table declares (trace.ReadBinCensus) — every distinct file in
+//     first-appearance order, with the record it first appears at — read
+//     from the trailer without decoding a record;
 //   - ledgers and engine totals are associative integer sums, and task
 //     records live at disjoint global indices, so per-window results
 //     concatenate and add into exactly the single-process values.
 //
 // A worker therefore reads only its own window of the trace. The
-// coordinator starts the census on its own goroutine alongside the trace
-// hash, and dispatches a window as soon as its state file is durable, so
-// the pass overlaps the first wave of workers; a resume recomputes the
-// census and every state it hands out instead of trusting files an
-// earlier run left behind.
+// coordinator reads the census before it hashes the trace, so a damaged
+// file table fails the run before any worker starts, and dispatches a
+// window as soon as its state file is durable, so the state pass overlaps
+// the first wave of workers; a resume recomputes every state it hands out
+// instead of trusting files an earlier run left behind.
 //
 // Partials and the merge hold each task as a replay.DigestRecord — the
 // eight fields the digest reads, 48 B against an ODRTask's 128 B — and

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,6 +48,16 @@ func writeTrace(t *testing.T, files int, seed uint64) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// readCensus reads a trace's census from its file table.
+func readCensus(t *testing.T, tracePath string) trace.BinCensus {
+	t.Helper()
+	cen, err := trace.ReadBinCensus(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cen
 }
 
 // singleDigest is the single-process reference digest for a trace/spec.
@@ -249,10 +260,7 @@ func TestManifestSaveLoad(t *testing.T) {
 // file every way the format guards against.
 func TestPartialRoundTrip(t *testing.T) {
 	tracePath := writeTrace(t, 60, 9)
-	records, err := trace.BinRecords(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readCensus(t, tracePath).Records
 	spec := WorkerSpec{Seed: 9, CachePolicy: "band", Faults: "0.3", Metrics: true}
 	win := Window{Offset: records / 3, Limit: records / 3}
 	dir := t.TempDir()
@@ -601,7 +609,8 @@ func TestResumeRecomputesForeignSpecPartial(t *testing.T) {
 }
 
 // TestResumeRejectsMismatch pins that a checkpoint refuses to resume
-// under a different trace or spec, naming the mismatching field.
+// under a different trace or spec, naming the mismatching field, and that
+// a refused run leaves no goroutine behind.
 func TestResumeRejectsMismatch(t *testing.T) {
 	tracePath := writeTrace(t, 60, 23)
 	dir := t.TempDir()
@@ -630,18 +639,51 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
 	if _, err := co3.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "trace_sha256") {
 		t.Fatalf("trace mismatch resume = %v, want trace_sha256 error", err)
 	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the refused run, %d after", before, after)
+	}
 }
 
-// failRunner always fails.
-type failRunner struct{}
+// failRunner always fails, counting its attempts.
+type failRunner struct{ calls *atomic.Int64 }
 
-func (failRunner) Run(context.Context, WorkerRequest, func(int64)) error {
+func (r failRunner) Run(context.Context, WorkerRequest, func(int64)) error {
+	if r.calls != nil {
+		r.calls.Add(1)
+	}
 	return errors.New("boom")
 }
 
+// corruptCopy writes a copy of the trace at tracePath with the byte at off
+// (counted from the end when negative) flipped, and returns its path.
+func corruptCopy(t *testing.T, tracePath string, off int) string {
+	t.Helper()
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < 0 {
+		off += len(raw)
+	}
+	raw[off] ^= 0xff
+	path := filepath.Join(t.TempDir(), "corrupt.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRestartBudgetExhaustion: a window that fails every attempt fails
+// the run, wrapping the last failure — a worker's own error, or the
+// checksum of a corrupt chunk in its window. A corrupt file table fails
+// the run before any worker starts.
 func TestRestartBudgetExhaustion(t *testing.T) {
 	tracePath := writeTrace(t, 40, 3)
 	co, err := New(Config{
@@ -659,6 +701,37 @@ func TestRestartBudgetExhaustion(t *testing.T) {
 	_, err = co.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "failed 2 attempts") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Run = %v, want restart-budget error wrapping the worker failure", err)
+	}
+
+	tracePath = writeTrace(t, 400, 13)
+	info, err := os.Stat(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The middle of the file is inside a chunk payload.
+	co, err = New(Config{TracePath: corruptCopy(t, tracePath, int(info.Size()/2)), Workers: 2,
+		CheckpointDir: t.TempDir(), Spec: WorkerSpec{Seed: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Run(context.Background()); err == nil ||
+		!strings.Contains(err.Error(), "failed 3 attempts") || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("run over a corrupt chunk = %v, want the worker's checksum error", err)
+	}
+
+	// The trailer is the file's last 20 bytes; the table's last entry ends
+	// where it begins.
+	var calls atomic.Int64
+	co, err = New(Config{TracePath: corruptCopy(t, tracePath, -25), Workers: 2,
+		CheckpointDir: t.TempDir(), Spec: WorkerSpec{Seed: 13}, Runner: failRunner{calls: &calls}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "file table") {
+		t.Fatalf("run over a corrupt file table = %v, want an error naming the table", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("a corrupt file table started %d worker(s), want none", n)
 	}
 }
 
@@ -709,10 +782,12 @@ func TestHeartbeatTimeout(t *testing.T) {
 }
 
 func TestRunWorkerErrors(t *testing.T) {
-	tracePath := writeTrace(t, 40, 8)
-	records, err := trace.BinRecords(tracePath)
-	if err != nil {
-		t.Fatal(err)
+	// A worker reads only its window, so the trace must hold enough
+	// records for one heartbeat.
+	tracePath := writeTrace(t, 120, 8)
+	records := readCensus(t, tracePath).Records
+	if records < progressEvery {
+		t.Fatalf("a trace of %d records is too short for a heartbeat every %d", records, progressEvery)
 	}
 	dir := t.TempDir()
 	base := WorkerRequest{
@@ -758,22 +833,17 @@ func TestRunWorkerErrors(t *testing.T) {
 	}
 }
 
-// TestWorkerStateFiles: a worker started from state files replays its
+// TestWorkerStateFiles: a worker started from a state file replays its
 // window exactly as one that derives its start in memory, and a state file
-// for another trace, spec, base or kind is refused, naming the field. It
-// runs under a dynamic policy, whose state an observation pass builds, and
-// in static mode, whose state is the census prefix.
+// for another trace, spec or base is refused, naming the field, as is a
+// file of the other kind. It runs under a dynamic policy, whose state an
+// observation pass builds, and in static mode, whose state is the census
+// prefix.
 func TestWorkerStateFiles(t *testing.T) {
 	tracePath := writeTrace(t, 40, 8)
-	records, err := trace.BinRecords(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cen := readCensus(t, tracePath)
+	records := cen.Records
 	sha, err := trace.SHA256File(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cen, err := takeCensus(tracePath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,17 +859,12 @@ func TestWorkerStateFiles(t *testing.T) {
 			Spec:        spec,
 			PartialPath: filepath.Join(dir, "files.odrp"),
 			TraceSHA256: sha,
-			CensusPath:  filepath.Join(dir, censusName),
 			StatePath:   filepath.Join(dir, stateName(1)),
 		}
 		fp := spec.Fingerprint()
-		if err := writeState(req.CensusPath, stateHeader{Kind: kindCensus, TraceSHA256: sha, Spec: fp, Base: records},
-			encodeCensus(cen.files)); err != nil {
-			t.Fatal(err)
-		}
 		if err := statePass(tracePath, cen, spec, []int{int(win.Offset)}, &meter{ctx: context.Background()},
 			func(base int, state []byte) error {
-				return writeState(req.StatePath, stateHeader{Kind: kindState, TraceSHA256: sha, Spec: fp, Base: int64(base)}, state)
+				return writeState(req.StatePath, stateHeader{TraceSHA256: sha, Spec: fp, Base: int64(base)}, state)
 			}); err != nil {
 			t.Fatal(err)
 		}
@@ -827,8 +892,7 @@ func TestWorkerStateFiles(t *testing.T) {
 			{"another trace", func(r *WorkerRequest) { r.TraceSHA256 = strings.Repeat("0", 64) }, "state trace_sha256"},
 			{"another spec", func(r *WorkerRequest) { r.Spec.Seed = 9 }, "state spec"},
 			{"another base", func(r *WorkerRequest) { r.Window = Window{Offset: win.Offset - 1, Limit: win.Limit + 1} }, "state base"},
-			{"the census as a state", func(r *WorkerRequest) { r.StatePath = r.CensusPath }, "state kind"},
-			{"a state without a census", func(r *WorkerRequest) { r.CensusPath = "" }, "or none"},
+			{"a partial as a state", func(r *WorkerRequest) { r.StatePath = r.PartialPath }, "state magic"},
 		} {
 			bad := req
 			tc.mutate(&bad)
@@ -840,15 +904,12 @@ func TestWorkerStateFiles(t *testing.T) {
 }
 
 // TestStaticWorkerReadsTheTraceOnce: a static worker that derives its own
-// start reads the trace once for the census and then its window, and
-// nothing before the window a second time: its heartbeats never count
-// past records + window limit.
+// start reads its window and no record before it: the census comes from
+// the trace's file table and the static state from the census, so its
+// heartbeats never count past the window's limit.
 func TestStaticWorkerReadsTheTraceOnce(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 13)
-	records, err := trace.BinRecords(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readCensus(t, tracePath).Records
 	win := Window{Offset: records / 2, Limit: records / 4}
 	if win.Offset < 2*progressEvery {
 		t.Fatalf("a trace of %d records is too short to tell a second read of [0, %d) from heartbeat rounding", records, win.Offset)
@@ -859,12 +920,11 @@ func TestStaticWorkerReadsTheTraceOnce(t *testing.T) {
 	if err := RunWorker(context.Background(), req, func(n int64) { read = max(read, n) }); err != nil {
 		t.Fatal(err)
 	}
-	if read > records+win.Limit {
-		t.Fatalf("static worker read %d records, want at most %d: the census (%d) and its window (%d)",
-			read, records+win.Limit, records, win.Limit)
+	if read > win.Limit {
+		t.Fatalf("static worker read %d records, want at most its window's %d", read, win.Limit)
 	}
-	if read < records {
-		t.Fatalf("static worker's heartbeats reached %d records; the census alone reads %d", read, records)
+	if read <= win.Limit-progressEvery {
+		t.Fatalf("static worker's heartbeats reached %d records; its window alone reads %d", read, win.Limit)
 	}
 }
 
@@ -875,14 +935,8 @@ func TestStaticWorkerReadsTheTraceOnce(t *testing.T) {
 // across chunks. The census path reads no record.
 func TestStaticStateMatchesObservation(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 5)
-	cen, err := takeCensus(tracePath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := trace.BinRecords(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cen := readCensus(t, tracePath)
+	records := cen.Records
 	bases := []int{0, 1, int(records) - 1, int(records)}
 	for _, n := range []int{3, 8} {
 		for _, w := range PlanWindows(records, n) {
@@ -912,7 +966,7 @@ func TestStaticStateMatchesObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	if err := replay.ObserveStates(src, cen.files, opts, bases, collect(&observed)); err != nil {
+	if err := replay.ObserveStates(src, cen.Files, opts, bases, collect(&observed)); err != nil {
 		t.Fatal(err)
 	}
 	if len(fromCensus) != len(bases) || len(observed) != len(bases) {
@@ -954,10 +1008,7 @@ func TestWindowString(t *testing.T) {
 // length to forward reads as unknown.
 func TestMeteredSourceForwardsLength(t *testing.T) {
 	tracePath := writeTrace(t, 40, 8)
-	records, err := trace.BinRecords(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readCensus(t, tracePath).Records
 	win := Window{Offset: records / 3, Limit: records / 2}
 	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, win.Offset, win.Limit)
 	if err != nil {
@@ -978,17 +1029,15 @@ func TestMeteredSourceForwardsLength(t *testing.T) {
 	}
 }
 
-// TestCensusMatchesWorkloadCensus pins the census order: the population
-// the bin decoder interns is workload.Census's first-appearance order over
-// the same records, on a trace of several chunks whose files recur across
-// chunk boundaries.
+// TestCensusMatchesWorkloadCensus pins the census: the file table the
+// trace carries is workload.Census's first-appearance order over the
+// decoded records, each file with the record it first appears at and
+// every field but the SourceURL the table does not carry, on a trace of
+// several chunks whose files recur across chunk boundaries.
 func TestCensusMatchesWorkloadCensus(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 5)
-	cen, err := takeCensus(tracePath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cen.files
+	cen := readCensus(t, tracePath)
+	got := cen.Files
 	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -997,11 +1046,13 @@ func TestCensusMatchesWorkloadCensus(t *testing.T) {
 	c := workload.NewCensus()
 	first := map[*workload.FileMeta]int{}
 	span := 0 // the longest distance between a file's first and last record
+	records := 0
 	for {
 		i, req, ok := src.Next()
 		if !ok {
 			break
 		}
+		records++
 		c.Observe(req)
 		if f, seen := first[req.File]; seen {
 			span = max(span, i-f)
@@ -1022,76 +1073,19 @@ func TestCensusMatchesWorkloadCensus(t *testing.T) {
 		t.Fatalf("census has %d files, workload.Census %d", len(got), len(want))
 	}
 	for i := range want {
-		if *got[i] != *want[i] {
+		w := *want[i]
+		w.SourceURL = ""
+		if *got[i] != w {
 			t.Fatalf("census file %d is %+v, workload.Census has %+v", i, got[i], want[i])
 		}
-		if cen.first[i] != first[want[i]] {
-			t.Fatalf("census file %d first appears at record %d, the census says %d", i, first[want[i]], cen.first[i])
+		if cen.First[i] != first[want[i]] {
+			t.Fatalf("census file %d first appears at record %d, the census says %d", i, first[want[i]], cen.First[i])
 		}
 	}
-	if len(cen.first) != len(got) {
-		t.Fatalf("census has %d files and %d first indices", len(got), len(cen.first))
+	if len(cen.First) != len(got) {
+		t.Fatalf("census has %d files and %d first indices", len(got), len(cen.First))
 	}
-}
-
-// TestCoordinatorCensusLifetime: the census runs on its own goroutine
-// from the top of Run. Stopping it cancels the pass and waits for the
-// goroutine; a census error fails the run as the census pass's; and a run
-// that returns before the census is used leaves no goroutine behind.
-func TestCoordinatorCensusLifetime(t *testing.T) {
-	tracePath := writeTrace(t, 400, 13)
-
-	cen := startCensus(context.Background(), tracePath)
-	cen.stop()
-	select {
-	case <-cen.done:
-	default:
-		t.Fatal("stop returned before the census goroutine finished")
-	}
-	if !errors.Is(cen.err, context.Canceled) {
-		t.Fatalf("stopped census = %v, want it canceled", cen.err)
-	}
-
-	raw, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff // inside a chunk payload: its checksum fails
-	corrupt := filepath.Join(t.TempDir(), "corrupt.bin")
-	if err := os.WriteFile(corrupt, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	co, err := New(Config{TracePath: corrupt, Workers: 2, CheckpointDir: t.TempDir(), Spec: WorkerSpec{Seed: 13}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "distrib: census pass: trace:") || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("run over a corrupt chunk = %v, want the census pass's checksum error", err)
-	}
-
-	// A checkpoint of another trace is refused right after the hash.
-	dir := t.TempDir()
-	other := writeTrace(t, 60, 14)
-	co, err = New(Config{TracePath: other, Workers: 1, CheckpointDir: dir, Spec: WorkerSpec{Seed: 13}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	co, err = New(Config{TracePath: tracePath, Workers: 1, CheckpointDir: dir, Spec: WorkerSpec{Seed: 13}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "trace_sha256") {
-		t.Fatalf("run against another trace's checkpoint = %v, want a trace_sha256 refusal", err)
-	}
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before the refused run, %d after", before, after)
+	if cen.Records != int64(records) {
+		t.Fatalf("census declares %d records, the trace carries %d", cen.Records, records)
 	}
 }

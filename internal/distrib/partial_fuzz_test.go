@@ -128,7 +128,8 @@ func TestFileKindsDoNotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := encodeState(stateHeader{Kind: kindCensus}, encodeCensus(sampleCensus()))
+	static, _ := sampleStates(t)
+	state := encodeState(stateHeader{}, static)
 	if _, err := decodePartial(state); err == nil || !strings.Contains(err.Error(), `bad partial magic "ODRS"`) {
 		t.Errorf("decodePartial(state file) = %v, want a refusal naming its magic", err)
 	}
@@ -164,7 +165,8 @@ func FuzzDecodePartial(f *testing.F) {
 	f.Add(withHeader(f, valid, func(h map[string]any) { h["tasks"] = int64(1) << 61 }))
 	f.Add(withHeader(f, valid, func(h map[string]any) { h["tasks"] = int64(1) << 62 }))
 	f.Add(withHeader(f, valid, func(h map[string]any) { h["causes"] = []string{} }))
-	f.Add(encodeState(stateHeader{Kind: kindCensus}, encodeCensus(sampleCensus()))) // the other kind
+	static, _ := sampleStates(f)
+	f.Add(encodeState(stateHeader{}, static)) // the other kind
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, in := range [][]byte{raw, reseal(raw)} {

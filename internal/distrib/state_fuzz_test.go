@@ -6,33 +6,52 @@ import (
 	"strings"
 	"testing"
 
+	"odr/internal/backend"
+	"odr/internal/replay"
 	"odr/internal/workload"
 )
 
-// sampleCensus is a small census population with every record field set.
-func sampleCensus() []*workload.FileMeta {
-	return []*workload.FileMeta{
-		{ID: workload.FileIDFromIndex(1), Size: 700 << 20, WeeklyRequests: 3, Class: 1, Protocol: 2},
-		{ID: workload.FileIDFromIndex(2), Size: 0, WeeklyRequests: 90210, Class: 3},
+// sampleStates returns the two payloads a state file carries, both at
+// record 40 of a small generated week: a static cloud's state (the census
+// prefix's count) and a band pool's.
+func sampleStates(tb testing.TB) (static, dynamic []byte) {
+	tb.Helper()
+	tr, err := workload.Generate(workload.DefaultConfig(60, 9))
+	if err != nil {
+		tb.Fatal(err)
 	}
+	c := workload.NewCensus()
+	for _, r := range tr.Requests {
+		c.Observe(r)
+	}
+	opts, err := WorkerSpec{Seed: 9, CachePolicy: "band", PoolBytes: 64 << 20}.ReplayOptions(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	err = replay.ObserveStates(workload.NewSliceSource(tr.Requests), c.Files(), opts, []int{40},
+		func(_ int, s []byte) error { dynamic = s; return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return backend.AppendStaticState(nil, 40, 7), dynamic
 }
 
-// TestStateFileRoundTrip: a census survives the state file byte for byte,
-// and every corruption the format guards against is refused by name.
+// TestStateFileRoundTrip: a state survives the state file byte for byte,
+// static and dynamic, and every corruption the format guards against is
+// refused by name.
 func TestStateFileRoundTrip(t *testing.T) {
-	hdr := stateHeader{Kind: kindCensus, TraceSHA256: strings.Repeat("ab", 32), Spec: `{"seed":9}`, Base: 40}
-	valid := encodeState(hdr, encodeCensus(sampleCensus()))
-	got, payload, err := decodeState(valid)
-	if err != nil {
-		t.Fatal(err)
+	hdr := stateHeader{TraceSHA256: strings.Repeat("ab", 32), Spec: `{"seed":9}`, Base: 40}
+	static, dynamic := sampleStates(t)
+	for _, state := range [][]byte{static, dynamic} {
+		got, payload, err := decodeState(encodeState(hdr, state))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != hdr || !bytes.Equal(payload, state) {
+			t.Fatalf("round trip: header %+v, payload %x, want %+v, %x", got, payload, hdr, state)
+		}
 	}
-	files, err := decodeCensus(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != hdr || len(files) != 2 || *files[0] != *sampleCensus()[0] || *files[1] != *sampleCensus()[1] {
-		t.Fatalf("round trip: header %+v, files %+v", got, files)
-	}
+	valid := encodeState(hdr, dynamic)
 	for _, tc := range []struct {
 		name string
 		raw  []byte
@@ -48,27 +67,8 @@ func TestStateFileRoundTrip(t *testing.T) {
 			return b
 		}(), "payload checksum"},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0), "after the state payload"},
-		{"a payload that is not records", encodeState(hdr, []byte{1, 2, 3}), "whole"},
 	} {
-		_, payload, err := decodeState(tc.raw)
-		if err == nil {
-			_, err = decodeCensus(payload)
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		file workload.FileMeta
-		want string
-	}{
-		{"negative size", workload.FileMeta{Size: -1}, "census file 1 has negative size"},
-		{"unknown class", workload.FileMeta{Class: workload.FileClass(workload.NumFileClasses)}, "census file 1 has unknown file class"},
-		{"unknown protocol", workload.FileMeta{Protocol: workload.Protocol(workload.NumProtocols)}, "census file 1 has unknown protocol"},
-	} {
-		bad := encodeCensus([]*workload.FileMeta{sampleCensus()[0], &tc.file})
-		if _, err := decodeCensus(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := decodeState(tc.raw); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
@@ -76,11 +76,11 @@ func TestStateFileRoundTrip(t *testing.T) {
 
 // FuzzDecodeState: decodeState must return an error or a header and
 // payload — never panic, never slice past what is there — and what it
-// accepts must be a fixed point of encode∘decode; so must an accepted
-// census payload.
+// accepts must be a fixed point of encode∘decode.
 func FuzzDecodeState(f *testing.F) {
-	hdr := stateHeader{Kind: kindCensus, TraceSHA256: strings.Repeat("ab", 32), Spec: `{"seed":9}`, Base: 40}
-	valid := encodeState(hdr, encodeCensus(sampleCensus()))
+	hdr := stateHeader{TraceSHA256: strings.Repeat("ab", 32), Spec: `{"seed":9}`, Base: 40}
+	static, dynamic := sampleStates(f)
+	valid := encodeState(hdr, dynamic)
 	hdrLen := int(binary.LittleEndian.Uint32(valid[8:12]))
 	flip := func(at int) []byte {
 		b := append([]byte(nil), valid...)
@@ -94,7 +94,7 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(flip(12 + hdrLen/2))       // header JSON
 	f.Add(flip(12 + hdrLen + 8))     // payload length
 	f.Add(flip(len(valid) - 4 - 20)) // payload
-	f.Add(encodeState(stateHeader{Kind: kindState, Base: 7}, []byte("d\x07")))
+	f.Add(encodeState(stateHeader{Base: 7}, static))
 	partial, err := encodePartial(samplePartial())
 	if err != nil {
 		f.Fatal(err)
@@ -114,9 +114,6 @@ func FuzzDecodeState(f *testing.F) {
 			}
 			if hdr2 != hdr || !bytes.Equal(payload2, payload) {
 				t.Fatal("encode→decode changed the file")
-			}
-			if files, err := decodeCensus(payload); err == nil && !bytes.Equal(encodeCensus(files), payload) {
-				t.Fatal("census payload is not a fixed point of encode∘decode")
 			}
 		}
 	})

@@ -8,12 +8,13 @@ import (
 )
 
 // SingleProcess replays the whole trace in this process through exactly
-// the path the workers take — census populations, the same compiled
-// options, the full record stream — and returns the result. Its Digest is
-// the reference the coordinator's merged digest must match byte for byte
+// the path the workers take — the census population from the trace's
+// file table, the same compiled options, the full record stream — and
+// returns the result. It decodes the trace once. Its Digest is the
+// reference the coordinator's merged digest must match byte for byte
 // (odrcoord -verify and EXP-D both rest on it).
 func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineConfig) (*replay.ODRResult, error) {
-	cen, err := takeCensus(tracePath, nil)
+	cen, err := trace.ReadBinCensus(tracePath)
 	if err != nil {
 		return nil, err
 	}
@@ -32,5 +33,5 @@ func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineC
 		return nil, err
 	}
 	defer fcloser.Close()
-	return replay.RunODRStream(full, cen.files, smartap.Benchmarked(), opts)
+	return replay.RunODRStream(full, cen.Files, smartap.Benchmarked(), opts)
 }

@@ -26,15 +26,13 @@ type WorkerRequest struct {
 	// PartialPath is where the worker writes its partial-result file
 	// (atomically: temp file, then rename).
 	PartialPath string `json:"partial_path"`
-	// TraceSHA256, CensusPath and StatePath hand the worker its start:
-	// the census population and the cloud's observation state at
-	// Window.Offset, in the state files the coordinator's pass wrote, each
-	// pinned to this trace hash, spec and base (a file that does not match
-	// is refused, naming the field). Set all three or none; with none the
-	// worker derives the same start itself, through the same census and
-	// state pass.
+	// StatePath hands the worker the cloud's observation state at
+	// Window.Offset, in the state file the coordinator's pass wrote,
+	// pinned to TraceSHA256, the spec and the base (a file that does not
+	// match is refused, naming the field). With no StatePath the worker
+	// derives the same state itself, through the same state pass. Either
+	// way its file population is the trace's own census (trace.BinCensus).
 	TraceSHA256 string `json:"trace_sha256,omitempty"`
-	CensusPath  string `json:"census_path,omitempty"`
 	StatePath   string `json:"state_path,omitempty"`
 	// CrashAfter, when positive, makes the worker fail with
 	// ErrCrashRequested after replaying that many records of its window —
@@ -123,59 +121,15 @@ func (s *meteredSource) TotalRequests() int {
 	return 0
 }
 
-// census is a bin trace's file population in first-appearance order —
-// the order every worker and the single-process reference hand to the
-// backend fleet, so its sequential warm-pool draws match — and the record
-// index at which each file first appears.
-type census struct {
-	files []*workload.FileMeta
-	// first[o] is the index of the first record naming files[o]. It
-	// ascends, so the files named before any record are a prefix of files.
-	first []int
-}
-
-// takeCensus runs the full census pass over a bin trace. The bin decoder
-// interns every file by ID in first-appearance order anyway
-// (trace.BinFiles), so the pass keeps no population of its own: it notes
-// the record at which the decoder's population grows. m, when non-nil,
-// meters the pass's records.
-func takeCensus(tracePath string, m *meter) (census, error) {
-	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
-	if err != nil {
-		return census{}, err
-	}
-	defer closer.Close()
-	counted := src
-	if m != nil {
-		counted = m.wrap(src)
-	}
-	var first []int
-	for {
-		i, _, ok := counted.Next()
-		if !ok {
-			break
-		}
-		// A record names one file, so the population grows by at most one.
-		if files, _ := trace.BinFiles(src); len(files) > len(first) {
-			first = append(first, i)
-		}
-	}
-	if err := counted.Err(); err != nil {
-		return census{}, fmt.Errorf("distrib: census pass: %w", err)
-	}
-	files, _ := trace.BinFiles(src) // a bin source by construction
-	return census{files: files, first: first}, nil
-}
-
 // RunWorker replays one window of a bin trace and writes the partial
-// result to req.PartialPath. It starts from the census population — so
-// the backend fleet's sequential warm-pool draws match every other
-// worker's and a single-process replay's — and the cloud's observation
-// state at the window base: read from the state files the request names,
-// or, when it names none, derived in memory by the census and the state
-// pass the coordinator runs (statePass). It then replays only the
-// window, with every index-keyed input offset by the window base
-// (replay.RunODRWindow).
+// result to req.PartialPath. It starts from the census population the
+// trace's file table declares — so the backend fleet's sequential
+// warm-pool draws match every other worker's and a single-process
+// replay's — and the cloud's observation state at the window base: read
+// from the state file the request names, or, when it names none, derived
+// in memory by the state pass the coordinator runs (statePass). It then
+// replays only the window, with every index-keyed input offset by the
+// window base (replay.RunODRWindow).
 //
 // beat, when non-nil, receives the total records read so far about every
 // progressEvery records — the coordinator's heartbeat signal.
@@ -187,13 +141,14 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 	if req.PartialPath == "" {
 		return errors.New("distrib: worker needs a partial output path")
 	}
-	records, err := trace.BinRecords(req.TracePath)
+	start := time.Now()
+	cen, err := trace.ReadBinCensus(req.TracePath)
 	if err != nil {
 		return err
 	}
 	win := req.Window
-	if win.Offset < 0 || win.Limit <= 0 || win.End() > records {
-		return fmt.Errorf("distrib: window %v outside trace of %d records", win, records)
+	if win.Offset < 0 || win.Limit <= 0 || win.End() > cen.Records {
+		return fmt.Errorf("distrib: window %v outside trace of %d records", win, cen.Records)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -204,8 +159,7 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		return err
 	}
 	m := &meter{ctx: ctx, beat: beat}
-	start := time.Now()
-	files, state, err := windowStart(req, records, m)
+	state, err := windowState(req, cen, m)
 	if err != nil {
 		return err
 	}
@@ -227,7 +181,7 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		return err
 	}
 	res, err := replay.RunODRWindow(state, m.wrap(wsrc), int(win.Offset),
-		files, smartap.Benchmarked(), opts)
+		cen.Files, smartap.Benchmarked(), opts)
 	if err != nil {
 		return err
 	}
@@ -249,36 +203,15 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 	return WritePartial(req.PartialPath, p)
 }
 
-// windowStart returns the census population and the cloud's observation
-// state at req's window base: from the request's state files when it
-// names them, derived through takeCensus and statePass, metered by m, when
-// it names none.
-func windowStart(req WorkerRequest, records int64, m *meter) ([]*workload.FileMeta, []byte, error) {
-	if req.TraceSHA256 == "" && req.CensusPath == "" && req.StatePath == "" {
-		cen, err := takeCensus(req.TracePath, m)
-		if err != nil {
-			return nil, nil, err
-		}
+// windowState returns the cloud's observation state at req's window
+// base: from the request's state file when it names one, derived by
+// statePass, metered by m, when it does not.
+func windowState(req WorkerRequest, cen trace.BinCensus, m *meter) ([]byte, error) {
+	if req.StatePath == "" {
 		var state []byte
-		err = statePass(req.TracePath, cen, req.Spec, []int{int(req.Window.Offset)}, m,
+		err := statePass(req.TracePath, cen, req.Spec, []int{int(req.Window.Offset)}, m,
 			func(_ int, s []byte) error { state = s; return nil })
-		return cen.files, state, err
+		return state, err
 	}
-	if req.TraceSHA256 == "" || req.CensusPath == "" || req.StatePath == "" {
-		return nil, nil, errors.New("distrib: a worker request names all of trace_sha256, census_path and state_path, or none")
-	}
-	fp := req.Spec.Fingerprint()
-	raw, err := readState(req.CensusPath, stateHeader{Kind: kindCensus, TraceSHA256: req.TraceSHA256, Spec: fp, Base: records})
-	if err != nil {
-		return nil, nil, err
-	}
-	files, err := decodeCensus(raw)
-	if err != nil {
-		return nil, nil, fmt.Errorf("distrib: %s: %w", req.CensusPath, err)
-	}
-	state, err := readState(req.StatePath, stateHeader{Kind: kindState, TraceSHA256: req.TraceSHA256, Spec: fp, Base: req.Window.Offset})
-	if err != nil {
-		return nil, nil, err
-	}
-	return files, state, nil
+	return readState(req.StatePath, stateHeader{TraceSHA256: req.TraceSHA256, Spec: req.Spec.Fingerprint(), Base: req.Window.Offset})
 }

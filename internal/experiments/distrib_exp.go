@@ -69,10 +69,11 @@ func (l *Lab) DistributedReplay() *Report {
 	if err := f.Close(); err != nil {
 		panic(err)
 	}
-	records, err := trace.BinRecords(tracePath)
+	cen, err := trace.ReadBinCensus(tracePath)
 	if err != nil {
 		panic(err)
 	}
+	records := cen.Records
 	r.addf("trace: %d files, %d users, %d requests -> %s",
 		len(st.Files), len(st.Users), records, tracePath)
 	r.metric("requests", float64(records), -1)
@@ -152,10 +153,11 @@ func (l *Lab) DistributedReplay() *Report {
 	}
 	r.metric("digest_match", boolMetric(match), -1)
 
-	// Per-worker throughput scaling: each window's worker loads the census
-	// and its start state from the coordinator's state pass and replays
-	// only its own records, so per-window rates are over window records
-	// while the scaling figure compares whole runs, state pass included.
+	// Per-worker throughput scaling: each window's worker reads the census
+	// from the trace's file table and its start state from the
+	// coordinator's state pass, and replays only its own records, so
+	// per-window rates are over window records while the scaling figure
+	// compares whole runs, state pass included.
 	r.addf("%-8s %14s %10s %12s", "window", "records", "seconds", "tasks/s")
 	var busy float64
 	for i, w := range merged.Windows {

@@ -16,22 +16,32 @@ import (
 
 // The bin workload format is the paper-scale trace encoding: little-endian
 // fixed-stride records with a length-prefixed URL, framed into CRC32-guarded
-// chunks, closed by a record-count trailer. It exists because csv/jsonl pay
-// text encode/decode on every record and cannot be windowed; bin decodes
-// with zero steady-state allocations and the chunk frames carry record
-// counts, so a reader can skip straight to an (offset, limit) window —
-// the enabling primitive for partitioning one trace file across worker
-// processes.
+// chunks, closed by the trace's file table and a trailer. It exists
+// because csv/jsonl pay text encode/decode on every record and cannot be
+// windowed; bin decodes with zero steady-state allocations and the chunk
+// frames carry record counts, so a reader can skip straight to an
+// (offset, limit) window — the enabling primitive for partitioning one
+// trace file across worker processes.
 //
-//	file    := header chunk* trailer
+//	file    := header chunk* table trailer
 //	header  := "ODRB" version:u16 flags:u16              (8 bytes)
 //	chunk   := payloadLen:u32 recCount:u32 crc32(payload):u32 payload
-//	trailer := 0:u32 totalRecords:u64 crc32(totalRecords bytes):u32
+//	table   := 0:u32 files:u32 crc32(entries):u32 entries
+//	entry   := fileID:[16]u8 size:i64 weekly:u32 class:u8 protocol:u8
+//	           first:u64                                 (38 bytes)
+//	trailer := totalRecords:u64 tableAt:u64 crc32(totalRecords tableAt):u32
 //	record  := userID:i64 timeMS:i64 accessBW:f64 size:i64 weekly:u32
 //	           isp:u8 class:u8 protocol:u8 flags:u8 fileID:[16]u8
 //	           urlLen:u32 url:[urlLen]u8
 //
-// A payloadLen of 0 is the trailer sentinel: no chunk is ever empty.
+// A payloadLen of 0 marks the file table: no chunk is ever empty. The
+// table is the trace's census — every distinct file in first-appearance
+// order, with the index of the record it first appears at — so a reader
+// learns the trace's population without decoding a record
+// (ReadBinCensus). tableAt is the table's byte offset; the table ends
+// where the trailer begins, which fixes its size. A sequential reader
+// passes over the table at stream end, checking its CRC, and checks the
+// trailer against the records and the table it met.
 //
 // Unlike the text formats — which mirror the paper's logs and record
 // AccessBW as 0 for users whose clients never reported it — bin is
@@ -42,12 +52,16 @@ import (
 // only feed the reporting-users sample path.
 const (
 	binMagic   = "ODRB"
-	binVersion = 1
+	binVersion = 2
 
 	// binRecordFixed is the fixed prefix of every record before the URL
 	// bytes: 4×8 (userID, timeMS, accessBW, size) + 4 (weekly) + 3 enum
 	// bytes + 1 flags byte + 16 (fileID) + 4 (urlLen).
 	binRecordFixed = 60
+
+	// binEntryLen is one file table entry: ID, size, weekly requests,
+	// class, protocol, first record index.
+	binEntryLen = 16 + 8 + 4 + 1 + 1 + 8
 
 	// binChunkTarget is the writer's flush threshold: a chunk is closed
 	// once its payload reaches this size. Large enough to amortize the
@@ -60,8 +74,8 @@ const (
 	binMaxChunk = 16 << 20
 
 	binHeaderLen  = 8
-	binFrameLen   = 12 // payloadLen + recCount + crc
-	binTrailerLen = 16 // sentinel + totalRecords + crc
+	binFrameLen   = 12 // payloadLen + recCount + crc; the table's: 0 + files + crc
+	binTrailerLen = 20 // totalRecords + tableAt + crc
 )
 
 // binFlagReportsBW is record flag bit 0: the user's client reported its
@@ -112,17 +126,26 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 	payload := make([]byte, 0, chunkTarget+4096)
 	var recCount uint32
 	var total uint64
+	off := uint64(binHeaderLen) // where the next frame starts
+	// The file table, built as the files first appear.
+	seen := make(map[workload.FileID]struct{})
+	var table []byte
+	writeFrame := func(n, count uint32, body []byte) error {
+		binary.LittleEndian.PutUint32(frame[0:4], n)
+		binary.LittleEndian.PutUint32(frame[4:8], count)
+		binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(body))
+		if _, err := bw.Write(frame[:]); err != nil {
+			return err
+		}
+		_, err := bw.Write(body)
+		off += binFrameLen + uint64(len(body))
+		return err
+	}
 	flush := func() error {
 		if recCount == 0 {
 			return nil
 		}
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], recCount)
-		binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(frame[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
+		if err := writeFrame(uint32(len(payload)), recCount, payload); err != nil {
 			return err
 		}
 		payload = payload[:0]
@@ -147,6 +170,10 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 				return err
 			}
 		}
+		if _, ok := seen[r.File.ID]; !ok {
+			seen[r.File.ID] = struct{}{}
+			table = appendBinEntry(table, r.File, total)
+		}
 		payload = appendBinRecord(payload, r)
 		recCount++
 		total++
@@ -162,14 +189,33 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 	if err := flush(); err != nil {
 		return err
 	}
+	if uint64(len(seen)) > math.MaxUint32 {
+		return fmt.Errorf("trace: %d distinct files overflow the bin file table", len(seen))
+	}
+	tableAt := off
+	if err := writeFrame(0, uint32(len(seen)), table); err != nil {
+		return err
+	}
 	var trailer [binTrailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], 0) // sentinel
-	binary.LittleEndian.PutUint64(trailer[4:12], total)
-	binary.LittleEndian.PutUint32(trailer[12:16], crc32.ChecksumIEEE(trailer[4:12]))
+	binary.LittleEndian.PutUint64(trailer[0:8], total)
+	binary.LittleEndian.PutUint64(trailer[8:16], tableAt)
+	binary.LittleEndian.PutUint32(trailer[16:20], crc32.ChecksumIEEE(trailer[0:16]))
 	if _, err := bw.Write(trailer[:]); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// appendBinEntry appends f's file table entry: the census fields the
+// backend fleet reads off a file — ID, size, weekly requests (the
+// popularity band), class and protocol — and the index of the record it
+// first appears at. SourceURL stays in the records; no backend reads it.
+func appendBinEntry(dst []byte, f *workload.FileMeta, first uint64) []byte {
+	dst = append(dst, f.ID[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Size))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.WeeklyRequests))
+	dst = append(dst, byte(f.Class), byte(f.Protocol))
+	return binary.LittleEndian.AppendUint64(dst, first)
 }
 
 // binSource streams bin records a chunk at a time, decoding each record in
@@ -227,21 +273,14 @@ func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.Request
 	}
 	var total int64 = -1
 	if rs, ok := r.(io.ReadSeeker); ok {
-		n, err := readBinTrailer(rs)
+		tr, err := readBinTrailer(rs)
 		if err != nil {
 			return nil, err
 		}
-		total = n
+		total = tr.records
 	}
-	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: bin header: %w", err)
-	}
-	if string(hdr[:4]) != binMagic {
-		return nil, fmt.Errorf("trace: bad bin magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != binVersion {
-		return nil, fmt.Errorf("trace: unsupported bin version %d (want %d)", v, binVersion)
+	if err := readBinHeader(r); err != nil {
+		return nil, err
 	}
 	s := binSource{
 		br:      bufio.NewReaderSize(r, 64<<10),
@@ -264,37 +303,137 @@ func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.Request
 	return &sizedBinSource{binSource: s, n: int(n)}, nil
 }
 
-// readBinTrailer validates and reads the record-count trailer, leaving the
-// seek position at the start of the file.
-func readBinTrailer(rs io.ReadSeeker) (int64, error) {
+// readBinHeader reads and checks the header: the magic and the one
+// version this reader knows.
+func readBinHeader(r io.Reader) error {
+	var hdr [binHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("trace: bin header: %w", err)
+	}
+	if string(hdr[:4]) != binMagic {
+		return fmt.Errorf("trace: bad bin magic %q", hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != binVersion {
+		return fmt.Errorf("trace: unsupported bin version %d (want %d)", v, binVersion)
+	}
+	return nil
+}
+
+// binTrailer is what a bin trace's trailer declares.
+type binTrailer struct {
+	records int64 // the trace's record count
+	tableAt int64 // the file table's byte offset
+	files   int64 // the entries between the table's frame and the trailer
+}
+
+// readBinTrailer validates and reads the trailer, leaving the seek
+// position at the start of the file.
+func readBinTrailer(rs io.ReadSeeker) (binTrailer, error) {
 	end, err := rs.Seek(0, io.SeekEnd)
 	if err != nil {
-		return 0, err
+		return binTrailer{}, err
 	}
-	if end < binHeaderLen+binTrailerLen {
-		return 0, fmt.Errorf("trace: bin file is %d bytes, too short for header and trailer (truncated?)", end)
+	if end < binHeaderLen+binFrameLen+binTrailerLen {
+		return binTrailer{}, fmt.Errorf("trace: bin file is %d bytes, too short for header, file table and trailer (truncated?)", end)
 	}
 	if _, err := rs.Seek(end-binTrailerLen, io.SeekStart); err != nil {
-		return 0, err
+		return binTrailer{}, err
 	}
 	var trailer [binTrailerLen]byte
 	if _, err := io.ReadFull(rs, trailer[:]); err != nil {
-		return 0, fmt.Errorf("trace: bin trailer: %w", err)
+		return binTrailer{}, fmt.Errorf("trace: bin trailer: %w", err)
 	}
-	if binary.LittleEndian.Uint32(trailer[0:4]) != 0 {
-		return 0, fmt.Errorf("trace: bin trailer sentinel missing at offset %d (truncated file?)", end-binTrailerLen)
+	if got, want := crc32.ChecksumIEEE(trailer[0:16]), binary.LittleEndian.Uint32(trailer[16:20]); got != want {
+		return binTrailer{}, fmt.Errorf("trace: bin trailer checksum mismatch at offset %d (truncated file?)", end-binTrailerLen)
 	}
-	if got, want := crc32.ChecksumIEEE(trailer[4:12]), binary.LittleEndian.Uint32(trailer[12:16]); got != want {
-		return 0, fmt.Errorf("trace: bin trailer checksum mismatch at offset %d", end-binTrailerLen)
-	}
-	n := binary.LittleEndian.Uint64(trailer[4:12])
+	n := binary.LittleEndian.Uint64(trailer[0:8])
 	if n > math.MaxInt64 {
-		return 0, fmt.Errorf("trace: bin trailer record count %d overflows", n)
+		return binTrailer{}, fmt.Errorf("trace: bin trailer record count %d overflows", n)
+	}
+	at := binary.LittleEndian.Uint64(trailer[8:16])
+	if last := uint64(end - binTrailerLen - binFrameLen); at < binHeaderLen || at > last {
+		return binTrailer{}, fmt.Errorf("trace: bin trailer places the file table at offset %d, outside [%d, %d]", at, binHeaderLen, last)
+	}
+	entries := end - binTrailerLen - int64(at) - binFrameLen
+	if entries%binEntryLen != 0 {
+		return binTrailer{}, fmt.Errorf("trace: bin file table at offset %d: %d bytes of entries, not whole %d-byte entries (truncated?)",
+			at, entries, binEntryLen)
 	}
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return 0, err
+		return binTrailer{}, err
 	}
-	return int64(n), nil
+	return binTrailer{records: int64(n), tableAt: int64(at), files: entries / binEntryLen}, nil
+}
+
+// BinCensus is a bin trace's census as its file table declares it: the
+// record count, every distinct file in first-appearance order, and the
+// index of the record each file first appears at. First ascends, so the
+// files the records before any index name are a prefix of Files. The
+// files carry no SourceURL; the records do.
+type BinCensus struct {
+	Records int64
+	Files   []*workload.FileMeta
+	First   []int
+}
+
+// readBinCensus reads a bin trace's census from its trailer and file
+// table, decoding no record. The table is outside input: one that is
+// truncated, fails its CRC, lists first indices that do not ascend or lie
+// outside the trace, or names a negative size or an unknown class or
+// protocol is an error naming the table.
+func readBinCensus(rs io.ReadSeeker) (BinCensus, error) {
+	tr, err := readBinTrailer(rs)
+	if err != nil {
+		return BinCensus{}, err
+	}
+	if err := readBinHeader(rs); err != nil {
+		return BinCensus{}, err
+	}
+	files := tr.files
+	if _, err := rs.Seek(tr.tableAt, io.SeekStart); err != nil {
+		return BinCensus{}, err
+	}
+	raw := make([]byte, binFrameLen+files*binEntryLen) // readBinTrailer bounds it by the file's size
+	if _, err := io.ReadFull(rs, raw); err != nil {
+		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d: %w", tr.tableAt, noEOF(err))
+	}
+	entries := raw[binFrameLen:]
+	switch {
+	case binary.LittleEndian.Uint32(raw[0:4]) != 0:
+		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d: a chunk frame where the table should start", tr.tableAt)
+	case int64(binary.LittleEndian.Uint32(raw[4:8])) != files:
+		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d claims %d files, its bytes hold %d",
+			tr.tableAt, binary.LittleEndian.Uint32(raw[4:8]), files)
+	case crc32.ChecksumIEEE(entries) != binary.LittleEndian.Uint32(raw[8:12]):
+		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d: checksum mismatch (corrupt table)", tr.tableAt)
+	case (files == 0) != (tr.records == 0):
+		return BinCensus{}, fmt.Errorf("trace: bin file table lists %d files for %d records", files, tr.records)
+	}
+	metas := make([]workload.FileMeta, files)
+	cen := BinCensus{Records: tr.records, Files: make([]*workload.FileMeta, files), First: make([]int, files)}
+	for k := range metas {
+		e, f := entries[k*binEntryLen:], &metas[k]
+		copy(f.ID[:], e)
+		f.Size = int64(binary.LittleEndian.Uint64(e[16:]))
+		f.WeeklyRequests = int(binary.LittleEndian.Uint32(e[24:]))
+		f.Class, f.Protocol = workload.FileClass(e[28]), workload.Protocol(e[29])
+		first := binary.LittleEndian.Uint64(e[30:])
+		switch {
+		case f.Size < 0:
+			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d has negative size %d", k, f.Size)
+		case int(f.Class) >= workload.NumFileClasses:
+			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d has unknown file class %d", k, f.Class)
+		case int(f.Protocol) >= workload.NumProtocols:
+			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d has unknown protocol %d", k, f.Protocol)
+		case first >= uint64(tr.records):
+			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d first appears at record %d, outside the trace's %d", k, first, tr.records)
+		case k > 0 && int(first) <= cen.First[k-1]:
+			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d first appears at record %d, not after file %d's %d",
+				k, first, k-1, cen.First[k-1])
+		}
+		cen.Files[k], cen.First[k] = f, int(first)
+	}
+	return cen, nil
 }
 
 func (s *binSource) Next() (int, workload.Request, bool) {
@@ -386,21 +525,43 @@ func (s *binSource) nextChunk() bool {
 	}
 }
 
-// finish validates the trailer against the records actually seen when the
-// stream was consumed to the end without a limit.
+// finish passes over the file table the stream ended at — checking its
+// CRC, not buffering it — then checks the trailer against the records
+// read and the table's offset.
 func (s *binSource) finish() {
 	s.done = true
-	var rest [binTrailerLen - 4]byte
-	if _, err := io.ReadFull(s.br, rest[:]); err != nil {
-		s.err = fmt.Errorf("trace: bin trailer at offset %d: %w", s.fileOff, noEOF(err))
+	tableAt := s.fileOff
+	var frame [binFrameLen - 4]byte
+	if _, err := io.ReadFull(s.br, frame[:]); err != nil {
+		s.err = fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
 		return
 	}
-	if got, want := crc32.ChecksumIEEE(rest[0:8]), binary.LittleEndian.Uint32(rest[8:12]); got != want {
-		s.err = fmt.Errorf("trace: bin trailer checksum mismatch at offset %d", s.fileOff)
+	h := crc32.NewIEEE()
+	entries := int64(binary.LittleEndian.Uint32(frame[0:4])) * binEntryLen
+	if _, err := io.CopyN(h, s.br, entries); err != nil {
+		s.err = fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
 		return
 	}
-	if n := binary.LittleEndian.Uint64(rest[0:8]); n != uint64(s.rec) {
+	if h.Sum32() != binary.LittleEndian.Uint32(frame[4:8]) {
+		s.err = fmt.Errorf("trace: bin file table at offset %d: checksum mismatch (corrupt table)", tableAt)
+		return
+	}
+	trailerAt := tableAt + binFrameLen + entries
+	var trailer [binTrailerLen]byte
+	if _, err := io.ReadFull(s.br, trailer[:]); err != nil {
+		s.err = fmt.Errorf("trace: bin trailer at offset %d: %w", trailerAt, noEOF(err))
+		return
+	}
+	if got, want := crc32.ChecksumIEEE(trailer[0:16]), binary.LittleEndian.Uint32(trailer[16:20]); got != want {
+		s.err = fmt.Errorf("trace: bin trailer checksum mismatch at offset %d", trailerAt)
+		return
+	}
+	if n := binary.LittleEndian.Uint64(trailer[0:8]); n != uint64(s.rec) {
 		s.err = fmt.Errorf("trace: bin trailer claims %d records, stream carried %d", n, s.rec)
+		return
+	}
+	if at := binary.LittleEndian.Uint64(trailer[8:16]); at != uint64(tableAt) {
+		s.err = fmt.Errorf("trace: bin trailer places the file table at offset %d, it starts at %d", at, tableAt)
 	}
 }
 
@@ -456,29 +617,12 @@ func (s *binSource) decodeRecord() (workload.Request, error) {
 			SourceURL:      string(p[binRecordFixed : binRecordFixed+int(urlLen)]),
 			WeeklyRequests: int(weekly),
 		}
-		s.pool.addFile(file)
+		s.pool.files[id] = file
 	}
 	return workload.Request{
 		User: user, File: file,
 		Time: time.Duration(timeMS) * time.Millisecond,
 	}, nil
-}
-
-// BinFiles returns the distinct files a bin source has decoded so far, in
-// first-appearance order; ok is false when src is not a bin source. Once
-// a source opened at offset 0 is drained, that is the trace's file
-// population in workload.Census's order, at no cost beyond the decode:
-// the decoder interns every file by ID either way. A window at a later
-// offset decodes the records it skips inside its first chunk, so its
-// list can start before the window does.
-func BinFiles(src workload.RequestSource) (files []*workload.FileMeta, ok bool) {
-	switch s := src.(type) {
-	case *binSource:
-		return s.pool.order, true
-	case *sizedBinSource:
-		return s.pool.order, true
-	}
-	return nil, false
 }
 
 func (s *binSource) fail(err error) {

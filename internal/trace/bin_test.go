@@ -164,23 +164,6 @@ func TestBinSizer(t *testing.T) {
 	if got := len(drainChecked(t, src)); got != len(reqs) {
 		t.Fatalf("drained %d records, want %d", got, len(reqs))
 	}
-	census := workload.NewCensus()
-	for _, r := range reqs {
-		census.Observe(r)
-	}
-	checkBinFiles := func(name string, src workload.RequestSource) {
-		t.Helper()
-		files, ok := BinFiles(src)
-		if !ok || len(files) != len(census.Files()) {
-			t.Fatalf("%s: BinFiles = %d files (ok %v), want the census's %d", name, len(files), ok, len(census.Files()))
-		}
-		for i, f := range census.Files() {
-			if *files[i] != *f {
-				t.Fatalf("%s: BinFiles[%d] = %+v, want %+v (first-appearance order)", name, i, files[i], f)
-			}
-		}
-	}
-	checkBinFiles("seekable", src)
 
 	src, err = StreamWorkloadBin(unseekable{bytes.NewReader(data)})
 	if err != nil {
@@ -191,10 +174,6 @@ func TestBinSizer(t *testing.T) {
 	}
 	if got := len(drainChecked(t, src)); got != len(reqs) {
 		t.Fatalf("unseekable drain: %d records, want %d", got, len(reqs))
-	}
-	checkBinFiles("unseekable", src)
-	if _, ok := BinFiles(workload.NewSliceSource(reqs)); ok {
-		t.Fatal("BinFiles claims a slice source")
 	}
 }
 
@@ -318,8 +297,11 @@ func TestBinCorruptionTable(t *testing.T) {
 		}), "offset 8"},
 		{"payload checksum", corrupt(data, 20+payloadLen/2), "checksum"},
 		{"truncated payload", data[:20+payloadLen/2], "offset 8"},
+		{"truncated in file table", data[:len(data)-binTrailerLen-5], "file table"},
+		{"file table checksum", corrupt(data, len(data)-binTrailerLen-5), "file table"},
 		{"truncated at trailer", data[:len(data)-binTrailerLen+6], "trailer"},
-		{"trailer count", corrupt(data, len(data)-10), "trailer"},
+		{"trailer count", corrupt(data, len(data)-binTrailerLen+2), "trailer"},
+		{"trailer table offset", corrupt(data, len(data)-binTrailerLen+10), "trailer"},
 		{"trailer checksum", corrupt(data, len(data)-2), "trailer"},
 	}
 	for _, tc := range cases {
@@ -346,6 +328,65 @@ func TestBinCorruptionTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// binTableDamage returns copies of data, a bin trace of at least three
+// files, with its file table damaged each way the census reader refuses,
+// and the text its error must carry. Past the first two, each copy
+// reseals the table's CRC, so the damage reaches the entry checks.
+func binTableDamage(data []byte) []struct {
+	name, want string
+	data       []byte
+} {
+	at := int(binary.LittleEndian.Uint64(data[len(data)-binTrailerLen+8:]))
+	entries := at + binFrameLen
+	damage := func(mutate func(entries []byte)) []byte {
+		out := append([]byte(nil), data...)
+		e := out[entries : len(out)-binTrailerLen]
+		mutate(e)
+		binary.LittleEndian.PutUint32(out[at+8:], crc32.ChecksumIEEE(e))
+		return out
+	}
+	records := binary.LittleEndian.Uint64(data[len(data)-binTrailerLen:])
+	first := func(k int, v uint64) func([]byte) {
+		return func(e []byte) { binary.LittleEndian.PutUint64(e[k*binEntryLen+30:], v) }
+	}
+	return []struct {
+		name, want string
+		data       []byte
+	}{
+		{"truncated", "not whole", append(append([]byte(nil), data[:entries+5]...), data[entries+6:]...)},
+		{"checksum", "checksum mismatch", corrupt(data, entries+binEntryLen+3)},
+		{"first not ascending", "not after file 1", damage(func(e []byte) {
+			copy(e[2*binEntryLen+30:], e[binEntryLen+30:binEntryLen+38])
+		})},
+		{"first out of range", "outside the trace", damage(first(2, records))},
+		{"unknown class", "unknown file class", damage(func(e []byte) { e[binEntryLen+28] = byte(workload.NumFileClasses) })},
+		{"unknown protocol", "unknown protocol", damage(func(e []byte) { e[binEntryLen+29] = byte(workload.NumProtocols) })},
+		{"negative size", "negative size", damage(func(e []byte) { e[binEntryLen+23] = 0x80 })},
+	}
+}
+
+// TestBinTableDamage: every damaged file table is an error naming it,
+// never a panic, and a v1 trace — one with no table — is refused by the
+// version check. (TestCensusMatchesWorkloadCensus in internal/distrib
+// pins what an intact table holds.)
+func TestBinTableDamage(t *testing.T) {
+	data := binBytes(t, sampleRequests(t, 60))
+	if _, err := readBinCensus(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range binTableDamage(data) {
+		_, err := readBinCensus(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), "file table") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming the file table and %q", tc.name, err, tc.want)
+		}
+	}
+	v1 := append([]byte(nil), data...)
+	v1[4] = 1
+	if _, err := readBinCensus(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported bin version 1") {
+		t.Fatalf("a v1 trace: %v, want the version refused", err)
 	}
 }
 

@@ -75,12 +75,30 @@ func FuzzJSONLDecode(f *testing.F) {
 	})
 }
 
+// FuzzBinDecode: the record readers and the census reader hold for any
+// bytes. Past the shared seeds, one seed per way the file table can be
+// damaged (binTableDamage).
 func FuzzBinDecode(f *testing.F) {
-	for _, seed := range fuzzSeeds(f, "bin") {
+	seeds := fuzzSeeds(f, "bin")
+	for _, seed := range seeds {
 		f.Add(seed)
+	}
+	for _, tc := range binTableDamage(seeds[0]) {
+		f.Add(tc.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzDecode(t, "bin", data)
+		// A census the reader accepts is one a window can start from.
+		if cen, err := readBinCensus(bytes.NewReader(data)); err == nil {
+			if len(cen.First) != len(cen.Files) {
+				t.Fatalf("census of %d files has %d first indices", len(cen.Files), len(cen.First))
+			}
+			for k, i := range cen.First {
+				if int64(i) >= cen.Records || (k > 0 && i <= cen.First[k-1]) {
+					t.Fatalf("census first indices %v do not ascend inside %d records", cen.First, cen.Records)
+				}
+			}
+		}
 		// The windowed reader must be just as robust, for both the
 		// seekable (trailer-validating) and plain paths.
 		if src, err := StreamWorkloadBinWindow(bytes.NewReader(data), int64(len(data)%7), 16); err == nil {

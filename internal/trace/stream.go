@@ -244,7 +244,7 @@ func (s *csvSource) decodeFields(f *[10][]byte) (workload.Request, bool) {
 			Class: workload.FileClass(class), Protocol: workload.Protocol(proto),
 			SourceURL: string(f[8]), WeeklyRequests: int(weekly),
 		}
-		s.pool.addFile(file)
+		s.pool.files[id] = file
 	}
 	return workload.Request{
 		User: user, File: file,

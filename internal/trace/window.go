@@ -10,20 +10,22 @@ import (
 	"odr/internal/workload"
 )
 
-// BinRecords returns the record count a bin trace file's trailer declares,
-// without decoding any records. The distrib coordinator plans its window
-// map from it and pins the count into the checkpoint manifest.
-func BinRecords(path string) (int64, error) {
+// ReadBinCensus returns the census a bin trace file's trailer and file
+// table declare — its record count, its files in first-appearance order
+// and the record each first appears at — without decoding any record.
+// The distrib coordinator plans its window map from the count, pins it
+// into the checkpoint manifest, and starts every window from the files.
+func ReadBinCensus(path string) (BinCensus, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return BinCensus{}, err
 	}
 	defer f.Close()
-	n, err := readBinTrailer(f)
+	cen, err := readBinCensus(f)
 	if err != nil {
-		return 0, fmt.Errorf("trace: %s: %w", path, err)
+		return BinCensus{}, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return n, nil
+	return cen, nil
 }
 
 // SHA256File returns the lowercase hex SHA-256 of the file's bytes. The

@@ -22,25 +22,27 @@ func writeBinFile(t *testing.T, reqs []workload.Request) (string, []byte) {
 	return path, data
 }
 
+// TestBinRecords: ReadBinCensus returns the record count the trailer
+// declares, and refuses a missing file and one that is not a bin trace.
 func TestBinRecords(t *testing.T) {
 	reqs := msRequests(t, 250)
 	path, _ := writeBinFile(t, reqs)
-	n, err := BinRecords(path)
+	cen, err := ReadBinCensus(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(len(reqs)) {
-		t.Fatalf("BinRecords = %d, want %d", n, len(reqs))
+	if cen.Records != int64(len(reqs)) {
+		t.Fatalf("ReadBinCensus records = %d, want %d", cen.Records, len(reqs))
 	}
 
-	if _, err := BinRecords(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+	if _, err := ReadBinCensus(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.bin")
 	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BinRecords(bad); err == nil {
+	if _, err := ReadBinCensus(bad); err == nil {
 		t.Fatal("non-bin file accepted")
 	}
 }
