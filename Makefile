@@ -238,9 +238,12 @@ reach:
 # parallelism, and the bytes it has always produced; run its invariance
 # and golden-digest tests single- and multi-threaded. So must the trace
 # writers and the workload hash, which format on GOMAXPROCS lanes, and
-# the generator, whose plan counts on GOMAXPROCS goroutines.
+# the generator, whose plan counts on GOMAXPROCS goroutines. The replay's
+# Population must give every record the ordinals its maps would, whether
+# it takes the bin decoder's trace ordinal or falls back to the maps.
 determinism:
 	$(GO) test -run 'TestReplayDeterminism|TestReplayGolden|TestReplayPopulationEdges' -race -cpu 1,4 ./internal/replay
+	$(GO) test -run 'TestPopulationOrdinalsMatchMaps' -race -cpu 1,4 ./internal/backend
 	$(GO) test -run 'TestWriteRecordsBatchBoundaries|TestWriteRecordsErrors' -race -cpu 1,4 ./internal/trace
 	$(GO) test -run 'TestGenerateStreamMatchesGenerate|TestRequestsWorkersMatchesSequential' -race -cpu 1,4 ./internal/workload
 

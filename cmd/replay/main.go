@@ -44,8 +44,9 @@
 // not depend on -files.
 //
 // With -metrics prom|json the ODR replay runs instrumented and the merged
-// metrics snapshot (decision counts, fetch histograms, backend outcomes)
-// is written to stderr after the summary; recording never changes replay
+// metrics snapshot (decision counts, fetch histograms, backend outcomes,
+// and the engine reader's time in decode, resolve and dispatch wait) is
+// written to stderr after the summary; recording never changes replay
 // results. With -pprof a net/http/pprof server runs for the lifetime of
 // the process.
 package main
@@ -160,6 +161,7 @@ func run(files, sampleN int, seed uint64, shards int, tasksPath, tracePath strin
 	odr := replay.RunODR(sample, tr.Files, aps, odrOpts)
 	summarize(bench, baseline, odr)
 	summarizeFaults(odrOpts)
+	replay.PublishReaderStages(reg, odr.Engine)
 	if err := scenario.DumpRegistry(os.Stderr, reg, common.Metrics); err != nil {
 		return err
 	}

@@ -15,9 +15,11 @@
 // are formatted on GOMAXPROCS goroutines too and written in order. The
 // emitted trace is byte-identical to sequential generation.
 //
-// The bin format is the paper-scale one: fixed-stride little-endian
-// records in CRC-framed chunks with a record-count trailer, decodable
-// without allocation and seekable by record offset (see internal/trace).
+// The bin format is the paper-scale one: records that name their file
+// and user by first-appearance ordinal, in CRC-framed chunks closed by a
+// table of the trace's files and users and a record-count trailer,
+// decodable without allocation and seekable by record offset (see
+// internal/trace).
 //
 // With -unicom N it emits the §5.1 replay sample (N Unicom requests with
 // reported bandwidth) instead of the full trace.

@@ -20,16 +20,40 @@ func (o Ordinal) idx() int32 { return int32(o) - 1 }
 // the population the backends were built over, in order; files and users
 // seen later are appended in first-seen order.
 //
+// A file or user decoded from a bin trace carries its first-appearance
+// ordinal in the trace (workload.FileMeta.Ord, workload.User.Ord), and
+// resolving it takes no map probe. A file's trace ordinal is checked with
+// one slice read and a 16-byte ID compare against the seeded census: when
+// the population was seeded from the trace's own census (trace.BinCensus,
+// or a census taken in decoder order), the two numberings coincide. A
+// user's trace ordinal indexes a slice of the ordinals this population
+// gave, checked against the user's ID. The maps stay as the fallback for
+// an identity with no matching ordinal — a generated request, a
+// population that is not the trace's census — and give the same ordinals
+// the slice path would have; the user map is built the first time it is
+// needed. User ordinals must come from one trace per population: two
+// traces' users would alias.
+//
 // Concurrency: Resolve is the replay engine's reader's, which calls it
 // once per record before dispatching the record — it alone writes the
-// maps then, and the dispatch send publishes the ordinals it hands out.
+// tables then, and the dispatch send publishes the ordinals it hands out.
 // Callers that fill a Request without ordinals (tests, bench probes)
 // resolve through fileByID/userByID instead, which serialise on mu. The
 // two modes do not mix on one population.
 type Population struct {
 	mu    sync.Mutex
 	files map[workload.FileID]Ordinal
-	users map[int]Ordinal
+	// ids is each seeded file's ID, by ordinal index: what a decoded
+	// file's trace ordinal is checked against.
+	ids []workload.FileID
+	// userIDs is each user's ID, by ordinal index. byTrace is, by a
+	// user's trace ordinal index, the ordinal this population gave the
+	// user (0: not yet seen) beside its ID. users is the fallback map, nil
+	// until a user without a matching trace ordinal comes; from then on
+	// every user resolves through it.
+	userIDs []int
+	byTrace []traceUser
+	users   map[int]Ordinal
 	// bands is each seeded file's popularity band, by index. A file
 	// appended later is unknown to the replay's popularity database, which
 	// reports unknown files as unpopular (core.StaticDB).
@@ -44,7 +68,7 @@ type Population struct {
 func NewPopulation(files []*workload.FileMeta) *Population {
 	p := &Population{
 		files: make(map[workload.FileID]Ordinal, len(files)),
-		users: make(map[int]Ordinal),
+		ids:   make([]workload.FileID, 0, len(files)),
 		bands: make([]workload.PopularityBand, 0, len(files)),
 	}
 	for _, f := range files {
@@ -52,6 +76,7 @@ func NewPopulation(files []*workload.FileMeta) *Population {
 		if !ok {
 			o = Ordinal(len(p.bands) + 1)
 			p.files[f.ID] = o
+			p.ids = append(p.ids, f.ID)
 			p.bands = append(p.bands, 0)
 		}
 		p.bands[o.idx()] = f.Band()
@@ -68,6 +93,9 @@ func (p *Population) Resolve(r workload.Request) (file, user Ordinal) {
 // File is Resolve for a file alone, for an observation pass that
 // dispatches nothing and so needs no user ordinals. Reader only.
 func (p *Population) File(f *workload.FileMeta) Ordinal {
+	if k := f.Ord - 1; k >= 0 && int(k) < len(p.ids) && p.ids[k] == f.ID {
+		return Ordinal(f.Ord)
+	}
 	o, ok := p.files[f.ID]
 	if !ok {
 		o = Ordinal(len(p.files) + 1)
@@ -76,13 +104,44 @@ func (p *Population) File(f *workload.FileMeta) Ordinal {
 	return o
 }
 
+// traceUser is what a population gave the user at one trace ordinal.
+type traceUser struct {
+	id int
+	o  Ordinal
+}
+
 func (p *Population) user(u *workload.User) Ordinal {
+	if k := int(u.Ord) - 1; k >= 0 && p.users == nil {
+		if k >= len(p.byTrace) {
+			p.byTrace = append(p.byTrace, make([]traceUser, k+1-len(p.byTrace))...)
+		}
+		t := &p.byTrace[k]
+		if t.o == 0 {
+			t.id, t.o = u.ID, p.addUser(u.ID)
+			return t.o
+		}
+		if t.id == u.ID {
+			return t.o
+		}
+	}
+	if p.users == nil {
+		p.users = make(map[int]Ordinal, len(p.userIDs))
+		for k, id := range p.userIDs {
+			p.users[id] = Ordinal(k + 1)
+		}
+	}
 	o, ok := p.users[u.ID]
 	if !ok {
-		o = Ordinal(len(p.users) + 1)
+		o = p.addUser(u.ID)
 		p.users[u.ID] = o
 	}
 	return o
+}
+
+// addUser gives user id the next ordinal.
+func (p *Population) addUser(id int) Ordinal {
+	p.userIDs = append(p.userIDs, id)
+	return Ordinal(len(p.userIDs))
 }
 
 // fileByID and userByID are Resolve's halves for ordinal-less callers.
@@ -102,7 +161,7 @@ func (p *Population) userByID(u *workload.User) Ordinal {
 // how many file ordinals those records can reach: every ordinal handed
 // out so far plus one new file per record.
 func (p *Population) reserve(n int) (files int) {
-	p.userCap = len(p.users) + n
+	p.userCap = len(p.userIDs) + n
 	return len(p.files) + n
 }
 
@@ -110,7 +169,7 @@ func (p *Population) reserve(n int) (files int) {
 func (p *Population) numUsers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.users)
+	return len(p.userIDs)
 }
 
 // Band returns the file's popularity band as the replay's popularity

@@ -1063,9 +1063,10 @@ func TestCensusMatchesWorkloadCensus(t *testing.T) {
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// A chunk closes once its payload reaches 256 KiB, and a record is at
-	// least 60 bytes, so records this far apart sit in different chunks.
-	if minApart := (256<<10 + 4096) / 60; span <= minApart {
+	// A chunk closes once its payload reaches 32 KiB, a record of this
+	// trace takes at most 4 KiB, and a record is at least 3 bytes, so
+	// records this far apart sit in different chunks.
+	if minApart := (32<<10 + 4096) / 3; span <= minApart {
 		t.Fatalf("no file recurs more than %d records after its first sighting; the trace does not cross chunks", span)
 	}
 	want := c.Files()

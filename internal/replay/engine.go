@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"odr/internal/backend"
 	"odr/internal/dist"
@@ -63,7 +64,29 @@ type EngineStats struct {
 	Shards int
 	// PerShard holds each shard's local totals, indexed by shard.
 	PerShard []ShardTotals
+	// Reader is where the reader goroutine's time went; zero unless the
+	// run had a metrics registry.
+	Reader ReaderStages
 }
+
+// ReaderStages splits the engine reader's time into its three stages:
+// pulling a record from the source (Decode — for a trace, the decoder),
+// resolving and observing it (Resolve — the observe hook), and waiting
+// to hand a batch to its shard (Dispatch — a free batch to fill, then
+// the work queue's room). Decode and Resolve are estimated from one
+// record in readerSample, scaled to every record; Dispatch is timed at
+// each batch hand-off. The clock never runs once per record, and not at
+// all without a registry. The times depend on scheduling, so they stay
+// out of the run's registry, whose contents are a pure function of the
+// replay (PublishReaderStages puts them in another).
+type ReaderStages struct {
+	Decode, Resolve, Dispatch time.Duration
+	// Sampled is how many records Decode and Resolve were timed over.
+	Sampled int
+}
+
+// readerSample is how many records the reader pulls per record it times.
+const readerSample = 64
 
 // Totals merges the per-shard accumulators.
 func (s EngineStats) Totals() ShardTotals {
@@ -338,6 +361,9 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		return nil, stats, err
 	}
 
+	// timed: the run is observed, so the reader times its stages.
+	timed := eo != nil
+	stages := &stats.Reader
 	cur := make([][]streamCell, shards)
 	flush := func(s int) {
 		if len(cur[s]) == 0 {
@@ -346,11 +372,22 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		if inflight != nil {
 			inflight.Max(int64((len(work[s]) + 1) * chunk))
 		}
-		work[s] <- cur[s]
+		if timed {
+			t := time.Now()
+			work[s] <- cur[s]
+			stages.Dispatch += time.Since(t)
+		} else {
+			work[s] <- cur[s]
+		}
 		cur[s] = nil
 	}
 	n := 0
+	var t0 time.Time
 	for {
+		sampled := timed && n%readerSample == 0
+		if sampled {
+			t0 = time.Now()
+		}
 		i, wreq, ok := src.Next()
 		if !ok {
 			break
@@ -361,14 +398,29 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		if n == hint {
 			return fail(fmt.Errorf("replay: source announced %d requests (workload.Sizer) but yielded at least %d", hint, n+1))
 		}
+		if sampled {
+			t := time.Now()
+			stages.Decode += t.Sub(t0)
+			t0 = t
+		}
 		c := streamCell{i: i, wreq: wreq}
 		if observe != nil {
 			c.file, c.user = observe(i, wreq)
 		}
+		if sampled {
+			stages.Resolve += time.Since(t0)
+			stages.Sampled++
+		}
 		n++
 		s := userShard(wreq.User, shards)
 		if cur[s] == nil {
-			cur[s] = <-free[s]
+			if timed {
+				t := time.Now()
+				cur[s] = <-free[s]
+				stages.Dispatch += time.Since(t)
+			} else {
+				cur[s] = <-free[s]
+			}
 		}
 		cur[s] = append(cur[s], c)
 		if len(cur[s]) == chunk {
@@ -379,6 +431,11 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		flush(s)
 	}
 	shut()
+	if stages.Sampled > 0 {
+		scale := float64(n) / float64(stages.Sampled)
+		stages.Decode = time.Duration(float64(stages.Decode) * scale)
+		stages.Resolve = time.Duration(float64(stages.Resolve) * scale)
+	}
 	eo.finish(regs, stats)
 	if err := src.Err(); err != nil {
 		return nil, stats, err

@@ -498,3 +498,37 @@ func TestEngineRequestStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderStages: a run with a registry times its reader's stages — one
+// record in readerSample for decode and resolve, every batch hand-off for
+// dispatch — keeps them out of that registry, and PublishReaderStages
+// puts them in another; a run without a registry leaves them zero.
+func TestReaderStages(t *testing.T) {
+	f := setup(t)
+	if res := RunODR(f.sample, f.trace.Files, f.aps, Options{Seed: 14, Shards: 2}); res.Engine.Reader != (ReaderStages{}) {
+		t.Fatalf("an unobserved run timed its reader: %+v", res.Engine.Reader)
+	}
+	reg := obs.NewRegistry()
+	res := RunODR(f.sample, f.trace.Files, f.aps, Options{Seed: 14, Shards: 2, Metrics: reg})
+	st := res.Engine.Reader
+	if want := (len(f.sample) + readerSample - 1) / readerSample; st.Sampled != want {
+		t.Fatalf("timed %d records of %d, want %d", st.Sampled, len(f.sample), want)
+	}
+	if st.Decode+st.Resolve <= 0 || st.Decode < 0 || st.Resolve < 0 || st.Dispatch < 0 {
+		t.Fatalf("reader stages %+v", st)
+	}
+	stages := []string{"decode", "resolve", "dispatch"}
+	for _, s := range stages {
+		if _, ok := reg.Snapshot().Gauges[obs.Label(MetricReaderStage, "stage", s)]; ok {
+			t.Fatalf("the run recorded its %s time into its own registry", s)
+		}
+	}
+	pub := obs.NewRegistry()
+	PublishReaderStages(pub, res.Engine)
+	for _, s := range stages {
+		if _, ok := pub.Snapshot().Gauges[obs.Label(MetricReaderStage, "stage", s)]; !ok {
+			t.Fatalf("PublishReaderStages set no %s gauge", s)
+		}
+	}
+	PublishReaderStages(nil, res.Engine) // nil-safe
+}

@@ -49,7 +49,26 @@ const (
 	MetricPoolHitBytes      = "odr_pool_hit_bytes_total"
 	MetricPoolPrefetches    = "odr_pool_prefetches_total"
 	MetricPoolPrefetchBytes = "odr_pool_prefetch_bytes_total"
+	// MetricReaderStage is the engine reader's time per stage
+	// (ReaderStages), in nanoseconds, labeled stage="decode", "resolve" or
+	// "dispatch". It depends on scheduling, so no replay records it into
+	// its own registry; PublishReaderStages sets it from the run's stats.
+	MetricReaderStage = "odr_replay_reader_stage_ns"
 )
+
+// PublishReaderStages sets the reader stage gauges in reg from a run's
+// engine stats. Nil-safe on reg.
+func PublishReaderStages(reg *obs.Registry, st EngineStats) {
+	if reg == nil {
+		return
+	}
+	for _, s := range []struct {
+		stage string
+		d     time.Duration
+	}{{"decode", st.Reader.Decode}, {"resolve", st.Reader.Resolve}, {"dispatch", st.Reader.Dispatch}} {
+		reg.Gauge(obs.Label(MetricReaderStage, "stage", s.stage)).Set(int64(s.d))
+	}
+}
 
 // recordPoolMetrics snapshots the cloud backend's storage pool into the
 // replay registry once, after the run. Nil-safe on dst.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,81 +10,112 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sort"
 	"time"
 
 	"odr/internal/workload"
 )
 
-// The bin workload format is the paper-scale trace encoding: little-endian
-// fixed-stride records with a length-prefixed URL, framed into CRC32-guarded
-// chunks, closed by the trace's file table and a trailer. It exists
-// because csv/jsonl pay text encode/decode on every record and cannot be
-// windowed; bin decodes with zero steady-state allocations and the chunk
-// frames carry record counts, so a reader can skip straight to an
-// (offset, limit) window — the enabling primitive for partitioning one
+// The bin workload format is the paper-scale trace encoding: records that
+// name their file and user by first-appearance ordinal, framed into
+// CRC32-guarded chunks, closed by the trace's file table and a trailer. It
+// exists because csv/jsonl pay text encode/decode on every record and
+// cannot be windowed; bin decodes with zero steady-state allocations and
+// the chunk frames carry record counts, so a reader can skip straight to
+// an (offset, limit) window — the enabling primitive for partitioning one
 // trace file across worker processes.
 //
-//	file    := header chunk* table trailer
-//	header  := "ODRB" version:u16 flags:u16              (8 bytes)
-//	chunk   := payloadLen:u32 recCount:u32 crc32(payload):u32 payload
-//	table   := 0:u32 files:u32 crc32(entries):u32 entries
-//	entry   := fileID:[16]u8 size:i64 weekly:u32 class:u8 protocol:u8
-//	           first:u64                                 (38 bytes)
-//	trailer := totalRecords:u64 tableAt:u64 crc32(totalRecords tableAt):u32
-//	record  := userID:i64 timeMS:i64 accessBW:f64 size:i64 weekly:u32
-//	           isp:u8 class:u8 protocol:u8 flags:u8 fileID:[16]u8
-//	           urlLen:u32 url:[urlLen]u8
+//	file     := header chunk* table trailer
+//	header   := "ODRB" version:u16 flags:u16                   (8 bytes)
+//	chunk    := payloadLen:u32 recCount:u32 crc32(payload):u32 payload
+//	record   := dtime:varint file:uvarint [fileMeta] user:uvarint [userMeta]
+//	fileMeta := fileID:[16]u8 size:i64 weekly:u32 class:u8 protocol:u8
+//	            urlLen:uvarint url:[urlLen]u8
+//	userMeta := userID:i64 accessBW:f64 isp:u8 flags:u8        (18 bytes)
+//	table    := 0:u32 files:u32 users:u32 urlBytes:u32
+//	            crc32(userEntry* urls fileEntry*):u32
+//	            userEntry{users} urls:[urlBytes]u8 fileEntry{files}
+//	userEntry := userMeta first:u64                             (26 bytes)
+//	fileEntry := fileID size weekly class protocol first:u64 urlEnd:u32
+//	                                                            (42 bytes)
+//	trailer  := totalRecords:u64 tableAt:u64 crc32(totalRecords tableAt):u32
+//
+// A record's file is an ordinal: the file's index in first-appearance
+// order. The ordinal equal to the number of files named so far introduces
+// a new file, and its metadata follows inline; a smaller one names a file
+// already seen; a larger one is an error. Users work the same way. dtime
+// is the record's time in milliseconds less the previous record's in the
+// same chunk (the first record's, less 0), so a chunk decodes on its own.
+// A repeat record is three varints: a few bytes where an inline record
+// would repeat 60 and the URL.
 //
 // A payloadLen of 0 marks the file table: no chunk is ever empty. The
-// table is the trace's census — every distinct file in first-appearance
-// order, with the index of the record it first appears at — so a reader
-// learns the trace's population without decoding a record
-// (ReadBinCensus). tableAt is the table's byte offset; the table ends
-// where the trailer begins, which fixes its size. A sequential reader
-// passes over the table at stream end, checking its CRC, and checks the
-// trailer against the records and the table it met.
+// table is the trace's census — every distinct user and file in
+// first-appearance order, with the index of the record each first appears
+// at, and the files' URLs (a file's starts where the previous one's ends)
+// — so a reader learns the trace's population without decoding a record
+// (ReadBinCensus), and a window reader takes an identity first seen
+// before its window from the table instead of from a record it never
+// reads. tableAt is the table's byte offset; the table ends where the
+// trailer begins. A reader over a file reads and checks the table when it
+// opens, then holds each first appearance to its entry; a reader over a
+// plain stream meets the table at stream end and checks it then.
 //
 // Unlike the text formats — which mirror the paper's logs and record
 // AccessBW as 0 for users whose clients never reported it — bin is
-// lossless: accessBW carries the model's value verbatim and the record
+// lossless: accessBW carries the model's value verbatim and the user
 // flags byte carries ReportsBW (bit 0). A full generated week can round-
 // trip through a bin file and replay byte-identically; csv/jsonl round
 // trips lose the approximated bandwidth of non-reporting users and can
 // only feed the reporting-users sample path.
 const (
 	binMagic   = "ODRB"
-	binVersion = 2
+	binVersion = 3
 
-	// binRecordFixed is the fixed prefix of every record before the URL
-	// bytes: 4×8 (userID, timeMS, accessBW, size) + 4 (weekly) + 3 enum
-	// bytes + 1 flags byte + 16 (fileID) + 4 (urlLen).
-	binRecordFixed = 60
+	// binFileMetaLen is a file's fixed metadata: ID, size, weekly
+	// requests, class and protocol. binUserMetaLen is a user's: ID,
+	// access bandwidth, ISP and flags.
+	binFileMetaLen = 16 + 8 + 4 + 1 + 1
+	binUserMetaLen = 8 + 8 + 1 + 1
 
-	// binEntryLen is one file table entry: ID, size, weekly requests,
-	// class, protocol, first record index.
-	binEntryLen = 16 + 8 + 4 + 1 + 1 + 8
+	// binFileEntryLen and binUserEntryLen are one file table entry each:
+	// the metadata, the index of the record the identity first appears
+	// at, and for a file the end of its URL in the table's URL bytes.
+	binFileEntryLen = binFileMetaLen + 8 + 4
+	binUserEntryLen = binUserMetaLen + 8
+
+	// binRecordMin is the shortest record: three one-byte varints.
+	binRecordMin = 3
 
 	// binChunkTarget is the writer's flush threshold: a chunk is closed
 	// once its payload reaches this size. Large enough to amortize the
 	// 12-byte frame and the CRC, small enough that a window skip lands
-	// near its first record.
-	binChunkTarget = 256 << 10
+	// within a few thousand records of its first.
+	binChunkTarget = 32 << 10
 
 	// binMaxChunk caps the payload size a reader will buffer, bounding
 	// memory against corrupt or adversarial length fields.
 	binMaxChunk = 16 << 20
 
-	binHeaderLen  = 8
-	binFrameLen   = 12 // payloadLen + recCount + crc; the table's: 0 + files + crc
-	binTrailerLen = 20 // totalRecords + tableAt + crc
+	binHeaderLen     = 8
+	binFrameLen      = 12 // payloadLen + recCount + crc
+	binTableFrameLen = 20 // 0 + files + users + urlBytes + crc
+	binTrailerLen    = 20 // totalRecords + tableAt + crc
+
+	// binMaxOrdinals bounds a table's files and its users: an identity's
+	// Ord (its ordinal plus one) is an int32.
+	binMaxOrdinals = math.MaxInt32 - 1
 )
 
-// binFlagReportsBW is record flag bit 0: the user's client reported its
+// binFlagReportsBW is user flag bit 0: the user's client reported its
 // access bandwidth.
 const binFlagReportsBW = 1
 
-// appendBinRecord appends the lossless bin encoding of one request:
-// accessBW verbatim, ReportsBW in the flags byte.
+// appendBinRecord appends the canonical encoding of one request that
+// HashWorkload hashes: every field inline at fixed stride, accessBW
+// verbatim and ReportsBW in the flags byte. It is the record layout of
+// bin versions 1 and 2, kept so a trace's hash does not depend on how
+// the file stores it.
 func appendBinRecord(dst []byte, r workload.Request) []byte {
 	var flags byte
 	if r.User.ReportsBW {
@@ -100,8 +132,67 @@ func appendBinRecord(dst []byte, r workload.Request) []byte {
 	return append(dst, r.File.SourceURL...)
 }
 
+// appendFileMeta appends f's fixed metadata, as a first-appearance record
+// and the file table both carry it.
+func appendFileMeta(dst []byte, f *workload.FileMeta) []byte {
+	dst = append(dst, f.ID[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Size))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.WeeklyRequests))
+	return append(dst, byte(f.Class), byte(f.Protocol))
+}
+
+// appendUserMeta appends u's metadata, as a first-appearance record and
+// the file table both carry it.
+func appendUserMeta(dst []byte, u *workload.User) []byte {
+	var flags byte
+	if u.ReportsBW {
+		flags |= binFlagReportsBW
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(u.ID))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(u.AccessBW))
+	return append(dst, byte(u.ISP), flags)
+}
+
+// checkFileMeta and checkUserMeta report what in a file's or a user's
+// encoded metadata no reader accepts, or nil.
+func checkFileMeta(m []byte) error {
+	switch size := int64(binary.LittleEndian.Uint64(m[16:])); {
+	case size < 0:
+		return fmt.Errorf("negative size %d", size)
+	case int(m[28]) >= workload.NumFileClasses:
+		return fmt.Errorf("unknown file class %d", m[28])
+	case int(m[29]) >= workload.NumProtocols:
+		return fmt.Errorf("unknown protocol %d", m[29])
+	}
+	return nil
+}
+
+func checkUserMeta(m []byte) error {
+	if int(m[16]) >= workload.NumISPs {
+		return fmt.Errorf("unknown ISP %d", m[16])
+	}
+	return nil
+}
+
+// fillFileMeta and fillUserMeta set an identity from metadata the check
+// functions accepted.
+func fillFileMeta(f *workload.FileMeta, m []byte) {
+	copy(f.ID[:], m)
+	f.Size = int64(binary.LittleEndian.Uint64(m[16:]))
+	f.WeeklyRequests = int(binary.LittleEndian.Uint32(m[24:]))
+	f.Class, f.Protocol = workload.FileClass(m[28]), workload.Protocol(m[29])
+}
+
+func fillUserMeta(u *workload.User, m []byte) {
+	u.ID = int(int64(binary.LittleEndian.Uint64(m)))
+	u.AccessBW = math.Float64frombits(binary.LittleEndian.Uint64(m[8:]))
+	u.ISP = workload.ISP(m[16])
+	u.ReportsBW = m[17]&binFlagReportsBW != 0
+}
+
 // WriteWorkloadBinStream writes a request stream in the bin format, one
-// CRC-framed chunk at a time; memory stays constant in stream length.
+// CRC-framed chunk at a time. Memory grows with the trace's distinct
+// files and users (the file table), not with its length.
 func WriteWorkloadBinStream(w io.Writer, src workload.RequestSource) error {
 	return writeWorkloadBin(w, src, binChunkTarget)
 }
@@ -112,9 +203,98 @@ func WriteWorkloadBin(w io.Writer, reqs []workload.Request) error {
 	return WriteWorkloadBinStream(w, workload.NewSliceSource(reqs))
 }
 
+// binEncoder numbers a trace's files and users as they first appear and
+// builds the file table alongside the records.
+type binEncoder struct {
+	files map[workload.FileID]uint32
+	users map[int]uint32
+	// The table's sections, in first-appearance order.
+	userTab, urls, fileTab blocks
+}
+
+// blocks is a byte buffer that grows by whole blocks, never copying what
+// it holds: a trace's table is written only at its end, and a doubling
+// slice would hold up to twice the table, half of it garbage. Blocks
+// double from 4 KiB to 256 KiB, so a small trace's table stays small.
+type blocks struct {
+	full [][]byte
+	cur  []byte
+	n    int
+}
+
+// tail returns the open block with room for at least n more bytes.
+func (b *blocks) tail(n int) []byte {
+	if cap(b.cur)-len(b.cur) < n {
+		if len(b.cur) > 0 {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]byte, 0, max(min(2*cap(b.cur), 256<<10), 4<<10, n))
+	}
+	return b.cur
+}
+
+// add records that the open block, as tail returned it, now holds cur.
+func (b *blocks) add(cur []byte) {
+	b.n += len(cur) - len(b.cur)
+	b.cur = cur
+}
+
+// chunks returns the held bytes, in order.
+func (b *blocks) chunks() [][]byte {
+	return append(b.full[:len(b.full):len(b.full)], b.cur)
+}
+
+// ordinals returns the ordinals of record i's file and user, and whether
+// each first appears here, in which case it joins the table.
+func (e *binEncoder) ordinals(r workload.Request, i uint64) (file uint32, newFile bool, user uint32, newUser bool, err error) {
+	file, ok := e.files[r.File.ID]
+	if !ok {
+		if len(e.files) >= binMaxOrdinals {
+			return 0, false, 0, false, fmt.Errorf("trace: bin record %d: more than %d distinct files overflow the bin file table", i, binMaxOrdinals)
+		}
+		if uint64(e.urls.n)+uint64(len(r.File.SourceURL)) > math.MaxUint32 {
+			return 0, false, 0, false, fmt.Errorf("trace: bin record %d: the file table's URLs overflow %d bytes", i, uint32(math.MaxUint32))
+		}
+		file, newFile = uint32(len(e.files)), true
+		e.files[r.File.ID] = file
+		e.urls.add(append(e.urls.tail(len(r.File.SourceURL)), r.File.SourceURL...))
+		t := appendFileMeta(e.fileTab.tail(binFileEntryLen), r.File)
+		t = binary.LittleEndian.AppendUint64(t, i)
+		e.fileTab.add(binary.LittleEndian.AppendUint32(t, uint32(e.urls.n)))
+	}
+	user, ok = e.users[r.User.ID]
+	if !ok {
+		if len(e.users) >= binMaxOrdinals {
+			return 0, false, 0, false, fmt.Errorf("trace: bin record %d: more than %d distinct users overflow the bin file table", i, binMaxOrdinals)
+		}
+		user, newUser = uint32(len(e.users)), true
+		e.users[r.User.ID] = user
+		e.userTab.add(binary.LittleEndian.AppendUint64(appendUserMeta(e.userTab.tail(binUserEntryLen), r.User), i))
+	}
+	return file, newFile, user, newUser, nil
+}
+
+// appendRecord appends r's record: its time less prevMS, the chunk's
+// previous record's, then its file and user ordinals, each followed by
+// its metadata where the identity first appears.
+func appendRecord(dst []byte, r workload.Request, prevMS int64, file uint32, newFile bool, user uint32, newUser bool) []byte {
+	dst = binary.AppendVarint(dst, r.Time.Milliseconds()-prevMS)
+	dst = binary.AppendUvarint(dst, uint64(file))
+	if newFile {
+		dst = appendFileMeta(dst, r.File)
+		dst = binary.AppendUvarint(dst, uint64(len(r.File.SourceURL)))
+		dst = append(dst, r.File.SourceURL...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(user))
+	if newUser {
+		dst = appendUserMeta(dst, r.User)
+	}
+	return dst
+}
+
 func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) error {
 	bw := bufio.NewWriter(w)
-	var frame [binFrameLen]byte
+	var frame [binTableFrameLen]byte
 	if _, err := bw.WriteString(binMagic); err != nil {
 		return err
 	}
@@ -126,30 +306,24 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 	payload := make([]byte, 0, chunkTarget+4096)
 	var recCount uint32
 	var total uint64
+	var prevMS int64            // the open chunk's last record's time
 	off := uint64(binHeaderLen) // where the next frame starts
-	// The file table, built as the files first appear.
-	seen := make(map[workload.FileID]struct{})
-	var table []byte
-	writeFrame := func(n, count uint32, body []byte) error {
-		binary.LittleEndian.PutUint32(frame[0:4], n)
-		binary.LittleEndian.PutUint32(frame[4:8], count)
-		binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(body))
-		if _, err := bw.Write(frame[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(body)
-		off += binFrameLen + uint64(len(body))
-		return err
-	}
+	enc := binEncoder{files: make(map[workload.FileID]uint32), users: make(map[int]uint32)}
 	flush := func() error {
 		if recCount == 0 {
 			return nil
 		}
-		if err := writeFrame(uint32(len(payload)), recCount, payload); err != nil {
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(frame[4:8], recCount)
+		binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
+		if _, err := bw.Write(frame[:binFrameLen]); err != nil {
 			return err
 		}
-		payload = payload[:0]
-		recCount = 0
+		if _, err := bw.Write(payload); err != nil {
+			return err
+		}
+		off += binFrameLen + uint64(len(payload))
+		payload, recCount, prevMS = payload[:0], 0, 0
 		return nil
 	}
 	for {
@@ -157,24 +331,27 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 		if !ok {
 			break
 		}
-		// A record longer than the reader's payload cap cannot be read
-		// back in any chunk (only possible with a pathological URL): refuse
-		// it. One that fits alone but not beside the open chunk's records
-		// closes that chunk early.
-		size := binRecordFixed + len(r.File.SourceURL)
-		if size > binMaxChunk {
-			return fmt.Errorf("trace: bin record %d is %d bytes, beyond the %d-byte chunk payload a reader accepts", i, size, binMaxChunk)
+		file, newFile, user, newUser, err := enc.ordinals(r, total)
+		if err != nil {
+			return err
 		}
-		if len(payload) > 0 && len(payload)+size > binMaxChunk {
+		mark := len(payload)
+		payload = appendRecord(payload, r, prevMS, file, newFile, user, newUser)
+		if len(payload) > binMaxChunk {
+			// The record does not fit beside the open chunk's records:
+			// close the chunk and start the next with it. A record longer
+			// than the reader's payload cap alone cannot be read back in
+			// any chunk (only possible with a pathological URL): refuse it.
+			payload = payload[:mark]
 			if err := flush(); err != nil {
 				return err
 			}
+			payload = appendRecord(payload, r, 0, file, newFile, user, newUser)
+			if len(payload) > binMaxChunk {
+				return fmt.Errorf("trace: bin record %d is %d bytes, beyond the %d-byte chunk payload a reader accepts", i, len(payload), binMaxChunk)
+			}
 		}
-		if _, ok := seen[r.File.ID]; !ok {
-			seen[r.File.ID] = struct{}{}
-			table = appendBinEntry(table, r.File, total)
-		}
-		payload = appendBinRecord(payload, r)
+		prevMS = r.Time.Milliseconds()
 		recCount++
 		total++
 		if len(payload) >= chunkTarget {
@@ -189,12 +366,21 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 	if err := flush(); err != nil {
 		return err
 	}
-	if uint64(len(seen)) > math.MaxUint32 {
-		return fmt.Errorf("trace: %d distinct files overflow the bin file table", len(seen))
-	}
 	tableAt := off
-	if err := writeFrame(0, uint32(len(seen)), table); err != nil {
-		return err
+	body := append(append(enc.userTab.chunks(), enc.urls.chunks()...), enc.fileTab.chunks()...)
+	var crc uint32
+	for _, p := range body {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], 0)
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(enc.files)))
+	binary.LittleEndian.PutUint32(frame[8:12], uint32(len(enc.users)))
+	binary.LittleEndian.PutUint32(frame[12:16], uint32(enc.urls.n))
+	binary.LittleEndian.PutUint32(frame[16:20], crc)
+	for _, p := range append([][]byte{frame[:]}, body...) {
+		if _, err := bw.Write(p); err != nil {
+			return err
+		}
 	}
 	var trailer [binTrailerLen]byte
 	binary.LittleEndian.PutUint64(trailer[0:8], total)
@@ -206,101 +392,220 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 	return bw.Flush()
 }
 
-// appendBinEntry appends f's file table entry: the census fields the
-// backend fleet reads off a file — ID, size, weekly requests (the
-// popularity band), class and protocol — and the index of the record it
-// first appears at. SourceURL stays in the records; no backend reads it.
-func appendBinEntry(dst []byte, f *workload.FileMeta, first uint64) []byte {
-	dst = append(dst, f.ID[:]...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Size))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.WeeklyRequests))
-	dst = append(dst, byte(f.Class), byte(f.Protocol))
-	return binary.LittleEndian.AppendUint64(dst, first)
+// binTable is a bin trace's file table, held as its bytes: an entry is
+// read out by ordinal when a reader needs it, never all at once.
+type binTable struct {
+	records int64 // the trace's record count
+	nfiles  int
+	nusers  int
+	// The table's sections.
+	users, urls, files []byte
 }
 
-// binSource streams bin records a chunk at a time, decoding each record in
-// place from the reused payload buffer. Identities are interned as in the
-// text readers, so after warm-up a record decode allocates nothing — the
-// URL string is only materialized the first time its file is seen.
-type binSource struct {
-	br   *bufio.Reader
-	pool *identityPool
-
-	payload []byte // current chunk payload, reused across chunks
-	off     int    // decode offset within payload
-
-	pos     int   // emitted stream index (0-based, post-window)
-	rec     int64 // absolute record index in the file, for errors
-	fileOff int64 // byte offset of the current chunk's payload start
-	chunkAt int64 // byte offset where the current record's chunk begins
-
-	skip  int64 // records still to skip before the window starts
-	limit int64 // records still to emit; <0 means unbounded
-	total int64 // trailer record count when known up front, else -1
-
-	err  error
-	done bool
+func (t *binTable) fileEntry(k int) []byte {
+	return t.files[k*binFileEntryLen : (k+1)*binFileEntryLen]
 }
 
-// sizedBinSource is a binSource whose record count is known from the
-// trailer; it implements workload.Sizer so trace-fed replays regain
-// pre-sized shard buffers.
-type sizedBinSource struct {
-	binSource
-	n int
+func (t *binTable) userEntry(k int) []byte {
+	return t.users[k*binUserEntryLen : (k+1)*binUserEntryLen]
 }
 
-// TotalRequests implements workload.Sizer.
-func (s *sizedBinSource) TotalRequests() int { return s.n }
-
-// StreamWorkloadBin opens a bin workload trace for record-at-a-time
-// reading. When r is an io.ReadSeeker (a file), the trailer is validated
-// up front and the returned source implements workload.Sizer; a missing or
-// corrupt trailer is reported immediately as a truncation error.
-func StreamWorkloadBin(r io.Reader) (workload.RequestSource, error) {
-	return StreamWorkloadBinWindow(r, 0, -1)
+// fileFirst and userFirst are the index of the record entry k first
+// appears at.
+func (t *binTable) fileFirst(k int) int64 {
+	return int64(binary.LittleEndian.Uint64(t.files[k*binFileEntryLen+binFileMetaLen:]))
 }
 
-// StreamWorkloadBinWindow opens a bin workload trace restricted to the
-// half-open record window [offset, offset+limit); limit < 0 means "to the
-// end". Whole chunks before the window are skipped using the frame's
-// record count — their payloads are discarded unread, which is what makes
-// partitioning one trace file across processes cheap. The returned source
-// re-bases indices at 0, as every RequestSource does.
-func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.RequestSource, error) {
-	if offset < 0 {
-		return nil, fmt.Errorf("trace: negative bin window offset %d", offset)
+func (t *binTable) userFirst(k int) int64 {
+	return int64(binary.LittleEndian.Uint64(t.users[k*binUserEntryLen+binUserMetaLen:]))
+}
+
+func (t *binTable) urlEnd(k int) uint32 {
+	return binary.LittleEndian.Uint32(t.files[k*binFileEntryLen+binFileMetaLen+8:])
+}
+
+// url is file k's URL.
+func (t *binTable) url(k int) []byte {
+	var start uint32
+	if k > 0 {
+		start = t.urlEnd(k - 1)
 	}
-	var total int64 = -1
-	if rs, ok := r.(io.ReadSeeker); ok {
-		tr, err := readBinTrailer(rs)
-		if err != nil {
+	return t.urls[start:t.urlEnd(k)]
+}
+
+// before returns how many files and users first appear before record i:
+// the ordinal each of them gives its next new identity there.
+func (t *binTable) before(i int64) (files, users int) {
+	files = sort.Search(t.nfiles, func(k int) bool { return t.fileFirst(k) >= i })
+	users = sort.Search(t.nusers, func(k int) bool { return t.userFirst(k) >= i })
+	return files, users
+}
+
+// checkFile holds file k's first appearance — its metadata and URL as its
+// record carries them, at record rec — to its table entry.
+func (t *binTable) checkFile(k int, meta, url []byte, rec int64) error {
+	if k >= t.nfiles {
+		return fmt.Errorf("file ordinal %d is past the file table's %d files", k, t.nfiles)
+	}
+	if e := t.fileEntry(k); !bytes.Equal(e[:binFileMetaLen], meta) || t.fileFirst(k) != rec || !bytes.Equal(t.url(k), url) {
+		return fmt.Errorf("file %d disagrees with its file table entry (first record %d)", k, t.fileFirst(k))
+	}
+	return nil
+}
+
+// checkUser is checkFile for user k.
+func (t *binTable) checkUser(k int, meta []byte, rec int64) error {
+	if k >= t.nusers {
+		return fmt.Errorf("user ordinal %d is past the file table's %d users", k, t.nusers)
+	}
+	if e := t.userEntry(k); !bytes.Equal(e[:binUserMetaLen], meta) || t.userFirst(k) != rec {
+		return fmt.Errorf("user %d disagrees with its file table entry (first record %d)", k, t.userFirst(k))
+	}
+	return nil
+}
+
+// binTableFrame is what a file table's frame declares past its 0 marker.
+type binTableFrame struct {
+	files, users, urlBytes int64
+	crc                    uint32
+}
+
+func parseBinTableFrame(b []byte) binTableFrame {
+	return binTableFrame{
+		files:    int64(binary.LittleEndian.Uint32(b[0:])),
+		users:    int64(binary.LittleEndian.Uint32(b[4:])),
+		urlBytes: int64(binary.LittleEndian.Uint32(b[8:])),
+		crc:      binary.LittleEndian.Uint32(b[12:]),
+	}
+}
+
+// size is the byte count of the sections the frame declares.
+func (f binTableFrame) size() int64 {
+	return f.users*binUserEntryLen + f.urlBytes + f.files*binFileEntryLen
+}
+
+// newBinTable checks a file table's body — read whole, the size its frame
+// declares — and returns it. The table is outside input: a CRC mismatch,
+// identity counts that do not fit the records, first indices that do not
+// ascend or lie outside the trace, URL ends that do not ascend to the URL
+// bytes, or metadata no record may carry is an error naming the table.
+func newBinTable(at, records int64, f binTableFrame, body []byte) (*binTable, error) {
+	if crc32.ChecksumIEEE(body) != f.crc {
+		return nil, fmt.Errorf("trace: bin file table at offset %d: checksum mismatch (corrupt table)", at)
+	}
+	if f.files > binMaxOrdinals || f.users > binMaxOrdinals ||
+		(f.files == 0) != (records == 0) || (f.users == 0) != (records == 0) {
+		return nil, fmt.Errorf("trace: bin file table lists %d files and %d users for %d records", f.files, f.users, records)
+	}
+	u := f.users * binUserEntryLen
+	t := &binTable{
+		records: records, nfiles: int(f.files), nusers: int(f.users),
+		users: body[:u], urls: body[u : u+f.urlBytes], files: body[u+f.urlBytes:],
+	}
+	var end uint32
+	for k := 0; k < t.nfiles; k++ {
+		if err := checkFileMeta(t.fileEntry(k)); err != nil {
+			return nil, fmt.Errorf("trace: bin file table: file %d has %w", k, err)
+		}
+		if err := t.checkFirst("file", k, t.fileFirst); err != nil {
 			return nil, err
 		}
-		total = tr.records
+		next := t.urlEnd(k)
+		if next < end || int64(next) > f.urlBytes {
+			return nil, fmt.Errorf("trace: bin file table: file %d's URL ends at byte %d, outside [%d, %d]", k, next, end, f.urlBytes)
+		}
+		end = next
 	}
-	if err := readBinHeader(r); err != nil {
+	if int64(end) != f.urlBytes {
+		return nil, fmt.Errorf("trace: bin file table holds %d URL bytes, its files' URLs take %d", f.urlBytes, end)
+	}
+	for k := 0; k < t.nusers; k++ {
+		if err := checkUserMeta(t.userEntry(k)); err != nil {
+			return nil, fmt.Errorf("trace: bin file table: user %d has %w", k, err)
+		}
+		if err := t.checkFirst("user", k, t.userFirst); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// checkFirst checks entry k's first record index: inside the trace and
+// after entry k-1's.
+func (t *binTable) checkFirst(what string, k int, first func(int) int64) error {
+	switch i := first(k); {
+	case i < 0 || i >= t.records:
+		return fmt.Errorf("trace: bin file table: %s %d first appears at record %d, outside the trace's %d", what, k, uint64(i), t.records)
+	case k > 0 && i <= first(k-1):
+		return fmt.Errorf("trace: bin file table: %s %d first appears at record %d, not after %s %d's %d", what, k, i, what, k-1, first(k-1))
+	}
+	return nil
+}
+
+// readBinTable reads and checks a bin trace file's header, trailer and
+// file table, leaving the seek position just past the header, where the
+// first chunk starts.
+func readBinTable(rs io.ReadSeeker) (*binTable, error) {
+	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	s := binSource{
-		br:      bufio.NewReaderSize(r, 64<<10),
-		pool:    newIdentityPool(),
-		skip:    offset,
-		limit:   limit,
-		total:   total,
-		fileOff: binHeaderLen,
+	if err := readBinHeader(rs); err != nil {
+		return nil, err
 	}
-	if total < 0 {
-		return &s, nil
+	end, err := rs.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
 	}
-	n := total - offset
-	if n < 0 {
-		n = 0
+	if end < binHeaderLen+binTableFrameLen+binTrailerLen {
+		return nil, fmt.Errorf("trace: bin file is %d bytes, too short for header, file table and trailer (truncated?)", end)
 	}
-	if limit >= 0 && limit < n {
-		n = limit
+	trailerAt := end - binTrailerLen
+	if _, err := rs.Seek(trailerAt, io.SeekStart); err != nil {
+		return nil, err
 	}
-	return &sizedBinSource{binSource: s, n: int(n)}, nil
+	var trailer [binTrailerLen]byte
+	if _, err := io.ReadFull(rs, trailer[:]); err != nil {
+		return nil, fmt.Errorf("trace: bin trailer: %w", err)
+	}
+	if got, want := crc32.ChecksumIEEE(trailer[0:16]), binary.LittleEndian.Uint32(trailer[16:20]); got != want {
+		return nil, fmt.Errorf("trace: bin trailer checksum mismatch at offset %d (truncated file?)", trailerAt)
+	}
+	n := binary.LittleEndian.Uint64(trailer[0:8])
+	if n > math.MaxInt64 {
+		return nil, fmt.Errorf("trace: bin trailer record count %d overflows", n)
+	}
+	at := binary.LittleEndian.Uint64(trailer[8:16])
+	if last := uint64(trailerAt - binTableFrameLen); at < binHeaderLen || at > last {
+		return nil, fmt.Errorf("trace: bin trailer places the file table at offset %d, outside [%d, %d]", at, binHeaderLen, last)
+	}
+	tableAt := int64(at)
+	if _, err := rs.Seek(tableAt, io.SeekStart); err != nil {
+		return nil, err
+	}
+	var raw [binTableFrameLen]byte
+	if _, err := io.ReadFull(rs, raw[:]); err != nil {
+		return nil, fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
+	}
+	if binary.LittleEndian.Uint32(raw[0:4]) != 0 {
+		return nil, fmt.Errorf("trace: bin file table at offset %d: a chunk frame where the table should start", tableAt)
+	}
+	f := parseBinTableFrame(raw[4:])
+	if have := trailerAt - tableAt - binTableFrameLen; f.size() != have {
+		return nil, fmt.Errorf("trace: bin file table at offset %d: %d bytes before the trailer, not the %d its frame declares (truncated?)",
+			tableAt, have, f.size())
+	}
+	body := make([]byte, f.size()) // bounded by the file's size just above
+	if _, err := io.ReadFull(rs, body); err != nil {
+		return nil, fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
+	}
+	t, err := newBinTable(tableAt, int64(n), f, body)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := rs.Seek(binHeaderLen, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // readBinHeader reads and checks the header: the magic and the one
@@ -319,57 +624,12 @@ func readBinHeader(r io.Reader) error {
 	return nil
 }
 
-// binTrailer is what a bin trace's trailer declares.
-type binTrailer struct {
-	records int64 // the trace's record count
-	tableAt int64 // the file table's byte offset
-	files   int64 // the entries between the table's frame and the trailer
-}
-
-// readBinTrailer validates and reads the trailer, leaving the seek
-// position at the start of the file.
-func readBinTrailer(rs io.ReadSeeker) (binTrailer, error) {
-	end, err := rs.Seek(0, io.SeekEnd)
-	if err != nil {
-		return binTrailer{}, err
-	}
-	if end < binHeaderLen+binFrameLen+binTrailerLen {
-		return binTrailer{}, fmt.Errorf("trace: bin file is %d bytes, too short for header, file table and trailer (truncated?)", end)
-	}
-	if _, err := rs.Seek(end-binTrailerLen, io.SeekStart); err != nil {
-		return binTrailer{}, err
-	}
-	var trailer [binTrailerLen]byte
-	if _, err := io.ReadFull(rs, trailer[:]); err != nil {
-		return binTrailer{}, fmt.Errorf("trace: bin trailer: %w", err)
-	}
-	if got, want := crc32.ChecksumIEEE(trailer[0:16]), binary.LittleEndian.Uint32(trailer[16:20]); got != want {
-		return binTrailer{}, fmt.Errorf("trace: bin trailer checksum mismatch at offset %d (truncated file?)", end-binTrailerLen)
-	}
-	n := binary.LittleEndian.Uint64(trailer[0:8])
-	if n > math.MaxInt64 {
-		return binTrailer{}, fmt.Errorf("trace: bin trailer record count %d overflows", n)
-	}
-	at := binary.LittleEndian.Uint64(trailer[8:16])
-	if last := uint64(end - binTrailerLen - binFrameLen); at < binHeaderLen || at > last {
-		return binTrailer{}, fmt.Errorf("trace: bin trailer places the file table at offset %d, outside [%d, %d]", at, binHeaderLen, last)
-	}
-	entries := end - binTrailerLen - int64(at) - binFrameLen
-	if entries%binEntryLen != 0 {
-		return binTrailer{}, fmt.Errorf("trace: bin file table at offset %d: %d bytes of entries, not whole %d-byte entries (truncated?)",
-			at, entries, binEntryLen)
-	}
-	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return binTrailer{}, err
-	}
-	return binTrailer{records: int64(n), tableAt: int64(at), files: entries / binEntryLen}, nil
-}
-
 // BinCensus is a bin trace's census as its file table declares it: the
 // record count, every distinct file in first-appearance order, and the
 // index of the record each file first appears at. First ascends, so the
-// files the records before any index name are a prefix of Files. The
-// files carry no SourceURL; the records do.
+// files the records before any index name are a prefix of Files. Each
+// file's Ord is its ordinal plus one, as a decoder of the trace stamps
+// it; the files carry no SourceURL.
 type BinCensus struct {
 	Records int64
 	Files   []*workload.FileMeta
@@ -377,63 +637,140 @@ type BinCensus struct {
 }
 
 // readBinCensus reads a bin trace's census from its trailer and file
-// table, decoding no record. The table is outside input: one that is
-// truncated, fails its CRC, lists first indices that do not ascend or lie
-// outside the trace, or names a negative size or an unknown class or
-// protocol is an error naming the table.
+// table, decoding no record. A damaged table is an error naming it
+// (newBinTable).
 func readBinCensus(rs io.ReadSeeker) (BinCensus, error) {
-	tr, err := readBinTrailer(rs)
+	t, err := readBinTable(rs)
 	if err != nil {
 		return BinCensus{}, err
 	}
-	if err := readBinHeader(rs); err != nil {
-		return BinCensus{}, err
-	}
-	files := tr.files
-	if _, err := rs.Seek(tr.tableAt, io.SeekStart); err != nil {
-		return BinCensus{}, err
-	}
-	raw := make([]byte, binFrameLen+files*binEntryLen) // readBinTrailer bounds it by the file's size
-	if _, err := io.ReadFull(rs, raw); err != nil {
-		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d: %w", tr.tableAt, noEOF(err))
-	}
-	entries := raw[binFrameLen:]
-	switch {
-	case binary.LittleEndian.Uint32(raw[0:4]) != 0:
-		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d: a chunk frame where the table should start", tr.tableAt)
-	case int64(binary.LittleEndian.Uint32(raw[4:8])) != files:
-		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d claims %d files, its bytes hold %d",
-			tr.tableAt, binary.LittleEndian.Uint32(raw[4:8]), files)
-	case crc32.ChecksumIEEE(entries) != binary.LittleEndian.Uint32(raw[8:12]):
-		return BinCensus{}, fmt.Errorf("trace: bin file table at offset %d: checksum mismatch (corrupt table)", tr.tableAt)
-	case (files == 0) != (tr.records == 0):
-		return BinCensus{}, fmt.Errorf("trace: bin file table lists %d files for %d records", files, tr.records)
-	}
-	metas := make([]workload.FileMeta, files)
-	cen := BinCensus{Records: tr.records, Files: make([]*workload.FileMeta, files), First: make([]int, files)}
+	metas := make([]workload.FileMeta, t.nfiles)
+	cen := BinCensus{Records: t.records, Files: make([]*workload.FileMeta, t.nfiles), First: make([]int, t.nfiles)}
 	for k := range metas {
-		e, f := entries[k*binEntryLen:], &metas[k]
-		copy(f.ID[:], e)
-		f.Size = int64(binary.LittleEndian.Uint64(e[16:]))
-		f.WeeklyRequests = int(binary.LittleEndian.Uint32(e[24:]))
-		f.Class, f.Protocol = workload.FileClass(e[28]), workload.Protocol(e[29])
-		first := binary.LittleEndian.Uint64(e[30:])
-		switch {
-		case f.Size < 0:
-			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d has negative size %d", k, f.Size)
-		case int(f.Class) >= workload.NumFileClasses:
-			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d has unknown file class %d", k, f.Class)
-		case int(f.Protocol) >= workload.NumProtocols:
-			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d has unknown protocol %d", k, f.Protocol)
-		case first >= uint64(tr.records):
-			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d first appears at record %d, outside the trace's %d", k, first, tr.records)
-		case k > 0 && int(first) <= cen.First[k-1]:
-			return BinCensus{}, fmt.Errorf("trace: bin file table: file %d first appears at record %d, not after file %d's %d",
-				k, first, k-1, cen.First[k-1])
-		}
-		cen.Files[k], cen.First[k] = f, int(first)
+		f := &metas[k]
+		fillFileMeta(f, t.fileEntry(k))
+		f.Ord = int32(k + 1)
+		cen.Files[k], cen.First[k] = f, int(t.fileFirst(k))
 	}
 	return cen, nil
+}
+
+// binSource streams bin records a chunk at a time, decoding each record in
+// place from the reused payload buffer. It resolves a record's file and
+// user ordinals by slice index: each identity is built once, at its first
+// appearance — or, in a window reader, from the file table the first time
+// the window names an identity first seen before it — and stamped with
+// its ordinal (Ord), which a replay's backend.Population takes in place
+// of a map lookup. So after warm-up a record decode allocates nothing.
+type binSource struct {
+	br *bufio.Reader
+	// tab is the file table, read when the reader opened over a file; nil
+	// over a plain stream, which meets the table at its end.
+	tab *binTable
+
+	// files and users are the identities by ordinal: nil where a window
+	// reader has not yet needed one. nfiles and nusers are how many
+	// ordinals the records read so far have named — the next new one.
+	files          []*workload.FileMeta
+	users          []*workload.User
+	nfiles, nusers int
+	fileSlab       slab[workload.FileMeta]
+	userSlab       slab[workload.User]
+	// Over a plain stream, where each identity first appeared and the URL
+	// bytes the records carried, to hold them to the table at stream end.
+	fileAt, userAt []binAt
+	urlBytes       int64
+
+	payload []byte // current chunk payload, reused across chunks
+	off     int    // decode offset within payload
+	ms      int64  // the previous record's time in the chunk
+
+	pos     int   // emitted stream index (0-based, post-window)
+	rec     int64 // absolute record index in the file, for errors
+	fileOff int64 // byte offset of the current chunk's payload start
+	chunkAt int64 // byte offset where the current record's chunk begins
+
+	skip  int64 // records still to skip before the window starts
+	limit int64 // records still to emit; <0 means unbounded
+	total int64 // trailer record count when known up front, else -1
+
+	err  error
+	done bool
+}
+
+// binAt is where an identity first appeared: its record and byte offset.
+type binAt struct{ rec, off int64 }
+
+// slab hands out identities from blocks, so building one costs a fraction
+// of an allocation.
+type slab[T any] []T
+
+func (s *slab[T]) next() *T {
+	if len(*s) == 0 {
+		*s = make([]T, 256)
+	}
+	v := &(*s)[0]
+	*s = (*s)[1:]
+	return v
+}
+
+// sizedBinSource is a binSource whose record count is known from the
+// trailer; it implements workload.Sizer so trace-fed replays regain
+// pre-sized shard buffers.
+type sizedBinSource struct {
+	binSource
+	n int
+}
+
+// TotalRequests implements workload.Sizer.
+func (s *sizedBinSource) TotalRequests() int { return s.n }
+
+// StreamWorkloadBin opens a bin workload trace for record-at-a-time
+// reading. When r is an io.ReadSeeker (a file), the trailer and file table
+// are validated up front and the returned source implements
+// workload.Sizer; a missing or corrupt trailer or table is reported
+// immediately.
+func StreamWorkloadBin(r io.Reader) (workload.RequestSource, error) {
+	return StreamWorkloadBinWindow(r, 0, -1)
+}
+
+// StreamWorkloadBinWindow opens a bin workload trace restricted to the
+// half-open record window [offset, offset+limit); limit < 0 means "to the
+// end". Over an io.ReadSeeker, whole chunks before the window are skipped
+// using the frame's record count — their payloads are discarded unread,
+// which is what makes partitioning one trace file across processes cheap
+// — and identities first seen in them come from the file table, built
+// only as the window names them. A plain reader decodes its way to the
+// window. The returned source re-bases indices at 0, as every
+// RequestSource does.
+func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.RequestSource, error) {
+	if offset < 0 {
+		return nil, fmt.Errorf("trace: negative bin window offset %d", offset)
+	}
+	s := binSource{skip: offset, limit: limit, total: -1, fileOff: binHeaderLen}
+	if rs, ok := r.(io.ReadSeeker); ok {
+		t, err := readBinTable(rs)
+		if err != nil {
+			return nil, err
+		}
+		s.tab, s.total = t, t.records
+		s.files = make([]*workload.FileMeta, t.nfiles)
+		s.users = make([]*workload.User, t.nusers)
+	} else if err := readBinHeader(r); err != nil {
+		return nil, err
+	}
+	s.br = bufio.NewReaderSize(r, 64<<10)
+	if s.total < 0 {
+		return &s, nil
+	}
+	n := s.total - offset
+	if n < 0 {
+		n = 0
+	}
+	if limit >= 0 && limit < n {
+		n = limit
+	}
+	return &sizedBinSource{binSource: s, n: int(n)}, nil
 }
 
 func (s *binSource) Next() (int, workload.Request, bool) {
@@ -468,7 +805,8 @@ func (s *binSource) Next() (int, workload.Request, bool) {
 }
 
 // nextChunk loads the next chunk payload, skipping whole chunks that fall
-// entirely before the window. It reports false at the trailer or on error.
+// entirely before the window when the file table can stand in for their
+// first appearances. It reports false at the table or on error.
 func (s *binSource) nextChunk() bool {
 	for {
 		var frame [binFrameLen]byte
@@ -477,7 +815,7 @@ func (s *binSource) nextChunk() bool {
 			return false
 		}
 		payloadLen := binary.LittleEndian.Uint32(frame[0:4])
-		if payloadLen == 0 { // trailer sentinel
+		if payloadLen == 0 { // the file table's marker
 			s.finish()
 			return false
 		}
@@ -490,21 +828,23 @@ func (s *binSource) nextChunk() bool {
 			return false
 		}
 		recCount := binary.LittleEndian.Uint32(frame[4:8])
-		if recCount == 0 || uint64(recCount)*binRecordFixed > uint64(payloadLen) {
+		if recCount == 0 || uint64(recCount)*binRecordMin > uint64(payloadLen) {
 			s.fail(fmt.Errorf("trace: bin chunk at offset %d claims %d records in %d bytes", s.fileOff, recCount, payloadLen))
 			return false
 		}
 		chunkAt := s.fileOff
 		s.fileOff += binFrameLen + int64(payloadLen)
-		if s.skip >= int64(recCount) {
+		if s.tab != nil && s.skip >= int64(recCount) {
 			// The whole chunk precedes the window: discard the payload
-			// without buffering or checksumming it.
+			// without buffering or checksumming it. The table says which
+			// ordinals its records introduced.
 			if _, err := s.br.Discard(int(payloadLen)); err != nil {
 				s.fail(fmt.Errorf("trace: bin chunk at offset %d: %w", chunkAt, noEOF(err)))
 				return false
 			}
 			s.skip -= int64(recCount)
 			s.rec += int64(recCount)
+			s.nfiles, s.nusers = s.tab.before(s.rec)
 			continue
 		}
 		if cap(s.payload) < int(payloadLen) {
@@ -519,34 +859,43 @@ func (s *binSource) nextChunk() bool {
 			s.fail(fmt.Errorf("trace: bin chunk at offset %d: checksum mismatch (corrupt payload)", chunkAt))
 			return false
 		}
-		s.off = 0
+		s.off, s.ms = 0, 0
 		s.chunkAt = chunkAt
 		return true
 	}
 }
 
-// finish passes over the file table the stream ended at — checking its
-// CRC, not buffering it — then checks the trailer against the records
-// read and the table's offset.
+// finish reads the file table the stream ended at, then checks the
+// trailer against the records read and the table's offset. A reader that
+// read the table when it opened passes over it; one over a plain stream
+// checks it now, and holds each identity's first appearance to its entry.
+// Either way the records must have named every identity the table lists.
 func (s *binSource) finish() {
 	s.done = true
 	tableAt := s.fileOff
-	var frame [binFrameLen - 4]byte
-	if _, err := io.ReadFull(s.br, frame[:]); err != nil {
+	var raw [binTableFrameLen - 4]byte
+	if _, err := io.ReadFull(s.br, raw[:]); err != nil {
 		s.err = fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
 		return
 	}
-	h := crc32.NewIEEE()
-	entries := int64(binary.LittleEndian.Uint32(frame[0:4])) * binEntryLen
-	if _, err := io.CopyN(h, s.br, entries); err != nil {
-		s.err = fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
+	f := parseBinTableFrame(raw[:])
+	t := s.tab
+	if t != nil {
+		if _, err := s.br.Discard(int(f.size())); err != nil {
+			s.err = fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
+			return
+		}
+	} else if s.err = s.readTable(tableAt, f); s.err != nil {
+		return
+	} else {
+		t = s.tab
+	}
+	if s.nfiles != t.nfiles || s.nusers != t.nusers {
+		s.err = fmt.Errorf("trace: bin file table lists %d files and %d users, the records name %d and %d",
+			t.nfiles, t.nusers, s.nfiles, s.nusers)
 		return
 	}
-	if h.Sum32() != binary.LittleEndian.Uint32(frame[4:8]) {
-		s.err = fmt.Errorf("trace: bin file table at offset %d: checksum mismatch (corrupt table)", tableAt)
-		return
-	}
-	trailerAt := tableAt + binFrameLen + entries
+	trailerAt := tableAt + binTableFrameLen + f.size()
 	var trailer [binTrailerLen]byte
 	if _, err := io.ReadFull(s.br, trailer[:]); err != nil {
 		s.err = fmt.Errorf("trace: bin trailer at offset %d: %w", trailerAt, noEOF(err))
@@ -565,64 +914,223 @@ func (s *binSource) finish() {
 	}
 }
 
+// readTable reads, at stream end, the table a reader over a plain stream
+// had not seen, and holds every identity the records introduced to its
+// entry. A table that lists fewer identities than the records name fails
+// at the record that named the first ordinal past it.
+func (s *binSource) readTable(at int64, f binTableFrame) error {
+	for _, past := range []struct {
+		what        string
+		named, have int64
+		first       []binAt
+	}{
+		{"file", int64(s.nfiles), f.files, s.fileAt},
+		{"user", int64(s.nusers), f.users, s.userAt},
+	} {
+		if past.named > past.have {
+			a := past.first[past.have]
+			return fmt.Errorf("trace: bin record %d at offset %d: %s ordinal %d is past the file table's %d %ss",
+				a.rec, a.off, past.what, past.have, past.have, past.what)
+		}
+	}
+	if f.files != int64(s.nfiles) || f.users != int64(s.nusers) || f.urlBytes != s.urlBytes {
+		return fmt.Errorf("trace: bin file table at offset %d lists %d files, %d users and %d URL bytes; the records carry %d, %d and %d",
+			at, f.files, f.users, f.urlBytes, s.nfiles, s.nusers, s.urlBytes)
+	}
+	body := make([]byte, f.size()) // bounded by what the records carried
+	if _, err := io.ReadFull(s.br, body); err != nil {
+		return fmt.Errorf("trace: bin file table at offset %d: %w", at, noEOF(err))
+	}
+	t, err := newBinTable(at, s.rec, f, body)
+	if err != nil {
+		return err
+	}
+	var meta [binFileMetaLen]byte
+	for k, file := range s.files {
+		if err := t.checkFile(k, appendFileMeta(meta[:0], file), []byte(file.SourceURL), s.fileAt[k].rec); err != nil {
+			return s.fileAt[k].errorf("%w", err)
+		}
+	}
+	for k, user := range s.users {
+		if err := t.checkUser(k, appendUserMeta(meta[:0], user), s.userAt[k].rec); err != nil {
+			return s.userAt[k].errorf("%w", err)
+		}
+	}
+	s.tab = t
+	return nil
+}
+
+// errorf is an error at the record a names.
+func (a binAt) errorf(format string, args ...any) error {
+	return fmt.Errorf("trace: bin record %d at offset %d: %w", a.rec, a.off, fmt.Errorf(format, args...))
+}
+
+// varintFault says why binary.Uvarint or Varint returned n <= 0.
+func varintFault(n int) string {
+	if n == 0 {
+		return "truncated varint"
+	}
+	return "varint overflows 64 bits"
+}
+
 // decodeRecord decodes the record at s.off, advancing past it. Decoding is
-// allocation-free once the record's user and file identities are interned.
+// allocation-free once the record's user and file identities are built.
+// A record the window skips builds nothing when the table can stand in.
 func (s *binSource) decodeRecord() (workload.Request, error) {
 	p := s.payload[s.off:]
-	recOff := s.chunkAt + binFrameLen + int64(s.off)
-	if len(p) < binRecordFixed {
-		return workload.Request{}, fmt.Errorf("trace: bin record %d at offset %d: %d bytes left in chunk, want %d",
-			s.rec, recOff, len(p), binRecordFixed)
+	at := binAt{s.rec, s.chunkAt + binFrameLen + int64(s.off)}
+	dt, n := binary.Varint(p)
+	if n <= 0 {
+		return workload.Request{}, at.errorf("time: %s", varintFault(n))
 	}
-	urlLen := binary.LittleEndian.Uint32(p[56:60])
-	if uint64(urlLen) > uint64(len(p)-binRecordFixed) {
-		return workload.Request{}, fmt.Errorf("trace: bin record %d at offset %d: URL length %d exceeds %d bytes left in chunk",
-			s.rec, recOff, urlLen, len(p)-binRecordFixed)
+	build := s.skip == 0 || s.tab == nil
+	file, m, err := s.file(p[n:], at, build)
+	if err != nil {
+		return workload.Request{}, err
 	}
-	userID := int64(binary.LittleEndian.Uint64(p[0:8]))
-	timeMS := int64(binary.LittleEndian.Uint64(p[8:16]))
-	bw := math.Float64frombits(binary.LittleEndian.Uint64(p[16:24]))
-	size := int64(binary.LittleEndian.Uint64(p[24:32]))
-	weekly := binary.LittleEndian.Uint32(p[32:36])
-	isp, class, proto, flags := p[36], p[37], p[38], p[39]
-	if size < 0 {
-		return workload.Request{}, fmt.Errorf("trace: bin record %d at offset %d: negative size %d", s.rec, recOff, size)
+	n += m
+	user, m, err := s.user(p[n:], at, build)
+	if err != nil {
+		return workload.Request{}, err
 	}
-	if int(isp) >= workload.NumISPs {
-		return workload.Request{}, fmt.Errorf("trace: bin record %d at offset %d: unknown ISP %d", s.rec, recOff, isp)
-	}
-	if int(class) >= workload.NumFileClasses {
-		return workload.Request{}, fmt.Errorf("trace: bin record %d at offset %d: unknown file class %d", s.rec, recOff, class)
-	}
-	if int(proto) >= workload.NumProtocols {
-		return workload.Request{}, fmt.Errorf("trace: bin record %d at offset %d: unknown protocol %d", s.rec, recOff, proto)
-	}
-	s.off += binRecordFixed + int(urlLen)
-
-	user, ok := s.pool.users[int(userID)]
-	if !ok {
-		user = &workload.User{
-			ID: int(userID), ISP: workload.ISP(isp),
-			AccessBW: bw, ReportsBW: flags&binFlagReportsBW != 0,
-		}
-		s.pool.users[user.ID] = user
-	}
-	var id workload.FileID
-	copy(id[:], p[40:56])
-	file, ok := s.pool.files[id]
-	if !ok {
-		file = &workload.FileMeta{
-			ID: id, Size: size,
-			Class: workload.FileClass(class), Protocol: workload.Protocol(proto),
-			SourceURL:      string(p[binRecordFixed : binRecordFixed+int(urlLen)]),
-			WeeklyRequests: int(weekly),
-		}
-		s.pool.files[id] = file
-	}
+	s.off += n + m
+	s.ms += dt
 	return workload.Request{
 		User: user, File: file,
-		Time: time.Duration(timeMS) * time.Millisecond,
+		Time: time.Duration(s.ms) * time.Millisecond,
 	}, nil
+}
+
+// file decodes a record's file ordinal and, at the file's first
+// appearance, its metadata, returning the file and the bytes read.
+func (s *binSource) file(p []byte, at binAt, build bool) (*workload.FileMeta, int, error) {
+	o, n := binary.Uvarint(p)
+	switch {
+	case n <= 0:
+		return nil, 0, at.errorf("file ordinal: %s", varintFault(n))
+	case o < uint64(s.nfiles):
+		if !build {
+			return nil, n, nil
+		}
+		if f := s.files[o]; f != nil {
+			return f, n, nil
+		}
+		return s.tableFile(int(o)), n, nil
+	case o > uint64(s.nfiles):
+		return nil, 0, at.errorf("file ordinal %d is neither a file seen nor the next new one, %d", o, s.nfiles)
+	}
+	m := p[n:]
+	if len(m) < binFileMetaLen {
+		return nil, 0, at.errorf("%d bytes left in chunk for file %d's metadata, want %d", len(m), o, binFileMetaLen)
+	}
+	if err := checkFileMeta(m); err != nil {
+		return nil, 0, at.errorf("%w", err)
+	}
+	urlLen, k := binary.Uvarint(m[binFileMetaLen:])
+	if k <= 0 {
+		return nil, 0, at.errorf("URL length: %s", varintFault(k))
+	}
+	left := len(m) - binFileMetaLen - k
+	if urlLen > uint64(left) {
+		return nil, 0, at.errorf("URL length %d exceeds %d bytes left in chunk", urlLen, left)
+	}
+	url := m[binFileMetaLen+k : binFileMetaLen+k+int(urlLen)]
+	if s.tab != nil {
+		if err := s.tab.checkFile(s.nfiles, m[:binFileMetaLen], url, at.rec); err != nil {
+			return nil, 0, at.errorf("%w", err)
+		}
+	} else {
+		if s.nfiles >= binMaxOrdinals {
+			return nil, 0, at.errorf("more than %d distinct files", binMaxOrdinals)
+		}
+		s.fileAt = append(s.fileAt, at)
+		s.urlBytes += int64(urlLen)
+	}
+	s.nfiles++
+	n += binFileMetaLen + k + int(urlLen)
+	if !build {
+		return nil, n, nil
+	}
+	f := s.fileSlab.next()
+	fillFileMeta(f, m)
+	f.SourceURL = string(url)
+	f.Ord = int32(o + 1)
+	if s.tab != nil {
+		s.files[o] = f
+	} else {
+		s.files = append(s.files, f)
+	}
+	return f, n, nil
+}
+
+// user is file for a record's user.
+func (s *binSource) user(p []byte, at binAt, build bool) (*workload.User, int, error) {
+	o, n := binary.Uvarint(p)
+	switch {
+	case n <= 0:
+		return nil, 0, at.errorf("user ordinal: %s", varintFault(n))
+	case o < uint64(s.nusers):
+		if !build {
+			return nil, n, nil
+		}
+		if u := s.users[o]; u != nil {
+			return u, n, nil
+		}
+		return s.tableUser(int(o)), n, nil
+	case o > uint64(s.nusers):
+		return nil, 0, at.errorf("user ordinal %d is neither a user seen nor the next new one, %d", o, s.nusers)
+	}
+	m := p[n:]
+	if len(m) < binUserMetaLen {
+		return nil, 0, at.errorf("%d bytes left in chunk for user %d's metadata, want %d", len(m), o, binUserMetaLen)
+	}
+	m = m[:binUserMetaLen]
+	if err := checkUserMeta(m); err != nil {
+		return nil, 0, at.errorf("%w", err)
+	}
+	if s.tab != nil {
+		if err := s.tab.checkUser(s.nusers, m, at.rec); err != nil {
+			return nil, 0, at.errorf("%w", err)
+		}
+	} else {
+		if s.nusers >= binMaxOrdinals {
+			return nil, 0, at.errorf("more than %d distinct users", binMaxOrdinals)
+		}
+		s.userAt = append(s.userAt, at)
+	}
+	s.nusers++
+	n += binUserMetaLen
+	if !build {
+		return nil, n, nil
+	}
+	u := s.userSlab.next()
+	fillUserMeta(u, m)
+	u.Ord = int32(o + 1)
+	if s.tab != nil {
+		s.users[o] = u
+	} else {
+		s.users = append(s.users, u)
+	}
+	return u, n, nil
+}
+
+// tableFile and tableUser build identity k, first seen before the window,
+// from its file table entry.
+func (s *binSource) tableFile(k int) *workload.FileMeta {
+	f := s.fileSlab.next()
+	fillFileMeta(f, s.tab.fileEntry(k))
+	f.SourceURL = string(s.tab.url(k))
+	f.Ord = int32(k + 1)
+	s.files[k] = f
+	return f
+}
+
+func (s *binSource) tableUser(k int) *workload.User {
+	u := s.userSlab.next()
+	fillUserMeta(u, s.tab.userEntry(k))
+	u.Ord = int32(k + 1)
+	s.users[k] = u
+	return u
 }
 
 func (s *binSource) fail(err error) {
@@ -653,13 +1161,13 @@ func ReadWorkloadBin(r io.Reader) ([]workload.Request, error) {
 }
 
 // HashWorkload drains a request stream and returns the SHA-256 of the
-// canonical bin encoding of every record, plus the record count. Because
-// the encoding normalizes exactly what the trace formats preserve, equal
-// digests mean the streams are equivalent regardless of which format (or
-// generator) produced them — the primitive behind the paper-scale
-// experiment's cross-path identity checks. The caller's goroutine pulls
-// the records; they are encoded on GOMAXPROCS goroutines and hashed, in
-// order, on one more (see writeRecords).
+// canonical encoding of every record (appendBinRecord), plus the record
+// count. Because the encoding normalizes exactly what the trace formats
+// preserve, equal digests mean the streams are equivalent regardless of
+// which format (or generator) produced them — the primitive behind the
+// paper-scale experiment's cross-path identity checks. The caller's
+// goroutine pulls the records; they are encoded on GOMAXPROCS goroutines
+// and hashed, in order, on one more (see writeRecords).
 func HashWorkload(src workload.RequestSource) (string, int, error) {
 	h := sha256.New()
 	n, err := writeRecords(h, src, binRecordBytes, appendBinRecord)

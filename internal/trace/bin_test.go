@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -73,10 +74,13 @@ func checkLosslessRoundTrip(t *testing.T, reqs, back []workload.Request) {
 	}
 	for i := range reqs {
 		a, b := reqs[i], back[i]
-		if *a.User != *b.User {
+		// Ord says where a decoder met the identity; it is not trace data.
+		au, bu, af, bf := *a.User, *b.User, *a.File, *b.File
+		au.Ord, bu.Ord, af.Ord, bf.Ord = 0, 0, 0, 0
+		if au != bu {
 			t.Fatalf("record %d: user not lossless: %+v vs %+v", i, a.User, b.User)
 		}
-		if *a.File != *b.File {
+		if af != bf {
 			t.Fatalf("record %d: file not lossless:\n %+v\n %+v", i, a.File, b.File)
 		}
 		if a.Time != b.Time {
@@ -229,6 +233,81 @@ func TestBinWindow(t *testing.T) {
 	if _, err := StreamWorkloadBinWindow(bytes.NewReader(data), -1, 5); err == nil {
 		t.Fatal("negative offset accepted")
 	}
+
+	// Windows that start at a chunk boundary, just past one, and just
+	// before one: every record is the full stream's at its index, and the
+	// reader built only the identities the window names.
+	starts := chunkStarts(data)
+	if len(starts) < 4 {
+		t.Fatalf("the trace has %d chunks, want at least 4", len(starts))
+	}
+	var windows [][2]int64
+	for _, b := range starts[1:4] {
+		windows = append(windows, [2]int64{b, 50}, [2]int64{b + 7, 60}, [2]int64{b - 1, 2})
+	}
+	for _, w := range windows {
+		checkWindow(t, data, w[0], w[1])
+	}
+}
+
+// chunkStarts returns the index of the record each chunk of a bin trace
+// starts at.
+func chunkStarts(data []byte) []int64 {
+	var starts []int64
+	off, rec := binHeaderLen, int64(0)
+	for {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n == 0 {
+			return starts
+		}
+		starts = append(starts, rec)
+		rec += int64(binary.LittleEndian.Uint32(data[off+4:]))
+		off += binFrameLen + n
+	}
+}
+
+// checkWindow reads the window [offset, offset+limit) of a bin trace over
+// a seekable reader and requires each record to equal the full stream's
+// at the same index, field by field — SourceURL and Ord included — and
+// the reader to have built exactly the files and users the window names,
+// none first seen before it that it never names. It returns the window's
+// records.
+func checkWindow(t *testing.T, data []byte, offset, limit int64) []workload.Request {
+	t.Helper()
+	full, err := ReadWorkloadBin(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := StreamWorkloadBinWindow(bytes.NewReader(data), offset, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainChecked(t, src)
+	files, users := map[*workload.FileMeta]bool{}, map[*workload.User]bool{}
+	for k, r := range got {
+		w := full[offset+int64(k)]
+		if *r.User != *w.User || *r.File != *w.File || r.Time != w.Time {
+			t.Fatalf("window(%d,%d) record %d: %+v %+v %v, the full stream has %+v %+v %v",
+				offset, limit, k, *r.User, *r.File, r.Time, *w.User, *w.File, w.Time)
+		}
+		files[r.File], users[r.User] = true, true
+	}
+	s := &src.(*sizedBinSource).binSource
+	bf, bu := 0, 0
+	for _, f := range s.files {
+		if f != nil {
+			bf++
+		}
+	}
+	for _, u := range s.users {
+		if u != nil {
+			bu++
+		}
+	}
+	if bf != len(files) || bu != len(users) {
+		t.Fatalf("window(%d,%d) built %d files and %d users; it names %d and %d", offset, limit, bf, bu, len(files), len(users))
+	}
+	return got
 }
 
 // TestBinShardedWindowsCoverTrace: partitioning the record space into
@@ -245,11 +324,7 @@ func TestBinShardedWindowsCoverTrace(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		lo := int64(s) * int64(len(reqs)) / shards
 		hi := int64(s+1) * int64(len(reqs)) / shards
-		src, err := StreamWorkloadBinWindow(bytes.NewReader(buf.Bytes()), lo, hi-lo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, drainChecked(t, src)...)
+		all = append(all, checkWindow(t, buf.Bytes(), lo, hi-lo)...)
 	}
 	checkLosslessRoundTrip(t, reqs, all)
 }
@@ -332,46 +407,61 @@ func TestBinCorruptionTable(t *testing.T) {
 }
 
 // binTableDamage returns copies of data, a bin trace of at least three
-// files, with its file table damaged each way the census reader refuses,
-// and the text its error must carry. Past the first two, each copy
-// reseals the table's CRC, so the damage reaches the entry checks.
+// files and three users, with its file table damaged each way a reader
+// refuses, and the text its error must carry. Past the first two, each
+// copy reseals the table's CRC, so the damage reaches the entry checks.
 func binTableDamage(data []byte) []struct {
 	name, want string
 	data       []byte
 } {
 	at := int(binary.LittleEndian.Uint64(data[len(data)-binTrailerLen+8:]))
-	entries := at + binFrameLen
-	damage := func(mutate func(entries []byte)) []byte {
+	f := parseBinTableFrame(data[at+4:])
+	body := at + binTableFrameLen
+	files := body + int(f.users)*binUserEntryLen + int(f.urlBytes)
+	damage := func(mutate func(users, files []byte)) []byte {
 		out := append([]byte(nil), data...)
-		e := out[entries : len(out)-binTrailerLen]
-		mutate(e)
-		binary.LittleEndian.PutUint32(out[at+8:], crc32.ChecksumIEEE(e))
+		b := out[body : len(out)-binTrailerLen]
+		mutate(b[:files-body-int(f.urlBytes)], b[files-body:])
+		binary.LittleEndian.PutUint32(out[at+16:], crc32.ChecksumIEEE(b))
 		return out
 	}
 	records := binary.LittleEndian.Uint64(data[len(data)-binTrailerLen:])
-	first := func(k int, v uint64) func([]byte) {
-		return func(e []byte) { binary.LittleEndian.PutUint64(e[k*binEntryLen+30:], v) }
+	fileFirst := func(k int, v uint64) func(_, _ []byte) {
+		return func(_, e []byte) { binary.LittleEndian.PutUint64(e[k*binFileEntryLen+binFileMetaLen:], v) }
 	}
+	userFirst := func(k int, v uint64) func(_, _ []byte) {
+		return func(e, _ []byte) { binary.LittleEndian.PutUint64(e[k*binUserEntryLen+binUserMetaLen:], v) }
+	}
+	file1 := binFileEntryLen // file 1's entry
 	return []struct {
 		name, want string
 		data       []byte
 	}{
-		{"truncated", "not whole", append(append([]byte(nil), data[:entries+5]...), data[entries+6:]...)},
-		{"checksum", "checksum mismatch", corrupt(data, entries+binEntryLen+3)},
-		{"first not ascending", "not after file 1", damage(func(e []byte) {
-			copy(e[2*binEntryLen+30:], e[binEntryLen+30:binEntryLen+38])
+		{"truncated", "its frame declares", append(append([]byte(nil), data[:files+5]...), data[files+6:]...)},
+		{"checksum", "checksum mismatch", corrupt(data, files+file1+3)},
+		{"first not ascending", "not after file 1", damage(func(_, e []byte) {
+			copy(e[2*binFileEntryLen+binFileMetaLen:], e[file1+binFileMetaLen:file1+binFileMetaLen+8])
 		})},
-		{"first out of range", "outside the trace", damage(first(2, records))},
-		{"unknown class", "unknown file class", damage(func(e []byte) { e[binEntryLen+28] = byte(workload.NumFileClasses) })},
-		{"unknown protocol", "unknown protocol", damage(func(e []byte) { e[binEntryLen+29] = byte(workload.NumProtocols) })},
-		{"negative size", "negative size", damage(func(e []byte) { e[binEntryLen+23] = 0x80 })},
+		{"first out of range", "outside the trace", damage(fileFirst(2, records))},
+		{"unknown class", "unknown file class", damage(func(_, e []byte) { e[file1+28] = byte(workload.NumFileClasses) })},
+		{"unknown protocol", "unknown protocol", damage(func(_, e []byte) { e[file1+29] = byte(workload.NumProtocols) })},
+		{"negative size", "negative size", damage(func(_, e []byte) { e[file1+23] = 0x80 })},
+		{"URL end out of range", "URL ends at byte", damage(func(_, e []byte) {
+			binary.LittleEndian.PutUint32(e[file1+binFileMetaLen+8:], uint32(f.urlBytes)+1)
+		})},
+		{"user first not ascending", "not after user 1", damage(func(e, _ []byte) {
+			copy(e[2*binUserEntryLen+binUserMetaLen:], e[binUserEntryLen+binUserMetaLen:2*binUserEntryLen])
+		})},
+		{"user first out of range", "outside the trace", damage(userFirst(2, records))},
+		{"unknown ISP", "unknown ISP", damage(func(e, _ []byte) { e[binUserEntryLen+16] = byte(workload.NumISPs) })},
 	}
 }
 
 // TestBinTableDamage: every damaged file table is an error naming it,
-// never a panic, and a v1 trace — one with no table — is refused by the
-// version check. (TestCensusMatchesWorkloadCensus in internal/distrib
-// pins what an intact table holds.)
+// never a panic, and a trace of an earlier version — one whose records
+// carry every identity inline — is refused by the version check.
+// (TestCensusMatchesWorkloadCensus in internal/distrib pins what an
+// intact table holds.)
 func TestBinTableDamage(t *testing.T) {
 	data := binBytes(t, sampleRequests(t, 60))
 	if _, err := readBinCensus(bytes.NewReader(data)); err != nil {
@@ -383,11 +473,155 @@ func TestBinTableDamage(t *testing.T) {
 			t.Errorf("%s: %v, want an error naming the file table and %q", tc.name, err, tc.want)
 		}
 	}
-	v1 := append([]byte(nil), data...)
-	v1[4] = 1
-	if _, err := readBinCensus(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported bin version 1") {
-		t.Fatalf("a v1 trace: %v, want the version refused", err)
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), data...)
+		old[4] = v
+		if _, err := readBinCensus(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported bin version %d", v)) {
+			t.Fatalf("a version %d trace: %v, want the version refused", v, err)
+		}
 	}
+}
+
+// binPerRecord encodes reqs one record per chunk, so a record is its
+// chunk's whole payload, and returns the trace and each record's byte
+// offset. edit, when non-nil, may replace record i's bytes; table, when
+// non-nil, may rewrite the file table's frame and sections. The frames,
+// the table's CRC and the trailer are sealed over what they return.
+func binPerRecord(tb testing.TB, reqs []workload.Request,
+	edit func(i int, rec []byte) []byte,
+	table func(f *binTableFrame, users, urls, files []byte) ([]byte, []byte, []byte),
+) ([]byte, []int64) {
+	tb.Helper()
+	enc := binEncoder{files: make(map[workload.FileID]uint32), users: make(map[int]uint32)}
+	out := binary.LittleEndian.AppendUint16([]byte(binMagic), binVersion)
+	out = binary.LittleEndian.AppendUint16(out, 0)
+	at := make([]int64, len(reqs))
+	for i, r := range reqs {
+		file, newFile, user, newUser, err := enc.ordinals(r, uint64(i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec := appendRecord(nil, r, 0, file, newFile, user, newUser)
+		if edit != nil {
+			rec = edit(i, rec)
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(rec)))
+		out = binary.LittleEndian.AppendUint32(out, 1)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(rec))
+		at[i] = int64(len(out))
+		out = append(out, rec...)
+	}
+	f := binTableFrame{files: int64(len(enc.files)), users: int64(len(enc.users)), urlBytes: int64(enc.urls.n)}
+	flat := func(b *blocks) []byte { return bytes.Join(b.chunks(), nil) }
+	users, urls, files := flat(&enc.userTab), flat(&enc.urls), flat(&enc.fileTab)
+	if table != nil {
+		users, urls, files = table(&f, users, urls, files)
+	}
+	body := append(append(append([]byte(nil), users...), urls...), files...)
+	tableAt := uint64(len(out))
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	for _, v := range []int64{f.files, f.users, f.urlBytes} {
+		out = binary.LittleEndian.AppendUint32(out, uint32(v))
+	}
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	out = append(out, body...)
+	trailer := binary.LittleEndian.AppendUint64(nil, uint64(len(reqs)))
+	trailer = binary.LittleEndian.AppendUint64(trailer, tableAt)
+	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.ChecksumIEEE(trailer))
+	return append(out, trailer...), at
+}
+
+// binOrdinalCase is a trace damaged on the ordinal path, and the record
+// its error must name.
+type binOrdinalCase struct {
+	name, want string
+	data       []byte
+	rec        int
+	off        int64
+}
+
+// binOrdinalDamage returns traces of reqs — at least four records, each
+// naming a new file and a new user, as edgeRequests' do — damaged on the
+// ordinal path each way a reader refuses.
+func binOrdinalDamage(tb testing.TB, reqs []workload.Request) []binOrdinalCase {
+	tb.Helper()
+	// record returns the trace with record i's bytes replaced by fn's.
+	record := func(i int, fn func(r workload.Request) []byte) []byte {
+		data, _ := binPerRecord(tb, reqs, func(k int, rec []byte) []byte {
+			if k != i {
+				return rec
+			}
+			return fn(reqs[k])
+		}, nil)
+		return data
+	}
+	_, at := binPerRecord(tb, reqs, nil, nil)
+	dropLastFile := func(f *binTableFrame, users, urls, files []byte) ([]byte, []byte, []byte) {
+		last := reqs[len(reqs)-1].File
+		f.files--
+		f.urlBytes -= int64(len(last.SourceURL))
+		return users, urls[:len(urls)-len(last.SourceURL)], files[:len(files)-binFileEntryLen]
+	}
+	entry := func(fn func(users, files []byte)) func(*binTableFrame, []byte, []byte, []byte) ([]byte, []byte, []byte) {
+		return func(_ *binTableFrame, users, urls, files []byte) ([]byte, []byte, []byte) {
+			users, files = append([]byte(nil), users...), append([]byte(nil), files...)
+			fn(users, files)
+			return users, urls, files
+		}
+	}
+	disagree := func(fn func(users, files []byte)) []byte {
+		data, _ := binPerRecord(tb, reqs, nil, entry(fn))
+		return data
+	}
+	last := len(reqs) - 1
+	pastTable, _ := binPerRecord(tb, reqs, nil, dropLastFile)
+	return []binOrdinalCase{
+		{"file ordinal not yet seen", "file ordinal 4 is neither a file seen nor the next new one, 2",
+			record(2, func(r workload.Request) []byte { return appendRecord(nil, r, 0, 4, false, 2, true) }), 2, at[2]},
+		{"user ordinal not yet seen", "user ordinal 3 is neither a user seen nor the next new one, 1",
+			record(1, func(r workload.Request) []byte { return appendRecord(nil, r, 0, 1, true, 3, false) }), 1, at[1]},
+		{"file ordinal past the table", "file ordinal 5 is past the file table's 5 files", pastTable, last, at[last]},
+		{"truncated file ordinal", "file ordinal: truncated varint",
+			record(3, func(r workload.Request) []byte {
+				return append(binary.AppendVarint(nil, r.Time.Milliseconds()), 0x80, 0x80)
+			}), 3, at[3]},
+		{"truncated user ordinal", "user ordinal: truncated varint",
+			record(3, func(r workload.Request) []byte {
+				rec := appendRecord(nil, r, 0, 3, true, 3, true)
+				return append(rec[:len(rec)-binUserMetaLen-1], 0xff)
+			}), 3, at[3]},
+		{"file entry disagrees", "file 2 disagrees with its file table entry",
+			disagree(func(_, files []byte) { files[2*binFileEntryLen+16]++ }), 2, at[2]},
+		{"user entry disagrees", "user 1 disagrees with its file table entry",
+			disagree(func(users, _ []byte) { users[binUserEntryLen+8] ^= 1 }), 1, at[1]},
+	}
+}
+
+// TestBinOrdinalDamage: a record that names an ordinal not yet seen or
+// past the table, a truncated varint, and a table entry that disagrees
+// with its identity's first appearance are each an error naming the
+// record and its byte offset — over a file, which holds each first
+// appearance to the table as it meets it, and over a plain stream, which
+// checks the table at its end.
+func TestBinOrdinalDamage(t *testing.T) {
+	for _, tc := range binOrdinalDamage(t, edgeRequests()) {
+		for _, r := range []io.Reader{bytes.NewReader(tc.data), unseekable{bytes.NewReader(tc.data)}} {
+			src, err := StreamWorkloadBin(r)
+			if err == nil {
+				_, err = workload.Collect(src)
+			}
+			where := fmt.Sprintf("bin record %d at offset %d", tc.rec, tc.off)
+			if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (%T): %v, want an error naming %q and %q", tc.name, r, err, where, tc.want)
+			}
+		}
+	}
+	data, _ := binPerRecord(t, edgeRequests(), nil, nil)
+	back, err := ReadWorkloadBin(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLosslessRoundTrip(t, edgeRequests(), back)
 }
 
 // TestBinRecordErrorsNameOffset damages a record's payload in a way that
@@ -397,10 +631,14 @@ func TestBinRecordErrorsNameOffset(t *testing.T) {
 	reqs := sampleRequests(t, 10)
 	data := binBytes(t, reqs)
 	payloadLen := int(binary.LittleEndian.Uint32(data[8:12]))
-	// Sabotage record 0's ISP byte (payload offset 36), then recompute the
-	// chunk CRC so the damage reaches the decoder.
+	// Sabotage record 0's ISP byte — past its time, its file's ordinal,
+	// metadata and URL, and its user's ordinal and ID and bandwidth — then
+	// recompute the chunk CRC so the damage reaches the decoder.
+	r := reqs[0]
+	isp := 20 + len(binary.AppendVarint(nil, r.Time.Milliseconds())) + 1 + binFileMetaLen +
+		len(binary.AppendUvarint(nil, uint64(len(r.File.SourceURL)))) + len(r.File.SourceURL) + 1 + 16
 	out := append([]byte(nil), data...)
-	out[20+36] = 0xee
+	out[isp] = 0xee
 	binary.LittleEndian.PutUint32(out[16:20], crc32.ChecksumIEEE(out[20:20+payloadLen]))
 	src, err := StreamWorkloadBin(unseekable{bytes.NewReader(out)})
 	if err != nil {

@@ -77,13 +77,17 @@ func FuzzJSONLDecode(f *testing.F) {
 
 // FuzzBinDecode: the record readers and the census reader hold for any
 // bytes. Past the shared seeds, one seed per way the file table can be
-// damaged (binTableDamage).
+// damaged (binTableDamage), then one per way a record's ordinals can be
+// (binOrdinalDamage).
 func FuzzBinDecode(f *testing.F) {
 	seeds := fuzzSeeds(f, "bin")
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	for _, tc := range binTableDamage(seeds[0]) {
+		f.Add(tc.data)
+	}
+	for _, tc := range binOrdinalDamage(f, edgeRequests()) {
 		f.Add(tc.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

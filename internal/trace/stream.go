@@ -392,7 +392,8 @@ const (
 	// enough that the batches in flight stay small.
 	recordBatch = 512
 	// csvRowBytes and binRecordBytes size the batch buffers: a generated
-	// record's CSV row is ~160 bytes and its bin record ~120.
+	// record's CSV row is ~160 bytes and its canonical bin record (what
+	// HashWorkload hashes) ~120.
 	csvRowBytes    = 192
 	binRecordBytes = 128
 )

@@ -254,6 +254,14 @@ func TestWritersRefuseUnreadableRecords(t *testing.T) {
 		}
 		return buf.Len()
 	}
+	// binBase is the bytes of record 1's bin record beyond a URL near the
+	// limit: the record opens a chunk of its own (it cannot fit beside
+	// record 0) and names a new file and a new user.
+	binBase := func() int {
+		r := edgeRequests()[1]
+		r.File.SourceURL = strings.Repeat("x", binMaxChunk-100)
+		return len(appendRecord(nil, r, 0, 1, true, 1, true)) - len(r.File.SourceURL)
+	}
 	cases := []struct {
 		format  string
 		limit   int
@@ -261,8 +269,8 @@ func TestWritersRefuseUnreadableRecords(t *testing.T) {
 		overBy  int
 		wantErr string
 	}{
-		{"bin", binMaxChunk, binMaxChunk - binRecordFixed, 0, ""},
-		{"bin", binMaxChunk, binMaxChunk - binRecordFixed, 1, fmt.Sprintf("bin record 1 is %d bytes, beyond the %d-byte", binMaxChunk+1, binMaxChunk)},
+		{"bin", binMaxChunk, binMaxChunk - binBase(), 0, ""},
+		{"bin", binMaxChunk, binMaxChunk - binBase(), 1, fmt.Sprintf("bin record 1 is %d bytes, beyond the %d-byte", binMaxChunk+1, binMaxChunk)},
 		{"jsonl", jsonlMaxLine, jsonlMaxLine - jsonlBase(), 0, ""},
 		{"jsonl", jsonlMaxLine, jsonlMaxLine - jsonlBase(), 1, fmt.Sprintf("jsonl record 1 is a %d-byte line, beyond the %d bytes", jsonlMaxLine+1, jsonlMaxLine)},
 	}

@@ -230,6 +230,11 @@ type FileMeta struct {
 	// WeeklyRequests is the number of offline-downloading requests issued
 	// for this file during the trace week (its popularity).
 	WeeklyRequests int
+	// Ord is the file's first-appearance ordinal in the bin trace it was
+	// decoded from, plus one: 0 for a file that came from anywhere else.
+	// A replay's backend.Population checks it against its census and then
+	// takes it in place of a map lookup.
+	Ord int32
 }
 
 // Band returns the file's popularity band.
@@ -246,6 +251,9 @@ type User struct {
 	// bandwidth (some Xuanfeng users do not; the paper approximates those
 	// from peak fetching speed).
 	ReportsBW bool
+	// Ord is the user's first-appearance ordinal in the bin trace it was
+	// decoded from, plus one, as FileMeta.Ord is the file's.
+	Ord int32
 }
 
 // Request is one offline-downloading request from the workload trace.
