@@ -70,8 +70,9 @@ paperscale:
 # end at ~200k tasks: generate a bin trace, run a 3-worker coordinated
 # replay under the prewarm policy on a pool small enough to evict (so a
 # dynamic pool, ghost ring and all, crosses a process boundary in every
-# state file) that crashes one worker mid-window and halts after two
-# checkpointed windows (exit code 3), tear one of the checkpointed
+# state file) that crashes one worker mid-window — its process must be
+# replaced by a fresh one, which the "worker processes:" summary counts as
+# a respawn — and halts after two checkpointed windows (exit code 3), tear one of the checkpointed
 # partials and one of the window state files in half as a crash mid-write
 # would, then rerun the same command to resume from the manifest with
 # -verify — the torn partial must be detected and its window recomputed,
@@ -106,6 +107,8 @@ distributed-smoke:
 		-workers 3 -crash-window 1 -halt-after 2 >"$$dir/run1.log" 2>&1; \
 	rc="$$?"; cat "$$dir/run1.log"; \
 	[ "$$rc" -eq 3 ] || { echo "distributed-smoke: first run exited $$rc, want 3 (halted)"; exit 1; }; \
+	grep -Eq '^worker processes: +[0-9]+ spawned, [0-9]+ windows, [1-9][0-9]* respawned$$' "$$dir/run1.log" || \
+		{ echo "distributed-smoke: the crashed worker process was not replaced by a fresh one"; exit 1; }; \
 	for pattern in '*.odrp' 'state-*.odrs'; do \
 		torn="$$(ls "$$dir"/ckpt/$$pattern | head -n 1)"; \
 		[ -n "$$torn" ] || { echo "distributed-smoke: halted run left no $$pattern file to tear"; exit 1; }; \

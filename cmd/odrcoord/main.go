@@ -1,6 +1,6 @@
 // Command odrcoord is the multi-process replay coordinator: it splits a
-// bin trace into contiguous record windows, replays each window in a
-// supervised worker process (re-execing itself with -worker), checkpoints
+// bin trace into contiguous record windows, replays them in supervised
+// worker processes (re-execing itself with -worker), checkpoints
 // per-window completion into a JSON manifest, and merges the partial
 // results into one report whose digest is byte-identical to a
 // single-process full-stream replay.
@@ -24,7 +24,9 @@
 // the census the trace's own file table declares; a trace whose table is
 // damaged fails the run, naming the table, before any worker starts. The
 // run summary gives each window's worker time and the coordinator's own
-// stages — trace hash, state pass, merge plus digest — in ms; the merged
+// stages — trace hash, state pass, merge plus digest — in ms, and a
+// "worker processes:" line counts the processes spawned, the windows they
+// finished and the respawns that replaced a failed one; the merged
 // digest is hashed as it streams and never built as one string. With
 // -pprof a net/http/pprof server runs in the coordinator process for the
 // lifetime of the run.
@@ -44,17 +46,24 @@
 //
 // Worker mode (normally only invoked by the coordinator itself):
 //
-//	odrcoord -worker < request.json
+//	odrcoord -worker < requests.json
 //
-// reads one distrib.WorkerRequest as JSON on stdin (unknown fields and
-// trailing data are errors), replays its window, writes the
-// partial-result file, and emits "hb N" heartbeat lines and a final
-// "done OFF,LIM" line on stdout for the supervisor.
+// reads a stream of distrib.WorkerRequest JSON objects on stdin (an
+// unknown field or a malformed object is an error) and serves them in
+// order until stdin closes: per request it replays the window, writes
+// the partial-result file, and emits "hb N" heartbeat lines and a final
+// "done OFF,LIM" line on stdout for the supervisor. The process opens the
+// trace once, at its first request, and keeps the checked file table and
+// the census for the rest, so every later request must name the same
+// trace path and SHA-256; one that does not is refused, naming the field.
+// A stream of one request is a one-shot worker. The coordinator keeps at
+// most -workers such processes, each serving window after window; one
+// that fails, crashes, stalls or is canceled is killed and replaced by a
+// fresh one, and every process is reaped before odrcoord exits.
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -65,6 +74,9 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"runtime"
+	"strings"
+	"sync"
 	"time"
 
 	"odr/internal/distrib"
@@ -192,13 +204,14 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	if err != nil {
 		return err
 	}
+	runner := &execRunner{bin: bin}
 	co, err := distrib.New(distrib.Config{
 		TracePath:        tracePath,
 		Workers:          workers,
 		Windows:          windows,
 		CheckpointDir:    checkpoint,
 		Spec:             spec,
-		Runner:           execRunner{bin: bin},
+		Runner:           runner,
 		HeartbeatTimeout: heartbeat,
 		MaxAttempts:      attempts,
 		HaltAfter:        haltAfter,
@@ -212,6 +225,10 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	}
 	start := time.Now()
 	merged, err := co.Run(context.Background())
+	if cerr := runner.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("worker processes: %w", cerr)
+	}
+	fmt.Printf("worker processes:   %v\n", runner.Stats())
 	if errors.Is(err, distrib.ErrHalted) {
 		fmt.Printf("halted: checkpoint saved in %s; rerun the same command to resume\n", checkpoint)
 	}
@@ -283,31 +300,18 @@ func digestSum(write func(io.Writer) error) ([sha256.Size]byte, error) {
 // millis renders a duration in milliseconds.
 func millis(d time.Duration) float64 { return d.Seconds() * 1000 }
 
-// decodeRequest reads the one WorkerRequest a worker runs. Decoding is
-// strict — an unknown field or anything after the object is an error — so
-// a coordinator and a worker built from different sources fail loudly
-// instead of replaying under a spec neither asked for.
-func decodeRequest(r io.Reader) (distrib.WorkerRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req distrib.WorkerRequest
-	if err := dec.Decode(&req); err != nil {
-		return distrib.WorkerRequest{}, fmt.Errorf("request on stdin: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return distrib.WorkerRequest{}, errors.New("request on stdin: trailing data after the JSON object")
-	}
-	return req, nil
-}
-
-// runWorker is -worker mode: decode the request from in, replay its
-// window, write the partial, and emit throttled "hb N" heartbeat lines
-// and a final "done OFF,LIM" line on stdout for the supervisor.
+// runWorker is -worker mode: a stream of WorkerRequest JSON objects on
+// in, served in order until in closes. The first request opens the trace
+// (distrib.OpenWorker) and every later one replays against that handle,
+// so it must name the same trace path and SHA-256. Per request it writes
+// the partial, throttled "hb N" heartbeat lines, and a final
+// "done OFF,LIM" line on stdout for the supervisor. Decoding is strict —
+// an unknown field or a malformed object is an error — so a coordinator
+// and a worker built from different sources fail loudly instead of
+// replaying under a spec neither asked for. The first error ends the
+// stream; closing in before any request is an error too.
 func runWorker(ctx context.Context, in io.Reader, stdout io.Writer) error {
-	req, err := decodeRequest(in)
-	if err != nil {
-		return err
-	}
+	reqs := newRequestStream(in)
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 	var last time.Time
@@ -318,54 +322,264 @@ func runWorker(ctx context.Context, in io.Reader, stdout io.Writer) error {
 			out.Flush()
 		}
 	}
-	if err := distrib.RunWorker(ctx, req, beat); err != nil {
-		return err
+	var w *distrib.Worker
+	defer func() {
+		if w != nil {
+			w.Close()
+		}
+	}()
+	for {
+		req, err := reqs.next()
+		switch {
+		case err == io.EOF && w != nil:
+			return nil
+		case err == io.EOF:
+			return errors.New("no request on stdin")
+		case err != nil:
+			return err
+		}
+		if w == nil {
+			if w, err = distrib.OpenWorker(req); err != nil {
+				return err
+			}
+		}
+		last = time.Time{} // a window's first beat is never throttled
+		if err := w.Run(ctx, req, beat); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "done %d,%d\n", req.Window.Offset, req.Window.Limit)
+		if err := out.Flush(); err != nil {
+			return err
+		}
+		// Collect the window's garbage while the process waits for its
+		// next request, so the next window's heap grows from what the
+		// process holds between windows — the trace handle — as a fresh
+		// process's would, not on top of this window's.
+		runtime.GC()
 	}
-	fmt.Fprintf(out, "done %d,%d\n", req.Window.Offset, req.Window.Limit)
-	return nil
 }
 
-// execRunner runs each window as a subprocess of this same binary in
-// -worker mode, handing it the request as JSON on stdin and forwarding
-// its "hb N" stdout lines as heartbeats. A canceled context kills the
-// process.
+// encodeRequest is one request as execRunner sends it: a line of JSON.
+func encodeRequest(req distrib.WorkerRequest) ([]byte, error) {
+	body, err := json.Marshal(req)
+	return append(body, '\n'), err
+}
+
+// requestStream is the worker's strict decoder of its request stream.
+type requestStream struct {
+	dec *json.Decoder
+	n   int // requests decoded
+}
+
+func newRequestStream(in io.Reader) *requestStream {
+	dec := json.NewDecoder(in)
+	dec.DisallowUnknownFields()
+	return &requestStream{dec: dec}
+}
+
+// next decodes the next request. It returns io.EOF, bare, when the stream
+// ends between requests.
+func (s *requestStream) next() (distrib.WorkerRequest, error) {
+	var req distrib.WorkerRequest
+	if err := s.dec.Decode(&req); err == io.EOF {
+		return req, err
+	} else if err != nil {
+		return req, fmt.Errorf("request %d on stdin: %w", s.n+1, err)
+	}
+	s.n++
+	return req, nil
+}
+
+// execRunner runs windows in worker processes: this same binary re-exec'ed
+// in -worker mode. A process serves one window at a time, reading each
+// request as a line of JSON on its stdin, and outlives its window: a Run
+// takes an idle process when there is one and spawns one otherwise, so a
+// run keeps at most as many processes as it runs windows at once — the
+// coordinator's Workers — each opening the trace once. Run forwards the
+// process's "hb N" lines as heartbeats and requires its "done OFF,LIM"
+// line to name the window it sent. On any error, crash, cancellation or
+// heartbeat stall the process is killed and reaped, never reused, so a
+// retry starts in a fresh one. Close ends the idle processes by closing
+// their stdin and reaps them; every process is reaped before Close
+// returns.
 type execRunner struct {
 	bin string
+
+	mu     sync.Mutex
+	idle   []*workerProc
+	closed bool
+	stats  procStats
 }
 
-// command builds the worker process for one request.
-func (r execRunner) command(ctx context.Context, req distrib.WorkerRequest) (*exec.Cmd, error) {
-	body, err := json.Marshal(req)
+// procStats counts what a runner's processes did.
+type procStats struct {
+	// Spawned counts processes started; Respawned, those of them started
+	// to replace a discarded one. Reaped counts processes waited for.
+	Spawned, Respawned, Reaped int
+	// Windows counts the windows processes finished (a "done" line).
+	Windows int
+	// discarded counts processes killed, not yet replaced.
+	discarded int
+}
+
+// String is odrcoord's summary of its worker processes.
+func (s procStats) String() string {
+	return fmt.Sprintf("%d spawned, %d windows, %d respawned", s.Spawned, s.Windows, s.Respawned)
+}
+
+// workerProc is one live worker process and the ends of its pipes.
+type workerProc struct {
+	cmd   *exec.Cmd
+	stdin io.WriteCloser
+	out   *bufio.Scanner
+}
+
+// Stats returns the runner's counts so far.
+func (r *execRunner) Stats() procStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stats
+}
+
+// take returns an idle process, or starts one.
+func (r *execRunner) take() (*workerProc, error) {
+	r.mu.Lock()
+	closed, n := r.closed, len(r.idle)
+	var p *workerProc
+	if !closed && n > 0 {
+		p, r.idle = r.idle[n-1], r.idle[:n-1]
+	}
+	r.mu.Unlock()
+	switch {
+	case closed:
+		return nil, errors.New("worker processes: runner closed")
+	case p != nil:
+		return p, nil
+	}
+	cmd := exec.Command(r.bin, "-worker")
+	cmd.Stderr = os.Stderr
+	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.CommandContext(ctx, r.bin, "-worker")
-	cmd.Stdin = bytes.NewReader(body)
-	cmd.Stderr = os.Stderr
-	return cmd, nil
-}
-
-func (r execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat func(records int64)) error {
-	cmd, err := r.command(ctx, req)
-	if err != nil {
-		return err
-	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return err
+		stdin.Close()
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.stats.Spawned++
+	if r.stats.discarded > 0 {
+		r.stats.discarded--
+		r.stats.Respawned++
+	}
+	r.mu.Unlock()
+	return &workerProc{cmd: cmd, stdin: stdin, out: bufio.NewScanner(stdout)}, nil
+}
+
+// discard kills p and reaps it, returning how it ended.
+func (r *execRunner) discard(p *workerProc) error {
+	p.cmd.Process.Kill()
+	p.stdin.Close()
+	err := p.cmd.Wait()
+	r.mu.Lock()
+	r.stats.Reaped++
+	r.stats.discarded++
+	r.mu.Unlock()
+	return err
+}
+
+// Run implements distrib.Runner.
+func (r *execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat func(records int64)) error {
+	line, err := encodeRequest(req)
+	if err != nil {
 		return err
 	}
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		var n int64
-		if _, err := fmt.Sscanf(sc.Text(), "hb %d", &n); err == nil {
-			beat(n)
-		}
+	p, err := r.take()
+	if err != nil {
+		return err
 	}
-	if err := cmd.Wait(); err != nil {
+	// A canceled context kills the process, which ends the read below.
+	stop := context.AfterFunc(ctx, func() { p.cmd.Process.Kill() })
+	err = p.serve(line, req.Window, beat)
+	if !stop() {
+		err = ctx.Err()
+	}
+	if err != nil {
+		if werr := r.discard(p); errors.Is(err, errExited) && werr != nil {
+			err = fmt.Errorf("%w: %w", err, werr) // the exit status
+		}
 		return fmt.Errorf("worker process (window %v): %w", req.Window, err)
 	}
+	r.mu.Lock()
+	r.stats.Windows++
+	if !r.closed {
+		r.idle = append(r.idle, p)
+		p = nil
+	}
+	r.mu.Unlock()
+	if p != nil {
+		r.retire(p)
+	}
 	return nil
+}
+
+// errExited reports a worker process whose pipes closed before it
+// finished its window: it crashed, failed, or was killed.
+var errExited = errors.New("process exited without finishing its window")
+
+// serve sends one request and reads p's stdout up to the "done" line,
+// forwarding heartbeats.
+func (p *workerProc) serve(line []byte, win distrib.Window, beat func(records int64)) error {
+	if _, err := p.stdin.Write(line); err != nil {
+		return fmt.Errorf("%w (%v)", errExited, err)
+	}
+	want := fmt.Sprintf("done %d,%d", win.Offset, win.Limit)
+	for p.out.Scan() {
+		text := p.out.Text()
+		var n int64
+		if _, err := fmt.Sscanf(text, "hb %d", &n); err == nil {
+			beat(n)
+			continue
+		}
+		if strings.HasPrefix(text, "done ") {
+			if text != want {
+				return fmt.Errorf("process answered %q to the request for %q", text, want)
+			}
+			return nil
+		}
+	}
+	if err := p.out.Err(); err != nil {
+		return fmt.Errorf("%w (%v)", errExited, err)
+	}
+	return errExited
+}
+
+// retire ends an idle process by closing its stdin and reaps it.
+func (r *execRunner) retire(p *workerProc) error {
+	p.stdin.Close()
+	err := p.cmd.Wait()
+	r.mu.Lock()
+	r.stats.Reaped++
+	r.mu.Unlock()
+	return err
+}
+
+// Close ends every idle process and reaps it. Runs still in flight reap
+// their own; a Run after Close fails.
+func (r *execRunner) Close() error {
+	r.mu.Lock()
+	idle := r.idle
+	r.idle, r.closed = nil, true
+	r.mu.Unlock()
+	var errs []error
+	for _, p := range idle {
+		if err := r.retire(p); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,9 +27,20 @@ import (
 // a real worker process, exactly as the built command re-execs itself.
 const asCommand = "ODRCOORD_TEST_AS_COMMAND"
 
+// asWrongWorker, set in a test binary's environment, makes the binary a
+// worker that answers every request with a "done" line for another
+// window.
+const asWrongWorker = "ODRCOORD_TEST_AS_WRONG_WORKER"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(asCommand) == "1" {
 		main()
+		os.Exit(0)
+	}
+	if os.Getenv(asWrongWorker) == "1" {
+		for sc := bufio.NewScanner(os.Stdin); sc.Scan(); {
+			fmt.Println("hb 1\ndone 7,7")
+		}
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
@@ -35,7 +50,13 @@ func TestMain(m *testing.M) {
 // count.
 func writeTrace(t *testing.T) (string, int64) {
 	t.Helper()
-	st, err := workload.GenerateStream(workload.DefaultConfig(300, 9), 0)
+	return writeTraceOf(t, 300)
+}
+
+// writeTraceOf writes the bin trace of a population of files.
+func writeTraceOf(t *testing.T, files int) (string, int64) {
+	t.Helper()
+	st, err := workload.GenerateStream(workload.DefaultConfig(files, 9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +111,12 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestWorkerProtocol: the worker decodes exactly the request execRunner
-// encodes, every field included, and rejects a request it cannot trust,
-// naming the problem.
+// TestWorkerProtocol: the worker decodes exactly the requests execRunner
+// encodes, every field included, one after another; it serves a stream of
+// requests with one "done" line each and partials equal to one-shot
+// workers'; and it rejects a request it cannot trust, naming the problem
+// — a malformed or unknown-field request after a good one fails after the
+// good one's "done".
 func TestWorkerProtocol(t *testing.T) {
 	path, records := writeTrace(t)
 	req := distrib.WorkerRequest{
@@ -105,63 +129,162 @@ func TestWorkerProtocol(t *testing.T) {
 		StatePath:   filepath.Join(t.TempDir(), "state-00001.odrs"),
 		CrashAfter:  12345,
 	}
-	cmd, err := execRunner{bin: "odrcoord"}.command(context.Background(), req)
+	line, err := encodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(cmd.Args, []string{"odrcoord", "-worker"}) {
-		t.Fatalf("worker args = %v, want the request on stdin alone", cmd.Args)
+	reqs := newRequestStream(bytes.NewReader(slices.Concat(line, line)))
+	for n := 1; n <= 2; n++ {
+		got, err := reqs.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("request %d: decoded %+v, encoded %+v", n, got, req)
+		}
 	}
-	got, err := decodeRequest(cmd.Stdin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
-		t.Fatalf("decoded %+v, encoded %+v", got, req)
+	if _, err := reqs.next(); err != io.EOF {
+		t.Fatalf("after the last request: %v, want io.EOF", err)
 	}
 
-	outside := req
-	outside.Window = distrib.Window{Offset: records - 10, Limit: 100}
-	outside.CrashAfter = 0
-	raw, err := json.Marshal(outside)
-	if err != nil {
+	// Two windows on one stdin: two "done" lines, and partials equal to
+	// two one-shot workers' but for the wall time each records.
+	dir := t.TempDir()
+	spec := distrib.WorkerSpec{Seed: 9, Shards: 2, CachePolicy: "band", PoolBytes: 1 << 20}
+	windows := []distrib.Window{{Offset: 100, Limit: 200}, {Offset: records - 150, Limit: 150}}
+	var stream []byte
+	var oneShot []distrib.WorkerRequest
+	for k, win := range windows {
+		r := distrib.WorkerRequest{TracePath: path, Window: win, Spec: spec,
+			PartialPath: filepath.Join(dir, fmt.Sprintf("stream-%d.odrp", k))}
+		line, err := encodeRequest(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, line...)
+		r.PartialPath = filepath.Join(dir, fmt.Sprintf("one-shot-%d.odrp", k))
+		oneShot = append(oneShot, r)
+	}
+	var out bytes.Buffer
+	if err := runWorker(context.Background(), bytes.NewReader(stream), &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ name, body, want string }{
-		{"unknown field", `{"trace_path": "t.bin", "chunk": 7}`, `unknown field "chunk"`},
-		{"trailing garbage", `{"trace_path": "t.bin"} hb 1`, "trailing data"},
-		{"window outside the trace", string(raw), "outside trace"},
+	if got, want := doneLines(out.String()), []string{"done 100,200", fmt.Sprintf("done %d,150", records-150)}; !slices.Equal(got, want) {
+		t.Fatalf("stdout says %q, want %q", got, want)
+	}
+	for k, r := range oneShot {
+		if err := distrib.RunWorker(context.Background(), r, nil); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := partialBytes(t, filepath.Join(dir, fmt.Sprintf("stream-%d.odrp", k))), partialBytes(t, r.PartialPath); !bytes.Equal(a, b) {
+			t.Fatalf("window %v: the stream's partial differs from a one-shot worker's", r.Window)
+		}
+	}
+
+	first := string(stream[:bytes.IndexByte(stream, '\n')+1])
+	other := oneShot[1]
+	other.TracePath = filepath.Join(t.TempDir(), "other.bin")
+	otherSHA := oneShot[1]
+	otherSHA.TraceSHA256 = strings.Repeat("cd", 32)
+	outside := oneShot[0]
+	outside.Window = distrib.Window{Offset: records - 10, Limit: 100}
+	for _, tc := range []struct {
+		name, body, want string
+		done             int
+	}{
+		{"empty", "", "no request", 0},
+		{"unknown field", `{"trace_path": "t.bin", "chunk": 7}`, `unknown field "chunk"`, 0},
+		{"window outside the trace", string(mustEncode(t, outside)), "outside trace", 0},
+		{"malformed next request", first + ` hb 1`, "request 2 on stdin: invalid character", 1},
+		{"unknown field in the next request", first + `{"trace_path": "t.bin", "chunk": 7}`, `request 2 on stdin: json: unknown field "chunk"`, 1},
+		{"next request for another trace", first + string(mustEncode(t, other)), "trace_path", 1},
+		{"next request for another trace hash", first + string(mustEncode(t, otherSHA)), "trace_sha256", 1},
 	} {
-		err := runWorker(context.Background(), strings.NewReader(tc.body), io.Discard)
+		var out bytes.Buffer
+		err := runWorker(context.Background(), strings.NewReader(tc.body), &out)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: runWorker() = %v, want an error containing %q", tc.name, err, tc.want)
 		}
+		if got := len(doneLines(out.String())); got != tc.done {
+			t.Errorf("%s: %d done lines before the error, want %d", tc.name, got, tc.done)
+		}
 	}
+}
+
+// mustEncode is encodeRequest for a request that must encode.
+func mustEncode(t *testing.T, req distrib.WorkerRequest) []byte {
+	t.Helper()
+	line, err := encodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// doneLines returns a worker's "done" lines.
+func doneLines(stdout string) []string {
+	var done []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "done ") {
+			done = append(done, line)
+		}
+	}
+	return done
+}
+
+// partialBytes reads a partial and re-encodes it with its wall time
+// zeroed: the bytes of everything the replay decided.
+func partialBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	p, err := distrib.ReadPartial(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seconds = 0
+	out := filepath.Join(t.TempDir(), "zeroed.odrp")
+	if err := distrib.WritePartial(out, p); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestExecWorkersMatchSingleProcess drives the coordinator over real
 // worker processes — this test binary re-exec'ed as odrcoord -worker —
 // with one worker crashed mid-window, and requires the merged digest and
-// metrics to be the single-process replay's.
+// metrics to be the single-process replay's. Six windows run in two
+// processes and one respawn: the crashed process is replaced, never
+// reused, the others serve window after window, and Close reaps them all.
 func TestExecWorkersMatchSingleProcess(t *testing.T) {
 	path, _ := writeTrace(t)
 	t.Setenv(asCommand, "1")
 	spec := distrib.WorkerSpec{Seed: 9, Shards: 2, Faults: "0.25", Metrics: true}
+	runner := &execRunner{bin: os.Args[0]}
 	co, err := distrib.New(distrib.Config{
 		TracePath:     path,
 		Workers:       2,
-		Windows:       3,
+		Windows:       6,
 		CheckpointDir: t.TempDir(),
 		Spec:          spec,
-		Runner:        execRunner{bin: os.Args[0]},
+		Runner:        runner,
 		CrashWindow:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged, err := co.Run(context.Background())
+	if cerr := runner.Close(); cerr != nil {
+		t.Fatalf("Close: %v", cerr)
+	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := procStats{Spawned: 3, Respawned: 1, Reaped: 3, Windows: 6}
+	if got := runner.Stats(); got != want {
+		t.Fatalf("worker processes: %+v, want %+v", got, want)
 	}
 	ref, err := distrib.SingleProcess(path, spec, nil)
 	if err != nil {
@@ -172,6 +295,67 @@ func TestExecWorkersMatchSingleProcess(t *testing.T) {
 	}
 	if merged.Metrics == nil || len(merged.Metrics.Snapshot().Counters) == 0 {
 		t.Fatal("workers shipped no metrics although the spec asked for them")
+	}
+	if err := runner.Run(context.Background(), distrib.WorkerRequest{}, func(int64) {}); err == nil {
+		t.Fatal("Run after Close started a window")
+	}
+}
+
+// TestExecRunnerCancel: a canceled attempt kills its process and reaps
+// it, the next Run spawns a fresh one, and a process that names another
+// window in its "done" line is refused and discarded.
+func TestExecRunnerCancel(t *testing.T) {
+	path, records := writeTraceOf(t, 1000)
+	t.Setenv(asCommand, "1")
+	dir := t.TempDir()
+	req := func(name string, win distrib.Window) distrib.WorkerRequest {
+		return distrib.WorkerRequest{TracePath: path, Window: win, Spec: distrib.WorkerSpec{Seed: 9},
+			PartialPath: filepath.Join(dir, name)}
+	}
+	whole := distrib.Window{Offset: 0, Limit: records}
+	runner := &execRunner{bin: os.Args[0]}
+	defer runner.Close()
+	if err := runner.Run(context.Background(), req("a.odrp", whole), func(int64) {}); err != nil {
+		t.Fatal(err)
+	}
+	// Cancel at the first heartbeat: the window is longer than one
+	// heartbeat's worth of records.
+	if records < 2048 {
+		t.Fatalf("a trace of %d records is too short to beat before it ends", records)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	err := runner.Run(ctx, req("b.odrp", whole), func(int64) { cancel() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run = %v, want context.Canceled", err)
+	}
+	if got, want := runner.Stats(), (procStats{Spawned: 1, Reaped: 1, Windows: 1, discarded: 1}); got != want {
+		t.Fatalf("after the cancel: %+v, want %+v (the process killed and reaped)", got, want)
+	}
+	if err := runner.Run(context.Background(), req("c.odrp", whole), func(int64) {}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runner.Stats(), (procStats{Spawned: 2, Respawned: 1, Reaped: 1, Windows: 2}); got != want {
+		t.Fatalf("after the next Run: %+v, want %+v (a fresh process)", got, want)
+	}
+	if err := runner.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runner.Stats(); got.Reaped != got.Spawned {
+		t.Fatalf("after Close: %d of %d processes reaped", got.Reaped, got.Spawned)
+	}
+
+	t.Setenv(asCommand, "")
+	t.Setenv(asWrongWorker, "1")
+	wrong := &execRunner{bin: os.Args[0]}
+	err = wrong.Run(context.Background(), req("d.odrp", distrib.Window{Offset: 0, Limit: 5}), func(int64) {})
+	if err == nil || !strings.Contains(err.Error(), `answered "done 7,7" to the request for "done 0,5"`) {
+		t.Fatalf("a done line for another window: Run = %v, want a refusal naming both", err)
+	}
+	if err := wrong.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wrong.Stats(), (procStats{Spawned: 1, Reaped: 1, discarded: 1}); got != want {
+		t.Fatalf("after a wrong done line: %+v, want %+v (the process discarded)", got, want)
 	}
 }
 

@@ -187,7 +187,31 @@ type Set struct {
 // NewSet builds the standard backend fleet over the file population. cfg
 // and seed drive the cloud backend; see NewCloud.
 func NewSet(files []*workload.FileMeta, cfg CloudConfig, seed uint64) *Set {
-	c := NewCloud(files, cfg, seed)
+	return newSetOver(NewCloud(files, cfg, seed))
+}
+
+// RestoreSet builds the fleet NewSet builds over the same files,
+// configuration and seed, at an observation state Cloud.AppendState wrote
+// at request base: its cloud is as if it had observed requests [0, base)
+// itself, and the next request it observes must be base. Under a cache
+// policy the state replaces the whole pool — entries, index, counters and
+// policy state — so the cloud skips NewCloud's warm draws and fill; a
+// static cloud keeps its warm set, which its verdicts read. A state no
+// such cloud could have written is an error, never a later panic. Size
+// the set with Reserve before replaying, as after NewSet.
+func RestoreSet(files []*workload.FileMeta, cfg CloudConfig, seed uint64, state []byte, base int) (*Set, error) {
+	c := newCloud(files, cfg, seed)
+	if !c.dynamic {
+		c.fillWarm(files)
+	}
+	if err := c.restoreState(state, base); err != nil {
+		return nil, err
+	}
+	return newSetOver(c), nil
+}
+
+// newSetOver builds the standard fleet around the cloud c.
+func newSetOver(c *Cloud) *Set {
 	return &Set{
 		Cloud:       c,
 		SmartAP:     NewSmartAP(),

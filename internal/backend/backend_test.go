@@ -367,12 +367,13 @@ func TestCloudStateRestoreMatchesUninterrupted(t *testing.T) {
 		// given one, and observes sample[base:end] through ordinals.
 		observe := func(state []byte, base, end int) (*backend.Cloud, []backend.Ordinal) {
 			set := backend.NewSet(files, cfg, fixtureSeed)
-			set.Reserve(len(sample))
 			if state != nil {
-				if err := set.Cloud.RestoreState(state, base); err != nil {
+				var err error
+				if set, err = backend.RestoreSet(files, cfg, fixtureSeed, state, base); err != nil {
 					t.Fatalf("%s: restore at %d: %v", name, base, err)
 				}
 			}
+			set.Reserve(len(sample))
 			ords := make([]backend.Ordinal, len(sample))
 			for i := base; i < end; i++ {
 				ords[i], _ = set.Population().Resolve(sample[i])
@@ -438,25 +439,32 @@ func TestCloudStateRejectsMismatch(t *testing.T) {
 		bitmap = append(bitmap, 0xff)
 	}
 	bitmap[len(bitmap)-1] >>= (8 - len(census)%8) % 8
+	// A cloud to restore into: its files and configuration.
+	type into struct {
+		files []*workload.FileMeta
+		cfg   cloud.Config
+	}
+	static := into{census, newSet(nil, census).Cloud.Config()}
+	dynamic := into{files, newDynamicSet(nil, files).Cloud.Config()}
 	for _, tc := range []struct {
 		name  string
-		into  *backend.Cloud
+		into  into
 		state []byte
 		base  int
 		want  string
 	}{
-		{"static into dynamic", newDynamicSet(nil, files).Cloud, staticState, len(sample), "does not fit"},
-		{"dynamic into static", newSet(nil, census).Cloud, dynamicState, len(sample), "does not fit"},
-		{"dynamic at another base", newDynamicSet(nil, files).Cloud, dynamicState, len(sample) - 1, "want"},
-		{"static before its last request", newSet(nil, census).Cloud, staticState, 1, "want"},
-		{"empty", newSet(nil, census).Cloud, nil, 0, "empty"},
-		{"truncated", newSet(nil, census).Cloud, staticState[:len(staticState)-1], len(sample), "truncated"},
-		{"count past the seeded files", newSet(nil, census).Cloud, withCount(uint64(len(census) + 1)), len(sample), "past the"},
-		{"a byte after the count", newSet(nil, census).Cloud, append(withCount(uint64(len(census))), 0), len(sample), "1 bytes after"},
-		{"the retired bitmap layout", newSet(nil, census).Cloud, bitmap, len(sample), "bitmap layout"},
+		{"static into dynamic", dynamic, staticState, len(sample), "does not fit"},
+		{"dynamic into static", static, dynamicState, len(sample), "does not fit"},
+		{"dynamic at another base", dynamic, dynamicState, len(sample) - 1, "want"},
+		{"static before its last request", static, staticState, 1, "want"},
+		{"empty", static, nil, 0, "empty"},
+		{"truncated", static, staticState[:len(staticState)-1], len(sample), "truncated"},
+		{"count past the seeded files", static, withCount(uint64(len(census) + 1)), len(sample), "past the"},
+		{"a byte after the count", static, append(withCount(uint64(len(census))), 0), len(sample), "1 bytes after"},
+		{"the retired bitmap layout", static, bitmap, len(sample), "bitmap layout"},
 	} {
-		if err := tc.into.RestoreState(tc.state, tc.base); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: RestoreState = %v, want an error containing %q", tc.name, err, tc.want)
+		if _, err := backend.RestoreSet(tc.into.files, tc.into.cfg, fixtureSeed, tc.state, tc.base); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RestoreSet = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 	// Seeded with every file, the sample's files leave gaps.

@@ -137,6 +137,13 @@ func (v *verdicts) get(i int) bool {
 // policy (construction-time programming error, same contract as
 // cloud.New).
 func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud {
+	c := newCloud(files, cfg, seed)
+	c.fillWarm(files)
+	return c
+}
+
+// newCloud is NewCloud with an empty pool.
+func newCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud {
 	pol, err := cloud.NewPolicy(cfg.CachePolicy)
 	if err != nil {
 		panic(err)
@@ -144,25 +151,28 @@ func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud 
 	if cfg.CachePolicy == "" {
 		pol = nil // static mode keeps the pool's embedded LRU (no extra alloc)
 	}
-	g := dist.NewRNG(seed).Split("mini-cloud")
-	c := &Cloud{
+	return &Cloud{
 		cfg:    cfg,
 		fm:     cloud.NewFetchModel(cfg),
 		src:    sources.NewMix(),
 		pool:   cloud.NewStoragePoolPolicy(cfg.PoolCapacity, len(files), pol),
-		root:   g,
+		root:   dist.NewRNG(seed).Split("mini-cloud"),
 		pop:    NewPopulation(files),
 		preRNG: dist.NewRNG(0),
 
 		dynamic: cfg.CachePolicy != "",
 	}
-	warm := g.Split("warm")
+}
+
+// fillWarm draws the warm set, each file cached with its band's WarmProbs
+// probability, and fills the pool with it.
+func (c *Cloud) fillWarm(files []*workload.FileMeta) {
+	warm := c.root.Split("warm")
 	for _, f := range files {
 		if warm.Bool(WarmProbs[f.Band()]) {
 			c.pool.AddMeta(f)
 		}
 	}
-	return c
 }
 
 // reserve sizes the per-file slots and the verdict bitset for a replay of

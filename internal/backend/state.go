@@ -17,7 +17,7 @@ import (
 // A static cloud seeded with a trace's files in first-appearance order (a
 // census) has always observed such a prefix, so its state is one count.
 // Mode 's' was an earlier static layout, a bitmap over the seeded files;
-// RestoreState refuses it by name rather than read its bytes as a count.
+// RestoreSet refuses it by name rather than read its bytes as a count.
 const (
 	statePrefix  = 'p'
 	stateDynamic = 'd'
@@ -68,14 +68,14 @@ func (c *Cloud) AppendState(dst []byte) ([]byte, error) {
 	return AppendStaticState(dst, c.observed.next, k), nil
 }
 
-// RestoreState loads an observation state AppendState wrote into a cloud
-// that has observed nothing, built over the same files, configuration and
-// seed, and sized (Set.Reserve) for the replay it is about to run. The
-// state must be at request base; the cloud is then as if it had observed
-// requests [0, base) itself, and the next request it observes must be
-// base. A state no such cloud could have written is an error, never a
-// later panic; after an error the cloud is unusable.
-func (c *Cloud) RestoreState(b []byte, base int) error {
+// restoreState loads an observation state AppendState wrote into a fresh
+// cloud built over the same files, configuration and seed — RestoreSet's,
+// so it has observed nothing. The state must be at request base; the
+// cloud is then as if it had observed requests [0, base) itself, and the
+// next request it observes must be base. A state no such cloud could have
+// written is an error, never a later panic; after an error the cloud is
+// unusable.
+func (c *Cloud) restoreState(b []byte, base int) error {
 	switch {
 	case len(b) == 0:
 		return errors.New("backend: empty observation state")

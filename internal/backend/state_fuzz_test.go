@@ -10,7 +10,7 @@ import (
 	"odr/internal/workload"
 )
 
-// FuzzRestoreState: RestoreState on a static cloud and on a band cloud
+// FuzzRestoreState: RestoreSet of a static cloud and of a band cloud
 // must return an error or restore without a panic, and a state it accepts
 // must AppendState back to the same bytes. Each input restores at the
 // request index its own header names, so the fuzzer reaches the payload
@@ -33,13 +33,13 @@ func FuzzRestoreState(f *testing.F) {
 	band := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
 	band.CachePolicy = "band"
 	band.PoolCapacity = pop / 12
-	clouds := []func() *backend.Cloud{
-		func() *backend.Cloud { return backend.NewCloud(census, static, fixtureSeed) },
-		func() *backend.Cloud { return backend.NewCloud(files, band, fixtureSeed) },
-	}
+	clouds := []struct {
+		files []*workload.FileMeta
+		cfg   cloud.Config
+	}{{census, static}, {files, band}}
 	for _, mk := range clouds {
 		for _, cut := range []int{0, 1, len(sample) / 2, len(sample)} {
-			c := mk()
+			c := backend.NewCloud(mk.files, mk.cfg, fixtureSeed)
 			c.Prime(sample[:cut])
 			state, err := c.AppendState(nil)
 			if err != nil {
@@ -55,10 +55,11 @@ func FuzzRestoreState(f *testing.F) {
 			base = int(binary.LittleEndian.Uint64(state[1:9]))
 		}
 		for _, mk := range clouds {
-			c := mk()
-			if c.RestoreState(state, base) != nil {
+			set, err := backend.RestoreSet(mk.files, mk.cfg, fixtureSeed, state, base)
+			if err != nil {
 				continue
 			}
+			c := set.Cloud
 			got, err := c.AppendState(nil)
 			if err != nil {
 				t.Fatalf("%s: AppendState after a restore: %v", c.PolicyLabel(), err)

@@ -15,8 +15,9 @@ import (
 
 // Runner executes one worker assignment. The coordinator is agnostic to
 // where the work happens: InProcess runs the window on a goroutine (tests,
-// EXP-D), cmd/odrcoord's exec runner re-execs the binary per window and
-// parses heartbeats off its stdout. beat must be called with the worker's
+// EXP-D), cmd/odrcoord's exec runner hands windows to worker processes
+// that serve one window after another and parses heartbeats off their
+// stdout. beat must be called with the worker's
 // running record count; a runner whose beats stop for longer than the
 // heartbeat timeout is canceled and the window retried.
 type Runner interface {
@@ -150,9 +151,9 @@ func New(cfg Config) (*Coordinator, error) {
 // identity and census, and under mu the manifest, the done windows'
 // partials, and the run's outcome.
 type runState struct {
-	path string // manifest path
-	sha  string // the trace's SHA-256
-	cen  trace.BinCensus
+	path string     // manifest path
+	sha  string     // the trace's SHA-256
+	bin  *trace.Bin // the trace, its file table checked; nil after the state pass
 
 	mu        sync.Mutex
 	manifest  *Manifest
@@ -171,12 +172,14 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	}
 	// The trace's census comes from its file table: a trace whose table
 	// is damaged fails here, before any worker starts.
-	cen, err := trace.ReadBinCensus(c.cfg.TracePath)
+	bin, err := trace.OpenBin(c.cfg.TracePath)
 	if err != nil {
 		return nil, err
 	}
+	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), bin: bin}
+	defer st.releaseTrace()
 	start := time.Now()
-	sha, err := trace.SHA256File(c.cfg.TracePath)
+	st.sha, err = trace.SHA256File(c.cfg.TracePath)
 	c.Stages.Hash = time.Since(start)
 	if err != nil {
 		return nil, err
@@ -184,8 +187,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if err := os.MkdirAll(c.cfg.CheckpointDir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), sha: sha, cen: cen}
-	st.manifest, st.parts, err = c.openManifest(st.path, cen.Records, sha)
+	st.manifest, st.parts, err = c.openManifest(st.path, bin.Census().Records, st.sha)
 	if err != nil {
 		return nil, err
 	}
@@ -217,6 +219,15 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	merged, err := MergePartials(st.parts)
 	c.Stages.Merge = time.Since(start)
 	return merged, err
+}
+
+// releaseTrace closes the trace and drops it, file table and all: the
+// state pass is its last reader, and the workers open their own.
+func (st *runState) releaseTrace() {
+	if st.bin != nil {
+		st.bin.Close()
+		st.bin = nil
+	}
 }
 
 // openManifest loads-and-validates an existing checkpoint or plans a
@@ -363,7 +374,7 @@ func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending, bas
 	start := time.Now()
 	fp := c.cfg.Spec.Fingerprint()
 	k := 0
-	err := statePass(c.cfg.TracePath, st.cen, c.cfg.Spec, bases, &meter{ctx: ctx}, func(base int, state []byte) error {
+	err := statePass(st.bin, c.cfg.Spec, bases, &meter{ctx: ctx}, func(base int, state []byte) error {
 		idx := pending[k]
 		k++
 		hdr := stateHeader{TraceSHA256: st.sha, Spec: fp, Base: int64(base)}
@@ -378,7 +389,8 @@ func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending, bas
 	}
 	c.Stages.StatePass = time.Since(start)
 	c.cfg.Log("state pass: %d window state(s) from a census of %d files in %.1fms",
-		len(pending), len(st.cen.Files), c.Stages.StatePass.Seconds()*1000)
+		len(pending), len(st.bin.Census().Files), c.Stages.StatePass.Seconds()*1000)
+	st.releaseTrace()
 	return nil
 }
 

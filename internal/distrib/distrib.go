@@ -1,6 +1,7 @@
 // Package distrib is the multi-process replay coordinator: it splits a
-// bin trace into contiguous record windows, runs one worker per window
-// (in-process or as supervised subprocesses), checkpoints per-window
+// bin trace into contiguous record windows, replays each in a worker (a
+// goroutine, or a supervised worker process that serves window after
+// window against one open trace, Worker), checkpoints per-window
 // completion into a JSON manifest, and merges the workers' partial
 // results into one report whose digest is byte-identical to a
 // single-process full-stream replay of the same trace.
@@ -28,7 +29,7 @@
 //   - the warm-pool draws in backend construction depend on the file
 //     population slice, so every worker and the single-process reference
 //     hand their backends the same one: the census the bin trace's own
-//     file table declares (trace.ReadBinCensus) — every distinct file in
+//     file table declares (trace.Bin.Census) — every distinct file in
 //     first-appearance order, with the record it first appears at — read
 //     from the trailer without decoding a record;
 //   - ledgers and engine totals are associative integer sums, and task

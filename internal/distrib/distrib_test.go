@@ -60,6 +60,17 @@ func readCensus(t *testing.T, tracePath string) trace.BinCensus {
 	return cen
 }
 
+// openBin opens a trace for the rest of the test.
+func openBin(t *testing.T, tracePath string) *trace.Bin {
+	t.Helper()
+	bin, err := trace.OpenBin(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bin.Close() })
+	return bin
+}
+
 // singleDigest is the single-process reference digest for a trace/spec.
 func singleDigest(t *testing.T, tracePath string, spec WorkerSpec) string {
 	t.Helper()
@@ -833,6 +844,63 @@ func TestRunWorkerErrors(t *testing.T) {
 	}
 }
 
+// TestWorkerServesWindows: one Worker replays window after window of its
+// trace — a late one, an early one, the late one again — each exactly as
+// a one-shot RunWorker does, deriving each start state from the handle it
+// holds; a request for another trace path or hash is refused, naming the
+// field.
+func TestWorkerServesWindows(t *testing.T) {
+	tracePath := writeTrace(t, 40, 8)
+	records := readCensus(t, tracePath).Records
+	spec := WorkerSpec{Seed: 8, CachePolicy: "band", PoolBytes: 64 << 20}
+	dir := t.TempDir()
+	late := Window{Offset: records / 2, Limit: records - records/2}
+	early := Window{Offset: 0, Limit: records / 3}
+	first := WorkerRequest{TracePath: tracePath, Window: late, Spec: spec}
+	w, err := OpenWorker(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	digest := func(path string) string {
+		p, err := ReadPartial(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return (&Merged{Tasks: p.Tasks, Ledgers: p.Ledgers}).Digest()
+	}
+	for k, win := range []Window{late, early, late} {
+		req := first
+		req.Window = win
+		req.PartialPath = filepath.Join(dir, "held.odrp")
+		if err := w.Run(context.Background(), req, nil); err != nil {
+			t.Fatal(err)
+		}
+		held := digest(req.PartialPath)
+		req.PartialPath = filepath.Join(dir, "one-shot.odrp")
+		if err := RunWorker(context.Background(), req, nil); err != nil {
+			t.Fatal(err)
+		}
+		if held != digest(req.PartialPath) {
+			t.Fatalf("request %d, window %v: the held worker replayed differently from a one-shot one", k, win)
+		}
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(*WorkerRequest)
+	}{
+		{"trace_path", func(r *WorkerRequest) { r.TracePath = writeTrace(t, 40, 8) }},
+		{"trace_sha256", func(r *WorkerRequest) { r.TraceSHA256 = strings.Repeat("ab", 32) }},
+	} {
+		req := first
+		req.PartialPath = filepath.Join(dir, "refused.odrp")
+		tc.mutate(&req)
+		if err := w.Run(context.Background(), req, nil); err == nil || !strings.Contains(err.Error(), tc.field+":") {
+			t.Errorf("a request for another %s: Run = %v, want a refusal naming the field", tc.field, err)
+		}
+	}
+}
+
 // TestWorkerStateFiles: a worker started from a state file replays its
 // window exactly as one that derives its start in memory, and a state file
 // for another trace, spec or base is refused, naming the field, as is a
@@ -862,7 +930,7 @@ func TestWorkerStateFiles(t *testing.T) {
 			StatePath:   filepath.Join(dir, stateName(1)),
 		}
 		fp := spec.Fingerprint()
-		if err := statePass(tracePath, cen, spec, []int{int(win.Offset)}, &meter{ctx: context.Background()},
+		if err := statePass(openBin(t, tracePath), spec, []int{int(win.Offset)}, &meter{ctx: context.Background()},
 			func(base int, state []byte) error {
 				return writeState(req.StatePath, stateHeader{TraceSHA256: sha, Spec: fp, Base: int64(base)}, state)
 			}); err != nil {
@@ -951,7 +1019,7 @@ func TestStaticStateMatchesObservation(t *testing.T) {
 	}
 	var fromCensus, observed [][]byte
 	m := &meter{ctx: context.Background()}
-	if err := statePass(tracePath, cen, spec, bases, m, collect(&fromCensus)); err != nil {
+	if err := statePass(openBin(t, tracePath), spec, bases, m, collect(&fromCensus)); err != nil {
 		t.Fatal(err)
 	}
 	if m.processed != 0 {

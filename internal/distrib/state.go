@@ -81,13 +81,14 @@ func readState(path string, want stateHeader) ([]byte, error) {
 // the cloud's observation state at each of bases (ascending, at least
 // one), as the census population's cloud holds it on reaching that record.
 // A static cloud's state is the census prefix seen before the base, so in
-// static mode the pass emits it from cen without opening the trace. Under
-// a cache policy it streams the trace's records [0, last base) through
-// replay.ObserveStates. The coordinator runs it once over every pending
-// window's base; a worker handed no state file runs it for its own. m
-// meters the records it reads.
-func statePass(tracePath string, cen trace.BinCensus, spec WorkerSpec, bases []int,
+// static mode the pass emits it from the census without reading a record.
+// Under a cache policy it streams the trace's records [0, last base)
+// through replay.ObserveStates. The coordinator runs it once over every
+// pending window's base; a worker handed no state file runs it for its
+// own. m meters the records it reads.
+func statePass(bin *trace.Bin, spec WorkerSpec, bases []int,
 	m *meter, emit func(base int, state []byte) error) error {
+	cen := bin.Census()
 	if spec.CachePolicy == "" {
 		for _, base := range bases {
 			// The census files first seen before base.
@@ -102,10 +103,9 @@ func statePass(tracePath string, cen trace.BinCensus, spec WorkerSpec, bases []i
 	if err != nil {
 		return err
 	}
-	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, int64(bases[len(bases)-1]))
+	src, err := bin.Window(0, int64(bases[len(bases)-1]))
 	if err != nil {
 		return err
 	}
-	defer closer.Close()
 	return replay.ObserveStates(m.wrap(src), cen.Files, opts, bases, emit)
 }

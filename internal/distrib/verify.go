@@ -10,14 +10,16 @@ import (
 // SingleProcess replays the whole trace in this process through exactly
 // the path the workers take — the census population from the trace's
 // file table, the same compiled options, the full record stream — and
-// returns the result. It decodes the trace once. Its Digest is the
+// returns the result. It reads the file table once and decodes the trace
+// once. Its Digest is the
 // reference the coordinator's merged digest must match byte for byte
 // (odrcoord -verify and EXP-D both rest on it).
 func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineConfig) (*replay.ODRResult, error) {
-	cen, err := trace.ReadBinCensus(tracePath)
+	bin, err := trace.OpenBin(tracePath)
 	if err != nil {
 		return nil, err
 	}
+	defer bin.Close()
 
 	var reg *obs.Registry
 	if spec.Metrics {
@@ -28,10 +30,9 @@ func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineC
 		return nil, err
 	}
 	opts.Timeline = timeline
-	full, fcloser, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
+	full, err := bin.Window(0, -1)
 	if err != nil {
 		return nil, err
 	}
-	defer fcloser.Close()
-	return replay.RunODRStream(full, cen.Files, smartap.Benchmarked(), opts)
+	return replay.RunODRStream(full, bin.Census().Files, smartap.Benchmarked(), opts)
 }

@@ -121,20 +121,61 @@ func (s *meteredSource) TotalRequests() int {
 	return 0
 }
 
-// RunWorker replays one window of a bin trace and writes the partial
-// result to req.PartialPath. It starts from the census population the
-// trace's file table declares — so the backend fleet's sequential
-// warm-pool draws match every other worker's and a single-process
-// replay's — and the cloud's observation state at the window base: read
-// from the state file the request names, or, when it names none, derived
-// in memory by the state pass the coordinator runs (statePass). It then
-// replays only the window, with every index-keyed input offset by the
-// window base (replay.RunODRWindow).
+// Worker replays windows of one bin trace: it opens the trace once —
+// header, trailer and file table checked, the census built — and serves
+// any number of window requests against that one handle, one at a time.
+// cmd/odrcoord's worker process holds one for as long as its stdin stays
+// open; RunWorker is the one-shot form.
+type Worker struct {
+	bin *trace.Bin
+	sha string
+}
+
+// OpenWorker opens the trace req names for a worker that will serve req
+// and any later request naming the same trace path and SHA-256.
+func OpenWorker(req WorkerRequest) (*Worker, error) {
+	bin, err := trace.OpenBin(req.TracePath)
+	if err != nil {
+		return nil, err
+	}
+	return &Worker{bin: bin, sha: req.TraceSHA256}, nil
+}
+
+// Close releases the trace.
+func (w *Worker) Close() error { return w.bin.Close() }
+
+// RunWorker replays one window in a Worker of its own (Worker.Run).
+func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64)) error {
+	w, err := OpenWorker(req)
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	return w.Run(ctx, req, beat)
+}
+
+// Run replays one window of the worker's trace and writes the partial
+// result to req.PartialPath. A request naming another trace path or
+// SHA-256 than the one the worker opened is refused, naming the field.
+// The window starts from the census population the trace's file table
+// declares — so the backend fleet's sequential warm-pool draws match
+// every other worker's and a single-process replay's — and the cloud's
+// observation state at the window base: read from the state file the
+// request names, or, when it names none, derived in memory by the state
+// pass the coordinator runs (statePass). It then replays only the window,
+// with every index-keyed input offset by the window base
+// (replay.RunODRWindow).
 //
 // beat, when non-nil, receives the total records read so far about every
 // progressEvery records — the coordinator's heartbeat signal.
 // Cancelling ctx stops the worker between records.
-func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64)) error {
+func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records int64)) error {
+	switch {
+	case req.TracePath != w.bin.Path():
+		return fmt.Errorf("distrib: worker: trace_path: request names %s, this worker opened %s", req.TracePath, w.bin.Path())
+	case req.TraceSHA256 != w.sha:
+		return fmt.Errorf("distrib: worker: trace_sha256: request names %q, this worker opened %q", req.TraceSHA256, w.sha)
+	}
 	if err := req.Spec.Validate(); err != nil {
 		return err
 	}
@@ -142,10 +183,7 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		return errors.New("distrib: worker needs a partial output path")
 	}
 	start := time.Now()
-	cen, err := trace.ReadBinCensus(req.TracePath)
-	if err != nil {
-		return err
-	}
+	cen := w.bin.Census()
 	win := req.Window
 	if win.Offset < 0 || win.Limit <= 0 || win.End() > cen.Records {
 		return fmt.Errorf("distrib: window %v outside trace of %d records", win, cen.Records)
@@ -159,18 +197,17 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		return err
 	}
 	m := &meter{ctx: ctx, beat: beat}
-	state, err := windowState(req, cen, m)
+	state, err := w.windowState(req, m)
 	if err != nil {
 		return err
 	}
 	if req.CrashAfter > 0 {
 		m.crashAfter = m.processed + req.CrashAfter
 	}
-	wsrc, wcloser, err := trace.OpenWorkloadBinWindow(req.TracePath, win.Offset, win.Limit)
+	wsrc, err := w.bin.Window(win.Offset, win.Limit)
 	if err != nil {
 		return err
 	}
-	defer wcloser.Close()
 
 	var reg *obs.Registry
 	if req.Spec.Metrics {
@@ -206,10 +243,10 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 // windowState returns the cloud's observation state at req's window
 // base: from the request's state file when it names one, derived by
 // statePass, metered by m, when it does not.
-func windowState(req WorkerRequest, cen trace.BinCensus, m *meter) ([]byte, error) {
+func (w *Worker) windowState(req WorkerRequest, m *meter) ([]byte, error) {
 	if req.StatePath == "" {
 		var state []byte
-		err := statePass(req.TracePath, cen, req.Spec, []int{int(req.Window.Offset)}, m,
+		err := statePass(w.bin, req.Spec, []int{int(req.Window.Offset)}, m,
 			func(_ int, s []byte) error { state = s; return nil })
 		return state, err
 	}

@@ -322,17 +322,34 @@ func RunODRWindow(state []byte, window workload.RequestSource, base int,
 }
 
 // newSet builds the replay's backend set over files, sized for n records
-// (Set.Reserve): the paper calibration scaled to the file population,
-// with the options' cache policy and any pool capacity override applied.
+// (Set.Reserve).
 func newSet(files []*workload.FileMeta, opts Options, n int) *backend.Set {
+	set := backend.NewSet(files, cloudConfig(files, opts), opts.Seed)
+	set.Reserve(n)
+	return set
+}
+
+// restoreSet is newSet at the cloud's observation state at record base
+// (backend.RestoreSet).
+func restoreSet(files []*workload.FileMeta, opts Options, state []byte, base, n int) (*backend.Set, error) {
+	set, err := backend.RestoreSet(files, cloudConfig(files, opts), opts.Seed, state, base)
+	if err != nil {
+		return nil, fmt.Errorf("replay: restoring the observation state at record %d: %w", base, err)
+	}
+	set.Reserve(n)
+	return set, nil
+}
+
+// cloudConfig is the replay's cloud configuration: the paper calibration
+// scaled to the file population, with the options' cache policy and any
+// pool capacity override applied.
+func cloudConfig(files []*workload.FileMeta, opts Options) cloud.Config {
 	cfg := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, opts.Seed)
 	cfg.CachePolicy = opts.CachePolicy
 	if opts.PoolBytes > 0 {
 		cfg.PoolCapacity = opts.PoolBytes
 	}
-	set := backend.NewSet(files, cfg, opts.Seed)
-	set.Reserve(n)
-	return set
+	return cfg
 }
 
 // runODRWindowed is the shared body of RunODRStream (no state, base 0)
@@ -346,11 +363,11 @@ func runODRWindowed(state []byte, window workload.RequestSource, base int,
 	if err != nil {
 		return nil, err
 	}
-	set := newSet(files, opts, base+records)
-	if state != nil {
-		if err := set.Cloud.RestoreState(state, base); err != nil {
-			return nil, fmt.Errorf("replay: restoring the observation state at record %d: %w", base, err)
-		}
+	var set *backend.Set
+	if state == nil {
+		set = newSet(files, opts, base+records)
+	} else if set, err = restoreSet(files, opts, state, base, base+records); err != nil {
+		return nil, err
 	}
 	set.Instrument(opts.Metrics)
 	fleet, finish := newFleet(set, opts)

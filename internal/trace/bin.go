@@ -644,6 +644,11 @@ func readBinCensus(rs io.ReadSeeker) (BinCensus, error) {
 	if err != nil {
 		return BinCensus{}, err
 	}
+	return t.census(), nil
+}
+
+// census builds the census the table declares.
+func (t *binTable) census() BinCensus {
 	metas := make([]workload.FileMeta, t.nfiles)
 	cen := BinCensus{Records: t.records, Files: make([]*workload.FileMeta, t.nfiles), First: make([]int, t.nfiles)}
 	for k := range metas {
@@ -652,7 +657,7 @@ func readBinCensus(rs io.ReadSeeker) (BinCensus, error) {
 		f.Ord = int32(k + 1)
 		cen.Files[k], cen.First[k] = f, int(t.fileFirst(k))
 	}
-	return cen, nil
+	return cen
 }
 
 // binSource streams bin records a chunk at a time, decoding each record in
@@ -747,30 +752,39 @@ func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.Request
 	if offset < 0 {
 		return nil, fmt.Errorf("trace: negative bin window offset %d", offset)
 	}
-	s := binSource{skip: offset, limit: limit, total: -1, fileOff: binHeaderLen}
-	if rs, ok := r.(io.ReadSeeker); ok {
-		t, err := readBinTable(rs)
-		if err != nil {
+	rs, ok := r.(io.ReadSeeker)
+	if !ok {
+		if err := readBinHeader(r); err != nil {
 			return nil, err
 		}
-		s.tab, s.total = t, t.records
-		s.files = make([]*workload.FileMeta, t.nfiles)
-		s.users = make([]*workload.User, t.nusers)
-	} else if err := readBinHeader(r); err != nil {
+		return binWindow(r, nil, offset, limit), nil
+	}
+	t, err := readBinTable(rs)
+	if err != nil {
 		return nil, err
 	}
-	s.br = bufio.NewReaderSize(r, 64<<10)
-	if s.total < 0 {
-		return &s, nil
+	return binWindow(rs, t, offset, limit), nil
+}
+
+// binWindow returns the reader of records [offset, offset+limit) over r,
+// positioned where the first chunk starts. t is the trace's checked file
+// table, or nil over a plain stream, whose reader meets the table at its
+// end; only a reader with the table can skip whole chunks and say how
+// many records it will yield (workload.Sizer).
+func binWindow(r io.Reader, t *binTable, offset, limit int64) workload.RequestSource {
+	s := binSource{skip: offset, limit: limit, total: -1, fileOff: binHeaderLen,
+		br: bufio.NewReaderSize(r, 64<<10)}
+	if t == nil {
+		return &s
 	}
-	n := s.total - offset
-	if n < 0 {
-		n = 0
-	}
+	s.tab, s.total = t, t.records
+	s.files = make([]*workload.FileMeta, t.nfiles)
+	s.users = make([]*workload.User, t.nusers)
+	n := max(s.total-offset, 0)
 	if limit >= 0 && limit < n {
 		n = limit
 	}
-	return &sizedBinSource{binSource: s, n: int(n)}, nil
+	return &sizedBinSource{binSource: s, n: int(n)}
 }
 
 func (s *binSource) Next() (int, workload.Request, bool) {

@@ -6,26 +6,85 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"odr/internal/workload"
 )
 
-// ReadBinCensus returns the census a bin trace file's trailer and file
-// table declare — its record count, its files in first-appearance order
-// and the record each first appears at — without decoding any record.
-// The distrib coordinator plans its window map from the count, pins it
-// into the checkpoint manifest, and starts every window from the files.
-func ReadBinCensus(path string) (BinCensus, error) {
+// Bin is an open bin trace file whose header, trailer and file table
+// were read and checked once, when it opened. It hands out the census the
+// table declares and any number of record windows, each reading the file
+// on its own, without reading the table again: a distrib worker holds one
+// across every window it replays. Close releases the file; a window read
+// after Close fails.
+type Bin struct {
+	f    *os.File
+	path string
+	size int64
+	tab  *binTable
+
+	once sync.Once
+	cen  BinCensus
+}
+
+// OpenBin opens a bin trace file and checks its header, trailer and file
+// table. A damaged table is an error naming it.
+func OpenBin(path string) (*Bin, error) {
 	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	t, err := readBinTable(f)
+	if err == nil {
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			return &Bin{f: f, path: path, size: fi.Size(), tab: t}, nil
+		}
+	}
+	f.Close()
+	return nil, fmt.Errorf("trace: %s: %w", path, err)
+}
+
+// Path is the file the trace was opened from.
+func (b *Bin) Path() string { return b.path }
+
+// Census returns the census the trace's file table declares — its record
+// count, its files in first-appearance order and the record each first
+// appears at — built on the first call and shared by every later one, so
+// callers must not modify it.
+func (b *Bin) Census() BinCensus {
+	b.once.Do(func() { b.cen = b.tab.census() })
+	return b.cen
+}
+
+// Window returns a reader of the half-open record window
+// [offset, offset+limit) (limit < 0 means "to the end"). Whole chunks
+// before the window are skipped via the frame record counts, so a late
+// window costs frame reads, not decodes; identities first seen before it
+// come from the file table. The source re-bases indices at 0. Windows
+// read the file independently, so several may be open at once.
+func (b *Bin) Window(offset, limit int64) (workload.RequestSource, error) {
+	if offset < 0 {
+		return nil, fmt.Errorf("trace: %s: negative bin window offset %d", b.path, offset)
+	}
+	r := io.NewSectionReader(b.f, binHeaderLen, b.size-binHeaderLen)
+	return binWindow(r, b.tab, offset, limit), nil
+}
+
+// Close closes the file.
+func (b *Bin) Close() error { return b.f.Close() }
+
+// ReadBinCensus returns the census a bin trace file's trailer and file
+// table declare (Bin.Census) without decoding any record. The distrib
+// coordinator plans its window map from the count, pins it into the
+// checkpoint manifest, and starts every window from the files.
+func ReadBinCensus(path string) (BinCensus, error) {
+	b, err := OpenBin(path)
 	if err != nil {
 		return BinCensus{}, err
 	}
-	defer f.Close()
-	cen, err := readBinCensus(f)
-	if err != nil {
-		return BinCensus{}, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return cen, nil
+	defer b.Close()
+	return b.Census(), nil
 }
 
 // SHA256File returns the lowercase hex SHA-256 of the file's bytes. The
@@ -47,18 +106,17 @@ func SHA256File(path string) (string, error) {
 
 // OpenWorkloadBinWindow opens the half-open record window
 // [offset, offset+limit) of a bin trace file (limit < 0 means "to the
-// end"). Whole chunks before the window are skipped via the frame record
-// counts, so opening a late window costs header reads, not decodes. The
-// source re-bases indices at 0; close the returned closer when done.
+// end"): Bin.Window over a Bin of its own, which the returned closer
+// closes.
 func OpenWorkloadBinWindow(path string, offset, limit int64) (workload.RequestSource, io.Closer, error) {
-	f, err := os.Open(path)
+	b, err := OpenBin(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := StreamWorkloadBinWindow(f, offset, limit)
+	src, err := b.Window(offset, limit)
 	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("trace: %s: %w", path, err)
+		b.Close()
+		return nil, nil, err
 	}
-	return src, f, nil
+	return src, b, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"odr/internal/workload"
@@ -82,5 +84,63 @@ func TestOpenWorkloadBinWindow(t *testing.T) {
 	// A bad window on a real file must close the handle and report the path.
 	if _, _, err := OpenWorkloadBinWindow(path, -1, 5); err == nil {
 		t.Fatal("negative offset accepted")
+	}
+}
+
+// TestBinHandle: one OpenBin serves the census and any number of windows,
+// interleaved, each equal to what a fresh open of the same window reads,
+// and refuses a negative offset and a read after Close.
+func TestBinHandle(t *testing.T) {
+	reqs := msRequests(t, 300)
+	path, _ := writeBinFile(t, reqs)
+	b, err := OpenBin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadBinCensus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Census(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Census() = %+v, want ReadBinCensus's %+v", got, want)
+	}
+	if b.Path() != path {
+		t.Fatalf("Path() = %q, want %q", b.Path(), path)
+	}
+	late, err := b.Window(200, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ off, lim int64 }{{120, 90}, {0, 300}, {299, 1}, {120, 90}} {
+		src, err := b.Window(w.off, w.lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sz, ok := src.(workload.Sizer); !ok || sz.TotalRequests() != int(w.lim) {
+			t.Fatalf("window %v does not announce its %d records", w, w.lim)
+		}
+		checkLosslessRoundTrip(t, reqs[w.off:w.off+w.lim], drainChecked(t, src))
+	}
+	checkLosslessRoundTrip(t, reqs[200:], drainChecked(t, late))
+
+	if _, err := b.Window(-1, 5); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("Window(-1, 5) = %v, want a refusal", err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := b.Window(0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := workload.Collect(src); err == nil {
+		t.Fatalf("a window read after Close returned %d records and no error", len(n))
+	}
+	bad := filepath.Join(t.TempDir(), "bad.bin")
+	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenBin(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("OpenBin(non-bin) = %v, want an error naming the file", err)
 	}
 }
