@@ -99,7 +99,7 @@ func TestPopulationOrdinalsMatchMaps(t *testing.T) {
 func binTrace(t *testing.T, reqs []workload.Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteWorkloadBin(&buf, reqs); err != nil {
+	if err := trace.WriteWorkloadBinStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -715,12 +716,14 @@ func TestRestartBudgetExhaustion(t *testing.T) {
 	}
 
 	tracePath = writeTrace(t, 400, 13)
-	info, err := os.Stat(tracePath)
+	raw, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The middle of the file is inside a chunk payload.
-	co, err = New(Config{TracePath: corruptCopy(t, tracePath, int(info.Size()/2)), Workers: 2,
+	// Half way to the file table, whose offset is the trailer's second
+	// field, is inside a chunk payload.
+	tableAt := binary.LittleEndian.Uint64(raw[len(raw)-12:])
+	co, err = New(Config{TracePath: corruptCopy(t, tracePath, int(tableAt/2)), Workers: 2,
 		CheckpointDir: t.TempDir(), Spec: WorkerSpec{Seed: 13}})
 	if err != nil {
 		t.Fatal(err)

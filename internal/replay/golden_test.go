@@ -167,7 +167,7 @@ func edgeTrace(t *testing.T, f *fixture) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteWorkloadBin(&buf, reqs); err != nil {
+	if err := trace.WriteWorkloadBinStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -25,41 +24,37 @@ import (
 // an (offset, limit) window — the enabling primitive for partitioning one
 // trace file across worker processes.
 //
-//	file     := header chunk* table trailer
-//	header   := "ODRB" version:u16 flags:u16                   (8 bytes)
-//	chunk    := payloadLen:u32 recCount:u32 crc32(payload):u32 payload
-//	record   := dtime:varint file:uvarint [fileMeta] user:uvarint [userMeta]
-//	fileMeta := fileID:[16]u8 size:i64 weekly:u32 class:u8 protocol:u8
-//	            urlLen:uvarint url:[urlLen]u8
-//	userMeta := userID:i64 accessBW:f64 isp:u8 flags:u8        (18 bytes)
-//	table    := 0:u32 files:u32 users:u32 urlBytes:u32
-//	            crc32(userEntry* urls fileEntry*):u32
-//	            userEntry{users} urls:[urlBytes]u8 fileEntry{files}
-//	userEntry := userMeta first:u64                             (26 bytes)
-//	fileEntry := fileID size weekly class protocol first:u64 urlEnd:u32
-//	                                                            (42 bytes)
-//	trailer  := totalRecords:u64 tableAt:u64 crc32(totalRecords tableAt):u32
+//	file      := header chunk* table trailer
+//	header    := "ODRB" version:u16 flags:u16                  (8 bytes)
+//	chunk     := payloadLen:u32 recCount:u32 crc32(payload):u32 payload
+//	record    := dtime:varint file:uvarint user:uvarint
+//	table     := 0:u32 files:u32 users:u32 urlBytes:u32
+//	             crc32(userEntry* urls fileEntry*):u32
+//	             userEntry{users} urls:[urlBytes]u8 fileEntry{files}
+//	userEntry := userID:i64 accessBW:f64 isp:u8 flags:u8 first:u64
+//	                                                           (26 bytes)
+//	fileEntry := fileID:[16]u8 size:i64 weekly:u32 class:u8 protocol:u8
+//	             first:u64 urlEnd:u32                          (42 bytes)
+//	trailer   := totalRecords:u64 tableAt:u64 crc32(totalRecords tableAt):u32
 //
 // A record's file is an ordinal: the file's index in first-appearance
 // order. The ordinal equal to the number of files named so far introduces
-// a new file, and its metadata follows inline; a smaller one names a file
-// already seen; a larger one is an error. Users work the same way. dtime
-// is the record's time in milliseconds less the previous record's in the
-// same chunk (the first record's, less 0), so a chunk decodes on its own.
-// A repeat record is three varints: a few bytes where an inline record
-// would repeat 60 and the URL.
+// the next file, and only at the record the table lists as that file's
+// first; a smaller one names a file already seen; a larger one is an
+// error. Users work the same way. dtime is the record's time in
+// milliseconds less the previous record's in the same chunk (the first
+// record's, less 0), so a chunk decodes on its own. A record is three
+// varints: every identity is stored once, in the table.
 //
 // A payloadLen of 0 marks the file table: no chunk is ever empty. The
 // table is the trace's census — every distinct user and file in
 // first-appearance order, with the index of the record each first appears
 // at, and the files' URLs (a file's starts where the previous one's ends)
 // — so a reader learns the trace's population without decoding a record
-// (ReadBinCensus), and a window reader takes an identity first seen
-// before its window from the table instead of from a record it never
-// reads. tableAt is the table's byte offset; the table ends where the
-// trailer begins. A reader over a file reads and checks the table when it
-// opens, then holds each first appearance to its entry; a reader over a
-// plain stream meets the table at stream end and checks it then.
+// (ReadBinCensus). tableAt is the table's byte offset; the table ends where
+// the trailer begins. A reader therefore needs a seekable file: it reads
+// and checks the trailer and the table when it opens, then builds each
+// identity from its entry the first time a record it yields names it.
 //
 // Unlike the text formats — which mirror the paper's logs and record
 // AccessBW as 0 for users whose clients never reported it — bin is
@@ -70,7 +65,7 @@ import (
 // only feed the reporting-users sample path.
 const (
 	binMagic   = "ODRB"
-	binVersion = 3
+	binVersion = 4
 
 	// binFileMetaLen is a file's fixed metadata: ID, size, weekly
 	// requests, class and protocol. binUserMetaLen is a user's: ID,
@@ -84,13 +79,16 @@ const (
 	binFileEntryLen = binFileMetaLen + 8 + 4
 	binUserEntryLen = binUserMetaLen + 8
 
-	// binRecordMin is the shortest record: three one-byte varints.
+	// binRecordMin is the shortest record: three one-byte varints;
+	// binRecordMax the longest: a 64-bit varint and two 32-bit uvarints.
 	binRecordMin = 3
+	binRecordMax = binary.MaxVarintLen64 + 2*binary.MaxVarintLen32
 
 	// binChunkTarget is the writer's flush threshold: a chunk is closed
 	// once its payload reaches this size. Large enough to amortize the
 	// 12-byte frame and the CRC, small enough that a window skip lands
-	// within a few thousand records of its first.
+	// within a few thousand records of its first: at the 7.1 B a record of
+	// a generated 680,553-record week, a chunk holds about 4,600 records.
 	binChunkTarget = 32 << 10
 
 	// binMaxChunk caps the payload size a reader will buffer, bounding
@@ -132,8 +130,8 @@ func appendBinRecord(dst []byte, r workload.Request) []byte {
 	return append(dst, r.File.SourceURL...)
 }
 
-// appendFileMeta appends f's fixed metadata, as a first-appearance record
-// and the file table both carry it.
+// appendFileMeta appends f's fixed metadata, as its file table entry
+// carries it.
 func appendFileMeta(dst []byte, f *workload.FileMeta) []byte {
 	dst = append(dst, f.ID[:]...)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Size))
@@ -141,8 +139,7 @@ func appendFileMeta(dst []byte, f *workload.FileMeta) []byte {
 	return append(dst, byte(f.Class), byte(f.Protocol))
 }
 
-// appendUserMeta appends u's metadata, as a first-appearance record and
-// the file table both carry it.
+// appendUserMeta appends u's metadata, as its file table entry carries it.
 func appendUserMeta(dst []byte, u *workload.User) []byte {
 	var flags byte
 	if u.ReportsBW {
@@ -154,7 +151,7 @@ func appendUserMeta(dst []byte, u *workload.User) []byte {
 }
 
 // checkFileMeta and checkUserMeta report what in a file's or a user's
-// encoded metadata no reader accepts, or nil.
+// table entry no reader accepts, or nil.
 func checkFileMeta(m []byte) error {
 	switch size := int64(binary.LittleEndian.Uint64(m[16:])); {
 	case size < 0:
@@ -195,12 +192,6 @@ func fillUserMeta(u *workload.User, m []byte) {
 // files and users (the file table), not with its length.
 func WriteWorkloadBinStream(w io.Writer, src workload.RequestSource) error {
 	return writeWorkloadBin(w, src, binChunkTarget)
-}
-
-// WriteWorkloadBin writes requests in the bin format. It is a thin wrapper
-// over WriteWorkloadBinStream.
-func WriteWorkloadBin(w io.Writer, reqs []workload.Request) error {
-	return WriteWorkloadBinStream(w, workload.NewSliceSource(reqs))
 }
 
 // binEncoder numbers a trace's files and users as they first appear and
@@ -244,18 +235,18 @@ func (b *blocks) chunks() [][]byte {
 	return append(b.full[:len(b.full):len(b.full)], b.cur)
 }
 
-// ordinals returns the ordinals of record i's file and user, and whether
-// each first appears here, in which case it joins the table.
-func (e *binEncoder) ordinals(r workload.Request, i uint64) (file uint32, newFile bool, user uint32, newUser bool, err error) {
+// ordinals returns the ordinals of record i's file and user. An identity
+// that first appears here joins the table.
+func (e *binEncoder) ordinals(r workload.Request, i uint64) (file, user uint32, err error) {
 	file, ok := e.files[r.File.ID]
 	if !ok {
 		if len(e.files) >= binMaxOrdinals {
-			return 0, false, 0, false, fmt.Errorf("trace: bin record %d: more than %d distinct files overflow the bin file table", i, binMaxOrdinals)
+			return 0, 0, fmt.Errorf("trace: bin record %d: more than %d distinct files overflow the bin file table", i, binMaxOrdinals)
 		}
 		if uint64(e.urls.n)+uint64(len(r.File.SourceURL)) > math.MaxUint32 {
-			return 0, false, 0, false, fmt.Errorf("trace: bin record %d: the file table's URLs overflow %d bytes", i, uint32(math.MaxUint32))
+			return 0, 0, fmt.Errorf("trace: bin record %d: the file table's URLs overflow %d bytes", i, uint32(math.MaxUint32))
 		}
-		file, newFile = uint32(len(e.files)), true
+		file = uint32(len(e.files))
 		e.files[r.File.ID] = file
 		e.urls.add(append(e.urls.tail(len(r.File.SourceURL)), r.File.SourceURL...))
 		t := appendFileMeta(e.fileTab.tail(binFileEntryLen), r.File)
@@ -265,31 +256,21 @@ func (e *binEncoder) ordinals(r workload.Request, i uint64) (file uint32, newFil
 	user, ok = e.users[r.User.ID]
 	if !ok {
 		if len(e.users) >= binMaxOrdinals {
-			return 0, false, 0, false, fmt.Errorf("trace: bin record %d: more than %d distinct users overflow the bin file table", i, binMaxOrdinals)
+			return 0, 0, fmt.Errorf("trace: bin record %d: more than %d distinct users overflow the bin file table", i, binMaxOrdinals)
 		}
-		user, newUser = uint32(len(e.users)), true
+		user = uint32(len(e.users))
 		e.users[r.User.ID] = user
 		e.userTab.add(binary.LittleEndian.AppendUint64(appendUserMeta(e.userTab.tail(binUserEntryLen), r.User), i))
 	}
-	return file, newFile, user, newUser, nil
+	return file, user, nil
 }
 
 // appendRecord appends r's record: its time less prevMS, the chunk's
-// previous record's, then its file and user ordinals, each followed by
-// its metadata where the identity first appears.
-func appendRecord(dst []byte, r workload.Request, prevMS int64, file uint32, newFile bool, user uint32, newUser bool) []byte {
+// previous record's, then its file and user ordinals.
+func appendRecord(dst []byte, r workload.Request, prevMS int64, file, user uint32) []byte {
 	dst = binary.AppendVarint(dst, r.Time.Milliseconds()-prevMS)
 	dst = binary.AppendUvarint(dst, uint64(file))
-	if newFile {
-		dst = appendFileMeta(dst, r.File)
-		dst = binary.AppendUvarint(dst, uint64(len(r.File.SourceURL)))
-		dst = append(dst, r.File.SourceURL...)
-	}
-	dst = binary.AppendUvarint(dst, uint64(user))
-	if newUser {
-		dst = appendUserMeta(dst, r.User)
-	}
-	return dst
+	return binary.AppendUvarint(dst, uint64(user))
 }
 
 func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) error {
@@ -303,7 +284,7 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 	if _, err := bw.Write(frame[:4]); err != nil {
 		return err
 	}
-	payload := make([]byte, 0, chunkTarget+4096)
+	payload := make([]byte, 0, chunkTarget+binRecordMax)
 	var recCount uint32
 	var total uint64
 	var prevMS int64            // the open chunk's last record's time
@@ -327,30 +308,15 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 		return nil
 	}
 	for {
-		i, r, ok := src.Next()
+		_, r, ok := src.Next()
 		if !ok {
 			break
 		}
-		file, newFile, user, newUser, err := enc.ordinals(r, total)
+		file, user, err := enc.ordinals(r, total)
 		if err != nil {
 			return err
 		}
-		mark := len(payload)
-		payload = appendRecord(payload, r, prevMS, file, newFile, user, newUser)
-		if len(payload) > binMaxChunk {
-			// The record does not fit beside the open chunk's records:
-			// close the chunk and start the next with it. A record longer
-			// than the reader's payload cap alone cannot be read back in
-			// any chunk (only possible with a pathological URL): refuse it.
-			payload = payload[:mark]
-			if err := flush(); err != nil {
-				return err
-			}
-			payload = appendRecord(payload, r, 0, file, newFile, user, newUser)
-			if len(payload) > binMaxChunk {
-				return fmt.Errorf("trace: bin record %d is %d bytes, beyond the %d-byte chunk payload a reader accepts", i, len(payload), binMaxChunk)
-			}
-		}
+		payload = appendRecord(payload, r, prevMS, file, user)
 		prevMS = r.Time.Milliseconds()
 		recCount++
 		total++
@@ -395,6 +361,7 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 // binTable is a bin trace's file table, held as its bytes: an entry is
 // read out by ordinal when a reader needs it, never all at once.
 type binTable struct {
+	at      int64 // the table's byte offset, where the records end
 	records int64 // the trace's record count
 	nfiles  int
 	nusers  int
@@ -441,29 +408,6 @@ func (t *binTable) before(i int64) (files, users int) {
 	return files, users
 }
 
-// checkFile holds file k's first appearance — its metadata and URL as its
-// record carries them, at record rec — to its table entry.
-func (t *binTable) checkFile(k int, meta, url []byte, rec int64) error {
-	if k >= t.nfiles {
-		return fmt.Errorf("file ordinal %d is past the file table's %d files", k, t.nfiles)
-	}
-	if e := t.fileEntry(k); !bytes.Equal(e[:binFileMetaLen], meta) || t.fileFirst(k) != rec || !bytes.Equal(t.url(k), url) {
-		return fmt.Errorf("file %d disagrees with its file table entry (first record %d)", k, t.fileFirst(k))
-	}
-	return nil
-}
-
-// checkUser is checkFile for user k.
-func (t *binTable) checkUser(k int, meta []byte, rec int64) error {
-	if k >= t.nusers {
-		return fmt.Errorf("user ordinal %d is past the file table's %d users", k, t.nusers)
-	}
-	if e := t.userEntry(k); !bytes.Equal(e[:binUserMetaLen], meta) || t.userFirst(k) != rec {
-		return fmt.Errorf("user %d disagrees with its file table entry (first record %d)", k, t.userFirst(k))
-	}
-	return nil
-}
-
 // binTableFrame is what a file table's frame declares past its 0 marker.
 type binTableFrame struct {
 	files, users, urlBytes int64
@@ -499,7 +443,7 @@ func newBinTable(at, records int64, f binTableFrame, body []byte) (*binTable, er
 	}
 	u := f.users * binUserEntryLen
 	t := &binTable{
-		records: records, nfiles: int(f.files), nusers: int(f.users),
+		at: at, records: records, nfiles: int(f.files), nusers: int(f.users),
 		users: body[:u], urls: body[u : u+f.urlBytes], files: body[u+f.urlBytes:],
 	}
 	var end uint32
@@ -661,30 +605,23 @@ func (t *binTable) census() BinCensus {
 }
 
 // binSource streams bin records a chunk at a time, decoding each record in
-// place from the reused payload buffer. It resolves a record's file and
-// user ordinals by slice index: each identity is built once, at its first
-// appearance — or, in a window reader, from the file table the first time
-// the window names an identity first seen before it — and stamped with
-// its ordinal (Ord), which a replay's backend.Population takes in place
-// of a map lookup. So after warm-up a record decode allocates nothing.
+// place from the reused payload buffer. A record names its file and user by
+// ordinal; the reader builds each identity from its file table entry the
+// first time a record it yields names it, and stamps it with its ordinal
+// (Ord), which a replay's backend.Population takes in place of a map
+// lookup. So after warm-up a record decode allocates nothing.
 type binSource struct {
-	br *bufio.Reader
-	// tab is the file table, read when the reader opened over a file; nil
-	// over a plain stream, which meets the table at its end.
-	tab *binTable
+	br  *bufio.Reader
+	tab *binTable // the trace's file table, read and checked at open
 
-	// files and users are the identities by ordinal: nil where a window
-	// reader has not yet needed one. nfiles and nusers are how many
+	// files and users are the identities by ordinal: nil where no record
+	// the reader yielded has named one yet. nfiles and nusers are how many
 	// ordinals the records read so far have named — the next new one.
 	files          []*workload.FileMeta
 	users          []*workload.User
 	nfiles, nusers int
 	fileSlab       slab[workload.FileMeta]
 	userSlab       slab[workload.User]
-	// Over a plain stream, where each identity first appeared and the URL
-	// bytes the records carried, to hold them to the table at stream end.
-	fileAt, userAt []binAt
-	urlBytes       int64
 
 	payload []byte // current chunk payload, reused across chunks
 	off     int    // decode offset within payload
@@ -692,19 +629,16 @@ type binSource struct {
 
 	pos     int   // emitted stream index (0-based, post-window)
 	rec     int64 // absolute record index in the file, for errors
-	fileOff int64 // byte offset of the current chunk's payload start
+	fileOff int64 // byte offset of the next chunk's frame
 	chunkAt int64 // byte offset where the current record's chunk begins
 
 	skip  int64 // records still to skip before the window starts
 	limit int64 // records still to emit; <0 means unbounded
-	total int64 // trailer record count when known up front, else -1
+	n     int   // the records the window holds, from the trailer's count
 
 	err  error
 	done bool
 }
-
-// binAt is where an identity first appeared: its record and byte offset.
-type binAt struct{ rec, off int64 }
 
 // slab hands out identities from blocks, so building one costs a fraction
 // of an allocation.
@@ -719,45 +653,32 @@ func (s *slab[T]) next() *T {
 	return v
 }
 
-// sizedBinSource is a binSource whose record count is known from the
-// trailer; it implements workload.Sizer so trace-fed replays regain
-// pre-sized shard buffers.
-type sizedBinSource struct {
-	binSource
-	n int
-}
-
-// TotalRequests implements workload.Sizer.
-func (s *sizedBinSource) TotalRequests() int { return s.n }
+// TotalRequests implements workload.Sizer: a bin source knows its record
+// count from the trailer, so trace-fed replays get pre-sized shard buffers.
+func (s *binSource) TotalRequests() int { return s.n }
 
 // StreamWorkloadBin opens a bin workload trace for record-at-a-time
-// reading. When r is an io.ReadSeeker (a file), the trailer and file table
-// are validated up front and the returned source implements
-// workload.Sizer; a missing or corrupt trailer or table is reported
-// immediately.
+// reading. r must be an io.ReadSeeker (a file): the trailer and file table
+// are read and checked first, so a missing or corrupt trailer or table is
+// reported immediately, and the source implements workload.Sizer.
 func StreamWorkloadBin(r io.Reader) (workload.RequestSource, error) {
 	return StreamWorkloadBinWindow(r, 0, -1)
 }
 
 // StreamWorkloadBinWindow opens a bin workload trace restricted to the
 // half-open record window [offset, offset+limit); limit < 0 means "to the
-// end". Over an io.ReadSeeker, whole chunks before the window are skipped
-// using the frame's record count — their payloads are discarded unread,
-// which is what makes partitioning one trace file across processes cheap
-// — and identities first seen in them come from the file table, built
-// only as the window names them. A plain reader decodes its way to the
-// window. The returned source re-bases indices at 0, as every
-// RequestSource does.
+// end". r must be an io.ReadSeeker, as for StreamWorkloadBin. Whole chunks
+// before the window are skipped using the frame's record count — their
+// payloads are discarded unread, which is what makes partitioning one
+// trace file across processes cheap. The returned source re-bases indices
+// at 0, as every RequestSource does.
 func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.RequestSource, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("trace: negative bin window offset %d", offset)
 	}
 	rs, ok := r.(io.ReadSeeker)
 	if !ok {
-		if err := readBinHeader(r); err != nil {
-			return nil, err
-		}
-		return binWindow(r, nil, offset, limit), nil
+		return nil, fmt.Errorf("trace: a bin trace needs a seekable file (io.ReadSeeker), got %T: its file table, read first, is at its end", r)
 	}
 	t, err := readBinTable(rs)
 	if err != nil {
@@ -768,23 +689,17 @@ func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.Request
 
 // binWindow returns the reader of records [offset, offset+limit) over r,
 // positioned where the first chunk starts. t is the trace's checked file
-// table, or nil over a plain stream, whose reader meets the table at its
-// end; only a reader with the table can skip whole chunks and say how
-// many records it will yield (workload.Sizer).
-func binWindow(r io.Reader, t *binTable, offset, limit int64) workload.RequestSource {
-	s := binSource{skip: offset, limit: limit, total: -1, fileOff: binHeaderLen,
-		br: bufio.NewReaderSize(r, 64<<10)}
-	if t == nil {
-		return &s
-	}
-	s.tab, s.total = t, t.records
-	s.files = make([]*workload.FileMeta, t.nfiles)
-	s.users = make([]*workload.User, t.nusers)
-	n := max(s.total-offset, 0)
+// table.
+func binWindow(r io.Reader, t *binTable, offset, limit int64) *binSource {
+	n := max(t.records-offset, 0)
 	if limit >= 0 && limit < n {
 		n = limit
 	}
-	return &sizedBinSource{binSource: s, n: int(n)}
+	return &binSource{
+		br: bufio.NewReaderSize(r, 64<<10), tab: t,
+		files: make([]*workload.FileMeta, t.nfiles), users: make([]*workload.User, t.nusers),
+		fileOff: binHeaderLen, skip: offset, limit: limit, n: int(n),
+	}
 }
 
 func (s *binSource) Next() (int, workload.Request, bool) {
@@ -802,7 +717,7 @@ func (s *binSource) Next() (int, workload.Request, bool) {
 			}
 			continue
 		}
-		req, err := s.decodeRecord()
+		ms, file, user, err := s.decodeRecord()
 		if err != nil {
 			s.fail(err)
 			return 0, workload.Request{}, false
@@ -814,44 +729,45 @@ func (s *binSource) Next() (int, workload.Request, bool) {
 		}
 		i := s.pos
 		s.pos++
-		return i, req, true
+		return i, workload.Request{
+			User: s.user(user), File: s.file(file),
+			Time: time.Duration(ms) * time.Millisecond,
+		}, true
 	}
 }
 
 // nextChunk loads the next chunk payload, skipping whole chunks that fall
-// entirely before the window when the file table can stand in for their
-// first appearances. It reports false at the table or on error.
+// entirely before the window: the table says which ordinals their records
+// introduced. It reports false at the file table or on error.
 func (s *binSource) nextChunk() bool {
 	for {
+		if s.fileOff == s.tab.at {
+			s.finish()
+			return false
+		}
 		var frame [binFrameLen]byte
-		if _, err := io.ReadFull(s.br, frame[:4]); err != nil {
+		if _, err := io.ReadFull(s.br, frame[:]); err != nil {
 			s.fail(fmt.Errorf("trace: bin chunk frame at offset %d: %w", s.fileOff, noEOF(err)))
 			return false
 		}
 		payloadLen := binary.LittleEndian.Uint32(frame[0:4])
-		if payloadLen == 0 { // the file table's marker
-			s.finish()
-			return false
-		}
-		if payloadLen > binMaxChunk {
-			s.fail(fmt.Errorf("trace: bin chunk at offset %d claims %d-byte payload (max %d)", s.fileOff, payloadLen, binMaxChunk))
-			return false
-		}
-		if _, err := io.ReadFull(s.br, frame[4:]); err != nil {
-			s.fail(fmt.Errorf("trace: bin chunk frame at offset %d: %w", s.fileOff, noEOF(err)))
-			return false
-		}
 		recCount := binary.LittleEndian.Uint32(frame[4:8])
-		if recCount == 0 || uint64(recCount)*binRecordMin > uint64(payloadLen) {
-			s.fail(fmt.Errorf("trace: bin chunk at offset %d claims %d records in %d bytes", s.fileOff, recCount, payloadLen))
-			return false
-		}
 		chunkAt := s.fileOff
 		s.fileOff += binFrameLen + int64(payloadLen)
-		if s.tab != nil && s.skip >= int64(recCount) {
+		switch {
+		case payloadLen > binMaxChunk:
+			s.fail(fmt.Errorf("trace: bin chunk at offset %d claims %d-byte payload (max %d)", chunkAt, payloadLen, binMaxChunk))
+			return false
+		case s.fileOff > s.tab.at:
+			s.fail(fmt.Errorf("trace: bin chunk at offset %d runs to offset %d, past the file table at %d", chunkAt, s.fileOff, s.tab.at))
+			return false
+		case recCount == 0 || uint64(recCount)*binRecordMin > uint64(payloadLen):
+			s.fail(fmt.Errorf("trace: bin chunk at offset %d claims %d records in %d bytes", chunkAt, recCount, payloadLen))
+			return false
+		}
+		if s.skip >= int64(recCount) {
 			// The whole chunk precedes the window: discard the payload
-			// without buffering or checksumming it. The table says which
-			// ordinals its records introduced.
+			// without buffering or checksumming it.
 			if _, err := s.br.Discard(int(payloadLen)); err != nil {
 				s.fail(fmt.Errorf("trace: bin chunk at offset %d: %w", chunkAt, noEOF(err)))
 				return false
@@ -879,104 +795,18 @@ func (s *binSource) nextChunk() bool {
 	}
 }
 
-// finish reads the file table the stream ended at, then checks the
-// trailer against the records read and the table's offset. A reader that
-// read the table when it opened passes over it; one over a plain stream
-// checks it now, and holds each identity's first appearance to its entry.
-// Either way the records must have named every identity the table lists.
+// finish ends the stream where the file table starts, checking that the
+// records there number what the trailer claims and have named every
+// identity the table lists.
 func (s *binSource) finish() {
 	s.done = true
-	tableAt := s.fileOff
-	var raw [binTableFrameLen - 4]byte
-	if _, err := io.ReadFull(s.br, raw[:]); err != nil {
-		s.err = fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
-		return
-	}
-	f := parseBinTableFrame(raw[:])
-	t := s.tab
-	if t != nil {
-		if _, err := s.br.Discard(int(f.size())); err != nil {
-			s.err = fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
-			return
-		}
-	} else if s.err = s.readTable(tableAt, f); s.err != nil {
-		return
-	} else {
-		t = s.tab
-	}
-	if s.nfiles != t.nfiles || s.nusers != t.nusers {
+	switch t := s.tab; {
+	case s.rec != t.records:
+		s.err = fmt.Errorf("trace: bin trailer claims %d records, the chunks before the file table hold %d", t.records, s.rec)
+	case s.nfiles != t.nfiles || s.nusers != t.nusers:
 		s.err = fmt.Errorf("trace: bin file table lists %d files and %d users, the records name %d and %d",
 			t.nfiles, t.nusers, s.nfiles, s.nusers)
-		return
 	}
-	trailerAt := tableAt + binTableFrameLen + f.size()
-	var trailer [binTrailerLen]byte
-	if _, err := io.ReadFull(s.br, trailer[:]); err != nil {
-		s.err = fmt.Errorf("trace: bin trailer at offset %d: %w", trailerAt, noEOF(err))
-		return
-	}
-	if got, want := crc32.ChecksumIEEE(trailer[0:16]), binary.LittleEndian.Uint32(trailer[16:20]); got != want {
-		s.err = fmt.Errorf("trace: bin trailer checksum mismatch at offset %d", trailerAt)
-		return
-	}
-	if n := binary.LittleEndian.Uint64(trailer[0:8]); n != uint64(s.rec) {
-		s.err = fmt.Errorf("trace: bin trailer claims %d records, stream carried %d", n, s.rec)
-		return
-	}
-	if at := binary.LittleEndian.Uint64(trailer[8:16]); at != uint64(tableAt) {
-		s.err = fmt.Errorf("trace: bin trailer places the file table at offset %d, it starts at %d", at, tableAt)
-	}
-}
-
-// readTable reads, at stream end, the table a reader over a plain stream
-// had not seen, and holds every identity the records introduced to its
-// entry. A table that lists fewer identities than the records name fails
-// at the record that named the first ordinal past it.
-func (s *binSource) readTable(at int64, f binTableFrame) error {
-	for _, past := range []struct {
-		what        string
-		named, have int64
-		first       []binAt
-	}{
-		{"file", int64(s.nfiles), f.files, s.fileAt},
-		{"user", int64(s.nusers), f.users, s.userAt},
-	} {
-		if past.named > past.have {
-			a := past.first[past.have]
-			return fmt.Errorf("trace: bin record %d at offset %d: %s ordinal %d is past the file table's %d %ss",
-				a.rec, a.off, past.what, past.have, past.have, past.what)
-		}
-	}
-	if f.files != int64(s.nfiles) || f.users != int64(s.nusers) || f.urlBytes != s.urlBytes {
-		return fmt.Errorf("trace: bin file table at offset %d lists %d files, %d users and %d URL bytes; the records carry %d, %d and %d",
-			at, f.files, f.users, f.urlBytes, s.nfiles, s.nusers, s.urlBytes)
-	}
-	body := make([]byte, f.size()) // bounded by what the records carried
-	if _, err := io.ReadFull(s.br, body); err != nil {
-		return fmt.Errorf("trace: bin file table at offset %d: %w", at, noEOF(err))
-	}
-	t, err := newBinTable(at, s.rec, f, body)
-	if err != nil {
-		return err
-	}
-	var meta [binFileMetaLen]byte
-	for k, file := range s.files {
-		if err := t.checkFile(k, appendFileMeta(meta[:0], file), []byte(file.SourceURL), s.fileAt[k].rec); err != nil {
-			return s.fileAt[k].errorf("%w", err)
-		}
-	}
-	for k, user := range s.users {
-		if err := t.checkUser(k, appendUserMeta(meta[:0], user), s.userAt[k].rec); err != nil {
-			return s.userAt[k].errorf("%w", err)
-		}
-	}
-	s.tab = t
-	return nil
-}
-
-// errorf is an error at the record a names.
-func (a binAt) errorf(format string, args ...any) error {
-	return fmt.Errorf("trace: bin record %d at offset %d: %w", a.rec, a.off, fmt.Errorf(format, args...))
 }
 
 // varintFault says why binary.Uvarint or Varint returned n <= 0.
@@ -987,150 +817,64 @@ func varintFault(n int) string {
 	return "varint overflows 64 bits"
 }
 
-// decodeRecord decodes the record at s.off, advancing past it. Decoding is
-// allocation-free once the record's user and file identities are built.
-// A record the window skips builds nothing when the table can stand in.
-func (s *binSource) decodeRecord() (workload.Request, error) {
+// decodeRecord decodes the record at s.off, advancing past it, and returns
+// its time in milliseconds and its file and user ordinals.
+func (s *binSource) decodeRecord() (ms int64, file, user int, err error) {
 	p := s.payload[s.off:]
-	at := binAt{s.rec, s.chunkAt + binFrameLen + int64(s.off)}
+	at := s.chunkAt + binFrameLen + int64(s.off)
 	dt, n := binary.Varint(p)
 	if n <= 0 {
-		return workload.Request{}, at.errorf("time: %s", varintFault(n))
+		return 0, 0, 0, s.errorf(at, "time: %s", varintFault(n))
 	}
-	build := s.skip == 0 || s.tab == nil
-	file, m, err := s.file(p[n:], at, build)
+	file, m, err := s.ordinal(p[n:], at, "file", &s.nfiles, s.tab.nfiles, s.tab.fileFirst)
 	if err != nil {
-		return workload.Request{}, err
+		return 0, 0, 0, err
 	}
 	n += m
-	user, m, err := s.user(p[n:], at, build)
+	user, m, err = s.ordinal(p[n:], at, "user", &s.nusers, s.tab.nusers, s.tab.userFirst)
 	if err != nil {
-		return workload.Request{}, err
+		return 0, 0, 0, err
 	}
 	s.off += n + m
 	s.ms += dt
-	return workload.Request{
-		User: user, File: file,
-		Time: time.Duration(s.ms) * time.Millisecond,
-	}, nil
+	return s.ms, file, user, nil
 }
 
-// file decodes a record's file ordinal and, at the file's first
-// appearance, its metadata, returning the file and the bytes read.
-func (s *binSource) file(p []byte, at binAt, build bool) (*workload.FileMeta, int, error) {
+// ordinal decodes one of the ordinals of the record at byte offset at,
+// returning it and the bytes read. named counts the identities of its kind
+// the records have named so far; the table lists have of them, and first
+// gives the record each first appears at. An ordinal below named names an
+// identity seen; named itself introduces the next, which the table must
+// list as first appearing at this record; anything larger is an error.
+func (s *binSource) ordinal(p []byte, at int64, what string, named *int, have int, first func(int) int64) (int, int, error) {
 	o, n := binary.Uvarint(p)
 	switch {
 	case n <= 0:
-		return nil, 0, at.errorf("file ordinal: %s", varintFault(n))
-	case o < uint64(s.nfiles):
-		if !build {
-			return nil, n, nil
-		}
-		if f := s.files[o]; f != nil {
-			return f, n, nil
-		}
-		return s.tableFile(int(o)), n, nil
-	case o > uint64(s.nfiles):
-		return nil, 0, at.errorf("file ordinal %d is neither a file seen nor the next new one, %d", o, s.nfiles)
+		return 0, 0, s.errorf(at, "%s ordinal: %s", what, varintFault(n))
+	case o < uint64(*named):
+		return int(o), n, nil
+	case o > uint64(*named):
+		return 0, 0, s.errorf(at, "%s ordinal %d is neither a %s seen nor the next new one, %d", what, o, what, *named)
+	case *named >= have:
+		return 0, 0, s.errorf(at, "%s ordinal %d is past the file table's %d %ss", what, o, have, what)
+	case first(*named) != s.rec:
+		return 0, 0, s.errorf(at, "%s %d first appears here, but the file table lists it at record %d", what, o, first(*named))
 	}
-	m := p[n:]
-	if len(m) < binFileMetaLen {
-		return nil, 0, at.errorf("%d bytes left in chunk for file %d's metadata, want %d", len(m), o, binFileMetaLen)
-	}
-	if err := checkFileMeta(m); err != nil {
-		return nil, 0, at.errorf("%w", err)
-	}
-	urlLen, k := binary.Uvarint(m[binFileMetaLen:])
-	if k <= 0 {
-		return nil, 0, at.errorf("URL length: %s", varintFault(k))
-	}
-	left := len(m) - binFileMetaLen - k
-	if urlLen > uint64(left) {
-		return nil, 0, at.errorf("URL length %d exceeds %d bytes left in chunk", urlLen, left)
-	}
-	url := m[binFileMetaLen+k : binFileMetaLen+k+int(urlLen)]
-	if s.tab != nil {
-		if err := s.tab.checkFile(s.nfiles, m[:binFileMetaLen], url, at.rec); err != nil {
-			return nil, 0, at.errorf("%w", err)
-		}
-	} else {
-		if s.nfiles >= binMaxOrdinals {
-			return nil, 0, at.errorf("more than %d distinct files", binMaxOrdinals)
-		}
-		s.fileAt = append(s.fileAt, at)
-		s.urlBytes += int64(urlLen)
-	}
-	s.nfiles++
-	n += binFileMetaLen + k + int(urlLen)
-	if !build {
-		return nil, n, nil
-	}
-	f := s.fileSlab.next()
-	fillFileMeta(f, m)
-	f.SourceURL = string(url)
-	f.Ord = int32(o + 1)
-	if s.tab != nil {
-		s.files[o] = f
-	} else {
-		s.files = append(s.files, f)
-	}
-	return f, n, nil
+	*named++
+	return int(o), n, nil
 }
 
-// user is file for a record's user.
-func (s *binSource) user(p []byte, at binAt, build bool) (*workload.User, int, error) {
-	o, n := binary.Uvarint(p)
-	switch {
-	case n <= 0:
-		return nil, 0, at.errorf("user ordinal: %s", varintFault(n))
-	case o < uint64(s.nusers):
-		if !build {
-			return nil, n, nil
-		}
-		if u := s.users[o]; u != nil {
-			return u, n, nil
-		}
-		return s.tableUser(int(o)), n, nil
-	case o > uint64(s.nusers):
-		return nil, 0, at.errorf("user ordinal %d is neither a user seen nor the next new one, %d", o, s.nusers)
-	}
-	m := p[n:]
-	if len(m) < binUserMetaLen {
-		return nil, 0, at.errorf("%d bytes left in chunk for user %d's metadata, want %d", len(m), o, binUserMetaLen)
-	}
-	m = m[:binUserMetaLen]
-	if err := checkUserMeta(m); err != nil {
-		return nil, 0, at.errorf("%w", err)
-	}
-	if s.tab != nil {
-		if err := s.tab.checkUser(s.nusers, m, at.rec); err != nil {
-			return nil, 0, at.errorf("%w", err)
-		}
-	} else {
-		if s.nusers >= binMaxOrdinals {
-			return nil, 0, at.errorf("more than %d distinct users", binMaxOrdinals)
-		}
-		s.userAt = append(s.userAt, at)
-	}
-	s.nusers++
-	n += binUserMetaLen
-	if !build {
-		return nil, n, nil
-	}
-	u := s.userSlab.next()
-	fillUserMeta(u, m)
-	u.Ord = int32(o + 1)
-	if s.tab != nil {
-		s.users[o] = u
-	} else {
-		s.users = append(s.users, u)
-	}
-	return u, n, nil
+// errorf is an error at the current record, which starts at byte offset at.
+func (s *binSource) errorf(at int64, format string, args ...any) error {
+	return fmt.Errorf("trace: bin record %d at offset %d: %s", s.rec, at, fmt.Sprintf(format, args...))
 }
 
-// tableFile and tableUser build identity k, first seen before the window,
-// from its file table entry.
-func (s *binSource) tableFile(k int) *workload.FileMeta {
+// file and user return identity k, building it from its file table entry
+// the first time a record the reader yields names it.
+func (s *binSource) file(k int) *workload.FileMeta {
+	if f := s.files[k]; f != nil {
+		return f
+	}
 	f := s.fileSlab.next()
 	fillFileMeta(f, s.tab.fileEntry(k))
 	f.SourceURL = string(s.tab.url(k))
@@ -1139,7 +883,10 @@ func (s *binSource) tableFile(k int) *workload.FileMeta {
 	return f
 }
 
-func (s *binSource) tableUser(k int) *workload.User {
+func (s *binSource) user(k int) *workload.User {
+	if u := s.users[k]; u != nil {
+		return u
+	}
 	u := s.userSlab.next()
 	fillUserMeta(u, s.tab.userEntry(k))
 	u.Ord = int32(k + 1)
@@ -1162,16 +909,6 @@ func noEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// ReadWorkloadBin parses a bin workload trace into a slice, deduplicating
-// identities as the streaming reader does.
-func ReadWorkloadBin(r io.Reader) ([]workload.Request, error) {
-	src, err := StreamWorkloadBin(r)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Collect(src)
 }
 
 // HashWorkload drains a request stream and returns the SHA-256 of the

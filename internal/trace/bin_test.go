@@ -15,7 +15,7 @@ import (
 )
 
 // unseekable hides the io.ReadSeeker face of a bytes.Reader so tests can
-// exercise the pure-streaming bin path.
+// check that a bin reader refuses a plain stream.
 type unseekable struct{ r io.Reader }
 
 func (u unseekable) Read(p []byte) (int, error) { return u.r.Read(p) }
@@ -35,7 +35,7 @@ func msRequests(t *testing.T, n int) []workload.Request {
 func binBytes(t *testing.T, reqs []workload.Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteWorkloadBin(&buf, reqs); err != nil {
+	if err := WriteWorkloadBinStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -95,7 +95,7 @@ func checkLosslessRoundTrip(t *testing.T, reqs, back []workload.Request) {
 // generated week replay from a bin file.
 func TestEdgeCaseBinRoundTrip(t *testing.T) {
 	reqs := edgeRequests()
-	back, err := ReadWorkloadBin(bytes.NewReader(binBytes(t, reqs)))
+	back, err := collect(StreamWorkloadBin(bytes.NewReader(binBytes(t, reqs))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,7 @@ func TestBinMatchesTextFormats(t *testing.T) {
 	}
 }
 
-// TestBinSizer: a bin source over a seekable reader knows its record count
-// from the trailer; over a plain reader it stays unsized, like csv/jsonl.
+// TestBinSizer: a bin source knows its record count from the trailer.
 func TestBinSizer(t *testing.T) {
 	reqs := sampleRequests(t, 250)
 	data := binBytes(t, reqs)
@@ -168,17 +167,6 @@ func TestBinSizer(t *testing.T) {
 	if got := len(drainChecked(t, src)); got != len(reqs) {
 		t.Fatalf("drained %d records, want %d", got, len(reqs))
 	}
-
-	src, err = StreamWorkloadBin(unseekable{bytes.NewReader(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.(workload.Sizer); ok {
-		t.Fatal("unseekable bin source claims Sizer")
-	}
-	if got := len(drainChecked(t, src)); got != len(reqs) {
-		t.Fatalf("unseekable drain: %d records, want %d", got, len(reqs))
-	}
 }
 
 // TestBinWindow checks (offset, limit) windows against the full slice,
@@ -187,7 +175,7 @@ func TestBinSizer(t *testing.T) {
 func TestBinWindow(t *testing.T) {
 	reqs := msRequests(t, 400)
 	var buf bytes.Buffer
-	if err := writeWorkloadBin(&buf, workload.NewSliceSource(reqs), 1<<10); err != nil {
+	if err := writeWorkloadBin(&buf, workload.NewSliceSource(reqs), 1<<8); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -223,13 +211,6 @@ func TestBinWindow(t *testing.T) {
 		}
 		checkLosslessRoundTrip(t, reqs[lo:lo+tc.want], got)
 	}
-	// Windows over an unseekable reader work too, just unsized.
-	src, err := StreamWorkloadBinWindow(unseekable{bytes.NewReader(data)}, 137, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drainChecked(t, src)
-	checkLosslessRoundTrip(t, reqs[137:237], got)
 	if _, err := StreamWorkloadBinWindow(bytes.NewReader(data), -1, 5); err == nil {
 		t.Fatal("negative offset accepted")
 	}
@@ -274,7 +255,7 @@ func chunkStarts(data []byte) []int64 {
 // records.
 func checkWindow(t *testing.T, data []byte, offset, limit int64) []workload.Request {
 	t.Helper()
-	full, err := ReadWorkloadBin(bytes.NewReader(data))
+	full, err := collect(StreamWorkloadBin(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +273,7 @@ func checkWindow(t *testing.T, data []byte, offset, limit int64) []workload.Requ
 		}
 		files[r.File], users[r.User] = true, true
 	}
-	s := &src.(*sizedBinSource).binSource
+	s := src.(*binSource)
 	bf, bu := 0, 0
 	for _, f := range s.files {
 		if f != nil {
@@ -316,7 +297,7 @@ func checkWindow(t *testing.T, data []byte, offset, limit int64) []workload.Requ
 func TestBinShardedWindowsCoverTrace(t *testing.T) {
 	reqs := msRequests(t, 301)
 	var buf bytes.Buffer
-	if err := writeWorkloadBin(&buf, workload.NewSliceSource(reqs), 2<<10); err != nil {
+	if err := writeWorkloadBin(&buf, workload.NewSliceSource(reqs), 1<<9); err != nil {
 		t.Fatal(err)
 	}
 	const shards = 4
@@ -338,7 +319,8 @@ func corrupt(data []byte, off int) []byte {
 
 // TestBinCorruptionTable feeds the reader a battery of damaged traces and
 // requires every one to fail with an error naming a byte offset (or the
-// specific structural fault) rather than panicking or succeeding.
+// specific structural fault) rather than panicking or succeeding. A trace
+// over a plain stream is refused: the reader needs a seekable file.
 func TestBinCorruptionTable(t *testing.T) {
 	reqs := sampleRequests(t, 50)
 	data := binBytes(t, reqs)
@@ -351,37 +333,54 @@ func TestBinCorruptionTable(t *testing.T) {
 		mutate(out[8:20])
 		return out
 	}
+	// recounted is data with its trailer claiming one record more, the
+	// trailer's CRC resealed over the claim.
+	recounted := append([]byte(nil), data...)
+	trailer := recounted[len(recounted)-binTrailerLen:]
+	binary.LittleEndian.PutUint64(trailer, uint64(len(reqs)+1))
+	binary.LittleEndian.PutUint32(trailer[16:], crc32.ChecksumIEEE(trailer[:16]))
+	tableAt := int(binary.LittleEndian.Uint64(data[len(data)-binTrailerLen+8:]))
 	cases := []struct {
-		name string
-		data []byte
-		want string // substring the error must contain
+		name  string
+		data  []byte
+		want  string // substring the error must contain
+		plain bool   // read over a plain stream, not a seekable reader
 	}{
-		{"empty", nil, "header"},
-		{"short header", data[:5], "header"},
-		{"bad magic", corrupt(data, 0), "magic"},
-		{"bad version", corrupt(data, 4), "version"},
-		{"truncated frame", data[:14], "offset 8"},
+		{"empty", nil, "header", false},
+		{"short header", data[:5], "header", false},
+		{"bad magic", corrupt(data, 0), "magic", false},
+		{"bad version", corrupt(data, 4), "version", false},
+		{"truncated frame", data[:14], "truncated", false},
 		{"payload cap exceeded", reframe(func(f []byte) {
 			binary.LittleEndian.PutUint32(f[0:4], binMaxChunk+1)
-		}), "offset 8"},
+		}), "offset 8", false},
 		{"record count zero", reframe(func(f []byte) {
 			binary.LittleEndian.PutUint32(f[4:8], 0)
-		}), "offset 8"},
+		}), "offset 8", false},
 		{"record count impossible", reframe(func(f []byte) {
 			binary.LittleEndian.PutUint32(f[4:8], uint32(payloadLen))
-		}), "offset 8"},
-		{"payload checksum", corrupt(data, 20+payloadLen/2), "checksum"},
-		{"truncated payload", data[:20+payloadLen/2], "offset 8"},
-		{"truncated in file table", data[:len(data)-binTrailerLen-5], "file table"},
-		{"file table checksum", corrupt(data, len(data)-binTrailerLen-5), "file table"},
-		{"truncated at trailer", data[:len(data)-binTrailerLen+6], "trailer"},
-		{"trailer count", corrupt(data, len(data)-binTrailerLen+2), "trailer"},
-		{"trailer table offset", corrupt(data, len(data)-binTrailerLen+10), "trailer"},
-		{"trailer checksum", corrupt(data, len(data)-2), "trailer"},
+		}), "offset 8", false},
+		{"payload past the file table", reframe(func(f []byte) {
+			binary.LittleEndian.PutUint32(f[0:4], uint32(tableAt-20+1))
+		}), "past the file table", false},
+		{"payload checksum", corrupt(data, 20+payloadLen/2), "checksum", false},
+		{"truncated payload", data[:20+payloadLen/2], "trailer", false},
+		{"truncated in file table", data[:len(data)-binTrailerLen-5], "trailer", false},
+		{"file table checksum", corrupt(data, len(data)-binTrailerLen-5), "file table", false},
+		{"truncated at trailer", data[:len(data)-binTrailerLen+6], "trailer", false},
+		{"trailer count", corrupt(data, len(data)-binTrailerLen+2), "trailer", false},
+		{"resealed trailer count", recounted, "trailer claims 51 records", false},
+		{"trailer table offset", corrupt(data, len(data)-binTrailerLen+10), "trailer", false},
+		{"trailer checksum", corrupt(data, len(data)-2), "trailer", false},
+		{"unseekable", data, "seekable file", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src, err := StreamWorkloadBin(unseekable{bytes.NewReader(tc.data)})
+			var r io.Reader = bytes.NewReader(tc.data)
+			if tc.plain {
+				r = unseekable{r}
+			}
+			src, err := StreamWorkloadBin(r)
 			if err == nil {
 				for {
 					if _, _, ok := src.Next(); !ok {
@@ -396,10 +395,10 @@ func TestBinCorruptionTable(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// The seekable open path must reject trailer damage up front.
+			// Open must reject trailer damage up front.
 			if strings.HasPrefix(tc.name, "trailer") || strings.HasPrefix(tc.name, "truncated at") {
 				if _, err := StreamWorkloadBin(bytes.NewReader(tc.data)); err == nil {
-					t.Fatal("seekable open accepted a damaged trailer")
+					t.Fatal("open accepted a damaged trailer")
 				}
 			}
 		})
@@ -459,7 +458,7 @@ func binTableDamage(data []byte) []struct {
 
 // TestBinTableDamage: every damaged file table is an error naming it,
 // never a panic, and a trace of an earlier version — one whose records
-// carry every identity inline — is refused by the version check.
+// carry identities inline — is refused by the version check.
 // (TestCensusMatchesWorkloadCensus in internal/distrib pins what an
 // intact table holds.)
 func TestBinTableDamage(t *testing.T) {
@@ -473,7 +472,7 @@ func TestBinTableDamage(t *testing.T) {
 			t.Errorf("%s: %v, want an error naming the file table and %q", tc.name, err, tc.want)
 		}
 	}
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		old := append([]byte(nil), data...)
 		old[4] = v
 		if _, err := readBinCensus(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported bin version %d", v)) {
@@ -497,11 +496,11 @@ func binPerRecord(tb testing.TB, reqs []workload.Request,
 	out = binary.LittleEndian.AppendUint16(out, 0)
 	at := make([]int64, len(reqs))
 	for i, r := range reqs {
-		file, newFile, user, newUser, err := enc.ordinals(r, uint64(i))
+		file, user, err := enc.ordinals(r, uint64(i))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		rec := appendRecord(nil, r, 0, file, newFile, user, newUser)
+		rec := appendRecord(nil, r, 0, file, user)
 		if edit != nil {
 			rec = edit(i, rec)
 		}
@@ -555,6 +554,23 @@ func binOrdinalDamage(tb testing.TB, reqs []workload.Request) []binOrdinalCase {
 		}, nil)
 		return data
 	}
+	// late returns the trace with records i and i+1 each naming the file
+	// (or user) before their own: record i names one already seen, and
+	// record i+1 introduces the one the table lists at record i.
+	late := func(i int, file bool) []byte {
+		data, _ := binPerRecord(tb, reqs, func(k int, rec []byte) []byte {
+			f, u := uint32(k), uint32(k)
+			if k == i || k == i+1 {
+				if file {
+					f--
+				} else {
+					u--
+				}
+			}
+			return appendRecord(nil, reqs[k], 0, f, u)
+		}, nil)
+		return data
+	}
 	_, at := binPerRecord(tb, reqs, nil, nil)
 	dropLastFile := func(f *binTableFrame, users, urls, files []byte) ([]byte, []byte, []byte) {
 		last := reqs[len(reqs)-1].File
@@ -562,24 +578,13 @@ func binOrdinalDamage(tb testing.TB, reqs []workload.Request) []binOrdinalCase {
 		f.urlBytes -= int64(len(last.SourceURL))
 		return users, urls[:len(urls)-len(last.SourceURL)], files[:len(files)-binFileEntryLen]
 	}
-	entry := func(fn func(users, files []byte)) func(*binTableFrame, []byte, []byte, []byte) ([]byte, []byte, []byte) {
-		return func(_ *binTableFrame, users, urls, files []byte) ([]byte, []byte, []byte) {
-			users, files = append([]byte(nil), users...), append([]byte(nil), files...)
-			fn(users, files)
-			return users, urls, files
-		}
-	}
-	disagree := func(fn func(users, files []byte)) []byte {
-		data, _ := binPerRecord(tb, reqs, nil, entry(fn))
-		return data
-	}
 	last := len(reqs) - 1
 	pastTable, _ := binPerRecord(tb, reqs, nil, dropLastFile)
 	return []binOrdinalCase{
 		{"file ordinal not yet seen", "file ordinal 4 is neither a file seen nor the next new one, 2",
-			record(2, func(r workload.Request) []byte { return appendRecord(nil, r, 0, 4, false, 2, true) }), 2, at[2]},
+			record(2, func(r workload.Request) []byte { return appendRecord(nil, r, 0, 4, 2) }), 2, at[2]},
 		{"user ordinal not yet seen", "user ordinal 3 is neither a user seen nor the next new one, 1",
-			record(1, func(r workload.Request) []byte { return appendRecord(nil, r, 0, 1, true, 3, false) }), 1, at[1]},
+			record(1, func(r workload.Request) []byte { return appendRecord(nil, r, 0, 1, 3) }), 1, at[1]},
 		{"file ordinal past the table", "file ordinal 5 is past the file table's 5 files", pastTable, last, at[last]},
 		{"truncated file ordinal", "file ordinal: truncated varint",
 			record(3, func(r workload.Request) []byte {
@@ -587,37 +592,28 @@ func binOrdinalDamage(tb testing.TB, reqs []workload.Request) []binOrdinalCase {
 			}), 3, at[3]},
 		{"truncated user ordinal", "user ordinal: truncated varint",
 			record(3, func(r workload.Request) []byte {
-				rec := appendRecord(nil, r, 0, 3, true, 3, true)
-				return append(rec[:len(rec)-binUserMetaLen-1], 0xff)
+				rec := appendRecord(nil, r, 0, 3, 3)
+				return append(rec[:len(rec)-1], 0xff)
 			}), 3, at[3]},
-		{"file entry disagrees", "file 2 disagrees with its file table entry",
-			disagree(func(_, files []byte) { files[2*binFileEntryLen+16]++ }), 2, at[2]},
-		{"user entry disagrees", "user 1 disagrees with its file table entry",
-			disagree(func(users, _ []byte) { users[binUserEntryLen+8] ^= 1 }), 1, at[1]},
+		{"file first elsewhere", "file 2 first appears here, but the file table lists it at record 2", late(2, true), 3, at[3]},
+		{"user first elsewhere", "user 1 first appears here, but the file table lists it at record 1", late(1, false), 2, at[2]},
 	}
 }
 
 // TestBinOrdinalDamage: a record that names an ordinal not yet seen or
-// past the table, a truncated varint, and a table entry that disagrees
-// with its identity's first appearance are each an error naming the
-// record and its byte offset — over a file, which holds each first
-// appearance to the table as it meets it, and over a plain stream, which
-// checks the table at its end.
+// past the table, a truncated varint, and a new identity the table lists
+// as first appearing at another record are each an error naming the
+// record and its byte offset.
 func TestBinOrdinalDamage(t *testing.T) {
 	for _, tc := range binOrdinalDamage(t, edgeRequests()) {
-		for _, r := range []io.Reader{bytes.NewReader(tc.data), unseekable{bytes.NewReader(tc.data)}} {
-			src, err := StreamWorkloadBin(r)
-			if err == nil {
-				_, err = workload.Collect(src)
-			}
-			where := fmt.Sprintf("bin record %d at offset %d", tc.rec, tc.off)
-			if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s (%T): %v, want an error naming %q and %q", tc.name, r, err, where, tc.want)
-			}
+		_, err := collect(StreamWorkloadBin(bytes.NewReader(tc.data)))
+		where := fmt.Sprintf("bin record %d at offset %d", tc.rec, tc.off)
+		if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q and %q", tc.name, err, where, tc.want)
 		}
 	}
 	data, _ := binPerRecord(t, edgeRequests(), nil, nil)
-	back, err := ReadWorkloadBin(bytes.NewReader(data))
+	back, err := collect(StreamWorkloadBin(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,31 +627,24 @@ func TestBinRecordErrorsNameOffset(t *testing.T) {
 	reqs := sampleRequests(t, 10)
 	data := binBytes(t, reqs)
 	payloadLen := int(binary.LittleEndian.Uint32(data[8:12]))
-	// Sabotage record 0's ISP byte — past its time, its file's ordinal,
-	// metadata and URL, and its user's ordinal and ID and bandwidth — then
-	// recompute the chunk CRC so the damage reaches the decoder.
-	r := reqs[0]
-	isp := 20 + len(binary.AppendVarint(nil, r.Time.Milliseconds())) + 1 + binFileMetaLen +
-		len(binary.AppendUvarint(nil, uint64(len(r.File.SourceURL)))) + len(r.File.SourceURL) + 1 + 16
+	// Make record 0's user ordinal — past its time and its file's one-byte
+	// ordinal — a varint that overflows 64 bits, running over the records
+	// after it, then recompute the chunk CRC so the damage reaches the
+	// decoder.
+	user := 20 + len(binary.AppendVarint(nil, reqs[0].Time.Milliseconds())) + 1
+	if user+binary.MaxVarintLen64 >= 20+payloadLen {
+		t.Fatalf("the first chunk's %d-byte payload leaves no room to damage", payloadLen)
+	}
 	out := append([]byte(nil), data...)
-	out[isp] = 0xee
+	copy(out[user:], bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64))
 	binary.LittleEndian.PutUint32(out[16:20], crc32.ChecksumIEEE(out[20:20+payloadLen]))
-	src, err := StreamWorkloadBin(unseekable{bytes.NewReader(out)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, _, ok := src.Next(); !ok {
-			break
-		}
-	}
-	err = src.Err()
+	_, err := collect(StreamWorkloadBin(bytes.NewReader(out)))
 	if err == nil {
-		t.Fatal("bad ISP byte decoded without error")
+		t.Fatal("an overflowing user ordinal decoded without error")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "record 0") || !strings.Contains(msg, "offset 20") {
-		t.Fatalf("error %q does not name record 0 at offset 20", msg)
+	if !strings.Contains(msg, "record 0") || !strings.Contains(msg, "offset 20") || !strings.Contains(msg, "user ordinal: varint overflows") {
+		t.Fatalf("error %q does not name record 0's user ordinal at offset 20", msg)
 	}
 }
 
@@ -687,10 +676,10 @@ func TestBinDecodeAllocFree(t *testing.T) {
 func TestDetectWorkloadFormat(t *testing.T) {
 	reqs := edgeRequests()
 	var csvBuf, jsonlBuf bytes.Buffer
-	if err := WriteWorkloadCSV(&csvBuf, reqs); err != nil {
+	if err := WriteWorkloadCSVStream(&csvBuf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteWorkloadJSONL(&jsonlBuf, reqs); err != nil {
+	if err := WriteWorkloadJSONLStream(&jsonlBuf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {

@@ -191,25 +191,31 @@ func committedCorpus(tb testing.TB, name string) [][]byte {
 	}
 	var out [][]byte
 	for _, path := range paths {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		header, value, ok := strings.Cut(string(raw), "\n")
-		value = strings.TrimSpace(value)
-		if !ok || header != "go test fuzz v1" || !strings.HasPrefix(value, "[]byte(") || !strings.HasSuffix(value, ")") {
-			tb.Fatalf("%s: not a one-value []byte corpus file", path)
-		}
-		b, err := strconv.Unquote(value[len("[]byte(") : len(value)-1])
-		if err != nil {
-			tb.Fatalf("%s: %v", path, err)
-		}
-		out = append(out, []byte(b))
+		out = append(out, corpusFile(tb, path))
 	}
 	if len(out) == 0 {
 		tb.Fatalf("no committed corpus under testdata/fuzz/%s", name)
 	}
 	return out
+}
+
+// corpusFile returns the input a one-value []byte corpus file holds.
+func corpusFile(tb testing.TB, path string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	header, value, ok := strings.Cut(string(raw), "\n")
+	value = strings.TrimSpace(value)
+	if !ok || header != "go test fuzz v1" || !strings.HasPrefix(value, "[]byte(") || !strings.HasSuffix(value, ")") {
+		tb.Fatalf("%s: not a one-value []byte corpus file", path)
+	}
+	b, err := strconv.Unquote(value[len("[]byte(") : len(value)-1])
+	if err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	return []byte(b)
 }
 
 // FuzzCSVDecodeMatchesReference: for any bytes, the CSV reader hands out

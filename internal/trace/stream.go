@@ -59,8 +59,7 @@ type csvSource struct {
 
 // StreamWorkloadCSV opens a workload CSV for record-at-a-time reading. The
 // header row is validated immediately; the returned source interns users
-// and files by ID exactly as ReadWorkloadCSV does, so identity-based
-// consumers work unchanged. Parse failures carry the row number, counting
+// and files by ID, so identity-based consumers work unchanged. Parse failures carry the row number, counting
 // the header as row 1.
 func StreamWorkloadCSV(r io.Reader) (workload.RequestSource, error) {
 	s := &csvSource{br: bufio.NewReaderSize(r, csvReadBuf), pool: newIdentityPool(), row: 2}

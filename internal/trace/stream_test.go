@@ -69,10 +69,10 @@ func checkEdgeRoundTrip(t *testing.T, reqs, back []workload.Request) {
 func TestEdgeCaseCSVRoundTrip(t *testing.T) {
 	reqs := edgeRequests()
 	var buf bytes.Buffer
-	if err := WriteWorkloadCSV(&buf, reqs); err != nil {
+	if err := WriteWorkloadCSVStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadWorkloadCSV(&buf)
+	back, err := collect(StreamWorkloadCSV(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestEdgeCaseCSVRoundTrip(t *testing.T) {
 func TestEdgeCaseJSONLRoundTrip(t *testing.T) {
 	reqs := edgeRequests()
 	var buf bytes.Buffer
-	if err := WriteWorkloadJSONL(&buf, reqs); err != nil {
+	if err := WriteWorkloadJSONLStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadWorkloadJSONL(&buf)
+	back, err := workload.Collect(StreamWorkloadJSONL(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestJSONLLongSourceURL(t *testing.T) {
 	reqs := edgeRequests()[:1]
 	reqs[0].File.SourceURL = "http://origin.example.net/" + strings.Repeat("x", 300<<10)
 	var buf bytes.Buffer
-	if err := WriteWorkloadJSONL(&buf, reqs); err != nil {
+	if err := WriteWorkloadJSONLStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 300<<10 {
 		t.Fatalf("test line too short: %d bytes", buf.Len())
 	}
-	back, err := ReadWorkloadJSONL(&buf)
+	back, err := workload.Collect(StreamWorkloadJSONL(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestStreamReadersMatchSliceReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed := drainChecked(t, src)
-	sliced, err := ReadWorkloadCSV(bytes.NewReader(csvBuf.Bytes()))
+	sliced, err := collect(StreamWorkloadCSV(bytes.NewReader(csvBuf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,19 @@ func TestStreamReadersMatchSliceReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed = drainChecked(t, src)
-	sliced, err = ReadWorkloadJSONL(bytes.NewReader(jsonlBuf.Bytes()))
+	sliced, err = workload.Collect(StreamWorkloadJSONL(bytes.NewReader(jsonlBuf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEdgeRoundTrip(t, sliced, streamed)
+}
+
+// collect drains the source an opener returned.
+func collect(src workload.RequestSource, err error) ([]workload.Request, error) {
+	if err != nil {
+		return nil, err
+	}
+	return workload.Collect(src)
 }
 
 // drainChecked collects a source, checking the index contract and identity
@@ -180,7 +188,7 @@ func drainChecked(t *testing.T, src workload.RequestSource) []workload.Request {
 func TestStreamErrorsCarryPositions(t *testing.T) {
 	reqs := edgeRequests()[:3]
 	var buf bytes.Buffer
-	if err := WriteWorkloadCSV(&buf, reqs); err != nil {
+	if err := WriteWorkloadCSVStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the third record (physical row 4) with a bad size field.
@@ -210,7 +218,7 @@ func TestStreamErrorsCarryPositions(t *testing.T) {
 	}
 
 	var jbuf bytes.Buffer
-	if err := WriteWorkloadJSONL(&jbuf, reqs); err != nil {
+	if err := WriteWorkloadJSONLStream(&jbuf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	jlines := strings.Split(jbuf.String(), "\n")
@@ -237,11 +245,12 @@ func TestStreamWorkloadUnknownFormat(t *testing.T) {
 }
 
 // TestWritersRefuseUnreadableRecords: a writer refuses, naming the record
-// and the limit, any record its own reader would refuse — a bin record
-// longer than a chunk payload may be, a JSONL line longer than the
-// scanner takes — and writes one exactly at the limit, which reads back.
-// CSV has no such limit: its reader falls back to encoding/csv for long
-// lines.
+// and the limit, any record its own reader would refuse — a JSONL line
+// longer than the scanner takes — and writes one exactly at the limit,
+// which reads back. CSV has no such limit: its reader falls back to
+// encoding/csv for long lines. Nor has bin: a URL lives in the file table,
+// not in a record, so one as long as a chunk payload may be, or longer,
+// writes and reads back.
 func TestWritersRefuseUnreadableRecords(t *testing.T) {
 	// jsonlBase is the length of record 1's JSONL line with an empty URL:
 	// each URL byte below adds one.
@@ -249,18 +258,10 @@ func TestWritersRefuseUnreadableRecords(t *testing.T) {
 		var buf bytes.Buffer
 		r := edgeRequests()[1]
 		r.File.SourceURL = ""
-		if err := WriteWorkloadJSONL(&buf, []workload.Request{r}); err != nil {
+		if err := WriteWorkloadJSONLStream(&buf, workload.NewSliceSource([]workload.Request{r})); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Len()
-	}
-	// binBase is the bytes of record 1's bin record beyond a URL near the
-	// limit: the record opens a chunk of its own (it cannot fit beside
-	// record 0) and names a new file and a new user.
-	binBase := func() int {
-		r := edgeRequests()[1]
-		r.File.SourceURL = strings.Repeat("x", binMaxChunk-100)
-		return len(appendRecord(nil, r, 0, 1, true, 1, true)) - len(r.File.SourceURL)
 	}
 	cases := []struct {
 		format  string
@@ -269,8 +270,8 @@ func TestWritersRefuseUnreadableRecords(t *testing.T) {
 		overBy  int
 		wantErr string
 	}{
-		{"bin", binMaxChunk, binMaxChunk - binBase(), 0, ""},
-		{"bin", binMaxChunk, binMaxChunk - binBase(), 1, fmt.Sprintf("bin record 1 is %d bytes, beyond the %d-byte", binMaxChunk+1, binMaxChunk)},
+		{"bin", binMaxChunk, binMaxChunk, 0, ""},
+		{"bin", binMaxChunk, binMaxChunk, 1, ""},
 		{"jsonl", jsonlMaxLine, jsonlMaxLine - jsonlBase(), 0, ""},
 		{"jsonl", jsonlMaxLine, jsonlMaxLine - jsonlBase(), 1, fmt.Sprintf("jsonl record 1 is a %d-byte line, beyond the %d bytes", jsonlMaxLine+1, jsonlMaxLine)},
 	}
@@ -292,7 +293,7 @@ func TestWritersRefuseUnreadableRecords(t *testing.T) {
 			if err != nil {
 				t.Fatalf("writing a record exactly at the limit: %v", err)
 			}
-			src, err := StreamWorkload(&buf, tc.format)
+			src, err := StreamWorkload(bytes.NewReader(buf.Bytes()), tc.format)
 			if err != nil {
 				t.Fatal(err)
 			}

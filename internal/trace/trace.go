@@ -56,7 +56,7 @@ func FromRequest(r workload.Request) WorkloadRecord {
 }
 
 // ToRequest reconstructs a request. Callers wanting shared *User/*FileMeta
-// identities across records should use ReadWorkloadCSV/JSONL, which
+// identities across records should use StreamWorkloadCSV/JSONL, which
 // deduplicate by ID.
 func (rec WorkloadRecord) ToRequest() (workload.Request, error) {
 	isp, err := workload.ParseISP(rec.ISP)
@@ -107,24 +107,6 @@ func parseFileID(s string) (workload.FileID, error) {
 var workloadHeader = []string{
 	"user_id", "isp", "access_bw", "time_ms", "file_id",
 	"size", "class", "protocol", "source_url", "weekly_requests",
-}
-
-// WriteWorkloadCSV writes requests as CSV with a header row. It is a thin
-// wrapper over WriteWorkloadCSVStream.
-func WriteWorkloadCSV(w io.Writer, reqs []workload.Request) error {
-	return WriteWorkloadCSVStream(w, workload.NewSliceSource(reqs))
-}
-
-// ReadWorkloadCSV parses a workload CSV, deduplicating users and files by
-// ID so identity-based analyses keep working. It is a thin wrapper over
-// StreamWorkloadCSV; use the stream form directly when the trace need not
-// be resident.
-func ReadWorkloadCSV(r io.Reader) ([]workload.Request, error) {
-	src, err := StreamWorkloadCSV(r)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Collect(src)
 }
 
 func checkHeader(h []string) error {
@@ -190,21 +172,6 @@ func (p *identityPool) intern(r workload.Request) workload.Request {
 		p.files[r.File.ID] = r.File
 	}
 	return r
-}
-
-// WriteWorkloadJSONL writes requests as JSON Lines. It is a thin wrapper
-// over WriteWorkloadJSONLStream.
-func WriteWorkloadJSONL(w io.Writer, reqs []workload.Request) error {
-	return WriteWorkloadJSONLStream(w, workload.NewSliceSource(reqs))
-}
-
-// ReadWorkloadJSONL parses JSON Lines, deduplicating identities as the CSV
-// reader does. It is a thin wrapper over StreamWorkloadJSONL, which reads
-// a record at a time with an explicit line-length limit well above
-// bufio.Scanner's 64 KB default, so records with very long source_url
-// fields survive the trip.
-func ReadWorkloadJSONL(r io.Reader) ([]workload.Request, error) {
-	return workload.Collect(StreamWorkloadJSONL(r))
 }
 
 // TaskLine is the serialized form of a completed task (the union of the

@@ -31,10 +31,10 @@ func sampleRequests(t *testing.T, n int) []workload.Request {
 func TestWorkloadCSVRoundTrip(t *testing.T) {
 	reqs := sampleRequests(t, 200)
 	var buf bytes.Buffer
-	if err := WriteWorkloadCSV(&buf, reqs); err != nil {
+	if err := WriteWorkloadCSVStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadWorkloadCSV(&buf)
+	back, err := collect(StreamWorkloadCSV(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestWorkloadCSVRoundTrip(t *testing.T) {
 func TestWorkloadJSONLRoundTrip(t *testing.T) {
 	reqs := sampleRequests(t, 200)
 	var buf bytes.Buffer
-	if err := WriteWorkloadJSONL(&buf, reqs); err != nil {
+	if err := WriteWorkloadJSONLStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadWorkloadJSONL(&buf)
+	back, err := workload.Collect(StreamWorkloadJSONL(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestWorkloadJSONLRoundTrip(t *testing.T) {
 func TestReadDeduplicatesIdentities(t *testing.T) {
 	reqs := sampleRequests(t, 500)
 	var buf bytes.Buffer
-	if err := WriteWorkloadCSV(&buf, reqs); err != nil {
+	if err := WriteWorkloadCSVStream(&buf, workload.NewSliceSource(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadWorkloadCSV(&buf)
+	back, err := collect(StreamWorkloadCSV(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

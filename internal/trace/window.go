@@ -60,9 +60,9 @@ func (b *Bin) Census() BinCensus {
 // Window returns a reader of the half-open record window
 // [offset, offset+limit) (limit < 0 means "to the end"). Whole chunks
 // before the window are skipped via the frame record counts, so a late
-// window costs frame reads, not decodes; identities first seen before it
-// come from the file table. The source re-bases indices at 0. Windows
-// read the file independently, so several may be open at once.
+// window costs frame reads, not decodes; identities come from the file
+// table. The source re-bases indices at 0. Windows read the file
+// independently, so several may be open at once.
 func (b *Bin) Window(offset, limit int64) (workload.RequestSource, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("trace: %s: negative bin window offset %d", b.path, offset)
