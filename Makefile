@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: check ci build test vet fmt race determinism bench cover allocgate \
 	bench-save bench-compare matrix-smoke fuzz-smoke \
-	paperscale-smoke paperscale distributed-smoke reach benchmark
+	paperscale-smoke paperscale paperscale-coord distributed-smoke reach \
+	benchmark
 
 # check is the CI gate: static checks, a full build, the package reach
 # check, the race-enabled test suite, the engine determinism test at
@@ -65,6 +66,29 @@ paperscale-smoke:
 # tasks — through the same pipeline. Takes minutes; not part of ci.
 paperscale:
 	$(GO) run ./cmd/experiments -exp expw -files 563517 -sample 1000
+
+# paperscale-coord runs the same week through the coordinator: the bin
+# trace of `wgen -files 563517 -seed 1` (≈4M records, ≈100 MB) replayed by
+# `odrcoord -verify -workers 2 -windows 8`, once static and once under the
+# band cache policy, whose serial observation pass is the coordinated
+# run's floor. Each run prints its coordinator stage line (trace hash,
+# state pass, merge+digest) and its DISTRIB verdict. The trace and the
+# checkpoints land in a mktemp dir removed on exit. About 40 s on 2
+# vCPUs; not part of ci.
+paperscale-coord:
+	@dir="$$(mktemp -d)" || exit 1; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir" ./cmd/odrcoord ./cmd/wgen || exit 1; \
+	"$$dir/wgen" -files 563517 -seed 1 -format bin -out "$$dir/week.bin" || exit 1; \
+	for policy in static band; do \
+		pol=""; [ "$$policy" = static ] || pol="-cache-policy $$policy"; \
+		"$$dir/odrcoord" -trace "$$dir/week.bin" -checkpoint "$$dir/ckpt" \
+			-workers 2 -windows 8 -verify $$pol >"$$dir/run.log" 2>&1; \
+		rc="$$?"; \
+		echo "paperscale-coord ($$policy):"; \
+		grep -E '^(coordinator:|DISTRIB verdict:)' "$$dir/run.log"; \
+		[ "$$rc" -eq 0 ] || { cat "$$dir/run.log"; echo "paperscale-coord: $$policy run exited $$rc"; exit 1; }; \
+		rm -rf "$$dir/ckpt"; \
+	done
 
 # distributed-smoke proves the multi-process replay coordinator end to
 # end at ~200k tasks: generate a bin trace, run a 3-worker coordinated

@@ -316,7 +316,7 @@ func TestStaticProbeFirstIndexOracle(t *testing.T) {
 			if !seen {
 				first[r.File.ID] = i
 			}
-			warm := outcomes.Contains(r.File.ID)
+			warm := backend.PoolHolds(outcomes, r.File.ID)
 			want[i] = warm || (seen && f < i && outcomes.PreDownload(reqs(i)).OK)
 			if want[i] && !warm {
 				fetched++
@@ -404,7 +404,7 @@ func TestCloudStateRestoreMatchesUninterrupted(t *testing.T) {
 				t.Fatalf("%s cut %d: pool %+v uninterrupted, %+v restored", name, cut, a, b)
 			}
 			for _, f := range files {
-				if whole.Contains(f.ID) != tail.Contains(f.ID) {
+				if backend.PoolHolds(whole, f.ID) != backend.PoolHolds(tail, f.ID) {
 					t.Fatalf("%s cut %d: pools disagree on %v", name, cut, f.ID)
 				}
 			}

@@ -61,8 +61,7 @@ type Cloud struct {
 	pop  *Population
 
 	// mu serialises ordinal-less callers: ObserveAt and PreDownload on
-	// requests without ordinals, and the pool reads of Contains and
-	// PoolStats.
+	// requests without ordinals, and PoolStats's read of the pool.
 	mu    sync.Mutex
 	slots table[fileSlot]
 	// dynamic reports a policy-driven pool (dynamic mode).
@@ -151,13 +150,16 @@ func newCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud 
 	if cfg.CachePolicy == "" {
 		pol = nil // static mode keeps the pool's embedded LRU (no extra alloc)
 	}
+	pop := NewPopulation(files)
 	return &Cloud{
-		cfg:    cfg,
-		fm:     cloud.NewFetchModel(cfg),
-		src:    sources.NewMix(),
-		pool:   cloud.NewStoragePoolPolicy(cfg.PoolCapacity, len(files), pol),
+		cfg: cfg,
+		fm:  cloud.NewFetchModel(cfg),
+		src: sources.NewMix(),
+		// The pool is keyed by the population's ordinals: a lookup indexes
+		// a slice where it would hash an MD5.
+		pool:   cloud.NewStoragePoolKeyed(cfg.PoolCapacity, len(files), pol, pop.fileKey),
 		root:   dist.NewRNG(seed).Split("mini-cloud"),
-		pop:    NewPopulation(files),
+		pop:    pop,
 		preRNG: dist.NewRNG(0),
 
 		dynamic: cfg.CachePolicy != "",
@@ -170,7 +172,7 @@ func (c *Cloud) fillWarm(files []*workload.FileMeta) {
 	warm := c.root.Split("warm")
 	for _, f := range files {
 		if warm.Bool(WarmProbs[f.Band()]) {
-			c.pool.AddMeta(f)
+			c.pool.AddKey(c.pop.File(f).idx(), f.ID, f.Size, f.Band())
 		}
 	}
 }
@@ -190,18 +192,6 @@ func (c *Cloud) Ledger() *Ledger { return &c.ledger }
 
 // Config returns the backend's cloud configuration.
 func (c *Cloud) Config() cloud.Config { return c.cfg }
-
-// Contains implements core.CacheProbe over the pool (the state ODR's
-// advisor would see). In dynamic mode the pool evolves, so the read takes
-// the backend lock.
-func (c *Cloud) Contains(id workload.FileID) bool {
-	if !c.dynamic {
-		return c.pool.Contains(id)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pool.Contains(id)
-}
 
 // PoolStats snapshots the storage pool's state and counters.
 func (c *Cloud) PoolStats() cloud.PoolStats {
@@ -234,7 +224,8 @@ func (c *Cloud) Prime(sample []workload.Request) {
 func (c *Cloud) ObserveAt(i int, f *workload.FileMeta, when time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observe(i, c.slotByIDLocked(f), f, when)
+	o, s := c.slotByIDLocked(f)
+	c.observe(i, o, s, f, when)
 }
 
 // ObserveOrdinal records request i for file f (ordinal o, from this
@@ -257,12 +248,12 @@ func (c *Cloud) ObserveAt(i int, f *workload.FileMeta, when time.Duration) {
 func (c *Cloud) ObserveOrdinal(i int, o Ordinal, f *workload.FileMeta, when time.Duration) {
 	s := c.slots.at(o.idx())
 	if !s.made {
-		c.build(s, f)
+		c.build(o, s, f)
 	}
-	c.observe(i, s, f, when)
+	c.observe(i, o, s, f, when)
 }
 
-func (c *Cloud) observe(i int, s *fileSlot, f *workload.FileMeta, when time.Duration) {
+func (c *Cloud) observe(i int, o Ordinal, s *fileSlot, f *workload.FileMeta, when time.Duration) {
 	if i < c.observed.next {
 		return
 	}
@@ -281,32 +272,32 @@ func (c *Cloud) observe(i int, s *fileSlot, f *workload.FileMeta, when time.Dura
 		return
 	}
 	c.pool.Tick(when)
-	if c.pool.Lookup(f.ID) {
+	if c.pool.LookupKey(o.idx()) {
 		c.observed.set(i)
 		return
 	}
 	if s.out.OK {
-		c.pool.AddMeta(f)
+		c.pool.AddKey(o.idx(), f.ID, f.Size, f.Band())
 	}
 }
 
-// slotByIDLocked is the resolve-by-ID step: f's slot, built if missing.
-// The caller holds c.mu.
-func (c *Cloud) slotByIDLocked(f *workload.FileMeta) *fileSlot {
+// slotByIDLocked is the resolve-by-ID step: f's ordinal and slot, the
+// slot built if missing. The caller holds c.mu.
+func (c *Cloud) slotByIDLocked(f *workload.FileMeta) (Ordinal, *fileSlot) {
 	o := c.pop.fileByID(f)
 	c.slots.reserve(int(o))
 	s := c.slots.at(o.idx())
 	if !s.made {
-		c.build(s, f)
+		c.build(o, s, f)
 	}
-	return s
+	return o, s
 }
 
-// build fills a new slot: the warm bit (static mode; the warm pool is
-// immutable there) and the file's pre-download outcome, warm or not, so
-// no later read of the slot needs to write it.
-func (c *Cloud) build(s *fileSlot, f *workload.FileMeta) {
-	s.warm = !c.dynamic && c.pool.Contains(f.ID)
+// build fills file o's new slot: the warm bit (static mode; the warm pool
+// is immutable there) and the file's pre-download outcome, warm or not,
+// so no later read of the slot needs to write it.
+func (c *Cloud) build(o Ordinal, s *fileSlot, f *workload.FileMeta) {
+	s.warm = !c.dynamic && c.pool.ContainsKey(o.idx())
 	s.out = c.attempt(f)
 	s.made = true
 }
@@ -330,7 +321,8 @@ func (c *Cloud) PreDownload(req *Request) PreResult {
 	var out PreResult
 	if req.FileOrd == 0 {
 		c.mu.Lock()
-		out = c.slotByIDLocked(req.File).out
+		_, s := c.slotByIDLocked(req.File)
+		out = s.out
 		c.mu.Unlock()
 	} else {
 		out = c.slots.at(req.FileOrd.idx()).out

@@ -96,10 +96,15 @@ func (p *Population) File(f *workload.FileMeta) Ordinal {
 	if k := f.Ord - 1; k >= 0 && int(k) < len(p.ids) && p.ids[k] == f.ID {
 		return Ordinal(f.Ord)
 	}
-	o, ok := p.files[f.ID]
+	return p.byID(f.ID)
+}
+
+// byID is the file map's ordinal for id, appending the file if it is new.
+func (p *Population) byID(id workload.FileID) Ordinal {
+	o, ok := p.files[id]
 	if !ok {
 		o = Ordinal(len(p.files) + 1)
-		p.files[f.ID] = o
+		p.files[id] = o
 	}
 	return o
 }
@@ -149,6 +154,15 @@ func (p *Population) fileByID(f *workload.FileMeta) Ordinal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.File(f)
+}
+
+// fileKey is the cloud pool's key for the file with id: its ordinal's
+// table index, the file appended if it is new. It is the numbering a
+// restored pool keys its files by (cloud.NewStoragePoolKeyed).
+func (p *Population) fileKey(id workload.FileID) int32 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.byID(id).idx()
 }
 
 func (p *Population) userByID(u *workload.User) Ordinal {

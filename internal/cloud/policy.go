@@ -223,6 +223,7 @@ const ghostCap = 4096
 // pool ever holding FileMeta pointers.
 type ghostEntry struct {
 	id   workload.FileID
+	key  int32
 	size int64
 	band workload.PopularityBand
 	hits uint8
@@ -283,7 +284,7 @@ func (w *prewarmPolicy) onHit(e int32) {
 func (w *prewarmPolicy) onRemove(e int32) {
 	w.p.listUnlink(&w.list, e)
 	ent := &w.p.entries[e]
-	w.remember(ghostEntry{id: ent.id, size: ent.size, band: ent.band, hits: ent.freq})
+	w.remember(ghostEntry{id: ent.id, key: ent.key, size: ent.size, band: ent.band, hits: ent.freq})
 }
 
 func (w *prewarmPolicy) victim() int32 { return w.list.tail }
@@ -337,10 +338,10 @@ func (w *prewarmPolicy) prefetch() {
 	})
 	w.gHead, w.gLen = 0, 0
 	for _, g := range w.scratch {
-		if w.p.prefetchAdd(g.id, g.size, g.band) {
+		if w.p.prefetchAdd(g.key, g.id, g.size, g.band) {
 			continue
 		}
-		if !w.p.Contains(g.id) {
+		if !w.p.ContainsKey(g.key) {
 			w.remember(g) // did not fit; keep remembering it
 		}
 	}

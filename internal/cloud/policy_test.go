@@ -204,7 +204,7 @@ func TestLFUDecay(t *testing.T) {
 	for i := 0; i < lfuMaxFreq+5; i++ {
 		p.Lookup(id(1))
 	}
-	e1 := p.index[id(1)]
+	e1 := p.slot(p.keys[id(1)])
 	if got := p.entries[e1].freq; got != lfuMaxFreq {
 		t.Fatalf("freq(1) = %d, want cap %d", got, lfuMaxFreq)
 	}
@@ -217,7 +217,7 @@ func TestLFUDecay(t *testing.T) {
 	}
 	// The decayed counters still order victims: 1 decayed from the cap,
 	// 2 kept earning touches, so 1 must now be the colder file.
-	f1, f2 := p.entries[e1].freq, p.entries[p.index[id(2)]].freq
+	f1, f2 := p.entries[e1].freq, p.entries[p.slot(p.keys[id(2)])].freq
 	if f1 >= f2 {
 		t.Fatalf("decay did not reorder: freq(1)=%d >= freq(2)=%d", f1, f2)
 	}

@@ -29,13 +29,34 @@ import (
 // benchmarks' allocs/op proportional to the file population. The default
 // LRU policy is embedded in the pool itself, so the split costs no
 // allocation either.
+//
+// The dedup index is dense: each file has an int32 key, and slots[key] is
+// the entry slot holding it. Who numbers the files decides which methods a
+// pool takes. A pool built by NewStoragePoolKeyed is numbered by its owner
+// — a replay cloud passes its Population ordinals — and takes keys
+// (LookupKey, AddKey, ContainsKey), so a lookup hashes nothing. Any other
+// pool numbers files itself, in the order it first admits them, and takes
+// FileIDs (Lookup, AddBanded, AddMeta, Contains): one map probe turns the
+// ID into its key. Either way entries and prewarm ghosts keep their
+// FileIDs, so AppendState writes the same bytes for both.
 type StoragePool struct {
 	capacity int64
 	used     int64
 	entries  []poolEntry
-	index    map[workload.FileID]int32
-	free     int32 // head of the free-slot list threaded through next
-	policy   EvictionPolicy
+	// slots is the dedup index by file key: the entry slot caching the
+	// file, noEntry when it is not cached. It grows with the keys seen.
+	slots []int32
+	// files counts the cached files.
+	files int
+	// keys is the pool's own FileID numbering (nil for an owner-keyed
+	// pool): a file keeps its key after eviction.
+	keys map[workload.FileID]int32
+	// keyOf is the owner's numbering (nil for a self-numbered pool), by
+	// which RestoreState keys the files it reads back.
+	keyOf func(workload.FileID) int32
+	free  int32 // head of the free-slot list threaded through next
+	// policy is the attached eviction policy.
+	policy EvictionPolicy
 	// prefetch caches the policy's prefetcher assertion so Tick is a nil
 	// check for demand-only policies.
 	prefetch prefetcher
@@ -49,11 +70,13 @@ type StoragePool struct {
 
 // poolEntry is one cached file plus its intrusive policy links (indices
 // into the entries slice, -1 = none). A vacated slot is threaded onto the
-// free list through next and reused by the next Add. band and freq are
-// policy scratch: the file's popularity band and a small touch counter.
+// free list through next and reused by the next Add. key is the file's
+// index in slots. band and freq are policy scratch: the file's popularity
+// band and a small touch counter.
 type poolEntry struct {
 	id         workload.FileID
 	size       int64
+	key        int32
 	prev, next int32
 	band       workload.PopularityBand
 	freq       uint8
@@ -84,19 +107,41 @@ func NewStoragePoolSized(capacity int64, hint int) *StoragePool {
 
 // NewStoragePoolPolicy builds a pool with an explicit eviction policy
 // (nil selects the embedded LRU default). The policy must be fresh — a
-// policy instance binds to exactly one pool.
+// policy instance binds to exactly one pool. The pool numbers its files
+// itself and takes FileIDs.
 func NewStoragePoolPolicy(capacity int64, hint int, pol EvictionPolicy) *StoragePool {
+	return newPool(capacity, hint, pol, nil)
+}
+
+// NewStoragePoolKeyed is NewStoragePoolPolicy for an owner that numbers
+// the files: it names each file by a non-negative int32 key of its own,
+// dense enough that a slice indexed by key is small (a population
+// ordinal), and calls LookupKey, AddKey and ContainsKey. keyOf is that
+// numbering by FileID, through which RestoreState keys the files it reads
+// back. Calling a FileID method on the pool panics.
+func NewStoragePoolKeyed(capacity int64, hint int, pol EvictionPolicy, keyOf func(workload.FileID) int32) *StoragePool {
+	if keyOf == nil {
+		panic("cloud: an owner-keyed pool needs its owner's numbering")
+	}
+	return newPool(capacity, hint, pol, keyOf)
+}
+
+// newPool builds an empty pool, numbered by keyOf or, when keyOf is nil,
+// by itself.
+func newPool(capacity int64, hint int, pol EvictionPolicy, keyOf func(workload.FileID) int32) *StoragePool {
 	if capacity <= 0 {
 		panic("cloud: pool capacity must be positive")
 	}
-	if hint < 0 {
-		hint = 0
-	}
+	hint = max(hint, 0)
 	p := &StoragePool{
 		capacity: capacity,
 		entries:  make([]poolEntry, 0, hint),
-		index:    make(map[workload.FileID]int32, hint),
+		slots:    make([]int32, 0, hint),
+		keyOf:    keyOf,
 		free:     noEntry,
+	}
+	if keyOf == nil {
+		p.keys = make(map[workload.FileID]int32, hint)
 	}
 	if pol == nil {
 		pol = &p.lru
@@ -107,6 +152,40 @@ func NewStoragePoolPolicy(capacity int64, hint int, pol EvictionPolicy) *Storage
 	return p
 }
 
+// ownKey returns id's key in the pool's own numbering; with add, a file
+// the pool has not numbered yet gets the next key, and otherwise ok
+// reports whether it has one.
+func (p *StoragePool) ownKey(id workload.FileID, add bool) (k int32, ok bool) {
+	if p.keys == nil {
+		panic("cloud: this pool's owner numbers its files; name them by key, not FileID")
+	}
+	if k, ok = p.keys[id]; !ok && add {
+		k, ok = int32(len(p.keys)), true
+		p.keys[id] = k
+	}
+	return k, ok
+}
+
+// slot returns the entry slot caching the file with key k, or noEntry.
+func (p *StoragePool) slot(k int32) int32 {
+	if uint(k) < uint(len(p.slots)) {
+		return p.slots[k]
+	}
+	return noEntry
+}
+
+// setSlot points key k's index entry at slot e, growing the index to
+// reach k.
+func (p *StoragePool) setSlot(k, e int32) {
+	if k < 0 {
+		panic("cloud: negative file key")
+	}
+	for int(k) >= len(p.slots) {
+		p.slots = append(p.slots, noEntry)
+	}
+	p.slots[k] = e
+}
+
 // Capacity returns the pool's byte capacity.
 func (p *StoragePool) Capacity() int64 { return p.capacity }
 
@@ -114,7 +193,7 @@ func (p *StoragePool) Capacity() int64 { return p.capacity }
 func (p *StoragePool) Used() int64 { return p.used }
 
 // Len returns the number of cached files.
-func (p *StoragePool) Len() int { return len(p.index) }
+func (p *StoragePool) Len() int { return p.files }
 
 // Hits returns how many Lookup calls found their file.
 func (p *StoragePool) Hits() uint64 { return p.hits }
@@ -161,7 +240,7 @@ func (p *StoragePool) Stats() PoolStats {
 		Policy:        p.policy.Name(),
 		Capacity:      p.capacity,
 		Used:          p.used,
-		Files:         len(p.index),
+		Files:         p.files,
 		Hits:          p.hits,
 		Misses:        p.misses,
 		Evictions:     p.evictions,
@@ -172,17 +251,31 @@ func (p *StoragePool) Stats() PoolStats {
 }
 
 // Contains reports whether the file is cached without touching policy
-// order or counters (used by ODR's read-only cache probe).
+// order or counters (used by ODR's read-only cache probe). It writes
+// nothing, so concurrent Contains calls are safe while nothing else runs.
 func (p *StoragePool) Contains(id workload.FileID) bool {
-	_, ok := p.index[id]
-	return ok
+	k, ok := p.ownKey(id, false)
+	return ok && p.ContainsKey(k)
 }
+
+// ContainsKey is Contains for the file with key k.
+func (p *StoragePool) ContainsKey(k int32) bool { return p.slot(k) != noEntry }
 
 // Lookup reports whether the file is cached, counting a hit or miss and
 // refreshing the policy's placement on hit.
 func (p *StoragePool) Lookup(id workload.FileID) bool {
-	e, ok := p.index[id]
+	k, ok := p.ownKey(id, false)
 	if !ok {
+		p.misses++
+		return false
+	}
+	return p.LookupKey(k)
+}
+
+// LookupKey is Lookup for the file with key k.
+func (p *StoragePool) LookupKey(k int32) bool {
+	e := p.slot(k)
+	if e == noEntry {
 		p.misses++
 		return false
 	}
@@ -221,11 +314,17 @@ func (p *StoragePool) AddMeta(f *workload.FileMeta) bool {
 // the resized entry itself, in which case AddBanded reports false. Files
 // larger than the pool capacity are never cached.
 func (p *StoragePool) AddBanded(id workload.FileID, size int64, band workload.PopularityBand) bool {
+	k, _ := p.ownKey(id, true)
+	return p.AddKey(k, id, size, band)
+}
+
+// AddKey is AddBanded for the file with key k, whose FileID is id.
+func (p *StoragePool) AddKey(k int32, id workload.FileID, size int64, band workload.PopularityBand) bool {
 	if size < 0 {
 		panic("cloud: negative file size")
 	}
-	if e, ok := p.index[id]; ok {
-		return p.refresh(e, id, size, band)
+	if e := p.slot(k); e != noEntry {
+		return p.refresh(e, k, size, band)
 	}
 	if size > p.capacity {
 		return false
@@ -235,23 +334,30 @@ func (p *StoragePool) AddBanded(id workload.FileID, size int64, band workload.Po
 			return false
 		}
 	}
+	p.admit(k, id, size, band)
+	return true
+}
+
+// admit places a file the pool does not hold into a fresh slot.
+func (p *StoragePool) admit(k int32, id workload.FileID, size int64, band workload.PopularityBand) {
 	e := p.alloc()
 	ent := &p.entries[e]
 	ent.id = id
+	ent.key = k
 	ent.size = size
 	ent.band = band
 	ent.freq = 0
-	p.index[id] = e
+	p.setSlot(k, e)
+	p.files++
 	p.used += size
 	p.policy.onAdd(e)
-	return true
 }
 
 // refresh re-touches a resident entry, applying a size correction when
 // the caller's size disagrees with the cached one. A new band moves the
 // entry off the list its old band named before the touch, so the touch
 // places it on the new band's list as a hit would.
-func (p *StoragePool) refresh(e int32, id workload.FileID, size int64, band workload.PopularityBand) bool {
+func (p *StoragePool) refresh(e, k int32, size int64, band workload.PopularityBand) bool {
 	ent := &p.entries[e]
 	if ent.band != band {
 		old := p.policy.listFor(e)
@@ -271,29 +377,17 @@ func (p *StoragePool) refresh(e int32, id workload.FileID, size int64, band work
 			break
 		}
 	}
-	_, still := p.index[id]
-	return still
+	return p.ContainsKey(k)
 }
 
 // prefetchAdd admits a file during a policy's prefetch pass: like
-// AddBanded but counted separately and never evicting to make room — a
+// AddKey but counted separately and never evicting to make room — a
 // prediction only fills capacity that demand left free.
-func (p *StoragePool) prefetchAdd(id workload.FileID, size int64, band workload.PopularityBand) bool {
-	if size <= 0 || p.used+size > p.capacity {
+func (p *StoragePool) prefetchAdd(k int32, id workload.FileID, size int64, band workload.PopularityBand) bool {
+	if size <= 0 || p.used+size > p.capacity || p.ContainsKey(k) {
 		return false
 	}
-	if _, ok := p.index[id]; ok {
-		return false
-	}
-	e := p.alloc()
-	ent := &p.entries[e]
-	ent.id = id
-	ent.size = size
-	ent.band = band
-	ent.freq = 0
-	p.index[id] = e
-	p.used += size
-	p.policy.onAdd(e)
+	p.admit(k, id, size, band)
 	p.prefetches++
 	p.prefetchedBy += uint64(size)
 	return true
@@ -307,7 +401,8 @@ func (p *StoragePool) evictOne() bool {
 	}
 	p.policy.onRemove(e)
 	ent := &p.entries[e]
-	delete(p.index, ent.id)
+	p.slots[ent.key] = noEntry
+	p.files--
 	p.used -= ent.size
 	p.evictions++
 	// Recycle the slot.

@@ -63,7 +63,15 @@ func (p *StoragePool) counters() [6]*uint64 {
 // frequency names; resident files must be distinct and their sizes must
 // add up to the byte count. A state no pool could have written is an
 // error, never a later panic. After an error the pool is unusable.
+//
+// The state names files by FileID, so it restores into an owner-keyed
+// pool and a self-numbered one alike: the owner's numbering keys each
+// resident file and remembered ghost, or, in a self-numbered pool, a
+// fresh numbering in the order the state lists them.
 func (p *StoragePool) RestoreState(b []byte) error {
+	if p.keys != nil {
+		p.keys = make(map[workload.FileID]int32)
+	}
 	r := &stateReader{b: b}
 	name := string(r.take(int(r.u8())))
 	capacity := int64(r.u64())
@@ -101,6 +109,16 @@ func (p *StoragePool) RestoreState(b []byte) error {
 	return p.reindex()
 }
 
+// keyFor is a restored file's key: the owner's numbering, or the pool's
+// own, numbering the file if it is new.
+func (p *StoragePool) keyFor(id workload.FileID) int32 {
+	if p.keyOf != nil {
+		return p.keyOf(id)
+	}
+	k, _ := p.ownKey(id, true)
+	return k
+}
+
 // reindex rebuilds the dedup index from a restored entry table, checking
 // the table against the free list and the policy's lists as it goes.
 func (p *StoragePool) reindex() error {
@@ -121,7 +139,7 @@ func (p *StoragePool) reindex() error {
 			return err
 		}
 	}
-	p.index = make(map[workload.FileID]int32, n)
+	p.slots, p.files = p.slots[:0], 0
 	var used int64
 	for _, l := range p.policy.entryLists() {
 		last := noEntry
@@ -130,18 +148,19 @@ func (p *StoragePool) reindex() error {
 				return err
 			}
 			ent := &p.entries[e]
-			_, dup := p.index[ent.id]
+			ent.key = p.keyFor(ent.id)
 			switch {
 			case ent.prev != last:
 				return fmt.Errorf("cloud: pool state slot %d links back to %d, want %d", e, ent.prev, last)
 			case p.policy.listFor(e) != l:
 				return fmt.Errorf("cloud: pool state slot %d is on a list its band and frequency do not name", e)
-			case dup:
+			case p.ContainsKey(ent.key):
 				return fmt.Errorf("cloud: pool state holds file %v twice", ent.id)
 			case ent.size < 0 || ent.size > p.capacity-used:
 				return fmt.Errorf("cloud: pool state's files overfill its %d-byte capacity", p.capacity)
 			}
-			p.index[ent.id] = e
+			p.setSlot(ent.key, e)
+			p.files++
 			used += ent.size
 			last = e
 		}
@@ -310,6 +329,7 @@ func (w *prewarmPolicy) restoreState(r *stateReader) {
 		g.size = int64(r.u64())
 		g.band = workload.PopularityBand(r.u8())
 		g.hits = r.u8()
+		g.key = w.p.keyFor(g.id)
 		w.remember(g)
 	}
 }

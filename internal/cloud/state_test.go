@@ -100,6 +100,114 @@ func TestPoolStateRestoreMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// ownerKey numbers stateOp's files the way an owner might: by a
+// permutation of their indices, so the keys are dense but in no order the
+// pool would pick itself.
+func ownerKey(i uint64) int32 { return int32(i * 37 % stateUniverse) }
+
+// keyedOp is stateOp on an owner-keyed pool: the same file, named by its
+// owner key.
+func keyedOp(p *StoragePool, op uint32, now time.Duration) bool {
+	i := uint64(op % stateUniverse)
+	id, k := workload.FileIDFromIndex(i), ownerKey(i)
+	switch (op >> 8) % 4 {
+	case 0:
+		return p.LookupKey(k)
+	case 1, 2:
+		return p.AddKey(k, id, int64((op>>12)%10)*45+10, workload.PopularityBand((op>>16)%3))
+	default:
+		p.Tick(now)
+		return false
+	}
+}
+
+// TestKeyedPoolMatchesSelfNumbered: a pool its owner numbers and a pool
+// that numbers files itself, driven by the same operations, answer alike,
+// prefetch alike, hold the same files and write the same state bytes,
+// under every policy — and so does an owner-keyed pool restored, at a
+// random cut, from the self-numbered pool's state.
+func TestKeyedPoolMatchesSelfNumbered(t *testing.T) {
+	const capacity = 1000
+	byID := make(map[workload.FileID]uint64, stateUniverse)
+	for i := uint64(0); i < stateUniverse; i++ {
+		byID[workload.FileIDFromIndex(i)] = i
+	}
+	keyOf := func(id workload.FileID) int32 {
+		i, ok := byID[id]
+		if !ok {
+			t.Fatalf("owner asked to key a file outside its universe: %v", id)
+		}
+		return ownerKey(i)
+	}
+	keyed := func(name string) *StoragePool {
+		pol, err := NewPolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewStoragePoolKeyed(capacity, 0, pol, keyOf)
+	}
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			f := func(ops []uint32, cut uint16) bool {
+				self, owned := newPolicyPool(t, name, capacity), keyed(name)
+				var restored *StoragePool
+				k := int(cut) % (len(ops) + 1)
+				var now time.Duration
+				for i, op := range ops {
+					if i == k {
+						restored = keyed(name)
+						if err := restored.RestoreState(self.AppendState(nil)); err != nil {
+							t.Errorf("restoring a self-numbered state into an owner-keyed pool: %v", err)
+							return false
+						}
+					}
+					now += time.Duration(op>>20%5) * time.Hour
+					want := stateOp(self, op, now)
+					if keyedOp(owned, op, now) != want {
+						return false
+					}
+					if restored != nil && (keyedOp(restored, op, now) != want || restored.Stats() != self.Stats()) {
+						return false
+					}
+					if owned.Stats() != self.Stats() {
+						return false
+					}
+				}
+				state := self.AppendState(nil)
+				for _, p := range []*StoragePool{owned, restored} {
+					if p == nil {
+						continue
+					}
+					if !bytes.Equal(p.AppendState(nil), state) {
+						return false
+					}
+					for i := uint64(0); i < stateUniverse; i++ {
+						if p.ContainsKey(ownerKey(i)) != self.Contains(workload.FileIDFromIndex(i)) {
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestKeyedPoolRefusesFileIDs: an owner-keyed pool takes keys only; a
+// FileID call is a programming error and panics.
+func TestKeyedPoolRefusesFileIDs(t *testing.T) {
+	p := NewStoragePoolKeyed(100, 0, nil, func(workload.FileID) int32 { return 0 })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Lookup by FileID on an owner-keyed pool did not panic")
+		}
+	}()
+	p.Lookup(id(1))
+}
+
 // TestPoolRebandKeepsListsWhole: re-adding a resident file under another
 // band leaves it on exactly one list, placed as a hit would place it —
 // for the band policy, the front of its new band's list — so the pool's

@@ -7,9 +7,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -21,6 +23,7 @@ import (
 	"odr/internal/cloud"
 	"odr/internal/obs"
 	"odr/internal/replay"
+	"odr/internal/smartap"
 	"odr/internal/trace"
 	"odr/internal/workload"
 )
@@ -406,6 +409,94 @@ func TestDistributedDigestMatchesSingleProcess(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDistributedMetricsMatchSingleProcess: the coordinator's merged
+// registry is the registry a single process records over the same trace,
+// for static mode and every cache policy. Each window adds only what
+// happened inside it — the pool counters it records are the change since
+// its restored state — and the pool's level gauges come from the window
+// that ends the trace. The in-flight peak is a scheduling signal of each
+// process's engine and sits outside the comparison.
+func TestDistributedMetricsMatchSingleProcess(t *testing.T) {
+	tracePath := writeTrace(t, 90, 42)
+	for _, policy := range append([]string{""}, cloud.PolicyNames()...) {
+		name := cmp.Or(policy, "static")
+		t.Run(name, func(t *testing.T) {
+			spec := WorkerSpec{Seed: 42, CachePolicy: policy, PoolBytes: 64 << 20, Faults: "0.3", Metrics: true}
+			co, err := New(Config{
+				TracePath:     tracePath,
+				Workers:       3,
+				Windows:       8,
+				CheckpointDir: t.TempDir(),
+				Spec:          spec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged, err := co.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			opts, err := spec.ReplayOptions(reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin := openBin(t, tracePath)
+			full, err := bin.Window(0, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := replay.RunODRStream(full, bin.Census().Files, smartap.Benchmarked(), opts); err != nil {
+				t.Fatal(err)
+			}
+			want, got := reg.Snapshot(), merged.Metrics.Snapshot()
+			for _, s := range []*obs.Snapshot{want, got} {
+				delete(s.Gauges, replay.MetricInflightPeak)
+			}
+			if diff := snapshotDiff(got, want); diff != "" {
+				t.Fatalf("merged metrics differ from the single-process registry:\n%s", diff)
+			}
+		})
+	}
+}
+
+// snapshotDiff lists the counters, gauges and histograms on which two
+// snapshots disagree, one per line ("" when they are equal).
+func snapshotDiff(got, want *obs.Snapshot) string {
+	var out []string
+	for _, name := range unionKeys(got.Counters, want.Counters) {
+		if g, w := got.Counters[name], want.Counters[name]; g != w {
+			out = append(out, fmt.Sprintf("counter %s: got %d, want %d", name, g, w))
+		}
+	}
+	for _, name := range unionKeys(got.Gauges, want.Gauges) {
+		if g, w := got.Gauges[name], want.Gauges[name]; g != w {
+			out = append(out, fmt.Sprintf("gauge %s: got %d, want %d", name, g, w))
+		}
+	}
+	for _, name := range unionKeys(got.Histograms, want.Histograms) {
+		if g, w := got.Histograms[name], want.Histograms[name]; !reflect.DeepEqual(g, w) {
+			out = append(out, fmt.Sprintf("histogram %s: got count %d sum %d, want count %d sum %d", name, g.Count, g.Sum, w.Count, w.Sum))
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// unionKeys is the sorted set of keys of two maps.
+func unionKeys[V any](a, b map[string]V) []string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestMergeOrderInsensitive pins that merging the same partials yields

@@ -17,9 +17,11 @@ import (
 // (minus the scheduling-dependent in-flight gauge) for the two dynamic
 // policies whose state is the largest — band and prewarm — and for static
 // mode (no policy, "" in the table), all under a pool small enough to
-// evict and naive faults at 0.3. The merged pool counters are sums of
-// every window's end-of-window counters, so they pin the observation
-// state each window starts from, not only the tasks.
+// evict and naive faults at 0.3. Each window's pool counters are what it
+// added to the state it restored, so they pin the observation state each
+// window starts from, not only the tasks; the exposition literals were
+// re-recorded when windows stopped re-counting their restored counters
+// (TestDistributedMetricsMatchSingleProcess), the digests were not.
 func TestDistributedGolden(t *testing.T) {
 	tracePath := writeTrace(t, 90, 42)
 	for _, tc := range []struct {
@@ -28,13 +30,13 @@ func TestDistributedGolden(t *testing.T) {
 	}{
 		{"band",
 			"17fd41fa549939f29860f4116b37278ccdadbd9a469ba318dca3a0bbc8794da1",
-			"4062e27fceea0b49aa89bc5e130766f73efeee24ee4a54453418ff99d9dd7360"},
+			"7dfcc515b39a5d594ab9eb3ba02cc9ff540076ff51935dc56cdb0ab83276c18e"},
 		{"prewarm",
 			"05e58a894bbef298e99647a7ae33a23059ecc027ffb7ba45e27228f6c1f391ba",
-			"1b9062e4c9f138d23cf4a0d52dd2bd4fa67663c27691a4016674ec235148937e"},
+			"98c2b966fddad29d868cbd4d24004bf7275804cc32d1c1b756334483aa651f22"},
 		{"",
 			"e5aea567e8577ab672960fd3a344fb99ee4bddebf3933518d86caae120b5b663",
-			"fc1044fa9ac731091421f8d2155bd20cc831b5ccc44a82f5963d60a426857284"},
+			"40d79c1b5fb3b4e4e8c5d2536e8fc4557ea722429bc34eacf903ac65906b3f32"},
 	} {
 		name := cmp.Or(tc.policy, "static")
 		t.Run(name, func(t *testing.T) {

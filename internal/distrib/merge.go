@@ -27,10 +27,13 @@ type Merged struct {
 	// count and PerShard the per-window totals, so Totals() is the
 	// whole-trace count exactly as a single process would report it.
 	Engine replay.EngineStats
-	// Metrics is the folded worker registries (nil when unobserved).
-	// Counter and histogram totals merge exactly; the two
-	// transport-diagnostic gauges (inflight peak, effective chunk) are
-	// additive across windows and were never under the determinism
+	// Metrics is the folded worker registries (nil when unobserved):
+	// equal to the registry a single process records over the whole trace,
+	// less the in-flight peak (TestDistributedMetricsMatchSingleProcess).
+	// Counters and histograms add, each window having recorded only what
+	// happened inside it. Gauges are levels, read where the trace ends, so
+	// they come from the last window alone; the in-flight peak among them
+	// is that window's engine's, a scheduling signal under no determinism
 	// contract.
 	Metrics *obs.Registry
 	// Windows records the merge's window map.
@@ -95,11 +98,14 @@ func MergePartials(parts []*Partial) (*Merged, error) {
 		m.Seconds[i] = p.Seconds
 		next = p.Window.End()
 
-		if p.Metrics != nil {
+		if snap := p.Metrics; snap != nil {
 			if m.Metrics == nil {
 				m.Metrics = obs.NewRegistry()
 			}
-			if err := m.Metrics.AddSnapshot(p.Metrics); err != nil {
+			if i < len(parts)-1 {
+				snap = &obs.Snapshot{Counters: snap.Counters, Histograms: snap.Histograms}
+			}
+			if err := m.Metrics.AddSnapshot(snap); err != nil {
 				return nil, fmt.Errorf("distrib: partial %d metrics: %w", i, err)
 			}
 		}

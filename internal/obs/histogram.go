@@ -92,6 +92,22 @@ func (h *Histogram) merge(o *Histogram) {
 	}
 }
 
+// AddCounts folds observations tallied outside the histogram into it:
+// buckets[p] observations landed in bucket p (BucketOf) and sum is their
+// raw sum. It lets one goroutine accumulate in plain integers and join a
+// registry once, at the end, with no atomic per observation. Nil-safe.
+func (h *Histogram) AddCounts(sum uint64, buckets *[NumBuckets]uint64) {
+	if h == nil {
+		return
+	}
+	h.sum.Add(sum)
+	for p, n := range buckets {
+		if n > 0 {
+			h.buckets[p].Add(n)
+		}
+	}
+}
+
 // absorb folds a frozen snapshot's observations into h — merge for a
 // histogram that crossed a process boundary as JSON. Bucket indices are
 // validated (a corrupt snapshot must not index out of range); scale

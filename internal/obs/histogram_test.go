@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -71,6 +72,28 @@ func TestHistogramCountSum(t *testing.T) {
 	if h.Sum() != want {
 		t.Fatalf("sum = %d, want %d", h.Sum(), want)
 	}
+}
+
+// TestHistogramAddCounts: counts tallied in plain integers and added in
+// one step leave the histogram exactly as observing each value would.
+func TestHistogramAddCounts(t *testing.T) {
+	vals := []uint64{0, 1, 4, 5, 1 << 32, 1000, 1000}
+	observed, added := &Histogram{}, &Histogram{}
+	var buckets [NumBuckets]uint64
+	var sum uint64
+	for _, v := range vals {
+		observed.Observe(v)
+		buckets[BucketOf(v)]++
+		sum += v
+	}
+	added.Observe(7)
+	observed.Observe(7)
+	added.AddCounts(sum, &buckets)
+	if a, b := snapshotHistogram(observed), snapshotHistogram(added); !reflect.DeepEqual(a, b) {
+		t.Fatalf("AddCounts gives %+v, observing gives %+v", b, a)
+	}
+	var nilHist *Histogram
+	nilHist.AddCounts(sum, &buckets) // no-op
 }
 
 func TestHistogramObserveDuration(t *testing.T) {

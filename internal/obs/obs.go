@@ -5,9 +5,10 @@
 // Prometheus-style labeled names.
 //
 // The package is built for the sharded replay engine's determinism
-// contract. Every metric accumulates in integers through atomic
-// operations, so per-shard registries merged in any order produce exactly
-// the same totals, and enabling metrics never perturbs replay results
+// contract. Every metric accumulates in integers, through atomic
+// operations or folded in whole (Histogram.AddCounts), so registries
+// merged or folded in any order produce exactly the same totals, and
+// enabling metrics never perturbs replay results
 // (there is no randomness and no float accumulation anywhere on the
 // recording path). The nil-registry convention makes instrumentation free
 // when disabled: a nil *Registry hands out nil metric handles, and every

@@ -122,8 +122,8 @@ func mustHistScale(name string, m any, scale float64) *Histogram {
 
 // Merge folds o's metrics into r: counters and gauges add, histograms add
 // bucket-wise. Addition is commutative and associative, so merging N
-// per-shard registries yields identical totals in any order — the
-// property the replay engine's shard-merge determinism rule rests on.
+// registries — a scenario matrix's cells, say — yields identical totals
+// in any order.
 // Merging a nil registry (either side) is a no-op. Merge may run
 // concurrently with recording into o, but not with a Merge in the
 // opposite direction.

@@ -1,7 +1,10 @@
 package replay
 
 import (
+	"bufio"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,6 +12,7 @@ import (
 
 	"odr/internal/obs"
 	"odr/internal/smartap"
+	"odr/internal/trace"
 	"odr/internal/workload"
 )
 
@@ -164,4 +168,64 @@ func BenchmarkReplayParallel(b *testing.B) {
 			b.ReportMetric(float64(len(sample)*b.N)/b.Elapsed().Seconds(), "requests/sec")
 		})
 	}
+}
+
+// BenchmarkObserveStates times the band state pass odrcoord runs before
+// its windows: ObserveStates from record 0 through the cloud's
+// observation alone, emitting the state at each of eight window bases,
+// under bench's replay-stress pool (band, a twelfth of the population's
+// bytes). The trace is a generated 10,000-file week cut at 60,000
+// records, written as a bin trace and read back through its decoder with
+// its census as the population — as a coordinated run reads it, every
+// record carrying its trace ordinal. Reports ns/record.
+func BenchmarkObserveStates(b *testing.B) {
+	const files, records = 10000, 60000
+	tr, err := workload.Generate(workload.DefaultConfig(files, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(tr.Requests) < records {
+		b.Fatalf("trace has %d records, want %d", len(tr.Requests), records)
+	}
+	path := filepath.Join(b.TempDir(), "trace.bin")
+	out, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := bufio.NewWriter(out)
+	if err := trace.WriteWorkloadBinStream(w, workload.NewSliceSource(tr.Requests[:records])); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		b.Fatal(err)
+	}
+	bin, err := trace.OpenBin(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bin.Close()
+	census := bin.Census().Files
+	var pop int64
+	for _, f := range census {
+		pop += f.Size
+	}
+	opts := Options{Seed: 7, CachePolicy: "band", PoolBytes: pop / 12}
+	bases := make([]int, 8)
+	for k := range bases {
+		bases[k] = k * records / len(bases)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := bin.Window(0, -1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ObserveStates(src, census, opts, bases, func(int, []byte) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bases[len(bases)-1]), "ns/record")
 }

@@ -42,7 +42,9 @@ import (
 // written before the send and are never written again. Workers write only
 // their own tasks, their own ShardTotals, atomic ledgers and metrics, and
 // — under resilience — the breaker slots of the users their shard owns.
-// No worker takes a backend lock.
+// No worker takes a backend lock. A recorded run hands each shard a
+// recorder of its own (taskTally), which the worker feeds every task it
+// finishes; the caller folds the recorders after the engine returns.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
 // afterwards, sequentially over the merged task slice in index order.
@@ -124,60 +126,6 @@ var poisonReleasedBatches = false
 // poisonIndex is the request index poisoned cells carry.
 const poisonIndex = -0x5D5D5D5D
 
-// engineObs threads an optional observability destination through a
-// sharded run. Each shard records into its own private registry via a
-// recorder built by rec — per-shard recorders may therefore cache label
-// lookups in plain maps without locking — and the engine merges the shard
-// registries into dst after the last worker exits, then adds the engine
-// totals. Because every recorded quantity is an integer accumulated by
-// commutative sums and obs.Registry.Merge is order-independent, the
-// merged registry is identical for every shard count and interleaving,
-// and recording never perturbs task outcomes: replay digests are
-// byte-identical with eo nil or set (pinned by TestReplayDeterminism).
-type engineObs[T any] struct {
-	// dst receives the merged per-shard registries plus engine totals.
-	dst *obs.Registry
-	// rec builds one shard's recorder over that shard's registry; it is
-	// called once per shard, and the returned func sees every (task, ok)
-	// pair the shard produced, in the shard's execution order.
-	rec func(reg *obs.Registry) func(task *T, ok bool)
-}
-
-// shardRegistries allocates one registry per shard, or nil when the run
-// is unobserved.
-func (eo *engineObs[T]) shardRegistries(shards int) []*obs.Registry {
-	if eo == nil {
-		return nil
-	}
-	regs := make([]*obs.Registry, shards)
-	for s := range regs {
-		regs[s] = obs.NewRegistry()
-	}
-	return regs
-}
-
-// recorder builds shard s's recorder, or nil for an unobserved run.
-func (eo *engineObs[T]) recorder(regs []*obs.Registry, s int) func(*T, bool) {
-	if eo == nil || eo.rec == nil {
-		return nil
-	}
-	return eo.rec(regs[s])
-}
-
-// finish merges the shard registries into dst (in shard order, though any
-// order yields the same result) and adds the engine's own totals.
-func (eo *engineObs[T]) finish(regs []*obs.Registry, stats EngineStats) {
-	if eo == nil {
-		return
-	}
-	for _, r := range regs {
-		eo.dst.Merge(r)
-	}
-	t := stats.Totals()
-	eo.dst.Counter("odr_replay_tasks_total").Add(uint64(t.Tasks))
-	eo.dst.Counter("odr_replay_failures_total").Add(uint64(t.Failures))
-}
-
 // userShard places a user on a shard. Fibonacci hashing decorrelates the
 // shard from the round-robin structure of user IDs and AP assignment.
 func userShard(u *workload.User, shards int) int {
@@ -232,6 +180,19 @@ func sized(src workload.RequestSource) (workload.RequestSource, int, error) {
 	return workload.NewSliceSource(reqs), len(reqs), nil
 }
 
+// shardCount is the shard count a run of n records uses: shards, or
+// GOMAXPROCS when shards is non-positive, and never more than n when n is
+// known (positive).
+func shardCount(shards, n int) int {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	if n > 0 && shards > n {
+		shards = n
+	}
+	return shards
+}
+
 // runShardedStream replays src through fn across user-partitioned shards:
 // a single reader goroutine (the caller) pulls requests in global-index
 // order, invokes the observe hook (ordinal resolution and cloud
@@ -269,38 +230,37 @@ func sized(src workload.RequestSource) (workload.RequestSource, int, error) {
 // output is byte-identical for any shard count, chunk size, and
 // GOMAXPROCS.
 //
-// Non-positive shards selects GOMAXPROCS; a run never gets more shards
-// than it has requests. Non-positive chunk selects streamChunk; only
-// tests pass anything else.
+// The shard count is shardCount(shards, n) for a source of n records.
+// Non-positive chunk selects streamChunk; only tests pass anything else.
+//
+// dst, when non-nil, is the run's registry: the engine records the
+// in-flight peak there and times its reader (EngineStats.Reader). record,
+// when non-nil, holds one task recorder per shard — record[s] sees every
+// (task, ok) pair shard s produced, on shard s's goroutine, in its
+// execution order; the caller sizes it with shardCount.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
-	seed uint64, base, shards, chunk int, eo *engineObs[T],
+	seed uint64, base, shards, chunk int, dst *obs.Registry, record []func(task *T, ok bool),
 	observe func(i int, wreq workload.Request) (file, user backend.Ordinal),
 	fn func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
 ) ([]T, EngineStats, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	src, hint, err := sized(src)
 	if err != nil {
 		return nil, EngineStats{}, err
 	}
-	if hint > 0 && shards > hint {
-		shards = hint
+	shards = shardCount(shards, hint)
+	if record != nil && len(record) != shards {
+		panic(fmt.Sprintf("replay: %d task recorders for %d shards", len(record), shards))
 	}
 	if chunk <= 0 {
 		chunk = streamChunk
 	}
 	root := dist.NewRNG(seed).Split("replay-engine")
 	stats := EngineStats{Shards: shards, PerShard: make([]ShardTotals, shards)}
-	regs := eo.shardRegistries(shards)
 	// The in-flight high-water mark depends on goroutine scheduling, not
 	// on the replay; it is recorded straight into the destination registry
-	// and excluded from the shard-merge determinism contract (a nil eo
-	// yields a nil gauge).
-	var inflight *obs.Gauge
-	if eo != nil {
-		inflight = eo.dst.Gauge(MetricInflightPeak)
-	}
+	// and excluded from the determinism contract (a nil dst yields a nil
+	// gauge).
+	inflight := dst.Gauge(MetricInflightPeak)
 
 	tasks := make([]T, hint)
 
@@ -323,7 +283,10 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		go func(s int) {
 			defer wg.Done()
 			totals := &stats.PerShard[s]
-			record := eo.recorder(regs, s)
+			var rec func(*T, bool)
+			if record != nil {
+				rec = record[s]
+			}
 			req := &backend.Request{}
 			rng := dist.NewRNG(0)
 			for batch := range work[s] {
@@ -336,8 +299,8 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 					if !ok {
 						totals.Failures++
 					}
-					if record != nil {
-						record(t, ok)
+					if rec != nil {
+						rec(t, ok)
 					}
 				}
 				if poisonReleasedBatches {
@@ -362,7 +325,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	}
 
 	// timed: the run is observed, so the reader times its stages.
-	timed := eo != nil
+	timed := dst != nil
 	stages := &stats.Reader
 	cur := make([][]streamCell, shards)
 	flush := func(s int) {
@@ -436,7 +399,6 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		stages.Decode = time.Duration(float64(stages.Decode) * scale)
 		stages.Resolve = time.Duration(float64(stages.Resolve) * scale)
 	}
-	eo.finish(regs, stats)
 	if err := src.Err(); err != nil {
 		return nil, stats, err
 	}

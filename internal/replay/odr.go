@@ -60,8 +60,9 @@ type ODRResult struct {
 	Backends *backend.Set
 	// Engine records how the sharded engine executed the run.
 	Engine EngineStats
-	// Timeline is the windowed observability timeline, built from the
-	// merged task records when Options.Timeline is set (nil otherwise).
+	// Timeline is the windowed observability timeline, recorded as the
+	// shards finish their tasks when Options.Timeline is set (nil
+	// otherwise).
 	Timeline *Timeline
 
 	// summaryOnce guards the lazily built summary: experiment reports read
@@ -178,10 +179,10 @@ type Options struct {
 	// byte-identical with Metrics nil or set — and the merged values are
 	// identical for every shard count (TestReplayDeterminism pins both).
 	Metrics *obs.Registry
-	// Timeline, when non-nil, builds a windowed observability timeline
-	// over the merged task records (ODRResult.Timeline). Building it
-	// never changes replay results, and the windows are byte-identical
-	// for every shard count (see Timeline).
+	// Timeline, when non-nil, records a windowed observability timeline
+	// (ODRResult.Timeline) beside the run metrics, in the same pass over
+	// each task. Recording it never changes replay results, and the
+	// windows are byte-identical for every shard count (see Timeline).
 	Timeline *TimelineConfig
 
 	// chunk overrides the engine's batch size (0 = streamChunk). It is a
@@ -369,13 +370,25 @@ func runODRWindowed(state []byte, window workload.RequestSource, base int,
 	} else if set, err = restoreSet(files, opts, state, base, base+records); err != nil {
 		return nil, err
 	}
+	// A window inside the trace records the pool counters it adds to its
+	// restored state; the window at record 0 counts from the fresh cloud,
+	// warm fill included, as a whole-trace replay does.
+	var from cloud.PoolStats
+	if base > 0 {
+		from = set.Cloud.PoolStats()
+	}
 	set.Instrument(opts.Metrics)
 	fleet, finish := newFleet(set, opts)
 	pop := set.Population()
 
 	res := &ODRResult{Backends: set}
-	res.Tasks, res.Engine, err = runShardedStream(window, aps, opts.Seed, base, opts.Shards,
-		opts.chunk, newODRObs(opts.Metrics), observer(set, base),
+	if opts.Timeline != nil {
+		res.Timeline = NewTimeline(*opts.Timeline)
+	}
+	shards := shardCount(opts.Shards, records)
+	tallies := newTaskTallies(shards, opts.Metrics != nil, res.Timeline)
+	res.Tasks, res.Engine, err = runShardedStream(window, aps, opts.Seed, base, shards,
+		opts.chunk, opts.Metrics, recorders(tallies), observer(set, base),
 		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 			odrTask(task, wreq, req, pop, fleet, opts)
 			return task.Success
@@ -384,10 +397,8 @@ func runODRWindowed(state []byte, window workload.RequestSource, base int,
 		return nil, err
 	}
 	finish()
-	recordPoolMetrics(opts.Metrics, set.Cloud)
-	if opts.Timeline != nil {
-		res.Timeline = BuildTimeline(res.Tasks, *opts.Timeline)
-	}
+	foldTallies(tallies, opts.Metrics, res.Timeline)
+	recordPoolMetrics(opts.Metrics, set.Cloud, from)
 	return res, nil
 }
 
@@ -679,7 +690,7 @@ func runBaseline(sample []workload.Request, files []*workload.FileMeta,
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
-		seed, 0, 0, 0, nil, observer(set, 0),
+		seed, 0, 0, 0, nil, nil, observer(set, 0),
 		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 			*task = ODRTask{Request: wreq}
 			if !set.Cloud.Probe(req) {

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"odr/internal/core"
 	"odr/internal/obs"
 )
 
@@ -57,13 +56,14 @@ func (c TimelineConfig) numWindows() int {
 // task/failure/impeded totals, so a timeline is the run's metrics
 // re-told as a story over time.
 //
-// Determinism: the task slice a timeline is built from is scatter-written
-// by global request index and byte-identical across shard counts and
-// chunk sizes (the standing digest invariant). BuildTimeline is a sequential pure function of that slice —
-// the same "latch dynamic state in one deterministic pass" argument as
-// the cloud pool's sequential observation pass, applied after the
-// engine's merge barrier — so window snapshots inherit byte-identity
-// under every engine configuration (TestReplayDeterminism pins this).
+// A replay builds its timeline as it records its run metrics: each shard
+// tallies the tasks it finishes by window, and the tallies are summed
+// window by window once the shards have exited (foldTallies), the run
+// registry being the sum of the windows. Every quantity is an integer
+// sum over a set of tasks that does not depend on which shard ran which
+// task, so window snapshots are byte-identical under every engine
+// configuration (TestReplayDeterminism pins this), and equal to
+// BuildTimeline over the merged task slice.
 type Timeline struct {
 	// Window and Span echo the (normalized) config the timeline was
 	// built with.
@@ -82,54 +82,18 @@ func NewTimeline(cfg TimelineConfig) *Timeline {
 	return &Timeline{Window: cfg.Window, Span: cfg.Span, regs: make([]*obs.Registry, cfg.numWindows())}
 }
 
-// BuildTimeline buckets the task records into windowed registries. It
-// runs over the merged task slice (any sub-slice works too: per-shard
-// task subsets build partial timelines that Merge back into the whole).
+// BuildTimeline buckets the task records into windowed registries: the
+// timeline a replay with cfg builds, recomputed from its tasks. It runs
+// over any task slice (per-shard task subsets build partial timelines
+// that Merge back into the whole).
 func BuildTimeline(tasks []ODRTask, cfg TimelineConfig) *Timeline {
 	tl := NewTimeline(cfg)
-	recs := make([]func(*ODRTask, bool), len(tl.regs))
+	ts := newTaskTallies(1, false, tl)
 	for i := range tasks {
-		t := &tasks[i]
-		w := tl.windowOf(t.Request.Time)
-		rec := recs[w]
-		if rec == nil {
-			rec = tl.windowRecorder(w)
-			recs[w] = rec
-		}
-		rec(t, t.Success)
+		ts[0].record(&tasks[i], tasks[i].Success)
 	}
+	foldTallies(ts, nil, tl)
 	return tl
-}
-
-// windowRecorder creates window w's registry and returns its task
-// recorder: the shard recorder's metric set plus the window totals.
-func (tl *Timeline) windowRecorder(w int) func(*ODRTask, bool) {
-	reg := obs.NewRegistry()
-	tl.regs[w] = reg
-	inner := odrRecorder(reg)
-	tasks := reg.Counter(MetricReplayTasks)
-	fails := reg.Counter(MetricReplayFailures)
-	impeded := reg.Counter(MetricReplayImpeded)
-	return func(t *ODRTask, ok bool) {
-		inner(t, ok)
-		tasks.Inc()
-		if !ok {
-			fails.Inc()
-		} else if t.PerceivedRate < core.HDThreshold {
-			impeded.Inc()
-		}
-	}
-}
-
-func (tl *Timeline) windowOf(at time.Duration) int {
-	w := int(at / tl.Window)
-	if w < 0 {
-		w = 0
-	}
-	if w >= len(tl.regs) {
-		w = len(tl.regs) - 1
-	}
-	return w
 }
 
 // NumWindows returns the number of windows the timeline covers.

@@ -58,9 +58,8 @@ func (m Matrix) Cells() ([]Spec, error) {
 // grand-total registry merged across every cell.
 type MatrixResult struct {
 	Cells []*Result
-	// Merged folds every cell's registry with the same commutative merge
-	// that folds per-shard registries — the fleet-wide totals of the
-	// whole grid.
+	// Merged folds every cell's registry with the registry's commutative
+	// merge — the fleet-wide totals of the whole grid.
 	Merged *obs.Registry
 }
 
