@@ -71,8 +71,10 @@ paperscale:
 # trace of `wgen -files 563517 -seed 1` (≈4M records, ≈100 MB) replayed by
 # `odrcoord -verify -workers 2 -windows 8`, once static and once under the
 # band cache policy, whose serial observation pass is the coordinated
-# run's floor. Each run prints its coordinator stage line (trace hash,
-# state pass, merge+digest) and its DISTRIB verdict. The trace and the
+# run's floor. Each run prints its worker processes line (with each
+# process's GOMAXPROCS), its coordinator stage line (trace hash, state
+# pass, merge+digest), its workers' stage medians and peak RSS, and its
+# DISTRIB verdict. The trace and the
 # checkpoints land in a mktemp dir removed on exit. About 40 s on 2
 # vCPUs; not part of ci.
 paperscale-coord:
@@ -85,7 +87,7 @@ paperscale-coord:
 			-workers 2 -windows 8 -verify $$pol >"$$dir/run.log" 2>&1; \
 		rc="$$?"; \
 		echo "paperscale-coord ($$policy):"; \
-		grep -E '^(coordinator:|DISTRIB verdict:)' "$$dir/run.log"; \
+		grep -E '^(worker processes:|coordinator:|worker windows:|DISTRIB verdict:)' "$$dir/run.log"; \
 		[ "$$rc" -eq 0 ] || { cat "$$dir/run.log"; echo "paperscale-coord: $$policy run exited $$rc"; exit 1; }; \
 		rm -rf "$$dir/ckpt"; \
 	done
@@ -131,7 +133,7 @@ distributed-smoke:
 		-workers 3 -crash-window 1 -halt-after 2 >"$$dir/run1.log" 2>&1; \
 	rc="$$?"; cat "$$dir/run1.log"; \
 	[ "$$rc" -eq 3 ] || { echo "distributed-smoke: first run exited $$rc, want 3 (halted)"; exit 1; }; \
-	grep -Eq '^worker processes: +[0-9]+ spawned, [0-9]+ windows, [1-9][0-9]* respawned$$' "$$dir/run1.log" || \
+	grep -Eq '^worker processes: +[0-9]+ spawned, [0-9]+ windows, [1-9][0-9]* respawned, GOMAXPROCS [0-9]+ each$$' "$$dir/run1.log" || \
 		{ echo "distributed-smoke: the crashed worker process was not replaced by a fresh one"; exit 1; }; \
 	for pattern in '*.odrp' 'state-*.odrs'; do \
 		torn="$$(ls "$$dir"/ckpt/$$pattern | head -n 1)"; \

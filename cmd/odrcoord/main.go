@@ -24,10 +24,13 @@
 // the census the trace's own file table declares; a trace whose table is
 // damaged fails the run, naming the table, before any worker starts. The
 // run summary gives each window's worker time and the coordinator's own
-// stages — trace hash, state pass, merge plus digest — in ms, and a
-// "worker processes:" line counts the processes spawned, the windows they
-// finished and the respawns that replaced a failed one; the merged
-// digest is hashed as it streams and never built as one string. With
+// stages — trace hash, state pass, merge plus digest — in ms, beside a
+// "worker windows:" line with the median of each worker stage (restore,
+// replay, encode+write+fsync) and the largest peak RSS a worker process
+// reported; a "worker processes:" line counts the processes spawned, the
+// windows they finished and the respawns that replaced a failed one, and
+// gives each process's GOMAXPROCS. The merged digest is hashed as it
+// streams and never built as one string. With
 // -pprof a net/http/pprof server runs in the coordinator process for the
 // lifetime of the run.
 //
@@ -51,15 +54,20 @@
 // reads a stream of distrib.WorkerRequest JSON objects on stdin (an
 // unknown field or a malformed object is an error) and serves them in
 // order until stdin closes: per request it replays the window, writes
-// the partial-result file, and emits "hb N" heartbeat lines and a final
-// "done OFF,LIM" line on stdout for the supervisor. The process opens the
+// the partial-result file, and emits "hb N" heartbeat lines, a "stats"
+// line (the window's stage times in ns, the process's peak RSS, its
+// GOMAXPROCS) and a final "done OFF,LIM" line on stdout for the
+// supervisor, which fails the window on a malformed or missing stats
+// line as on a wrong done line. The process opens the
 // trace once, at its first request, and keeps the checked file table and
 // the census for the rest, so every later request must name the same
 // trace path and SHA-256; one that does not is refused, naming the field.
 // A stream of one request is a one-shot worker. The coordinator keeps at
 // most -workers such processes, each serving window after window; one
 // that fails, crashes, stalls or is canceled is killed and replaced by a
-// fresh one, and every process is reaped before odrcoord exits.
+// fresh one, and every process is reaped before odrcoord exits. Each
+// process runs at an even share of the coordinator's cores: GOMAXPROCS
+// set to the coordinator's GOMAXPROCS divided by -workers, at least 1.
 package main
 
 import (
@@ -75,8 +83,11 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"odr/internal/distrib"
@@ -204,7 +215,7 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	if err != nil {
 		return err
 	}
-	runner := &execRunner{bin: bin}
+	runner := &execRunner{bin: bin, procs: workerProcs(runtime.GOMAXPROCS(0), workers)}
 	co, err := distrib.New(distrib.Config{
 		TracePath:        tracePath,
 		Workers:          workers,
@@ -228,7 +239,7 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	if cerr := runner.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("worker processes: %w", cerr)
 	}
-	fmt.Printf("worker processes:   %v\n", runner.Stats())
+	fmt.Printf("worker processes:   %v, GOMAXPROCS %d each\n", runner.Stats(), runner.procs)
 	if errors.Is(err, distrib.ErrHalted) {
 		fmt.Printf("halted: checkpoint saved in %s; rerun the same command to resume\n", checkpoint)
 	}
@@ -260,6 +271,9 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	st := co.Stages
 	fmt.Printf("coordinator:        trace hash %.1fms, state pass %.1fms, merge+digest %.1fms\n",
 		millis(st.Hash), millis(st.StatePass), millis(st.Merge+time.Since(digestStart)))
+	if ws := runner.Windows(); len(ws) > 0 {
+		fmt.Printf("worker windows:     %v\n", summarize(ws))
+	}
 	fmt.Printf("merged digest:      sha256:%x\n", sum)
 	if err := scenario.DumpRegistry(os.Stderr, merged.Metrics, common.Metrics); err != nil {
 		return err
@@ -304,8 +318,10 @@ func millis(d time.Duration) float64 { return d.Seconds() * 1000 }
 // in, served in order until in closes. The first request opens the trace
 // (distrib.OpenWorker) and every later one replays against that handle,
 // so it must name the same trace path and SHA-256. Per request it writes
-// the partial, throttled "hb N" heartbeat lines, and a final
-// "done OFF,LIM" line on stdout for the supervisor. Decoding is strict —
+// the partial, throttled "hb N" heartbeat lines, a "stats ..." line
+// (windowStats: the window's stage times, the process's peak RSS and its
+// GOMAXPROCS) and a final "done OFF,LIM" line on stdout for the
+// supervisor. Decoding is strict —
 // an unknown field or a malformed object is an error — so a coordinator
 // and a worker built from different sources fail loudly instead of
 // replaying under a spec neither asked for. The first error ends the
@@ -344,9 +360,11 @@ func runWorker(ctx context.Context, in io.Reader, stdout io.Writer) error {
 			}
 		}
 		last = time.Time{} // a window's first beat is never throttled
-		if err := w.Run(ctx, req, beat); err != nil {
+		st, err := w.Run(ctx, req, beat)
+		if err != nil {
 			return err
 		}
+		fmt.Fprintln(out, windowStats{WindowStages: st, PeakRSS: peakRSS(), Procs: runtime.GOMAXPROCS(0)})
 		fmt.Fprintf(out, "done %d,%d\n", req.Window.Offset, req.Window.Limit)
 		if err := out.Flush(); err != nil {
 			return err
@@ -397,18 +415,35 @@ func (s *requestStream) next() (distrib.WorkerRequest, error) {
 // run keeps at most as many processes as it runs windows at once — the
 // coordinator's Workers — each opening the trace once. Run forwards the
 // process's "hb N" lines as heartbeats and requires its "done OFF,LIM"
-// line to name the window it sent. On any error, crash, cancellation or
+// line to name the window it sent, preceded by a well-formed "stats" line,
+// which it keeps (Windows). On any error, crash, cancellation or
 // heartbeat stall the process is killed and reaped, never reused, so a
 // retry starts in a fresh one. Close ends the idle processes by closing
 // their stdin and reaps them; every process is reaped before Close
 // returns.
 type execRunner struct {
 	bin string
+	// procs, when positive, is every process's GOMAXPROCS, set in its
+	// environment (workerProcs); 0 leaves the environment's own.
+	procs int
 
-	mu     sync.Mutex
-	idle   []*workerProc
-	closed bool
-	stats  procStats
+	mu      sync.Mutex
+	idle    []*workerProc
+	closed  bool
+	stats   procStats
+	windows []windowStats
+}
+
+// workerProcs is each worker process's GOMAXPROCS: the coordinator's,
+// procs, split evenly among its workers (0 counts as 1), and at least 1.
+// The coordinator's own goroutines mostly wait on its workers, and a
+// worker's engine shards default to its GOMAXPROCS, with replay output
+// identical for any shard count; so the processes together run about one
+// thread per core where each at the coordinator's width would run
+// -workers times that — and each process's garbage collector would take
+// idle Ps from the others.
+func workerProcs(procs, workers int) int {
+	return max(1, procs/max(workers, 1))
 }
 
 // procStats counts what a runner's processes did.
@@ -441,6 +476,14 @@ func (r *execRunner) Stats() procStats {
 	return r.stats
 }
 
+// Windows returns the stats of every window a process finished, in the
+// order they finished.
+func (r *execRunner) Windows() []windowStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.windows)
+}
+
 // take returns an idle process, or starts one.
 func (r *execRunner) take() (*workerProc, error) {
 	r.mu.Lock()
@@ -457,6 +500,9 @@ func (r *execRunner) take() (*workerProc, error) {
 		return p, nil
 	}
 	cmd := exec.Command(r.bin, "-worker")
+	if r.procs > 0 {
+		cmd.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(r.procs))
+	}
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -504,7 +550,7 @@ func (r *execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat fu
 	}
 	// A canceled context kills the process, which ends the read below.
 	stop := context.AfterFunc(ctx, func() { p.cmd.Process.Kill() })
-	err = p.serve(line, req.Window, beat)
+	ws, err := p.serve(line, req.Window, beat)
 	if !stop() {
 		err = ctx.Err()
 	}
@@ -516,6 +562,7 @@ func (r *execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat fu
 	}
 	r.mu.Lock()
 	r.stats.Windows++
+	r.windows = append(r.windows, ws)
 	if !r.closed {
 		r.idle = append(r.idle, p)
 		p = nil
@@ -532,12 +579,14 @@ func (r *execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat fu
 var errExited = errors.New("process exited without finishing its window")
 
 // serve sends one request and reads p's stdout up to the "done" line,
-// forwarding heartbeats.
-func (p *workerProc) serve(line []byte, win distrib.Window, beat func(records int64)) error {
+// forwarding heartbeats, and returns the window's stats line.
+func (p *workerProc) serve(line []byte, win distrib.Window, beat func(records int64)) (windowStats, error) {
+	var ws windowStats
 	if _, err := p.stdin.Write(line); err != nil {
-		return fmt.Errorf("%w (%v)", errExited, err)
+		return ws, fmt.Errorf("%w (%v)", errExited, err)
 	}
 	want := fmt.Sprintf("done %d,%d", win.Offset, win.Limit)
+	stats := false
 	for p.out.Scan() {
 		text := p.out.Text()
 		var n int64
@@ -545,17 +594,91 @@ func (p *workerProc) serve(line []byte, win distrib.Window, beat func(records in
 			beat(n)
 			continue
 		}
+		if strings.HasPrefix(text, "stats ") {
+			var err error
+			if ws, err = parseWindowStats(text); err != nil {
+				return ws, err
+			}
+			stats = true
+			continue
+		}
 		if strings.HasPrefix(text, "done ") {
 			if text != want {
-				return fmt.Errorf("process answered %q to the request for %q", text, want)
+				return ws, fmt.Errorf("process answered %q to the request for %q", text, want)
 			}
-			return nil
+			if !stats {
+				return ws, fmt.Errorf("process answered %q with no stats line before it", text)
+			}
+			return ws, nil
 		}
 	}
 	if err := p.out.Err(); err != nil {
-		return fmt.Errorf("%w (%v)", errExited, err)
+		return ws, fmt.Errorf("%w (%v)", errExited, err)
 	}
-	return errExited
+	return ws, errExited
+}
+
+// windowStats is what a worker process reports about one window on its
+// "stats" line, just before "done": where the window's time went, the
+// process's peak RSS so far and the GOMAXPROCS it runs at.
+type windowStats struct {
+	distrib.WindowStages
+	PeakRSS int64 // bytes
+	Procs   int
+}
+
+// windowStatsFormat is the stats line: stage times in nanoseconds, the
+// peak RSS in bytes.
+const windowStatsFormat = "stats restore_ns=%d replay_ns=%d write_ns=%d peak_rss_bytes=%d gomaxprocs=%d"
+
+// String is the worker's stats line.
+func (ws windowStats) String() string {
+	return fmt.Sprintf(windowStatsFormat, int64(ws.Restore), int64(ws.Replay), int64(ws.Write), ws.PeakRSS, ws.Procs)
+}
+
+// parseWindowStats parses a stats line, which must be exactly what String
+// prints.
+func parseWindowStats(text string) (windowStats, error) {
+	var ws windowStats
+	var restore, replay, write int64
+	_, err := fmt.Sscanf(text, windowStatsFormat, &restore, &replay, &write, &ws.PeakRSS, &ws.Procs)
+	ws.WindowStages = distrib.WindowStages{Restore: time.Duration(restore), Replay: time.Duration(replay), Write: time.Duration(write)}
+	if err != nil || ws.String() != text || restore < 0 || replay < 0 || write < 0 || ws.PeakRSS < 0 || ws.Procs < 1 {
+		return windowStats{}, fmt.Errorf("process sent a malformed stats line %q", text)
+	}
+	return ws, nil
+}
+
+// summarize is odrcoord's line about its workers' windows: each stage's
+// median over the windows and the largest peak RSS any process reported.
+func summarize(ws []windowStats) string {
+	median := func(stage func(windowStats) time.Duration) float64 {
+		d := make([]time.Duration, len(ws))
+		for k, w := range ws {
+			d[k] = stage(w)
+		}
+		slices.Sort(d)
+		return millis(d[len(d)/2])
+	}
+	var rss int64
+	for _, w := range ws {
+		rss = max(rss, w.PeakRSS)
+	}
+	return fmt.Sprintf("restore %.1fms, replay %.1fms, encode+write+fsync %.1fms (medians of %d), peak RSS %.1f MB",
+		median(func(w windowStats) time.Duration { return w.Restore }),
+		median(func(w windowStats) time.Duration { return w.Replay }),
+		median(func(w windowStats) time.Duration { return w.Write }),
+		len(ws), float64(rss)/(1<<20))
+}
+
+// peakRSS is the process's peak resident set size in bytes (Linux reports
+// it in KiB).
+func peakRSS() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return ru.Maxrss << 10
 }
 
 // retire ends an idle process by closing its stdin and reaps it.

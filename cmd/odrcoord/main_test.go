@@ -10,9 +10,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,6 +35,11 @@ const asCommand = "ODRCOORD_TEST_AS_COMMAND"
 // window.
 const asWrongWorker = "ODRCOORD_TEST_AS_WRONG_WORKER"
 
+// asStatsWorker, set in a test binary's environment, makes the binary a
+// worker that answers every request with its value as the stats line
+// ("-" for none) and "done 0,5".
+const asStatsWorker = "ODRCOORD_TEST_AS_STATS_WORKER"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(asCommand) == "1" {
 		main()
@@ -40,6 +48,15 @@ func TestMain(m *testing.M) {
 	if os.Getenv(asWrongWorker) == "1" {
 		for sc := bufio.NewScanner(os.Stdin); sc.Scan(); {
 			fmt.Println("hb 1\ndone 7,7")
+		}
+		os.Exit(0)
+	}
+	if stats, ok := os.LookupEnv(asStatsWorker); ok {
+		for sc := bufio.NewScanner(os.Stdin); sc.Scan(); {
+			if stats != "-" {
+				fmt.Println(stats)
+			}
+			fmt.Println("done 0,5")
 		}
 		os.Exit(0)
 	}
@@ -392,5 +409,129 @@ func TestSpecFileKeepsHorizon(t *testing.T) {
 	}
 	if got := coordOpts.Faults.Span.Hours(); got != 30*24 {
 		t.Fatalf("fault schedule spans %vh, want the scenario's 720h", got)
+	}
+}
+
+// TestWorkerProcs: the share is the coordinator's GOMAXPROCS split evenly
+// among the workers, at least 1 — no more threads than cores once there
+// are at most as many workers as cores, and no core left idle that a
+// larger share would have used.
+func TestWorkerProcs(t *testing.T) {
+	for procs := 1; procs <= 64; procs++ {
+		if got := workerProcs(procs, 0); got != procs {
+			t.Fatalf("workerProcs(%d, 0) = %d, want %d (0 workers count as 1)", procs, got, procs)
+		}
+		for workers := 1; workers <= procs+3; workers++ {
+			got := workerProcs(procs, workers)
+			switch {
+			case got < 1:
+				t.Fatalf("workerProcs(%d, %d) = %d, want at least 1", procs, workers, got)
+			case workers > procs && got != 1:
+				t.Fatalf("workerProcs(%d, %d) = %d, want 1 with more workers than Ps", procs, workers, got)
+			case workers <= procs && (got*workers > procs || (got+1)*workers <= procs):
+				t.Fatalf("workerProcs(%d, %d) = %d: %d workers at that share use %d of %d Ps", procs, workers, got, workers, got*workers, procs)
+			}
+		}
+	}
+}
+
+// TestWorkerRunsAtItsShare: a worker process a runner with a share spawns
+// runs at that GOMAXPROCS, and its stats line reports the window's stages
+// and the process's peak RSS.
+func TestWorkerRunsAtItsShare(t *testing.T) {
+	path, records := writeTrace(t)
+	t.Setenv(asCommand, "1")
+	runner := &execRunner{bin: os.Args[0], procs: 3}
+	defer runner.Close()
+	dir := t.TempDir()
+	for k, win := range []distrib.Window{{Offset: 0, Limit: records / 2}, {Offset: records / 2, Limit: records - records/2}} {
+		req := distrib.WorkerRequest{TracePath: path, Window: win, Spec: distrib.WorkerSpec{Seed: 9, CachePolicy: "band", PoolBytes: 1 << 20},
+			PartialPath: filepath.Join(dir, fmt.Sprintf("w%d.odrp", k))}
+		if err := runner.Run(context.Background(), req, func(int64) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := runner.Windows()
+	if len(ws) != 2 {
+		t.Fatalf("%d window stats, want 2", len(ws))
+	}
+	for k, w := range ws {
+		if w.Procs != 3 {
+			t.Errorf("window %d ran at GOMAXPROCS %d, want the runner's share 3", k, w.Procs)
+		}
+		if w.Restore <= 0 || w.Replay <= 0 || w.Write <= 0 || w.PeakRSS <= 0 {
+			t.Errorf("window %d: stats %+v, want every stage timed and the peak RSS", k, w)
+		}
+	}
+	if got := runner.Stats(); got.Spawned != 1 {
+		t.Fatalf("%d processes spawned for two windows, want 1", got.Spawned)
+	}
+}
+
+// TestCoordinatorSplitsItsGOMAXPROCS: an explicit GOMAXPROCS in the
+// coordinator's environment is the base its workers' share divides, and
+// the summary prints the share beside the process counts and the
+// workers' stage medians beside the coordinator's stages.
+func TestCoordinatorSplitsItsGOMAXPROCS(t *testing.T) {
+	path, _ := writeTrace(t)
+	for _, tc := range []struct {
+		env     string
+		workers int
+		share   int
+	}{{"6", 2, 3}, {"5", 2, 2}, {"3", 4, 1}} {
+		cmd := exec.Command(os.Args[0], "-trace", path, "-checkpoint", t.TempDir(),
+			"-workers", strconv.Itoa(tc.workers), "-windows", strconv.Itoa(tc.workers))
+		cmd.Env = append(os.Environ(), asCommand+"=1", "GOMAXPROCS="+tc.env)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%s -workers %d: %v\n%s", tc.env, tc.workers, err, out)
+		}
+		want := fmt.Sprintf("%d windows, 0 respawned, GOMAXPROCS %d each\n", tc.workers, tc.share)
+		if !strings.Contains(string(out), want) {
+			t.Errorf("GOMAXPROCS=%s -workers %d: no %q in\n%s", tc.env, tc.workers, want, out)
+		}
+		if !regexp.MustCompile(`(?m)^worker windows: +restore [0-9.]+ms, replay [0-9.]+ms, encode\+write\+fsync [0-9.]+ms \(medians of [0-9]+\), peak RSS [0-9.]+ MB$`).Match(out) {
+			t.Errorf("GOMAXPROCS=%s -workers %d: no worker windows line in\n%s", tc.env, tc.workers, out)
+		}
+	}
+}
+
+// TestMalformedStatsFailsWindow: a stats line that is not exactly what a
+// worker prints, or none before "done", fails the window and discards the
+// process, as a wrong "done" line does.
+func TestMalformedStatsFailsWindow(t *testing.T) {
+	good := windowStats{WindowStages: distrib.WindowStages{Restore: 1, Replay: 2, Write: 3}, PeakRSS: 4 << 20, Procs: 1}.String()
+	if _, err := parseWindowStats(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ stats, want string }{
+		{"stats ", "malformed stats line"},
+		{"-", "no stats line"},
+		{"stats restore_ns=1", "malformed stats line"},
+		{good + " extra", "malformed stats line"},
+		{strings.Replace(good, "restore_ns=1", "restore_ns=-1", 1), "malformed stats line"},
+		{strings.Replace(good, "restore_ns=1", "restore_ns=+1", 1), "malformed stats line"},
+		{strings.Replace(good, "gomaxprocs=1", "gomaxprocs=0", 1), "malformed stats line"},
+	} {
+		t.Setenv(asStatsWorker, tc.stats)
+		runner := &execRunner{bin: os.Args[0]}
+		req := distrib.WorkerRequest{Window: distrib.Window{Offset: 0, Limit: 5}}
+		err := runner.Run(context.Background(), req, func(int64) {})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("stats line %q: Run = %v, want an error containing %q", tc.stats, err, tc.want)
+		}
+		if got := runner.Stats(); got.discarded != 1 || len(runner.Windows()) != 0 {
+			t.Errorf("stats line %q: %+v, %d windows kept; want the process discarded and no window", tc.stats, got, len(runner.Windows()))
+		}
+		runner.Close()
+	}
+	t.Setenv(asStatsWorker, good)
+	runner := &execRunner{bin: os.Args[0]}
+	defer runner.Close()
+	if err := runner.Run(context.Background(), distrib.WorkerRequest{Window: distrib.Window{Offset: 0, Limit: 5}}, func(int64) {}); err != nil {
+		t.Fatalf("a well-formed stats line: %v", err)
+	}
+	if ws := runner.Windows(); len(ws) != 1 || ws[0].String() != good {
+		t.Fatalf("kept %v, want the one stats line %q", ws, good)
 	}
 }

@@ -967,8 +967,12 @@ func TestWorkerServesWindows(t *testing.T) {
 		req := first
 		req.Window = win
 		req.PartialPath = filepath.Join(dir, "held.odrp")
-		if err := w.Run(context.Background(), req, nil); err != nil {
+		st, err := w.Run(context.Background(), req, nil)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if st.Restore <= 0 || st.Replay <= 0 || st.Write <= 0 {
+			t.Fatalf("request %d: stages %+v, want each timed", k, st)
 		}
 		held := digest(req.PartialPath)
 		req.PartialPath = filepath.Join(dir, "one-shot.odrp")
@@ -989,7 +993,7 @@ func TestWorkerServesWindows(t *testing.T) {
 		req := first
 		req.PartialPath = filepath.Join(dir, "refused.odrp")
 		tc.mutate(&req)
-		if err := w.Run(context.Background(), req, nil); err == nil || !strings.Contains(err.Error(), tc.field+":") {
+		if _, err := w.Run(context.Background(), req, nil); err == nil || !strings.Contains(err.Error(), tc.field+":") {
 			t.Errorf("a request for another %s: Run = %v, want a refusal naming the field", tc.field, err)
 		}
 	}
@@ -1123,11 +1127,10 @@ func TestStaticStateMatchesObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, records)
+	src, err := openBin(t, tracePath).Ordinals(0, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closer.Close()
 	if err := replay.ObserveStates(src, cen.Files, opts, bases, collect(&observed)); err != nil {
 		t.Fatal(err)
 	}

@@ -82,10 +82,11 @@ func readState(path string, want stateHeader) ([]byte, error) {
 // one), as the census population's cloud holds it on reaching that record.
 // A static cloud's state is the census prefix seen before the base, so in
 // static mode the pass emits it from the census without reading a record.
-// Under a cache policy it streams the trace's records [0, last base)
-// through replay.ObserveStates. The coordinator runs it once over every
-// pending window's base; a worker handed no state file runs it for its
-// own. m meters the records it reads.
+// Under a cache policy it streams the trace's records [0, last base),
+// read as census ordinals (trace.Bin.Ordinals), through
+// replay.ObserveStates. The coordinator runs it once over every pending
+// window's base; a worker handed no state file runs it for its own. m
+// meters the records it reads.
 func statePass(bin *trace.Bin, spec WorkerSpec, bases []int,
 	m *meter, emit func(base int, state []byte) error) error {
 	cen := bin.Census()
@@ -103,9 +104,9 @@ func statePass(bin *trace.Bin, spec WorkerSpec, bases []int,
 	if err != nil {
 		return err
 	}
-	src, err := bin.Window(0, int64(bases[len(bases)-1]))
+	src, err := bin.Ordinals(0, int64(bases[len(bases)-1]))
 	if err != nil {
 		return err
 	}
-	return replay.ObserveStates(m.wrap(src), cen.Files, opts, bases, emit)
+	return replay.ObserveStates(m.wrapOrdinals(src), cen.Files, opts, bases, emit)
 }

@@ -3,32 +3,49 @@ package distrib
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"odr/internal/backend"
 	"odr/internal/replay"
+	"odr/internal/trace"
 	"odr/internal/workload"
 )
 
 // sampleStates returns the two payloads a state file carries, both at
-// record 40 of a small generated week: a static cloud's state (the census
-// prefix's count) and a band pool's.
+// record 40 of a small generated week written as a bin trace: a static
+// cloud's state (the census prefix's count) and a band pool's, observed
+// over the trace's ordinal view as the coordinator's state pass reads it.
 func sampleStates(tb testing.TB) (static, dynamic []byte) {
 	tb.Helper()
 	tr, err := workload.Generate(workload.DefaultConfig(60, 9))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := workload.NewCensus()
-	for _, r := range tr.Requests {
-		c.Observe(r)
+	path := filepath.Join(tb.TempDir(), "trace.bin")
+	var buf bytes.Buffer
+	if err := trace.WriteWorkloadBinStream(&buf, workload.NewSliceSource(tr.Requests)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	bin, err := trace.OpenBin(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer bin.Close()
+	src, err := bin.Ordinals(0, -1)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	opts, err := WorkerSpec{Seed: 9, CachePolicy: "band", PoolBytes: 64 << 20}.ReplayOptions(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	err = replay.ObserveStates(workload.NewSliceSource(tr.Requests), c.Files(), opts, []int{40},
+	err = replay.ObserveStates(src, bin.Census().Files, opts, []int{40},
 		func(_ int, s []byte) error { dynamic = s; return nil })
 	if err != nil {
 		tb.Fatal(err)

@@ -111,6 +111,39 @@ func (s *meteredSource) Err() error {
 	return s.src.Err()
 }
 
+// wrapOrdinals returns the ordinal source src metered by m.
+func (m *meter) wrapOrdinals(src replay.OrdinalSource) replay.OrdinalSource {
+	return &meteredOrdinals{m: m, src: src}
+}
+
+type meteredOrdinals struct {
+	m   *meter
+	src replay.OrdinalSource
+	err error
+}
+
+func (s *meteredOrdinals) Next() (int, int, time.Duration, bool) {
+	if s.err != nil {
+		return 0, 0, 0, false
+	}
+	i, file, when, ok := s.src.Next()
+	if !ok {
+		return 0, 0, 0, false
+	}
+	if err := s.m.tick(); err != nil {
+		s.err = err
+		return 0, 0, 0, false
+	}
+	return i, file, when, ok
+}
+
+func (s *meteredOrdinals) Err() error {
+	if s.err != nil {
+		return s.err
+	}
+	return s.src.Err()
+}
+
 // TotalRequests implements workload.Sizer by forwarding the wrapped
 // source's count (0, "unknown", when it has none), so a metered bin
 // window keeps the engine's in-place result path.
@@ -151,7 +184,20 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		return err
 	}
 	defer w.Close()
-	return w.Run(ctx, req, beat)
+	_, err = w.Run(ctx, req, beat)
+	return err
+}
+
+// WindowStages is where a worker's time on one window went.
+type WindowStages struct {
+	// Restore is the window's start state in hand: its state file read,
+	// or, for a request that names none, the state pass run.
+	Restore time.Duration
+	// Replay is the window replayed: its cloud restored from the state,
+	// then its records.
+	Replay time.Duration
+	// Write is the partial encoded, written and fsynced (WritePartial).
+	Write time.Duration
 }
 
 // Run replays one window of the worker's trace and writes the partial
@@ -168,25 +214,27 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 //
 // beat, when non-nil, receives the total records read so far about every
 // progressEvery records — the coordinator's heartbeat signal.
-// Cancelling ctx stops the worker between records.
-func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records int64)) error {
+// Cancelling ctx stops the worker between records. Run reports where the
+// window's time went.
+func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records int64)) (WindowStages, error) {
+	var st WindowStages
 	switch {
 	case req.TracePath != w.bin.Path():
-		return fmt.Errorf("distrib: worker: trace_path: request names %s, this worker opened %s", req.TracePath, w.bin.Path())
+		return st, fmt.Errorf("distrib: worker: trace_path: request names %s, this worker opened %s", req.TracePath, w.bin.Path())
 	case req.TraceSHA256 != w.sha:
-		return fmt.Errorf("distrib: worker: trace_sha256: request names %q, this worker opened %q", req.TraceSHA256, w.sha)
+		return st, fmt.Errorf("distrib: worker: trace_sha256: request names %q, this worker opened %q", req.TraceSHA256, w.sha)
 	}
 	if err := req.Spec.Validate(); err != nil {
-		return err
+		return st, err
 	}
 	if req.PartialPath == "" {
-		return errors.New("distrib: worker needs a partial output path")
+		return st, errors.New("distrib: worker needs a partial output path")
 	}
 	start := time.Now()
 	cen := w.bin.Census()
 	win := req.Window
 	if win.Offset < 0 || win.Limit <= 0 || win.End() > cen.Records {
-		return fmt.Errorf("distrib: window %v outside trace of %d records", win, cen.Records)
+		return st, fmt.Errorf("distrib: window %v outside trace of %d records", win, cen.Records)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -194,19 +242,19 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 	// A run can read fewer than progressEvery records, so the meter
 	// might never check.
 	if err := ctx.Err(); err != nil {
-		return err
+		return st, err
 	}
 	m := &meter{ctx: ctx, beat: beat}
 	state, err := w.windowState(req, m)
 	if err != nil {
-		return err
+		return st, err
 	}
 	if req.CrashAfter > 0 {
 		m.crashAfter = m.processed + req.CrashAfter
 	}
 	wsrc, err := w.bin.Window(win.Offset, win.Limit)
 	if err != nil {
-		return err
+		return st, err
 	}
 
 	var reg *obs.Registry
@@ -215,15 +263,17 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 	}
 	opts, err := req.Spec.ReplayOptions(reg)
 	if err != nil {
-		return err
+		return st, err
 	}
+	replayed := time.Now()
+	st.Restore = replayed.Sub(start)
 	res, err := replay.RunODRWindow(state, m.wrap(wsrc), int(win.Offset),
 		cen.Files, smartap.Benchmarked(), opts)
 	if err != nil {
-		return err
+		return st, err
 	}
-	if got := int64(len(res.Tasks)); got != win.Limit {
-		return fmt.Errorf("distrib: window %v replayed %d tasks, want %d", win, got, win.Limit)
+	if got := int64(len(res.Records)); got != win.Limit {
+		return st, fmt.Errorf("distrib: window %v replayed %d tasks, want %d", win, got, win.Limit)
 	}
 
 	p := &Partial{
@@ -231,13 +281,17 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 		Spec:    req.Spec.Fingerprint(),
 		Ledgers: res.Ledgers(),
 		Totals:  res.Engine.Totals(),
-		Tasks:   replay.DigestRecords(res.Tasks),
+		Tasks:   res.Records,
 		Seconds: time.Since(start).Seconds(),
 	}
 	if reg != nil {
 		p.Metrics = reg.Snapshot()
 	}
-	return WritePartial(req.PartialPath, p)
+	written := time.Now()
+	st.Replay = written.Sub(replayed)
+	err = WritePartial(req.PartialPath, p)
+	st.Write = time.Since(written)
+	return st, err
 }
 
 // windowState returns the cloud's observation state at req's window

@@ -175,9 +175,9 @@ func BenchmarkReplayParallel(b *testing.B) {
 // observation alone, emitting the state at each of eight window bases,
 // under bench's replay-stress pool (band, a twelfth of the population's
 // bytes). The trace is a generated 10,000-file week cut at 60,000
-// records, written as a bin trace and read back through its decoder with
-// its census as the population — as a coordinated run reads it, every
-// record carrying its trace ordinal. Reports ns/record.
+// records, written as a bin trace and read as a coordinated run reads
+// it: the ordinal view of a trace.Bin (Bin.Ordinals), with the trace's
+// census as the population. Reports ns/record.
 func BenchmarkObserveStates(b *testing.B) {
 	const files, records = 10000, 60000
 	tr, err := workload.Generate(workload.DefaultConfig(files, 7))
@@ -219,7 +219,7 @@ func BenchmarkObserveStates(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, err := bin.Window(0, -1)
+		src, err := bin.Ordinals(0, -1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"odr/internal/backend"
 	"odr/internal/core"
 	"odr/internal/lanes"
 )
@@ -45,8 +46,11 @@ func (l *LedgerCounts) Add(o LedgerCounts) error {
 
 // Ledgers freezes the result's backend ledgers, in backend.Set.All()
 // order — the order Digest serializes and distrib merges.
-func (r *ODRResult) Ledgers() []LedgerCounts {
-	backends := r.Backends.All()
+func (r *ODRResult) Ledgers() []LedgerCounts { return ledgers(r.Backends) }
+
+// ledgers freezes set's backend ledgers, in backend.Set.All() order.
+func ledgers(set *backend.Set) []LedgerCounts {
+	backends := set.All()
 	out := make([]LedgerCounts, 0, len(backends))
 	for _, be := range backends {
 		l := be.Ledger()
@@ -90,15 +94,6 @@ func (t *ODRTask) digestRecord() DigestRecord {
 		StorageBound:  t.StorageBound,
 		B4Exposed:     t.B4Exposed,
 	}
-}
-
-// DigestRecords projects tasks onto their digest records, in order.
-func DigestRecords(tasks []ODRTask) []DigestRecord {
-	out := make([]DigestRecord, len(tasks))
-	for i := range tasks {
-		out[i] = tasks[i].digestRecord()
-	}
-	return out
 }
 
 // DigestInput is what a digest serializes per task: the whole task or its

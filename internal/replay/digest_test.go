@@ -199,3 +199,14 @@ func TestWriteDigestStopsOnWriteError(t *testing.T) {
 		}
 	}
 }
+
+// DigestRecords projects tasks onto their digest records, in order: the
+// whole-task side of the tests that hold digest records, and windows'
+// in-place records, to the tasks they stand for.
+func DigestRecords(tasks []ODRTask) []DigestRecord {
+	out := make([]DigestRecord, len(tasks))
+	for i := range tasks {
+		out[i] = tasks[i].digestRecord()
+	}
+	return out
+}

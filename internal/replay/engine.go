@@ -42,9 +42,10 @@ import (
 // written before the send and are never written again. Workers write only
 // their own tasks, their own ShardTotals, atomic ledgers and metrics, and
 // — under resilience — the breaker slots of the users their shard owns.
-// No worker takes a backend lock. A recorded run hands each shard a
-// recorder of its own (taskTally), which the worker feeds every task it
-// finishes; the caller folds the recorders after the engine returns.
+// No worker takes a backend lock. Each shard runs a task function of its
+// own (runShardedStream's shardTask builds it), so per-shard state — a
+// recorded run's task tally, a scratch task — is the shard's alone; the
+// caller folds the tallies after the engine returns.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
 // afterwards, sequentially over the merged task slice in index order.
@@ -193,17 +194,24 @@ func shardCount(shards, n int) int {
 	return shards
 }
 
-// runShardedStream replays src through fn across user-partitioned shards:
-// a single reader goroutine (the caller) pulls requests in global-index
-// order, invokes the observe hook (ordinal resolution and cloud
-// observation) on each, and packs them with the ordinals it returned
-// into fixed-size batches fanned out to per-shard work channels keyed by
-// user partition. fn receives the request's local index, the raw workload
-// request, the backend-layer request (environment-bound, with its own RNG
-// substream), and the task slot to fill in place; it returns whether the
-// task succeeded. The request object and its RNG are pooled per shard —
-// fn must not retain them past the call. aps may be empty for AP-less
-// replays (the request's AP is then nil).
+// everyShard is the work of a run whose shards share one task function
+// that keeps no state of its own.
+func everyShard[T any](fn func(int, workload.Request, *backend.Request, *T) bool) func(int) func(int, workload.Request, *backend.Request, *T) bool {
+	return func(int) func(int, workload.Request, *backend.Request, *T) bool { return fn }
+}
+
+// runShardedStream replays src across user-partitioned shards: a single
+// reader goroutine (the caller) pulls requests in global-index order,
+// invokes the observe hook (ordinal resolution and cloud observation) on
+// each, and packs them with the ordinals it returned into fixed-size
+// batches fanned out to per-shard work channels keyed by user partition.
+// Shard s runs the task function shardTask(s) returns, built once on the
+// shard's goroutine: it receives the request's local index, the raw
+// workload request, the backend-layer request (environment-bound, with
+// its own RNG substream), and the task slot to fill in place; it returns
+// whether the task succeeded. The request object and its RNG are pooled
+// per shard — the function must not retain them past the call. aps may
+// be empty for AP-less replays (the request's AP is then nil).
 //
 // base offsets every request's GLOBAL index: the source yields local
 // indices 0..n-1 (every RequestSource re-bases at 0), and the engine
@@ -234,23 +242,19 @@ func shardCount(shards, n int) int {
 // Non-positive chunk selects streamChunk; only tests pass anything else.
 //
 // dst, when non-nil, is the run's registry: the engine records the
-// in-flight peak there and times its reader (EngineStats.Reader). record,
-// when non-nil, holds one task recorder per shard — record[s] sees every
-// (task, ok) pair shard s produced, on shard s's goroutine, in its
-// execution order; the caller sizes it with shardCount.
+// in-flight peak there and times its reader (EngineStats.Reader). A
+// caller that keeps per-shard state sizes it with shardCount, which
+// gives the shard count the run uses.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
-	seed uint64, base, shards, chunk int, dst *obs.Registry, record []func(task *T, ok bool),
+	seed uint64, base, shards, chunk int, dst *obs.Registry,
 	observe func(i int, wreq workload.Request) (file, user backend.Ordinal),
-	fn func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
+	shardTask func(shard int) func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
 ) ([]T, EngineStats, error) {
 	src, hint, err := sized(src)
 	if err != nil {
 		return nil, EngineStats{}, err
 	}
 	shards = shardCount(shards, hint)
-	if record != nil && len(record) != shards {
-		panic(fmt.Sprintf("replay: %d task recorders for %d shards", len(record), shards))
-	}
 	if chunk <= 0 {
 		chunk = streamChunk
 	}
@@ -283,24 +287,17 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		go func(s int) {
 			defer wg.Done()
 			totals := &stats.PerShard[s]
-			var rec func(*T, bool)
-			if record != nil {
-				rec = record[s]
-			}
+			fn := shardTask(s)
 			req := &backend.Request{}
 			rng := dist.NewRNG(0)
 			for batch := range work[s] {
 				for k := range batch {
 					c := &batch[k]
 					bindRequest(req, rng, root, base+c.i, c, aps)
-					t := &tasks[c.i]
-					ok := fn(c.i, c.wreq, req, t)
+					ok := fn(c.i, c.wreq, req, &tasks[c.i])
 					totals.Tasks++
 					if !ok {
 						totals.Failures++
-					}
-					if rec != nil {
-						rec(t, ok)
 					}
 				}
 				if poisonReleasedBatches {

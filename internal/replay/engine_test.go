@@ -462,16 +462,16 @@ func TestEngineRequestStreams(t *testing.T) {
 	}
 	got := make([]*reqSnap, n)
 	_, _, err := runShardedStream(workload.NewSliceSource(sample), f.aps, seed, 0, 4, 3,
-		nil, nil, nil,
-		func(i int, _ workload.Request, req *backend.Request, _ *struct{}) bool {
-			s := &reqSnap{index: req.Index, user: req.User, file: req.File,
-				ap: req.AP == f.aps[i%len(f.aps)], envCap: req.EnvCap}
-			for d := range s.draws {
-				s.draws[d] = req.RNG.Float64()
-			}
-			got[i] = s
-			return true
-		})
+		nil, nil, everyShard(
+			func(i int, _ workload.Request, req *backend.Request, _ *struct{}) bool {
+				s := &reqSnap{index: req.Index, user: req.User, file: req.File,
+					ap: req.AP == f.aps[i%len(f.aps)], envCap: req.EnvCap}
+				for d := range s.draws {
+					s.draws[d] = req.RNG.Float64()
+				}
+				got[i] = s
+				return true
+			}))
 	if err != nil {
 		t.Fatal(err)
 	}

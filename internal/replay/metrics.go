@@ -171,18 +171,6 @@ func newTaskTallies(shards int, metrics bool, tl *Timeline) []*taskTally {
 	return out
 }
 
-// recorders is the engine's view of the tallies: each shard's record.
-func recorders(ts []*taskTally) []func(*ODRTask, bool) {
-	if ts == nil {
-		return nil
-	}
-	out := make([]func(*ODRTask, bool), len(ts))
-	for s, t := range ts {
-		out[s] = t.record
-	}
-	return out
-}
-
 // record adds one finished task; ok reports its success.
 func (r *taskTally) record(t *ODRTask, ok bool) {
 	w := 0

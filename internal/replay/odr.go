@@ -237,7 +237,19 @@ func RunODR(sample []workload.Request, files []*workload.FileMeta,
 // source of unknown length is additionally materialised once up front.
 func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 	aps []*smartap.AP, opts Options) (*ODRResult, error) {
-	return runODRWindowed(nil, src, 0, files, aps, opts)
+	run, err := runODR[ODRTask](nil, src, 0, files, aps, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &ODRResult{Tasks: run.records, Backends: run.set, Engine: run.engine, Timeline: run.timeline}, nil
+}
+
+// OrdinalSource is a trace's records read as ordinals (trace.BinOrdinals):
+// each record's index, from 0, its file's census ordinal — its index in
+// the trace's census, its files in first-appearance order — and its time.
+type OrdinalSource interface {
+	Next() (i, file int, when time.Duration, ok bool)
+	Err() error
 }
 
 // ObserveStates streams src — a trace's records from index 0, in order —
@@ -246,11 +258,12 @@ func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 // cloud's observation state (backend.Cloud.AppendState) at each of bases,
 // in order: the state a whole-trace replay's cloud holds on reaching that
 // record. bases must ascend; the pass reads no record past the last one.
-// Each state fits a RunODRWindow over the same files and options. A static
-// state (no cache policy) is a count of the files seen, so in static mode
-// files must be the trace's census — its files in first-appearance order —
-// or AppendState refuses the state.
-func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts Options,
+// census is the trace's census (trace.BinCensus.Files), which seeds the
+// population: its file IDs are distinct — a bin trace's table refuses a
+// repeated one — so a record's census ordinal is its population ordinal,
+// and the pass indexes the census by it with no identity check. Each state
+// fits a RunODRWindow over the same census and options.
+func ObserveStates(src OrdinalSource, census []*workload.FileMeta, opts Options,
 	bases []int, emit func(base int, state []byte) error) error {
 	if len(bases) == 0 {
 		return nil
@@ -260,12 +273,11 @@ func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts 
 			return fmt.Errorf("replay: observation bases %v must be non-negative and ascending", bases)
 		}
 	}
-	set := newSet(files, opts, bases[len(bases)-1])
-	pop := set.Population()
+	set := newSet(census, opts, bases[len(bases)-1])
 	n := 0
 	for _, base := range bases {
 		for ; n < base; n++ {
-			i, wreq, ok := src.Next()
+			i, file, when, ok := src.Next()
 			if !ok {
 				if err := src.Err(); err != nil {
 					return fmt.Errorf("replay: observation pass: %w", err)
@@ -275,7 +287,10 @@ func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts 
 			if i != n {
 				return fmt.Errorf("replay: observation pass yielded index %d, want %d", i, n)
 			}
-			set.Cloud.ObserveOrdinal(i, pop.File(wreq.File), wreq.File, wreq.Time)
+			if file < 0 || file >= len(census) {
+				return fmt.Errorf("replay: observation pass: record %d names file %d of a census of %d", i, file, len(census))
+			}
+			set.Cloud.ObserveOrdinal(i, backend.Ordinal(file+1), census[file], when)
 		}
 		state, err := set.Cloud.AppendState(nil)
 		if err != nil {
@@ -301,7 +316,10 @@ func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts 
 // assignment, cache verdict) offset by base, so its task records and
 // ledger deltas are byte-identical to the corresponding span of the
 // whole-trace replay. internal/distrib stacks these windows back into a
-// whole-trace digest.
+// whole-trace digest. The window keeps each task as its digest record
+// (WindowResult), written in place by the shard that ran the task, so no
+// []ODRTask is ever built; Options.Metrics still tallies every whole task.
+// A window records no timeline: Options.Timeline is ignored.
 //
 // Options.Resilience must be nil: the per-user circuit breaker's strikes
 // and cooldowns follow executed outcomes — which earlier requests failed,
@@ -309,7 +327,7 @@ func ObserveStates(src workload.RequestSource, files []*workload.FileMeta, opts 
 // Faults replay naively (each fault drawn from the request's own
 // substream), which is window-safe.
 func RunODRWindow(state []byte, window workload.RequestSource, base int,
-	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*ODRResult, error) {
+	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*WindowResult, error) {
 	if opts.Resilience != nil {
 		return nil, fmt.Errorf("replay: windowed replay cannot run the resilience layer: its per-user breaker state depends on executed outcomes, not observations, so no observation state restores it; replay faults naively (Resilience nil) or run single-process")
 	}
@@ -319,8 +337,25 @@ func RunODRWindow(state []byte, window workload.RequestSource, base int,
 	if state == nil {
 		return nil, fmt.Errorf("replay: the window at base %d needs the cloud's observation state there (ObserveStates)", base)
 	}
-	return runODRWindowed(state, window, base, files, aps, opts)
+	opts.Timeline = nil
+	run, err := runODR[DigestRecord](state, window, base, files, aps, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &WindowResult{Records: run.records, Backends: run.set, Engine: run.engine}, nil
 }
+
+// WindowResult is a window's replay as RunODRWindow keeps it: each task's
+// digest record, in window order, beside the fleet the window ran against
+// and the engine's stats.
+type WindowResult struct {
+	Records  []DigestRecord
+	Backends *backend.Set
+	Engine   EngineStats
+}
+
+// Ledgers freezes the window's backend ledgers, as ODRResult.Ledgers does.
+func (r *WindowResult) Ledgers() []LedgerCounts { return ledgers(r.Backends) }
 
 // newSet builds the replay's backend set over files, sized for n records
 // (Set.Reserve).
@@ -353,10 +388,22 @@ func cloudConfig(files []*workload.FileMeta, opts Options) cloud.Config {
 	return cfg
 }
 
-// runODRWindowed is the shared body of RunODRStream (no state, base 0)
-// and RunODRWindow.
-func runODRWindowed(state []byte, window workload.RequestSource, base int,
-	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*ODRResult, error) {
+// odrRun is what runODR produced: the record kept per task, the fleet,
+// the engine's stats and the timeline (nil unless Options.Timeline).
+type odrRun[T DigestInput] struct {
+	records  []T
+	set      *backend.Set
+	engine   EngineStats
+	timeline *Timeline
+}
+
+// runODR is the shared body of RunODRStream (no state, base 0, whole
+// tasks kept) and RunODRWindow (digest records kept). Each shard builds
+// its task in the slot it keeps — an ODRTask — or in a scratch task it
+// then projects into its DigestRecord slot; either way the tallies see
+// the whole task.
+func runODR[T DigestInput](state []byte, window workload.RequestSource, base int,
+	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*odrRun[T], error) {
 	if len(aps) == 0 {
 		panic("replay: ODR replay needs at least one AP")
 	}
@@ -381,25 +428,42 @@ func runODRWindowed(state []byte, window workload.RequestSource, base int,
 	fleet, finish := newFleet(set, opts)
 	pop := set.Population()
 
-	res := &ODRResult{Backends: set}
+	run := &odrRun[T]{set: set}
 	if opts.Timeline != nil {
-		res.Timeline = NewTimeline(*opts.Timeline)
+		run.timeline = NewTimeline(*opts.Timeline)
 	}
 	shards := shardCount(opts.Shards, records)
-	tallies := newTaskTallies(shards, opts.Metrics != nil, res.Timeline)
-	res.Tasks, res.Engine, err = runShardedStream(window, aps, opts.Seed, base, shards,
-		opts.chunk, opts.Metrics, recorders(tallies), observer(set, base),
-		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			odrTask(task, wreq, req, pop, fleet, opts)
-			return task.Success
-		})
+	tallies := newTaskTallies(shards, opts.Metrics != nil, run.timeline)
+	work := func(s int) func(int, workload.Request, *backend.Request, *T) bool {
+		var tally *taskTally
+		if tallies != nil {
+			tally = tallies[s]
+		}
+		var scratch ODRTask
+		return func(_ int, wreq workload.Request, req *backend.Request, dst *T) bool {
+			t, whole := any(dst).(*ODRTask)
+			if !whole {
+				t = &scratch
+			}
+			odrTask(t, wreq, req, pop, fleet, opts)
+			if tally != nil {
+				tally.record(t, t.Success)
+			}
+			if d, ok := any(dst).(*DigestRecord); ok {
+				*d = t.digestRecord()
+			}
+			return t.Success
+		}
+	}
+	run.records, run.engine, err = runShardedStream(window, aps, opts.Seed, base, shards,
+		opts.chunk, opts.Metrics, observer(set, base), work)
 	if err != nil {
 		return nil, err
 	}
 	finish()
-	foldTallies(tallies, opts.Metrics, res.Timeline)
+	foldTallies(tallies, opts.Metrics, run.timeline)
 	recordPoolMetrics(opts.Metrics, set.Cloud, from)
-	return res, nil
+	return run, nil
 }
 
 // observer is the engine's observe hook over set: resolve the record's
@@ -690,20 +754,20 @@ func runBaseline(sample []workload.Request, files []*workload.FileMeta,
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
-		seed, 0, 0, 0, nil, nil, observer(set, 0),
-		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			*task = ODRTask{Request: wreq}
-			if !set.Cloud.Probe(req) {
-				pre := set.Cloud.PreDownload(req)
-				task.PreDelay = pre.Delay
-				if !pre.OK {
-					task.Cause = pre.Cause
-					return false
+		seed, 0, 0, 0, nil, observer(set, 0), everyShard(
+			func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
+				*task = ODRTask{Request: wreq}
+				if !set.Cloud.Probe(req) {
+					pre := set.Cloud.PreDownload(req)
+					task.PreDelay = pre.Delay
+					if !pre.OK {
+						task.Cause = pre.Cause
+						return false
+					}
 				}
-			}
-			deliver(task, set, req)
-			return true
-		})
+				deliver(task, set, req)
+				return true
+			}))
 	return overSlice(res, err)
 }
 

@@ -453,6 +453,9 @@ func binTableDamage(data []byte) []struct {
 		})},
 		{"user first out of range", "outside the trace", damage(userFirst(2, records))},
 		{"unknown ISP", "unknown ISP", damage(func(e, _ []byte) { e[binUserEntryLen+16] = byte(workload.NumISPs) })},
+		{"repeated file ID", "file 2 repeats file 1's ID", damage(func(_, e []byte) {
+			copy(e[2*binFileEntryLen:2*binFileEntryLen+16], e[file1:file1+16])
+		})},
 	}
 }
 

@@ -92,8 +92,8 @@ func FuzzJSONLDecode(f *testing.F) {
 	})
 }
 
-// FuzzBinDecode: the record readers and the census reader hold for any
-// bytes. Past the shared seeds, one seed per way the file table can be
+// FuzzBinDecode: the record readers, the ordinal view and the census
+// reader hold for any bytes. Past the shared seeds, one seed per way the file table can be
 // damaged (binTableDamage), then one per way a record's ordinals can be
 // (binOrdinalDamage).
 func FuzzBinDecode(f *testing.F) {
@@ -117,6 +117,15 @@ func FuzzBinDecode(f *testing.F) {
 			for k, i := range cen.First {
 				if int64(i) >= cen.Records || (k > 0 && i <= cen.First[k-1]) {
 					t.Fatalf("census first indices %v do not ascend inside %d records", cen.First, cen.Records)
+				}
+			}
+		}
+		// So must the ordinal view, which builds no identity.
+		rs := bytes.NewReader(data)
+		if tab, err := readBinTable(rs); err == nil {
+			for s := binOrdinals(rs, tab, 0, -1); ; {
+				if _, _, _, _, ok := s.next(); !ok {
+					break
 				}
 			}
 		}

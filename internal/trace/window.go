@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"odr/internal/workload"
 )
@@ -64,12 +65,50 @@ func (b *Bin) Census() BinCensus {
 // table. The source re-bases indices at 0. Windows read the file
 // independently, so several may be open at once.
 func (b *Bin) Window(offset, limit int64) (workload.RequestSource, error) {
+	r, err := b.records(offset)
+	if err != nil {
+		return nil, err
+	}
+	return binWindow(r, b.tab, offset, limit), nil
+}
+
+// Ordinals returns the ordinal view of the record window
+// [offset, offset+limit) (limit < 0 means "to the end"): the same reader
+// as Window's — every chunk, checksum, ordinal and file table check
+// applied — yielding each record's file as its census ordinal, its index
+// into Census().Files, and building no identity. The table holds distinct
+// file IDs (OpenBin checks it), so a population seeded from the census
+// numbers its files as the ordinals do.
+func (b *Bin) Ordinals(offset, limit int64) (*BinOrdinals, error) {
+	r, err := b.records(offset)
+	if err != nil {
+		return nil, err
+	}
+	return &BinOrdinals{s: binOrdinals(r, b.tab, offset, limit)}, nil
+}
+
+// records returns a reader of the file from where its first chunk starts,
+// for a window at offset.
+func (b *Bin) records(offset int64) (io.Reader, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("trace: %s: negative bin window offset %d", b.path, offset)
 	}
-	r := io.NewSectionReader(b.f, binHeaderLen, b.size-binHeaderLen)
-	return binWindow(r, b.tab, offset, limit), nil
+	return io.NewSectionReader(b.f, binHeaderLen, b.size-binHeaderLen), nil
 }
+
+// BinOrdinals is a window of a bin trace read as ordinals (Bin.Ordinals).
+type BinOrdinals struct{ s *binSource }
+
+// Next returns the next record's index in the window (from 0), its file's
+// census ordinal and its time; ok is false once the window ends or the
+// trace fails (Err).
+func (o *BinOrdinals) Next() (i, file int, when time.Duration, ok bool) {
+	i, ms, file, _, ok := o.s.next()
+	return i, file, time.Duration(ms) * time.Millisecond, ok
+}
+
+// Err reports the first decode error, nil at a clean end.
+func (o *BinOrdinals) Err() error { return o.s.Err() }
 
 // Close closes the file.
 func (b *Bin) Close() error { return b.f.Close() }

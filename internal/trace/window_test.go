@@ -144,3 +144,68 @@ func TestBinHandle(t *testing.T) {
 		t.Fatalf("OpenBin(non-bin) = %v, want an error naming the file", err)
 	}
 }
+
+// TestBinOrdinals: the ordinal view yields, record for record, the index,
+// time and census ordinal (Ord less one) of Window's records, and fails
+// where Window fails, with the same error: it is the same reader, less
+// the identities.
+func TestBinOrdinals(t *testing.T) {
+	reqs := msRequests(t, 300)
+	path, _ := writeBinFile(t, reqs)
+	b, err := OpenBin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, w := range []struct{ off, lim int64 }{{120, 90}, {0, 300}, {299, 1}, {0, -1}, {250, -1}, {300, 5}} {
+		src, err := b.Window(w.off, w.lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainChecked(t, src)
+		ords, err := b.Ordinals(w.off, w.lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			i, file, when, ok := ords.Next()
+			if !ok {
+				break
+			}
+			if n >= len(want) || i != n || file != int(want[n].File.Ord-1) || when != want[n].Time {
+				t.Fatalf("window %v: ordinal record %d = (%d, %d, %v), want the window's record %d", w, n, i, file, when, n)
+			}
+			n++
+		}
+		if err := ords.Err(); err != nil || n != len(want) {
+			t.Fatalf("window %v: %d ordinal records, %v; want %d", w, n, err, len(want))
+		}
+	}
+	if _, err := b.Ordinals(-1, 5); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("Ordinals(-1, 5) = %v, want a refusal", err)
+	}
+
+	for _, tc := range binOrdinalDamage(t, edgeRequests()) {
+		path := filepath.Join(t.TempDir(), "damaged.bin")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := OpenBin(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _ := b.Window(0, -1)
+		_, want := workload.Collect(src)
+		ords, _ := b.Ordinals(0, -1)
+		for {
+			if _, _, _, ok := ords.Next(); !ok {
+				break
+			}
+		}
+		if got := ords.Err(); want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: the ordinal view fails with %v, the window with %v", tc.name, got, want)
+		}
+		b.Close()
+	}
+}
