@@ -315,7 +315,8 @@ allocgate:
 
 # Replay benchmarks: the shard-count throughput sweep plus the streaming
 # pipeline's allocation profile, the metrics hot path, the windowed
-# timeline on/off pair, and the storage pool's per-policy demand loop.
+# timeline on/off pair, the storage pool's per-policy demand loop, and one
+# worker serving a coordinated band run's 8 windows (ns/record).
 # -count 5 repeated runs with -benchmem give the aggregator enough
 # samples.
 bench:
@@ -330,6 +331,8 @@ bench:
 		-benchmem -benchtime 20x -count 5 ./internal/trace
 	$(GO) test -run '^$$' -bench BenchmarkGenerateStream \
 		-benchmem -benchtime 1x -count 5 ./internal/workload
+	$(GO) test -run '^$$' -bench BenchmarkWorkerWindows \
+		-benchmem -benchtime 5x -count 5 ./internal/distrib
 
 # The tracked benchmark baseline. bench-save reruns the suite and rewrites
 # it; bench-compare reruns the suite and diffs median metrics against it,

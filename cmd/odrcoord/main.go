@@ -22,11 +22,11 @@
 // whole trace single-process and compares the digests, printing the
 // "DISTRIB verdict: PASS|FAIL" line CI greps. Every window starts from
 // the census the trace's own file table declares; a trace whose table is
-// damaged fails the run, naming the table, before any worker starts. The
+// damaged fails the run, naming the table, before any window starts. The
 // run summary gives each window's worker time and the coordinator's own
 // stages — trace hash, state pass, merge plus digest — in ms, beside a
 // "worker windows:" line with the median of each worker stage (restore,
-// replay, encode+write+fsync) and the largest peak RSS a worker process
+// setup, replay, encode+write+fsync) and the largest peak RSS a worker process
 // reported; a "worker processes:" line counts the processes spawned, the
 // windows they finished and the respawns that replaced a failed one, and
 // gives each process's GOMAXPROCS. The merged digest is hashed as it
@@ -59,13 +59,15 @@
 // GOMAXPROCS) and a final "done OFF,LIM" line on stdout for the
 // supervisor, which fails the window on a malformed or missing stats
 // line as on a wrong done line. The process opens the
-// trace once, at its first request, and keeps the checked file table and
-// the census for the rest, so every later request must name the same
+// trace once, at its first request, and keeps the checked file table, the
+// census and its identities, and the replay world of its current spec
+// (distrib.Worker) for the rest, so every later request must name the same
 // trace path and SHA-256; one that does not is refused, naming the field.
-// A stream of one request is a one-shot worker. The coordinator keeps at
-// most -workers such processes, each serving window after window; one
-// that fails, crashes, stalls or is canceled is killed and replaced by a
-// fresh one, and every process is reaped before odrcoord exits. Each
+// A stream of one request is a one-shot worker. The coordinator starts
+// min(-workers, -windows) such processes as the run starts and keeps at
+// most -workers, each serving window after window; one that fails,
+// crashes, stalls or is canceled is killed and replaced by a fresh one,
+// and every process is reaped before odrcoord exits. Each
 // process runs at an even share of the coordinator's cores: GOMAXPROCS
 // set to the coordinator's GOMAXPROCS divided by -workers, at least 1.
 package main
@@ -413,7 +415,8 @@ func (s *requestStream) next() (distrib.WorkerRequest, error) {
 // request as a line of JSON on its stdin, and outlives its window: a Run
 // takes an idle process when there is one and spawns one otherwise, so a
 // run keeps at most as many processes as it runs windows at once — the
-// coordinator's Workers — each opening the trace once. Run forwards the
+// coordinator's Workers — each opening the trace once; Start spawns them
+// ahead, as the coordinator's run starts. Run forwards the
 // process's "hb N" lines as heartbeats and requires its "done OFF,LIM"
 // line to name the window it sent, preceded by a well-formed "stats" line,
 // which it keeps (Windows). On any error, crash, cancellation or
@@ -463,10 +466,12 @@ func (s procStats) String() string {
 }
 
 // workerProc is one live worker process and the ends of its pipes.
+// served reports a request sent to it.
 type workerProc struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
-	out   *bufio.Scanner
+	cmd    *exec.Cmd
+	stdin  io.WriteCloser
+	out    *bufio.Scanner
+	served bool
 }
 
 // Stats returns the runner's counts so far.
@@ -484,6 +489,29 @@ func (r *execRunner) Windows() []windowStats {
 	return slices.Clone(r.windows)
 }
 
+// Start implements distrib.Starter: it starts n processes, idle until a
+// window comes, so their exec and runtime start overlap the coordinator's
+// own head of the run. A process that fails to start is not retried here;
+// the window that needs it starts one and reports the error.
+func (r *execRunner) Start(n int) {
+	for range n {
+		p, err := r.spawn()
+		if err != nil {
+			return
+		}
+		r.mu.Lock()
+		closed := r.closed
+		if !closed {
+			r.idle = append(r.idle, p)
+		}
+		r.mu.Unlock()
+		if closed {
+			r.retire(p)
+			return
+		}
+	}
+}
+
 // take returns an idle process, or starts one.
 func (r *execRunner) take() (*workerProc, error) {
 	r.mu.Lock()
@@ -499,6 +527,11 @@ func (r *execRunner) take() (*workerProc, error) {
 	case p != nil:
 		return p, nil
 	}
+	return r.spawn()
+}
+
+// spawn starts a process.
+func (r *execRunner) spawn() (*workerProc, error) {
 	cmd := exec.Command(r.bin, "-worker")
 	if r.procs > 0 {
 		cmd.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(r.procs))
@@ -582,6 +615,7 @@ var errExited = errors.New("process exited without finishing its window")
 // forwarding heartbeats, and returns the window's stats line.
 func (p *workerProc) serve(line []byte, win distrib.Window, beat func(records int64)) (windowStats, error) {
 	var ws windowStats
+	p.served = true
 	if _, err := p.stdin.Write(line); err != nil {
 		return ws, fmt.Errorf("%w (%v)", errExited, err)
 	}
@@ -629,21 +663,22 @@ type windowStats struct {
 
 // windowStatsFormat is the stats line: stage times in nanoseconds, the
 // peak RSS in bytes.
-const windowStatsFormat = "stats restore_ns=%d replay_ns=%d write_ns=%d peak_rss_bytes=%d gomaxprocs=%d"
+const windowStatsFormat = "stats restore_ns=%d setup_ns=%d replay_ns=%d write_ns=%d peak_rss_bytes=%d gomaxprocs=%d"
 
 // String is the worker's stats line.
 func (ws windowStats) String() string {
-	return fmt.Sprintf(windowStatsFormat, int64(ws.Restore), int64(ws.Replay), int64(ws.Write), ws.PeakRSS, ws.Procs)
+	return fmt.Sprintf(windowStatsFormat, int64(ws.Restore), int64(ws.Setup), int64(ws.Replay), int64(ws.Write), ws.PeakRSS, ws.Procs)
 }
 
 // parseWindowStats parses a stats line, which must be exactly what String
 // prints.
 func parseWindowStats(text string) (windowStats, error) {
 	var ws windowStats
-	var restore, replay, write int64
-	_, err := fmt.Sscanf(text, windowStatsFormat, &restore, &replay, &write, &ws.PeakRSS, &ws.Procs)
-	ws.WindowStages = distrib.WindowStages{Restore: time.Duration(restore), Replay: time.Duration(replay), Write: time.Duration(write)}
-	if err != nil || ws.String() != text || restore < 0 || replay < 0 || write < 0 || ws.PeakRSS < 0 || ws.Procs < 1 {
+	var restore, setup, replay, write int64
+	_, err := fmt.Sscanf(text, windowStatsFormat, &restore, &setup, &replay, &write, &ws.PeakRSS, &ws.Procs)
+	ws.WindowStages = distrib.WindowStages{Restore: time.Duration(restore), Setup: time.Duration(setup),
+		Replay: time.Duration(replay), Write: time.Duration(write)}
+	if err != nil || ws.String() != text || restore < 0 || setup < 0 || replay < 0 || write < 0 || ws.PeakRSS < 0 || ws.Procs < 1 {
 		return windowStats{}, fmt.Errorf("process sent a malformed stats line %q", text)
 	}
 	return ws, nil
@@ -664,8 +699,9 @@ func summarize(ws []windowStats) string {
 	for _, w := range ws {
 		rss = max(rss, w.PeakRSS)
 	}
-	return fmt.Sprintf("restore %.1fms, replay %.1fms, encode+write+fsync %.1fms (medians of %d), peak RSS %.1f MB",
+	return fmt.Sprintf("restore %.1fms, setup %.1fms, replay %.1fms, encode+write+fsync %.1fms (medians of %d), peak RSS %.1f MB",
 		median(func(w windowStats) time.Duration { return w.Restore }),
+		median(func(w windowStats) time.Duration { return w.Setup }),
 		median(func(w windowStats) time.Duration { return w.Replay }),
 		median(func(w windowStats) time.Duration { return w.Write }),
 		len(ws), float64(rss)/(1<<20))
@@ -681,10 +717,18 @@ func peakRSS() int64 {
 	return ru.Maxrss << 10
 }
 
-// retire ends an idle process by closing its stdin and reaps it.
+// retire ends an idle process by closing its stdin and reaps it. A
+// process that was never sent a request is killed instead: an empty
+// request stream is an error to a worker, and this one is expected.
 func (r *execRunner) retire(p *workerProc) error {
+	if !p.served {
+		p.cmd.Process.Kill()
+	}
 	p.stdin.Close()
 	err := p.cmd.Wait()
+	if !p.served {
+		err = nil
+	}
 	r.mu.Lock()
 	r.stats.Reaped++
 	r.mu.Unlock()

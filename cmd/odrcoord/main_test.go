@@ -318,6 +318,48 @@ func TestExecWorkersMatchSingleProcess(t *testing.T) {
 	}
 }
 
+// TestFailedRunReapsStartedProcesses: the coordinator starts its worker
+// processes before it opens the trace, so a run that fails before its
+// first window — a missing trace, a checkpoint for another spec while the
+// state pass runs — leaves processes that served nothing, and Close kills
+// and reaps every one of them without reporting their exit.
+func TestFailedRunReapsStartedProcesses(t *testing.T) {
+	path, records := writeTrace(t)
+	t.Setenv(asCommand, "1")
+	sha, err := trace.SHA256File(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := distrib.WorkerSpec{Seed: 9, CachePolicy: "band", PoolBytes: 64 << 20}
+	foreign := t.TempDir()
+	other := spec
+	other.Seed++
+	if err := distrib.SaveManifest(filepath.Join(foreign, distrib.ManifestName),
+		distrib.NewManifest(path, sha, records, other, 4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, trace, checkpoint, want string }{
+		{"missing trace", filepath.Join(t.TempDir(), "missing.bin"), t.TempDir(), "no such file"},
+		{"foreign checkpoint", path, foreign, "manifest: spec"},
+	} {
+		runner := &execRunner{bin: os.Args[0]}
+		co, err := distrib.New(distrib.Config{TracePath: tc.trace, Workers: 2, Windows: 4,
+			CheckpointDir: tc.checkpoint, Spec: spec, Runner: runner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := co.Run(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Run = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if err := runner.Close(); err != nil {
+			t.Fatalf("%s: Close = %v", tc.name, err)
+		}
+		if got, want := runner.Stats(), (procStats{Spawned: 2, Reaped: 2}); got != want {
+			t.Fatalf("%s: worker processes %+v, want %+v (both started, both reaped)", tc.name, got, want)
+		}
+	}
+}
+
 // TestExecRunnerCancel: a canceled attempt kills its process and reaps
 // it, the next Run spawns a fresh one, and a process that names another
 // window in its "done" line is refused and discarded.
@@ -490,7 +532,7 @@ func TestCoordinatorSplitsItsGOMAXPROCS(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("GOMAXPROCS=%s -workers %d: no %q in\n%s", tc.env, tc.workers, want, out)
 		}
-		if !regexp.MustCompile(`(?m)^worker windows: +restore [0-9.]+ms, replay [0-9.]+ms, encode\+write\+fsync [0-9.]+ms \(medians of [0-9]+\), peak RSS [0-9.]+ MB$`).Match(out) {
+		if !regexp.MustCompile(`(?m)^worker windows: +restore [0-9.]+ms, setup [0-9.]+ms, replay [0-9.]+ms, encode\+write\+fsync [0-9.]+ms \(medians of [0-9]+\), peak RSS [0-9.]+ MB$`).Match(out) {
 			t.Errorf("GOMAXPROCS=%s -workers %d: no worker windows line in\n%s", tc.env, tc.workers, out)
 		}
 	}
@@ -500,7 +542,7 @@ func TestCoordinatorSplitsItsGOMAXPROCS(t *testing.T) {
 // worker prints, or none before "done", fails the window and discards the
 // process, as a wrong "done" line does.
 func TestMalformedStatsFailsWindow(t *testing.T) {
-	good := windowStats{WindowStages: distrib.WindowStages{Restore: 1, Replay: 2, Write: 3}, PeakRSS: 4 << 20, Procs: 1}.String()
+	good := windowStats{WindowStages: distrib.WindowStages{Restore: 1, Setup: 5, Replay: 2, Write: 3}, PeakRSS: 4 << 20, Procs: 1}.String()
 	if _, err := parseWindowStats(good); err != nil {
 		t.Fatal(err)
 	}
@@ -512,6 +554,9 @@ func TestMalformedStatsFailsWindow(t *testing.T) {
 		{strings.Replace(good, "restore_ns=1", "restore_ns=-1", 1), "malformed stats line"},
 		{strings.Replace(good, "restore_ns=1", "restore_ns=+1", 1), "malformed stats line"},
 		{strings.Replace(good, "gomaxprocs=1", "gomaxprocs=0", 1), "malformed stats line"},
+		{strings.Replace(good, "setup_ns=5", "setup_ns=-5", 1), "malformed stats line"},
+		{strings.Replace(good, " setup_ns=5", "", 1), "malformed stats line"},
+		{strings.Replace(good, "setup_ns=5 replay_ns=2", "replay_ns=2 setup_ns=5", 1), "malformed stats line"},
 	} {
 		t.Setenv(asStatsWorker, tc.stats)
 		runner := &execRunner{bin: os.Args[0]}

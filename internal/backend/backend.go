@@ -187,23 +187,26 @@ type Set struct {
 // NewSet builds the standard backend fleet over the file population. cfg
 // and seed drive the cloud backend; see NewCloud.
 func NewSet(files []*workload.FileMeta, cfg CloudConfig, seed uint64) *Set {
-	return newSetOver(NewCloud(files, cfg, seed))
+	return NewWorld(files, cfg, seed).NewSet()
 }
 
-// RestoreSet builds the fleet NewSet builds over the same files,
+// NewSet builds the standard fleet over the world, its cloud warmed and
+// at request 0, as the package's NewSet does.
+func (w *World) NewSet() *Set { return newSetOver(w.newCloud(true)) }
+
+// RestoreSet builds the fleet NewSet builds over the world's files,
 // configuration and seed, at an observation state Cloud.AppendState wrote
 // at request base: its cloud is as if it had observed requests [0, base)
 // itself, and the next request it observes must be base. Under a cache
 // policy the state replaces the whole pool — entries, index, counters and
-// policy state — so the cloud skips NewCloud's warm draws and fill; a
-// static cloud keeps its warm set, which its verdicts read. A state no
-// such cloud could have written is an error, never a later panic. Size
-// the set with Reserve before replaying, as after NewSet.
-func RestoreSet(files []*workload.FileMeta, cfg CloudConfig, seed uint64, state []byte, base int) (*Set, error) {
-	c := newCloud(files, cfg, seed)
-	if !c.dynamic {
-		c.fillWarm(files)
-	}
+// policy state — so the cloud skips the warm draws and fill; a static
+// cloud reads the world's warm pool, which its verdicts read, and
+// restores only its seen files. The world's slots are reused as they are:
+// each is a pure function of the world. A state no such cloud could have
+// written is an error, never a later panic. Size the set with Reserve
+// before replaying, as after NewSet.
+func (w *World) RestoreSet(state []byte, base int) (*Set, error) {
+	c := w.newCloud(false)
 	if err := c.restoreState(state, base); err != nil {
 		return nil, err
 	}

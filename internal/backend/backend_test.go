@@ -363,13 +363,15 @@ func TestCloudStateRestoreMatchesUninterrupted(t *testing.T) {
 	rng := dist.NewRNG(fixtureSeed).Split("cuts")
 	for name, mode := range modes {
 		cfg, files := mode.cfg, mode.files
-		// observe builds a cloud for the sample, restores state at base when
-		// given one, and observes sample[base:end] through ordinals.
+		world := backend.NewWorld(files, cfg, fixtureSeed)
+		// observe builds a cloud for the sample, restores state at base over
+		// the mode's one world when given one, and observes sample[base:end]
+		// through ordinals.
 		observe := func(state []byte, base, end int) (*backend.Cloud, []backend.Ordinal) {
 			set := backend.NewSet(files, cfg, fixtureSeed)
 			if state != nil {
 				var err error
-				if set, err = backend.RestoreSet(files, cfg, fixtureSeed, state, base); err != nil {
+				if set, err = world.RestoreSet(state, base); err != nil {
 					t.Fatalf("%s: restore at %d: %v", name, base, err)
 				}
 			}
@@ -463,7 +465,7 @@ func TestCloudStateRejectsMismatch(t *testing.T) {
 		{"a byte after the count", static, append(withCount(uint64(len(census))), 0), len(sample), "1 bytes after"},
 		{"the retired bitmap layout", static, bitmap, len(sample), "bitmap layout"},
 	} {
-		if _, err := backend.RestoreSet(tc.into.files, tc.into.cfg, fixtureSeed, tc.state, tc.base); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := backend.NewWorld(tc.into.files, tc.into.cfg, fixtureSeed).RestoreSet(tc.state, tc.base); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: RestoreSet = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}

@@ -43,6 +43,12 @@ var WarmProbs = [3]float64{0.70, 0.97, 0.998}
 // is the pool's lookup. Either way the answer depends only on the index
 // order of observation, never on which goroutine got there first.
 //
+// What is a pure function of the seeded files, the configuration and the
+// seed — the population's numbering, the static warm pool, each seeded
+// file's warm bit and pre-download outcome — lives in the cloud's World,
+// which clouds replaying windows of one trace share; the cloud holds what
+// its replay mutates: verdicts, seen bits, a dynamic pool, the ledger.
+//
 // Concurrency: one goroutine — the replay engine's reader — observes, in
 // index order, each record before the channel send that dispatches it;
 // that send is the publication point. A worker reads its own request's
@@ -53,41 +59,76 @@ var WarmProbs = [3]float64{0.70, 0.97, 0.998}
 // Prime, PreDownload), which also builds a missing slot; mu guards
 // nothing an engine worker touches.
 type Cloud struct {
-	cfg  cloud.Config
-	fm   cloud.FetchModel
-	src  *sources.Mix
+	w    *World
 	pool *cloud.StoragePool
-	root *dist.RNG
 	pop  *Population
 
 	// mu serialises ordinal-less callers: ObserveAt and PreDownload on
 	// requests without ordinals, and PoolStats's read of the pool.
-	mu    sync.Mutex
-	slots table[fileSlot]
-	// dynamic reports a policy-driven pool (dynamic mode).
-	dynamic bool
+	mu sync.Mutex
+	// added holds the slots of files appended to the population after
+	// seeding, by ordinal index less the seeded count: they are this
+	// cloud's, since its population numbers them.
+	added table[fileSlot]
 	// observed is the observation pass's progress and latched verdicts.
 	observed verdicts
-	// preLabel and preRNG are scratch state for attempt's per-file
-	// substream derivation, owned by whichever goroutine writes slots.
-	preLabel []byte
-	preRNG   *dist.RNG
+	// seen is a bitset over file ordinal indices: the files an observed
+	// request named. Static mode; only the observing goroutine touches it.
+	seen []uint64
 
 	ledger Ledger
 	met    backendMetrics
 }
 
-// fileSlot is one file's cloud state for the replay. made and the fields
-// it covers are written once, when the slot is built; seen at the file's
-// first observation.
+// World is the part of a replay cloud that is a pure function of its
+// seeded files, configuration and seed: the seeded population's numbering
+// and bands, the static warm pool, and each seeded file's slot — its
+// pre-download outcome and static warm bit — built the first time an
+// observation reaches the file and kept for every later cloud. NewSet and
+// RestoreSet build a cloud over it; a replay of each window of one trace
+// under one spec can share one World, and builds only what it mutates.
+//
+// A World serves one replay at a time: the observing goroutine of the
+// cloud replaying now builds its slots, which that replay's workers then
+// read, exactly as within one cloud.
+type World struct {
+	files []*workload.FileMeta
+	cfg   cloud.Config
+	fm    cloud.FetchModel
+	src   *sources.Mix
+	root  *dist.RNG
+	seed  *seeding
+	// dynamic reports a policy-driven pool (dynamic mode).
+	dynamic bool
+	// warm is the static mode's warm pool, filled once and never changed
+	// after; nil under a policy, where each cloud keeps a pool of its own.
+	warm  *cloud.StoragePool
+	slots table[fileSlot]
+	// preLabel and preRNG are scratch state for attempt's per-file
+	// substream derivation, owned by whichever goroutine builds slots.
+	preLabel []byte
+	preRNG   *dist.RNG
+}
+
+// fileSlot is one file's cloud state for the replay: its single
+// pre-download attempt (out) and, in static mode, whether it is in the
+// warm pool. The attempt's failure cause is kept as its code, not its
+// name, so a table of slots holds no pointer: a World keeps its slots for
+// as long as it lives, and the collector never scans them. Its fields are
+// written once, when the slot is built (made).
 type fileSlot struct {
-	// out is the file's single pre-download attempt.
-	out  PreResult
-	made bool
-	// seen reports an observed request for the file. Static mode.
-	seen bool
-	// warm reports the file in the warm pool. Static mode.
-	warm bool
+	rate, traffic  float64
+	delay          time.Duration
+	ok, made, warm bool
+	cause          sources.FailureCause
+}
+
+// out is the slot's pre-download outcome.
+func (s *fileSlot) out() PreResult {
+	if !s.ok {
+		return PreResult{Delay: s.delay, Cause: s.cause.String()}
+	}
+	return PreResult{OK: true, Rate: s.rate, Delay: s.delay, Traffic: s.traffic}
 }
 
 // verdicts is the observation state every mode shares: how far the
@@ -131,56 +172,75 @@ func (v *verdicts) get(i int) bool {
 	return w < len(v.bits) && v.bits[w].Load()&(1<<(uint(i)&63)) != 0
 }
 
+// NewWorld builds the world of clouds over the file population, which
+// seeds their Population: in static mode it draws the warm set, each file
+// cached with its band's WarmProbs probability, into the warm pool. It
+// panics when cfg names an unknown cache policy (construction-time
+// programming error, same contract as cloud.New).
+func NewWorld(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *World {
+	if _, err := cloud.NewPolicy(cfg.CachePolicy); err != nil {
+		panic(err)
+	}
+	w := &World{
+		files:   files,
+		cfg:     cfg,
+		fm:      cloud.NewFetchModel(cfg),
+		src:     sources.NewMix(),
+		root:    dist.NewRNG(seed).Split("mini-cloud"),
+		seed:    newSeeding(files),
+		dynamic: cfg.CachePolicy != "",
+		preRNG:  dist.NewRNG(0),
+	}
+	w.slots.reserve(len(w.seed.ids))
+	if !w.dynamic {
+		// The static pool keeps its embedded LRU (no extra alloc); only
+		// RestoreState, which a static pool never runs, keys by FileID.
+		w.warm = cloud.NewStoragePoolKeyed(cfg.PoolCapacity, len(files), nil,
+			func(id workload.FileID) int32 { return w.seed.index[id].idx() })
+		w.fillWarm(w.warm, &Population{seed: w.seed})
+	}
+	return w
+}
+
+// fillWarm draws the warm set into pool, keyed by pop's ordinals.
+func (w *World) fillWarm(pool *cloud.StoragePool, pop *Population) {
+	warm := w.root.Split("warm")
+	for _, f := range w.files {
+		if warm.Bool(WarmProbs[f.Band()]) {
+			pool.AddKey(pop.File(f).idx(), f.ID, f.Size, f.Band())
+		}
+	}
+}
+
 // NewCloud builds a warmed cloud backend over the file population, which
 // also seeds its Population. It panics when cfg names an unknown cache
 // policy (construction-time programming error, same contract as
 // cloud.New).
 func NewCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud {
-	c := newCloud(files, cfg, seed)
-	c.fillWarm(files)
-	return c
+	return NewWorld(files, cfg, seed).newCloud(true)
 }
 
-// newCloud is NewCloud with an empty pool.
-func newCloud(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *Cloud {
-	pol, err := cloud.NewPolicy(cfg.CachePolicy)
-	if err != nil {
-		panic(err)
-	}
-	if cfg.CachePolicy == "" {
-		pol = nil // static mode keeps the pool's embedded LRU (no extra alloc)
-	}
-	pop := NewPopulation(files)
-	return &Cloud{
-		cfg: cfg,
-		fm:  cloud.NewFetchModel(cfg),
-		src: sources.NewMix(),
+// newCloud builds a cloud over the world that has observed nothing. Under
+// a policy its pool is its own, warmed when fill is set and left empty
+// for a restore to fill otherwise; in static mode it reads the world's.
+func (w *World) newCloud(fill bool) *Cloud {
+	c := &Cloud{w: w, pool: w.warm, pop: &Population{seed: w.seed}}
+	if w.dynamic {
+		pol, _ := cloud.NewPolicy(w.cfg.CachePolicy)
 		// The pool is keyed by the population's ordinals: a lookup indexes
 		// a slice where it would hash an MD5.
-		pool:   cloud.NewStoragePoolKeyed(cfg.PoolCapacity, len(files), pol, pop.fileKey),
-		root:   dist.NewRNG(seed).Split("mini-cloud"),
-		pop:    pop,
-		preRNG: dist.NewRNG(0),
-
-		dynamic: cfg.CachePolicy != "",
-	}
-}
-
-// fillWarm draws the warm set, each file cached with its band's WarmProbs
-// probability, and fills the pool with it.
-func (c *Cloud) fillWarm(files []*workload.FileMeta) {
-	warm := c.root.Split("warm")
-	for _, f := range files {
-		if warm.Bool(WarmProbs[f.Band()]) {
-			c.pool.AddKey(c.pop.File(f).idx(), f.ID, f.Size, f.Band())
+		c.pool = cloud.NewStoragePoolKeyed(w.cfg.PoolCapacity, len(w.files), pol, c.pop.fileKey)
+		if fill {
+			w.fillWarm(c.pool, c.pop)
 		}
 	}
+	return c
 }
 
 // reserve sizes the per-file slots and the verdict bitset for a replay of
 // n records, before any worker starts.
 func (c *Cloud) reserve(n int) {
-	c.slots.reserve(c.pop.reserve(n))
+	c.added.reserve(c.pop.reserve(n) - c.pop.seeded())
 	c.observed.reserve(n)
 }
 
@@ -191,7 +251,7 @@ func (c *Cloud) Name() string { return "cloud" }
 func (c *Cloud) Ledger() *Ledger { return &c.ledger }
 
 // Config returns the backend's cloud configuration.
-func (c *Cloud) Config() cloud.Config { return c.cfg }
+func (c *Cloud) Config() cloud.Config { return c.w.cfg }
 
 // PoolStats snapshots the storage pool's state and counters.
 func (c *Cloud) PoolStats() cloud.PoolStats {
@@ -203,7 +263,7 @@ func (c *Cloud) PoolStats() cloud.PoolStats {
 // PolicyLabel names the pool's placement regime for metrics: "static" for
 // the default immutable warm pool, the policy name in dynamic mode.
 func (c *Cloud) PolicyLabel() string {
-	if !c.dynamic {
+	if !c.w.dynamic {
 		return "static"
 	}
 	return c.pool.Policy()
@@ -246,11 +306,7 @@ func (c *Cloud) ObserveAt(i int, f *workload.FileMeta, when time.Duration) {
 // pre-download counts, so a request never sees a file its own miss
 // fetched.
 func (c *Cloud) ObserveOrdinal(i int, o Ordinal, f *workload.FileMeta, when time.Duration) {
-	s := c.slots.at(o.idx())
-	if !s.made {
-		c.build(o, s, f)
-	}
-	c.observe(i, o, s, f, when)
+	c.observe(i, o, c.slot(o, f), f, when)
 }
 
 func (c *Cloud) observe(i int, o Ordinal, s *fileSlot, f *workload.FileMeta, when time.Duration) {
@@ -262,13 +318,12 @@ func (c *Cloud) observe(i int, o Ordinal, s *fileSlot, f *workload.FileMeta, whe
 	}
 	c.observed.next = i + 1
 	c.observed.reserve(i + 1)
-	if !c.dynamic {
-		if s.warm || (s.seen && s.out.OK) {
+	if !c.w.dynamic {
+		k := int(o.idx())
+		if s.warm || (c.saw(k) && s.ok) {
 			c.observed.set(i)
 		}
-		if !s.seen {
-			s.seen = true // once: workers read this slot's outcome
-		}
+		c.see(k)
 		return
 	}
 	c.pool.Tick(when)
@@ -276,29 +331,60 @@ func (c *Cloud) observe(i int, o Ordinal, s *fileSlot, f *workload.FileMeta, whe
 		c.observed.set(i)
 		return
 	}
-	if s.out.OK {
+	if s.ok {
 		c.pool.AddKey(o.idx(), f.ID, f.Size, f.Band())
 	}
+}
+
+// saw reports whether an observed request named the file at ordinal index
+// k; see marks it. Static mode.
+func (c *Cloud) saw(k int) bool {
+	return k>>6 < len(c.seen) && c.seen[k>>6]&(1<<(uint(k)&63)) != 0
+}
+
+func (c *Cloud) see(k int) {
+	if w := k >> 6; w >= len(c.seen) {
+		c.seen = append(c.seen, make([]uint64, w+1-len(c.seen))...)
+	}
+	c.seen[k>>6] |= 1 << (uint(k) & 63)
+}
+
+// slot returns file o's slot, built if it is new. The caller is the
+// observing goroutine, or holds c.mu.
+func (c *Cloud) slot(o Ordinal, f *workload.FileMeta) *fileSlot {
+	s := c.slotAt(o)
+	if !s.made {
+		c.w.build(o, s, f)
+	}
+	return s
+}
+
+// slotAt returns file o's slot: the world's for a seeded file, the
+// cloud's for one appended after seeding.
+func (c *Cloud) slotAt(o Ordinal) *fileSlot {
+	k, n := o.idx(), int32(c.pop.seeded())
+	if k < n {
+		return c.w.slots.at(k)
+	}
+	return c.added.at(k - n)
 }
 
 // slotByIDLocked is the resolve-by-ID step: f's ordinal and slot, the
 // slot built if missing. The caller holds c.mu.
 func (c *Cloud) slotByIDLocked(f *workload.FileMeta) (Ordinal, *fileSlot) {
 	o := c.pop.fileByID(f)
-	c.slots.reserve(int(o))
-	s := c.slots.at(o.idx())
-	if !s.made {
-		c.build(o, s, f)
+	if n := int(o) - c.pop.seeded(); n > 0 {
+		c.added.reserve(n)
 	}
-	return o, s
+	return o, c.slot(o, f)
 }
 
 // build fills file o's new slot: the warm bit (static mode; the warm pool
 // is immutable there) and the file's pre-download outcome, warm or not,
 // so no later read of the slot needs to write it.
-func (c *Cloud) build(o Ordinal, s *fileSlot, f *workload.FileMeta) {
-	s.warm = !c.dynamic && c.pool.ContainsKey(o.idx())
-	s.out = c.attempt(f)
+func (w *World) build(o Ordinal, s *fileSlot, f *workload.FileMeta) {
+	s.warm = !w.dynamic && w.warm.ContainsKey(o.idx())
+	w.attempt(s, f)
 	s.made = true
 }
 
@@ -322,10 +408,10 @@ func (c *Cloud) PreDownload(req *Request) PreResult {
 	if req.FileOrd == 0 {
 		c.mu.Lock()
 		_, s := c.slotByIDLocked(req.File)
-		out = s.out
+		out = s.out()
 		c.mu.Unlock()
 	} else {
-		out = c.slots.at(req.FileOrd.idx()).out
+		out = c.slotAt(req.FileOrd).out()
 	}
 	if !out.OK {
 		c.ledger.failures.Add(1)
@@ -335,22 +421,19 @@ func (c *Cloud) PreDownload(req *Request) PreResult {
 }
 
 // attempt runs the file's single pre-download attempt from its own RNG
-// substream.
-func (c *Cloud) attempt(f *workload.FileMeta) PreResult {
-	c.preLabel = append(c.preLabel[:0], "pre:"...)
-	c.preLabel = f.ID.AppendHex(c.preLabel)
-	c.root.SplitBytesInto(c.preRNG, c.preLabel)
-	att := c.src.Attempt(c.preRNG, f)
+// substream into s.
+func (w *World) attempt(s *fileSlot, f *workload.FileMeta) {
+	w.preLabel = append(w.preLabel[:0], "pre:"...)
+	w.preLabel = f.ID.AppendHex(w.preLabel)
+	w.root.SplitBytesInto(w.preRNG, w.preLabel)
+	att := w.src.Attempt(w.preRNG, f)
 	if !att.OK {
-		return PreResult{Delay: c.cfg.StagnationTimeout, Cause: att.Cause.String()}
+		s.delay, s.cause = w.cfg.StagnationTimeout, att.Cause
+		return
 	}
-	rate := math.Min(att.Rate, cloud.PreDownloaderBW)
-	return PreResult{
-		OK:      true,
-		Rate:    rate,
-		Delay:   time.Duration(float64(f.Size) / rate * float64(time.Second)),
-		Traffic: float64(f.Size) * att.OverheadRatio,
-	}
+	s.ok, s.rate = true, math.Min(att.Rate, cloud.PreDownloaderBW)
+	s.delay = time.Duration(float64(f.Size) / s.rate * float64(time.Second))
+	s.traffic = float64(f.Size) * att.OverheadRatio
 }
 
 // Fetch implements Backend: one user fetch from the cloud, charging the
@@ -358,7 +441,7 @@ func (c *Cloud) attempt(f *workload.FileMeta) PreResult {
 // and the cross-ISP draw otherwise, capped by the replay environment.
 func (c *Cloud) Fetch(req *Request) FetchResult {
 	c.ledger.fetches.Add(1)
-	privRate, crossRate, _ := c.fm.Sample(req.RNG, req.User)
+	privRate, crossRate, _ := c.w.fm.Sample(req.RNG, req.User)
 	rate := privRate
 	if !req.User.ISP.Supported() {
 		rate = crossRate

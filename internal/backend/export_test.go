@@ -8,7 +8,10 @@ import "odr/internal/workload"
 // verdict instead (Probe).
 func PoolHolds(c *Cloud, id workload.FileID) bool {
 	c.pop.mu.Lock()
-	o, ok := c.pop.files[id]
+	o, ok := c.pop.seed.index[id]
+	if !ok {
+		o, ok = c.pop.added[id]
+	}
 	c.pop.mu.Unlock()
 	return ok && c.pool.ContainsKey(o.idx())
 }

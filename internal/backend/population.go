@@ -25,14 +25,18 @@ func (o Ordinal) idx() int32 { return int32(o) - 1 }
 // resolving it takes no map probe. A file's trace ordinal is checked with
 // one slice read and a 16-byte ID compare against the seeded census: when
 // the population was seeded from the trace's own census (trace.BinCensus,
-// or a census taken in decoder order), the two numberings coincide. A
-// user's trace ordinal indexes a slice of the ordinals this population
-// gave, checked against the user's ID. The maps stay as the fallback for
-// an identity with no matching ordinal — a generated request, a
-// population that is not the trace's census — and give the same ordinals
-// the slice path would have; the user map is built the first time it is
-// needed. User ordinals must come from one trace per population: two
-// traces' users would alias.
+// or a census taken in decoder order), the two numberings coincide.
+// ResolveCensus skips that compare for records read from the very trace
+// whose census seeded the population. A user's trace ordinal indexes a
+// slice of the ordinals this population gave, checked against the user's
+// ID. The maps stay as the fallback for an identity with no matching
+// ordinal — a generated request, a population that is not the trace's
+// census — and give the same ordinals the slice path would have; the user
+// map is built the first time it is needed. User ordinals must come from
+// one trace per population: two traces' users would alias.
+//
+// The seeded numbering never changes once built, so populations over one
+// census share it (World): each holds only what its replay appends.
 //
 // Concurrency: Resolve is the replay engine's reader's, which calls it
 // once per record before dispatching the record — it alone writes the
@@ -41,11 +45,11 @@ func (o Ordinal) idx() int32 { return int32(o) - 1 }
 // resolve through fileByID/userByID instead, which serialise on mu. The
 // two modes do not mix on one population.
 type Population struct {
-	mu    sync.Mutex
-	files map[workload.FileID]Ordinal
-	// ids is each seeded file's ID, by ordinal index: what a decoded
-	// file's trace ordinal is checked against.
-	ids []workload.FileID
+	mu   sync.Mutex
+	seed *seeding
+	// added numbers the files appended after seeding, from
+	// len(seed.ids)+1 on; nil until the first one comes.
+	added map[workload.FileID]Ordinal
 	// userIDs is each user's ID, by ordinal index. byTrace is, by a
 	// user's trace ordinal index, the ordinal this population gave the
 	// user (0: not yet seen) beside its ID. users is the fallback map, nil
@@ -54,34 +58,53 @@ type Population struct {
 	userIDs []int
 	byTrace []traceUser
 	users   map[int]Ordinal
-	// bands is each seeded file's popularity band, by index. A file
-	// appended later is unknown to the replay's popularity database, which
-	// reports unknown files as unpopular (core.StaticDB).
-	bands []workload.PopularityBand
 	// userCap is how many user ordinals the per-user tables were sized for
 	// (Reserve); wrappers built afterwards size their tables from it.
 	userCap int
 }
 
-// NewPopulation seeds a population from files, in order. A duplicated ID
-// keeps its first ordinal and its last band, as core.NewStaticDB does.
-func NewPopulation(files []*workload.FileMeta) *Population {
-	p := &Population{
-		files: make(map[workload.FileID]Ordinal, len(files)),
+// seeding is a population's seeded files: their numbering, its ID index
+// and their popularity bands. It is read-only once built.
+type seeding struct {
+	index map[workload.FileID]Ordinal
+	// ids is each seeded file's ID, by ordinal index: what a decoded
+	// file's trace ordinal is checked against.
+	ids []workload.FileID
+	// bands is each seeded file's popularity band, by index. A file
+	// appended later is unknown to the replay's popularity database, which
+	// reports unknown files as unpopular (core.StaticDB).
+	bands []workload.PopularityBand
+	// distinct reports files that named no ID twice: ordinal k+1 is then
+	// files[k]'s, as a census's decoder numbers it.
+	distinct bool
+}
+
+// newSeeding numbers files in order. A duplicated ID keeps its first
+// ordinal and its last band, as core.NewStaticDB does.
+func newSeeding(files []*workload.FileMeta) *seeding {
+	s := &seeding{
+		index: make(map[workload.FileID]Ordinal, len(files)),
 		ids:   make([]workload.FileID, 0, len(files)),
 		bands: make([]workload.PopularityBand, 0, len(files)),
 	}
 	for _, f := range files {
-		o, ok := p.files[f.ID]
+		o, ok := s.index[f.ID]
 		if !ok {
-			o = Ordinal(len(p.bands) + 1)
-			p.files[f.ID] = o
-			p.ids = append(p.ids, f.ID)
-			p.bands = append(p.bands, 0)
+			o = Ordinal(len(s.bands) + 1)
+			s.index[f.ID] = o
+			s.ids = append(s.ids, f.ID)
+			s.bands = append(s.bands, 0)
 		}
-		p.bands[o.idx()] = f.Band()
+		s.bands[o.idx()] = f.Band()
 	}
-	return p
+	s.distinct = len(s.ids) == len(files)
+	return s
+}
+
+// NewPopulation seeds a population from files, in order. A duplicated ID
+// keeps its first ordinal and its last band, as core.NewStaticDB does.
+func NewPopulation(files []*workload.FileMeta) *Population {
+	return &Population{seed: newSeeding(files)}
 }
 
 // Resolve returns the request's file and user ordinals, appending either
@@ -90,24 +113,49 @@ func (p *Population) Resolve(r workload.Request) (file, user Ordinal) {
 	return p.File(r.File), p.user(r.User)
 }
 
+// ResolveCensus is Resolve for a record read from the bin trace whose
+// census seeded the population (trace.Bin.Window beside
+// trace.Bin.Census): the trace's table holds distinct file IDs, so a
+// census ordinal is the file's population ordinal and is taken with no ID
+// compare. A seeding that named an ID twice numbers files apart from the
+// census, and resolves as Resolve does. Reader only.
+func (p *Population) ResolveCensus(r workload.Request) (file, user Ordinal) {
+	if k := r.File.Ord - 1; p.seed.distinct && k >= 0 && int(k) < len(p.seed.ids) {
+		return Ordinal(r.File.Ord), p.user(r.User)
+	}
+	return p.Resolve(r)
+}
+
 // File is Resolve for a file alone, for an observation pass that
 // dispatches nothing and so needs no user ordinals. Reader only.
 func (p *Population) File(f *workload.FileMeta) Ordinal {
-	if k := f.Ord - 1; k >= 0 && int(k) < len(p.ids) && p.ids[k] == f.ID {
+	if k := f.Ord - 1; k >= 0 && int(k) < len(p.seed.ids) && p.seed.ids[k] == f.ID {
 		return Ordinal(f.Ord)
 	}
 	return p.byID(f.ID)
 }
 
-// byID is the file map's ordinal for id, appending the file if it is new.
+// byID is id's ordinal, the file appended if it is new.
 func (p *Population) byID(id workload.FileID) Ordinal {
-	o, ok := p.files[id]
+	if o, ok := p.seed.index[id]; ok {
+		return o
+	}
+	o, ok := p.added[id]
 	if !ok {
-		o = Ordinal(len(p.files) + 1)
-		p.files[id] = o
+		if p.added == nil {
+			p.added = make(map[workload.FileID]Ordinal)
+		}
+		o = Ordinal(p.numFiles() + 1)
+		p.added[id] = o
 	}
 	return o
 }
+
+// numFiles is how many file ordinals have been handed out; seeded is how
+// many of them are seeded.
+func (p *Population) numFiles() int { return len(p.seed.ids) + len(p.added) }
+
+func (p *Population) seeded() int { return len(p.seed.ids) }
 
 // traceUser is what a population gave the user at one trace ordinal.
 type traceUser struct {
@@ -176,7 +224,7 @@ func (p *Population) userByID(u *workload.User) Ordinal {
 // out so far plus one new file per record.
 func (p *Population) reserve(n int) (files int) {
 	p.userCap = len(p.userIDs) + n
-	return len(p.files) + n
+	return p.numFiles() + n
 }
 
 // numUsers is how many user ordinals have been handed out.
@@ -190,8 +238,8 @@ func (p *Population) numUsers() int {
 // database knows it: the seeded file's band, unpopular for a file
 // appended after seeding.
 func (p *Population) Band(o Ordinal) workload.PopularityBand {
-	if i := o.idx(); i < int32(len(p.bands)) {
-		return p.bands[i]
+	if i := o.idx(); i < int32(len(p.seed.bands)) {
+		return p.seed.bands[i]
 	}
 	return workload.BandUnpopular
 }

@@ -20,7 +20,10 @@ import (
 // between and after the census's — TestReplayPopulationEdges' shapes
 // (user IDs at the edges of the int range, files the seed never names),
 // and two traces whose users' ordinals disagree, which the user ID check
-// sends to the maps.
+// sends to the maps. Where the records are the seeding census's own trace,
+// ResolveCensus, which takes a census ordinal with no ID compare, gives the
+// same ordinals too — and falls back to the checked path for a census
+// seeded with a repeated ID.
 func TestPopulationOrdinalsMatchMaps(t *testing.T) {
 	tr, err := workload.Generate(workload.DefaultConfig(2500, 29))
 	if err != nil {
@@ -63,33 +66,41 @@ func TestPopulationOrdinalsMatchMaps(t *testing.T) {
 		seed   []*workload.FileMeta
 		reqs   []workload.Request
 		mapped bool // whether the maps may gain entries
+		census bool // whether reqs are the seed's own trace's (ResolveCensus)
 	}{
-		{"full stream", cen, full, false},
-		{"window", cen, window, false},
-		{"generated", cen, reqs, true},
-		{"reversed census", reversed, full, true},
-		{"superset census", superset, full, true},
-		{"superset census window", superset, window, true},
-		{"edges", tr.Files, edgeFull, true},
-		{"edges window", tr.Files, edgeWindow, true},
-		{"edges over census", cen, edgeFull, true},
-		{"two traces", cen, twoTraces, true},
+		{"full stream", cen, full, false, true},
+		{"window", cen, window, false, true},
+		{"census with a repeat", append(slices.Clone(cen), cen[0]), full, false, true},
+		{"generated", cen, reqs, true, false},
+		{"reversed census", reversed, full, true, false},
+		{"superset census", superset, full, true, false},
+		{"superset census window", superset, window, true, false},
+		{"edges", tr.Files, edgeFull, true, false},
+		{"edges window", tr.Files, edgeWindow, true, false},
+		{"edges over census", cen, edgeFull, true, false},
+		{"two traces", cen, twoTraces, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			byOrd, byMap := NewPopulation(tc.seed), NewPopulation(tc.seed)
+			byOrd, byMap, byCensus := NewPopulation(tc.seed), NewPopulation(tc.seed), NewPopulation(tc.seed)
 			for i, r := range tc.reqs {
 				f, u := byOrd.Resolve(r)
 				wf, wu := byMap.Resolve(withoutOrd(r))
 				if f != wf || u != wu {
 					t.Fatalf("record %d: ordinals (%d, %d) by trace ordinal, (%d, %d) by map", i, f, u, wf, wu)
 				}
+				if !tc.census {
+					continue
+				}
+				if cf, cu := byCensus.ResolveCensus(r); cf != wf || cu != wu {
+					t.Fatalf("record %d: ordinals (%d, %d) by census ordinal, (%d, %d) by map", i, cf, cu, wf, wu)
+				}
 			}
 			if tc.mapped {
 				return
 			}
-			if len(byOrd.files) != len(byOrd.ids) || byOrd.users != nil {
+			if byOrd.added != nil || byOrd.users != nil {
 				t.Fatalf("the maps gained entries: %d files over a seed of %d, user map %v",
-					len(byOrd.files), len(byOrd.ids), byOrd.users != nil)
+					byOrd.numFiles(), byOrd.seeded(), byOrd.users != nil)
 			}
 		})
 	}

@@ -17,7 +17,7 @@ import (
 // A static cloud seeded with a trace's files in first-appearance order (a
 // census) has always observed such a prefix, so its state is one count.
 // Mode 's' was an earlier static layout, a bitmap over the seeded files;
-// RestoreSet refuses it by name rather than read its bytes as a count.
+// World.RestoreSet refuses it by name rather than read its bytes as a count.
 const (
 	statePrefix  = 'p'
 	stateDynamic = 'd'
@@ -46,22 +46,21 @@ func AppendStaticState(dst []byte, next, k int) []byte {
 // are a prefix of that order: a static cloud whose observed files leave a
 // gap, or reach past its seed, is refused, naming the gap.
 func (c *Cloud) AppendState(dst []byte) ([]byte, error) {
-	if c.dynamic {
+	if c.w.dynamic {
 		dst = append(dst, stateDynamic)
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(c.observed.next))
 		return c.pool.AppendState(dst), nil
 	}
-	seen := func(o int) bool { s := c.slots.peek(o); return s != nil && s.seen }
-	k, files := 0, len(c.pop.files)
-	for k < files && seen(k) {
+	k, files := 0, c.pop.numFiles()
+	for k < files && c.saw(k) {
 		k++
 	}
 	for o := k + 1; o < files; o++ {
-		if seen(o) {
+		if c.saw(o) {
 			return nil, fmt.Errorf("backend: static state is not a prefix of the seeded files: file %d was observed but file %d was not (seed the cloud in first-appearance order)", o, k)
 		}
 	}
-	if seeded := len(c.pop.bands); k > seeded {
+	if seeded := c.pop.seeded(); k > seeded {
 		return nil, fmt.Errorf("backend: %d observed files are outside the %d the cloud was seeded with; static state cannot name them",
 			k-seeded, seeded)
 	}
@@ -69,8 +68,8 @@ func (c *Cloud) AppendState(dst []byte) ([]byte, error) {
 }
 
 // restoreState loads an observation state AppendState wrote into a fresh
-// cloud built over the same files, configuration and seed — RestoreSet's,
-// so it has observed nothing. The state must be at request base; the
+// cloud built over a world of the same files, configuration and seed —
+// World.RestoreSet's, so it has observed nothing. The state must be at request base; the
 // cloud is then as if it had observed requests [0, base) itself, and the
 // next request it observes must be base. A state no such cloud could have
 // written is an error, never a later panic; after an error the cloud is
@@ -84,7 +83,7 @@ func (c *Cloud) restoreState(b []byte, base int) error {
 	}
 	mode, next, b := b[0], binary.LittleEndian.Uint64(b[1:9]), b[9:]
 	want := byte(statePrefix)
-	if c.dynamic {
+	if c.w.dynamic {
 		want = stateDynamic
 	}
 	switch {
@@ -96,7 +95,7 @@ func (c *Cloud) restoreState(b []byte, base int) error {
 		return fmt.Errorf("backend: observation state is at request %d, want %d", next, base)
 	}
 	c.observed.next = base
-	if c.dynamic {
+	if c.w.dynamic {
 		return c.pool.RestoreState(b)
 	}
 	switch {
@@ -105,13 +104,17 @@ func (c *Cloud) restoreState(b []byte, base int) error {
 	case len(b) > 8:
 		return fmt.Errorf("backend: %d bytes after the observation state", len(b)-8)
 	}
-	k, seeded := binary.LittleEndian.Uint64(b), len(c.pop.bands)
+	k, seeded := binary.LittleEndian.Uint64(b), c.pop.seeded()
 	if k > uint64(seeded) {
 		return fmt.Errorf("backend: static observation state counts %d observed files, past the %d the cloud was seeded with", k, seeded)
 	}
-	c.slots.reserve(int(k))
-	for o := range int32(k) {
-		c.slots.at(o).seen = true
+	// The seen bits of files [0, k): whole words, then the rest of one.
+	c.seen = make([]uint64, (k+63)>>6, (seeded+63)>>6)
+	for w := range c.seen {
+		c.seen[w] = ^uint64(0)
+	}
+	if r := k & 63; r != 0 {
+		c.seen[len(c.seen)-1] = 1<<r - 1
 	}
 	return nil
 }

@@ -58,7 +58,7 @@ func FuzzRestoreState(f *testing.F) {
 			base = int(binary.LittleEndian.Uint64(state[1:9]))
 		}
 		for _, mk := range clouds {
-			set, err := backend.RestoreSet(mk.files, mk.cfg, fixtureSeed, state, base)
+			set, err := backend.NewWorld(mk.files, mk.cfg, fixtureSeed).RestoreSet(state, base)
 			if err != nil {
 				continue
 			}

@@ -8,13 +8,14 @@ import (
 	"odr/internal/workload"
 )
 
-// TestRestoreSetMatchesRestoreState: RestoreSet, which skips the warm
-// fill under a cache policy, builds the cloud NewSet plus a restore of
+// TestRestoreSetMatchesRestoreState: World.RestoreSet, which skips the
+// warm fill under a cache policy, builds the cloud NewSet plus a restore of
 // the same state builds — the same observation state and the same pool
 // counters, at a restore and after observing the rest of the sample — in
 // static mode and under every cache policy (pool squeezed to a twelfth of
 // the population, so states carry evictions), at the first record, mid
-// trace and the last.
+// trace and the last. One world serves every restore of a mode, so each
+// after the first reads slots earlier ones built.
 func TestRestoreSetMatchesRestoreState(t *testing.T) {
 	tr, err := workload.Generate(workload.DefaultConfig(300, 5))
 	if err != nil {
@@ -41,6 +42,7 @@ func TestRestoreSetMatchesRestoreState(t *testing.T) {
 		modes = append(modes, mode{policy, tr.Files, cfg})
 	}
 	for _, m := range modes {
+		world := NewWorld(m.files, m.cfg, 5)
 		for _, base := range []int{0, len(sample) / 2, len(sample) - 1, len(sample)} {
 			head := NewSet(m.files, m.cfg, 5)
 			head.Cloud.Prime(sample[:base])
@@ -52,7 +54,7 @@ func TestRestoreSetMatchesRestoreState(t *testing.T) {
 			if err := filled.Cloud.restoreState(state, base); err != nil {
 				t.Fatalf("%s at %d: %v", m.name, base, err)
 			}
-			restored, err := RestoreSet(m.files, m.cfg, 5, state, base)
+			restored, err := world.RestoreSet(state, base)
 			if err != nil {
 				t.Fatalf("%s at %d: %v", m.name, base, err)
 			}

@@ -24,6 +24,15 @@ type Runner interface {
 	Run(ctx context.Context, req WorkerRequest, beat func(records int64)) error
 }
 
+// Starter is a Runner whose workers take time to start (cmd/odrcoord's
+// worker processes). Coordinator.Run calls Start once, as the run starts
+// and before it opens the trace, with how many windows can replay at
+// once, so the workers start while the coordinator hashes the trace and
+// plans; a worker started this way serves windows as any other does.
+type Starter interface {
+	Start(n int)
+}
+
 // InProcess runs windows on goroutines in the coordinator's own process.
 type InProcess struct{}
 
@@ -104,9 +113,12 @@ type Coordinator struct {
 type Stages struct {
 	// Hash is the trace's SHA-256.
 	Hash time.Duration
-	// StatePass is every pending window's state file written and the
-	// window queued. In static mode that is the writes alone; under a
-	// cache policy it includes the observation pass (statePass).
+	// StatePass is the state pass's own time (statePass): from its start
+	// to its emitting the last pending window's state. It starts at open,
+	// beside the hash, unless a resumed manifest planned other windows,
+	// and runs beside the state-file writes, so it overlaps both. In
+	// static mode it reads no record; under a cache policy it is the
+	// observation pass.
 	StatePass time.Duration
 	// Merge is MergePartials.
 	Merge time.Duration
@@ -154,6 +166,7 @@ type runState struct {
 	path string     // manifest path
 	sha  string     // the trace's SHA-256
 	bin  *trace.Bin // the trace, its file table checked; nil after the state pass
+	pass *passRun   // the state pass
 
 	mu        sync.Mutex
 	manifest  *Manifest
@@ -170,14 +183,30 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if s, ok := c.cfg.Runner.(Starter); ok {
+		s.Start(min(c.cfg.Workers, c.cfg.Windows))
+	}
 	// The trace's census comes from its file table: a trace whose table
-	// is damaged fails here, before any worker starts.
+	// is damaged fails here, before any window starts.
 	bin, err := trace.OpenBin(c.cfg.TracePath)
 	if err != nil {
 		return nil, err
 	}
 	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), bin: bin}
 	defer st.releaseTrace()
+	// The pass needs only the file table, which OpenBin read: it starts
+	// over the planned windows' bases now and runs beside the hash. The
+	// states it emits wait for the hash and the manifest (feedStates).
+	planned := PlanWindows(bin.Census().Records, c.cfg.Windows)
+	if len(planned) > 0 {
+		windows := make([]int, len(planned))
+		bases := make([]int, len(planned))
+		for i, w := range planned {
+			windows[i], bases[i] = i, int(w.Offset)
+		}
+		st.pass = startPass(ctx, bin, c.cfg.Spec, windows, bases)
+	}
+	defer st.stopPass()
 	start := time.Now()
 	st.sha, err = trace.SHA256File(c.cfg.TracePath)
 	c.Stages.Hash = time.Since(start)
@@ -205,6 +234,19 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 			pending = append(pending, i)
 		}
 	}
+	switch {
+	case len(pending) == 0:
+		st.stopPass()
+	case !samePlan(st.manifest.Windows, planned):
+		// A resumed manifest planned other windows: pass over its pending
+		// ones, after it, instead.
+		st.stopPass()
+		bases := make([]int, len(pending))
+		for k, idx := range pending {
+			bases[k] = int(st.manifest.Windows[idx].Offset)
+		}
+		st.pass = startPass(ctx, bin, c.cfg.Spec, pending, bases)
+	}
 	if len(pending) > 0 {
 		if err := c.runPending(ctx, st, pending); err != nil {
 			return nil, err
@@ -222,11 +264,75 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 }
 
 // releaseTrace closes the trace and drops it, file table and all: the
-// state pass is its last reader, and the workers open their own.
+// state pass is its last reader, and the workers open their own. The
+// pass must have ended.
 func (st *runState) releaseTrace() {
 	if st.bin != nil {
 		st.bin.Close()
 		st.bin = nil
+	}
+}
+
+// stopPass stops the state pass, if one runs, and waits for it to end.
+func (st *runState) stopPass() {
+	if st.pass != nil {
+		st.pass.stop()
+		st.pass = nil
+	}
+}
+
+// samePlan reports whether a manifest's windows are the planned ones.
+func samePlan(ws []ManifestWindow, planned []Window) bool {
+	if len(ws) != len(planned) {
+		return false
+	}
+	for i, w := range ws {
+		if w.Window() != planned[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// passRun is a state pass (statePass) running on a goroutine of its own.
+// It emits the state of windows[k], at bases[k], into states, in order,
+// and closes states when it ends; err is then its error. states has room
+// for every window, so the pass never waits on its reader: a state is
+// held there until the reader takes it.
+type passRun struct {
+	windows []int
+	states  chan emitted
+	err     error
+	start   time.Time
+	cancel  context.CancelFunc
+}
+
+// emitted is one state as the pass emitted it, and when.
+type emitted struct {
+	state []byte
+	at    time.Time
+}
+
+// startPass starts the state pass over bin for the given manifest windows
+// and their bases (ascending, at least one), canceled with ctx.
+func startPass(ctx context.Context, bin *trace.Bin, spec WorkerSpec, windows, bases []int) *passRun {
+	ctx, cancel := context.WithCancel(ctx)
+	p := &passRun{windows: windows, states: make(chan emitted, len(windows)), start: time.Now(), cancel: cancel}
+	go func() {
+		defer close(p.states)
+		p.err = statePass(bin, spec, bases, &meter{ctx: ctx}, func(_ int, state []byte) error {
+			p.states <- emitted{state, time.Now()}
+			return nil
+		})
+	}()
+	return p
+}
+
+// stop cancels the pass and waits for it to end, dropping the states it
+// still holds.
+func (p *passRun) stop() {
+	p.cancel()
+	for range p.states {
 	}
 }
 
@@ -295,10 +401,6 @@ func (c *Coordinator) readPartial(name string, win Window) (*Partial, error) {
 func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []int) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	bases := make([]int, len(pending))
-	for k, idx := range pending {
-		bases[k] = int(st.manifest.Windows[idx].Offset)
-	}
 	// Room for every pending window: the state pass never waits on a
 	// worker.
 	queue := make(chan int, len(pending))
@@ -341,7 +443,7 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []in
 			}
 		}()
 	}
-	if err := c.feedStates(runCtx, st, pending, bases, queue); err != nil && runCtx.Err() == nil {
+	if err := c.feedStates(runCtx, st, len(pending), queue); err != nil && runCtx.Err() == nil {
 		st.mu.Lock()
 		if st.err == nil {
 			st.err = err
@@ -366,30 +468,48 @@ func (c *Coordinator) runPending(ctx context.Context, st *runState, pending []in
 	return nil
 }
 
-// feedStates is the coordinator's state pass: statePass yields each
-// pending window's state at its base; the window's state file is written
-// and the window queued once the file is durable. Nothing an earlier run
+// feedStates hands the pending windows their states as the coordinator's
+// state pass (st.pass) emits them: a pending window's state file is
+// written and the window queued once the file is durable; the state of a
+// window the manifest says is done is dropped. Once all pending windows
+// are queued the pass is stopped, whatever bases it has left, and the
+// trace released. Canceling ctx stops the pass. Nothing an earlier run
 // wrote is read back: a resume recomputes every file it hands out.
-func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending, bases []int, queue chan<- int) error {
-	start := time.Now()
+func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending int, queue chan<- int) error {
+	pass, left := st.pass, pending
+	defer context.AfterFunc(ctx, pass.cancel)()
 	fp := c.cfg.Spec.Fingerprint()
 	k := 0
-	err := statePass(st.bin, c.cfg.Spec, bases, &meter{ctx: ctx}, func(base int, state []byte) error {
-		idx := pending[k]
+	var last time.Time
+	for e := range pass.states {
+		idx := pass.windows[k]
 		k++
-		hdr := stateHeader{TraceSHA256: st.sha, Spec: fp, Base: int64(base)}
-		if err := writeState(filepath.Join(c.cfg.CheckpointDir, stateName(idx)), hdr, state); err != nil {
+		st.mu.Lock()
+		w := st.manifest.Windows[idx]
+		st.mu.Unlock()
+		if w.State == StateDone {
+			continue
+		}
+		hdr := stateHeader{TraceSHA256: st.sha, Spec: fp, Base: w.Offset}
+		if err := writeState(filepath.Join(c.cfg.CheckpointDir, stateName(idx)), hdr, e.state); err != nil {
 			return err
 		}
 		queue <- idx
-		return nil
-	})
-	if err != nil {
-		return err
+		last = e.at
+		if left--; left == 0 {
+			break
+		}
 	}
-	c.Stages.StatePass = time.Since(start)
+	if left > 0 {
+		if pass.err != nil {
+			return pass.err
+		}
+		return fmt.Errorf("distrib: the state pass ended with %d window(s) still without a state", left)
+	}
+	st.stopPass()
+	c.Stages.StatePass = last.Sub(pass.start)
 	c.cfg.Log("state pass: %d window state(s) from a census of %d files in %.1fms",
-		len(pending), len(st.bin.Census().Files), c.Stages.StatePass.Seconds()*1000)
+		pending, len(st.bin.Census().Files), c.Stages.StatePass.Seconds()*1000)
 	st.releaseTrace()
 	return nil
 }

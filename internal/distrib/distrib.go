@@ -36,12 +36,15 @@
 //     records live at disjoint global indices, so per-window results
 //     concatenate and add into exactly the single-process values.
 //
-// A worker therefore reads only its own window of the trace. The
-// coordinator reads the census before it hashes the trace, so a damaged
-// file table fails the run before any worker starts, and dispatches a
-// window as soon as its state file is durable, so the state pass overlaps
-// the first wave of workers; a resume recomputes every state it hands out
-// instead of trusting files an earlier run left behind.
+// A worker therefore reads only its own window of the trace, and builds
+// what its windows only read — identities, the census population, each
+// file's pre-download outcome — once (Worker). The coordinator reads the
+// census before it hashes the trace, so a damaged file table fails the
+// run before any window starts, and starts the state pass right then,
+// beside the hash; it dispatches a window as soon as its state file is
+// durable, so the pass overlaps the first wave of workers; a resume
+// recomputes every state it hands out instead of trusting files an
+// earlier run left behind.
 //
 // Partials and the merge hold each task as a replay.DigestRecord — the
 // eight fields the digest reads, 48 B against an ODRTask's 128 B — and

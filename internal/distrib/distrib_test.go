@@ -9,11 +9,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -647,6 +649,51 @@ func haltResume(t *testing.T, tracePath string, spec WorkerSpec) {
 	}
 }
 
+// TestResumeUnderAnotherPlan: the state pass starts at open over the
+// windows this run plans; a resumed manifest that planned others (here 4
+// windows, resumed by a run that would plan 6) gets a pass over its own
+// pending windows instead, run after the manifest, and the merged digest
+// is still the single-process one. Each run's pass reports the pending
+// pending windows it fed.
+func TestResumeUnderAnotherPlan(t *testing.T) {
+	tracePath := writeTrace(t, 90, 17)
+	for _, spec := range []WorkerSpec{{Seed: 17, CachePolicy: "band"}, {Seed: 17}} {
+		dir := t.TempDir()
+		var fed []string
+		cfg := Config{TracePath: tracePath, Workers: 1, Windows: 4, CheckpointDir: dir, Spec: spec, HaltAfter: 1,
+			Log: func(format string, args ...any) {
+				if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "state pass: ") {
+					fed = append(fed, strings.Fields(line)[2])
+				}
+			}}
+		co, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := co.Run(context.Background()); !errors.Is(err, ErrHalted) {
+			t.Fatalf("halted run returned %v, want ErrHalted", err)
+		}
+		cfg.HaltAfter, cfg.Windows = 0, 6
+		co2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := co2.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(merged.Windows) != 4 || co2.Resumed < 1 {
+			t.Fatalf("%+v: resumed %d window(s) and merged %d, want the manifest's 4", spec, co2.Resumed, len(merged.Windows))
+		}
+		if want := strconv.Itoa(4 - co2.Resumed); len(fed) == 0 || fed[len(fed)-1] != want {
+			t.Fatalf("%+v: the passes fed %v window states, want the resumed run's to feed %s", spec, fed, want)
+		}
+		if got, want := merged.Digest(), singleDigest(t, tracePath, spec); got != want {
+			t.Fatalf("%+v: resumed merged digest differs from the single-process one", spec)
+		}
+	}
+}
+
 // TestResumeRecomputesForeignSpecPartial: a checkpointed partial that
 // another spec replayed is not this run's, however intact it reads. Resume
 // must demote its window and recompute it, as it does a torn one, rather
@@ -938,51 +985,126 @@ func TestRunWorkerErrors(t *testing.T) {
 	}
 }
 
-// TestWorkerServesWindows: one Worker replays window after window of its
-// trace — a late one, an early one, the late one again — each exactly as
-// a one-shot RunWorker does, deriving each start state from the handle it
-// holds; a request for another trace path or hash is refused, naming the
-// field.
+// TestWorkerServesWindows: one Worker serves every window of an 8-window
+// plan in a shuffled order, then all of them again in another, under
+// static mode and every cache policy, with faults and metrics on. What the
+// worker keeps across windows — the trace's identities and the replay
+// world, with the pre-download outcomes earlier windows built — must leave
+// no trace in any window: every partial it writes is byte for byte the
+// one a one-shot RunWorker writes for that window, metrics snapshot
+// included, once the wall-clock Seconds are zeroed — also for the first
+// two windows, requested at once, which Run serves one after the other. A later
+// request under another seed or another policy rebuilds the world and
+// matches its one-shot too. A request naming another trace path or
+// SHA-256 is refused, naming the field.
 func TestWorkerServesWindows(t *testing.T) {
 	tracePath := writeTrace(t, 40, 8)
 	records := readCensus(t, tracePath).Records
-	spec := WorkerSpec{Seed: 8, CachePolicy: "band", PoolBytes: 64 << 20}
-	dir := t.TempDir()
-	late := Window{Offset: records / 2, Limit: records - records/2}
-	early := Window{Offset: 0, Limit: records / 3}
-	first := WorkerRequest{TracePath: tracePath, Window: late, Spec: spec}
-	w, err := OpenWorker(first)
-	if err != nil {
-		t.Fatal(err)
+	plan := PlanWindows(records, 8)
+	if len(plan) != 8 {
+		t.Fatalf("a trace of %d records plans %d windows, want 8", records, len(plan))
 	}
-	defer w.Close()
-	digest := func(path string) string {
+	dir := t.TempDir()
+	// partial is the partial at path with its wall-clock time zeroed,
+	// encoded.
+	partial := func(path string) []byte {
 		p, err := ReadPartial(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return (&Merged{Tasks: p.Tasks, Ledgers: p.Ledgers}).Digest()
+		p.Seconds = 0
+		raw, err := encodePartial(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	for k, win := range []Window{late, early, late} {
-		req := first
-		req.Window = win
+	oneShot := func(req WorkerRequest) []byte {
+		req.PartialPath = filepath.Join(dir, "one-shot.odrp")
+		if err := RunWorker(context.Background(), req, nil); err != nil {
+			t.Fatal(err)
+		}
+		return partial(req.PartialPath)
+	}
+	serve := func(w *Worker, req WorkerRequest) []byte {
 		req.PartialPath = filepath.Join(dir, "held.odrp")
 		st, err := w.Run(context.Background(), req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Restore <= 0 || st.Replay <= 0 || st.Write <= 0 {
-			t.Fatalf("request %d: stages %+v, want each timed", k, st)
+		if st.Restore <= 0 || st.Setup <= 0 || st.Replay <= 0 || st.Write <= 0 {
+			t.Fatalf("window %v: stages %+v, want each timed", req.Window, st)
 		}
-		held := digest(req.PartialPath)
-		req.PartialPath = filepath.Join(dir, "one-shot.odrp")
-		if err := RunWorker(context.Background(), req, nil); err != nil {
+		return partial(req.PartialPath)
+	}
+	rng := rand.New(rand.NewSource(8))
+	specs := []WorkerSpec{
+		{Seed: 8, Faults: "0.25", Metrics: true},
+		{Seed: 8, CachePolicy: "lru", PoolBytes: 64 << 20, Faults: "0.25", Metrics: true},
+		{Seed: 8, CachePolicy: "lfu", PoolBytes: 64 << 20, Faults: "0.25", Metrics: true},
+		{Seed: 8, CachePolicy: "band", PoolBytes: 64 << 20, Faults: "0.25", Metrics: true},
+		{Seed: 8, CachePolicy: "prewarm", PoolBytes: 64 << 20, Faults: "0.25", Metrics: true},
+	}
+	for n, spec := range specs {
+		first := WorkerRequest{TracePath: tracePath, Window: plan[0], Spec: spec}
+		want := make([][]byte, len(plan))
+		for k, win := range plan {
+			req := first
+			req.Window = win
+			want[k] = oneShot(req)
+		}
+		w, err := OpenWorker(first)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if held != digest(req.PartialPath) {
-			t.Fatalf("request %d, window %v: the held worker replayed differently from a one-shot one", k, win)
+		// The first two requests come at once, while the world is new.
+		var wg sync.WaitGroup
+		for _, k := range []int{1, 6} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := first
+				req.Window, req.PartialPath = plan[k], filepath.Join(dir, fmt.Sprintf("at-once-%d.odrp", k))
+				if _, err := w.Run(context.Background(), req, nil); err != nil {
+					t.Errorf("%s, window %d at once: %v", spec.Fingerprint(), k, err)
+				}
+			}()
 		}
+		wg.Wait()
+		for _, k := range []int{1, 6} {
+			if !bytes.Equal(partial(filepath.Join(dir, fmt.Sprintf("at-once-%d.odrp", k))), want[k]) {
+				t.Fatalf("%s, window %d at once: the held worker's partial differs from a one-shot one's", spec.Fingerprint(), k)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			for _, k := range rng.Perm(len(plan)) {
+				req := first
+				req.Window = plan[k]
+				if !bytes.Equal(serve(w, req), want[k]) {
+					t.Fatalf("%s, round %d, window %d %v: the held worker's partial differs from a one-shot one's",
+						spec.Fingerprint(), round, k, plan[k])
+				}
+			}
+		}
+		// Another seed, then the next spec's policy: the world is rebuilt.
+		reseeded := spec
+		reseeded.Seed++
+		for _, other := range []WorkerSpec{reseeded, specs[(n+1)%len(specs)]} {
+			req := first
+			req.Spec, req.Window = other, plan[5]
+			if !bytes.Equal(serve(w, req), oneShot(req)) {
+				t.Fatalf("%s after %s: the held worker's partial differs from a one-shot one's",
+					other.Fingerprint(), spec.Fingerprint())
+			}
+		}
+		w.Close()
 	}
+	first := WorkerRequest{TracePath: tracePath, Window: plan[0], Spec: specs[0]}
+	w, err := OpenWorker(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 	for _, tc := range []struct {
 		field  string
 		mutate func(*WorkerRequest)
@@ -1197,8 +1319,8 @@ func TestMeteredSourceForwardsLength(t *testing.T) {
 // TestCensusMatchesWorkloadCensus pins the census: the file table the
 // trace carries is workload.Census's first-appearance order over the
 // decoded records, each file with the record it first appears at and
-// every field but the SourceURL the table does not carry, on a trace of
-// several chunks whose files recur across chunk boundaries.
+// every field, its SourceURL included, on a trace of several chunks whose
+// files recur across chunk boundaries.
 func TestCensusMatchesWorkloadCensus(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 5)
 	cen := readCensus(t, tracePath)
@@ -1239,9 +1361,7 @@ func TestCensusMatchesWorkloadCensus(t *testing.T) {
 		t.Fatalf("census has %d files, workload.Census %d", len(got), len(want))
 	}
 	for i := range want {
-		w := *want[i]
-		w.SourceURL = ""
-		if *got[i] != w {
+		if *got[i] != *want[i] {
 			t.Fatalf("census file %d is %+v, workload.Census has %+v", i, got[i], want[i])
 		}
 		if cen.First[i] != first[want[i]] {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"odr/internal/obs"
@@ -159,9 +160,25 @@ func (s *meteredSource) TotalRequests() int {
 // any number of window requests against that one handle, one at a time.
 // cmd/odrcoord's worker process holds one for as long as its stdin stays
 // open; RunWorker is the one-shot form.
+//
+// What a window reads but never changes is built once per worker, not
+// once per window: the trace's identities (trace.Bin.Window hands out the
+// census's files and one table of users) and, per spec, the replay world
+// over the census (replay.World: the population's numbering and bands,
+// the static warm pool, and each file's pre-download outcome and warm
+// bit, built lazily by the first window that observes the file). Each is
+// a pure function of the trace's census and the spec, so a window replays
+// over them exactly as over fresh ones. The world is keyed by the spec's
+// fingerprint and rebuilt when a request names another spec.
 type Worker struct {
 	bin *trace.Bin
 	sha string
+
+	// mu serialises Run: a window's observation builds world slots that
+	// its workers then read.
+	mu    sync.Mutex
+	spec  string // the fingerprint world was built for
+	world *replay.World
 }
 
 // OpenWorker opens the trace req names for a worker that will serve req
@@ -191,10 +208,14 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 // WindowStages is where a worker's time on one window went.
 type WindowStages struct {
 	// Restore is the window's start state in hand: its state file read,
-	// or, for a request that names none, the state pass run.
+	// or, for a request that names none, the state pass run — and, for the
+	// first request under a spec, the worker's world built.
 	Restore time.Duration
-	// Replay is the window replayed: its cloud restored from the state,
-	// then its records.
+	// Setup is the window's fleet built over the world, its cloud
+	// restored from the state, before the engine read its first record
+	// (replay.WindowResult.Setup).
+	Setup time.Duration
+	// Replay is the window's records replayed, after Setup.
 	Replay time.Duration
 	// Write is the partial encoded, written and fsynced (WritePartial).
 	Write time.Duration
@@ -209,14 +230,16 @@ type WindowStages struct {
 // observation state at the window base: read from the state file the
 // request names, or, when it names none, derived in memory by the state
 // pass the coordinator runs (statePass). It then replays only the window,
-// with every index-keyed input offset by the window base
-// (replay.RunODRWindow).
+// with every index-keyed input offset by the window base, over the
+// worker's world for the request's spec (replay.RunODRWindow).
 //
 // beat, when non-nil, receives the total records read so far about every
 // progressEvery records — the coordinator's heartbeat signal.
 // Cancelling ctx stops the worker between records. Run reports where the
-// window's time went.
+// window's time went. Calls run one at a time.
 func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records int64)) (WindowStages, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var st WindowStages
 	switch {
 	case req.TracePath != w.bin.Path():
@@ -265,10 +288,13 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 	if err != nil {
 		return st, err
 	}
+	if fp := req.Spec.Fingerprint(); w.world == nil || w.spec != fp {
+		w.world, w.spec = replay.NewWorld(cen.Files, opts), fp
+	}
 	replayed := time.Now()
 	st.Restore = replayed.Sub(start)
-	res, err := replay.RunODRWindow(state, m.wrap(wsrc), int(win.Offset),
-		cen.Files, smartap.Benchmarked(), opts)
+	res, err := replay.RunODRWindow(w.world, state, m.wrap(wsrc), int(win.Offset),
+		smartap.Benchmarked(), opts)
 	if err != nil {
 		return st, err
 	}
@@ -288,7 +314,8 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 		p.Metrics = reg.Snapshot()
 	}
 	written := time.Now()
-	st.Replay = written.Sub(replayed)
+	st.Setup = res.Setup
+	st.Replay = written.Sub(replayed) - res.Setup
 	err = WritePartial(req.PartialPath, p)
 	st.Write = time.Since(written)
 	return st, err

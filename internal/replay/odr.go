@@ -237,7 +237,7 @@ func RunODR(sample []workload.Request, files []*workload.FileMeta,
 // source of unknown length is additionally materialised once up front.
 func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 	aps []*smartap.AP, opts Options) (*ODRResult, error) {
-	run, err := runODR[ODRTask](nil, src, 0, files, aps, opts)
+	run, err := runODR[ODRTask](nil, nil, src, 0, files, aps, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -303,15 +303,62 @@ func ObserveStates(src OrdinalSource, census []*workload.FileMeta, opts Options,
 	return nil
 }
 
-// RunODRWindow replays one contiguous record window of a larger trace:
+// World is what every window replayed over one trace's census under one
+// set of options shares: the census population's numbering and bands, the
+// static warm pool, and each file's pre-download outcome and warm bit,
+// built the first time a window's observation reaches the file
+// (backend.World). All of it is a pure function of the census and the
+// options' Seed, CachePolicy and PoolBytes, so a window replayed over a
+// World that earlier windows filled replays exactly as over a fresh one.
+// Windows over one World replay one at a time.
+type World struct {
+	census    []*workload.FileMeta
+	seed      uint64
+	policy    string
+	poolBytes int64
+	w         *backend.World
+}
+
+// NewWorld builds the world of windows over census — a bin trace's census
+// (trace.Bin.Census().Files) — under opts.
+func NewWorld(census []*workload.FileMeta, opts Options) *World {
+	return &World{
+		census: census, seed: opts.Seed, policy: opts.CachePolicy, poolBytes: opts.PoolBytes,
+		w: backend.NewWorld(census, cloudConfig(census, opts), opts.Seed),
+	}
+}
+
+// fits reports which of opts' fields the world was not built for.
+func (w *World) fits(opts Options) error {
+	var field string
+	var got, want any
+	switch {
+	case opts.Seed != w.seed:
+		field, got, want = "seed", opts.Seed, w.seed
+	case opts.CachePolicy != w.policy:
+		field, got, want = "cache policy", opts.CachePolicy, w.policy
+	case opts.PoolBytes != w.poolBytes:
+		field, got, want = "pool bytes", opts.PoolBytes, w.poolBytes
+	default:
+		return nil
+	}
+	return fmt.Errorf("replay: the window's %s is %v, its world was built for %v", field, got, want)
+}
+
+// RunODRWindow replays one contiguous record window of a larger trace
+// over world, built over the trace's census under the same options:
 // window yields the records at global indices [base, base+n) (re-based at
-// 0, as every RequestSource is), and state is the cloud's observation
-// state at base — what ObserveStates emitted for base over the same trace,
-// files and options (in static mode, files in census order, so the state
-// is the census prefix seen before base). Restoring it gives the window's
-// cloud exactly the
-// cache state — the static files already seen or a dynamic policy's
-// evolved pool — that a whole-trace replay's has on reaching record base.
+// 0, as every RequestSource is) as the trace's own reader yields them
+// (trace.Bin.Window, whose files carry their census ordinals), and state
+// is the cloud's observation state at base — what ObserveStates emitted
+// for base over the same trace, census and options (in static mode, the
+// census prefix seen before base). Restoring it gives the window's cloud
+// exactly the cache state — the static files already seen or a dynamic
+// policy's evolved pool — that a whole-trace replay's has on reaching
+// record base. The window builds only what it mutates — its cloud's
+// verdicts and seen files or restored pool, the ledgers, the tallies, the
+// engine's buffers — over the world's shared state, and resolves each
+// record's file by its census ordinal (backend.Population.ResolveCensus).
 // The window then replays with every index-keyed input (RNG substream, AP
 // assignment, cache verdict) offset by base, so its task records and
 // ledger deltas are byte-identical to the corresponding span of the
@@ -326,8 +373,8 @@ func ObserveStates(src OrdinalSource, census []*workload.FileMeta, opts Options,
 // and when — not observations, so no observation state carries them.
 // Faults replay naively (each fault drawn from the request's own
 // substream), which is window-safe.
-func RunODRWindow(state []byte, window workload.RequestSource, base int,
-	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*WindowResult, error) {
+func RunODRWindow(world *World, state []byte, window workload.RequestSource, base int,
+	aps []*smartap.AP, opts Options) (*WindowResult, error) {
 	if opts.Resilience != nil {
 		return nil, fmt.Errorf("replay: windowed replay cannot run the resilience layer: its per-user breaker state depends on executed outcomes, not observations, so no observation state restores it; replay faults naively (Resilience nil) or run single-process")
 	}
@@ -337,12 +384,15 @@ func RunODRWindow(state []byte, window workload.RequestSource, base int,
 	if state == nil {
 		return nil, fmt.Errorf("replay: the window at base %d needs the cloud's observation state there (ObserveStates)", base)
 	}
+	if err := world.fits(opts); err != nil {
+		return nil, err
+	}
 	opts.Timeline = nil
-	run, err := runODR[DigestRecord](state, window, base, files, aps, opts)
+	run, err := runODR[DigestRecord](world, state, window, base, world.census, aps, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &WindowResult{Records: run.records, Backends: run.set, Engine: run.engine}, nil
+	return &WindowResult{Records: run.records, Backends: run.set, Engine: run.engine, Setup: run.setup}, nil
 }
 
 // WindowResult is a window's replay as RunODRWindow keeps it: each task's
@@ -352,6 +402,9 @@ type WindowResult struct {
 	Records  []DigestRecord
 	Backends *backend.Set
 	Engine   EngineStats
+	// Setup is the window's fleet built — its cloud restored from the
+	// state, sized and wrapped — before the engine read its first record.
+	Setup time.Duration
 }
 
 // Ledgers freezes the window's backend ledgers, as ODRResult.Ledgers does.
@@ -363,17 +416,6 @@ func newSet(files []*workload.FileMeta, opts Options, n int) *backend.Set {
 	set := backend.NewSet(files, cloudConfig(files, opts), opts.Seed)
 	set.Reserve(n)
 	return set
-}
-
-// restoreSet is newSet at the cloud's observation state at record base
-// (backend.RestoreSet).
-func restoreSet(files []*workload.FileMeta, opts Options, state []byte, base, n int) (*backend.Set, error) {
-	set, err := backend.RestoreSet(files, cloudConfig(files, opts), opts.Seed, state, base)
-	if err != nil {
-		return nil, fmt.Errorf("replay: restoring the observation state at record %d: %w", base, err)
-	}
-	set.Reserve(n)
-	return set, nil
 }
 
 // cloudConfig is the replay's cloud configuration: the paper calibration
@@ -389,20 +431,22 @@ func cloudConfig(files []*workload.FileMeta, opts Options) cloud.Config {
 }
 
 // odrRun is what runODR produced: the record kept per task, the fleet,
-// the engine's stats and the timeline (nil unless Options.Timeline).
+// the engine's stats, the timeline (nil unless Options.Timeline) and the
+// time its fleet took to build.
 type odrRun[T DigestInput] struct {
 	records  []T
 	set      *backend.Set
 	engine   EngineStats
 	timeline *Timeline
+	setup    time.Duration
 }
 
-// runODR is the shared body of RunODRStream (no state, base 0, whole
-// tasks kept) and RunODRWindow (digest records kept). Each shard builds
-// its task in the slot it keeps — an ODRTask — or in a scratch task it
-// then projects into its DigestRecord slot; either way the tallies see
-// the whole task.
-func runODR[T DigestInput](state []byte, window workload.RequestSource, base int,
+// runODR is the shared body of RunODRStream (no world or state, base 0,
+// whole tasks kept) and RunODRWindow (over a world at a state, digest
+// records kept). Each shard builds its task in the slot it keeps — an
+// ODRTask — or in a scratch task it then projects into its DigestRecord
+// slot; either way the tallies see the whole task.
+func runODR[T DigestInput](world *World, state []byte, window workload.RequestSource, base int,
 	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*odrRun[T], error) {
 	if len(aps) == 0 {
 		panic("replay: ODR replay needs at least one AP")
@@ -411,11 +455,14 @@ func runODR[T DigestInput](state []byte, window workload.RequestSource, base int
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	var set *backend.Set
-	if state == nil {
+	if world == nil {
 		set = newSet(files, opts, base+records)
-	} else if set, err = restoreSet(files, opts, state, base, base+records); err != nil {
-		return nil, err
+	} else if set, err = world.w.RestoreSet(state, base); err != nil {
+		return nil, fmt.Errorf("replay: restoring the observation state at record %d: %w", base, err)
+	} else {
+		set.Reserve(base + records)
 	}
 	// A window inside the trace records the pool counters it adds to its
 	// restored state; the window at record 0 counts from the fresh cloud,
@@ -455,8 +502,9 @@ func runODR[T DigestInput](state []byte, window workload.RequestSource, base int
 			return t.Success
 		}
 	}
+	run.setup = time.Since(start)
 	run.records, run.engine, err = runShardedStream(window, aps, opts.Seed, base, shards,
-		opts.chunk, opts.Metrics, observer(set, base), work)
+		opts.chunk, opts.Metrics, observer(set, base, world != nil), work)
 	if err != nil {
 		return nil, err
 	}
@@ -467,9 +515,17 @@ func runODR[T DigestInput](state []byte, window workload.RequestSource, base int
 }
 
 // observer is the engine's observe hook over set: resolve the record's
-// ordinals, then observe it on the cloud at its global index.
-func observer(set *backend.Set, base int) func(int, workload.Request) (backend.Ordinal, backend.Ordinal) {
+// ordinals — by census ordinal when the records are the census's trace's
+// (RunODRWindow) — then observe it on the cloud at its global index.
+func observer(set *backend.Set, base int, census bool) func(int, workload.Request) (backend.Ordinal, backend.Ordinal) {
 	pop := set.Population()
+	if census {
+		return func(i int, wreq workload.Request) (backend.Ordinal, backend.Ordinal) {
+			file, user := pop.ResolveCensus(wreq)
+			set.Cloud.ObserveOrdinal(base+i, file, wreq.File, wreq.Time)
+			return file, user
+		}
+	}
 	return func(i int, wreq workload.Request) (backend.Ordinal, backend.Ordinal) {
 		file, user := pop.Resolve(wreq)
 		set.Cloud.ObserveOrdinal(base+i, file, wreq.File, wreq.Time)
@@ -754,7 +810,7 @@ func runBaseline(sample []workload.Request, files []*workload.FileMeta,
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
-		seed, 0, 0, 0, nil, observer(set, 0), everyShard(
+		seed, 0, 0, 0, nil, observer(set, 0, false), everyShard(
 			func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 				*task = ODRTask{Request: wreq}
 				if !set.Cloud.Probe(req) {

@@ -170,7 +170,8 @@ func TestObserveStatesRefusesOrdinalPastCensus(t *testing.T) {
 // states, each keeping its tasks as digest records written in place,
 // concatenate to exactly the digest records of a whole-stream replay's
 // tasks — for every cache policy and static mode, under faults, with
-// metrics on and off, over plans of 1, 3 and 8 windows.
+// metrics on and off, over plans of 1, 3 and 8 windows, every window of a
+// policy replayed over one World.
 func TestWindowRecordsMatchStream(t *testing.T) {
 	tr, err := workload.Generate(workload.DefaultConfig(800, 17))
 	if err != nil {
@@ -192,6 +193,8 @@ func TestWindowRecordsMatchStream(t *testing.T) {
 		return src
 	}
 	for _, policy := range []string{"", "lru", "lfu", "band", "prewarm"} {
+		// One world serves every window of the policy, across plans.
+		world := NewWorld(census, Options{Seed: 17, CachePolicy: policy, PoolBytes: poolBytes(census)})
 		for _, metrics := range []bool{false, true} {
 			opts := Options{Seed: 17, CachePolicy: policy, PoolBytes: poolBytes(census), Faults: &fs, Shards: 3}
 			at := func() Options {
@@ -224,7 +227,7 @@ func TestWindowRecordsMatchStream(t *testing.T) {
 					if k+1 < n {
 						end = bases[k+1]
 					}
-					res, err := RunODRWindow(states[k], window(base, end-base), base, census, aps, at())
+					res, err := RunODRWindow(world, states[k], window(base, end-base), base, aps, at())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -239,6 +242,39 @@ func TestWindowRecordsMatchStream(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestWindowRefusesForeignWorld: a window replayed over a world built
+// under another seed, cache policy or pool size is refused, naming the
+// field, before anything replays.
+func TestWindowRefusesForeignWorld(t *testing.T) {
+	tr, err := workload.Generate(workload.DefaultConfig(60, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := openBinTrace(t, tr.Requests)
+	census := bin.Census().Files
+	built := Options{Seed: 5, CachePolicy: "band", PoolBytes: poolBytes(census)}
+	world := NewWorld(census, built)
+	for _, tc := range []struct {
+		field string
+		opts  func(o *Options)
+	}{
+		{"seed", func(o *Options) { o.Seed++ }},
+		{"cache policy", func(o *Options) { o.CachePolicy = "lru" }},
+		{"pool bytes", func(o *Options) { o.PoolBytes++ }},
+	} {
+		opts := built
+		tc.opts(&opts)
+		src, err := bin.Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunODRWindow(world, []byte{'d'}, src, 0, smartap.Benchmarked(), opts)
+		if err == nil || !strings.Contains(err.Error(), "window's "+tc.field) {
+			t.Errorf("another %s: RunODRWindow = %v, want a refusal naming it", tc.field, err)
 		}
 	}
 }

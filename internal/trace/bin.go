@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strings"
 	"time"
 
 	"odr/internal/workload"
@@ -361,14 +362,17 @@ func writeWorkloadBin(w io.Writer, src workload.RequestSource, chunkTarget int) 
 }
 
 // binTable is a bin trace's file table, held as its bytes: an entry is
-// read out by ordinal when a reader needs it, never all at once.
+// read out by ordinal when a reader needs it, never all at once. The URL
+// section is held as one string, so a file's SourceURL is a slice of it
+// and building an identity copies no URL.
 type binTable struct {
 	at      int64 // the table's byte offset, where the records end
 	records int64 // the trace's record count
 	nfiles  int
 	nusers  int
 	// The table's sections.
-	users, urls, files []byte
+	users, files []byte
+	urls         string
 }
 
 func (t *binTable) fileEntry(k int) []byte {
@@ -394,12 +398,25 @@ func (t *binTable) urlEnd(k int) uint32 {
 }
 
 // url is file k's URL.
-func (t *binTable) url(k int) []byte {
+func (t *binTable) url(k int) string {
 	var start uint32
 	if k > 0 {
 		start = t.urlEnd(k - 1)
 	}
 	return t.urls[start:t.urlEnd(k)]
+}
+
+// file and user set f and u to identity k as a decoder of the trace
+// yields it: its metadata, URL and ordinal.
+func (t *binTable) file(f *workload.FileMeta, k int) {
+	fillFileMeta(f, t.fileEntry(k))
+	f.SourceURL = t.url(k)
+	f.Ord = int32(k + 1)
+}
+
+func (t *binTable) user(u *workload.User, k int) {
+	fillUserMeta(u, t.userEntry(k))
+	u.Ord = int32(k + 1)
 }
 
 // before returns how many files and users first appear before record i:
@@ -430,24 +447,23 @@ func (f binTableFrame) size() int64 {
 	return f.users*binUserEntryLen + f.urlBytes + f.files*binFileEntryLen
 }
 
-// newBinTable checks a file table's body — read whole, the size its frame
-// declares — and returns it. The table is outside input: a CRC mismatch,
-// identity counts that do not fit the records, first indices that do not
-// ascend or lie outside the trace, URL ends that do not ascend to the URL
-// bytes, metadata no record may carry, or a file ID listed twice is an
-// error naming the table.
-func newBinTable(at, records int64, f binTableFrame, body []byte) (*binTable, error) {
-	if crc32.ChecksumIEEE(body) != f.crc {
+// newBinTable checks a file table — its sections read whole, the sizes its
+// frame declares, and crc the checksum of their bytes — and returns it.
+// The table is outside input: a CRC mismatch, identity counts that do not
+// fit the records, first indices that do not ascend or lie outside the
+// trace, URL ends that do not ascend to the URL bytes, metadata no record
+// may carry, or a file ID listed twice is an error naming the table.
+func newBinTable(at, records int64, f binTableFrame, users []byte, urls string, files []byte, crc uint32) (*binTable, error) {
+	if crc != f.crc {
 		return nil, fmt.Errorf("trace: bin file table at offset %d: checksum mismatch (corrupt table)", at)
 	}
 	if f.files > binMaxOrdinals || f.users > binMaxOrdinals ||
 		(f.files == 0) != (records == 0) || (f.users == 0) != (records == 0) {
 		return nil, fmt.Errorf("trace: bin file table lists %d files and %d users for %d records", f.files, f.users, records)
 	}
-	u := f.users * binUserEntryLen
 	t := &binTable{
 		at: at, records: records, nfiles: int(f.files), nusers: int(f.users),
-		users: body[:u], urls: body[u : u+f.urlBytes], files: body[u+f.urlBytes:],
+		users: users, urls: urls, files: files,
 	}
 	var end uint32
 	for k := 0; k < t.nfiles; k++ {
@@ -573,11 +589,22 @@ func readBinTable(rs io.ReadSeeker) (*binTable, error) {
 		return nil, fmt.Errorf("trace: bin file table at offset %d: %d bytes before the trailer, not the %d its frame declares (truncated?)",
 			tableAt, have, f.size())
 	}
-	body := make([]byte, f.size()) // bounded by the file's size just above
-	if _, err := io.ReadFull(rs, body); err != nil {
+	// The sections are bounded by the file's size just above. The URLs are
+	// read straight into a string, which every identity's SourceURL slices.
+	sum := crc32.NewIEEE()
+	users, files := make([]byte, f.users*binUserEntryLen), make([]byte, f.files*binFileEntryLen)
+	var urls strings.Builder
+	urls.Grow(int(f.urlBytes))
+	if _, err := io.ReadFull(io.TeeReader(rs, sum), users); err != nil {
 		return nil, fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
 	}
-	t, err := newBinTable(tableAt, int64(n), f, body)
+	if _, err := io.CopyN(io.MultiWriter(&urls, sum), rs, f.urlBytes); err != nil {
+		return nil, fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
+	}
+	if _, err := io.ReadFull(io.TeeReader(rs, sum), files); err != nil {
+		return nil, fmt.Errorf("trace: bin file table at offset %d: %w", tableAt, noEOF(err))
+	}
+	t, err := newBinTable(tableAt, int64(n), f, users, urls.String(), files, sum.Sum32())
 	if err != nil {
 		return nil, err
 	}
@@ -607,8 +634,8 @@ func readBinHeader(r io.Reader) error {
 // record count, every distinct file in first-appearance order, and the
 // index of the record each file first appears at. First ascends, so the
 // files the records before any index name are a prefix of Files. Each
-// file's Ord is its ordinal plus one, as a decoder of the trace stamps
-// it; the files carry no SourceURL.
+// file is the identity a decoder of the trace yields for it, Ord (its
+// ordinal plus one) and SourceURL included.
 type BinCensus struct {
 	Records int64
 	Files   []*workload.FileMeta
@@ -632,31 +659,41 @@ func (t *binTable) census() BinCensus {
 	cen := BinCensus{Records: t.records, Files: make([]*workload.FileMeta, t.nfiles), First: make([]int, t.nfiles)}
 	for k := range metas {
 		f := &metas[k]
-		fillFileMeta(f, t.fileEntry(k))
-		f.Ord = int32(k + 1)
+		t.file(f, k)
 		cen.Files[k], cen.First[k] = f, int(t.fileFirst(k))
 	}
 	return cen
 }
 
+// userTable builds every user the table lists, by ordinal.
+func (t *binTable) userTable() []workload.User {
+	users := make([]workload.User, t.nusers)
+	for k := range users {
+		t.user(&users[k], k)
+	}
+	return users
+}
+
 // binSource streams bin records a chunk at a time, decoding each record in
 // place from the reused payload buffer. A record names its file and user by
 // ordinal; the reader builds each identity from its file table entry the
-// first time a record it yields names it, and stamps it with its ordinal
-// (Ord), which a replay's backend.Population takes in place of a map
-// lookup. So after warm-up a record decode allocates nothing.
+// first time a record it yields names it — unless it was handed the
+// identities built (Bin.Window) — and stamps it with its ordinal (Ord),
+// which a replay's backend.Population takes in place of a map lookup. So
+// after warm-up a record decode allocates nothing.
 type binSource struct {
 	br  *bufio.Reader
 	tab *binTable // the trace's file table, read and checked at open
 
-	// files and users are the identities by ordinal: nil where no record
-	// the reader yielded has named one yet. nfiles and nusers are how many
-	// ordinals the records read so far have named — the next new one.
+	// files and users are the identities by ordinal: a nil file, or a
+	// user whose Ord is 0, where no record the reader yielded has named one
+	// yet. The users are one slab with no pointer in it, so a Bin's shared
+	// table costs the collector nothing to keep. nfiles and nusers are how
+	// many ordinals the records read so far have named — the next new one.
 	files          []*workload.FileMeta
-	users          []*workload.User
+	users          []workload.User
 	nfiles, nusers int
 	fileSlab       slab[workload.FileMeta]
-	userSlab       slab[workload.User]
 
 	payload []byte // current chunk payload, reused across chunks
 	off     int    // decode offset within payload
@@ -727,7 +764,7 @@ func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.Request
 // table.
 func binWindow(r io.Reader, t *binTable, offset, limit int64) *binSource {
 	s := binOrdinals(r, t, offset, limit)
-	s.files, s.users = make([]*workload.FileMeta, t.nfiles), make([]*workload.User, t.nusers)
+	s.files, s.users = make([]*workload.FileMeta, t.nfiles), make([]workload.User, t.nusers)
 	return s
 }
 
@@ -929,21 +966,16 @@ func (s *binSource) file(k int) *workload.FileMeta {
 		return f
 	}
 	f := s.fileSlab.next()
-	fillFileMeta(f, s.tab.fileEntry(k))
-	f.SourceURL = string(s.tab.url(k))
-	f.Ord = int32(k + 1)
+	s.tab.file(f, k)
 	s.files[k] = f
 	return f
 }
 
 func (s *binSource) user(k int) *workload.User {
-	if u := s.users[k]; u != nil {
-		return u
+	u := &s.users[k]
+	if u.Ord == 0 {
+		s.tab.user(u, k)
 	}
-	u := s.userSlab.next()
-	fillUserMeta(u, s.tab.userEntry(k))
-	u.Ord = int32(k + 1)
-	s.users[k] = u
 	return u
 }
 

@@ -281,7 +281,7 @@ func checkWindow(t *testing.T, data []byte, offset, limit int64) []workload.Requ
 		}
 	}
 	for _, u := range s.users {
-		if u != nil {
+		if u.Ord != 0 {
 			bu++
 		}
 	}

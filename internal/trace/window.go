@@ -16,8 +16,10 @@ import (
 // were read and checked once, when it opened. It hands out the census the
 // table declares and any number of record windows, each reading the file
 // on its own, without reading the table again: a distrib worker holds one
-// across every window it replays. Close releases the file; a window read
-// after Close fails.
+// across every window it replays. Every window hands out the same
+// identities — the census's files and one table of users, each built once
+// per Bin — so serving a window builds none. Close releases the file; a
+// window read after Close fails.
 type Bin struct {
 	f    *os.File
 	path string
@@ -26,6 +28,9 @@ type Bin struct {
 
 	once sync.Once
 	cen  BinCensus
+
+	usersOnce sync.Once
+	users     []workload.User
 }
 
 // OpenBin opens a bin trace file and checks its header, trailer and file
@@ -61,15 +66,20 @@ func (b *Bin) Census() BinCensus {
 // Window returns a reader of the half-open record window
 // [offset, offset+limit) (limit < 0 means "to the end"). Whole chunks
 // before the window are skipped via the frame record counts, so a late
-// window costs frame reads, not decodes; identities come from the file
-// table. The source re-bases indices at 0. Windows read the file
+// window costs frame reads, not decodes. A record's file is the census's
+// own (Census().Files[k] for ordinal k) and its user is the Bin's, both
+// shared by every window and built on the first call, so callers must not
+// modify them. The source re-bases indices at 0. Windows read the file
 // independently, so several may be open at once.
 func (b *Bin) Window(offset, limit int64) (workload.RequestSource, error) {
 	r, err := b.records(offset)
 	if err != nil {
 		return nil, err
 	}
-	return binWindow(r, b.tab, offset, limit), nil
+	b.usersOnce.Do(func() { b.users = b.tab.userTable() })
+	s := binOrdinals(r, b.tab, offset, limit)
+	s.files, s.users = b.Census().Files, b.users
+	return s, nil
 }
 
 // Ordinals returns the ordinal view of the record window
@@ -145,17 +155,17 @@ func SHA256File(path string) (string, error) {
 
 // OpenWorkloadBinWindow opens the half-open record window
 // [offset, offset+limit) of a bin trace file (limit < 0 means "to the
-// end"): Bin.Window over a Bin of its own, which the returned closer
-// closes.
+// end") over a Bin of its own, which the returned closer closes. Unlike
+// Bin.Window it builds only the identities the window's records name.
 func OpenWorkloadBinWindow(path string, offset, limit int64) (workload.RequestSource, io.Closer, error) {
 	b, err := OpenBin(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := b.Window(offset, limit)
+	r, err := b.records(offset)
 	if err != nil {
 		b.Close()
 		return nil, nil, err
 	}
-	return src, b, nil
+	return binWindow(r, b.tab, offset, limit), b, nil
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"odr/internal/workload"
@@ -142,6 +143,64 @@ func TestBinHandle(t *testing.T) {
 	}
 	if _, err := OpenBin(bad); err == nil || !strings.Contains(err.Error(), bad) {
 		t.Fatalf("OpenBin(non-bin) = %v, want an error naming the file", err)
+	}
+}
+
+// TestBinWindowsShareIdentities: every window of one Bin hands out the
+// same identities — a record's file is the census's own
+// (Census().Files[Ord-1]) and a user is one object across windows — and
+// its records equal, field for field, the ones a lone window reader
+// (OpenWorkloadBinWindow), which builds its own identities, yields. The
+// windows are opened and read on goroutines of their own, at once.
+func TestBinWindowsShareIdentities(t *testing.T) {
+	reqs := msRequests(t, 300)
+	path, _ := writeBinFile(t, reqs)
+	b, err := OpenBin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	windows := []struct{ off, lim int64 }{{0, 300}, {120, 90}, {250, -1}, {0, -1}}
+	read := make([][]workload.Request, len(windows))
+	errs := make([]error, len(windows))
+	var wg sync.WaitGroup
+	for k, w := range windows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src, err := b.Window(w.off, w.lim)
+			if err == nil {
+				read[k], err = workload.Collect(src)
+			}
+			errs[k] = err
+		}()
+	}
+	wg.Wait()
+	census := b.Census().Files
+	users := map[int]*workload.User{}
+	for k, w := range windows {
+		if errs[k] != nil {
+			t.Fatalf("window %v: %v", w, errs[k])
+		}
+		got := read[k]
+		lone, closer, err := OpenWorkloadBinWindow(path, w.off, w.lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainChecked(t, lone)
+		closer.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("window %v: the Bin's records differ from a lone reader's", w)
+		}
+		for i, r := range got {
+			if r.File != census[r.File.Ord-1] {
+				t.Fatalf("window %v, record %d: its file is not the census's", w, i)
+			}
+			if u, ok := users[r.User.ID]; ok && u != r.User {
+				t.Fatalf("window %v, record %d: user %d is another object than in an earlier window", w, i, r.User.ID)
+			}
+			users[r.User.ID] = r.User
+		}
 	}
 }
 
