@@ -73,10 +73,10 @@ paperscale:
 # band cache policy, whose serial observation pass is the coordinated
 # run's floor. Each run prints its worker processes line (with each
 # process's GOMAXPROCS), its coordinator stage line (trace hash, state
-# pass, merge+digest), its workers' stage medians and peak RSS, and its
-# DISTRIB verdict. The trace and the
-# checkpoints land in a mktemp dir removed on exit. About 40 s on 2
-# vCPUs; not part of ci.
+# pass, merge+digest), its workers' stage medians and peak RSS, the bytes
+# its checkpoint directory holds in state files and in partials, and its
+# DISTRIB verdict. The trace and the checkpoints land in a mktemp dir
+# removed on exit. About 40 s on 2 vCPUs; not part of ci.
 paperscale-coord:
 	@dir="$$(mktemp -d)" || exit 1; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir" ./cmd/odrcoord ./cmd/wgen || exit 1; \
@@ -87,7 +87,12 @@ paperscale-coord:
 			-workers 2 -windows 8 -verify $$pol >"$$dir/run.log" 2>&1; \
 		rc="$$?"; \
 		echo "paperscale-coord ($$policy):"; \
-		grep -E '^(worker processes:|coordinator:|worker windows:|DISTRIB verdict:)' "$$dir/run.log"; \
+		grep -E '^(worker processes:|coordinator:|worker windows:)' "$$dir/run.log"; \
+		echo "checkpoint: $$(ls "$$dir"/ckpt/state-*.odrs 2>/dev/null | wc -l) state files" \
+			"$$(cat "$$dir"/ckpt/state-*.odrs 2>/dev/null | wc -c) B," \
+			"$$(ls "$$dir"/ckpt/window-*.odrp 2>/dev/null | wc -l) partials" \
+			"$$(cat "$$dir"/ckpt/window-*.odrp 2>/dev/null | wc -c) B"; \
+		grep -E '^DISTRIB verdict:' "$$dir/run.log"; \
 		[ "$$rc" -eq 0 ] || { cat "$$dir/run.log"; echo "paperscale-coord: $$policy run exited $$rc"; exit 1; }; \
 		rm -rf "$$dir/ckpt"; \
 	done

@@ -2,6 +2,7 @@ package backend_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -415,9 +416,10 @@ func TestCloudStateRestoreMatchesUninterrupted(t *testing.T) {
 }
 
 // TestCloudStateRejectsMismatch: a state restores only into a cloud of its
-// own mode, at its own base, and only in the layout AppendState writes; a
-// static cloud whose observed files are not a prefix of its seed has no
-// state to write.
+// own mode, at its own base, naming only files the cloud was seeded with
+// (a band pool names each by seeded ordinal), and only in the layout
+// AppendState writes; a static cloud whose observed files are not a prefix
+// of its seed has no state to write.
 func TestCloudStateRejectsMismatch(t *testing.T) {
 	sample, files, _ := fixture(t)
 	census := censusFiles(sample)
@@ -458,6 +460,8 @@ func TestCloudStateRejectsMismatch(t *testing.T) {
 		{"static into dynamic", dynamic, staticState, len(sample), "does not fit"},
 		{"dynamic into static", static, dynamicState, len(sample), "does not fit"},
 		{"dynamic at another base", dynamic, dynamicState, len(sample) - 1, "want"},
+		{"dynamic naming a file past the seeded files", into{files[:len(files)/2], dynamic.cfg}, dynamicState, len(sample),
+			fmt.Sprintf(", outside the owner's %d", len(files)/2)},
 		{"static before its last request", static, staticState, 1, "want"},
 		{"empty", static, nil, 0, "empty"},
 		{"truncated", static, staticState[:len(staticState)-1], len(sample), "truncated"},

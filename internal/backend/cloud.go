@@ -56,8 +56,8 @@ var WarmProbs = [3]float64{0.70, 0.97, 0.998}
 // pre-downloads, and neither is written again, so Probe and PreDownload
 // on a request carrying ordinals take no lock. Callers that fill a
 // Request without ordinals resolve the file by ID under mu (ObserveAt,
-// Prime, PreDownload), which also builds a missing slot; mu guards
-// nothing an engine worker touches.
+// Prime, PreDownload), which also builds a missing slot; mu guards only
+// those callers: nothing an engine worker or a pool restore touches.
 type Cloud struct {
 	w    *World
 	pool *cloud.StoragePool
@@ -193,10 +193,8 @@ func NewWorld(files []*workload.FileMeta, cfg cloud.Config, seed uint64) *World 
 	}
 	w.slots.reserve(len(w.seed.ids))
 	if !w.dynamic {
-		// The static pool keeps its embedded LRU (no extra alloc); only
-		// RestoreState, which a static pool never runs, keys by FileID.
-		w.warm = cloud.NewStoragePoolKeyed(cfg.PoolCapacity, len(files), nil,
-			func(id workload.FileID) int32 { return w.seed.index[id].idx() })
+		// The static pool keeps its embedded LRU (no extra alloc).
+		w.warm = cloud.NewStoragePoolKeyed(cfg.PoolCapacity, len(files), nil)
 		w.fillWarm(w.warm, &Population{seed: w.seed})
 	}
 	return w
@@ -207,7 +205,7 @@ func (w *World) fillWarm(pool *cloud.StoragePool, pop *Population) {
 	warm := w.root.Split("warm")
 	for _, f := range w.files {
 		if warm.Bool(WarmProbs[f.Band()]) {
-			pool.AddKey(pop.File(f).idx(), f.ID, f.Size, f.Band())
+			pool.AddKey(pop.File(f).idx(), f.Size, f.Band())
 		}
 	}
 }
@@ -229,7 +227,7 @@ func (w *World) newCloud(fill bool) *Cloud {
 		pol, _ := cloud.NewPolicy(w.cfg.CachePolicy)
 		// The pool is keyed by the population's ordinals: a lookup indexes
 		// a slice where it would hash an MD5.
-		c.pool = cloud.NewStoragePoolKeyed(w.cfg.PoolCapacity, len(w.files), pol, c.pop.fileKey)
+		c.pool = cloud.NewStoragePoolKeyed(w.cfg.PoolCapacity, len(w.files), pol)
 		if fill {
 			w.fillWarm(c.pool, c.pop)
 		}
@@ -332,7 +330,7 @@ func (c *Cloud) observe(i int, o Ordinal, s *fileSlot, f *workload.FileMeta, whe
 		return
 	}
 	if s.ok {
-		c.pool.AddKey(o.idx(), f.ID, f.Size, f.Band())
+		c.pool.AddKey(o.idx(), f.Size, f.Band())
 	}
 }
 

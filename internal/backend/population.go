@@ -45,6 +45,7 @@ func (o Ordinal) idx() int32 { return int32(o) - 1 }
 // resolve through fileByID/userByID instead, which serialise on mu. The
 // two modes do not mix on one population.
 type Population struct {
+	// mu serialises the ordinal-less callers and guards nothing else.
 	mu   sync.Mutex
 	seed *seeding
 	// added numbers the files appended after seeding, from
@@ -202,15 +203,6 @@ func (p *Population) fileByID(f *workload.FileMeta) Ordinal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.File(f)
-}
-
-// fileKey is the cloud pool's key for the file with id: its ordinal's
-// table index, the file appended if it is new. It is the numbering a
-// restored pool keys its files by (cloud.NewStoragePoolKeyed).
-func (p *Population) fileKey(id workload.FileID) int32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.byID(id).idx()
 }
 
 func (p *Population) userByID(u *workload.User) Ordinal {

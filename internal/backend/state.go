@@ -12,7 +12,8 @@ import (
 //	next     u64 little-endian: the lowest request index not yet observed
 //	payload  static: k, u64 little-endian — the files observed are exactly
 //	         the seeded ordinals [0, k);
-//	         dynamic: the pool (cloud.StoragePool.AppendState)
+//	         dynamic: the pool (cloud.StoragePool.AppendState), naming
+//	         each file by its ordinal's index, a seeded one on restore
 //
 // A static cloud seeded with a trace's files in first-appearance order (a
 // census) has always observed such a prefix, so its state is one count.
@@ -96,7 +97,7 @@ func (c *Cloud) restoreState(b []byte, base int) error {
 	}
 	c.observed.next = base
 	if c.w.dynamic {
-		return c.pool.RestoreState(b)
+		return c.pool.RestoreState(b, c.pop.seeded())
 	}
 	switch {
 	case len(b) < 8:

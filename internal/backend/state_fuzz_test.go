@@ -18,9 +18,6 @@ import (
 // TestCloudStateRejectsMismatch covers). The corpus is seeded with real
 // states of both modes at several cut points; the static cloud is seeded
 // with the sample's files in first-appearance order, as a census seeds it.
-// The band cloud's pool is keyed by its population's ordinals, and the
-// pool payload of every band state it accepts must restore, to the same
-// bytes, into a pool that numbers its files itself.
 func FuzzRestoreState(f *testing.F) {
 	tr, err := workload.Generate(workload.DefaultConfig(300, fixtureSeed))
 	if err != nil {
@@ -69,20 +66,6 @@ func FuzzRestoreState(f *testing.F) {
 			}
 			if !bytes.Equal(got, state) {
 				t.Fatalf("%s: restored state appends back as\n%x\nwant\n%x", c.PolicyLabel(), got, state)
-			}
-			if mk.cfg.CachePolicy == "" {
-				continue
-			}
-			pol, err := cloud.NewPolicy(mk.cfg.CachePolicy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			self := cloud.NewStoragePoolPolicy(mk.cfg.PoolCapacity, 0, pol)
-			if err := self.RestoreState(state[9:]); err != nil {
-				t.Fatalf("a pool state the ordinal-keyed pool accepts fails in a self-numbered pool: %v", err)
-			}
-			if got := self.AppendState(nil); !bytes.Equal(got, state[9:]) {
-				t.Fatalf("self-numbered pool appends the state back as\n%x\nwant\n%x", got, state[9:])
 			}
 		}
 	})

@@ -219,10 +219,9 @@ func (b *bandPolicy) victim() int32 {
 // ghostCap bounds the prewarm policy's memory of evicted files.
 const ghostCap = 4096
 
-// ghostEntry remembers an evicted file: enough to re-admit it without the
-// pool ever holding FileMeta pointers.
+// ghostEntry remembers an evicted file by its key: enough to re-admit it
+// without the pool ever holding FileMeta pointers.
 type ghostEntry struct {
-	id   workload.FileID
 	key  int32
 	size int64
 	band workload.PopularityBand
@@ -284,7 +283,7 @@ func (w *prewarmPolicy) onHit(e int32) {
 func (w *prewarmPolicy) onRemove(e int32) {
 	w.p.listUnlink(&w.list, e)
 	ent := &w.p.entries[e]
-	w.remember(ghostEntry{id: ent.id, key: ent.key, size: ent.size, band: ent.band, hits: ent.freq})
+	w.remember(ghostEntry{key: ent.key, size: ent.size, band: ent.band, hits: ent.freq})
 }
 
 func (w *prewarmPolicy) victim() int32 { return w.list.tail }
@@ -338,7 +337,7 @@ func (w *prewarmPolicy) prefetch() {
 	})
 	w.gHead, w.gLen = 0, 0
 	for _, g := range w.scratch {
-		if w.p.prefetchAdd(g.key, g.id, g.size, g.band) {
+		if w.p.prefetchAdd(g.key, g.size, g.band) {
 			continue
 		}
 		if !w.p.ContainsKey(g.key) {

@@ -29,8 +29,18 @@ func ids(ns ...uint64) []workload.FileID {
 	return out
 }
 
-// drainEvictions evicts until the pool is empty, returning the victims in
-// the order the policy chose them.
+// idOf is the FileID a self-numbered pool numbered as entry slot e's key.
+func idOf(p *StoragePool, e int32) workload.FileID {
+	for id, k := range p.keys {
+		if k == p.entries[e].key {
+			return id
+		}
+	}
+	panic("cloud test: entry key the pool never numbered")
+}
+
+// drainEvictions evicts until a self-numbered pool is empty, returning the
+// victims in the order the policy chose them.
 func drainEvictions(p *StoragePool) []workload.FileID {
 	var order []workload.FileID
 	for {
@@ -38,7 +48,7 @@ func drainEvictions(p *StoragePool) []workload.FileID {
 		if e == noEntry {
 			return order
 		}
-		order = append(order, p.entries[e].id)
+		order = append(order, idOf(p, e))
 		if !p.evictOne() {
 			return order
 		}
@@ -221,8 +231,8 @@ func TestLFUDecay(t *testing.T) {
 	if f1 >= f2 {
 		t.Fatalf("decay did not reorder: freq(1)=%d >= freq(2)=%d", f1, f2)
 	}
-	if v := p.policy.victim(); p.entries[v].id != id(1) {
-		t.Fatalf("victim = %v, want the decayed file", p.entries[v].id)
+	if v := idOf(p, p.policy.victim()); v != id(1) {
+		t.Fatalf("victim = %v, want the decayed file", v)
 	}
 }
 

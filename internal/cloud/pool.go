@@ -34,11 +34,11 @@ import (
 // the entry slot holding it. Who numbers the files decides which methods a
 // pool takes. A pool built by NewStoragePoolKeyed is numbered by its owner
 // — a replay cloud passes its Population ordinals — and takes keys
-// (LookupKey, AddKey, ContainsKey), so a lookup hashes nothing. Any other
-// pool numbers files itself, in the order it first admits them, and takes
-// FileIDs (Lookup, AddBanded, AddMeta, Contains): one map probe turns the
-// ID into its key. Either way entries and prewarm ghosts keep their
-// FileIDs, so AppendState writes the same bytes for both.
+// (LookupKey, AddKey, ContainsKey), so a lookup hashes nothing; the key is
+// its only name for a file, in entries, ghosts and checkpoint state. Any
+// other pool numbers files itself, in the order it first admits them, and
+// takes FileIDs (Lookup, AddBanded, AddMeta, Contains): one map probe
+// turns the ID into its key. It has no checkpoint state.
 type StoragePool struct {
 	capacity int64
 	used     int64
@@ -51,10 +51,7 @@ type StoragePool struct {
 	// keys is the pool's own FileID numbering (nil for an owner-keyed
 	// pool): a file keeps its key after eviction.
 	keys map[workload.FileID]int32
-	// keyOf is the owner's numbering (nil for a self-numbered pool), by
-	// which RestoreState keys the files it reads back.
-	keyOf func(workload.FileID) int32
-	free  int32 // head of the free-slot list threaded through next
+	free int32 // head of the free-slot list threaded through next
 	// policy is the attached eviction policy.
 	policy EvictionPolicy
 	// prefetch caches the policy's prefetcher assertion so Tick is a nil
@@ -74,7 +71,6 @@ type StoragePool struct {
 // index in slots. band and freq are policy scratch: the file's popularity
 // band and a small touch counter.
 type poolEntry struct {
-	id         workload.FileID
 	size       int64
 	key        int32
 	prev, next int32
@@ -110,25 +106,17 @@ func NewStoragePoolSized(capacity int64, hint int) *StoragePool {
 // policy instance binds to exactly one pool. The pool numbers its files
 // itself and takes FileIDs.
 func NewStoragePoolPolicy(capacity int64, hint int, pol EvictionPolicy) *StoragePool {
-	return newPool(capacity, hint, pol, nil)
+	p := NewStoragePoolKeyed(capacity, hint, pol)
+	p.keys = make(map[workload.FileID]int32, hint)
+	return p
 }
 
 // NewStoragePoolKeyed is NewStoragePoolPolicy for an owner that numbers
 // the files: it names each file by a non-negative int32 key of its own,
 // dense enough that a slice indexed by key is small (a population
-// ordinal), and calls LookupKey, AddKey and ContainsKey. keyOf is that
-// numbering by FileID, through which RestoreState keys the files it reads
-// back. Calling a FileID method on the pool panics.
-func NewStoragePoolKeyed(capacity int64, hint int, pol EvictionPolicy, keyOf func(workload.FileID) int32) *StoragePool {
-	if keyOf == nil {
-		panic("cloud: an owner-keyed pool needs its owner's numbering")
-	}
-	return newPool(capacity, hint, pol, keyOf)
-}
-
-// newPool builds an empty pool, numbered by keyOf or, when keyOf is nil,
-// by itself.
-func newPool(capacity int64, hint int, pol EvictionPolicy, keyOf func(workload.FileID) int32) *StoragePool {
+// ordinal), and calls LookupKey, AddKey and ContainsKey. Calling a FileID
+// method on the pool panics.
+func NewStoragePoolKeyed(capacity int64, hint int, pol EvictionPolicy) *StoragePool {
 	if capacity <= 0 {
 		panic("cloud: pool capacity must be positive")
 	}
@@ -137,11 +125,7 @@ func newPool(capacity int64, hint int, pol EvictionPolicy, keyOf func(workload.F
 		capacity: capacity,
 		entries:  make([]poolEntry, 0, hint),
 		slots:    make([]int32, 0, hint),
-		keyOf:    keyOf,
 		free:     noEntry,
-	}
-	if keyOf == nil {
-		p.keys = make(map[workload.FileID]int32, hint)
 	}
 	if pol == nil {
 		pol = &p.lru
@@ -315,11 +299,11 @@ func (p *StoragePool) AddMeta(f *workload.FileMeta) bool {
 // larger than the pool capacity are never cached.
 func (p *StoragePool) AddBanded(id workload.FileID, size int64, band workload.PopularityBand) bool {
 	k, _ := p.ownKey(id, true)
-	return p.AddKey(k, id, size, band)
+	return p.AddKey(k, size, band)
 }
 
-// AddKey is AddBanded for the file with key k, whose FileID is id.
-func (p *StoragePool) AddKey(k int32, id workload.FileID, size int64, band workload.PopularityBand) bool {
+// AddKey is AddBanded for the file with key k.
+func (p *StoragePool) AddKey(k int32, size int64, band workload.PopularityBand) bool {
 	if size < 0 {
 		panic("cloud: negative file size")
 	}
@@ -334,15 +318,14 @@ func (p *StoragePool) AddKey(k int32, id workload.FileID, size int64, band workl
 			return false
 		}
 	}
-	p.admit(k, id, size, band)
+	p.admit(k, size, band)
 	return true
 }
 
 // admit places a file the pool does not hold into a fresh slot.
-func (p *StoragePool) admit(k int32, id workload.FileID, size int64, band workload.PopularityBand) {
+func (p *StoragePool) admit(k int32, size int64, band workload.PopularityBand) {
 	e := p.alloc()
 	ent := &p.entries[e]
-	ent.id = id
 	ent.key = k
 	ent.size = size
 	ent.band = band
@@ -383,11 +366,11 @@ func (p *StoragePool) refresh(e, k int32, size int64, band workload.PopularityBa
 // prefetchAdd admits a file during a policy's prefetch pass: like
 // AddKey but counted separately and never evicting to make room — a
 // prediction only fills capacity that demand left free.
-func (p *StoragePool) prefetchAdd(k int32, id workload.FileID, size int64, band workload.PopularityBand) bool {
+func (p *StoragePool) prefetchAdd(k int32, size int64, band workload.PopularityBand) bool {
 	if size <= 0 || p.used+size > p.capacity || p.ContainsKey(k) {
 		return false
 	}
-	p.admit(k, id, size, band)
+	p.admit(k, size, band)
 	p.prefetches++
 	p.prefetchedBy += uint64(size)
 	return true

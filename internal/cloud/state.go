@@ -16,20 +16,23 @@ import (
 //	used          i64
 //	free list     i32 head
 //	counters      6 × u64: hits, misses, evictions, hit bytes, prefetches, prefetch bytes
-//	entry table   u32 count, then per slot: id [16], size i64, prev i32, next i32, band u8, freq u8
+//	entry table   u32 count, then per slot: key i32, size i64, prev i32, next i32, band u8, freq u8
 //	policy        the policy's list heads and scalars (EvictionPolicy.appendState)
 //
-// The entry table goes out verbatim, vacated slots included, so a
-// restored pool has the writer's slot numbers and free-list order.
-const poolEntryLen = 16 + 8 + 4 + 4 + 1 + 1
+// Files are named by their owner's key. The entry table goes out
+// verbatim, vacated slots included, so a restored pool has the writer's
+// slot numbers and free-list order.
+const poolEntryLen = 4 + 8 + 4 + 4 + 1 + 1
 
 // AppendState appends the pool's complete mutable state to dst: with the
 // capacity and policy the pool was built with, everything a later
-// operation reads. RestoreState on a fresh pool of the same capacity and
-// policy then answers every later Lookup, AddBanded and Tick, evicts, and
-// counts exactly as this pool does
-// (TestPoolStateRestoreMatchesUninterrupted).
+// operation reads. RestoreState on a fresh pool of the same capacity,
+// policy and owner numbering then answers every later LookupKey, AddKey
+// and Tick, evicts, and counts exactly as this pool does
+// (TestPoolStateRestoreMatchesUninterrupted). It panics on a
+// self-numbered pool, whose numbering is not in its entries.
 func (p *StoragePool) AppendState(dst []byte) []byte {
+	p.mustBeKeyed()
 	name := p.policy.Name()
 	dst = append(dst, byte(len(name)))
 	dst = append(dst, name...)
@@ -42,7 +45,7 @@ func (p *StoragePool) AppendState(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.entries)))
 	for i := range p.entries {
 		e := &p.entries[i]
-		dst = append(dst, e.id[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.key))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.size))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.prev))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.next))
@@ -51,28 +54,30 @@ func (p *StoragePool) AppendState(dst []byte) []byte {
 	return p.policy.appendState(dst)
 }
 
+// mustBeKeyed panics on a self-numbered pool, which has no state.
+func (p *StoragePool) mustBeKeyed() {
+	if p.keys != nil {
+		panic("cloud: a self-numbered pool has no checkpoint state; build it with NewStoragePoolKeyed")
+	}
+}
+
 // counters lists the pool's counters in state order.
 func (p *StoragePool) counters() [6]*uint64 {
 	return [6]*uint64{&p.hits, &p.misses, &p.evictions, &p.hitBytes, &p.prefetches, &p.prefetchedBy}
 }
 
 // RestoreState replaces the pool's state with one AppendState wrote from a
-// pool of the same capacity and policy. The bytes are checked before the
-// pool relies on them: every slot must sit on exactly one of the free list
-// and the policy's lists, with consistent links, on the list its band or
-// frequency names; resident files must be distinct and their sizes must
-// add up to the byte count. A state no pool could have written is an
-// error, never a later panic. After an error the pool is unusable.
-//
-// The state names files by FileID, so it restores into an owner-keyed
-// pool and a self-numbered one alike: the owner's numbering keys each
-// resident file and remembered ghost, or, in a self-numbered pool, a
-// fresh numbering in the order the state lists them.
-func (p *StoragePool) RestoreState(b []byte) error {
-	if p.keys != nil {
-		p.keys = make(map[workload.FileID]int32)
-	}
-	r := &stateReader{b: b}
+// pool of the same capacity and policy whose owner numbered its files as
+// this pool's does, with keys in [0, keys). The bytes are checked before
+// the pool relies on them: every key must fall in that range; every slot
+// must sit on exactly one of the free list and the policy's lists, with
+// consistent links, on the list its band or frequency names; resident
+// files must be distinct and their sizes must add up to the byte count. A
+// state no pool could have written is an error, never a later panic.
+// After an error the pool is unusable. It panics on a self-numbered pool.
+func (p *StoragePool) RestoreState(b []byte, keys int) error {
+	p.mustBeKeyed()
+	r := &stateReader{b: b, keys: keys}
 	name := string(r.take(int(r.u8())))
 	capacity := int64(r.u64())
 	if r.err == nil && name != p.policy.Name() {
@@ -93,7 +98,7 @@ func (p *StoragePool) RestoreState(b []byte) error {
 	p.entries = make([]poolEntry, n)
 	for i := range p.entries {
 		e := &p.entries[i]
-		copy(e.id[:], r.take(len(e.id)))
+		e.key = r.key()
 		e.size = int64(r.u64())
 		e.prev, e.next = r.i32(), r.i32()
 		e.band = workload.PopularityBand(r.u8())
@@ -107,16 +112,6 @@ func (p *StoragePool) RestoreState(b []byte) error {
 		return fmt.Errorf("cloud: %d bytes after the pool state", len(r.b))
 	}
 	return p.reindex()
-}
-
-// keyFor is a restored file's key: the owner's numbering, or the pool's
-// own, numbering the file if it is new.
-func (p *StoragePool) keyFor(id workload.FileID) int32 {
-	if p.keyOf != nil {
-		return p.keyOf(id)
-	}
-	k, _ := p.ownKey(id, true)
-	return k
 }
 
 // reindex rebuilds the dedup index from a restored entry table, checking
@@ -148,14 +143,13 @@ func (p *StoragePool) reindex() error {
 				return err
 			}
 			ent := &p.entries[e]
-			ent.key = p.keyFor(ent.id)
 			switch {
 			case ent.prev != last:
 				return fmt.Errorf("cloud: pool state slot %d links back to %d, want %d", e, ent.prev, last)
 			case p.policy.listFor(e) != l:
 				return fmt.Errorf("cloud: pool state slot %d is on a list its band and frequency do not name", e)
 			case p.ContainsKey(ent.key):
-				return fmt.Errorf("cloud: pool state holds file %v twice", ent.id)
+				return fmt.Errorf("cloud: pool state holds file key %d twice", ent.key)
 			case ent.size < 0 || ent.size > p.capacity-used:
 				return fmt.Errorf("cloud: pool state's files overfill its %d-byte capacity", p.capacity)
 			}
@@ -183,8 +177,9 @@ func (p *StoragePool) reindex() error {
 // error and every read after it returns zero, so a decoder checks once,
 // at the end.
 type stateReader struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	keys int // the owner's key count, which every file key read is below
 }
 
 func (r *stateReader) fail(format string, args ...any) {
@@ -229,6 +224,15 @@ func (r *stateReader) u64() uint64 {
 }
 
 func (r *stateReader) i32() int32 { return int32(r.u32()) }
+
+// key reads a file key, failing on one outside the owner's numbering.
+func (r *stateReader) key() int32 {
+	k := r.i32()
+	if r.err == nil && (k < 0 || int(k) >= r.keys) {
+		r.fail("cloud: pool state names file key %d, outside the owner's %d", k, r.keys)
+	}
+	return k
+}
 
 func (r *stateReader) list() entryList { return entryList{head: r.i32(), tail: r.i32()} }
 
@@ -295,9 +299,9 @@ func (b *bandPolicy) listFor(e int32) *entryList {
 	return nil
 }
 
-// ghostLen is one remembered ghost in a prewarm state: id, size, band,
+// ghostLen is one remembered ghost in a prewarm state: key, size, band,
 // hits.
-const ghostLen = 16 + 8 + 1 + 1
+const ghostLen = 4 + 8 + 1 + 1
 
 func (w *prewarmPolicy) appendState(dst []byte) []byte {
 	dst = appendList(dst, w.list)
@@ -305,7 +309,7 @@ func (w *prewarmPolicy) appendState(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(w.gLen))
 	for i := 0; i < w.gLen; i++ {
 		g := &w.ghosts[(w.gHead+i)%ghostCap]
-		dst = append(dst, g.id[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(g.key))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(g.size))
 		dst = append(dst, byte(g.band), g.hits)
 	}
@@ -325,11 +329,10 @@ func (w *prewarmPolicy) restoreState(r *stateReader) {
 	w.gHead, w.gLen = 0, 0
 	for ; n > 0; n-- {
 		var g ghostEntry
-		copy(g.id[:], r.take(len(g.id)))
+		g.key = r.key()
 		g.size = int64(r.u64())
 		g.band = workload.PopularityBand(r.u8())
 		g.hits = r.u8()
-		g.key = w.p.keyFor(g.id)
 		w.remember(g)
 	}
 }
