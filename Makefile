@@ -69,20 +69,27 @@ paperscale:
 
 # paperscale-coord runs the same week through the coordinator: the bin
 # trace of `wgen -files 563517 -seed 1` (≈4M records, ≈100 MB) replayed by
-# `odrcoord -verify -workers 2 -windows 8`, once static and once under the
+# `odrcoord -verify -workers 2 -windows 8` three times: static; under the
 # band cache policy, whose serial observation pass is the coordinated
-# run's floor. Each run prints its worker processes line (with each
-# process's GOMAXPROCS), its coordinator stage line (trace hash, state
-# pass, merge+digest), its workers' stage medians and peak RSS, the bytes
-# its checkpoint directory holds in state files and in partials, and its
-# DISTRIB verdict. The trace and the checkpoints land in a mktemp dir
-# removed on exit. About 40 s on 2 vCPUs; not part of ci.
+# run's floor; and band again on a pool of a twelfth of the week's
+# population bytes (16,936,750,686,699 B), the ratio the bench's band runs
+# use, because the scale-default pool never fills on the week and so
+# never evicts. Each run prints its worker processes line (with each
+# process's GOMAXPROCS), its coordinator line (trace hash, state pass,
+# merge+digest, peak RSS), its workers' stage medians and peak RSS, the
+# bytes its checkpoint directory holds in state files and in partials,
+# and its DISTRIB verdict. The trace and the checkpoints land in a mktemp
+# dir removed on exit. About 45 s on 2 vCPUs; not part of ci.
 paperscale-coord:
 	@dir="$$(mktemp -d)" || exit 1; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir" ./cmd/odrcoord ./cmd/wgen || exit 1; \
 	"$$dir/wgen" -files 563517 -seed 1 -format bin -out "$$dir/week.bin" || exit 1; \
-	for policy in static band; do \
-		pol=""; [ "$$policy" = static ] || pol="-cache-policy $$policy"; \
+	for policy in static band band-pool; do \
+		case "$$policy" in \
+		static) pol="" ;; \
+		band) pol="-cache-policy band" ;; \
+		band-pool) pol="-cache-policy band -pool-bytes 16936750686699" ;; \
+		esac; \
 		"$$dir/odrcoord" -trace "$$dir/week.bin" -checkpoint "$$dir/ckpt" \
 			-workers 2 -windows 8 -verify $$pol >"$$dir/run.log" 2>&1; \
 		rc="$$?"; \

@@ -250,16 +250,14 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	}
 	elapsed := time.Since(start).Seconds()
 
-	tot := merged.Engine.Totals()
 	fmt.Printf("\ndistributed replay: %d tasks over %d window(s), %d worker(s), %.3fs wall\n",
-		tot.Tasks, len(merged.Windows), workers, elapsed)
+		merged.Totals.Tasks, len(merged.Parts), workers, elapsed)
 	fmt.Printf("failure ratio:      %5.1f%%\n", merged.FailureRatio()*100)
 	fmt.Printf("cloud bytes:        %.3g\n", merged.CloudBytes())
 	var busy float64
-	for i, w := range merged.Windows {
-		rate := float64(w.Limit) / merged.Seconds[i]
-		busy += merged.Seconds[i]
-		fmt.Printf("  window %2d %-22s %9.1fms  %9.0f tasks/s\n", i, w, merged.Seconds[i]*1000, rate)
+	for i, p := range merged.Parts {
+		busy += p.Seconds
+		fmt.Printf("  window %2d %-22s %9.1fms  %9.0f tasks/s\n", i, p.Window, p.Seconds*1000, float64(p.Window.Limit)/p.Seconds)
 	}
 	if elapsed > 0 {
 		fmt.Printf("worker-seconds:     %.3fs over %.3fs wall (%.2fx parallelism)\n",
@@ -271,8 +269,8 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		return err
 	}
 	st := co.Stages
-	fmt.Printf("coordinator:        trace hash %.1fms, state pass %.1fms, merge+digest %.1fms\n",
-		millis(st.Hash), millis(st.StatePass), millis(st.Merge+time.Since(digestStart)))
+	fmt.Printf("coordinator:        trace hash %.1fms, state pass %.1fms, merge+digest %.1fms, peak RSS %.1f MB\n",
+		millis(st.Hash), millis(st.StatePass), millis(st.Merge+time.Since(digestStart)), float64(peakRSS())/(1<<20))
 	if ws := runner.Windows(); len(ws) > 0 {
 		fmt.Printf("worker windows:     %v\n", summarize(ws))
 	}

@@ -513,7 +513,7 @@ func TestWorkerRunsAtItsShare(t *testing.T) {
 // TestCoordinatorSplitsItsGOMAXPROCS: an explicit GOMAXPROCS in the
 // coordinator's environment is the base its workers' share divides, and
 // the summary prints the share beside the process counts and the
-// workers' stage medians beside the coordinator's stages.
+// workers' stage medians beside the coordinator's stages and peak RSS.
 func TestCoordinatorSplitsItsGOMAXPROCS(t *testing.T) {
 	path, _ := writeTrace(t)
 	for _, tc := range []struct {
@@ -534,6 +534,9 @@ func TestCoordinatorSplitsItsGOMAXPROCS(t *testing.T) {
 		}
 		if !regexp.MustCompile(`(?m)^worker windows: +restore [0-9.]+ms, setup [0-9.]+ms, replay [0-9.]+ms, encode\+write\+fsync [0-9.]+ms \(medians of [0-9]+\), peak RSS [0-9.]+ MB$`).Match(out) {
 			t.Errorf("GOMAXPROCS=%s -workers %d: no worker windows line in\n%s", tc.env, tc.workers, out)
+		}
+		if !regexp.MustCompile(`(?m)^coordinator: +trace hash [0-9.]+ms, state pass [0-9.]+ms, merge\+digest [0-9.]+ms, peak RSS [0-9.]*[1-9][0-9.]* MB$`).Match(out) {
+			t.Errorf("GOMAXPROCS=%s -workers %d: no coordinator line with its peak RSS in\n%s", tc.env, tc.workers, out)
 		}
 	}
 }

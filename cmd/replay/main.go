@@ -138,6 +138,9 @@ func run(files, sampleN int, seed uint64, shards int, tasksPath, tracePath strin
 		return err
 	}
 	if census != nil {
+		if pass.n == 0 {
+			return fmt.Errorf("trace %s holds no records", tracePath)
+		}
 		tr.Files, tr.Users = census.Files(), census.Users()
 	}
 	tr.Requests = pass.kept

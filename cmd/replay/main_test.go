@@ -151,6 +151,28 @@ func TestTasksDumpNeedsALosslessTrace(t *testing.T) {
 	}
 }
 
+// TestEmptyTraceIsAnError: a trace with no records, in any format, has no
+// population to size the replay's cloud from. The command refuses it with
+// an error naming the file instead of panicking in the pool's constructor.
+func TestEmptyTraceIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	for _, format := range []string{"bin", "csv", "jsonl"} {
+		path := filepath.Join(dir, "empty."+format)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteWorkloadStream(f, format, workload.NewSliceSource(nil)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		_, _, err = runArgs(t, "-trace", path)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "no records") {
+			t.Errorf("-trace %s = %v, want an error naming the trace and saying it holds no records", path, err)
+		}
+	}
+}
+
 // TestTraceTasksDumpIgnoresFiles: with -trace the population comes from
 // the trace's census, so the week simulator's cloud must be sized from it
 // too. -files describes the week the command would generate, not the one

@@ -46,12 +46,13 @@
 // recomputes every state it hands out instead of trusting files an
 // earlier run left behind.
 //
-// Partials and the merge hold each task as a replay.DigestRecord — the
-// eight fields the digest reads, 48 B against an ODRTask's 128 B — and
-// Merged.WriteDigest streams the digest (replay.WriteDigest) so a caller
-// can hash it without building it: at its peak the coordinator holds
-// ≈ 96 B per task, where whole tasks and a built digest string took
-// ≈ 400.
+// Partials hold each task as a replay.DigestRecord — the eight fields the
+// digest reads, 48 B against an ODRTask's 128 B. The merge keeps the
+// partials and copies no record, and Merged.WriteDigest streams the
+// digest across the partials' own records (replay.WriteDigest) so a
+// caller can hash it without building it: at its peak the coordinator
+// holds ≈ 48 B per task, where whole tasks and a built digest string
+// took ≈ 400.
 //
 // The one cross-request state this cannot reproduce is the resilience
 // layer's per-user circuit breaker: its strikes and cooldowns follow

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"odr/internal/cloud"
+	"odr/internal/core"
 	"odr/internal/obs"
 	"odr/internal/replay"
 	"odr/internal/smartap"
@@ -310,8 +311,8 @@ func TestPartialRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := (&Merged{Tasks: p1.Tasks, Ledgers: p1.Ledgers}).Digest()
-	d2 := (&Merged{Tasks: p2.Tasks, Ledgers: p2.Ledgers}).Digest()
+	d1 := replay.DigestOf([][]replay.DigestRecord{p1.Tasks}, p1.Ledgers, p1.Totals)
+	d2 := replay.DigestOf([][]replay.DigestRecord{p2.Tasks}, p2.Ledgers, p2.Totals)
 	if d1 != d2 {
 		t.Fatal("independent worker runs of the same window produced different partials")
 	}
@@ -388,8 +389,8 @@ func TestDistributedDigestMatchesSingleProcess(t *testing.T) {
 			if got := merged.Digest(); got != want {
 				t.Fatalf("merged digest differs from single-process digest:\n got %s\nwant %s", got, want)
 			}
-			if len(merged.Windows) != 5 || len(merged.Seconds) != 5 {
-				t.Fatalf("merged window map %v / seconds %v, want 5 windows", merged.Windows, merged.Seconds)
+			if len(merged.Parts) != 5 {
+				t.Fatalf("merged %d partials, want 5 windows", len(merged.Parts))
 			}
 			if c.spec.Metrics && merged.Metrics == nil {
 				t.Fatal("metrics requested but merged registry is nil")
@@ -564,6 +565,82 @@ func TestMergeOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestSingleProcessEmptyTrace: a bin trace with no records is an error
+// naming it, not a panic in the cloud pool's constructor.
+func TestSingleProcessEmptyTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteWorkloadBinStream(f, workload.NewSliceSource(nil)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := SingleProcess(path, WorkerSpec{Seed: 1}, nil); err == nil ||
+		!strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "no records") {
+		t.Fatalf("SingleProcess(empty trace) = %v, want an error naming the trace and saying it holds no records", err)
+	}
+}
+
+// TestMergeReadsThePartialsRecords: the merged result holds its partials
+// and no copy of their records. A record changed in a partial after the
+// merge shows in the merged digest, which reads each partial's own
+// records, and merging allocates a few hundred bytes whatever the record
+// count.
+func TestMergeReadsThePartialsRecords(t *testing.T) {
+	const windows, each = 4, 10_000
+	parts := make([]*Partial, windows)
+	var runs [][]replay.DigestRecord
+	for i := range parts {
+		recs := make([]replay.DigestRecord, each)
+		for k := range recs {
+			recs[k] = replay.DigestRecord{Route: core.RouteCloud, Success: k%3 != 0, CloudBytes: float64(i*each + k)}
+		}
+		parts[i] = &Partial{
+			Window:  Window{Offset: int64(i * each), Limit: each},
+			Spec:    "spec",
+			Ledgers: []replay.LedgerCounts{{Name: "cloud", Fetches: each}},
+			Totals:  replay.ShardTotals{Tasks: each},
+			Tasks:   recs,
+		}
+		runs = append(runs, recs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := MergePartials(parts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+		t.Errorf("merging %d records allocated %d B: the merge copies records", windows*each, grew)
+	}
+	for i, p := range m.Parts {
+		if p != parts[i] {
+			t.Fatalf("merged partial %d is not the partial handed in", i)
+		}
+	}
+	ledgers := []replay.LedgerCounts{{Name: "cloud", Fetches: windows * each}}
+	tot := replay.ShardTotals{Tasks: windows * each}
+	if got, want := m.Digest(), replay.DigestOf(runs, ledgers, tot); got != want {
+		t.Fatal("merged digest differs from the digest of the partials' records")
+	}
+	parts[2].Tasks[7].Success = !parts[2].Tasks[7].Success
+	parts[3].Tasks[each-1].Cause = "changed"
+	want := replay.DigestOf(runs, ledgers, tot)
+	if got := m.Digest(); got != want {
+		t.Fatal("a record changed in a partial after the merge does not show in Digest: the merge keeps a copy")
+	}
+	var streamed strings.Builder
+	if err := m.WriteDigest(&streamed); err != nil {
+		t.Fatal(err)
+	}
+	if streamed.String() != want {
+		t.Fatal("a record changed in a partial after the merge does not show in WriteDigest: the merge keeps a copy")
+	}
+}
+
 // TestHaltResume is the kill-mid-run pin: a run that crashes a worker,
 // checkpoints two windows, and halts must resume from the manifest and
 // still match the single-process digest byte for byte, under a dynamic
@@ -682,8 +759,8 @@ func TestResumeUnderAnotherPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(merged.Windows) != 4 || co2.Resumed < 1 {
-			t.Fatalf("%+v: resumed %d window(s) and merged %d, want the manifest's 4", spec, co2.Resumed, len(merged.Windows))
+		if len(merged.Parts) != 4 || co2.Resumed < 1 {
+			t.Fatalf("%+v: resumed %d window(s) and merged %d, want the manifest's 4", spec, co2.Resumed, len(merged.Parts))
 		}
 		if want := strconv.Itoa(4 - co2.Resumed); len(fed) == 0 || fed[len(fed)-1] != want {
 			t.Fatalf("%+v: the passes fed %v window states, want the resumed run's to feed %s", spec, fed, want)
@@ -1166,7 +1243,7 @@ func TestWorkerStateFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			digests[r.PartialPath] = (&Merged{Tasks: p.Tasks, Ledgers: p.Ledgers}).Digest()
+			digests[r.PartialPath] = replay.DigestOf([][]replay.DigestRecord{p.Tasks}, p.Ledgers, p.Totals)
 		}
 		if digests[req.PartialPath] != digests[derived.PartialPath] {
 			t.Fatalf("%s: a worker started from state files replayed differently from one deriving its start", fp)

@@ -9,24 +9,25 @@ import (
 )
 
 // Merged is the coordinator's reassembled whole-trace result: the
-// concatenated task records, the summed backend ledgers, per-window
-// engine totals, and (when the workers recorded) the folded metrics
-// registry. Its Digest is the same replay.DigestOf serialization a
-// single-process ODRResult produces, which is how the determinism
-// invariant extends across process boundaries.
+// window partials it was merged from, checked to tile the trace under one
+// spec, and their sums — the backend ledgers, the engine totals and (when
+// the workers recorded) the folded metrics registry. No task record is
+// copied: the digest reads each partial's own records in window order.
+// Its Digest is the same replay.DigestOf serialization a single-process
+// ODRResult produces, which is how the determinism invariant extends
+// across process boundaries.
 type Merged struct {
-	// Tasks is every window's digest records concatenated in trace order:
-	// Tasks[i] is the replay of global record i, reduced to the fields the
-	// digest reads (Partial.Tasks). The merge holds 48 B per task here, not
-	// a whole replay.ODRTask.
-	Tasks []replay.DigestRecord
+	// Parts is the partials in window order: Parts[i] covers the records
+	// that follow Parts[i-1]'s, and together they cover the trace from
+	// record 0. A partial's Window, Seconds and Totals are that window's
+	// map entry, worker wall time and engine totals.
+	Parts []*Partial
 	// Ledgers is the per-backend counts summed across windows, in
 	// backend.Set.All() order.
 	Ledgers []replay.LedgerCounts
-	// Engine treats each window as one "shard": Shards is the window
-	// count and PerShard the per-window totals, so Totals() is the
-	// whole-trace count exactly as a single process would report it.
-	Engine replay.EngineStats
+	// Totals is the windows' engine totals summed: the whole-trace count
+	// exactly as a single process would report it.
+	Totals replay.ShardTotals
 	// Metrics is the folded worker registries (nil when unobserved):
 	// equal to the registry a single process records over the whole trace,
 	// less the in-flight peak (TestDistributedMetricsMatchSingleProcess).
@@ -36,33 +37,19 @@ type Merged struct {
 	// is that window's engine's, a scheduling signal under no determinism
 	// contract.
 	Metrics *obs.Registry
-	// Windows records the merge's window map.
-	Windows []Window
-	// Seconds is each window's worker wall time, for throughput-scaling
-	// reports.
-	Seconds []float64
 }
 
-// MergePartials reassembles window partials into one whole-trace result.
-// The partials must be sorted by offset, tile a contiguous range starting
-// at 0, and share one spec fingerprint; ledgers merge position-wise with
-// name checks. The merge is pure integer/concatenation work — commutative
-// inputs, one canonical output order — so merging the same partials in
-// any discovery order yields byte-identical digests.
+// MergePartials reassembles window partials into one whole-trace result
+// that holds them. The partials must be sorted by offset, tile a
+// contiguous range starting at 0, and share one spec fingerprint; ledgers
+// merge position-wise with name checks. The merge is pure integer work —
+// commutative inputs, one canonical output order — so merging the same
+// partials in any discovery order yields byte-identical digests.
 func MergePartials(parts []*Partial) (*Merged, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("distrib: nothing to merge")
 	}
-	m := &Merged{
-		Engine:  replay.EngineStats{Shards: len(parts), PerShard: make([]replay.ShardTotals, len(parts))},
-		Windows: make([]Window, len(parts)),
-		Seconds: make([]float64, len(parts)),
-	}
-	var total int64
-	for _, p := range parts {
-		total += p.Window.Limit
-	}
-	m.Tasks = make([]replay.DigestRecord, 0, total)
+	m := &Merged{Parts: parts}
 	var next int64
 	spec := parts[0].Spec
 	for i, p := range parts {
@@ -92,10 +79,8 @@ func MergePartials(parts []*Partial) (*Merged, error) {
 				}
 			}
 		}
-		m.Tasks = append(m.Tasks, p.Tasks...)
-		m.Engine.PerShard[i] = p.Totals
-		m.Windows[i] = p.Window
-		m.Seconds[i] = p.Seconds
+		m.Totals.Tasks += p.Totals.Tasks
+		m.Totals.Failures += p.Totals.Failures
 		next = p.Window.End()
 
 		if snap := p.Metrics; snap != nil {
@@ -113,18 +98,29 @@ func MergePartials(parts []*Partial) (*Merged, error) {
 	return m, nil
 }
 
+// records returns each partial's task records, in window order: the runs
+// the digest reads, sharing the partials' arrays.
+func (m *Merged) records() [][]replay.DigestRecord {
+	runs := make([][]replay.DigestRecord, len(m.Parts))
+	for i, p := range m.Parts {
+		runs[i] = p.Tasks
+	}
+	return runs
+}
+
 // Digest is the whole-trace determinism oracle, serialized exactly as
 // ODRResult.Digest would: byte-identical to a single-process replay of
 // the same trace under the same spec.
 func (m *Merged) Digest() string {
-	return replay.DigestOf(m.Tasks, m.Ledgers, m.Engine.Totals())
+	return replay.DigestOf(m.records(), m.Ledgers, m.Totals)
 }
 
 // WriteDigest writes Digest's bytes to w (replay.WriteDigest) without
-// building the string: hashing the merged result through it costs
-// buffers bounded by GOMAXPROCS, not a second copy of every task.
+// building the string: it streams the partials' own records, so hashing
+// the merged result costs buffers bounded by GOMAXPROCS, not a copy of
+// any task.
 func (m *Merged) WriteDigest(w io.Writer) error {
-	return replay.WriteDigest(w, m.Tasks, m.Ledgers, m.Engine.Totals())
+	return replay.WriteDigest(w, m.records(), m.Ledgers, m.Totals)
 }
 
 // CloudBytes returns total bytes the cloud uploaded, from the merged
@@ -142,9 +138,8 @@ func (m *Merged) CloudBytes() float64 {
 // FailureRatio returns the overall task failure share from the engine
 // totals.
 func (m *Merged) FailureRatio() float64 {
-	tot := m.Engine.Totals()
-	if tot.Tasks == 0 {
+	if m.Totals.Tasks == 0 {
 		return 0
 	}
-	return float64(tot.Failures) / float64(tot.Tasks)
+	return float64(m.Totals.Failures) / float64(m.Totals.Tasks)
 }

@@ -14,8 +14,9 @@ import (
 
 // Partial is one window's replay output in transportable form: the task
 // records, the backend ledger counts, the engine totals, and optionally a
-// metrics snapshot. Partials concatenate (tasks) and add (everything
-// else) into exactly the single-process result — see MergePartials.
+// metrics snapshot. Partials stack (tasks, in window order) and add
+// (everything else) into exactly the single-process result — see
+// MergePartials.
 type Partial struct {
 	// Window is the record range the tasks cover.
 	Window Window

@@ -189,11 +189,11 @@ func FuzzDecodePartial(f *testing.F) {
 			if !bytes.Equal(enc1, enc2) {
 				t.Fatal("encode→decode→encode is not a fixed point")
 			}
-			got := replay.DigestOf(p1.Tasks, p1.Ledgers, p1.Totals)
+			got := replay.DigestOf([][]replay.DigestRecord{p1.Tasks}, p1.Ledgers, p1.Totals)
 			if want := fmtDigest(p1.Tasks, p1.Ledgers, p1.Totals); got != want {
 				t.Fatalf("DigestOf diverged from the fmt reference on decoded tasks:\n got %q\nwant %q", got, want)
 			}
-			if got != replay.DigestOf(p2.Tasks, p2.Ledgers, p2.Totals) {
+			if got != replay.DigestOf([][]replay.DigestRecord{p2.Tasks}, p2.Ledgers, p2.Totals) {
 				t.Fatal("digest changed across encode→decode")
 			}
 		}

@@ -160,10 +160,10 @@ func (l *Lab) DistributedReplay() *Report {
 	// compares whole runs, state pass included.
 	r.addf("%-8s %14s %10s %12s", "window", "records", "seconds", "tasks/s")
 	var busy float64
-	for i, w := range merged.Windows {
-		busy += merged.Seconds[i]
-		r.addf("%-8d %14s %9.1fs %12.0f", i, w, merged.Seconds[i],
-			float64(w.Limit)/merged.Seconds[i])
+	for i, p := range merged.Parts {
+		busy += p.Seconds
+		r.addf("%-8d %14s %9.1fs %12.0f", i, p.Window, p.Seconds,
+			float64(p.Window.Limit)/p.Seconds)
 	}
 	r.addf("worker-seconds %.1fs across %d workers; fresh coordinated run vs single-process below",
 		busy, distribWorkers)

@@ -94,7 +94,7 @@ func TestDigestAllocs(t *testing.T) {
 		for rep := 0; rep < 20; rep++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if err := WriteDigest(io.Discard, recs[:n], ledgers, ShardTotals{}); err != nil {
+			if err := WriteDigest(io.Discard, [][]DigestRecord{recs[:n]}, ledgers, ShardTotals{}); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)

@@ -157,7 +157,8 @@ const (
 // share: equal digests mean the replays are identical in every observable
 // outcome, whatever input produced them (slice vs generator vs trace file,
 // any shard or generation worker count, one process or many). Tasks may
-// be whole tasks or their digest records; the bytes are the same.
+// be whole tasks or their digest records; the bytes are the same. They
+// come as one or more runs in trace order (WriteDigest).
 //
 // The bytes are a contract (goldens and the coordinator's merged sha256
 // hash them): exactly what fmt's "%d|%v|%v|%q|%x|%d|%x|%v|%v\n" prints per
@@ -166,51 +167,59 @@ const (
 // replay, where fmt's reflection was 40% of a lean run;
 // TestDigestMatchesFmtReference keeps the fmt form as the oracle. DigestOf
 // writes them through WriteDigest into a builder grown to fit.
-func DigestOf[T DigestInput](tasks []T, ledgers []LedgerCounts, tot ShardTotals) string {
+func DigestOf[T DigestInput](runs [][]T, ledgers []LedgerCounts, tot ShardTotals) string {
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
 	var b strings.Builder
-	b.Grow(len(tasks)*digestLineBytes + len(ledgers)*64 + 32)
-	_ = WriteDigest(&b, tasks, ledgers, tot) // a strings.Builder never fails a write
+	b.Grow(n*digestLineBytes + len(ledgers)*64 + 32)
+	_ = WriteDigest(&b, runs, ledgers, tot) // a strings.Builder never fails a write
 	return b.String()
 }
 
 // WriteDigest writes DigestOf's bytes to w without building them as one
-// string: task lines are formatted in chunks of digestChunk records on up
-// to GOMAXPROCS goroutines and written to w in task order through
+// string. The tasks are runs in trace order — one run for a whole replay,
+// a window's records each for the distributed merge — and each line is
+// numbered by its task's index across them, so the runs print exactly
+// what their concatenation would, without ever being concatenated. Task
+// lines are formatted in chunks of at most digestChunk records of one run
+// on up to GOMAXPROCS goroutines and written to w in task order through
 // lanes.Write, with at most two chunk buffers per goroutine in flight, so
 // its memory is bounded by GOMAXPROCS and not by the task count. The
 // first write error stops the formatting; WriteDigest returns it once
 // every goroutine it started has exited.
-func WriteDigest[T DigestInput](w io.Writer, tasks []T, ledgers []LedgerCounts, tot ShardTotals) error {
-	var format func(b []byte, lo, hi int) []byte
-	switch ts := any(tasks).(type) {
-	case []ODRTask:
-		format = func(b []byte, lo, hi int) []byte {
-			for i := lo; i < hi; i++ {
-				b = ts[i].digestRecord().appendLine(b, i)
-			}
-			return b
-		}
-	case []DigestRecord:
-		format = func(b []byte, lo, hi int) []byte {
-			for i := lo; i < hi; i++ {
-				b = ts[i].appendLine(b, i)
-			}
-			return b
-		}
+func WriteDigest[T DigestInput](w io.Writer, runs [][]T, ledgers []LedgerCounts, tot ShardTotals) error {
+	// A batch is one chunk of task lines: tasks[0] is task at.
+	type span struct {
+		tasks []T
+		at    int
 	}
-	// A batch is the index range of one chunk of task lines.
-	type span struct{ lo, hi int }
-	n := len(tasks)
-	next := 0
+	chunks, longest := 0, 0
+	for _, run := range runs {
+		chunks += (len(run) + digestChunk - 1) / digestChunk
+		longest = max(longest, len(run))
+	}
+	var cur []T // what is left of the run being chunked
+	at := 0
 	err := lanes.Write(w, lanes.Spec[span]{
-		Lanes:    min(runtime.GOMAXPROCS(0), (n+digestChunk-1)/digestChunk),
-		BufBytes: min(n, digestChunk) * digestLineBytes,
+		Lanes:    min(runtime.GOMAXPROCS(0), chunks),
+		BufBytes: min(longest, digestChunk) * digestLineBytes,
 		Fill: func(b *span) (bool, error) {
-			*b = span{next, min(next+digestChunk, n)}
-			next = b.hi
-			return b.lo < b.hi, nil
+			for len(cur) == 0 && len(runs) > 0 {
+				cur, runs = runs[0], runs[1:]
+			}
+			n := min(len(cur), digestChunk)
+			*b = span{cur[:n], at}
+			cur, at = cur[n:], at+n
+			return n > 0, nil
 		},
-		Format: func(dst []byte, b *span) []byte { return format(dst, b.lo, b.hi) },
+		Format: func(dst []byte, b *span) []byte {
+			for i := range b.tasks {
+				dst = digestLine(dst, &b.tasks[i], b.at+i)
+			}
+			return dst
+		},
 	})
 	if err != nil {
 		return err
@@ -219,14 +228,25 @@ func WriteDigest[T DigestInput](w io.Writer, tasks []T, ledgers []LedgerCounts, 
 	return err
 }
 
+// digestLine appends the digest line of t, the task at index i.
+func digestLine[T DigestInput](b []byte, t *T, i int) []byte {
+	switch t := any(t).(type) {
+	case *ODRTask:
+		return t.digestRecord().appendLine(b, i)
+	case *DigestRecord:
+		return t.appendLine(b, i)
+	}
+	panic("replay: digest of an unknown task type") // DigestInput admits no other
+}
+
 // Digest is DigestOf over this result's own tasks, ledgers, and engine
 // totals.
 func (r *ODRResult) Digest() string {
-	return DigestOf(r.Tasks, r.Ledgers(), r.Engine.Totals())
+	return DigestOf([][]ODRTask{r.Tasks}, r.Ledgers(), r.Engine.Totals())
 }
 
 // WriteDigest writes Digest's bytes to w through WriteDigest, without
 // building the string.
 func (r *ODRResult) WriteDigest(w io.Writer) error {
-	return WriteDigest(w, r.Tasks, r.Ledgers(), r.Engine.Totals())
+	return WriteDigest(w, [][]ODRTask{r.Tasks}, r.Ledgers(), r.Engine.Totals())
 }

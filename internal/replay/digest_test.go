@@ -36,7 +36,7 @@ func fmtDigest(tasks []ODRTask, ledgers []LedgerCounts, tot ShardTotals) string 
 func TestDigestMatchesFmtReference(t *testing.T) {
 	check := func(name string, tasks []ODRTask, ledgers []LedgerCounts, tot ShardTotals) {
 		t.Helper()
-		got, want := DigestOf(tasks, ledgers, tot), fmtDigest(tasks, ledgers, tot)
+		got, want := DigestOf([][]ODRTask{tasks}, ledgers, tot), fmtDigest(tasks, ledgers, tot)
 		if got != want {
 			t.Errorf("%s: DigestOf diverged from the fmt reference\nfirst differing line:\n%s",
 				name, firstDiff(want, got))
@@ -90,7 +90,7 @@ func TestDigestMatchesFmtReference(t *testing.T) {
 		{Name: "pipe|and\nnewline \"quoted\" %d \xff"},
 	}
 	check("adversarial", adversarial, ledgers, ShardTotals{Tasks: -3, Failures: math.MinInt64})
-	if !strings.Contains(DigestOf(adversarial, nil, ShardTotals{}), "|route(200)|") {
+	if !strings.Contains(DigestOf([][]ODRTask{adversarial}, nil, ShardTotals{}), "|route(200)|") {
 		t.Error("an out-of-range route no longer prints as route(N)")
 	}
 }
@@ -117,7 +117,10 @@ func digestTasks(n int) []ODRTask {
 
 // TestWriteDigestChunkBoundaries: the streamed digest is the fmt-defined
 // one at every chunk boundary, for both task shapes, whether it formats
-// on one goroutine or several.
+// on one goroutine or several, and whether the records come as one run or
+// split into several — cut at a chunk boundary, inside a chunk, around a
+// run of one record and an empty run — as the distributed merge hands in
+// its windows' records.
 func TestWriteDigestChunkBoundaries(t *testing.T) {
 	ledgers := []LedgerCounts{{Name: "cloud", PreDownloads: 1, Fetches: 2, Failures: 3, BytesOut: 4, BytesOutHP: 5}}
 	tot := ShardTotals{Tasks: 9, Failures: 2}
@@ -126,19 +129,34 @@ func TestWriteDigestChunkBoundaries(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, n := range []int{0, 1, digestChunk - 1, digestChunk, digestChunk + 1, 3*digestChunk + 7} {
 			tasks := all[:n]
+			records := DigestRecords(tasks)
 			want := fmtDigest(tasks, ledgers, tot)
 			var viaTasks, viaRecords strings.Builder
-			if err := WriteDigest(&viaTasks, tasks, ledgers, tot); err != nil {
+			if err := WriteDigest(&viaTasks, [][]ODRTask{tasks}, ledgers, tot); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteDigest(&viaRecords, DigestRecords(tasks), ledgers, tot); err != nil {
+			if err := WriteDigest(&viaRecords, [][]DigestRecord{records}, ledgers, tot); err != nil {
 				t.Fatal(err)
 			}
-			for name, got := range map[string]string{
+			got := map[string]string{
 				"WriteDigest(tasks)":   viaTasks.String(),
 				"WriteDigest(records)": viaRecords.String(),
-				"DigestOf(records)":    DigestOf(DigestRecords(tasks), ledgers, tot),
-			} {
+				"DigestOf(records)":    DigestOf([][]DigestRecord{records}, ledgers, tot),
+			}
+			if n > digestChunk+1 {
+				// Cuts at a chunk boundary, one record past it, and one
+				// record inside the next chunk, with an empty run between.
+				cuts := []int{0, digestChunk, digestChunk + 1, digestChunk + 1, digestChunk + 2, n}
+				var runs [][]DigestRecord
+				var taskRuns [][]ODRTask
+				for k := 1; k < len(cuts); k++ {
+					runs = append(runs, records[cuts[k-1]:cuts[k]])
+					taskRuns = append(taskRuns, tasks[cuts[k-1]:cuts[k]])
+				}
+				got["DigestOf(record runs)"] = DigestOf(runs, ledgers, tot)
+				got["DigestOf(task runs)"] = DigestOf(taskRuns, ledgers, tot)
+			}
+			for name, got := range got {
 				if got != want {
 					t.Errorf("GOMAXPROCS %d, %d tasks: %s diverged from the fmt reference\nfirst differing line:\n%s",
 						procs, n, name, firstDiff(want, got))
@@ -177,13 +195,13 @@ func TestWriteDigestStopsOnWriteError(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	tasks := digestTasks(20 * digestChunk)
 	ledgers := []LedgerCounts{{Name: "cloud"}}
-	full := len(DigestOf(tasks, ledgers, ShardTotals{}))
-	lines := len(DigestOf(tasks, nil, ShardTotals{})) - len("totals|0|0\n")
+	full := len(DigestOf([][]ODRTask{tasks}, ledgers, ShardTotals{}))
+	lines := len(DigestOf([][]ODRTask{tasks}, nil, ShardTotals{})) - len("totals|0|0\n")
 	errDisk := errors.New("disk full")
 	for _, k := range []int{0, 100, full / 2, lines + 1, full - 1} {
 		before := runtime.NumGoroutine()
 		w := &failAfter{left: k, err: errDisk}
-		if err := WriteDigest(w, tasks, ledgers, ShardTotals{}); !errors.Is(err, errDisk) {
+		if err := WriteDigest(w, [][]ODRTask{tasks}, ledgers, ShardTotals{}); !errors.Is(err, errDisk) {
 			t.Fatalf("fail after %d of %d bytes: WriteDigest = %v, want the writer's error", k, full, err)
 		}
 		if w.lateWrites != 0 {

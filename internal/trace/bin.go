@@ -56,8 +56,8 @@ import (
 // — so a reader learns the trace's population without decoding a record
 // (ReadBinCensus). tableAt is the table's byte offset; the table ends where
 // the trailer begins. A reader therefore needs a seekable file: it reads
-// and checks the trailer and the table when it opens, then builds each
-// identity from its entry the first time a record it yields names it.
+// and checks the trailer and the table when it opens and builds every
+// identity the table lists, so a record decode only indexes them.
 //
 // Unlike the text formats — which mirror the paper's logs and record
 // AccessBW as 0 for users whose clients never reported it — bin is
@@ -676,24 +676,22 @@ func (t *binTable) userTable() []workload.User {
 
 // binSource streams bin records a chunk at a time, decoding each record in
 // place from the reused payload buffer. A record names its file and user by
-// ordinal; the reader builds each identity from its file table entry the
-// first time a record it yields names it — unless it was handed the
-// identities built (Bin.Window) — and stamps it with its ordinal (Ord),
-// which a replay's backend.Population takes in place of a map lookup. So
-// after warm-up a record decode allocates nothing.
+// ordinal, and the reader yields the identity the file table lists at that
+// ordinal, built at open and stamped with its ordinal (Ord), which a
+// replay's backend.Population takes in place of a map lookup. So a record
+// decode allocates nothing.
 type binSource struct {
 	br  *bufio.Reader
 	tab *binTable // the trace's file table, read and checked at open
 
-	// files and users are the identities by ordinal: a nil file, or a
-	// user whose Ord is 0, where no record the reader yielded has named one
-	// yet. The users are one slab with no pointer in it, so a Bin's shared
-	// table costs the collector nothing to keep. nfiles and nusers are how
-	// many ordinals the records read so far have named — the next new one.
+	// files and users are the identities by ordinal, every one the table
+	// lists; nil for a reader of ordinals alone (Bin.Ordinals). The users
+	// are one slab with no pointer in it, so a Bin's shared table costs the
+	// collector nothing to keep. nfiles and nusers are how many ordinals
+	// the records read so far have named — the next new one.
 	files          []*workload.FileMeta
 	users          []workload.User
 	nfiles, nusers int
-	fileSlab       slab[workload.FileMeta]
 
 	payload []byte // current chunk payload, reused across chunks
 	off     int    // decode offset within payload
@@ -710,19 +708,6 @@ type binSource struct {
 
 	err  error
 	done bool
-}
-
-// slab hands out identities from blocks, so building one costs a fraction
-// of an allocation.
-type slab[T any] []T
-
-func (s *slab[T]) next() *T {
-	if len(*s) == 0 {
-		*s = make([]T, 256)
-	}
-	v := &(*s)[0]
-	*s = (*s)[1:]
-	return v
 }
 
 // TotalRequests implements workload.Sizer: a bin source knows its record
@@ -742,8 +727,9 @@ func StreamWorkloadBin(r io.Reader) (workload.RequestSource, error) {
 // end". r must be an io.ReadSeeker, as for StreamWorkloadBin. Whole chunks
 // before the window are skipped using the frame's record count — their
 // payloads are discarded unread, which is what makes partitioning one
-// trace file across processes cheap. The returned source re-bases indices
-// at 0, as every RequestSource does.
+// trace file across processes cheap. Every identity the file table lists
+// is built at open, as Bin.Window's are. The returned source re-bases
+// indices at 0, as every RequestSource does.
 func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.RequestSource, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("trace: negative bin window offset %d", offset)
@@ -756,20 +742,15 @@ func StreamWorkloadBinWindow(r io.Reader, offset, limit int64) (workload.Request
 	if err != nil {
 		return nil, err
 	}
-	return binWindow(rs, t, offset, limit), nil
+	s := binOrdinals(rs, t, offset, limit)
+	s.files, s.users = t.census().Files, t.userTable()
+	return s, nil
 }
 
-// binWindow returns the reader of records [offset, offset+limit) over r,
-// positioned where the first chunk starts. t is the trace's checked file
-// table.
-func binWindow(r io.Reader, t *binTable, offset, limit int64) *binSource {
-	s := binOrdinals(r, t, offset, limit)
-	s.files, s.users = make([]*workload.FileMeta, t.nfiles), make([]workload.User, t.nusers)
-	return s
-}
-
-// binOrdinals is binWindow without the identity tables: a reader for
-// next alone, which builds no identity.
+// binOrdinals returns the reader of records [offset, offset+limit) over r,
+// positioned where the first chunk starts, without identities: a reader
+// for next alone until its caller hands it the table's identities. t is
+// the trace's checked file table.
 func binOrdinals(r io.Reader, t *binTable, offset, limit int64) *binSource {
 	n := max(t.records-offset, 0)
 	if limit >= 0 && limit < n {
@@ -787,7 +768,7 @@ func (s *binSource) Next() (int, workload.Request, bool) {
 		return 0, workload.Request{}, false
 	}
 	return i, workload.Request{
-		User: s.user(user), File: s.file(file),
+		User: &s.users[user], File: s.files[file],
 		Time: time.Duration(ms) * time.Millisecond,
 	}, true
 }
@@ -957,26 +938,6 @@ func (s *binSource) ordinal(p []byte, at int64, what string, named *int, have in
 // errorf is an error at the current record, which starts at byte offset at.
 func (s *binSource) errorf(at int64, format string, args ...any) error {
 	return fmt.Errorf("trace: bin record %d at offset %d: %s", s.rec, at, fmt.Sprintf(format, args...))
-}
-
-// file and user return identity k, building it from its file table entry
-// the first time a record the reader yields names it.
-func (s *binSource) file(k int) *workload.FileMeta {
-	if f := s.files[k]; f != nil {
-		return f
-	}
-	f := s.fileSlab.next()
-	s.tab.file(f, k)
-	s.files[k] = f
-	return f
-}
-
-func (s *binSource) user(k int) *workload.User {
-	u := &s.users[k]
-	if u.Ord == 0 {
-		s.tab.user(u, k)
-	}
-	return u
 }
 
 func (s *binSource) fail(err error) {

@@ -216,8 +216,8 @@ func TestBinWindow(t *testing.T) {
 	}
 
 	// Windows that start at a chunk boundary, just past one, and just
-	// before one: every record is the full stream's at its index, and the
-	// reader built only the identities the window names.
+	// before one: every record is the full stream's at its index, and its
+	// identities are the file table's.
 	starts := chunkStarts(data)
 	if len(starts) < 4 {
 		t.Fatalf("the trace has %d chunks, want at least 4", len(starts))
@@ -250,9 +250,8 @@ func chunkStarts(data []byte) []int64 {
 // checkWindow reads the window [offset, offset+limit) of a bin trace over
 // a seekable reader and requires each record to equal the full stream's
 // at the same index, field by field — SourceURL and Ord included — and
-// the reader to have built exactly the files and users the window names,
-// none first seen before it that it never names. It returns the window's
-// records.
+// each record's file and user to be the file table's identities for their
+// ordinals, built at open. It returns the window's records.
 func checkWindow(t *testing.T, data []byte, offset, limit int64) []workload.Request {
 	t.Helper()
 	full, err := collect(StreamWorkloadBin(bytes.NewReader(data)))
@@ -264,29 +263,16 @@ func checkWindow(t *testing.T, data []byte, offset, limit int64) []workload.Requ
 		t.Fatal(err)
 	}
 	got := drainChecked(t, src)
-	files, users := map[*workload.FileMeta]bool{}, map[*workload.User]bool{}
+	s := src.(*binSource)
 	for k, r := range got {
 		w := full[offset+int64(k)]
 		if *r.User != *w.User || *r.File != *w.File || r.Time != w.Time {
 			t.Fatalf("window(%d,%d) record %d: %+v %+v %v, the full stream has %+v %+v %v",
 				offset, limit, k, *r.User, *r.File, r.Time, *w.User, *w.File, w.Time)
 		}
-		files[r.File], users[r.User] = true, true
-	}
-	s := src.(*binSource)
-	bf, bu := 0, 0
-	for _, f := range s.files {
-		if f != nil {
-			bf++
+		if r.File != s.files[r.File.Ord-1] || r.User != &s.users[r.User.Ord-1] {
+			t.Fatalf("window(%d,%d) record %d: its file or user is not the file table's identity for its ordinal", offset, limit, k)
 		}
-	}
-	for _, u := range s.users {
-		if u.Ord != 0 {
-			bu++
-		}
-	}
-	if bf != len(files) || bu != len(users) {
-		t.Fatalf("window(%d,%d) built %d files and %d users; it names %d and %d", offset, limit, bf, bu, len(files), len(users))
 	}
 	return got
 }

@@ -155,17 +155,17 @@ func SHA256File(path string) (string, error) {
 
 // OpenWorkloadBinWindow opens the half-open record window
 // [offset, offset+limit) of a bin trace file (limit < 0 means "to the
-// end") over a Bin of its own, which the returned closer closes. Unlike
-// Bin.Window it builds only the identities the window's records name.
+// end") over a Bin of its own (Bin.Window), which the returned closer
+// closes.
 func OpenWorkloadBinWindow(path string, offset, limit int64) (workload.RequestSource, io.Closer, error) {
 	b, err := OpenBin(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := b.records(offset)
+	src, err := b.Window(offset, limit)
 	if err != nil {
 		b.Close()
 		return nil, nil, err
 	}
-	return binWindow(r, b.tab, offset, limit), b, nil
+	return src, b, nil
 }
