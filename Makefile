@@ -278,15 +278,19 @@ reach:
 # The sharded replay engine must produce byte-identical results at any
 # parallelism, and the bytes it has always produced; run its invariance
 # and golden-digest tests single- and multi-threaded. So must the trace
-# writers and the workload hash, which format on GOMAXPROCS lanes, and
-# the generator, whose plan counts on GOMAXPROCS goroutines. The replay's
-# Population must give every record the ordinals its maps would, whether
-# it takes the bin decoder's trace ordinal or falls back to the maps.
+# writers and the workload hash, which format on GOMAXPROCS lanes, the
+# CSV reader, which parses on GOMAXPROCS lanes (held to the serial reader
+# it replaced, and to leaving no goroutine behind), the ordered lanes
+# themselves, and the generator, whose plan counts on GOMAXPROCS
+# goroutines. The replay's Population must give every record the ordinals
+# its maps would, whether it takes the bin decoder's trace ordinal or
+# falls back to the maps.
 determinism:
 	$(GO) test -run 'TestReplayDeterminism|TestReplayGolden|TestReplayPopulationEdges' -race -cpu 1,4 ./internal/replay
 	$(GO) test -run 'TestPopulationOrdinalsMatchMaps' -race -cpu 1,4 ./internal/backend
-	$(GO) test -run 'TestWriteRecordsBatchBoundaries|TestWriteRecordsErrors' -race -cpu 1,4 ./internal/trace
-	$(GO) test -run 'TestGenerateStreamMatchesGenerate|TestRequestsWorkersMatchesSequential' -race -cpu 1,4 ./internal/workload
+	$(GO) test -run 'TestWriteRecordsBatchBoundaries|TestWriteRecordsErrors|TestCSVLaneReaderMatchesSerial|TestCSVReaderGoroutines' -race -cpu 1,4 ./internal/trace
+	$(GO) test -run 'TestReadOrder|TestReadRestAndClose' -race -cpu 1,4 ./internal/lanes
+	$(GO) test -run 'TestGenerateStreamMatchesGenerate|TestRequestsWorkersMatchesSequential|TestStreamTimeThenIndexOrder' -race -cpu 1,4 ./internal/workload
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot

@@ -140,15 +140,29 @@ func (g *RNG) Choice(weights []float64) int {
 	if len(weights) == 0 {
 		panic("dist: Choice with empty weights")
 	}
+	total := WeightTotal(weights)
+	if total <= 0 {
+		panic("dist: Choice with non-positive total weight")
+	}
+	return g.ChoiceTotal(weights, total)
+}
+
+// WeightTotal is the total Choice draws against: the positive weights,
+// added in order.
+func WeightTotal(weights []float64) float64 {
 	var total float64
 	for _, w := range weights {
 		if w > 0 {
 			total += w
 		}
 	}
-	if total <= 0 {
-		panic("dist: Choice with non-positive total weight")
-	}
+	return total
+}
+
+// ChoiceTotal is Choice over a table drawn from many times, with its
+// positive total, WeightTotal(weights), worked out once: the same draw and
+// the same index, without adding up the table on every call.
+func (g *RNG) ChoiceTotal(weights []float64, total float64) int {
 	u := g.Float64() * total
 	for i, w := range weights {
 		if w <= 0 {

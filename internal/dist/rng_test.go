@@ -423,3 +423,30 @@ func TestSplitBytesIntoAllocFree(t *testing.T) {
 		t.Fatalf("SplitBytesInto allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// TestChoiceTotalMatchesChoice: with the total summed once, the draw is
+// Choice's, index for index, on one RNG stream, for random tables holding
+// zero and negative weights.
+func TestChoiceTotalMatchesChoice(t *testing.T) {
+	tables, a, b := NewRNG(3), NewRNG(8), NewRNG(8)
+	for i := 0; i < 5000; i++ {
+		w := make([]float64, 1+tables.Intn(30))
+		for k := range w {
+			switch tables.Intn(4) {
+			case 0:
+				w[k] = 0
+			case 1:
+				w[k] = -tables.Float64()
+			default:
+				w[k] = tables.Float64() * math.Pow(10, float64(tables.Intn(7)-3))
+			}
+		}
+		total := WeightTotal(w)
+		if total <= 0 {
+			continue
+		}
+		if got, want := b.ChoiceTotal(w, total), a.Choice(w); got != want {
+			t.Fatalf("table %d %v: ChoiceTotal = %d, Choice = %d", i, w, got, want)
+		}
+	}
+}

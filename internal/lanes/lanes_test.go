@@ -169,3 +169,109 @@ func TestWriteReturnsFillError(t *testing.T) {
 		}
 	}
 }
+
+// item is a batch of the read tests: its number, and whether a lane
+// parsed it.
+type item struct {
+	k      int
+	parsed bool
+}
+
+// counter fills batch k with k, up to batches, and checks that Fill is
+// never handed the batch it filled last.
+type counter struct {
+	t       *testing.T
+	batches int
+	filled  int
+	last    *item
+}
+
+func (c *counter) spec(lanes int) ReadSpec[item] {
+	return ReadSpec[item]{
+		Lanes: lanes,
+		Fill: func(b *item) bool {
+			if b == c.last {
+				c.t.Errorf("Fill was handed batch %d, the one it filled last", b.k)
+			}
+			if c.filled == c.batches {
+				return false
+			}
+			*b = item{k: c.filled}
+			c.filled++
+			c.last = b
+			return true
+		},
+		Parse: func(b *item) { b.parsed = true },
+	}
+}
+
+// TestReadOrder: Next returns every batch, parsed, in fill order, at every
+// batch count around a round of lanes, whatever the lane count and
+// GOMAXPROCS, and leaves no goroutine behind.
+func TestReadOrder(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, lanes := range []int{0, 1, 3, 4} {
+			for _, batches := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 33} {
+				before := runtime.NumGoroutine()
+				c := &counter{t: t, batches: batches}
+				r := Read(c.spec(lanes))
+				k := 0
+				for b, ok := r.Next(); ok; b, ok = r.Next() {
+					if b.k != k || !b.parsed {
+						t.Errorf("GOMAXPROCS %d, %d lanes: batch %d is %+v", procs, lanes, k, *b)
+					}
+					k++
+				}
+				if k != batches {
+					t.Errorf("GOMAXPROCS %d, %d lanes: %d of %d batches", procs, lanes, k, batches)
+				}
+				if after := settled(before); after > before {
+					t.Errorf("GOMAXPROCS %d, %d lanes, %d batches: %d goroutines before, %d after", procs, lanes, batches, before, after)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestReadRestAndClose: Rest stops the read and returns, in order, every
+// batch filled and not yet taken, and the batch taken last stays as it
+// was; Close stops it too. Neither leaves a goroutine behind, and Next
+// returns nothing after either.
+func TestReadRestAndClose(t *testing.T) {
+	const lanes, batches = 3, 40
+	for _, taken := range []int{0, 1, 2, 5, 17, batches} {
+		for _, rest := range []bool{true, false} {
+			before := runtime.NumGoroutine()
+			c := &counter{t: t, batches: batches}
+			r := Read(c.spec(lanes))
+			var held *item
+			for range taken {
+				held, _ = r.Next()
+			}
+			if rest {
+				got := r.Rest()
+				if taken+len(got) != c.filled {
+					t.Errorf("%d taken: Rest returned %d batches of the %d filled", taken, len(got), c.filled)
+				}
+				for i, b := range got {
+					if b.k != taken+i {
+						t.Errorf("%d taken: Rest's batch %d is %d", taken, i, b.k)
+					}
+				}
+			} else {
+				r.Close()
+			}
+			if held != nil && held.k != taken-1 {
+				t.Errorf("%d taken: the batch taken last is now %d", taken, held.k)
+			}
+			if _, ok := r.Next(); ok {
+				t.Errorf("%d taken: Next returned a batch after the read stopped", taken)
+			}
+			if after := settled(before); after > before {
+				t.Errorf("%d taken: %d goroutines before, %d after", taken, before, after)
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -788,11 +789,12 @@ func reportRecRate(b *testing.B, recs int) {
 	b.ReportMetric(float64(recs)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
 }
 
-// BenchmarkTraceBuildStages times the three steps of a trace build that
-// run on GOMAXPROCS goroutines, over a generated week of ~36k records:
-// the generator's plan (GenerateStream), HashWorkload over a bin trace as
-// it is decoded, and the rewrite of that trace as CSV. Run it at -cpu 1 to
-// see what the lanes cost on one core.
+// BenchmarkTraceBuildStages times the steps of a trace build that run on
+// GOMAXPROCS goroutines, over a generated week of ~36k records: the
+// generator's plan (GenerateStream), generation on GOMAXPROCS workers
+// written as a bin trace, HashWorkload over that trace as it is decoded,
+// its rewrite as CSV, and a drain of that CSV. Run it at -cpu 1 to see
+// what the lanes cost on one core.
 func BenchmarkTraceBuildStages(b *testing.B) {
 	cfg := workload.DefaultConfig(5000, 7)
 	st, err := workload.GenerateStream(cfg, workload.DefaultStreamChunk)
@@ -828,11 +830,45 @@ func BenchmarkTraceBuildStages(b *testing.B) {
 		}
 		reportRecRate(b, st.TotalRequests())
 	})
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := WriteWorkloadBinStream(io.Discard, st.RequestsWorkers(runtime.GOMAXPROCS(0))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportRecRate(b, st.TotalRequests())
+	})
 	b.Run("csv", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := WriteWorkloadCSVStream(io.Discard, binSrc(b)); err != nil {
 				b.Fatal(err)
+			}
+		}
+		reportRecRate(b, st.TotalRequests())
+	})
+	var csvBytes bytes.Buffer
+	if err := WriteWorkloadCSVStream(&csvBytes, st.Requests()); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("csvdecode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(csvBytes.Len()))
+		for i := 0; i < b.N; i++ {
+			src, err := StreamWorkloadCSV(bytes.NewReader(csvBytes.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			for {
+				if _, _, ok := src.Next(); !ok {
+					break
+				}
+				n++
+			}
+			if err := src.Err(); err != nil || n != st.TotalRequests() {
+				b.Fatalf("drained %d of %d records: %v", n, st.TotalRequests(), err)
 			}
 		}
 		reportRecRate(b, st.TotalRequests())

@@ -39,9 +39,10 @@ func DetectWorkloadFormat(prefix []byte, path string) string {
 
 // OpenWorkloadFile opens a workload trace file with the format
 // auto-detected from its magic bytes (extension as fallback) and returns a
-// streaming source over it, the detected format, and a closer for the
-// underlying file. bin traces opened this way keep the file's seekability,
-// so the source implements workload.Sizer.
+// streaming source over it, the detected format, and a closer that
+// releases the source (a CSV source's reader goroutines), then the file.
+// bin traces opened this way keep the file's seekability, so the source
+// implements workload.Sizer.
 func OpenWorkloadFile(path string) (workload.RequestSource, string, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -67,5 +68,18 @@ func OpenWorkloadFile(path string) (workload.RequestSource, string, io.Closer, e
 		f.Close()
 		return nil, "", nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return src, format, f, nil
+	return src, format, sourceFile{src, f}, nil
+}
+
+// sourceFile closes a trace source that is an io.Closer, then its file.
+type sourceFile struct {
+	src workload.RequestSource
+	f   *os.File
+}
+
+func (c sourceFile) Close() error {
+	if sc, ok := c.src.(io.Closer); ok {
+		sc.Close() // a source's Close only stops its goroutines
+	}
+	return c.f.Close()
 }

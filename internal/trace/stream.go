@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -29,27 +30,43 @@ const jsonlMaxLine = 16 << 20
 // jsonlMaxLine, so ordinary traces never pay for the ceiling.
 const jsonlInitBuf = 64 << 10
 
-// csvReadBuf is the CSV reader's buffer: the longest line the in-place
-// decoder takes. A longer line is still read, by the encoding/csv
-// fallback.
+// csvReadBuf is the size of the CSV reader's blocks: the longest line the
+// in-place decoder takes. A longer line is still read, by the
+// encoding/csv fallback.
 const csvReadBuf = 64 << 10
+
+// csvBlockLines is the starting capacity of a block's parsed lines. A
+// generated record's line is ~160 bytes, so a block of them fits; a block
+// of shorter lines grows its slot's slice once.
+const csvBlockLines = csvReadBuf / 128
 
 // csvHeaderLine is the header row exactly as WriteWorkloadCSVStream
 // writes it.
 var csvHeaderLine = strings.Join(workloadHeader, ",") + "\n"
 
+// errLineTooLong ends a block that is csvReadBuf bytes of one line. It is
+// the reader's own error, not r's, so encoding/csv reads r on after it.
+var errLineTooLong = errors.New("trace: CSV line longer than the read buffer")
+
 // csvSource streams a workload CSV a record at a time. While the input is
 // canonical — the exact header line, then lines holding no '"', no '\r'
-// and exactly ten comma-separated fields, none blank — each line is split
-// and decoded in place in the reader's buffer. At the first line that is
-// not, the rest of the stream goes to encoding/csv, which alone handles
-// quoting, CRLF and blank lines; its line numbers are shifted by the lines
-// already taken, so every error reads as if encoding/csv had read the
-// whole stream.
+// and exactly ten comma-separated fields, none blank — lines are decoded
+// in place on lanes (lanes.Read): one goroutine reads blocks of whole
+// lines (csvBlocks.fill), GOMAXPROCS lanes split and parse each block's
+// lines into field values (csvBlock.parse), and Next takes the blocks in
+// order and interns each line's user and file, so identities are handed
+// out in stream order as a serial read would. At the first line that is
+// not canonical, the rest of the stream goes to encoding/csv, which alone
+// handles quoting, CRLF and blank lines; its line numbers are shifted by
+// the lines already taken, so every error reads as if encoding/csv had
+// read the whole stream.
 type csvSource struct {
-	br    *bufio.Reader
-	cr    *csv.Reader // non-nil once the stream has gone to encoding/csv
-	lines int         // physical lines taken in place before cr took over
+	rd    *lanes.Reader[csvBlock] // nil when the header was not canonical
+	fill  *csvBlocks              // rd's reader state; read only after rd.Rest
+	blk   *csvBlock               // the block being taken
+	at    int                     // next line of blk to take
+	cr    *csv.Reader             // non-nil once the stream has gone to encoding/csv
+	lines int                     // physical lines taken in place before cr took over
 	pool  *identityPool
 	pos   int
 	row   int // record number of the record about to be read; the header is row 1
@@ -59,16 +76,42 @@ type csvSource struct {
 
 // StreamWorkloadCSV opens a workload CSV for record-at-a-time reading. The
 // header row is validated immediately; the returned source interns users
-// and files by ID, so identity-based consumers work unchanged. Parse failures carry the row number, counting
-// the header as row 1.
+// and files by ID, so identity-based consumers work unchanged. Parse
+// failures carry the row number, counting the header as row 1. The source
+// reads ahead on goroutines of its own, which exit once it is drained or
+// has failed; one abandoned before that is released with its Close.
 func StreamWorkloadCSV(r io.Reader) (workload.RequestSource, error) {
-	s := &csvSource{br: bufio.NewReaderSize(r, csvReadBuf), pool: newIdentityPool(), row: 2}
-	if hdr, _ := s.br.Peek(len(csvHeaderLine)); string(hdr) == csvHeaderLine {
-		s.br.Discard(len(hdr)) // cannot fail: Peek has buffered them
+	// Take the header as bufio.Reader.Peek would: read until the buffer
+	// holds the header's length or the reader fails.
+	buf := make([]byte, csvReadBuf)
+	n := 0
+	var err error
+	for n < len(csvHeaderLine) && err == nil {
+		var m int
+		m, err = readOnce(r, buf[n:])
+		n += m
+	}
+	s := &csvSource{pool: newIdentityPool(), row: 2}
+	if string(buf[:min(n, len(csvHeaderLine))]) == csvHeaderLine {
 		s.lines = 1
+		s.fill = &csvBlocks{r: r, tail: buf[len(csvHeaderLine):n], err: err}
+		s.rd = lanes.Read(lanes.ReadSpec[csvBlock]{
+			Lanes: runtime.GOMAXPROCS(0),
+			NewBatch: func() csvBlock {
+				return csvBlock{buf: make([]byte, csvReadBuf), lines: make([]csvLine, 0, csvBlockLines)}
+			},
+			Fill:  s.fill.fill,
+			Parse: (*csvBlock).parse,
+		})
 		return s, nil
 	}
-	s.cr = csv.NewReader(s.br)
+	// A short read's error was Peek's to return; a later one is still
+	// pending, for encoding/csv to meet after the bytes read.
+	next := r
+	if n >= len(csvHeaderLine) {
+		next = resume(r, err)
+	}
+	s.cr = csv.NewReader(io.MultiReader(bytes.NewReader(buf[:n]), next))
 	s.cr.ReuseRecord = true
 	header, err := s.cr.Read()
 	if err == io.EOF {
@@ -81,6 +124,137 @@ func StreamWorkloadCSV(r io.Reader) (workload.RequestSource, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// readOnce reads into p once, as bufio.Reader fills its buffer: a read
+// that returns nothing is retried, up to 100 times before io.ErrNoProgress.
+func readOnce(r io.Reader, p []byte) (int, error) {
+	for range 100 {
+		if n, err := r.Read(p); n > 0 || err != nil {
+			return n, err
+		}
+	}
+	return 0, io.ErrNoProgress
+}
+
+// resume is what follows in a stream whose reader stopped with err:
+// nothing after io.EOF, err again after a read error, and r itself after
+// the reader's own errLineTooLong.
+func resume(r io.Reader, err error) io.Reader {
+	switch err {
+	case nil, errLineTooLong:
+		return r
+	case io.EOF:
+		return bytes.NewReader(nil)
+	default:
+		return errReader{err}
+	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// csvBlocks reads a CSV stream in blocks of whole lines, the reader
+// goroutine's state. It reads as a csvReadBuf bufio.Reader taking lines
+// with ReadSlice does: a block starts with the line the last one cut off,
+// a read fills the rest, and reading stops at r's first error (but for an
+// io.EOF that cut a line short, which ReadSlice reads past) or at a line
+// that fills the whole block.
+type csvBlocks struct {
+	r    io.Reader
+	tail []byte // bytes read after the last block's last '\n'
+	err  error  // r's error, once it has returned one
+	done bool   // the last block has been filled
+}
+
+// fill fills b with the next block. The tail it starts from lies in the
+// block filled before, which lanes.Read keeps until this one is filled.
+func (p *csvBlocks) fill(b *csvBlock) bool {
+	if p.done {
+		return false
+	}
+	n := copy(b.buf, p.tail)
+	p.tail = nil
+	for scanned := 0; ; {
+		if p.err != nil {
+			b.data, b.end = b.buf[:n], p.err
+			// After a line io.EOF cut short, ReadSlice reads on: more may
+			// come. Any other stop ends the reading.
+			if p.err == io.EOF && n > 0 && b.buf[n-1] != '\n' {
+				p.err = nil
+			} else {
+				p.done = true
+			}
+			return true
+		}
+		if i := bytes.LastIndexByte(b.buf[scanned:n], '\n'); i >= 0 {
+			cut := scanned + i + 1
+			b.data, b.end, p.tail = b.buf[:cut], nil, b.buf[cut:n]
+			return true
+		}
+		if n == len(b.buf) {
+			b.data, b.end, p.done = b.buf, errLineTooLong, true
+			return true
+		}
+		var m int
+		m, p.err = readOnce(p.r, b.buf[n:])
+		scanned, n = n, n+m
+	}
+}
+
+// csvBlock is one block of a CSV stream and what a lane parsed of it.
+type csvBlock struct {
+	buf  []byte // storage, csvReadBuf bytes
+	data []byte // whole lines; the last block may end in a line cut short
+	// end is why reading stopped after data: io.EOF, r's error, or
+	// errLineTooLong. It is nil on every block but the last, and an
+	// io.EOF that cut a line short, after which more was read.
+	end   error
+	lines []csvLine // the canonical lines before stop, in order
+	stop  int       // offset in data of the first line that is not canonical; -1 if none
+}
+
+// csvLine is a canonical line's field values, as decodeFields takes them.
+type csvLine struct {
+	uid, ms, size, weekly int64
+	bw                    float64
+	id                    workload.FileID
+	// text is the source URL; on a declined line, the whole line, which
+	// goes to decodeRow.
+	text              []byte
+	isp, class, proto uint8
+	declined          bool
+}
+
+// parse splits and decodes b's lines up to the first one that is not
+// canonical. A line ended by '\n' is taken as splitCanonical takes a line
+// ReadSlice returned with no error, and the line cut short at the end of
+// the last block as one returned with b.end.
+func (b *csvBlock) parse() {
+	b.lines, b.stop = b.lines[:0], -1
+	var fields [10][]byte
+	off := 0
+	for off < len(b.data) {
+		line, err := b.data[off:], b.end
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line, err = line[:i+1], nil
+		}
+		if !splitCanonical(&fields, line, err) {
+			b.stop = off
+			return
+		}
+		l, ok := decodeFields(&fields)
+		if !ok {
+			l = csvLine{text: bytes.TrimSuffix(line, []byte{'\n'}), declined: true}
+		}
+		b.lines = append(b.lines, l)
+		off += len(line)
+	}
+	if b.end != nil && b.end != io.EOF {
+		b.stop = off // an empty line cut by a read error
+	}
 }
 
 func (s *csvSource) Next() (int, workload.Request, bool) {
@@ -107,34 +281,41 @@ func (s *csvSource) Next() (int, workload.Request, bool) {
 	return i, req, true
 }
 
-// nextInPlace decodes the next line if it is canonical. Otherwise it hands
-// the line, and everything after it, to encoding/csv and returns with
-// s.cr set and nothing decoded.
+// nextInPlace takes the next parsed line. At a line that is not canonical
+// it hands that line, and everything after it, to encoding/csv and returns
+// with s.cr set and nothing decoded.
 func (s *csvSource) nextInPlace() (workload.Request, error) {
-	line, err := s.br.ReadSlice('\n')
-	if len(line) == 0 && err == io.EOF {
-		s.done = true
-		return workload.Request{}, nil
+	for s.blk == nil || s.at == len(s.blk.lines) {
+		if s.blk != nil && s.blk.stop >= 0 {
+			s.fallBack()
+			return workload.Request{}, nil
+		}
+		blk, ok := s.rd.Next()
+		if !ok {
+			s.done = true
+			return workload.Request{}, nil
+		}
+		s.blk, s.at = blk, 0
 	}
-	var fields [10][]byte
-	if !splitCanonical(&fields, line, err) {
-		s.fallBack(line)
-		return workload.Request{}, nil
-	}
+	l := &s.blk.lines[s.at]
+	s.at++
 	s.lines++
-	if req, ok := s.decodeFields(&fields); ok {
-		return req, nil
+	if l.declined {
+		var fields [10][]byte
+		splitFields(&fields, l.text)
+		var row [10]string
+		for i, f := range fields {
+			row[i] = string(f)
+		}
+		return s.decodeRow(row[:])
 	}
-	var row [10]string
-	for i, f := range fields {
-		row[i] = string(f)
-	}
-	return s.decodeRow(row[:])
+	return s.request(l), nil
 }
 
-// splitCanonical splits a line ReadSlice returned into its ten fields,
-// reporting false when the line is not canonical: not ended by '\n' or
-// EOF, blank, holding a '"' or a '\r', or not exactly ten fields.
+// splitCanonical splits a line, as bufio.Reader.ReadSlice would return
+// it with err, into its ten fields, reporting false when the line is not
+// canonical: not ended by '\n' or EOF, blank, holding a '"' or a '\r', or
+// not exactly ten fields.
 func splitCanonical(fields *[10][]byte, line []byte, err error) bool {
 	switch err {
 	case nil:
@@ -146,6 +327,12 @@ func splitCanonical(fields *[10][]byte, line []byte, err error) bool {
 	if len(line) == 0 || bytes.IndexByte(line, '"') >= 0 || bytes.IndexByte(line, '\r') >= 0 {
 		return false
 	}
+	return splitFields(fields, line)
+}
+
+// splitFields splits line at its commas, reporting false unless it has
+// exactly ten fields.
+func splitFields(fields *[10][]byte, line []byte) bool {
 	for i := 0; i < len(fields)-1; i++ {
 		j := bytes.IndexByte(line, ',')
 		if j < 0 {
@@ -161,13 +348,31 @@ func splitCanonical(fields *[10][]byte, line []byte, err error) bool {
 	return true
 }
 
-// fallBack sends the rest of the stream — the line just read, then
-// whatever the bufio.Reader still holds or reads — to encoding/csv. A read
-// error that cut the line short comes back when encoding/csv reads on (a
-// failed reader keeps failing), so the stream ends at that line, as it did
-// when encoding/csv read every line.
-func (s *csvSource) fallBack(line []byte) {
-	s.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), s.br))
+// fallBack stops the block reader and sends the rest of the stream to
+// encoding/csv: the line at which s.blk stopped and the rest of its block,
+// every block read after it, the bytes read after those, and then the
+// reader. A read error (io.EOF included) after the handed-over line ends
+// the stream there, as the error bufio.Reader held back for its next read
+// did; one that cut the handed-over line short was returned with it, so
+// encoding/csv reads on (a failed reader keeps failing). Either way the
+// stream ends where it did when encoding/csv read every line.
+func (s *csvSource) fallBack() {
+	b := s.blk
+	parts := []io.Reader{bytes.NewReader(b.data[b.stop:])}
+	end := b.end
+	if end != nil && bytes.IndexByte(b.data[b.stop:], '\n') < 0 {
+		end = nil // the line cut short is the one handed over
+	}
+	rest := s.rd.Rest()
+	for i := 0; end == nil && i < len(rest); i++ {
+		parts = append(parts, bytes.NewReader(rest[i].data))
+		end = rest[i].end
+	}
+	if end == nil {
+		parts = append(parts, bytes.NewReader(s.fill.tail))
+	}
+	parts = append(parts, resume(s.fill.r, end))
+	s.cr = csv.NewReader(io.MultiReader(parts...))
 	s.cr.ReuseRecord = true
 	s.cr.FieldsPerRecord = len(workloadHeader)
 }
@@ -205,53 +410,56 @@ func (s *csvSource) decodeRow(row []string) (workload.Request, error) {
 	return s.pool.intern(req), nil
 }
 
-// decodeFields decodes a canonical line's fields in place, reporting false
-// for any field it does not take exactly as decodeRow would accept it (a
-// sign, a space, more than 18 digits, a bad name or ID, a negative size);
-// such a row goes to decodeRow, which decodes it or names its error. The
-// user and file are looked up before anything is built, so a record whose
-// identities were seen before allocates nothing.
-func (s *csvSource) decodeFields(f *[10][]byte) (workload.Request, bool) {
-	uid, ok1 := parseCSVInt(f[0])
-	isp, ok2 := lookupName(f[1], ispNames)
+// decodeFields decodes a canonical line's fields, reporting false for any
+// field it does not take exactly as decodeRow would accept it (a sign, a
+// space, more than 18 digits, a bad name or ID, a negative size); such a
+// row goes to decodeRow, which decodes it or names its error.
+func decodeFields(f *[10][]byte) (csvLine, bool) {
+	var l csvLine
+	var ok1, ok2, ok3, ok4, ok5, ok6, ok7, ok8 bool
+	l.uid, ok1 = parseCSVInt(f[0])
+	l.isp, ok2 = lookupName(f[1], ispNames)
 	bw, err := strconv.ParseFloat(string(f[2]), 64)
-	ms, ok3 := parseCSVInt(f[3])
-	var id workload.FileID
-	ok4 := len(f[4]) == 2*len(id)
-	if ok4 {
-		_, err4 := hex.Decode(id[:], f[4])
+	l.bw = bw
+	l.ms, ok3 = parseCSVInt(f[3])
+	if ok4 = len(f[4]) == 2*len(l.id); ok4 {
+		_, err4 := hex.Decode(l.id[:], f[4])
 		ok4 = err4 == nil
 	}
-	size, ok5 := parseCSVInt(f[5])
-	class, ok6 := lookupName(f[6], classNames)
-	proto, ok7 := lookupName(f[7], protocolNames)
-	weekly, ok8 := parseCSVInt(f[9])
+	l.size, ok5 = parseCSVInt(f[5])
+	l.class, ok6 = lookupName(f[6], classNames)
+	l.proto, ok7 = lookupName(f[7], protocolNames)
+	l.text = f[8]
+	l.weekly, ok8 = parseCSVInt(f[9])
 	// strconv.Atoi reads user_id and weekly_requests: they must fit an int.
-	fitsInt := int64(int(uid)) == uid && int64(int(weekly)) == weekly
-	if !(ok1 && ok2 && err == nil && ok3 && ok4 && ok5 && size >= 0 && ok6 && ok7 && ok8 && fitsInt) {
-		return workload.Request{}, false
-	}
-	user, ok := s.pool.users[int(uid)]
+	fitsInt := int64(int(l.uid)) == l.uid && int64(int(l.weekly)) == l.weekly
+	return l, ok1 && ok2 && err == nil && ok3 && ok4 && ok5 && l.size >= 0 && ok6 && ok7 && ok8 && fitsInt
+}
+
+// request builds a decoded line's request. The user and file are looked
+// up before anything is built, so a record whose identities were seen
+// before allocates nothing.
+func (s *csvSource) request(l *csvLine) workload.Request {
+	user, ok := s.pool.users[int(l.uid)]
 	if !ok {
-		user = &workload.User{ID: int(uid), ISP: workload.ISP(isp), AccessBW: bw, ReportsBW: bw > 0}
+		user = &workload.User{ID: int(l.uid), ISP: workload.ISP(l.isp), AccessBW: l.bw, ReportsBW: l.bw > 0}
 		s.pool.users[user.ID] = user
 	}
-	file, ok := s.pool.files[id]
+	file, ok := s.pool.files[l.id]
 	if !ok {
 		file = &workload.FileMeta{
-			ID: id, Size: size,
-			Class: workload.FileClass(class), Protocol: workload.Protocol(proto),
-			SourceURL: string(f[8]), WeeklyRequests: int(weekly),
+			ID: l.id, Size: l.size,
+			Class: workload.FileClass(l.class), Protocol: workload.Protocol(l.proto),
+			SourceURL: string(l.text), WeeklyRequests: int(l.weekly),
 		}
-		s.pool.files[id] = file
+		s.pool.files[l.id] = file
 	}
 	return workload.Request{
 		User: user, File: file,
-		Time: time.Duration(ms) * time.Millisecond,
-	}, true
+		Time: time.Duration(l.ms) * time.Millisecond,
+	}
 }
 
-// parseCSVInt parses an optional '-' and 1 to 18 decimal digits, the form
 // parseCSVInt parses an optional '-' and 1 to 18 decimal digits, the form
 // WriteWorkloadCSVStream writes every integer in; 18 digits cannot
 // overflow an int64.
@@ -308,9 +516,20 @@ func lookupName(b []byte, names []string) (uint8, bool) {
 func (s *csvSource) fail(err error) {
 	s.err = err
 	s.done = true
+	s.Close()
 }
 
 func (s *csvSource) Err() error { return s.err }
+
+// Close stops the block reader's goroutines and returns once they have
+// exited. A drained or failed source has already stopped them; Close is
+// idempotent and returns nil.
+func (s *csvSource) Close() error {
+	if s.rd != nil {
+		s.rd.Close()
+	}
+	return nil
+}
 
 // jsonlSource streams workload JSON Lines a record at a time.
 type jsonlSource struct {
@@ -442,16 +661,29 @@ func appendCSVRow(dst []byte, r workload.Request) []byte {
 		bw = 0
 	}
 	dst = strconv.AppendInt(dst, int64(r.User.ID), 10)
-	dst = appendCSVField(append(dst, ','), r.User.ISP.String())
+	dst = appendEnumName(append(dst, ','), r.User.ISP, ispNames)
 	dst = strconv.AppendFloat(append(dst, ','), bw, 'f', -1, 64)
 	dst = strconv.AppendInt(append(dst, ','), r.Time.Milliseconds(), 10)
 	dst = hex.AppendEncode(append(dst, ','), r.File.ID[:])
 	dst = strconv.AppendInt(append(dst, ','), r.File.Size, 10)
-	dst = appendCSVField(append(dst, ','), r.File.Class.String())
-	dst = appendCSVField(append(dst, ','), r.File.Protocol.String())
+	dst = appendEnumName(append(dst, ','), r.File.Class, classNames)
+	dst = appendEnumName(append(dst, ','), r.File.Protocol, protocolNames)
 	dst = appendCSVField(append(dst, ','), r.File.SourceURL)
 	dst = strconv.AppendInt(append(dst, ','), int64(r.File.WeeklyRequests), 10)
 	return append(dst, '\n')
+}
+
+// appendEnumName appends an enum value's name from names, the table of its
+// in-range names, none of which needs quoting; a value out of range goes
+// through appendCSVField as its String.
+func appendEnumName[E interface {
+	~uint8
+	String() string
+}](dst []byte, e E, names []string) []byte {
+	if int(e) < len(names) {
+		return append(dst, names[e]...)
+	}
+	return appendCSVField(dst, e.String())
 }
 
 // appendCSVField appends one field as encoding/csv.Writer writes it: quoted

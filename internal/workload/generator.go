@@ -1,12 +1,10 @@
 package workload
 
 import (
-	"cmp"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,8 +52,10 @@ type Config struct {
 
 	// dayWeights is the normalized per-day arrival weight table covering
 	// every day of the span, resolved once by normalize() so the
-	// per-request sampling path never re-expands the cycle.
+	// per-request sampling path never re-expands the cycle; dayTotal is
+	// its dist.WeightTotal, summed once for the same reason.
 	dayWeights []float64
+	dayTotal   float64
 }
 
 // DefaultConfig returns the calibration matching §3 of the paper at the
@@ -224,6 +224,9 @@ type StreamTrace struct {
 	// index) without holding any Request.
 	perm    []uint32
 	offsets []uint32
+	// maxBucket is the largest bucket's request count: every bucket
+	// buffer and sort scratch is made this long once.
+	maxBucket int
 }
 
 // TotalRequests returns the number of requests the stream yields.
@@ -254,6 +257,7 @@ func GenerateStream(cfg Config, chunkSize int) (*StreamTrace, error) {
 		cfg.NumUsers = int(math.Max(1, float64(cfg.NumFiles)*7.25/5.2))
 	}
 	cfg.dayWeights = cfg.resolvedDayWeights()
+	cfg.dayTotal = dist.WeightTotal(cfg.dayWeights)
 	if chunkSize <= 0 {
 		chunkSize = DefaultStreamChunk
 	}
@@ -297,6 +301,7 @@ func GenerateStream(cfg Config, chunkSize int) (*StreamTrace, error) {
 	st.offsets = make([]uint32, numBuckets+1)
 	for b := 0; b < numBuckets; b++ {
 		st.offsets[b+1] = st.offsets[b] + counts[b]
+		st.maxBucket = max(st.maxBucket, int(counts[b]))
 	}
 	next := make([]uint32, numBuckets)
 	copy(next, st.offsets[:numBuckets])
@@ -383,6 +388,8 @@ func (t *StreamTrace) Requests() RequestSource {
 		t:       t,
 		reqRoot: dist.NewRNG(t.cfg.Seed).Split("requests"),
 		scratch: dist.NewRNG(0),
+		buf:     t.newBucketBuf(),
+		spare:   t.newBucketBuf(),
 	}
 }
 
@@ -394,6 +401,7 @@ type genSource struct {
 
 	bucket int // next bucket to materialize
 	buf    []genItem
+	spare  []genItem // the sort's scratch
 	pos    int
 	base   int // global index of buf[0]
 }
@@ -425,16 +433,23 @@ func (s *genSource) TotalRequests() int { return len(s.t.perm) }
 // loadBucket regenerates and time-sorts the next bucket's requests.
 func (s *genSource) loadBucket() {
 	s.base += len(s.buf)
-	s.buf = s.t.buildBucket(s.buf, s.bucket, s.reqRoot, s.scratch)
+	s.buf, s.spare = s.t.buildBucket(s.buf, s.spare, s.bucket, s.reqRoot, s.scratch)
 	s.pos = 0
 	s.bucket++
+}
+
+// newBucketBuf makes a bucket buffer that holds the largest bucket.
+func (t *StreamTrace) newBucketBuf() []genItem {
+	return make([]genItem, 0, t.maxBucket)
 }
 
 // buildBucket regenerates bucket b's requests into buf, reusing its
 // storage: each request from its own substream (reqRoot.Split64 keyed by
 // generation index, derived into scratch), then sorted by (Time,
-// generation index). Both request sources build every bucket here.
-func (t *StreamTrace) buildBucket(buf []genItem, b int, reqRoot, scratch *dist.RNG) []genItem {
+// generation index) through spare (sortBucket). It returns the sorted
+// bucket and the other buffer, the next spare; buf and spare must each
+// hold t.maxBucket items. Both request sources build every bucket here.
+func (t *StreamTrace) buildBucket(buf, spare []genItem, b int, reqRoot, scratch *dist.RNG) (sorted, nextSpare []genItem) {
 	buf = buf[:0]
 	for _, j := range t.perm[t.offsets[b]:t.offsets[b+1]] {
 		reqRoot.Split64Into(scratch, uint64(j))
@@ -444,10 +459,51 @@ func (t *StreamTrace) buildBucket(buf []genItem, b int, reqRoot, scratch *dist.R
 			j:   j,
 		})
 	}
-	slices.SortFunc(buf, func(a, b genItem) int {
-		return cmp.Or(cmp.Compare(a.req.Time, b.req.Time), cmp.Compare(a.j, b.j))
-	})
-	return buf
+	return sortBucket(buf, spare)
+}
+
+// sortBucket orders items by (Time, j), given that they arrive in
+// ascending j, as every bucket's do: a stable sort on Time alone keeps
+// equal times in j order. It is an LSD radix sort, one counting pass per
+// byte of Time (sign bit flipped, so the bytes order as the values do),
+// skipping a byte every item shares. Each pass moves the items between
+// items and scratch, which must hold as many; the sorted items are in
+// whichever the last pass wrote, returned with the other as the next
+// scratch.
+func sortBucket(items, scratch []genItem) (sorted, spare []genItem) {
+	n := len(items)
+	if n < 2 {
+		return items, scratch
+	}
+	const flip = 1 << 63
+	var counts [8][256]uint32
+	for _, it := range items {
+		k := uint64(it.req.Time) ^ flip
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	first := uint64(items[0].req.Time) ^ flip
+	src, dst := items, scratch[:n]
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[byte(first>>shift)] == uint32(n) {
+			continue // every item has this byte
+		}
+		var at uint32
+		for v, cnt := range c {
+			c[v] = at
+			at += cnt
+		}
+		for _, it := range src {
+			v := byte((uint64(it.req.Time) ^ flip) >> shift)
+			dst[c[v]] = it
+			c[v]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
 }
 
 // maxWeeklyCount bounds the most popular file's count; it grows gently
@@ -560,8 +616,8 @@ func sampleArrival(cfg Config, g *dist.RNG) time.Duration {
 		// Sub-day span: uniform over the span (no whole day to weight).
 		return time.Duration(g.Float64() * float64(cfg.Span))
 	}
-	day := g.Choice(cfg.dayWeights)
-	hour := g.Choice(hourProfile[:])
+	day := g.ChoiceTotal(cfg.dayWeights, cfg.dayTotal)
+	hour := g.ChoiceTotal(hourProfile[:], hourTotal)
 	frac := g.Float64()
 	return time.Duration(day)*24*time.Hour +
 		time.Duration(hour)*time.Hour +
@@ -580,6 +636,10 @@ var hourProfile = [24]float64{
 	1.05, 1.02, 1.00, 1.00, 1.02, 1.06, // 12-17
 	1.12, 1.20, 1.32, 1.36, 1.12, 0.85, // 18-23
 }
+
+// hourTotal is hourProfile's dist.WeightTotal, summed once for every
+// arrival's hour draw.
+var hourTotal = dist.WeightTotal(hourProfile[:])
 
 // DiurnalProfile returns the relative request rate per hour of day that the
 // generator samples arrival times from. Consumers (e.g. predictive cache
