@@ -31,22 +31,24 @@ ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 # server's two decide endpoints, the serve path's wire codec against
 # encoding/json (decoder and encoder), and the lazily seeded RNG source
 # against math/rand. Long enough to shake out decode panics and stream
-# divergence, short enough for CI.
+# divergence, short enough for CI. Each new-coverage input is minimized
+# for at most 100 runs: by default the fuzzer spends up to 60 s on each,
+# uncounted, which can take a whole 5 s run.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzCSVDecodeMatchesReference -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzCSVEncodeMatchesReference -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) ./internal/distrib
-	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime $(FUZZ_TIME) ./internal/distrib
-	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime $(FUZZ_TIME) ./internal/backend
-	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZ_TIME) ./internal/distrib
-	$(GO) test -run '^$$' -fuzz FuzzDecideBodies -fuzztime $(FUZZ_TIME) ./internal/odrweb
-	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZ_TIME) ./internal/odrweb
-	$(GO) test -run '^$$' -fuzz FuzzWireEncode -fuzztime $(FUZZ_TIME) ./internal/odrweb
-	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZ_TIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzCSVDecodeMatchesReference -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzCSVEncodeMatchesReference -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/backend
+	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzDecideBodies -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/odrweb
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/odrweb
+	$(GO) test -run '^$$' -fuzz FuzzWireEncode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/odrweb
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/dist
 
 # paperscale-smoke runs EXP-W at ~200k tasks: parallel generation must
 # hash byte-identical to sequential, the bin trace file must hash back

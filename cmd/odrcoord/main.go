@@ -16,9 +16,11 @@
 //
 // A run that is killed (or halted by -halt-after) leaves the manifest and
 // completed partials in the checkpoint directory; rerunning the same
-// command resumes, recomputing only unfinished windows. A checkpoint for
-// a different trace (by content hash) or replay configuration is refused
-// with the mismatching field named. -verify additionally replays the
+// command resumes, recomputing only unfinished windows: the checkpoint's
+// windows, whatever -windows says, under any -shards (the shard count
+// changes no result). A checkpoint for a different trace (by content
+// hash) or replay configuration is refused with the mismatching field
+// named. -verify additionally replays the
 // whole trace single-process and compares the digests, printing the
 // "DISTRIB verdict: PASS|FAIL" line CI greps. Every window starts from
 // the census the trace's own file table declares; a trace whose table is

@@ -114,9 +114,9 @@ type Stages struct {
 	// Hash is the trace's SHA-256.
 	Hash time.Duration
 	// StatePass is the state pass's own time (statePass): from its start
-	// to its emitting the last pending window's state. It starts at open,
-	// beside the hash, unless a resumed manifest planned other windows,
-	// and runs beside the state-file writes, so it overlaps both. In
+	// to its emitting the last pending window's state. It starts once the
+	// checkpoint's windows are known, beside the hash, and runs beside the
+	// state-file writes, so it overlaps both. There is one per run. In
 	// static mode it reads no record; under a cache policy it is the
 	// observation pass.
 	StatePass time.Duration
@@ -194,17 +194,26 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	}
 	st := &runState{path: filepath.Join(c.cfg.CheckpointDir, ManifestName), bin: bin}
 	defer st.releaseTrace()
+	// The checkpoint is the plan: the manifest an earlier run left, or
+	// fresh windows whose trace SHA-256 is filled in once the hash lands.
+	records := bin.Census().Records
+	st.manifest, err = LoadManifest(st.path)
+	fresh := errors.Is(err, os.ErrNotExist)
+	if fresh {
+		st.manifest, err = NewManifest(c.cfg.TracePath, "", records, c.cfg.Spec, c.cfg.Windows), nil
+	}
+	if err != nil {
+		return nil, err
+	}
 	// The pass needs only the file table, which OpenBin read: it starts
-	// over the planned windows' bases now and runs beside the hash. The
-	// states it emits wait for the hash and the manifest (feedStates).
-	planned := PlanWindows(bin.Census().Records, c.cfg.Windows)
-	if len(planned) > 0 {
-		windows := make([]int, len(planned))
-		bases := make([]int, len(planned))
-		for i, w := range planned {
-			windows[i], bases[i] = i, int(w.Offset)
+	// over the plan's bases now and runs beside the hash. The states it
+	// emits wait for the hash and the manifest's checks (feedStates).
+	if len(st.manifest.Windows) > 0 {
+		bases := make([]int, len(st.manifest.Windows))
+		for i, w := range st.manifest.Windows {
+			bases[i] = int(w.Offset)
 		}
-		st.pass = startPass(ctx, bin, c.cfg.Spec, windows, bases)
+		st.pass = startPass(ctx, bin, c.cfg.Spec, bases)
 	}
 	defer st.stopPass()
 	start := time.Now()
@@ -216,8 +225,10 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if err := os.MkdirAll(c.cfg.CheckpointDir, 0o755); err != nil {
 		return nil, err
 	}
-	st.manifest, st.parts, err = c.openManifest(st.path, bin.Census().Records, st.sha)
-	if err != nil {
+	if fresh {
+		st.manifest.TraceSHA256 = st.sha
+		st.parts = make([]*Partial, len(st.manifest.Windows))
+	} else if st.parts, err = c.resume(st.manifest, records, st.sha); err != nil {
 		return nil, err
 	}
 	c.Resumed = st.manifest.Done()
@@ -234,23 +245,10 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 			pending = append(pending, i)
 		}
 	}
-	switch {
-	case len(pending) == 0:
+	if len(pending) == 0 {
 		st.stopPass()
-	case !samePlan(st.manifest.Windows, planned):
-		// A resumed manifest planned other windows: pass over its pending
-		// ones, after it, instead.
-		st.stopPass()
-		bases := make([]int, len(pending))
-		for k, idx := range pending {
-			bases[k] = int(st.manifest.Windows[idx].Offset)
-		}
-		st.pass = startPass(ctx, bin, c.cfg.Spec, pending, bases)
-	}
-	if len(pending) > 0 {
-		if err := c.runPending(ctx, st, pending); err != nil {
-			return nil, err
-		}
+	} else if err := c.runPending(ctx, st, pending); err != nil {
+		return nil, err
 	}
 	for i, p := range st.parts {
 		if p == nil {
@@ -281,30 +279,16 @@ func (st *runState) stopPass() {
 	}
 }
 
-// samePlan reports whether a manifest's windows are the planned ones.
-func samePlan(ws []ManifestWindow, planned []Window) bool {
-	if len(ws) != len(planned) {
-		return false
-	}
-	for i, w := range ws {
-		if w.Window() != planned[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// passRun is a state pass (statePass) running on a goroutine of its own.
-// It emits the state of windows[k], at bases[k], into states, in order,
-// and closes states when it ends; err is then its error. states has room
-// for every window, so the pass never waits on its reader: a state is
-// held there until the reader takes it.
+// passRun is a state pass (statePass) running on a goroutine of its own
+// over every window of the checkpoint. It emits window k's state into
+// states, in order, and closes states when it ends; err is then its
+// error. states has room for every window, so the pass never waits on
+// its reader: a state is held there until the reader takes it.
 type passRun struct {
-	windows []int
-	states  chan emitted
-	err     error
-	start   time.Time
-	cancel  context.CancelFunc
+	states chan emitted
+	err    error
+	start  time.Time
+	cancel context.CancelFunc
 }
 
 // emitted is one state as the pass emitted it, and when.
@@ -313,11 +297,11 @@ type emitted struct {
 	at    time.Time
 }
 
-// startPass starts the state pass over bin for the given manifest windows
-// and their bases (ascending, at least one), canceled with ctx.
-func startPass(ctx context.Context, bin *trace.Bin, spec WorkerSpec, windows, bases []int) *passRun {
+// startPass starts the state pass over bin at the manifest windows' bases
+// (ascending, at least one), canceled with ctx.
+func startPass(ctx context.Context, bin *trace.Bin, spec WorkerSpec, bases []int) *passRun {
 	ctx, cancel := context.WithCancel(ctx)
-	p := &passRun{windows: windows, states: make(chan emitted, len(windows)), start: time.Now(), cancel: cancel}
+	p := &passRun{states: make(chan emitted, len(bases)), start: time.Now(), cancel: cancel}
 	go func() {
 		defer close(p.states)
 		p.err = statePass(bin, spec, bases, &meter{ctx: ctx}, func(_ int, state []byte) error {
@@ -336,29 +320,21 @@ func (p *passRun) stop() {
 	}
 }
 
-// openManifest loads-and-validates an existing checkpoint or plans a
-// fresh one, and returns it with the partials of its done windows (nil
-// for the rest). A checkpoint for a different trace or spec is rejected
+// resume checks a checkpoint an earlier run left against this run's
+// trace and spec, and returns the partials of its done windows (nil for
+// the rest). A checkpoint for a different trace or spec is rejected
 // naming the mismatching field; done windows whose partials no longer
 // read back as this run's (readPartial) are demoted to pending.
-func (c *Coordinator) openManifest(path string, records int64, sha string) (*Manifest, []*Partial, error) {
-	m, err := LoadManifest(path)
-	if errors.Is(err, os.ErrNotExist) {
-		m = NewManifest(c.cfg.TracePath, sha, records, c.cfg.Spec, c.cfg.Windows)
-		return m, make([]*Partial, len(m.Windows)), nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
+func (c *Coordinator) resume(m *Manifest, records int64, sha string) ([]*Partial, error) {
 	if m.TraceSHA256 != sha {
-		return nil, nil, fmt.Errorf("manifest: trace_sha256: checkpoint is for trace %s…, %s is %s… (delete %s to start over)",
+		return nil, fmt.Errorf("manifest: trace_sha256: checkpoint is for trace %s…, %s is %s… (delete %s to start over)",
 			m.TraceSHA256[:12], c.cfg.TracePath, sha[:12], c.cfg.CheckpointDir)
 	}
 	if m.Records != records {
-		return nil, nil, fmt.Errorf("manifest: records: checkpoint has %d, trace has %d", m.Records, records)
+		return nil, fmt.Errorf("manifest: records: checkpoint has %d, trace has %d", m.Records, records)
 	}
 	if got, want := m.Spec.Fingerprint(), c.cfg.Spec.Fingerprint(); got != want {
-		return nil, nil, fmt.Errorf("manifest: spec: checkpoint ran under %s, this run wants %s", got, want)
+		return nil, fmt.Errorf("manifest: spec: checkpoint ran under %s, this run wants %s", got, want)
 	}
 	parts := make([]*Partial, len(m.Windows))
 	for i := range m.Windows {
@@ -375,7 +351,7 @@ func (c *Coordinator) openManifest(path string, records int64, sha string) (*Man
 		}
 		parts[i] = p
 	}
-	return m, parts, nil
+	return parts, nil
 }
 
 // readPartial reads the partial named name in the checkpoint directory
@@ -479,11 +455,10 @@ func (c *Coordinator) feedStates(ctx context.Context, st *runState, pending int,
 	pass, left := st.pass, pending
 	defer context.AfterFunc(ctx, pass.cancel)()
 	fp := c.cfg.Spec.Fingerprint()
-	k := 0
+	idx := -1 // the pass emits window k's state k-th
 	var last time.Time
 	for e := range pass.states {
-		idx := pass.windows[k]
-		k++
+		idx++
 		st.mu.Lock()
 		w := st.manifest.Windows[idx]
 		st.mu.Unlock()

@@ -20,12 +20,13 @@
 //     before the current one, so the coordinator computes it once and
 //     writes the cloud's observation state at every pending window's base
 //     to a state file, and each worker restores its window's state instead
-//     of re-reading the trace before it. In static mode the state is one
-//     count: the census is in first-appearance order, so the files seen
-//     before a base are the census prefix of files first seen there, read
-//     off the census with no further pass. Under a cache policy one
-//     sequential observation pass — decode plus pool bookkeeping, no task
-//     execution — builds each state (replay.ObserveStates);
+//     of re-reading the trace before it. replay.ObserveStates makes every
+//     state. In static mode the state is one count: the census is in
+//     first-appearance order, so the files seen before a base are the
+//     census prefix of files first seen there, read off the census with no
+//     pass over the records. Under a cache policy one sequential
+//     observation pass — decode plus pool bookkeeping, no task execution —
+//     builds each state;
 //   - the warm-pool draws in backend construction depend on the file
 //     population slice, so every worker and the single-process reference
 //     hand their backends the same one: the census the bin trace's own
@@ -39,12 +40,14 @@
 // A worker therefore reads only its own window of the trace, and builds
 // what its windows only read — identities, the census population, each
 // file's pre-download outcome — once (Worker). The coordinator reads the
-// census before it hashes the trace, so a damaged file table fails the
-// run before any window starts, and starts the state pass right then,
-// beside the hash; it dispatches a window as soon as its state file is
-// durable, so the pass overlaps the first wave of workers; a resume
-// recomputes every state it hands out instead of trusting files an
-// earlier run left behind.
+// census and its checkpoint (the manifest it finds, or freshly planned
+// windows) before it hashes the trace, so a damaged file table fails the
+// run before any window starts, and starts its one state pass over the
+// checkpoint's windows right then, beside the hash; it checks the
+// checkpoint once the hash lands and dispatches a window as soon as its
+// state file is durable, so the pass overlaps the first wave of workers;
+// a resume recomputes every state it hands out instead of trusting files
+// an earlier run left behind.
 //
 // Partials hold each task as a replay.DigestRecord — the eight fields the
 // digest reads, 48 B against an ODRTask's 128 B. The merge keeps the
@@ -123,9 +126,10 @@ func PlanWindows(total int64, n int) []Window {
 // single-process verification replay) runs under. It is the distributed
 // subset of a scenario spec: seed, shard count, cache policy, pool
 // capacity, and naive fault injection. There is deliberately no
-// resilience knob — see the package comment. The JSON form doubles as
-// the canonical fingerprint pinned into checkpoints and partials, so a
-// resume or merge under a different configuration fails loudly.
+// resilience knob — see the package comment. The JSON form, less the
+// shard count, doubles as the canonical fingerprint pinned into
+// checkpoints and partials, so a resume or merge under a different
+// configuration fails loudly.
 type WorkerSpec struct {
 	// Seed drives all randomness.
 	Seed uint64 `json:"seed"`
@@ -167,8 +171,11 @@ func (s WorkerSpec) Validate() error {
 }
 
 // Fingerprint returns the spec's canonical JSON — struct fields encode in
-// declaration order, so equal specs always fingerprint equally.
+// declaration order, so equal specs always fingerprint equally. Shards is
+// left out: the shard count changes no result, so a run may resume, or
+// merge partials replayed, under another.
 func (s WorkerSpec) Fingerprint() string {
+	s.Shards = 0
 	b, err := json.Marshal(s)
 	if err != nil {
 		panic(err) // a struct of scalars cannot fail to encode

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/backend"
 	"odr/internal/cloud"
 	"odr/internal/core"
 	"odr/internal/obs"
@@ -173,6 +174,9 @@ func TestWorkerSpecFingerprint(t *testing.T) {
 	}
 	if a.Fingerprint() == (WorkerSpec{Seed: 2, CachePolicy: "band"}).Fingerprint() {
 		t.Fatal("different specs share a fingerprint")
+	}
+	if a.Fingerprint() != (WorkerSpec{Seed: 1, CachePolicy: "band", Shards: 3}).Fingerprint() {
+		t.Fatal("the shard count, which changes no result, changes the fingerprint")
 	}
 }
 
@@ -644,7 +648,9 @@ func TestMergeReadsThePartialsRecords(t *testing.T) {
 // TestHaltResume is the kill-mid-run pin: a run that crashes a worker,
 // checkpoints two windows, and halts must resume from the manifest and
 // still match the single-process digest byte for byte, under a dynamic
-// policy and in static mode.
+// policy and in static mode. The halted run replays on one engine shard
+// and the resumed one on two: the shard count changes no result, so the
+// checkpoint resumes under another.
 func TestHaltResume(t *testing.T) {
 	tracePath := writeTrace(t, 90, 17)
 	for _, spec := range []WorkerSpec{{Seed: 17, CachePolicy: "band"}, {Seed: 17}} {
@@ -664,6 +670,7 @@ func haltResume(t *testing.T, tracePath string, spec WorkerSpec) {
 		CrashWindow:   1, // window 0's first attempt dies mid-replay
 		Log:           t.Logf,
 	}
+	cfg.Spec.Shards = 1
 	co, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -709,7 +716,7 @@ func haltResume(t *testing.T, tracePath string, spec WorkerSpec) {
 		}
 	}
 
-	cfg.HaltAfter, cfg.CrashWindow = 0, 0
+	cfg.HaltAfter, cfg.CrashWindow, cfg.Spec.Shards = 0, 0, 2
 	co2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -726,12 +733,12 @@ func haltResume(t *testing.T, tracePath string, spec WorkerSpec) {
 	}
 }
 
-// TestResumeUnderAnotherPlan: the state pass starts at open over the
-// windows this run plans; a resumed manifest that planned others (here 4
-// windows, resumed by a run that would plan 6) gets a pass over its own
-// pending windows instead, run after the manifest, and the merged digest
-// is still the single-process one. Each run's pass reports the pending
-// pending windows it fed.
+// TestResumeUnderAnotherPlan: a run plans from the checkpoint it finds,
+// so a manifest that planned 4 windows, resumed by a run that would plan
+// 6, is resumed as 4, and the merged digest is still the single-process
+// one. Every run has one state pass, over its checkpoint's windows: the
+// resumed run's reports once, and feeds the 4 - Resumed pending windows.
+// (The halted run's pass may be stopped by the halt before it reports.)
 func TestResumeUnderAnotherPlan(t *testing.T) {
 	tracePath := writeTrace(t, 90, 17)
 	for _, spec := range []WorkerSpec{{Seed: 17, CachePolicy: "band"}, {Seed: 17}} {
@@ -750,6 +757,10 @@ func TestResumeUnderAnotherPlan(t *testing.T) {
 		if _, err := co.Run(context.Background()); !errors.Is(err, ErrHalted) {
 			t.Fatalf("halted run returned %v, want ErrHalted", err)
 		}
+		if len(fed) > 1 {
+			t.Fatalf("%+v: the halted run reported %d state passes, want at most one", spec, len(fed))
+		}
+		fed = nil
 		cfg.HaltAfter, cfg.Windows = 0, 6
 		co2, err := New(cfg)
 		if err != nil {
@@ -762,8 +773,8 @@ func TestResumeUnderAnotherPlan(t *testing.T) {
 		if len(merged.Parts) != 4 || co2.Resumed < 1 {
 			t.Fatalf("%+v: resumed %d window(s) and merged %d, want the manifest's 4", spec, co2.Resumed, len(merged.Parts))
 		}
-		if want := strconv.Itoa(4 - co2.Resumed); len(fed) == 0 || fed[len(fed)-1] != want {
-			t.Fatalf("%+v: the passes fed %v window states, want the resumed run's to feed %s", spec, fed, want)
+		if want := strconv.Itoa(4 - co2.Resumed); len(fed) != 1 || fed[0] != want {
+			t.Fatalf("%+v: the resumed run's state passes fed %v window states, want one pass feeding %s", spec, fed, want)
 		}
 		if got, want := merged.Digest(), singleDigest(t, tracePath, spec); got != want {
 			t.Fatalf("%+v: resumed merged digest differs from the single-process one", spec)
@@ -1295,9 +1306,10 @@ func TestStaticWorkerReadsTheTraceOnce(t *testing.T) {
 
 // TestStaticStateMatchesObservation: the static state the census emits —
 // the prefix of files first seen before a base — is byte for byte the
-// state an observation pass over the same census builds, at the trace's
-// ends and at every window base of two plans, on a trace whose files recur
-// across chunks. The census path reads no record.
+// state a static cloud builds by observing the trace's records one by one
+// (as a whole-trace replay's does), at the trace's ends and at every
+// window base of two plans, on a trace whose files recur across chunks.
+// The census path reads no record.
 func TestStaticStateMatchesObservation(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 5)
 	cen := readCensus(t, tracePath)
@@ -1311,30 +1323,40 @@ func TestStaticStateMatchesObservation(t *testing.T) {
 	slices.Sort(bases)
 	bases = slices.Compact(bases)
 	spec := WorkerSpec{Seed: 5}
-	collect := func(into *[][]byte) func(int, []byte) error {
-		return func(_ int, state []byte) error { *into = append(*into, state); return nil }
-	}
 	var fromCensus, observed [][]byte
 	m := &meter{ctx: context.Background()}
-	if err := statePass(openBin(t, tracePath), spec, bases, m, collect(&fromCensus)); err != nil {
+	if err := statePass(openBin(t, tracePath), spec, bases, m,
+		func(_ int, state []byte) error { fromCensus = append(fromCensus, state); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if m.processed != 0 {
 		t.Fatalf("the static state pass read %d records, want none", m.processed)
 	}
-	opts, err := spec.ReplayOptions(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The oracle streams every record through a static cloud's
+	// observation pass.
+	set := backend.NewSet(cen.Files, cloud.DefaultConfig(float64(len(cen.Files))/cloud.FullScaleFiles, spec.Seed), spec.Seed)
+	set.Reserve(int(records))
 	src, err := openBin(t, tracePath).Ordinals(0, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replay.ObserveStates(src, cen.Files, opts, bases, collect(&observed)); err != nil {
-		t.Fatal(err)
+	n := 0
+	for _, base := range bases {
+		for ; n < base; n++ {
+			i, file, when, ok := src.Next()
+			if !ok {
+				t.Fatalf("the trace ended after %d records, before the base %d: %v", n, base, src.Err())
+			}
+			set.Cloud.ObserveOrdinal(i, backend.Ordinal(file+1), cen.Files[file], when)
+		}
+		state, err := set.Cloud.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observed = append(observed, state)
 	}
-	if len(fromCensus) != len(bases) || len(observed) != len(bases) {
-		t.Fatalf("%d bases, %d census states, %d observed states", len(bases), len(fromCensus), len(observed))
+	if len(fromCensus) != len(bases) {
+		t.Fatalf("%d bases, %d census states", len(bases), len(fromCensus))
 	}
 	for k, base := range bases {
 		if !bytes.Equal(fromCensus[k], observed[k]) {

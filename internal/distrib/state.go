@@ -3,9 +3,7 @@ package distrib
 import (
 	"fmt"
 	"os"
-	"sort"
 
-	"odr/internal/backend"
 	"odr/internal/replay"
 	"odr/internal/trace"
 )
@@ -77,29 +75,15 @@ func readState(path string, want stateHeader) ([]byte, error) {
 	return nil, fmt.Errorf("distrib: %s: state %s: the file holds %v, want %v", path, field, g, w)
 }
 
-// statePass is the one producer of window start states: it hands emit
-// the cloud's observation state at each of bases (ascending, at least
-// one), as the census population's cloud holds it on reaching that record.
-// A static cloud's state is the census prefix seen before the base, so in
-// static mode the pass emits it from the census without reading a record.
-// Under a cache policy it streams the trace's records [0, last base),
-// read as census ordinals (trace.Bin.Ordinals), through
-// replay.ObserveStates. The coordinator runs it once over every pending
-// window's base; a worker handed no state file runs it for its own. m
-// meters the records it reads.
+// statePass hands emit the cloud's observation state at each of bases
+// (ascending, at least one), as the census population's cloud holds it on
+// reaching that record: replay.ObserveStates over the trace's census and
+// its records [0, last base), read as census ordinals
+// (trace.Bin.Ordinals). In static mode that reads no record. The
+// coordinator runs it once over every window of its checkpoint; a worker
+// handed no state file runs it for its own. m meters the records it reads.
 func statePass(bin *trace.Bin, spec WorkerSpec, bases []int,
 	m *meter, emit func(base int, state []byte) error) error {
-	cen := bin.Census()
-	if spec.CachePolicy == "" {
-		for _, base := range bases {
-			// The census files first seen before base.
-			seen := sort.SearchInts(cen.First, base)
-			if err := emit(base, backend.AppendStaticState(nil, base, seen)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	opts, err := spec.ReplayOptions(nil)
 	if err != nil {
 		return err
@@ -108,5 +92,6 @@ func statePass(bin *trace.Bin, spec WorkerSpec, bases []int,
 	if err != nil {
 		return err
 	}
-	return replay.ObserveStates(m.wrapOrdinals(src), cen.Files, opts, bases, emit)
+	cen := bin.Census()
+	return replay.ObserveStates(m.wrapOrdinals(src), cen.Files, cen.First, opts, bases, emit)
 }

@@ -45,7 +45,8 @@ func sampleStates(tb testing.TB) (static, dynamic []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	err = replay.ObserveStates(src, bin.Census().Files, opts, []int{40},
+	cen := bin.Census()
+	err = replay.ObserveStates(src, cen.Files, cen.First, opts, []int{40},
 		func(_ int, s []byte) error { dynamic = s; return nil })
 	if err != nil {
 		tb.Fatal(err)

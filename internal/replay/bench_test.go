@@ -223,7 +223,7 @@ func BenchmarkObserveStates(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := ObserveStates(src, census, opts, bases, func(int, []byte) error { return nil }); err != nil {
+		if err := ObserveStates(src, census, bin.Census().First, opts, bases, func(int, []byte) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

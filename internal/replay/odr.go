@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -252,18 +253,22 @@ type OrdinalSource interface {
 	Err() error
 }
 
-// ObserveStates streams src — a trace's records from index 0, in order —
-// through the cloud's sequential observation pass alone (ObserveOrdinal:
-// no RNG draws, no ledger writes, no task execution) and hands emit the
+// ObserveStates makes every window start state: it hands emit the
 // cloud's observation state (backend.Cloud.AppendState) at each of bases,
-// in order: the state a whole-trace replay's cloud holds on reaching that
-// record. bases must ascend; the pass reads no record past the last one.
-// census is the trace's census (trace.BinCensus.Files), which seeds the
-// population: its file IDs are distinct — a bin trace's table refuses a
-// repeated one — so a record's census ordinal is its population ordinal,
-// and the pass indexes the census by it with no identity check. Each state
-// fits a RunODRWindow over the same census and options.
-func ObserveStates(src OrdinalSource, census []*workload.FileMeta, opts Options,
+// in order — the state a whole-trace replay's cloud holds on reaching that
+// record. bases must ascend. census is the trace's census
+// (trace.BinCensus.Files), which seeds the population, and first its
+// files' first-appearance indices (trace.BinCensus.First). A static
+// cloud (no cache policy) has observed exactly the files first seen
+// before the base, so its state comes from first and no record is read.
+// Under a cache policy the pass streams src — the trace's records from
+// index 0 — through the cloud's observation alone (ObserveOrdinal: no RNG
+// draws, no ledger writes, no task execution), reading no record past the
+// last base. The census's file IDs are distinct — a bin trace's table
+// refuses a repeated one — so a record's census ordinal is its population
+// ordinal, and the pass indexes the census by it with no identity check.
+// Each state fits a RunODRWindow over the same census and options.
+func ObserveStates(src OrdinalSource, census []*workload.FileMeta, first []int, opts Options,
 	bases []int, emit func(base int, state []byte) error) error {
 	if len(bases) == 0 {
 		return nil
@@ -272,6 +277,14 @@ func ObserveStates(src OrdinalSource, census []*workload.FileMeta, opts Options,
 		if b < 0 || (k > 0 && b < bases[k-1]) {
 			return fmt.Errorf("replay: observation bases %v must be non-negative and ascending", bases)
 		}
+	}
+	if opts.CachePolicy == "" {
+		for _, base := range bases {
+			if err := emit(base, backend.AppendStaticState(nil, base, sort.SearchInts(first, base))); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	set := newSet(census, opts, bases[len(bases)-1])
 	n := 0

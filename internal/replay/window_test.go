@@ -84,9 +84,10 @@ func poolBytes(census []*workload.FileMeta) int64 {
 	return pop / 12
 }
 
-// TestObserveStatesMatchesIdentityPass: the ordinal pass over a trace.Bin
-// emits byte for byte the states the identity pass emits, for every cache
-// policy and for static mode, at eight bases spread over a trace of many
+// TestObserveStatesMatchesIdentityPass: ObserveStates emits byte for byte
+// the states the identity pass emits — under every cache policy from the
+// ordinal pass over a trace.Bin, in static mode from the census's
+// first-appearance indices — at eight bases spread over a trace of many
 // chunks and at the subsets of them a resumed run asks for.
 func TestObserveStatesMatchesIdentityPass(t *testing.T) {
 	tr, err := workload.Generate(workload.DefaultConfig(1500, 13))
@@ -94,7 +95,7 @@ func TestObserveStatesMatchesIdentityPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin := openBinTrace(t, tr.Requests)
-	census := bin.Census().Files
+	census, first := bin.Census().Files, bin.Census().First
 	records := len(tr.Requests)
 	bases := make([]int, 8)
 	for k := range bases {
@@ -115,7 +116,7 @@ func TestObserveStatesMatchesIdentityPass(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				return ObserveStates(src, census, opts, at, emit)
+				return ObserveStates(src, census, first, opts, at, emit)
 			})
 			want := statesAt(t, func(emit func(int, []byte) error) error {
 				src, err := bin.Window(0, -1)
@@ -159,7 +160,7 @@ func TestObserveStatesRefusesOrdinalPastCensus(t *testing.T) {
 	census := []*workload.FileMeta{{ID: workload.FileIDFromIndex(1), Size: 1 << 20}, {ID: workload.FileIDFromIndex(2), Size: 1 << 20}}
 	for _, file := range []int{2, -1} {
 		src := ordinals{files: []int{0, 1, file}}
-		err := ObserveStates(&src, census, Options{Seed: 1, CachePolicy: "lru"}, []int{3}, func(int, []byte) error { return nil })
+		err := ObserveStates(&src, census, nil, Options{Seed: 1, CachePolicy: "lru"}, []int{3}, func(int, []byte) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record 2 names file %d of a census of 2", file)) {
 			t.Errorf("ordinal %d: %v, want a refusal naming the record", file, err)
 		}
@@ -219,7 +220,7 @@ func TestWindowRecordsMatchStream(t *testing.T) {
 					t.Fatal(err)
 				}
 				states := statesAt(t, func(emit func(int, []byte) error) error {
-					return ObserveStates(src, census, opts, bases, emit)
+					return ObserveStates(src, census, bin.Census().First, opts, bases, emit)
 				})
 				var got []DigestRecord
 				for k, base := range bases {

@@ -642,17 +642,6 @@ type BinCensus struct {
 	First   []int
 }
 
-// readBinCensus reads a bin trace's census from its trailer and file
-// table, decoding no record. A damaged table is an error naming it
-// (newBinTable).
-func readBinCensus(rs io.ReadSeeker) (BinCensus, error) {
-	t, err := readBinTable(rs)
-	if err != nil {
-		return BinCensus{}, err
-	}
-	return t.census(), nil
-}
-
 // census builds the census the table declares.
 func (t *binTable) census() BinCensus {
 	metas := make([]workload.FileMeta, t.nfiles)

@@ -453,11 +453,11 @@ func binTableDamage(data []byte) []struct {
 // intact table holds.)
 func TestBinTableDamage(t *testing.T) {
 	data := binBytes(t, sampleRequests(t, 60))
-	if _, err := readBinCensus(bytes.NewReader(data)); err != nil {
+	if _, err := readBinTable(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range binTableDamage(data) {
-		_, err := readBinCensus(bytes.NewReader(tc.data))
+		_, err := readBinTable(bytes.NewReader(tc.data))
 		if err == nil || !strings.Contains(err.Error(), "file table") || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want an error naming the file table and %q", tc.name, err, tc.want)
 		}
@@ -465,7 +465,7 @@ func TestBinTableDamage(t *testing.T) {
 	for _, v := range []byte{1, 2, 3} {
 		old := append([]byte(nil), data...)
 		old[4] = v
-		if _, err := readBinCensus(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported bin version %d", v)) {
+		if _, err := readBinTable(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported bin version %d", v)) {
 			t.Fatalf("a version %d trace: %v, want the version refused", v, err)
 		}
 	}

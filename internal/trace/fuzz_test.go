@@ -110,7 +110,8 @@ func FuzzBinDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzDecode(t, "bin", data)
 		// A census the reader accepts is one a window can start from.
-		if cen, err := readBinCensus(bytes.NewReader(data)); err == nil {
+		if tab, err := readBinTable(bytes.NewReader(data)); err == nil {
+			cen := tab.census()
 			if len(cen.First) != len(cen.Files) {
 				t.Fatalf("census of %d files has %d first indices", len(cen.Files), len(cen.First))
 			}
