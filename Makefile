@@ -78,9 +78,10 @@ paperscale:
 # use, because the scale-default pool never fills on the week and so
 # never evicts. Each run prints its worker processes line (with each
 # process's GOMAXPROCS), its coordinator line (trace hash, state pass,
-# merge+digest, peak RSS), its workers' stage medians and peak RSS, the
-# bytes its checkpoint directory holds in state files and in partials,
-# and its DISTRIB verdict. The trace and the checkpoints land in a mktemp
+# merge+digest, peak RSS), its workers' stage medians and peak RSS, its
+# reference line (the single-process replay's wall and the process peak
+# RSS after it), the bytes its checkpoint directory holds in state files
+# and in partials, and its DISTRIB verdict. The trace and the checkpoints land in a mktemp
 # dir removed on exit. About 45 s on 2 vCPUs; not part of ci.
 paperscale-coord:
 	@dir="$$(mktemp -d)" || exit 1; trap 'rm -rf "$$dir"' EXIT; \
@@ -96,7 +97,7 @@ paperscale-coord:
 			-workers 2 -windows 8 -verify $$pol >"$$dir/run.log" 2>&1; \
 		rc="$$?"; \
 		echo "paperscale-coord ($$policy):"; \
-		grep -E '^(worker processes:|coordinator:|worker windows:)' "$$dir/run.log"; \
+		grep -E '^(worker processes:|coordinator:|worker windows:|reference:)' "$$dir/run.log"; \
 		echo "checkpoint: $$(ls "$$dir"/ckpt/state-*.odrs 2>/dev/null | wc -l) state files" \
 			"$$(cat "$$dir"/ckpt/state-*.odrs 2>/dev/null | wc -c) B," \
 			"$$(ls "$$dir"/ckpt/window-*.odrp 2>/dev/null | wc -l) partials" \
@@ -121,17 +122,17 @@ paperscale-coord:
 # crash, torn writes and all. A 2-worker run on the same trace with no
 # policy moves static state (the census prefix's count) between
 # processes: it halts after two windows, and a -verify rerun must resume
-# and verify too. Last, a coordinator crash: a
-# 2-worker run over 200 windows (so the run outlasts its first window by
-# seconds) starts in its own session, and once the manifest shows a done
-# window the whole process group — coordinator and workers — is killed
-# with SIGKILL, as a host crash would; the coordinator must still have
-# been running, and a rerun with -verify must resume and verify. Then a
-# corrupt census: one byte flipped inside the file table of a copy of the
-# trace (the table ends where the 20-byte trailer begins) must fail the
-# coordinator with exit code 1 and an error naming the table, before any
-# worker writes a partial. Set DISTRIB_SMOKE_DIR to keep the trace,
-# checkpoint, and logs (CI points it at a workspace path and uploads
+# and verify too, and print its reference's wall and peak RSS. Last, a
+# coordinator crash: a 2-worker run over 200 windows (so the run outlasts
+# its first window by seconds) starts in its own session, and once the
+# manifest shows a done window the whole process group — coordinator and
+# workers — is killed with SIGKILL, as a host crash would; the
+# coordinator must still have been running, and a rerun with -verify
+# must resume and verify. Then a corrupt census: one byte flipped inside
+# the file table of a copy of the trace (the table ends where the 20-byte
+# trailer begins) must fail the coordinator with exit code 1 and an error
+# naming the table, before any worker process starts or writes a partial.
+# Set DISTRIB_SMOKE_DIR to keep the trace, checkpoint, and logs (CI points it at a workspace path and uploads
 # them as artifacts on failure); by default everything lands in a mktemp
 # dir removed on exit.
 DISTRIB_SMOKE_POOL := -cache-policy prewarm -pool-bytes 500000000000
@@ -177,6 +178,8 @@ distributed-smoke:
 		{ echo "distributed-smoke: static resume never picked up the checkpoint"; exit 1; }; \
 	grep -q '^DISTRIB verdict: PASS' "$$dir/run3b.log" || \
 		{ echo "distributed-smoke: static merged digest did not verify"; exit 1; }; \
+	grep -Eq '^reference: +base-0 window of [0-9]+ tasks, [0-9.]+s wall, process peak RSS [0-9.]+ MB$$' "$$dir/run3b.log" || \
+		{ echo "distributed-smoke: -verify did not report its reference's wall and peak RSS"; exit 1; }; \
 	setsid "$$dir/odrcoord" -trace "$$dir/trace.bin" -checkpoint "$$dir/ckpt-kill" \
 		-workers 2 -windows 200 >"$$dir/run4.log" 2>&1 & pid="$$!"; \
 	for i in $$(seq 3000); do \
@@ -209,6 +212,8 @@ distributed-smoke:
 	[ "$$rc" -eq 1 ] || { echo "distributed-smoke: run over a corrupt file table exited $$rc, want 1"; exit 1; }; \
 	grep -q 'file table' "$$dir/run6.log" || \
 		{ echo "distributed-smoke: the corrupt file table's error does not name the table"; exit 1; }; \
+	grep -Eq '^worker processes: +0 spawned,' "$$dir/run6.log" || \
+		{ echo "distributed-smoke: a run over a corrupt file table started worker processes"; exit 1; }; \
 	if ls "$$dir"/ckpt-table/*.odrp >/dev/null 2>&1; then \
 		echo "distributed-smoke: a run over a corrupt file table wrote a partial"; exit 1; \
 	fi

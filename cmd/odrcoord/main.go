@@ -66,8 +66,9 @@
 // (distrib.Worker) for the rest, so every later request must name the same
 // trace path and SHA-256; one that does not is refused, naming the field.
 // A stream of one request is a one-shot worker. The coordinator starts
-// min(-workers, -windows) such processes as the run starts and keeps at
-// most -workers, each serving window after window; one that fails,
+// min(-workers, windows not done) such processes once it has read the
+// trace's file table and its checkpoint, and keeps at most -workers,
+// each serving window after window; one that fails,
 // crashes, stalls or is canceled is killed and replaced by a fresh one,
 // and every process is reaped before odrcoord exits. Each
 // process runs at an even share of the coordinator's cores: GOMAXPROCS
@@ -283,20 +284,22 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 
 	if verify {
 		fmt.Printf("\nverifying against a single-process replay of %s...\n", tracePath)
+		refStart := time.Now()
 		ref, err := distrib.SingleProcess(tracePath, spec, nil)
 		if err != nil {
 			return err
 		}
+		fmt.Printf("reference:          base-0 window of %d tasks, %.3fs wall, process peak RSS %.1f MB\n",
+			ref.Totals.Tasks, time.Since(refStart).Seconds(), float64(peakRSS())/(1<<20))
 		refSum, err := digestSum(ref.WriteDigest)
 		if err != nil {
 			return err
 		}
-		if refSum == sum {
-			fmt.Println("DISTRIB verdict: PASS (merged digest byte-identical to single-process)")
-		} else {
+		if refSum != sum {
 			fmt.Println("DISTRIB verdict: FAIL (merged digest differs from single-process)")
 			return fmt.Errorf("digest mismatch: merged sha256:%x, single-process sha256:%x", sum, refSum)
 		}
+		fmt.Println("DISTRIB verdict: PASS (merged digest byte-identical to single-process)")
 	}
 	return nil
 }
@@ -416,7 +419,7 @@ func (s *requestStream) next() (distrib.WorkerRequest, error) {
 // takes an idle process when there is one and spawns one otherwise, so a
 // run keeps at most as many processes as it runs windows at once — the
 // coordinator's Workers — each opening the trace once; Start spawns them
-// ahead, as the coordinator's run starts. Run forwards the
+// ahead, beside the coordinator's trace hash. Run forwards the
 // process's "hb N" lines as heartbeats and requires its "done OFF,LIM"
 // line to name the window it sent, preceded by a well-formed "stats" line,
 // which it keeps (Windows). On any error, crash, cancellation or

@@ -319,10 +319,13 @@ func TestExecWorkersMatchSingleProcess(t *testing.T) {
 }
 
 // TestFailedRunReapsStartedProcesses: the coordinator starts its worker
-// processes before it opens the trace, so a run that fails before its
-// first window — a missing trace, a checkpoint for another spec while the
-// state pass runs — leaves processes that served nothing, and Close kills
-// and reaps every one of them without reporting their exit.
+// processes once it has read the trace's file table and its checkpoint,
+// as many as it has windows not done, up to Workers. A run that fails at
+// open — a missing trace — starts none; one that fails after the start —
+// a checkpoint for another spec, refused once the hash lands — leaves
+// processes that served nothing, and Close kills and reaps every one of
+// them without reporting their exit. A resume with one pending window
+// under two workers starts one.
 func TestFailedRunReapsStartedProcesses(t *testing.T) {
 	path, records := writeTrace(t)
 	t.Setenv(asCommand, "1")
@@ -338,9 +341,36 @@ func TestFailedRunReapsStartedProcesses(t *testing.T) {
 		distrib.NewManifest(path, sha, records, other, 4)); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ name, trace, checkpoint, want string }{
-		{"missing trace", filepath.Join(t.TempDir(), "missing.bin"), t.TempDir(), "no such file"},
-		{"foreign checkpoint", path, foreign, "manifest: spec"},
+	// A checkpoint with its last window pending: a whole in-process run,
+	// then that window marked pending again.
+	onePending := t.TempDir()
+	co, err := distrib.New(distrib.Config{TracePath: path, Workers: 2, Windows: 4,
+		CheckpointDir: onePending, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(onePending, distrib.ManifestName)
+	m, err := distrib.LoadManifest(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Windows[3].State, m.Windows[3].Partial = distrib.StatePending, ""
+	if err := distrib.SaveManifest(mpath, m); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, trace, checkpoint, want string
+		stats                         procStats
+	}{
+		{"missing trace", filepath.Join(t.TempDir(), "missing.bin"), t.TempDir(), "no such file",
+			procStats{}},
+		{"foreign checkpoint", path, foreign, "manifest: spec",
+			procStats{Spawned: 2, Reaped: 2}},
+		{"one pending window", path, onePending, "",
+			procStats{Spawned: 1, Reaped: 1, Windows: 1}},
 	} {
 		runner := &execRunner{bin: os.Args[0]}
 		co, err := distrib.New(distrib.Config{TracePath: tc.trace, Workers: 2, Windows: 4,
@@ -348,14 +378,18 @@ func TestFailedRunReapsStartedProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := co.Run(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
+		_, err = co.Run(context.Background())
+		if tc.want == "" && err != nil {
+			t.Fatalf("%s: Run = %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
 			t.Fatalf("%s: Run = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 		if err := runner.Close(); err != nil {
 			t.Fatalf("%s: Close = %v", tc.name, err)
 		}
-		if got, want := runner.Stats(), (procStats{Spawned: 2, Reaped: 2}); got != want {
-			t.Fatalf("%s: worker processes %+v, want %+v (both started, both reaped)", tc.name, got, want)
+		if got := runner.Stats(); got != tc.stats {
+			t.Fatalf("%s: worker processes %+v, want %+v", tc.name, got, tc.stats)
 		}
 	}
 }

@@ -25,10 +25,11 @@ type Runner interface {
 }
 
 // Starter is a Runner whose workers take time to start (cmd/odrcoord's
-// worker processes). Coordinator.Run calls Start once, as the run starts
-// and before it opens the trace, with how many windows can replay at
-// once, so the workers start while the coordinator hashes the trace and
-// plans; a worker started this way serves windows as any other does.
+// worker processes). Coordinator.Run calls Start once, with min(Workers,
+// windows not done), once it has read the trace's file table and the
+// checkpoint and before it hashes the trace, so the workers start while
+// it hashes (a run that fails at open starts none); a worker started
+// this way serves windows as any other does.
 type Starter interface {
 	Start(n int)
 }
@@ -183,9 +184,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s, ok := c.cfg.Runner.(Starter); ok {
-		s.Start(min(c.cfg.Workers, c.cfg.Windows))
-	}
 	// The trace's census comes from its file table: a trace whose table
 	// is damaged fails here, before any window starts.
 	bin, err := trace.OpenBin(c.cfg.TracePath)
@@ -204,6 +202,9 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if s, ok := c.cfg.Runner.(Starter); ok {
+		s.Start(min(c.cfg.Workers, len(st.manifest.Windows)-st.manifest.Done()))
 	}
 	// The pass needs only the file table, which OpenBin read: it starts
 	// over the plan's bases now and runs beside the hash. The states it

@@ -4,7 +4,11 @@
 // window against one open trace, Worker), checkpoints per-window
 // completion into a JSON manifest, and merges the workers' partial
 // results into one report whose digest is byte-identical to a
-// single-process full-stream replay of the same trace.
+// single-process replay of the same trace. That reference
+// (SingleProcess) is the base-0 window over the whole trace, replayed by
+// the worker's own path; tier-1 checks it in turn against the trace
+// replayed whole by replay.RunODRStream
+// (TestDistributedDigestMatchesSingleProcess).
 //
 // # Why windows merge exactly
 //
@@ -50,12 +54,10 @@
 // an earlier run left behind.
 //
 // Partials hold each task as a replay.DigestRecord — the eight fields the
-// digest reads, 48 B against an ODRTask's 128 B. The merge keeps the
-// partials and copies no record, and Merged.WriteDigest streams the
-// digest across the partials' own records (replay.WriteDigest) so a
-// caller can hash it without building it: at its peak the coordinator
-// holds ≈ 48 B per task, where whole tasks and a built digest string
-// took ≈ 400.
+// digest reads, 48 B against an ODRTask's 128 B. The merge copies no
+// record, and Merged.WriteDigest streams the digest across the partials'
+// own records (replay.WriteDigest), so the coordinator and the reference
+// each hold ≈ 48 B per task at their peak.
 //
 // The one cross-request state this cannot reproduce is the resilience
 // layer's per-user circuit breaker: its strikes and cooldowns follow

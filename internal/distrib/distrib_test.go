@@ -351,8 +351,12 @@ func TestMergePartialsEmpty(t *testing.T) {
 
 // TestDistributedDigestMatchesSingleProcess is the heart of the package:
 // for the static pool and every cache policy, with and without naive
-// faults, the coordinator's merged digest must be byte-identical to a
-// single-process full-stream replay. The policies run under a pool small
+// faults, the coordinator's merged digest must be byte-identical to the
+// single-process reference (SingleProcess, the base-0 window), and both
+// to the trace replayed whole by replay.RunODRStream over the census —
+// the stream reader and Population.Resolve's per-record ID check, a path
+// no window takes. With metrics on, the reference's registry is the
+// stream's, less the in-flight peak. The policies run under a pool small
 // enough to evict, over a week that crosses prewarm's 04:00 trough, so
 // every window starts from a pool its predecessors' evictions and
 // prefetches shaped.
@@ -372,9 +376,42 @@ func TestDistributedDigestMatchesSingleProcess(t *testing.T) {
 		}{"dynamic " + policy + " policy", WorkerSpec{Seed: 42, CachePolicy: policy, PoolBytes: 64 << 20, Metrics: true}})
 	}
 	tracePath := writeTrace(t, 90, 42)
+	bin := openBin(t, tracePath)
 	for _, c := range specs {
 		t.Run(c.name, func(t *testing.T) {
-			want := singleDigest(t, tracePath, c.spec)
+			var reg *obs.Registry
+			if c.spec.Metrics {
+				reg = obs.NewRegistry()
+			}
+			opts, err := c.spec.ReplayOptions(reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := bin.Window(0, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := replay.RunODRStream(full, bin.Census().Files, smartap.Benchmarked(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stream.Digest()
+			ref, err := SingleProcess(tracePath, c.spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ref.Digest(); got != want {
+				t.Fatalf("single-process digest differs from the stream replay's:\n got %s\nwant %s", got, want)
+			}
+			if reg != nil {
+				want, got := reg.Snapshot(), ref.Metrics.Snapshot()
+				for _, s := range []*obs.Snapshot{want, got} {
+					delete(s.Gauges, replay.MetricInflightPeak)
+				}
+				if diff := snapshotDiff(got, want); diff != "" {
+					t.Fatalf("single-process metrics differ from the stream replay's:\n%s", diff)
+				}
+			}
 			co, err := New(Config{
 				TracePath:     tracePath,
 				Workers:       3,
@@ -570,7 +607,8 @@ func TestMergeOrderInsensitive(t *testing.T) {
 }
 
 // TestSingleProcessEmptyTrace: a bin trace with no records is an error
-// naming it, not a panic in the cloud pool's constructor.
+// naming it, not a panic in the cloud pool's constructor. A timeline is
+// refused too: the reference is a window, which records none.
 func TestSingleProcessEmptyTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.bin")
 	f, err := os.Create(path)
@@ -584,6 +622,10 @@ func TestSingleProcessEmptyTrace(t *testing.T) {
 	if _, err := SingleProcess(path, WorkerSpec{Seed: 1}, nil); err == nil ||
 		!strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "no records") {
 		t.Fatalf("SingleProcess(empty trace) = %v, want an error naming the trace and saying it holds no records", err)
+	}
+	if _, err := SingleProcess(writeTrace(t, 20, 1), WorkerSpec{Seed: 1}, &replay.TimelineConfig{}); err == nil ||
+		!strings.Contains(err.Error(), "timeline") {
+		t.Fatalf("SingleProcess(timeline) = %v, want an error saying a window records no timeline", err)
 	}
 }
 

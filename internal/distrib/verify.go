@@ -1,44 +1,37 @@
 package distrib
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
-	"odr/internal/obs"
 	"odr/internal/replay"
-	"odr/internal/smartap"
-	"odr/internal/trace"
 )
 
-// SingleProcess replays the whole trace in this process through exactly
-// the path the workers take — the census population from the trace's
-// file table, the same compiled options, the full record stream — and
-// returns the result. It reads the file table once and decodes the trace
-// once. Its Digest is the reference the coordinator's merged digest must
-// match byte for byte (odrcoord -verify and EXP-D both rest on it). A
-// trace with no records is an error naming it: it has no population to
-// size a cloud from.
-func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineConfig) (*replay.ODRResult, error) {
-	bin, err := trace.OpenBin(tracePath)
+// SingleProcess replays the whole trace in this process as one window,
+// [0, records), through the worker's own path with no state file
+// (Worker.Replay), and returns that partial merged: the reference the
+// coordinator's merged digest must match byte for byte (odrcoord -verify
+// and EXP-D rest on it). A trace with no records is an error naming it.
+// timeline must be nil, since a window records none; the parameter stays
+// only until the frozen benchmark's calls can drop it (ROADMAP 1(d)).
+func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineConfig) (*Merged, error) {
+	if timeline != nil {
+		return nil, errors.New("distrib: the single-process reference is a window, which records no timeline")
+	}
+	req := WorkerRequest{TracePath: tracePath, Spec: spec}
+	w, err := OpenWorker(req)
 	if err != nil {
 		return nil, err
 	}
-	defer bin.Close()
-	if bin.Census().Records == 0 {
+	defer w.Close()
+	req.Window.Limit = w.bin.Census().Records
+	if req.Window.Limit == 0 {
 		return nil, fmt.Errorf("distrib: trace %s holds no records", tracePath)
 	}
-
-	var reg *obs.Registry
-	if spec.Metrics {
-		reg = obs.NewRegistry()
-	}
-	opts, err := spec.ReplayOptions(reg)
+	p, _, err := w.Replay(context.TODO(), req, nil)
 	if err != nil {
 		return nil, err
 	}
-	opts.Timeline = timeline
-	full, err := bin.Window(0, -1)
-	if err != nil {
-		return nil, err
-	}
-	return replay.RunODRStream(full, bin.Census().Files, smartap.Benchmarked(), opts)
+	return MergePartials([]*Partial{p})
 }

@@ -174,7 +174,7 @@ type Worker struct {
 	bin *trace.Bin
 	sha string
 
-	// mu serialises Run: a window's observation builds world slots that
+	// mu serialises Replay: a window's observation builds world slots that
 	// its workers then read.
 	mu    sync.Mutex
 	spec  string // the fingerprint world was built for
@@ -221,63 +221,71 @@ type WindowStages struct {
 	Write time.Duration
 }
 
-// Run replays one window of the worker's trace and writes the partial
-// result to req.PartialPath. A request naming another trace path or
-// SHA-256 than the one the worker opened is refused, naming the field.
-// The window starts from the census population the trace's file table
-// declares — so the backend fleet's sequential warm-pool draws match
-// every other worker's and a single-process replay's — and the cloud's
-// observation state at the window base: read from the state file the
-// request names, or, when it names none, derived in memory by the state
-// pass the coordinator runs (statePass). It then replays only the window,
-// with every index-keyed input offset by the window base, over the
-// worker's world for the request's spec (replay.RunODRWindow).
-//
-// beat, when non-nil, receives the total records read so far about every
-// progressEvery records — the coordinator's heartbeat signal.
-// Cancelling ctx stops the worker between records. Run reports where the
-// window's time went. Calls run one at a time.
+// Run replays one window (Replay) and writes its partial result to
+// req.PartialPath, reporting where the window's time went.
 func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records int64)) (WindowStages, error) {
+	if req.PartialPath == "" {
+		return WindowStages{}, errors.New("distrib: worker needs a partial output path")
+	}
+	p, st, err := w.Replay(ctx, req, beat)
+	if err == nil {
+		written := time.Now()
+		err = WritePartial(req.PartialPath, p)
+		st.Write = time.Since(written)
+	}
+	return st, err
+}
+
+// Replay replays one window of the worker's trace and returns its
+// partial result (req.PartialPath is not read). A request naming another
+// trace path or SHA-256 than the worker opened is refused, naming the
+// field. The window starts from the census population the trace's file
+// table declares — so the backend fleet's sequential warm-pool draws
+// match every other window's — and the cloud's observation state at its
+// base: read from the request's state file, or, when it names none,
+// derived in memory by the coordinator's state pass (statePass). It then
+// replays only the window, every index-keyed input offset by its base,
+// over the worker's world for the spec (replay.RunODRWindow).
+//
+// beat, when non-nil, receives the records read so far about every
+// progressEvery records: the coordinator's heartbeat. Cancelling ctx
+// stops the worker between records. Replay reports where the window's
+// time went, Write aside. Calls run one at a time.
+func (w *Worker) Replay(ctx context.Context, req WorkerRequest, beat func(records int64)) (*Partial, WindowStages, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var st WindowStages
 	switch {
 	case req.TracePath != w.bin.Path():
-		return st, fmt.Errorf("distrib: worker: trace_path: request names %s, this worker opened %s", req.TracePath, w.bin.Path())
+		return nil, st, fmt.Errorf("distrib: worker: trace_path: request names %s, this worker opened %s", req.TracePath, w.bin.Path())
 	case req.TraceSHA256 != w.sha:
-		return st, fmt.Errorf("distrib: worker: trace_sha256: request names %q, this worker opened %q", req.TraceSHA256, w.sha)
+		return nil, st, fmt.Errorf("distrib: worker: trace_sha256: request names %q, this worker opened %q", req.TraceSHA256, w.sha)
 	}
 	if err := req.Spec.Validate(); err != nil {
-		return st, err
-	}
-	if req.PartialPath == "" {
-		return st, errors.New("distrib: worker needs a partial output path")
+		return nil, st, err
 	}
 	start := time.Now()
 	cen := w.bin.Census()
 	win := req.Window
 	if win.Offset < 0 || win.Limit <= 0 || win.End() > cen.Records {
-		return st, fmt.Errorf("distrib: window %v outside trace of %d records", win, cen.Records)
-	}
-	if ctx == nil {
-		ctx = context.Background()
+		return nil, st, fmt.Errorf("distrib: window %v outside trace of %d records", win, cen.Records)
 	}
 	// A run can read fewer than progressEvery records, so the meter
 	// might never check.
 	if err := ctx.Err(); err != nil {
-		return st, err
+		return nil, st, err
 	}
 	m := &meter{ctx: ctx, beat: beat}
 	state, err := w.windowState(req, m)
 	if err != nil {
-		return st, err
+		return nil, st, err
 	}
 	if req.CrashAfter > 0 {
 		m.crashAfter = m.processed + req.CrashAfter
 	}
 	wsrc, err := w.bin.Window(win.Offset, win.Limit)
 	if err != nil {
-		return st, err
+		return nil, st, err
 	}
 
 	var reg *obs.Registry
@@ -286,7 +294,7 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 	}
 	opts, err := req.Spec.ReplayOptions(reg)
 	if err != nil {
-		return st, err
+		return nil, st, err
 	}
 	if fp := req.Spec.Fingerprint(); w.world == nil || w.spec != fp {
 		w.world, w.spec = replay.NewWorld(cen.Files, opts), fp
@@ -296,10 +304,10 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 	res, err := replay.RunODRWindow(w.world, state, m.wrap(wsrc), int(win.Offset),
 		smartap.Benchmarked(), opts)
 	if err != nil {
-		return st, err
+		return nil, st, err
 	}
 	if got := int64(len(res.Records)); got != win.Limit {
-		return st, fmt.Errorf("distrib: window %v replayed %d tasks, want %d", win, got, win.Limit)
+		return nil, st, fmt.Errorf("distrib: window %v replayed %d tasks, want %d", win, got, win.Limit)
 	}
 
 	p := &Partial{
@@ -313,12 +321,9 @@ func (w *Worker) Run(ctx context.Context, req WorkerRequest, beat func(records i
 	if reg != nil {
 		p.Metrics = reg.Snapshot()
 	}
-	written := time.Now()
 	st.Setup = res.Setup
-	st.Replay = written.Sub(replayed) - res.Setup
-	err = WritePartial(req.PartialPath, p)
-	st.Write = time.Since(written)
-	return st, err
+	st.Replay = time.Since(replayed) - res.Setup
+	return p, st, nil
 }
 
 // windowState returns the cloud's observation state at req's window
