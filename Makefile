@@ -21,6 +21,35 @@ check: fmt vet build reach race determinism cover allocgate
 ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 	distributed-smoke
 
+# The gates below name the tests they run, and `go test` exits 0 when a
+# -run or -fuzz pattern matches nothing, so a renamed test would drop out
+# of its gate unseen. listed PKG,NAMES,FLAGS,GREP therefore fails, naming
+# the target and the name, unless every name matches a test, benchmark,
+# fuzz target or example that `go test FLAGS -list .` finds in PKG: GREP
+# is -qF for a match anywhere in the name, as -run matches, and -qxF for
+# the whole name.
+listed = names="$$($(GO) test $(3) -list . $(1))" || exit 1; \
+	for n in $(2); do \
+		printf '%s\n' "$$names" | grep $(4) -- "$$n" || \
+			{ echo "$@: $$n matches nothing in $(1)"; exit 1; }; \
+	done
+empty :=
+space := $(empty) $(empty)
+
+# tests PKG,NAMES,FLAGS runs the named tests of PKG with FLAGS: the -run
+# pattern is the names as alternatives, each matching anywhere in a test's
+# name.
+define tests
+@$(call listed,$(1),$(2),$(3),-qF)
+$(GO) test -run '$(subst $(space),|,$(strip $(2)))' $(3) $(1)
+endef
+
+# fuzz NAME,PKG fuzzes PKG's fuzz target NAME for FUZZ_TIME.
+define fuzz
+@$(call listed,$(2),$(1),,-qxF)
+$(GO) test -run '^$$' -fuzz '^$(1)$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x $(2)
+endef
+
 # fuzz-smoke runs each fuzzer briefly from its seeds: the trace decoders
 # (committed corpora in testdata/fuzz, so every past counterexample
 # replays on plain `go test` as well), the CSV codec against the
@@ -33,22 +62,23 @@ ci: check bench-compare matrix-smoke fuzz-smoke paperscale-smoke \
 # against math/rand. Long enough to shake out decode panics and stream
 # divergence, short enough for CI. Each new-coverage input is minimized
 # for at most 100 runs: by default the fuzzer spends up to 60 s on each,
-# uncounted, which can take a whole 5 s run.
+# uncounted, which can take a whole 5 s run. A target that names no fuzz
+# target of its package fails the smoke (see listed).
 FUZZ_TIME ?= 5s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzCSVDecodeMatchesReference -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzCSVEncodeMatchesReference -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/distrib
-	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/distrib
-	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/backend
-	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/distrib
-	$(GO) test -run '^$$' -fuzz FuzzDecideBodies -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/odrweb
-	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/odrweb
-	$(GO) test -run '^$$' -fuzz FuzzWireEncode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/odrweb
-	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/dist
+	$(call fuzz,FuzzCSVDecode,./internal/trace)
+	$(call fuzz,FuzzCSVDecodeMatchesReference,./internal/trace)
+	$(call fuzz,FuzzCSVEncodeMatchesReference,./internal/trace)
+	$(call fuzz,FuzzJSONLDecode,./internal/trace)
+	$(call fuzz,FuzzBinDecode,./internal/trace)
+	$(call fuzz,FuzzDecodePartial,./internal/distrib)
+	$(call fuzz,FuzzDecodeState,./internal/distrib)
+	$(call fuzz,FuzzRestoreState,./internal/backend)
+	$(call fuzz,FuzzLoadManifest,./internal/distrib)
+	$(call fuzz,FuzzDecideBodies,./internal/odrweb)
+	$(call fuzz,FuzzWireDecode,./internal/odrweb)
+	$(call fuzz,FuzzWireEncode,./internal/odrweb)
+	$(call fuzz,FuzzSourceMatchesMathRand,./internal/dist)
 
 # paperscale-smoke runs EXP-W at ~200k tasks: parallel generation must
 # hash byte-identical to sequential, the bin trace file must hash back
@@ -292,12 +322,13 @@ reach:
 # goroutines. The replay's Population must give every record the ordinals
 # its maps would, whether it takes the bin decoder's trace ordinal or
 # falls back to the maps.
+DETERMINISM_FLAGS := -race -cpu 1,4
 determinism:
-	$(GO) test -run 'TestReplayDeterminism|TestReplayGolden|TestReplayPopulationEdges' -race -cpu 1,4 ./internal/replay
-	$(GO) test -run 'TestPopulationOrdinalsMatchMaps' -race -cpu 1,4 ./internal/backend
-	$(GO) test -run 'TestWriteRecordsBatchBoundaries|TestWriteRecordsErrors|TestCSVLaneReaderMatchesSerial|TestCSVReaderGoroutines' -race -cpu 1,4 ./internal/trace
-	$(GO) test -run 'TestReadOrder|TestReadRestAndClose' -race -cpu 1,4 ./internal/lanes
-	$(GO) test -run 'TestGenerateStreamMatchesGenerate|TestRequestsWorkersMatchesSequential|TestStreamTimeThenIndexOrder' -race -cpu 1,4 ./internal/workload
+	$(call tests,./internal/replay,TestReplayDeterminism TestReplayGolden TestReplayPopulationEdges,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/backend,TestPopulationOrdinalsMatchMaps,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/trace,TestWriteRecordsBatchBoundaries TestWriteRecordsErrors TestCSVLaneReaderMatchesSerial TestCSVReaderGoroutines,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/lanes,TestReadOrder TestReadRestAndClose,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/workload,TestGenerateStreamMatchesGenerate TestRequestsWorkersMatchesSequential TestStreamTimeThenIndexOrder,$(DETERMINISM_FLAGS))
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot
@@ -332,9 +363,9 @@ cover:
 # build tag (race instrumentation allocates per tracked access), so they
 # run here rather than inside the race target.
 allocgate:
-	$(GO) test -run 'TestStreamSteadyStateAllocs|TestDigestAllocs' -count 1 ./internal/replay
-	$(GO) test -run TestBatchHandlerAllocs -count 1 ./internal/odrweb
-	$(GO) test -run 'TestCSVSteadyStateAllocs|TestHashAllocs' -count 1 ./internal/trace
+	$(call tests,./internal/replay,TestStreamSteadyStateAllocs TestDigestAllocs,-count 1)
+	$(call tests,./internal/odrweb,TestBatchHandlerAllocs,-count 1)
+	$(call tests,./internal/trace,TestCSVSteadyStateAllocs TestHashAllocs,-count 1)
 
 # Replay benchmarks: the shard-count throughput sweep plus the streaming
 # pipeline's allocation profile, the metrics hot path, the windowed

@@ -10,7 +10,7 @@
 //	odrcoord -trace FILE -checkpoint DIR [-workers N] [-windows N]
 //	         [-seed S] [-shards N] [-faults SPEC]
 //	         [-cache-policy NAME] [-pool-bytes N] [-metrics FORMAT]
-//	         [-pprof ADDR] [-spec FILE] [-verify]
+//	         [-pprof ADDR] [-verify]
 //	         [-heartbeat DUR] [-max-attempts N]
 //	         [-halt-after N] [-crash-window N]
 //
@@ -36,15 +36,14 @@
 // -pprof a net/http/pprof server runs in the coordinator process for the
 // lifetime of the run.
 //
-// -spec FILE loads a scenario file (internal/scenario JSON) and maps its
-// distributed subset — seed, shards, cache policy, pool bytes, faults,
-// workers — onto the coordinator. The fault schedule spans the
-// scenario's horizon, exactly as `scenario -spec` replays it. The
-// scenario must be naive (faults without the failure-aware layer):
-// per-user circuit state follows executed outcomes, not observations, so
-// no window's start state can carry it. Its files, sample and
-// window_hours are ignored: odrcoord replays the trace it is given and
-// builds no timeline.
+// Every replay setting is a flag. -faults SPEC takes an internal/faults
+// spec, which always replays naively here (faults without the
+// failure-aware layer: per-user circuit state follows executed outcomes,
+// not observations, so no window's start state can carry it); its
+// episode schedule spans a week unless the spec sets span=, so a trace
+// of a longer horizon names it ("intensity=0.25,span=720h" is the
+// schedule a 30-day scenario file with "faults": "0.25" compiles to).
+// odrcoord builds no timeline.
 //
 // Exit codes: 0 success, 1 failure or FAIL verdict, 3 halted after a
 // checkpoint (-halt-after).
@@ -119,11 +118,10 @@ func command(fs *flag.FlagSet) func() error {
 		worker     = fs.Bool("worker", false, "run as a window worker reading its request as JSON on stdin (internal; spawned by the coordinator)")
 		tracePath  = fs.String("trace", "", "bin trace file to replay")
 		checkpoint = fs.String("checkpoint", "", "checkpoint directory (manifest + partial results)")
-		workers    = fs.Int("workers", 0, "concurrent worker processes (0 = 1, or the -spec file's workers)")
+		workers    = fs.Int("workers", 0, "concurrent worker processes (0 = 1)")
 		windows    = fs.Int("windows", 0, "window count (0 = 2 per worker)")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		shards     = fs.Int("shards", 0, "per-worker engine shards (0 = GOMAXPROCS; results are identical for any value)")
-		specFile   = fs.String("spec", "", "load the distributed subset of a scenario file (JSON)")
 		verify     = fs.Bool("verify", false, "also replay single-process and compare digests (prints the DISTRIB verdict)")
 		heartbeat  = fs.Duration("heartbeat", distrib.DefaultHeartbeatTimeout, "kill a worker whose heartbeats stop for this long")
 		attempts   = fs.Int("max-attempts", distrib.DefaultMaxAttempts, "worker attempts per window before the run fails")
@@ -142,55 +140,12 @@ func command(fs *flag.FlagSet) func() error {
 			return nil
 		}
 		return runCoordinator(*tracePath, *checkpoint, *workers, *windows, *seed, *shards,
-			*specFile, *verify, *heartbeat, *attempts, *haltAfter, *crashWin, common)
+			*verify, *heartbeat, *attempts, *haltAfter, *crashWin, common)
 	}
-}
-
-// loadSpecFile maps a scenario file's distributed subset onto a worker
-// spec and worker count. The fault string is compiled through
-// scenario.Spec.FaultSpec, so its episode schedule spans the scenario's
-// horizon, as it does under `scenario -spec`.
-func loadSpecFile(path string) (distrib.WorkerSpec, int, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return distrib.WorkerSpec{}, 0, err
-	}
-	var s scenario.Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return distrib.WorkerSpec{}, 0, fmt.Errorf("spec %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return distrib.WorkerSpec{}, 0, err
-	}
-	if s.Faults != "" && !s.Naive {
-		return distrib.WorkerSpec{}, 0, fmt.Errorf(
-			"spec %s: distributed replay cannot run the failure-aware resilience layer "+
-				"(its per-user circuit state follows executed outcomes, not observations, so no window start state carries it); "+
-				"set \"naive\": true or run single-process", path)
-	}
-	if s.PoolDivisor > 0 {
-		return distrib.WorkerSpec{}, 0, fmt.Errorf(
-			"spec %s: pool_divisor is population-relative; distributed runs need an explicit pool_bytes", path)
-	}
-	s = s.Normalized()
-	fs, err := s.FaultSpec()
-	if err != nil {
-		return distrib.WorkerSpec{}, 0, err
-	}
-	ws := distrib.WorkerSpec{
-		Seed:        s.Seed,
-		Shards:      s.Shards,
-		CachePolicy: s.CachePolicy,
-		PoolBytes:   s.PoolBytes,
-	}
-	if fs.Enabled() {
-		ws.Faults = fs.String()
-	}
-	return ws, s.Workers, nil
 }
 
 func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uint64, shards int,
-	specFile string, verify bool, heartbeat time.Duration,
+	verify bool, heartbeat time.Duration,
 	attempts, haltAfter, crashWin int, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
@@ -204,18 +159,8 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 		CachePolicy: common.CachePolicy,
 		PoolBytes:   common.PoolBytes,
 		Faults:      common.Faults,
+		Metrics:     common.Metrics != "",
 	}
-	if specFile != "" {
-		ws, specWorkers, err := loadSpecFile(specFile)
-		if err != nil {
-			return err
-		}
-		spec = ws
-		if workers == 0 {
-			workers = specWorkers
-		}
-	}
-	spec.Metrics = common.Metrics != ""
 	bin, err := os.Executable()
 	if err != nil {
 		return err

@@ -86,18 +86,20 @@ func writeTraceOf(t *testing.T, files int) (string, int64) {
 	if err := trace.WriteWorkloadStream(f, "bin", st.Requests()); err != nil {
 		t.Fatal(err)
 	}
-	cen, err := trace.ReadBinCensus(path)
+	b, err := trace.OpenBin(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path, cen.Records
+	defer b.Close()
+	return path, b.Census().Records
 }
 
 // TestFlagSurface pins the command's flags. The engine batch size never
 // changed a result, the goroutine runner is for tests and the library,
 // the worker takes its whole request on stdin, and the coordinator
 // reports no timeline, so -chunk, -inprocess, the old worker-only flags
-// and -window-hours are usage errors.
+// and -window-hours are usage errors; so is -spec, since every setting a
+// scenario file could give the coordinator has its own flag.
 func TestFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("odrcoord", flag.ContinueOnError)
 	command(fs)
@@ -105,11 +107,11 @@ func TestFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{"cache-policy", "checkpoint", "crash-window", "faults", "halt-after",
 		"heartbeat", "max-attempts", "metrics", "pool-bytes", "pprof", "seed", "shards",
-		"spec", "trace", "verify", "windows", "worker", "workers"}
+		"trace", "verify", "windows", "worker", "workers"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("flags = %v, want %v", got, want)
 	}
-	for _, name := range []string{"chunk", "inprocess", "window", "out", "crash-after", "worker-metrics", "ingest-workers", "window-hours"} {
+	for _, name := range []string{"chunk", "inprocess", "window", "out", "crash-after", "worker-metrics", "ingest-workers", "window-hours", "spec"} {
 		fs := flag.NewFlagSet("odrcoord", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		command(fs)
@@ -452,25 +454,18 @@ func TestExecRunnerCancel(t *testing.T) {
 	}
 }
 
-// TestSpecFileKeepsHorizon: a 30-day scenario file compiles to the same
-// fault schedule under odrcoord -spec as under scenario -spec — 30 days
-// of episodes, not the fault layer's one-week default.
+// TestSpecFileKeepsHorizon: a fault spec that names its horizon compiles
+// to the same fault schedule on odrcoord's -faults as a 30-day scenario
+// file does under scenario -spec — 30 days of episodes, not the fault
+// layer's one-week default.
 func TestSpecFileKeepsHorizon(t *testing.T) {
-	const body = `{"days": 30, "faults": "0.25", "naive": true, "seed": 5, "pool_bytes": 1000000}`
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ws, _, err := loadSpecFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := distrib.WorkerSpec{Seed: 5, PoolBytes: 1000000, Faults: "intensity=0.25,span=720h"}
 	coordOpts, err := ws.ReplayOptions(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var s scenario.Spec
-	if err := json.Unmarshal([]byte(body), &s); err != nil {
+	if err := json.Unmarshal([]byte(`{"days": 30, "faults": "0.25", "naive": true, "seed": 5, "pool_bytes": 1000000}`), &s); err != nil {
 		t.Fatal(err)
 	}
 	scenOpts, err := s.Normalized().ReplayOptions()
@@ -481,7 +476,7 @@ func TestSpecFileKeepsHorizon(t *testing.T) {
 		t.Fatalf("faults not installed: odrcoord %v, scenario %v", coordOpts.Faults, scenOpts.Faults)
 	}
 	if *coordOpts.Faults != *scenOpts.Faults {
-		t.Fatalf("odrcoord -spec compiles %#v, scenario -spec %#v", *coordOpts.Faults, *scenOpts.Faults)
+		t.Fatalf("odrcoord -faults compiles %#v, scenario -spec %#v", *coordOpts.Faults, *scenOpts.Faults)
 	}
 	if got := coordOpts.Faults.Span.Hours(); got != 30*24 {
 		t.Fatalf("fault schedule spans %vh, want the scenario's 720h", got)

@@ -7,19 +7,19 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"odr/internal/trace"
 )
 
 // Runner executes one worker assignment. The coordinator is agnostic to
-// where the work happens: InProcess runs the window on a goroutine (tests,
-// EXP-D), cmd/odrcoord's exec runner hands windows to worker processes
-// that serve one window after another and parses heartbeats off their
-// stdout. beat must be called with the worker's
-// running record count; a runner whose beats stop for longer than the
-// heartbeat timeout is canceled and the window retried.
+// where the work happens: InProcess runs the window on a goroutine (tests
+// and the benchmark's in-process smoke), cmd/odrcoord's exec runner hands
+// windows to worker processes that serve one window after another and
+// parses heartbeats off their stdout. beat must be called with the
+// worker's running record count, from any goroutine; a runner whose beats
+// stop for longer than the heartbeat timeout is canceled and the window
+// retried.
 type Runner interface {
 	Run(ctx context.Context, req WorkerRequest, beat func(records int64)) error
 }
@@ -549,38 +549,16 @@ func (c *Coordinator) runWindow(ctx context.Context, st *runState, idx int) erro
 		idx, win, c.cfg.MaxAttempts, lastErr)
 }
 
-// attempt runs one worker under the heartbeat watchdog: a worker whose
-// beats stop for HeartbeatTimeout is canceled and reported stalled.
+// attempt runs one worker under the heartbeat watchdog, one timer that
+// every beat resets: a worker whose beats stop for HeartbeatTimeout is
+// canceled and reported stalled.
 func (c *Coordinator) attempt(ctx context.Context, req WorkerRequest) error {
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var lastBeat atomic.Int64
-	lastBeat.Store(time.Now().UnixNano())
-	beat := func(int64) { lastBeat.Store(time.Now().UnixNano()) }
-
-	var stalled atomic.Bool
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-wctx.Done():
-				return
-			case <-tick.C:
-				if time.Since(time.Unix(0, lastBeat.Load())) > c.cfg.HeartbeatTimeout {
-					stalled.Store(true)
-					cancel()
-					return
-				}
-			}
-		}
-	}()
-	err := c.cfg.Runner.Run(wctx, req, beat)
-	if stalled.Load() {
+	wctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	watchdog := time.AfterFunc(c.cfg.HeartbeatTimeout, func() { cancel(errStalled) })
+	defer watchdog.Stop()
+	err := c.cfg.Runner.Run(wctx, req, func(int64) { watchdog.Reset(c.cfg.HeartbeatTimeout) })
+	if context.Cause(wctx) == errStalled {
 		return fmt.Errorf("%w (no beat for %v; last error: %v)", errStalled, c.cfg.HeartbeatTimeout, err)
 	}
 	return err

@@ -58,16 +58,6 @@ func writeTrace(t *testing.T, files int, seed uint64) string {
 	return path
 }
 
-// readCensus reads a trace's census from its file table.
-func readCensus(t *testing.T, tracePath string) trace.BinCensus {
-	t.Helper()
-	cen, err := trace.ReadBinCensus(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cen
-}
-
 // openBin opens a trace for the rest of the test.
 func openBin(t *testing.T, tracePath string) *trace.Bin {
 	t.Helper()
@@ -282,7 +272,7 @@ func TestManifestSaveLoad(t *testing.T) {
 // file every way the format guards against.
 func TestPartialRoundTrip(t *testing.T) {
 	tracePath := writeTrace(t, 60, 9)
-	records := readCensus(t, tracePath).Records
+	records := openBin(t, tracePath).Census().Records
 	spec := WorkerSpec{Seed: 9, CachePolicy: "band", Faults: "0.3", Metrics: true}
 	win := Window{Offset: records / 3, Limit: records / 3}
 	dir := t.TempDir()
@@ -1063,11 +1053,73 @@ func TestHeartbeatTimeout(t *testing.T) {
 	}
 }
 
+// beatRunner beats every 10 ms, on a goroutine of its own, for as long as
+// it runs a window: it first waits 300 ms, then runs the window in
+// process.
+type beatRunner struct{}
+
+func (beatRunner) Run(ctx context.Context, req WorkerRequest, beat func(int64)) error {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				beat(0)
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(done)
+	select {
+	case <-time.After(300 * time.Millisecond):
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return InProcess{}.Run(ctx, req, beat)
+}
+
+// TestBeatsKeepWindowAlive: a window that runs six times its heartbeat
+// timeout but keeps beating is never canceled — every window completes on
+// its first attempt, the only one it is allowed, so no retry hides a
+// stall.
+func TestBeatsKeepWindowAlive(t *testing.T) {
+	tracePath := writeTrace(t, 60, 37)
+	spec := WorkerSpec{Seed: 37}
+	co, err := New(Config{
+		TracePath:        tracePath,
+		Workers:          2,
+		Windows:          2,
+		CheckpointDir:    t.TempDir(),
+		Spec:             spec,
+		Runner:           beatRunner{},
+		HeartbeatTimeout: 50 * time.Millisecond,
+		MaxAttempts:      1,
+		Log:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := co.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := merged.Digest(), singleDigest(t, tracePath, spec); got != want {
+		t.Fatalf("digest of the beating run differs:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestRunWorkerErrors(t *testing.T) {
 	// A worker reads only its window, so the trace must hold enough
 	// records for one heartbeat.
 	tracePath := writeTrace(t, 120, 8)
-	records := readCensus(t, tracePath).Records
+	records := openBin(t, tracePath).Census().Records
 	if records < progressEvery {
 		t.Fatalf("a trace of %d records is too short for a heartbeat every %d", records, progressEvery)
 	}
@@ -1129,7 +1181,7 @@ func TestRunWorkerErrors(t *testing.T) {
 // SHA-256 is refused, naming the field.
 func TestWorkerServesWindows(t *testing.T) {
 	tracePath := writeTrace(t, 40, 8)
-	records := readCensus(t, tracePath).Records
+	records := openBin(t, tracePath).Census().Records
 	plan := PlanWindows(records, 8)
 	if len(plan) != 8 {
 		t.Fatalf("a trace of %d records plans %d windows, want 8", records, len(plan))
@@ -1259,7 +1311,7 @@ func TestWorkerServesWindows(t *testing.T) {
 // prefix.
 func TestWorkerStateFiles(t *testing.T) {
 	tracePath := writeTrace(t, 40, 8)
-	cen := readCensus(t, tracePath)
+	cen := openBin(t, tracePath).Census()
 	records := cen.Records
 	sha, err := trace.SHA256File(tracePath)
 	if err != nil {
@@ -1327,7 +1379,7 @@ func TestWorkerStateFiles(t *testing.T) {
 // heartbeats never count past the window's limit.
 func TestStaticWorkerReadsTheTraceOnce(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 13)
-	records := readCensus(t, tracePath).Records
+	records := openBin(t, tracePath).Census().Records
 	win := Window{Offset: records / 2, Limit: records / 4}
 	if win.Offset < 2*progressEvery {
 		t.Fatalf("a trace of %d records is too short to tell a second read of [0, %d) from heartbeat rounding", records, win.Offset)
@@ -1354,7 +1406,7 @@ func TestStaticWorkerReadsTheTraceOnce(t *testing.T) {
 // The census path reads no record.
 func TestStaticStateMatchesObservation(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 5)
-	cen := readCensus(t, tracePath)
+	cen := openBin(t, tracePath).Census()
 	records := cen.Records
 	bases := []int{0, 1, int(records) - 1, int(records)}
 	for _, n := range []int{3, 8} {
@@ -1436,7 +1488,7 @@ func TestWindowString(t *testing.T) {
 // length to forward reads as unknown.
 func TestMeteredSourceForwardsLength(t *testing.T) {
 	tracePath := writeTrace(t, 40, 8)
-	records := readCensus(t, tracePath).Records
+	records := openBin(t, tracePath).Census().Records
 	win := Window{Offset: records / 3, Limit: records / 2}
 	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, win.Offset, win.Limit)
 	if err != nil {
@@ -1464,7 +1516,7 @@ func TestMeteredSourceForwardsLength(t *testing.T) {
 // files recur across chunk boundaries.
 func TestCensusMatchesWorkloadCensus(t *testing.T) {
 	tracePath := writeTrace(t, 2000, 5)
-	cen := readCensus(t, tracePath)
+	cen := openBin(t, tracePath).Census()
 	got := cen.Files
 	src, closer, err := trace.OpenWorkloadBinWindow(tracePath, 0, -1)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // [0, records), through the worker's own path with no state file
 // (Worker.Replay), and returns that partial merged: the reference the
 // coordinator's merged digest must match byte for byte (odrcoord -verify
-// and EXP-D rest on it). A trace with no records is an error naming it.
+// and the distrib tests rest on it). A trace with no records is an error naming it.
 // timeline must be nil, since a window records none; the parameter stays
 // only until the frozen benchmark's calls can drop it (ROADMAP 1(d)).
 func SingleProcess(tracePath string, spec WorkerSpec, timeline *replay.TimelineConfig) (*Merged, error) {

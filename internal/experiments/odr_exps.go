@@ -215,8 +215,6 @@ func (l *Lab) ByID(id string) *Report {
 		return l.CacheTournament()
 	case "EXPW", "expw":
 		return l.PaperScale()
-	case "EXPD", "expd":
-		return l.DistributedReplay()
 	}
 	return nil
 }

@@ -61,10 +61,6 @@ type Spec struct {
 	// WindowHours, when positive, builds a windowed observability
 	// timeline with this window width over the scenario span.
 	WindowHours float64 `json:"window_hours,omitempty"`
-	// Workers is the distributed-replay worker count for coordinated runs
-	// (cmd/odrcoord); 0 means single-process. Only the coordinator reads
-	// it — every other consumer replays in-process regardless.
-	Workers int `json:"workers,omitempty"`
 }
 
 // Normalized fills the scale defaults (week horizon, 20000 files, 1000
@@ -107,9 +103,6 @@ func (s Spec) Validate() error {
 	}
 	if s.WindowHours < 0 {
 		return fmt.Errorf("scenario: negative WindowHours %g", s.WindowHours)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("scenario: negative Workers %d", s.Workers)
 	}
 	if _, err := s.WorkloadConfig(); err != nil {
 		return err

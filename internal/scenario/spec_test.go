@@ -37,7 +37,6 @@ func TestSpecValidate(t *testing.T) {
 		{"negative pool bytes", Spec{PoolBytes: -1}, "negative pool sizing"},
 		{"pool bytes and divisor", Spec{PoolBytes: 10, PoolDivisor: 2}, "mutually exclusive"},
 		{"negative window", Spec{WindowHours: -2}, "negative WindowHours"},
-		{"negative workers", Spec{Workers: -1}, "negative Workers"},
 		{"unknown profile", Spec{Profile: "nope"}, "nope"},
 		{"bad faults", Spec{Faults: "transient=x"}, "transient"},
 		{"bad policy", Spec{CachePolicy: "mru"}, "mru"},
@@ -219,7 +218,7 @@ func TestSpecLabel(t *testing.T) {
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := Spec{Name: "x", Profile: "holiday", Days: 14, Files: 5000, Sample: 300,
 		Seed: 4, Shards: 2, Faults: "0.1",
-		Naive: true, CachePolicy: "lfu", PoolDivisor: 8, WindowHours: 12, Workers: 3}
+		Naive: true, CachePolicy: "lfu", PoolDivisor: 8, WindowHours: 12}
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -241,10 +240,10 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Fatalf("zero spec marshals to %s", data)
 	}
 	// Decoding is non-strict: spec files written when there were
-	// "stream", "chunk" and "gen_workers" keys still load, the keys
-	// ignored.
+	// "stream", "chunk", "gen_workers" and "workers" keys still load, the
+	// keys ignored.
 	var old Spec
-	if err := json.Unmarshal([]byte(`{"stream": true, "chunk": 7, "gen_workers": 2, "seed": 3}`), &old); err != nil {
+	if err := json.Unmarshal([]byte(`{"stream": true, "chunk": 7, "gen_workers": 2, "workers": 4, "seed": 3}`), &old); err != nil {
 		t.Fatalf("spec file with retired keys no longer loads: %v", err)
 	}
 	if old != (Spec{Seed: 3}) {

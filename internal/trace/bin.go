@@ -54,7 +54,7 @@ import (
 // first-appearance order, with the index of the record each first appears
 // at, and the files' URLs (a file's starts where the previous one's ends)
 // — so a reader learns the trace's population without decoding a record
-// (ReadBinCensus). tableAt is the table's byte offset; the table ends where
+// (Bin.Census). tableAt is the table's byte offset; the table ends where
 // the trailer begins. A reader therefore needs a seekable file: it reads
 // and checks the trailer and the table when it opens and builds every
 // identity the table lists, so a record decode only indexes them.

@@ -123,19 +123,6 @@ func (o *BinOrdinals) Err() error { return o.s.Err() }
 // Close closes the file.
 func (b *Bin) Close() error { return b.f.Close() }
 
-// ReadBinCensus returns the census a bin trace file's trailer and file
-// table declare (Bin.Census) without decoding any record. The distrib
-// coordinator plans its window map from the count, pins it into the
-// checkpoint manifest, and starts every window from the files.
-func ReadBinCensus(path string) (BinCensus, error) {
-	b, err := OpenBin(path)
-	if err != nil {
-		return BinCensus{}, err
-	}
-	defer b.Close()
-	return b.Census(), nil
-}
-
 // SHA256File returns the lowercase hex SHA-256 of the file's bytes. The
 // checkpoint manifest pins the trace identity with it, so a resume against
 // a regenerated or truncated trace fails loudly instead of merging windows

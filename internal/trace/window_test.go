@@ -25,27 +25,29 @@ func writeBinFile(t *testing.T, reqs []workload.Request) (string, []byte) {
 	return path, data
 }
 
-// TestBinRecords: ReadBinCensus returns the record count the trailer
-// declares, and refuses a missing file and one that is not a bin trace.
+// TestBinRecords: OpenBin's census holds the record count the trailer
+// declares, and OpenBin refuses a missing file and one that is not a bin
+// trace.
 func TestBinRecords(t *testing.T) {
 	reqs := msRequests(t, 250)
 	path, _ := writeBinFile(t, reqs)
-	cen, err := ReadBinCensus(path)
+	b, err := OpenBin(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cen.Records != int64(len(reqs)) {
-		t.Fatalf("ReadBinCensus records = %d, want %d", cen.Records, len(reqs))
+	defer b.Close()
+	if got := b.Census().Records; got != int64(len(reqs)) {
+		t.Fatalf("Census().Records = %d, want %d", got, len(reqs))
 	}
 
-	if _, err := ReadBinCensus(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+	if _, err := OpenBin(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.bin")
 	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadBinCensus(bad); err == nil {
+	if _, err := OpenBin(bad); err == nil {
 		t.Fatal("non-bin file accepted")
 	}
 }
@@ -98,12 +100,14 @@ func TestBinHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReadBinCensus(path)
+	fresh, err := OpenBin(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := fresh.Census()
+	fresh.Close()
 	if got := b.Census(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Census() = %+v, want ReadBinCensus's %+v", got, want)
+		t.Fatalf("Census() = %+v, want a fresh open's %+v", got, want)
 	}
 	if b.Path() != path {
 		t.Fatalf("Path() = %q, want %q", b.Path(), path)
