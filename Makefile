@@ -324,7 +324,7 @@ reach:
 # falls back to the maps.
 DETERMINISM_FLAGS := -race -cpu 1,4
 determinism:
-	$(call tests,./internal/replay,TestReplayDeterminism TestReplayGolden TestReplayPopulationEdges,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/replay,TestReplayDeterminism TestReplayGolden TestReplayPopulationEdges TestFleetTalliesMatchSharedHandles,$(DETERMINISM_FLAGS))
 	$(call tests,./internal/backend,TestPopulationOrdinalsMatchMaps,$(DETERMINISM_FLAGS))
 	$(call tests,./internal/trace,TestWriteRecordsBatchBoundaries TestWriteRecordsErrors TestCSVLaneReaderMatchesSerial TestCSVReaderGoroutines,$(DETERMINISM_FLAGS))
 	$(call tests,./internal/lanes,TestReadOrder TestReadRestAndClose,$(DETERMINISM_FLAGS))

@@ -10,8 +10,11 @@
 // all request-scoped randomness flows through the Request's RNG substream,
 // mutable state is either immutable after construction (the cloud's warm
 // cache) or memoized pure functions of (seed, file) (the cloud's
-// pre-download outcomes), and byte ledgers use atomic integer counters so
-// accumulation is order-independent and exactly reproducible.
+// pre-download outcomes), and every count is an integer: an engine shard
+// charges its requests to a Tally of its own, folded into the shared
+// ledgers and metric handles after the run, and a caller with no shard
+// charges the shared atomic counters directly. Either way accumulation is
+// order-independent and exactly reproducible.
 package backend
 
 import (
@@ -55,6 +58,12 @@ type Request struct {
 	// per record. Zero means unresolved: the backends then resolve by ID
 	// through a locked step that answers exactly the same.
 	FileOrd, UserOrd Ordinal
+	// Tally, when non-nil, is the engine shard's own accounting: the
+	// backends and wrappers charge the request's counts there, and the
+	// engine folds it into the shared state after its barrier
+	// (Fleet.Fold). Nil charges the shared ledgers and handles at once,
+	// so a caller with no shard reads them right after each call.
+	Tally *Tally
 }
 
 // Reset clears the request for reuse. The replay engine pools one Request
@@ -141,8 +150,10 @@ type Backend interface {
 }
 
 // Ledger accumulates a backend's traffic and outcome counters. All fields
-// are atomic integers so that concurrent shards produce exactly the same
-// totals regardless of execution order — float accumulation would not.
+// are integers — float accumulation would not be order-free — charged by
+// requests with no Tally as they run and by each engine shard's Tally
+// when the engine folds it, so concurrent shards produce exactly the same
+// totals regardless of execution order.
 type Ledger struct {
 	preDownloads atomic.Int64
 	fetches      atomic.Int64
@@ -167,12 +178,57 @@ func (l *Ledger) BytesOut() int64 { return l.bytesOut.Load() }
 // files (the Bottleneck 2 ledger).
 func (l *Ledger) BytesOutHP() int64 { return l.bytesOutHP.Load() }
 
-// serve charges one served file to the ledger.
-func (l *Ledger) serve(f *workload.FileMeta) {
+// preDownload charges one pre-download attempt: to t, the backend's slot
+// of the request's tally, or to the ledger when t is nil.
+func (l *Ledger) preDownload(t *SlotTally) {
+	if t != nil {
+		t.ledger.preDownloads++
+		return
+	}
+	l.preDownloads.Add(1)
+}
+
+// fetch charges one user-facing fetch, to t or the ledger.
+func (l *Ledger) fetch(t *SlotTally) {
+	if t != nil {
+		t.ledger.fetches++
+		return
+	}
+	l.fetches.Add(1)
+}
+
+// fail charges one failed attempt, to t or the ledger.
+func (l *Ledger) fail(t *SlotTally) {
+	if t != nil {
+		t.ledger.failures++
+		return
+	}
+	l.failures.Add(1)
+}
+
+// serve charges one served file, to t or the ledger.
+func (l *Ledger) serve(t *SlotTally, f *workload.FileMeta) {
+	hp := f.Band() == workload.BandHighlyPopular
+	if t != nil {
+		t.ledger.bytesOut += f.Size
+		if hp {
+			t.ledger.bytesOutHP += f.Size
+		}
+		return
+	}
 	l.bytesOut.Add(f.Size)
-	if f.Band() == workload.BandHighlyPopular {
+	if hp {
 		l.bytesOutHP.Add(f.Size)
 	}
+}
+
+// add folds a tally's counts into the ledger.
+func (l *Ledger) add(c *ledgerCounts) {
+	l.preDownloads.Add(c.preDownloads)
+	l.fetches.Add(c.fetches)
+	l.failures.Add(c.failures)
+	l.bytesOut.Add(c.bytesOut)
+	l.bytesOutHP.Add(c.bytesOutHP)
 }
 
 // Set bundles the four backend implementations over one shared cloud

@@ -390,7 +390,7 @@ func (w *World) build(o Ordinal, s *fileSlot, f *workload.FileMeta) {
 // was observed. An index never observed answers false.
 func (c *Cloud) Probe(req *Request) bool {
 	hit := c.observed.get(req.Index)
-	c.met.probe(hit)
+	c.met.probe(req.Tally.Slot(slotCloud), hit)
 	return hit
 }
 
@@ -401,7 +401,8 @@ func (c *Cloud) Probe(req *Request) bool {
 // does. A failed attempt runs for the configured stagnation timeout
 // before the cloud declares failure.
 func (c *Cloud) PreDownload(req *Request) PreResult {
-	c.ledger.preDownloads.Add(1)
+	t := req.Tally.Slot(slotCloud)
+	c.ledger.preDownload(t)
 	var out PreResult
 	if req.FileOrd == 0 {
 		c.mu.Lock()
@@ -412,9 +413,9 @@ func (c *Cloud) PreDownload(req *Request) PreResult {
 		out = c.slotAt(req.FileOrd).out()
 	}
 	if !out.OK {
-		c.ledger.failures.Add(1)
+		c.ledger.fail(t)
 	}
-	c.met.pre(&out)
+	c.met.pre(t, &out)
 	return out
 }
 
@@ -438,18 +439,19 @@ func (w *World) attempt(s *fileSlot, f *workload.FileMeta) {
 // upload ledger. The rate is the privileged-path draw for supported ISPs
 // and the cross-ISP draw otherwise, capped by the replay environment.
 func (c *Cloud) Fetch(req *Request) FetchResult {
-	c.ledger.fetches.Add(1)
+	t := req.Tally.Slot(slotCloud)
+	c.ledger.fetch(t)
 	privRate, crossRate, _ := c.w.fm.Sample(req.RNG, req.User)
 	rate := privRate
 	if !req.User.ISP.Supported() {
 		rate = crossRate
 	}
-	c.ledger.serve(req.File)
+	c.ledger.serve(t, req.File)
 	res := FetchResult{
 		OK:         true,
 		Rate:       req.capped(rate),
 		CloudBytes: req.File.Size,
 	}
-	c.met.fetch(&res, req.File)
+	c.met.fetch(t, &res, req.File)
 	return res
 }

@@ -39,11 +39,12 @@ func (h *CloudThenAP) Probe(req *Request) bool { return h.cloud.Probe(req) }
 // transfer is bounded only by the access link and the storage write path,
 // and the cloud's upload ledger is charged.
 func (h *CloudThenAP) PreDownload(req *Request) PreResult {
-	h.ledger.preDownloads.Add(1)
+	t := req.Tally.Slot(slotCloudThenAP)
+	h.ledger.preDownload(t)
 	ceiling := req.UsableBW()
 	rate := math.Min(ceiling, req.AP.StorageThroughput())
-	h.cloud.ledger.serve(req.File)
-	h.ledger.serve(req.File)
+	h.cloud.ledger.serve(req.Tally.Slot(slotCloud), req.File)
+	h.ledger.serve(t, req.File)
 	out := PreResult{
 		OK:           true,
 		Rate:         rate,
@@ -52,16 +53,17 @@ func (h *CloudThenAP) PreDownload(req *Request) PreResult {
 		StorageBound: req.AP.StorageThroughput() < ceiling,
 		CloudBytes:   req.File.Size,
 	}
-	h.met.pre(&out)
+	h.met.pre(t, &out)
 	return out
 }
 
 // Fetch implements Backend: the LAN fetch from the AP.
 func (h *CloudThenAP) Fetch(req *Request) FetchResult {
-	h.ledger.fetches.Add(1)
+	t := req.Tally.Slot(slotCloudThenAP)
+	h.ledger.fetch(t)
 	_, lan := req.AP.LANFetch(req.RNG, req.File.Size)
 	res := FetchResult{OK: true, Rate: req.capped(lan)}
-	h.met.fetch(&res, req.File)
+	h.met.fetch(t, &res, req.File)
 	return res
 }
 

@@ -14,9 +14,11 @@ import (
 // Instrument, never per request.
 //
 // Everything recorded here is a pure function of the request outcomes, so
-// instrumented and uninstrumented replays produce byte-identical results
-// and any shard interleaving produces identical totals (the counters are
-// atomic integer sums).
+// instrumented and uninstrumented replays produce byte-identical results.
+// An engine shard's requests record into the shard's Tally and reach the
+// handles when the engine folds it (add); a request with no tally records
+// into the handles at once. The counts are integer sums either way, so
+// any shard interleaving produces identical totals.
 type backendMetrics struct {
 	probeHit, probeMiss *obs.Counter
 	preOK, preFail      *obs.Counter
@@ -42,35 +44,72 @@ func newBackendMetrics(reg *obs.Registry, name string) backendMetrics {
 	}
 }
 
-// probe records one availability probe.
-func (m *backendMetrics) probe(hit bool) {
-	if hit {
+// probe records one availability probe, to t (the backend's slot of the
+// request's tally) or, when t is nil, the handles.
+func (m *backendMetrics) probe(t *SlotTally, hit bool) {
+	switch {
+	case t != nil && hit:
+		t.probeHit++
+	case t != nil:
+		t.probeMiss++
+	case hit:
 		m.probeHit.Inc()
-	} else {
+	default:
 		m.probeMiss.Inc()
 	}
 }
 
-// pre records one pre-download outcome: result counter plus the delay
-// histogram in whole seconds.
-func (m *backendMetrics) pre(r *PreResult) {
+// pre records one pre-download outcome, to t or the handles: result
+// counter plus the delay histogram in whole seconds.
+func (m *backendMetrics) pre(t *SlotTally, r *PreResult) {
+	secs := uint64(r.Delay / time.Second)
+	if t != nil {
+		if r.OK {
+			t.preOK++
+		} else {
+			t.preFail++
+		}
+		t.preSeconds.Observe(secs)
+		return
+	}
 	if r.OK {
 		m.preOK.Inc()
 	} else {
 		m.preFail.Inc()
 	}
-	m.preSeconds.Observe(uint64(r.Delay / time.Second))
+	m.preSeconds.Observe(secs)
 }
 
-// fetch records one user-facing fetch outcome, charging the delivered
-// bytes to the fetch-bytes histogram on success.
-func (m *backendMetrics) fetch(r *FetchResult, f *workload.FileMeta) {
+// fetch records one user-facing fetch outcome, to t or the handles,
+// charging the delivered bytes to the fetch-bytes histogram on success.
+func (m *backendMetrics) fetch(t *SlotTally, r *FetchResult, f *workload.FileMeta) {
+	if t != nil {
+		if r.OK {
+			t.fetchOK++
+			t.fetchBytes.Observe(uint64(f.Size))
+		} else {
+			t.fetchFail++
+		}
+		return
+	}
 	if r.OK {
 		m.fetchOK.Inc()
 		m.fetchBytes.Observe(uint64(f.Size))
 	} else {
 		m.fetchFail.Inc()
 	}
+}
+
+// add folds a tally's counts into the handles.
+func (m *backendMetrics) add(t *SlotTally) {
+	m.probeHit.Add(t.probeHit)
+	m.probeMiss.Add(t.probeMiss)
+	m.preOK.Add(t.preOK)
+	m.preFail.Add(t.preFail)
+	m.fetchOK.Add(t.fetchOK)
+	m.fetchFail.Add(t.fetchFail)
+	m.preSeconds.AddCounts(t.preSeconds.Sum, &t.preSeconds.Buckets)
+	m.fetchBytes.AddCounts(t.fetchBytes.Sum, &t.fetchBytes.Buckets)
 }
 
 // Instrument wires the whole fleet into reg. Call before any request is

@@ -125,12 +125,15 @@ type Resilient struct {
 	inner Backend
 	pol   RetryPolicy
 	pop   *Population
+	// slot is the inner backend's slot in a request's Tally (TallySlot).
+	slot int
 
 	mu       sync.Mutex
 	breakers table[breaker]
-	// maxWhen tracks the latest trace time any operation saw (an atomic
-	// max, hence order-independent); FinishMetrics uses it as "end of
-	// replay" when counting still-open breakers.
+	// maxWhen tracks the latest trace time any operation saw: a max, hence
+	// order-independent, taken atomically by requests with no tally and
+	// by FoldTally from each shard's own max. FinishMetrics uses it as
+	// "end of replay" when counting still-open breakers.
 	maxWhen atomic.Int64
 
 	retries *obs.Counter
@@ -146,7 +149,7 @@ func NewResilient(inner Backend, pol RetryPolicy) *Resilient {
 }
 
 func newResilient(inner Backend, pol RetryPolicy, pop *Population) *Resilient {
-	r := &Resilient{inner: inner, pol: pol.withDefaults(), pop: pop}
+	r := &Resilient{inner: inner, pol: pol.withDefaults(), pop: pop, slot: TallySlot(inner.Name())}
 	r.breakers.reserve(pop.userCap)
 	return r
 }
@@ -159,9 +162,31 @@ func (r *Resilient) Instrument(reg *obs.Registry) {
 	r.state = reg.Gauge(obs.Label(MetricCircuitState, "backend", name))
 }
 
+// FoldTally implements Folder: it adds a shard tally's retries, breaker
+// opens and latest trace time for the wrapped backend, then passes the
+// tally down to the wrapped backend.
+func (r *Resilient) FoldTally(t *Tally) {
+	if st := t.Slot(r.slot); st != nil {
+		r.retries.Add(st.retries)
+		r.opens.Add(st.opens)
+		r.seen(st.maxWhen)
+	}
+	FoldInner(r.inner, t)
+}
+
+// seen raises maxWhen to at least when (an atomic max).
+func (r *Resilient) seen(when time.Duration) {
+	for {
+		cur := r.maxWhen.Load()
+		if int64(when) <= cur || r.maxWhen.CompareAndSwap(cur, int64(when)) {
+			return
+		}
+	}
+}
+
 // FinishMetrics publishes the end-of-run circuit gauge: how many user
 // circuits are still open past the last trace instant any request
-// touched. Call after the replay joins.
+// touched. Call after the replay joins and its tallies are folded.
 func (r *Resilient) FinishMetrics() {
 	if r.state == nil {
 		return
@@ -207,7 +232,7 @@ func (r *Resilient) PreDownload(req *Request) PreResult {
 	var waited time.Duration
 	for attempt := 1; !out.OK && retryable(out.Cause) && attempt < r.pol.MaxAttempts; attempt++ {
 		waited += r.clampOp(out.Delay) + r.backoff(req, attempt)
-		r.retries.Inc()
+		r.retry(req)
 		out = r.inner.PreDownload(req)
 	}
 	if !out.OK {
@@ -226,7 +251,7 @@ func (r *Resilient) Fetch(req *Request) FetchResult {
 	var waited time.Duration
 	for attempt := 1; !out.OK && retryable(out.Cause) && attempt < r.pol.MaxAttempts; attempt++ {
 		waited += r.clampOp(out.Delay) + r.backoff(req, attempt)
-		r.retries.Inc()
+		r.retry(req)
 		out = r.inner.Fetch(req)
 	}
 	if !out.OK {
@@ -235,6 +260,15 @@ func (r *Resilient) Fetch(req *Request) FetchResult {
 	out.Delay += waited
 	r.observe(req, out.OK, out.Cause)
 	return out
+}
+
+// retry counts one retry attempt, to the request's tally or the handle.
+func (r *Resilient) retry(req *Request) {
+	if t := req.Tally.Slot(r.slot); t != nil {
+		t.retries++
+		return
+	}
+	r.retries.Inc()
 }
 
 // clampOp caps a failed attempt's charged delay at the per-operation
@@ -273,12 +307,11 @@ func (r *Resilient) circuitOpen(req *Request) bool {
 // Only fault-class failures count against the backend: a dead swarm says
 // nothing about the cloud's health. Successes close the circuit.
 func (r *Resilient) observe(req *Request, ok bool, cause string) {
-	// Order-independent atomic max of the trace clock.
-	for {
-		cur := r.maxWhen.Load()
-		if int64(req.When) <= cur || r.maxWhen.CompareAndSwap(cur, int64(req.When)) {
-			break
-		}
+	t := req.Tally.Slot(r.slot)
+	if t == nil {
+		r.seen(req.When)
+	} else if req.When > t.maxWhen {
+		t.maxWhen = req.When
 	}
 	if !ok && !IsFaultCause(cause) {
 		return
@@ -299,7 +332,11 @@ func (r *Resilient) observe(req *Request, ok bool, cause string) {
 	if b.consec >= r.pol.BreakerThreshold {
 		b.consec = 0
 		b.openUntil = req.When + r.pol.BreakerCooldown
-		r.opens.Inc()
+		if t != nil {
+			t.opens++
+		} else {
+			r.opens.Inc()
+		}
 	}
 }
 
@@ -319,12 +356,14 @@ func (r *Resilient) breaker(req *Request) (b *breaker, locked bool) {
 var (
 	_ Backend        = (*Resilient)(nil)
 	_ HealthReporter = (*Resilient)(nil)
+	_ Folder         = (*Resilient)(nil)
 )
 
 // WrapResilient layers the retry/breaker policy over every backend in
 // the fleet and instruments the wrappers against reg (nil disables
 // metrics). The returned finish func publishes the end-of-run circuit
-// gauges; call it after the replay joins. The wrappers number users with
+// gauges; call it after the replay joins and its shards' tallies are
+// folded (Fleet.Fold). The wrappers number users with
 // the fleet set's Population and size their breaker tables from its
 // reservation, so a replay that resolves ordinals calls Set.Reserve first.
 func WrapResilient(f *Fleet, pol RetryPolicy, reg *obs.Registry) (*Fleet, func()) {

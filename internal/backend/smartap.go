@@ -19,8 +19,8 @@ func (s *SmartAP) Name() string { return "smart-ap" }
 func (s *SmartAP) Ledger() *Ledger { return &s.ledger }
 
 // Probe implements Backend: an AP holds nothing before its pre-download.
-func (s *SmartAP) Probe(*Request) bool {
-	s.met.probe(false)
+func (s *SmartAP) Probe(req *Request) bool {
+	s.met.probe(req.Tally.Slot(slotSmartAP), false)
 	return false
 }
 
@@ -28,15 +28,16 @@ func (s *SmartAP) Probe(*Request) bool {
 // bounded by the source, the access link, and the storage write path
 // (Bottleneck 4).
 func (s *SmartAP) PreDownload(req *Request) PreResult {
-	s.ledger.preDownloads.Add(1)
+	t := req.Tally.Slot(slotSmartAP)
+	s.ledger.preDownload(t)
 	r := req.AP.PreDownload(req.RNG, req.File, req.UsableBW())
 	if !r.Success {
-		s.ledger.failures.Add(1)
+		s.ledger.fail(t)
 		out := PreResult{Delay: r.Delay, Cause: r.Cause}
-		s.met.pre(&out)
+		s.met.pre(t, &out)
 		return out
 	}
-	s.ledger.serve(req.File)
+	s.ledger.serve(t, req.File)
 	out := PreResult{
 		OK:           true,
 		Rate:         r.Rate,
@@ -45,17 +46,18 @@ func (s *SmartAP) PreDownload(req *Request) PreResult {
 		IOWait:       r.IOWait,
 		StorageBound: r.StorageBound,
 	}
-	s.met.pre(&out)
+	s.met.pre(t, &out)
 	return out
 }
 
 // Fetch implements Backend: the LAN fetch from the AP, which §5.2 shows
 // is almost never the constraint.
 func (s *SmartAP) Fetch(req *Request) FetchResult {
-	s.ledger.fetches.Add(1)
+	t := req.Tally.Slot(slotSmartAP)
+	s.ledger.fetch(t)
 	_, lan := req.AP.LANFetch(req.RNG, req.File.Size)
 	res := FetchResult{OK: true, Rate: req.capped(lan)}
-	s.met.fetch(&res, req.File)
+	s.met.fetch(t, &res, req.File)
 	return res
 }
 

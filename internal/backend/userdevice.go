@@ -40,24 +40,25 @@ func (u *UserDevice) PreDownload(*Request) PreResult {
 // stalls for the stagnation timeout before giving up, mirroring the
 // cloud's failure rule.
 func (u *UserDevice) Fetch(req *Request) FetchResult {
-	u.ledger.fetches.Add(1)
+	t := req.Tally.Slot(slotUserDevice)
+	u.ledger.fetch(t)
 	att := u.src.AttemptFull(req.RNG, req.File)
 	if !att.OK {
-		u.ledger.failures.Add(1)
+		u.ledger.fail(t)
 		res := FetchResult{
 			Delay: smartap.StagnationTimeout,
 			Cause: att.Cause.String(),
 		}
-		u.met.fetch(&res, req.File)
+		u.met.fetch(t, &res, req.File)
 		return res
 	}
 	rate := att.Rate
 	if bw := req.UsableBW(); bw < rate {
 		rate = bw
 	}
-	u.ledger.serve(req.File)
+	u.ledger.serve(t, req.File)
 	res := FetchResult{OK: true, Rate: rate}
-	u.met.fetch(&res, req.File)
+	u.met.fetch(t, &res, req.File)
 	return res
 }
 

@@ -18,7 +18,11 @@ import (
 // NewRNG. RNG is not safe for concurrent use; derive independent substreams
 // with Split for concurrent consumers.
 type RNG struct {
-	r *rand.Rand
+	// src is r's source. Draws that need nothing of math/rand's own —
+	// Float64, and the Reseed — call it directly, without r's interface
+	// call; the rest go through r, so both read one stream in draw order.
+	src *lfSource
+	r   *rand.Rand
 	// seed records the construction seed for diagnostics and substream
 	// derivation.
 	seed uint64
@@ -28,7 +32,7 @@ type RNG struct {
 func NewRNG(seed uint64) *RNG {
 	src := &lfSource{}
 	src.Seed(int64(mix(seed)))
-	return &RNG{r: rand.New(src), seed: seed}
+	return &RNG{src: src, r: rand.New(src), seed: seed}
 }
 
 // Seed returns the seed this generator was constructed with.
@@ -64,7 +68,9 @@ func (g *RNG) Split64(n uint64) *RNG {
 // each: keep one scratch RNG per worker and Reseed it.
 func (g *RNG) Reseed(seed uint64) {
 	g.seed = seed
-	g.r.Seed(int64(mix(seed)))
+	// rand.Rand.Seed would only add a reset of Read's position, which
+	// no RNG method reads.
+	g.src.Seed(int64(mix(seed)))
 }
 
 // Split64Into is the allocation-free form of Split64: it reseeds dst in
@@ -96,8 +102,15 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform sample in [0, 1): rand.Rand.Float64's draw,
+// resampling a result that rounds to 1, straight from the source.
+func (g *RNG) Float64() float64 {
+	for {
+		if f := float64(g.src.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
 
 // Intn returns a uniform sample in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }

@@ -6,8 +6,10 @@ import "math/rand"
 // lazily. The stdlib's Seed fills all 607 register words (~1,840 Lehmer
 // steps) even when, as in the replay engine, a reseeded stream is drawn
 // from four times; here Seed is O(1) and a slot is computed the first
-// time a draw reaches it. The stream is rand.NewSource(seed)'s, word for
-// word (FuzzSourceMatchesMathRand).
+// time a draw reaches it, from three products seed·p reduced modulo the
+// Mersenne prime 2³¹−1 by a fold (mulMod) instead of a division. The
+// stream is rand.NewSource(seed)'s, word for word
+// (FuzzSourceMatchesMathRand).
 
 const (
 	lfLen  = 607 // register length (math/rand's rngLen)
@@ -63,9 +65,23 @@ func init() {
 // outputs math/rand's Seed packs at bit offsets 40, 20 and 0.
 func seedWords(seed uint64, i int) int64 {
 	p := &lfPow[i]
-	return int64(seed*uint64(p[0])%lfMod)<<40 ^
-		int64(seed*uint64(p[1])%lfMod)<<20 ^
-		int64(seed*uint64(p[2])%lfMod)
+	return int64(mulMod(seed, p[0]))<<40 ^
+		int64(mulMod(seed, p[1]))<<20 ^
+		int64(mulMod(seed, p[2]))
+}
+
+// mulMod returns seed·p mod 2³¹−1 for seed and p both below 2³¹−1. Since
+// 2³¹ ≡ 1 under the modulus, the product's bits above 31 fold onto its
+// low 31 bits: x&M + x>>31 ≡ x. The product is below M², so x>>31 is at
+// most M−1 and the fold is below 2M: one conditional subtract finishes
+// the reduction (TestMulModMatchesModulo).
+func mulMod(seed uint64, p uint32) uint64 {
+	x := seed * uint64(p)
+	x = x&lfMod + x>>31
+	if x >= lfMod {
+		x -= lfMod
+	}
+	return x
 }
 
 // lfSource implements rand.Source64.

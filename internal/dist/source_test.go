@@ -166,3 +166,23 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 		sameDraws(t, got, want, int(m%2048), "after reseed")
 	})
 }
+
+// TestMulModMatchesModulo: seedWords' fold reduces every product it
+// meets — a seed in [1, 2³¹−1) times any lfPow word — exactly as the
+// generic modulus does, at the edge seeds and at 10,000 random ones.
+func TestMulModMatchesModulo(t *testing.T) {
+	seeds := []uint64{1, 2, lfMod - 2, lfMod - 1, 89482311}
+	r := rand.New(rand.NewSource(53))
+	for len(seeds) < 10_005 {
+		seeds = append(seeds, 1+uint64(r.Int63n(lfMod-1)))
+	}
+	for _, seed := range seeds {
+		for i := range lfPow {
+			for _, p := range lfPow[i] {
+				if got, want := mulMod(seed, p), seed*uint64(p)%lfMod; got != want {
+					t.Fatalf("seed %d, word %d: fold %d, modulus %d", seed, p, got, want)
+				}
+			}
+		}
+	}
+}

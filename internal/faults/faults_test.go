@@ -408,3 +408,48 @@ func TestInjectorPassesModelFailuresThrough(t *testing.T) {
 		t.Error("model failure classified as a fault")
 	}
 }
+
+// TestInjectorTallyMatchesCounters: injections charged to requests'
+// tallies and folded (FoldTally) count exactly what the same requests
+// count straight into the injector's counters, split across two tallies
+// as two engine shards would hold them. A backend with no tally slot
+// counts straight into the counters even on a tallied request.
+func TestInjectorTallyMatchesCounters(t *testing.T) {
+	spec := Preset(0.8)
+	run := func(name string, tallied bool) *obs.Snapshot {
+		reg := obs.NewRegistry()
+		j := New(okStub(name), spec, 11, reg)
+		shards := []*backend.Tally{new(backend.Tally), new(backend.Tally)}
+		for i := 0; i < 400; i++ {
+			req := testReq(5, i, time.Duration(i)*37*time.Minute)
+			if tallied {
+				req.Tally = shards[i%2]
+			}
+			j.Probe(req)
+			j.PreDownload(req)
+			j.Fetch(req)
+		}
+		if tallied {
+			for _, tl := range shards {
+				j.FoldTally(tl)
+			}
+		}
+		return reg.Snapshot()
+	}
+	for _, name := range []string{"cloud", "smart-ap", "user-device", "cloud+smart-ap", "other"} {
+		got, want := run(name, true), run(name, false)
+		if len(want.Counters) != len(classNames) {
+			t.Fatalf("%s: %d injection counters, want %d", name, len(want.Counters), len(classNames))
+		}
+		var total uint64
+		for c, n := range want.Counters {
+			total += n
+			if got.Counters[c] != n {
+				t.Fatalf("%s: %s = %d tallied, %d counted", name, c, got.Counters[c], n)
+			}
+		}
+		if total == 0 {
+			t.Fatalf("%s: nothing injected", name)
+		}
+	}
+}

@@ -10,26 +10,40 @@ import (
 
 // Injector wraps one backend with the spec's fault classes. It is safe
 // for concurrent use: the schedules are immutable after construction,
-// per-operation draws come from the request's own RNG substream, and the
-// fault counters are atomic.
+// per-operation draws come from the request's own RNG substream, and an
+// injection is counted in the request's tally (backend.Request.Tally,
+// the engine shard's own, folded by FoldTally) or, on a request with no
+// tally, in the atomic counters.
 type Injector struct {
 	inner   backend.Backend
 	spec    Spec
 	offline schedule
 	slow    schedule
+	// slot is the inner backend's slot in a request's tally.
+	slot int
 
-	injOffline    *obs.Counter
-	injTransient  *obs.Counter
-	injStagnation *obs.Counter
-	injDegraded   *obs.Counter
+	// injected counts by class, in classNames order.
+	injected [len(classNames)]*obs.Counter
 }
+
+// The fault classes, numbered as Injector.injected and a tally's Faults
+// count them.
+const (
+	classOffline = iota
+	classTransient
+	classStagnation
+	classDegraded
+)
+
+// classNames labels the classes' injection counters.
+var classNames = [...]string{"offline", "transient", "stagnation", "degraded"}
 
 // New wraps inner with spec's faults, deriving the backend's episode
 // schedules from seed. reg receives odr_faults_injected_total counters
 // (nil disables).
 func New(inner backend.Backend, spec Spec, seed uint64, reg *obs.Registry) *Injector {
 	spec = spec.withDefaults()
-	j := &Injector{inner: inner, spec: spec}
+	j := &Injector{inner: inner, spec: spec, slot: backend.TallySlot(inner.Name())}
 	j.offline, j.slow = schedulesFor(spec, seed, inner.Name())
 	j.Instrument(reg)
 	return j
@@ -37,11 +51,30 @@ func New(inner backend.Backend, spec Spec, seed uint64, reg *obs.Registry) *Inje
 
 // Instrument resolves the injection counters (nil reg disables).
 func (j *Injector) Instrument(reg *obs.Registry) {
-	name := j.inner.Name()
-	j.injOffline = reg.Counter(obs.Label(MetricInjected, "backend", name, "class", "offline"))
-	j.injTransient = reg.Counter(obs.Label(MetricInjected, "backend", name, "class", "transient"))
-	j.injStagnation = reg.Counter(obs.Label(MetricInjected, "backend", name, "class", "stagnation"))
-	j.injDegraded = reg.Counter(obs.Label(MetricInjected, "backend", name, "class", "degraded"))
+	for c, class := range classNames {
+		j.injected[c] = reg.Counter(obs.Label(MetricInjected, "backend", j.inner.Name(), "class", class))
+	}
+}
+
+// inject counts one injection of class, to the request's tally or the
+// counter.
+func (j *Injector) inject(req *backend.Request, class int) {
+	if t := req.Tally.Slot(j.slot); t != nil {
+		t.Faults[class]++
+		return
+	}
+	j.injected[class].Inc()
+}
+
+// FoldTally implements backend.Folder: it adds a shard tally's
+// injections on the wrapped backend, then passes the tally down.
+func (j *Injector) FoldTally(t *backend.Tally) {
+	if st := t.Slot(j.slot); st != nil {
+		for c, n := range st.Faults {
+			j.injected[c].Add(n)
+		}
+	}
+	backend.FoldInner(j.inner, t)
 }
 
 // WrapFleet layers an Injector over every distinct backend in the fleet.
@@ -82,7 +115,7 @@ func (j *Injector) Probe(req *backend.Request) bool {
 	}
 	ok := j.inner.Probe(req)
 	if ok && j.spec.Transient > 0 && req.RNG.Bool(j.spec.Transient) {
-		j.injTransient.Inc()
+		j.inject(req, classTransient)
 		return false
 	}
 	return ok
@@ -94,11 +127,11 @@ func (j *Injector) Probe(req *backend.Request) bool {
 // degraded episodes scale its rate down (and its duration up).
 func (j *Injector) PreDownload(req *backend.Request) backend.PreResult {
 	if j.offline.at(req.When) {
-		j.injOffline.Inc()
+		j.inject(req, classOffline)
 		return backend.PreResult{Delay: offlineStall, Cause: backend.CauseOffline}
 	}
 	if j.spec.Transient > 0 && req.RNG.Bool(j.spec.Transient) {
-		j.injTransient.Inc()
+		j.inject(req, classTransient)
 		return backend.PreResult{Delay: j.stall(req), Cause: backend.CauseTransient}
 	}
 	out := j.inner.PreDownload(req)
@@ -106,7 +139,7 @@ func (j *Injector) PreDownload(req *backend.Request) backend.PreResult {
 		return out
 	}
 	if j.spec.Stagnation > 0 && req.RNG.Bool(j.spec.Stagnation) {
-		j.injStagnation.Inc()
+		j.inject(req, classStagnation)
 		freeze := time.Duration(req.RNG.Exponential(float64(j.spec.GiveUp) / 2))
 		if freeze >= j.spec.GiveUp {
 			return backend.PreResult{Delay: out.Delay + j.spec.GiveUp, Cause: backend.CauseStagnation}
@@ -114,7 +147,7 @@ func (j *Injector) PreDownload(req *backend.Request) backend.PreResult {
 		out.Delay += freeze
 	}
 	if j.slow.at(req.When) {
-		j.injDegraded.Inc()
+		j.inject(req, classDegraded)
 		factor := req.RNG.Uniform(degradedFloorBW, degradedCeilBW)
 		out.Rate *= factor
 		out.Delay = time.Duration(float64(out.Delay) / factor)
@@ -128,11 +161,11 @@ func (j *Injector) PreDownload(req *backend.Request) backend.PreResult {
 // fetch.
 func (j *Injector) Fetch(req *backend.Request) backend.FetchResult {
 	if j.offline.at(req.When) {
-		j.injOffline.Inc()
+		j.inject(req, classOffline)
 		return backend.FetchResult{Delay: offlineStall, Cause: backend.CauseOffline}
 	}
 	if j.spec.Transient > 0 && req.RNG.Bool(j.spec.Transient) {
-		j.injTransient.Inc()
+		j.inject(req, classTransient)
 		return backend.FetchResult{Delay: j.stall(req), Cause: backend.CauseTransient}
 	}
 	out := j.inner.Fetch(req)
@@ -140,7 +173,7 @@ func (j *Injector) Fetch(req *backend.Request) backend.FetchResult {
 		return out
 	}
 	if j.spec.Stagnation > 0 && req.RNG.Bool(j.spec.Stagnation) {
-		j.injStagnation.Inc()
+		j.inject(req, classStagnation)
 		freeze := time.Duration(req.RNG.Exponential(float64(j.spec.GiveUp) / 2))
 		if freeze >= j.spec.GiveUp {
 			return backend.FetchResult{Delay: j.spec.GiveUp, Cause: backend.CauseStagnation}
@@ -151,7 +184,7 @@ func (j *Injector) Fetch(req *backend.Request) backend.FetchResult {
 		}
 	}
 	if j.slow.at(req.When) {
-		j.injDegraded.Inc()
+		j.inject(req, classDegraded)
 		out.Rate *= req.RNG.Uniform(degradedFloorBW, degradedCeilBW)
 	}
 	return out
@@ -165,6 +198,7 @@ func (j *Injector) stall(req *backend.Request) time.Duration {
 var (
 	_ backend.Backend        = (*Injector)(nil)
 	_ backend.HealthReporter = (*Injector)(nil)
+	_ backend.Folder         = (*Injector)(nil)
 )
 
 // Clock answers "how healthy is this backend right now" from the episode

@@ -92,10 +92,33 @@ func (h *Histogram) merge(o *Histogram) {
 	}
 }
 
+// Counts is a histogram's observations in plain integers: one goroutine
+// observes into it with no atomic, and AddCounts joins it to a Histogram
+// in one step. The zero value is empty.
+type Counts struct {
+	Sum     uint64
+	Buckets [NumBuckets]uint64
+}
+
+// Observe records one observation, as Histogram.Observe does.
+func (c *Counts) Observe(v uint64) {
+	c.Buckets[bits.Len64(v)]++
+	c.Sum += v
+}
+
+// Add adds o's observations to c.
+func (c *Counts) Add(o *Counts) {
+	c.Sum += o.Sum
+	for p, n := range o.Buckets {
+		c.Buckets[p] += n
+	}
+}
+
 // AddCounts folds observations tallied outside the histogram into it:
 // buckets[p] observations landed in bucket p (BucketOf) and sum is their
-// raw sum. It lets one goroutine accumulate in plain integers and join a
-// registry once, at the end, with no atomic per observation. Nil-safe.
+// raw sum. It lets one goroutine accumulate in plain integers (Counts)
+// and join a registry once, at the end, with no atomic per observation.
+// Nil-safe.
 func (h *Histogram) AddCounts(sum uint64, buckets *[NumBuckets]uint64) {
 	if h == nil {
 		return

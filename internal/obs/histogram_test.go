@@ -96,6 +96,28 @@ func TestHistogramAddCounts(t *testing.T) {
 	nilHist.AddCounts(sum, &buckets) // no-op
 }
 
+// TestCountsMatchHistogram: observations split across two Counts, added
+// together and joined by AddCounts, read as the same observations made on
+// a Histogram.
+func TestCountsMatchHistogram(t *testing.T) {
+	vals := []uint64{0, 1, 4, 5, 1 << 32, 1000, 1000, math.MaxUint64 >> 1}
+	observed, joined := &Histogram{}, &Histogram{}
+	var a, b Counts
+	for i, v := range vals {
+		observed.Observe(v)
+		if i%2 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+	}
+	a.Add(&b)
+	joined.AddCounts(a.Sum, &a.Buckets)
+	if x, y := snapshotHistogram(observed), snapshotHistogram(joined); !reflect.DeepEqual(x, y) {
+		t.Fatalf("Counts give %+v, observing gives %+v", y, x)
+	}
+}
+
 func TestHistogramObserveDuration(t *testing.T) {
 	h := &Histogram{} // scale 1: whole seconds
 	h.ObserveDuration(90 * time.Second)

@@ -78,7 +78,7 @@ func RunAPBenchmarkStream(src workload.RequestSource, aps []*smartap.AP,
 	b := &APBench{}
 	var err error
 	b.Tasks, b.Engine, err = runShardedStream(src, aps, seed, 0, shards, 0,
-		nil, nil, everyShard(apTask(be)))
+		nil, nil, nil, everyShard(apTask(be)))
 	if err != nil {
 		return nil, err
 	}

@@ -103,9 +103,10 @@ func BenchmarkStreamReplay(b *testing.B) {
 
 // BenchmarkReplayTimeline measures the windowed-timeline overhead: the
 // same 200k-request stream replay with and without a 6-hour timeline.
-// BuildTimeline is one sequential pass over the merged task slice after
-// the engine's barrier, so the acceptance bar is a ≤5% requests/sec
-// delta against timeline=off.
+// Each shard tallies its own tasks by window as it finishes them, and
+// the windows are folded once after the engine's barrier (foldTallies),
+// so the acceptance bar is a ≤5% requests/sec delta against
+// timeline=off.
 func BenchmarkReplayTimeline(b *testing.B) {
 	_, files := benchFixture(b)
 	aps := smartap.Benchmarked()

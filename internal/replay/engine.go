@@ -26,9 +26,9 @@ import (
 //     the sequential observation pass in index order, so "who ran first"
 //     is unobservable;
 //   - every shard writes each task in place to the slot of its own
-//     global index, counts into its own ShardTotals, and backend ledgers
-//     use atomic integers — all merges are associative integer sums
-//     taken in shard order.
+//     global index, counts into its own ShardTotals, and charges backend
+//     ledgers, metrics and wrapper counters to its own backend.Tally —
+//     all merges are associative integer sums taken in shard order.
 //
 // Who writes what, and when. The reader goroutine alone runs the observe
 // hook, in index order, once per record: for an ODR replay that resolves
@@ -40,12 +40,14 @@ import (
 // publication point. A worker reads its own record's verdict bit, plus
 // the file slot's pre-download outcome when it pre-downloads; both were
 // written before the send and are never written again. Workers write only
-// their own tasks, their own ShardTotals, atomic ledgers and metrics, and
-// — under resilience — the breaker slots of the users their shard owns.
-// No worker takes a backend lock. Each shard runs a task function of its
-// own (runShardedStream's shardTask builds it), so per-shard state — a
-// recorded run's task tally, a scratch task — is the shard's alone; the
-// caller folds the tallies after the engine returns.
+// their own tasks, their own ShardTotals, their own backend.Tally, and —
+// under resilience — the breaker slots of the users their shard owns.
+// No worker takes a backend lock or adds into a shared counter. Each
+// shard runs a task function of its own (runShardedStream's shardTask
+// builds it), so per-shard state — a recorded run's task tally, a scratch
+// task — is the shard's alone; the engine folds the backend tallies once
+// every shard has exited, and the caller folds the task tallies after
+// the engine returns.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
 // afterwards, sequentially over the merged task slice in index order.
@@ -146,11 +148,13 @@ type streamCell struct {
 
 // bindRequest points the reused backend request at one replay request at
 // global index i, reseeding the worker's scratch RNG to the exact
-// substream root.Split64(i) would return. Reset-then-fill keeps the pooled
+// substream root.Split64(i) would return, and charging it to the shard's
+// backend tally (nil: the shared state). Reset-then-fill keeps the pooled
 // object's contract obvious: nothing from the previous request survives.
-func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
+func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG, tally *backend.Tally,
 	i int, c *streamCell, aps []*smartap.AP) {
 	req.Reset()
+	req.Tally = tally
 	root.Split64Into(rng, uint64(i))
 	req.Index = i
 	req.User = c.wreq.User
@@ -245,8 +249,14 @@ func everyShard[T any](fn func(int, workload.Request, *backend.Request, *T) bool
 // in-flight peak there and times its reader (EngineStats.Reader). A
 // caller that keeps per-shard state sizes it with shardCount, which
 // gives the shard count the run uses.
+//
+// fold, when non-nil, gives each shard a backend.Tally of its own: every
+// request the shard binds is charged to it, and once every shard has
+// exited the engine hands the tallies to fold in shard order — whatever
+// the run's outcome — before it returns. A nil fold binds requests with
+// no tally, which charge the shared ledgers and handles as they run.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
-	seed uint64, base, shards, chunk int, dst *obs.Registry,
+	seed uint64, base, shards, chunk int, dst *obs.Registry, fold func(*backend.Tally),
 	observe func(i int, wreq workload.Request) (file, user backend.Ordinal),
 	shardTask func(shard int) func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
 ) ([]T, EngineStats, error) {
@@ -267,6 +277,7 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	inflight := dst.Gauge(MetricInflightPeak)
 
 	tasks := make([]T, hint)
+	tallies := make([]*backend.Tally, shards)
 
 	work := make([]chan []streamCell, shards)
 	free := make([]chan []streamCell, shards)
@@ -290,10 +301,14 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 			fn := shardTask(s)
 			req := &backend.Request{}
 			rng := dist.NewRNG(0)
+			if fold != nil {
+				tallies[s] = new(backend.Tally)
+			}
+			tally := tallies[s]
 			for batch := range work[s] {
 				for k := range batch {
 					c := &batch[k]
-					bindRequest(req, rng, root, base+c.i, c, aps)
+					bindRequest(req, rng, root, tally, base+c.i, c, aps)
 					ok := fn(c.i, c.wreq, req, &tasks[c.i])
 					totals.Tasks++
 					if !ok {
@@ -315,6 +330,11 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 			close(ch)
 		}
 		wg.Wait()
+		if fold != nil {
+			for _, t := range tallies {
+				fold(t)
+			}
+		}
 	}
 	fail := func(err error) ([]T, EngineStats, error) {
 		shut()

@@ -462,7 +462,7 @@ func TestEngineRequestStreams(t *testing.T) {
 	}
 	got := make([]*reqSnap, n)
 	_, _, err := runShardedStream(workload.NewSliceSource(sample), f.aps, seed, 0, 4, 3,
-		nil, nil, everyShard(
+		nil, nil, nil, everyShard(
 			func(i int, _ workload.Request, req *backend.Request, _ *struct{}) bool {
 				s := &reqSnap{index: req.Index, user: req.User, file: req.File,
 					ap: req.AP == f.aps[i%len(f.aps)], envCap: req.EnvCap}

@@ -112,26 +112,7 @@ type tally struct {
 	// taskTally.decisions and .causes while recording, the fold's merged
 	// tables once folded.
 	decisions, stagnations             []uint64
-	preDelay, fetchBytes, fetchSeconds histTally
-}
-
-// histTally is a histogram in plain integers, joined to an obs.Histogram
-// in one step (AddCounts).
-type histTally struct {
-	sum     uint64
-	buckets [obs.NumBuckets]uint64
-}
-
-func (h *histTally) observe(v uint64) {
-	h.buckets[obs.BucketOf(v)]++
-	h.sum += v
-}
-
-func (h *histTally) add(o *histTally) {
-	h.sum += o.sum
-	for p, n := range o.buckets {
-		h.buckets[p] += n
-	}
+	preDelay, fetchBytes, fetchSeconds obs.Counts
 }
 
 // decisionKey is what labels a decision counter: the route and ODR's
@@ -189,7 +170,7 @@ func (r *taskTally) record(t *ODRTask, ok bool) {
 	tl.tasks++
 	tl.decisions = bump(tl.decisions, keyIndex(&r.decisions, decisionKey{t.Decision.Route, t.Decision.Reason}))
 	if t.PreDelay > 0 {
-		tl.preDelay.observe(uint64(t.PreDelay / time.Second))
+		tl.preDelay.Observe(uint64(t.PreDelay / time.Second))
 	}
 	if !ok {
 		tl.failures++
@@ -200,9 +181,9 @@ func (r *taskTally) record(t *ODRTask, ok bool) {
 		tl.impeded++
 	}
 	size := uint64(t.Request.File.Size)
-	tl.fetchBytes.observe(size)
+	tl.fetchBytes.Observe(size)
 	if t.PerceivedRate > 0 {
-		tl.fetchSeconds.observe(uint64(float64(size) / t.PerceivedRate))
+		tl.fetchSeconds.Observe(uint64(float64(size) / t.PerceivedRate))
 	}
 }
 
@@ -309,9 +290,9 @@ func (t *tally) add(o *tally, dmap, cmap []int) {
 	for c, n := range o.stagnations {
 		t.stagnations[cmap[c]] += n
 	}
-	t.preDelay.add(&o.preDelay)
-	t.fetchBytes.add(&o.fetchBytes)
-	t.fetchSeconds.add(&o.fetchSeconds)
+	t.preDelay.Add(&o.preDelay)
+	t.fetchBytes.Add(&o.fetchBytes)
+	t.fetchSeconds.Add(&o.fetchSeconds)
 }
 
 // reset zeroes t, keeping its key tables' lengths.
@@ -334,9 +315,9 @@ func (t *tally) fold(reg *obs.Registry, labels []string) {
 			reg.Counter(labels[len(t.decisions)+c]).Add(n)
 		}
 	}
-	reg.Histogram(MetricPreDelaySeconds).AddCounts(t.preDelay.sum, &t.preDelay.buckets)
-	reg.Histogram(MetricFetchBytes).AddCounts(t.fetchBytes.sum, &t.fetchBytes.buckets)
-	reg.Histogram(MetricFetchSeconds).AddCounts(t.fetchSeconds.sum, &t.fetchSeconds.buckets)
+	reg.Histogram(MetricPreDelaySeconds).AddCounts(t.preDelay.Sum, &t.preDelay.Buckets)
+	reg.Histogram(MetricFetchBytes).AddCounts(t.fetchBytes.Sum, &t.fetchBytes.Buckets)
+	reg.Histogram(MetricFetchSeconds).AddCounts(t.fetchSeconds.Sum, &t.fetchSeconds.Buckets)
 	reg.Counter(MetricReplayTasks).Add(t.tasks)
 	reg.Counter(MetricReplayFailures).Add(t.failures)
 }

@@ -190,6 +190,12 @@ type Options struct {
 	// test seam, like poisonReleasedBatches: the determinism tests replay
 	// at small chunks to prove the transport never changes a result.
 	chunk int
+	// untallied makes the engine's shards charge the fleet's shared
+	// ledgers, handles and wrapper counters as each request runs instead
+	// of a backend.Tally of their own. A test seam, like chunk:
+	// TestFleetTalliesMatchSharedHandles proves the tallies change no
+	// count.
+	untallied bool
 }
 
 // newFleet builds the route view the replay executes against, layering
@@ -515,9 +521,13 @@ func runODR[T DigestInput](world *World, state []byte, window workload.RequestSo
 			return t.Success
 		}
 	}
+	fold := fleet.Fold
+	if opts.untallied {
+		fold = nil
+	}
 	run.setup = time.Since(start)
 	run.records, run.engine, err = runShardedStream(window, aps, opts.Seed, base, shards,
-		opts.chunk, opts.Metrics, observer(set, base, world != nil), work)
+		opts.chunk, opts.Metrics, fold, observer(set, base, world != nil), work)
 	if err != nil {
 		return nil, err
 	}
@@ -823,7 +833,7 @@ func runBaseline(sample []workload.Request, files []*workload.FileMeta,
 	res := &ODRResult{Backends: set}
 	var err error
 	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
-		seed, 0, 0, 0, nil, observer(set, 0, false), everyShard(
+		seed, 0, 0, 0, nil, set.Fold, observer(set, 0, false), everyShard(
 			func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 				*task = ODRTask{Request: wreq}
 				if !set.Cloud.Probe(req) {

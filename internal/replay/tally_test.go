@@ -9,6 +9,7 @@ import (
 
 	"odr/internal/backend"
 	"odr/internal/core"
+	"odr/internal/faults"
 	"odr/internal/obs"
 	"odr/internal/workload"
 )
@@ -200,4 +201,103 @@ func TestTalliesMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// threeOfOneUser is the first three records of the sample's first user:
+// a replay at seven shards of them leaves most shards idle.
+func threeOfOneUser(sample []workload.Request) []workload.Request {
+	var three []workload.Request
+	for _, r := range sample {
+		if r.User == sample[0].User && len(three) < 3 {
+			three = append(three, r)
+		}
+	}
+	return three
+}
+
+// TestFleetTalliesMatchSharedHandles: the backend, fault and resilience
+// counts each engine shard tallies and the engine folds after its
+// barrier equal what the same replay records straight into the shared
+// ledgers, metric handles and wrapper counters (Options.untallied):
+// every registry value but the scheduling-dependent in-flight peak —
+// odr_circuit_state included, which reads the folded latest trace time —
+// and every ledger. It runs bench's stress shape and
+// TestReplayPopulationEdges' breakers variant, at 1, 2 and 7 shards and
+// two chunk sizes, over the sample, an empty replay and three records.
+func TestFleetTalliesMatchSharedHandles(t *testing.T) {
+	f := setup(t)
+	harsh := faults.Spec{Transient: 0.6, Stagnation: 0.3}
+	breakers := stressOptions(f, nil)
+	breakers.Faults = &harsh
+	breakers.Resilience = &backend.RetryPolicy{MaxAttempts: 1, BreakerThreshold: 2}
+	for _, shape := range []struct {
+		name string
+		opts Options
+	}{{"stress", stressOptions(f, nil)}, {"breakers", breakers}} {
+		for _, in := range []struct {
+			name   string
+			sample []workload.Request
+		}{{"sample", f.sample}, {"empty", nil}, {"three", threeOfOneUser(f.sample)}} {
+			for _, shards := range []int{1, 2, 7} {
+				for _, chunk := range []int{3, 0} {
+					name := fmt.Sprintf("%s/%s/shards=%d/chunk=%d", shape.name, in.name, shards, chunk)
+					run := func(untallied bool) (*obs.Snapshot, []LedgerCounts) {
+						o := shape.opts
+						o.Shards, o.chunk, o.untallied = shards, chunk, untallied
+						o.Metrics = obs.NewRegistry()
+						res := RunODR(in.sample, f.trace.Files, f.aps, o)
+						return outcomeSnapshot(o.Metrics), res.Ledgers()
+					}
+					got, gotLedgers := run(false)
+					want, wantLedgers := run(true)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: tallied registry\n%s\nshared handles\n%s", name, snapJSON(t, got), snapJSON(t, want))
+					}
+					if !reflect.DeepEqual(gotLedgers, wantLedgers) {
+						t.Fatalf("%s: tallied ledgers %+v, shared %+v", name, gotLedgers, wantLedgers)
+					}
+					if in.name != "sample" {
+						continue
+					}
+					// The sample feeds the counts the tallies carry: the stress
+					// shape retries, the breakers shape opens circuits and
+					// leaves some open.
+					families := []string{faults.MetricInjected, "odr_backend_fetches_total", backend.MetricRetries}
+					if shape.name == "breakers" {
+						families = []string{faults.MetricInjected, "odr_backend_fetches_total", backend.MetricCircuitOpens}
+						if familyGauges(got, backend.MetricCircuitState) == 0 {
+							t.Fatalf("%s: no circuit left open", name)
+						}
+					}
+					for _, family := range families {
+						if familyTotal(got, family) == 0 {
+							t.Fatalf("%s: no %s counted", name, family)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// familyTotal sums a counter family's values in s.
+func familyTotal(s *obs.Snapshot, family string) uint64 {
+	var n uint64
+	for name, v := range s.Counters {
+		if base, _, _ := strings.Cut(name, "{"); base == family {
+			n += v
+		}
+	}
+	return n
+}
+
+// familyGauges sums a gauge family's values in s.
+func familyGauges(s *obs.Snapshot, family string) int64 {
+	var n int64
+	for name, v := range s.Gauges {
+		if base, _, _ := strings.Cut(name, "{"); base == family {
+			n += v
+		}
+	}
+	return n
 }
