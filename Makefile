@@ -318,8 +318,9 @@ reach:
 # writers and the workload hash, which format on GOMAXPROCS lanes, the
 # CSV reader, which parses on GOMAXPROCS lanes (held to the serial reader
 # it replaced, and to leaving no goroutine behind), the ordered lanes
-# themselves, and the generator, whose plan counts on GOMAXPROCS
-# goroutines. The replay's Population must give every record the ordinals
+# themselves (Read, and Write, a Read whose caller writes), and the
+# generator, whose plan counts on GOMAXPROCS goroutines and whose parallel
+# stream is a Read. The replay's Population must give every record the ordinals
 # its maps would, whether it takes the bin decoder's trace ordinal or
 # falls back to the maps.
 DETERMINISM_FLAGS := -race -cpu 1,4
@@ -327,8 +328,8 @@ determinism:
 	$(call tests,./internal/replay,TestReplayDeterminism TestReplayGolden TestReplayPopulationEdges TestFleetTalliesMatchSharedHandles,$(DETERMINISM_FLAGS))
 	$(call tests,./internal/backend,TestPopulationOrdinalsMatchMaps,$(DETERMINISM_FLAGS))
 	$(call tests,./internal/trace,TestWriteRecordsBatchBoundaries TestWriteRecordsErrors TestCSVLaneReaderMatchesSerial TestCSVReaderGoroutines,$(DETERMINISM_FLAGS))
-	$(call tests,./internal/lanes,TestReadOrder TestReadRestAndClose,$(DETERMINISM_FLAGS))
-	$(call tests,./internal/workload,TestGenerateStreamMatchesGenerate TestRequestsWorkersMatchesSequential TestStreamTimeThenIndexOrder,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/lanes,TestReadOrder TestReadRestAndClose TestWriteOrder TestWriteStopsOnWriteError TestWriteReturnsFillError,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/workload,TestGenerateStreamMatchesGenerate TestRequestsWorkersMatchesSequential TestStreamTimeThenIndexOrder TestRequestsWorkersClose,$(DETERMINISM_FLAGS))
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot

@@ -170,15 +170,17 @@ func TestWriteReturnsFillError(t *testing.T) {
 	}
 }
 
-// item is a batch of the read tests: its number, and whether a lane
-// parsed it.
+// item is a batch of the read tests: its number, whether a lane parsed
+// it, and which.
 type item struct {
-	k      int
-	parsed bool
+	k, lane int
+	parsed  bool
 }
 
 // counter fills batch k with k, up to batches, and checks that Fill is
-// never handed the batch it filled last.
+// never handed the batch it filled last and that one lane's Parses never
+// overlap. The count of each lane's Parses in progress is a plain int, so
+// -race also reports two goroutines parsing for one lane.
 type counter struct {
 	t       *testing.T
 	batches int
@@ -187,6 +189,7 @@ type counter struct {
 }
 
 func (c *counter) spec(lanes int) ReadSpec[item] {
+	parsing := make([]int, max(lanes, 1))
 	return ReadSpec[item]{
 		Lanes: lanes,
 		Fill: func(b *item) bool {
@@ -201,13 +204,20 @@ func (c *counter) spec(lanes int) ReadSpec[item] {
 			c.last = b
 			return true
 		},
-		Parse: func(b *item) { b.parsed = true },
+		Parse: func(lane int, b *item) {
+			if parsing[lane]++; parsing[lane] != 1 {
+				c.t.Errorf("lane %d parses batch %d while parsing another", lane, b.k)
+			}
+			b.parsed, b.lane = true, lane
+			parsing[lane]--
+		},
 	}
 }
 
 // TestReadOrder: Next returns every batch, parsed, in fill order, at every
 // batch count around a round of lanes, whatever the lane count and
-// GOMAXPROCS, and leaves no goroutine behind.
+// GOMAXPROCS, and leaves no goroutine behind. Batch k is parsed on lane
+// k mod Lanes.
 func TestReadOrder(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -218,7 +228,7 @@ func TestReadOrder(t *testing.T) {
 				r := Read(c.spec(lanes))
 				k := 0
 				for b, ok := r.Next(); ok; b, ok = r.Next() {
-					if b.k != k || !b.parsed {
+					if b.k != k || !b.parsed || b.lane != k%max(lanes, 1) {
 						t.Errorf("GOMAXPROCS %d, %d lanes: batch %d is %+v", procs, lanes, k, *b)
 					}
 					k++

@@ -951,9 +951,9 @@ func noEOF(err error) error {
 // count. Because the encoding normalizes exactly what the trace formats
 // preserve, equal digests mean the streams are equivalent regardless of
 // which format (or generator) produced them — the primitive behind the
-// paper-scale experiment's cross-path identity checks. The caller's
-// goroutine pulls the records; they are encoded on GOMAXPROCS goroutines
-// and hashed, in order, on one more (see writeRecords).
+// paper-scale experiment's cross-path identity checks. One goroutine
+// pulls the records, GOMAXPROCS lanes encode them, and the caller's
+// goroutine hashes them in order (see writeRecords).
 func HashWorkload(src workload.RequestSource) (string, int, error) {
 	h := sha256.New()
 	n, err := writeRecords(h, src, binRecordBytes, appendBinRecord)

@@ -101,7 +101,7 @@ func StreamWorkloadCSV(r io.Reader) (workload.RequestSource, error) {
 				return csvBlock{buf: make([]byte, csvReadBuf), lines: make([]csvLine, 0, csvBlockLines)}
 			},
 			Fill:  s.fill.fill,
-			Parse: (*csvBlock).parse,
+			Parse: func(_ int, b *csvBlock) { b.parse() },
 		})
 		return s, nil
 	}
@@ -617,12 +617,14 @@ const (
 )
 
 // writeRecords writes appendRecord's bytes for every record of src to w,
-// in order, and returns the number of records it pulled. The calling
-// goroutine pulls records into batches of recordBatch; the batches are
-// formatted on GOMAXPROCS goroutines and written by one more (lanes.Write),
-// so the pull — usually a decode — overlaps the formatting and the write.
-// recBytes sizes the buffers. A source error is returned after the batches
-// before the failing one are written.
+// in order, and returns the number of records it pulled. One goroutine
+// of lanes.Write's read pulls records into batches of recordBatch, the
+// batches are formatted on GOMAXPROCS lanes, and the calling goroutine
+// writes them in order, so the pull — usually a decode — overlaps the
+// formatting and the write. src is pulled on that one goroutine, not the
+// caller's, and only until writeRecords returns. recBytes sizes the
+// buffers. A source error is returned after the batches before the
+// failing one are written.
 func writeRecords(w io.Writer, src workload.RequestSource, recBytes int,
 	appendRecord func([]byte, workload.Request) []byte) (int, error) {
 	n := 0

@@ -652,13 +652,8 @@ func DiurnalProfile() [24]float64 { return hourProfile }
 // residential Unicom ADSL lines). It returns fewer than n only when the
 // trace does not contain enough qualifying requests.
 func UnicomSample(t *Trace, n int, seed uint64) []Request {
-	var pool []Request
-	for _, r := range t.Requests {
-		if r.User.ISP == ISPUnicom && r.User.ReportsBW {
-			pool = append(pool, r)
-		}
-	}
-	return unicomPick(pool, n, seed)
+	sample, _ := UnicomSampleSource(NewSliceSource(t.Requests), n, seed) // a slice source never fails
+	return sample
 }
 
 // PopularityVector returns weekly request counts ordered by decreasing

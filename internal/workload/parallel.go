@@ -2,34 +2,26 @@ package workload
 
 import (
 	"runtime"
-	"sync"
 
 	"odr/internal/dist"
+	"odr/internal/lanes"
 )
 
-// genBucketAhead is how many buckets each generation worker may run ahead
-// of the consumer: one being built plus one parked in the worker's output
-// channel. Together with the chunk size it bounds the parallel stream's
-// resident request count at roughly 2 × workers × chunk — constant in
-// trace length, exactly like the sequential source's single bucket.
-const genBucketAhead = 1
-
-// RequestsWorkers returns a stream over the trace's requests generated by
-// `workers` pipelined workers running ahead of the consumer. The emitted
-// sequence — indices, ordering, and every request field — is byte-identical
-// to Requests() for any worker count, because each bucket is regenerated
-// from the same per-request RNG substreams (reqRoot.Split64 keyed by
-// generation index) and buckets are delivered strictly in order through a
-// bounded reorder stage: worker w owns buckets w, w+W, w+2W, …, materializes
-// each through the sequential source's buildBucket, and publishes
-// them on its own depth-genBucketAhead channel; the consumer round-robins
-// the channels, so bucket b is always drained before bucket b+1.
+// RequestsWorkers returns a stream over the trace's requests with the
+// buckets built on `workers` lanes ahead of the consumer (lanes.Read). It
+// is byte-identical to Requests() — indices, ordering and every field —
+// for any worker count: Fill hands out bucket numbers in order, lane j
+// builds buckets j, j+W, j+2W, … through the sequential source's
+// buildBucket from the same per-request substreams (reqRoot.Split64 keyed
+// by generation index), with RNGs and a sort spare of its own, and Next
+// walks the buckets in order. At most two buckets per lane are in flight,
+// so about 2 × workers × chunk requests are resident, whatever the trace
+// length.
 //
 // workers <= 0 selects GOMAXPROCS; workers == 1 (or a single-bucket trace)
-// returns the plain sequential source. The source implements Sizer and,
-// when abandoned before exhaustion, must be released with Close to stop
-// the workers (a fully drained source shuts down on its own; Close is
-// idempotent and always safe to call).
+// returns the sequential source, which starts no goroutine. The source
+// implements Sizer; one abandoned before exhaustion must be released with
+// Close (a drained source stops on its own; Close is idempotent).
 func (t *StreamTrace) RequestsWorkers(workers int) RequestSource {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -41,91 +33,63 @@ func (t *StreamTrace) RequestsWorkers(workers int) RequestSource {
 	if workers <= 1 {
 		return t.Requests()
 	}
-	s := &parGenSource{
-		t:    t,
-		out:  make([]chan []genItem, workers),
-		free: make(chan []genItem, 2*workers),
-		stop: make(chan struct{}),
+	// The sort spare stays with its lane: one per lane, not one per slot.
+	type genLane struct {
+		reqRoot, scratch *dist.RNG
+		spare            []genItem
 	}
-	// The buffer budget is fixed: one bucket per worker in flight, one
-	// being built, and the one the consumer is draining all come from (and
-	// return to) this pool, each made to hold the largest bucket, so
-	// generation allocates nothing per bucket.
-	for i := 0; i < 2*workers; i++ {
-		s.free <- t.newBucketBuf()
+	own := make([]genLane, workers)
+	for j := range own {
+		own[j] = genLane{dist.NewRNG(t.cfg.Seed).Split("requests"), dist.NewRNG(0), t.newBucketBuf()}
 	}
-	for w := 0; w < workers; w++ {
-		s.out[w] = make(chan []genItem, genBucketAhead)
-		go s.worker(w, workers)
-	}
-	return s
+	next := 0 // the bucket Fill hands out next
+	return &parGenSource{t: t, rd: lanes.Read(lanes.ReadSpec[genBucket]{
+		Lanes:    workers,
+		NewBatch: func() genBucket { return genBucket{items: t.newBucketBuf()} },
+		Fill: func(b *genBucket) bool {
+			if next == buckets {
+				return false
+			}
+			b.n, next = next, next+1
+			return true
+		},
+		Parse: func(j int, b *genBucket) {
+			l := &own[j]
+			b.items, l.spare = t.buildBucket(b.items, l.spare, b.n, l.reqRoot, l.scratch)
+		},
+	})}
 }
 
-// parGenSource is the parallel counterpart of genSource: a fixed worker
-// pool regenerates buckets ahead of the consumer, and Next drains them in
-// strict bucket order.
+// genBucket is one bucket of the parallel stream: its number, and its
+// requests once a lane has built them.
+type genBucket struct {
+	n     int
+	items []genItem
+}
+
+// parGenSource is the parallel counterpart of genSource: it takes the
+// buckets of a lanes.Read in bucket order and walks each.
 type parGenSource struct {
-	t    *StreamTrace
-	out  []chan []genItem // out[w] carries worker w's buckets, in order
-	free chan []genItem   // recycled bucket buffers
-	stop chan struct{}    // closed by Close; unblocks worker sends
-
-	bucket int // next bucket to take delivery of
-	buf    []genItem
-	pos    int
-	base   int // global index of buf[0]
-
-	closeOnce sync.Once
-	closed    bool
-}
-
-// worker regenerates buckets w, w+stride, w+2·stride, … through the
-// sequential source's buildBucket, with a sort scratch of its own, and
-// publishes each on its own channel. The bounded channel plus the shared
-// buffer pool are the backpressure: a worker can be at most one bucket
-// ahead of its last delivery.
-func (s *parGenSource) worker(w, stride int) {
-	t := s.t
-	reqRoot := dist.NewRNG(t.cfg.Seed).Split("requests")
-	scratch := dist.NewRNG(0)
-	spare := t.newBucketBuf()
-	for b := w; b < len(t.offsets)-1; b += stride {
-		var buf []genItem
-		select {
-		case buf = <-s.free:
-		case <-s.stop:
-			return
-		}
-		buf, spare = t.buildBucket(buf, spare, b, reqRoot, scratch)
-		select {
-		case s.out[b%stride] <- buf:
-		case <-s.stop:
-			return
-		}
-	}
+	t     *StreamTrace
+	rd    *lanes.Reader[genBucket]
+	items []genItem // the bucket rd returned last
+	pos   int
+	base  int // global index of items[0]
 }
 
 // Next implements RequestSource; indices and requests are identical to the
 // sequential source's.
 func (s *parGenSource) Next() (int, Request, bool) {
-	for s.pos >= len(s.buf) {
-		if s.closed || s.bucket >= len(s.t.offsets)-1 {
-			s.Close()
+	for s.pos >= len(s.items) {
+		b, ok := s.rd.Next()
+		if !ok {
 			return 0, Request{}, false
 		}
-		// Recycle the drained buffer, then take delivery of the next
-		// bucket from its owning worker. The pool has spare capacity for
-		// every outstanding buffer, so the send never blocks.
-		if s.buf != nil {
-			s.free <- s.buf
-		}
-		s.base += len(s.buf)
-		s.buf = <-s.out[s.bucket%len(s.out)]
-		s.pos = 0
-		s.bucket++
+		s.base += len(s.items)
+		s.items, s.pos = b.items, 0
 	}
 	i := s.base + s.pos
-	req := s.buf[s.pos].req
+	req := s.items[s.pos].req
 	s.pos++
 	return i, req, true
 }
@@ -136,13 +100,10 @@ func (s *parGenSource) Err() error { return nil }
 // TotalRequests implements Sizer.
 func (s *parGenSource) TotalRequests() int { return len(s.t.perm) }
 
-// Close releases the worker pool. It must be called when the stream is
-// abandoned before exhaustion (a fully drained stream closes itself); it
-// is idempotent and returns nil.
+// Close stops the lanes. It must be called when the stream is abandoned
+// before exhaustion (a fully drained stream closes itself); it is
+// idempotent and returns nil.
 func (s *parGenSource) Close() error {
-	s.closeOnce.Do(func() {
-		s.closed = true
-		close(s.stop)
-	})
+	s.rd.Close()
 	return nil
 }

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"io"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestRequestsWorkersMatchesSequential is the parallel generator's core
@@ -60,13 +62,15 @@ func TestRequestsWorkersRestartable(t *testing.T) {
 }
 
 // TestRequestsWorkersClose: abandoning a parallel stream mid-flight and
-// closing it must stop the workers without deadlock (run under -race to
-// prove the shutdown is clean), and a closed source stays exhausted.
+// closing it must stop the lanes without deadlock (run under -race to
+// prove the shutdown is clean), and a closed source stays exhausted. A
+// closed source and a fully drained one both leave no goroutine behind.
 func TestRequestsWorkersClose(t *testing.T) {
 	st, err := GenerateStream(streamCfg(), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
 	src := st.RequestsWorkers(4)
 	for i := 0; i < 100; i++ {
 		if _, _, ok := src.Next(); !ok {
@@ -92,15 +96,33 @@ func TestRequestsWorkersClose(t *testing.T) {
 	if err := src.Err(); err != nil {
 		t.Fatalf("closed source reports error %v", err)
 	}
+	if after := settled(before); after > before {
+		t.Errorf("closed source: %d goroutines before, %d after", before, after)
+	}
+	if n := len(collectAll(t, st.RequestsWorkers(4))); n != st.TotalRequests() {
+		t.Fatalf("stream yielded %d requests, want %d", n, st.TotalRequests())
+	}
+	if after := settled(before); after > before {
+		t.Errorf("drained source: %d goroutines before, %d after", before, after)
+	}
 }
 
-// parBuf exposes the residual buffer length of a parallel source for the
-// close test (requests already delivered to the consumer may drain).
+// parBuf exposes the residual buffer of a parallel source for the close
+// test (requests already delivered to the consumer may drain).
 func parBuf(src RequestSource) []genItem {
 	if p, ok := src.(*parGenSource); ok {
-		return p.buf[p.pos:]
+		return p.items[p.pos:]
 	}
 	return nil
+}
+
+// settled waits for the goroutine count to come back to before and
+// reports what it came to.
+func settled(before int) int {
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	return runtime.NumGoroutine()
 }
 
 // BenchmarkGenerateStream measures end-to-end generation throughput —

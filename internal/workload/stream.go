@@ -150,11 +150,12 @@ func (s *censusSource) Next() (int, Request, bool) {
 func (s *censusSource) Err() error { return s.src.Err() }
 
 // UnicomSampleSource draws the §5.1 replay sample — n requests by Unicom
-// users whose clients report access bandwidth — from a request stream.
-// Only the qualifying pool is retained (a small fraction of the trace),
-// so sampling a recorded million-user trace stays cheap. The draw is
-// byte-identical to UnicomSample over the same requests in the same
-// order.
+// users whose clients report access bandwidth — from a request stream, by
+// a partial Fisher-Yates draw over the qualifying pool; it returns the
+// pool itself when it holds no more than n requests. Only that pool is
+// retained (a small fraction of the trace), so sampling a recorded
+// million-user trace stays cheap. UnicomSample is this draw over a
+// trace's slice.
 func UnicomSampleSource(src RequestSource, n int, seed uint64) ([]Request, error) {
 	var pool []Request
 	for {
@@ -169,19 +170,13 @@ func UnicomSampleSource(src RequestSource, n int, seed uint64) ([]Request, error
 	if err := src.Err(); err != nil {
 		return nil, err
 	}
-	return unicomPick(pool, n, seed), nil
-}
-
-// unicomPick applies the §5.1 partial Fisher-Yates draw to a qualifying
-// pool. It returns the pool itself when it holds no more than n requests.
-func unicomPick(pool []Request, n int, seed uint64) []Request {
 	g := dist.NewRNG(seed).Split("unicom-sample")
 	if len(pool) <= n {
-		return pool
+		return pool, nil
 	}
 	for i := 0; i < n; i++ {
 		j := i + g.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
 	}
-	return pool[:n]
+	return pool[:n], nil
 }
