@@ -322,7 +322,12 @@ reach:
 # generator, whose plan counts on GOMAXPROCS goroutines and whose parallel
 # stream is a Read. The replay's Population must give every record the ordinals
 # its maps would, whether it takes the bin decoder's trace ordinal or
-# falls back to the maps.
+# falls back to the maps. The ingest tier's batched submission must
+# accept, reject and place items exactly as the same items submitted one
+# by one would, within its item-counted queue bound and MaxBatch, with
+# per-key order, drain and completion groups intact under concurrent
+# submitters; the batch endpoint must keep its backpressure and fold its
+# decisions' metrics to the per-item sums.
 DETERMINISM_FLAGS := -race -cpu 1,4
 determinism:
 	$(call tests,./internal/replay,TestReplayDeterminism TestReplayGolden TestReplayPopulationEdges TestFleetTalliesMatchSharedHandles,$(DETERMINISM_FLAGS))
@@ -330,6 +335,8 @@ determinism:
 	$(call tests,./internal/trace,TestWriteRecordsBatchBoundaries TestWriteRecordsErrors TestCSVLaneReaderMatchesSerial TestCSVReaderGoroutines,$(DETERMINISM_FLAGS))
 	$(call tests,./internal/lanes,TestReadOrder TestReadRestAndClose TestWriteOrder TestWriteStopsOnWriteError TestWriteReturnsFillError,$(DETERMINISM_FLAGS))
 	$(call tests,./internal/workload,TestGenerateStreamMatchesGenerate TestRequestsWorkersMatchesSequential TestStreamTimeThenIndexOrder TestRequestsWorkersClose,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/ingest,TestSubmitBatchMatchesSequential TestSubmitBatchSplitsRuns TestSubmitMetricsCountItems TestGroupCompletesOnce TestSubmitBatchConcurrentBounds TestPipelineKeyOrdering TestPipelineGracefulDrain TestPipelineConcurrentSubmitters,$(DETERMINISM_FLAGS))
+	$(call tests,./internal/odrweb,TestBatchQueueFullBackpressure TestBatchMetricsEqualPerItemSums,$(DETERMINISM_FLAGS))
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot
@@ -370,8 +377,9 @@ allocgate:
 
 # Replay benchmarks: the shard-count throughput sweep plus the streaming
 # pipeline's allocation profile, the metrics hot path, the windowed
-# timeline on/off pair, the storage pool's per-policy demand loop, and one
-# worker serving a coordinated band run's 8 windows (ns/record).
+# timeline on/off pair, the storage pool's per-policy demand loop, one
+# worker serving a coordinated band run's 8 windows (ns/record), and the
+# serve path's 256-item decide batch through the handler (ns/item).
 # -count 5 repeated runs with -benchmem give the aggregator enough
 # samples.
 bench:
@@ -388,6 +396,8 @@ bench:
 		-benchmem -benchtime 1x -count 5 ./internal/workload
 	$(GO) test -run '^$$' -bench BenchmarkWorkerWindows \
 		-benchmem -benchtime 5x -count 5 ./internal/distrib
+	$(GO) test -run '^$$' -bench BenchmarkBatchHandler \
+		-benchmem -benchtime 2000x -count 5 ./internal/odrweb
 
 # The tracked benchmark baseline. bench-save reruns the suite and rewrites
 # it; bench-compare reruns the suite and diffs median metrics against it,

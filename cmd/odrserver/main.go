@@ -197,9 +197,6 @@ func buildServer(files int, seed uint64, cachePolicy string, poolBytes int64,
 	if err != nil {
 		return nil, 0, fmt.Errorf("generate content universe: %w", err)
 	}
-	db := cloud.NewContentDB()
-	db.SeedPopularity(tr.Files)
-
 	capacity := int64(cloud.FullPoolBytes)
 	if poolBytes > 0 {
 		capacity = poolBytes
@@ -213,7 +210,9 @@ func buildServer(files int, seed uint64, cachePolicy string, poolBytes int64,
 			cached++
 		}
 	}
-	advisor := &core.Advisor{DB: db, Cache: pool}
+	// The popularity index is read-only once built, so a plain map
+	// serves it: no lock on the decide path.
+	advisor := &core.Advisor{DB: core.NewStaticDB(tr.Files), Cache: pool}
 	resolver := odrweb.FallbackResolver{Primary: odrweb.NewMapResolver(tr.Files)}
 	srv := odrweb.NewServer(advisor, resolver, logger)
 	srv.SetPoolStats(pool.Stats)

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/cloud"
+	"odr/internal/core"
 	"odr/internal/obs"
 	"odr/internal/odrweb"
 	"odr/internal/scenario"
@@ -116,5 +118,42 @@ func TestServeIngestAndDrain(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not drain within 30s of SIGTERM")
+	}
+}
+
+// TestPopularityIndexMatchesContentDB pins the ground the server's
+// lock-free popularity index stands on: over the server's own universe,
+// core.StaticDB answers every band cloud.ContentDB seeded with the same
+// files would, unknown IDs are unpopular in both, and the last of two
+// entries for one ID wins in both.
+func TestPopularityIndexMatchesContentDB(t *testing.T) {
+	tr, err := workload.Generate(workload.DefaultConfig(2000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := append([]*workload.FileMeta(nil), tr.Files...)
+	dup := *files[0]
+	dup.WeeklyRequests = workload.BandThresholdHighlyPopular + 1
+	files = append(files, &dup)
+	static := core.NewStaticDB(files)
+	seeded := cloud.NewContentDB()
+	seeded.SeedPopularity(files)
+	bands := map[workload.PopularityBand]int{}
+	for _, f := range files {
+		if got, want := static.Band(f.ID), seeded.Band(f.ID); got != want {
+			t.Fatalf("file %x: StaticDB band %v, ContentDB band %v", f.ID, got, want)
+		}
+		bands[static.Band(f.ID)]++
+	}
+	if len(bands) != 3 {
+		t.Fatalf("universe covers bands %v, want all three", bands)
+	}
+	if got := static.Band(files[0].ID); got != workload.BandHighlyPopular {
+		t.Fatalf("duplicate ID: StaticDB band %v, want the last entry's %v", got, workload.BandHighlyPopular)
+	}
+	var unknown workload.FileID
+	unknown[0] = 0xff
+	if got, want := static.Band(unknown), seeded.Band(unknown); got != want || got != workload.BandUnpopular {
+		t.Fatalf("unknown ID: StaticDB band %v, ContentDB band %v, want unpopular", got, want)
 	}
 }

@@ -129,13 +129,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// One slab of results and one of jobs per call, never pooled: after a
-	// cancelled Wait the workers may still be writing them.
+	// cancelled Wait the workers may still be writing them. The admitted
+	// jobs and their users' shard keys go to the pipeline in one call.
 	results := make([]BatchResult, len(req.Items))
 	jobs := make([]batchJob, len(req.Items))
-	g := s.ingest.NewGroup()
-	admitted := 0
+	subs := make([]*batchJob, 0, len(req.Items))
+	keys := make([]uint64, 0, len(req.Items))
 	var maxRetry time.Duration
-	sawOverload := false
 	for i := range req.Items {
 		it := &req.Items[i]
 		res := &results[i]
@@ -170,16 +170,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		job := &jobs[i]
 		job.link, job.in, job.res = it.Link, in, res
-		if err := s.ingest.Submit(g, hashKey(user), job); err != nil {
-			sawOverload = true
-			if errors.Is(err, ingest.ErrQueueFull) {
-				res.reject(http.StatusServiceUnavailable, "ingest queue full")
-			} else {
-				res.reject(http.StatusServiceUnavailable, "server is draining")
-			}
-			continue
+		subs = append(subs, job)
+		keys = append(keys, hashKey(user))
+	}
+	g := s.ingest.NewGroup()
+	errs := make([]error, len(subs))
+	admitted := s.ingest.SubmitBatch(g, keys, subs, errs)
+	sawOverload := admitted < len(subs)
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, ingest.ErrQueueFull):
+			subs[i].res.reject(http.StatusServiceUnavailable, "ingest queue full")
+		default:
+			subs[i].res.reject(http.StatusServiceUnavailable, "server is draining")
 		}
-		admitted++
 	}
 	t = lap(st.submit, t)
 
@@ -219,42 +224,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // processBatch is the worker stage: it answers every job in one batch,
-// amortizing the per-decision lookups — each distinct link is resolved
-// (and its popularity band and cache residency fetched) once per batch,
-// and each route's health is probed at most once per batch.
+// probing each route's health at most once per batch and adding the
+// batch's decisions to the metrics once.
 func (s *Server) processBatch(jobs []*batchJob) {
 	look := s.health
 	if look != nil {
 		memo := &healthLook{s: s}
 		look = memo.look
 	}
-	type entry struct {
-		rf  resolvedFile
-		err error
-	}
-	var memoFiles map[string]entry
-	if len(jobs) > 1 {
-		memoFiles = make(map[string]entry, len(jobs))
-	}
+	var tally decisionTally
 	for _, j := range jobs {
-		var e entry
-		if memoFiles == nil {
-			e.rf, e.err = s.resolveFile(j.link)
-		} else {
-			var ok bool
-			if e, ok = memoFiles[j.link]; !ok {
-				e.rf, e.err = s.resolveFile(j.link)
-				memoFiles[j.link] = e
-			}
-		}
-		if e.err != nil {
-			j.res.reject(http.StatusNotFound, e.err.Error())
+		rf, err := s.resolveFile(j.link)
+		if err != nil {
+			j.res.reject(http.StatusNotFound, err.Error())
 			continue
 		}
-		j.decision = s.decideResolved(j.in, e.rf, look)
+		j.decision = s.decideTallied(j.in, rf, look, &tally)
 		j.res.Status = http.StatusOK
 		j.res.Decision = &j.decision
 	}
+	s.met.fold(&tally)
 }
 
 // hashKey shards users across the pipeline's queues.

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -429,4 +431,76 @@ func TestStartIngestTwicePanics(t *testing.T) {
 		}
 	}()
 	s.StartIngest(ingest.Config{Workers: 1})
+}
+
+// TestBatchMetricsEqualPerItemSums: a batch's decisions reach /metrics
+// folded once per processor call, and the folded series must equal what
+// the same items decided one by one on the single-decide endpoint add
+// up to — decisions per backend, reroute hops per reason, and the
+// resolved-bytes histogram bucket for bucket — and what the batch's own
+// answers count.
+func TestBatchMetricsEqualPerItemSums(t *testing.T) {
+	health := func(r core.Route) backend.Health {
+		switch r {
+		case core.RouteSmartAP:
+			return backend.Unavailable
+		case core.RouteCloudThenAP:
+			return backend.Impaired
+		}
+		return backend.Healthy
+	}
+	batchSrv, _, bc := newBatchServer(t, ingest.Config{Workers: 2, MaxBatch: 3})
+	batchSrv.SetHealth(health)
+	singleSrv, _, sc := newBatchServer(t, ingest.Config{Workers: 1})
+	singleSrv.SetHealth(health)
+
+	slow := goodAux()
+	slow.AccessBW = 100 * 1024
+	auxes := []*AuxInfo{goodAux(), slow, {ISP: "telecom", AccessBW: 1 << 20}}
+	links := []string{"magnet:?xt=urn:btih:hot", "http://origin/rare.mkv", "http://origin/hot.iso"}
+	var items []BatchItem
+	for i := 0; i < 40; i++ {
+		items = append(items, BatchItem{Link: links[i%len(links)], User: "u" + strconv.Itoa(i%5), Aux: auxes[i%len(auxes)]})
+	}
+	resp, err := bc.DecideBatch(context.Background(), &BatchRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Admitted != len(items) {
+		t.Fatalf("admitted %d of %d", resp.Admitted, len(items))
+	}
+	byBackend := map[string]uint64{}
+	for i, it := range items {
+		single, err := sc.Decide(context.Background(), it.Link, it.Aux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Results[i].Decision; got == nil || !reflect.DeepEqual(*got, *single) {
+			t.Fatalf("item %d: batch decided %+v, single %+v", i, got, single)
+		}
+		byBackend[single.Backend]++
+	}
+
+	batch, ref := batchSrv.Snapshot(), singleSrv.Snapshot()
+	for name := range byBackend {
+		if got := batch.Counters[obs.Label(metricDecisions, "backend", name)]; got != byBackend[name] {
+			t.Fatalf("decisions{backend=%q} = %d, the answers count %d", name, got, byBackend[name])
+		}
+	}
+	for name, want := range ref.Counters {
+		series := strings.HasPrefix(name, metricDecisions) || strings.HasPrefix(name, metricRerouted)
+		if series && batch.Counters[name] != want {
+			t.Fatalf("%s: batch %d, per-item sum %d", name, batch.Counters[name], want)
+		}
+	}
+	for _, reason := range rerouteReasons {
+		name := obs.Label(metricRerouted, "reason", reason)
+		if ref.Counters[name] == 0 {
+			t.Fatalf("%s is 0: the items exercise no such hop", name)
+		}
+	}
+	if got, want := batch.Histograms[metricResolvedBytes], ref.Histograms[metricResolvedBytes]; got.Count != uint64(len(items)) ||
+		!reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: batch %+v, per-item sum %+v", metricResolvedBytes, got, want)
+	}
 }

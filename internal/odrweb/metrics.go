@@ -21,15 +21,17 @@ type webMetrics struct {
 	// single and batch time the decide handlers' stages per call.
 	single singleStages
 	batch  batchStages
-	// decisions counts answered /api/v1/decide calls per backend.
-	decisions map[string]*obs.Counter
+	// decisions counts answered decisions, indexed by route, each
+	// route's series being its backend's (routes sharing a backend share
+	// one).
+	decisions [core.NumRoutes]*obs.Counter
 	// resolvedBytes observes the size of every successfully resolved
 	// file — the service-side analogue of the replay's fetch-bytes
 	// histogram (ODR never moves the bytes itself).
 	resolvedBytes *obs.Histogram
 	// rerouted counts decisions the health hook moved off the preferred
-	// backend, per degrade reason (circuit_open / degraded).
-	rerouted map[string]*obs.Counter
+	// backend, indexed like rerouteReasons.
+	rerouted [len(rerouteReasons)]*obs.Counter
 }
 
 // Metric names exposed by the web service.
@@ -53,26 +55,23 @@ const (
 	metricPoolEvictions = "odr_pool_evictions_total"
 )
 
-// webRoutes are the backend names decisions can resolve to, pre-registered
-// so all four series scrape at zero from the start.
-var webRoutes = []core.Route{
-	core.RouteUserDevice, core.RouteSmartAP, core.RouteCloud, core.RouteCloudThenAP,
-}
+// rerouteReasons are the degrade reasons backend.Degrade gives a hop.
+var rerouteReasons = [...]string{core.ReasonCircuitOpen, core.ReasonDegraded}
 
-// newWebMetrics registers the service's metric schema in reg.
+// newWebMetrics registers the service's metric schema in reg. Every
+// backend's decision series and every reason's reroute series is
+// registered here, so all of them scrape at zero from the start.
 func newWebMetrics(reg *obs.Registry) webMetrics {
 	m := webMetrics{
 		reg:           reg,
-		decisions:     make(map[string]*obs.Counter, len(webRoutes)),
 		resolvedBytes: reg.Histogram(metricResolvedBytes),
 	}
-	for _, r := range webRoutes {
-		name := backend.NameForRoute(r)
-		m.decisions[name] = reg.Counter(obs.Label(metricDecisions, "backend", name))
+	for r := range m.decisions {
+		name := backend.NameForRoute(core.Route(r))
+		m.decisions[r] = reg.Counter(obs.Label(metricDecisions, "backend", name))
 	}
-	m.rerouted = make(map[string]*obs.Counter, 2)
-	for _, reason := range []string{core.ReasonCircuitOpen, core.ReasonDegraded} {
-		m.rerouted[reason] = reg.Counter(obs.Label(metricRerouted, "reason", reason))
+	for i, reason := range rerouteReasons {
+		m.rerouted[i] = reg.Counter(obs.Label(metricRerouted, "reason", reason))
 	}
 	// Pre-register the latency histogram and request counter for the
 	// well-known paths so an idle server still scrapes the full schema.
@@ -125,23 +124,39 @@ func lap(h *obs.Histogram, t time.Time) time.Time {
 	return now
 }
 
-// decision records one answered decision.
-func (m *webMetrics) decision(dec core.Decision) {
-	name := backend.NameForRoute(dec.Route)
-	c := m.decisions[name]
-	if c == nil {
-		c = m.reg.Counter(obs.Label(metricDecisions, "backend", name))
-	}
-	c.Inc()
+// decisionTally is decision metrics counted in plain integers — one
+// processor call's, or one single decide's — for fold to add to the
+// shared series at once, not per decision.
+type decisionTally struct {
+	bytes    obs.Counts
+	routes   [core.NumRoutes]uint64
+	reroutes [len(rerouteReasons)]uint64
 }
 
-// reroute records one health-driven fallback hop.
-func (m *webMetrics) reroute(reason string) {
-	c := m.rerouted[reason]
-	if c == nil {
-		c = m.reg.Counter(obs.Label(metricRerouted, "reason", reason))
+// reroute counts one health-driven fallback hop; its reason is one of
+// rerouteReasons, the only reasons backend.Degrade gives.
+func (t *decisionTally) reroute(reason string) {
+	for i, r := range rerouteReasons {
+		if r == reason {
+			t.reroutes[i]++
+			return
+		}
 	}
-	c.Inc()
+}
+
+// fold adds t to the shared series.
+func (m *webMetrics) fold(t *decisionTally) {
+	m.resolvedBytes.AddCounts(t.bytes.Sum, &t.bytes.Buckets)
+	for r, n := range t.routes {
+		if n > 0 {
+			m.decisions[r].Add(n)
+		}
+	}
+	for i, n := range t.reroutes {
+		if n > 0 {
+			m.rerouted[i].Add(n)
+		}
+	}
 }
 
 // normalizePath collapses request paths to a bounded label set; unknown

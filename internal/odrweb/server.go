@@ -344,7 +344,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 // resolvedFile is a link's per-decision file state: metadata plus the
 // popularity band and cache residency ODR learned from the content
-// database. Batch processing resolves each distinct link once.
+// database.
 type resolvedFile struct {
 	file   *workload.FileMeta
 	band   workload.PopularityBand
@@ -365,21 +365,31 @@ func (s *Server) resolveFile(link string) (resolvedFile, error) {
 }
 
 // decideResolved completes a decision for a validated input and resolved
-// file, consulting look (nil = always healthy) for backend health. It is
-// the tail both the single and the batched decide paths share.
+// file, consulting look (nil = always healthy) for backend health, and
+// adds it to the metrics.
 func (s *Server) decideResolved(in core.Input, rf resolvedFile, look HealthFunc) DecideResponse {
+	var tally decisionTally
+	resp := s.decideTallied(in, rf, look, &tally)
+	s.met.fold(&tally)
+	return resp
+}
+
+// decideTallied is decideResolved counting into tally, the tail the
+// single and the batched decide paths share: a batch folds its tally
+// once for all its decisions.
+func (s *Server) decideTallied(in core.Input, rf resolvedFile, look HealthFunc, tally *decisionTally) DecideResponse {
 	in.Protocol = rf.file.Protocol
 	in.Band = rf.band
 	in.Cached = rf.cached
 	if rf.file.Size > 0 {
-		s.met.resolvedBytes.Observe(uint64(rf.file.Size))
+		tally.bytes.Observe(uint64(rf.file.Size))
 	}
 	dec := core.Decide(in)
 	dec, in, health, reasons, hops := backend.Degrade(look, in, dec)
 	for _, reason := range reasons[:hops] {
-		s.met.reroute(reason)
+		tally.reroute(reason)
 	}
-	s.met.decision(dec)
+	tally.routes[dec.Route]++
 	return DecideResponse{
 		Route:     dec.Route.String(),
 		Backend:   backend.NameForRoute(dec.Route),
